@@ -14,14 +14,15 @@ are impossible by support bookkeeping and the linear solve is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 
 from .errors import CocycleError, WindowError
 from .laurent import LaurentPoly, Q
 from . import linalg
-from .sheaf import SheafSpec, hom_unflatten, sheaf_tensor
+from .sheaf import (SheafSpec, hom_unflatten, identity_matrix, mat_mul, mat_vec,
+                    sheaf_tensor)
 
 WINDOW_CAP = 60
 
@@ -185,16 +186,12 @@ class _Linearization:
     """Images of delta applied to every windowed chart-regular 0-cochain
     monomial, as sparse vectors over (overlap, frame, monomial) keys."""
 
-    unknowns: list[tuple]                              # (chart, frame, exps)
+    unknowns: list[tuple]                              # ((chart,), frame, exps)
     images: list[dict[tuple, Fraction]]                # per unknown
-    key_of_unknown: dict[tuple, int]
 
 
 def _delta0_linearization(sheaf: SheafSpec, bound: int) -> _Linearization:
-    cache = getattr(sheaf, "_lin_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(sheaf, "_lin_cache", cache)
+    cache = sheaf.linearizations
     if bound in cache:
         return cache[bound]
     cover = sheaf.space.cover
@@ -227,9 +224,9 @@ def _delta0_linearization(sheaf: SheafSpec, bound: int) -> _Linearization:
                                     contrib.pop(key, None)
                                 else:
                                     contrib[key] = s
-                unknowns.append((chart, frame, exps))
+                unknowns.append(((chart,), frame, exps))
                 images.append(contrib)
-    lin = _Linearization(unknowns, images, {u: i for i, u in enumerate(unknowns)})
+    lin = _Linearization(unknowns, images)
     cache[bound] = lin
     return lin
 
@@ -243,9 +240,57 @@ def _cochain_keys(c: CechCochain) -> dict[tuple, Fraction]:
     return out
 
 
-def _keys_order(keys, cover) -> list[tuple]:
+def _keys_order(lin: _Linearization, cover, extra=()) -> list[tuple]:
+    """Keys of the delta images and of ``extra``, ordered by canonical
+    overlap, frame and exponents."""
+    keys = set(extra)
+    for img in lin.images:
+        keys.update(img)
     overlap_pos = {tuple(o): i for i, o in enumerate(cover.canonical_overlaps())}
     return sorted(keys, key=lambda k: (overlap_pos[k[0]], k[1], k[2]))
+
+
+def _dense_columns(keys: list[tuple], vectors) -> list[list[Fraction]]:
+    """Matrix with one row per key and one column per sparse vector; vector
+    entries on keys outside ``keys`` are dropped."""
+    pos = {k: i for i, k in enumerate(keys)}
+    matrix = [[Q(0)] * len(vectors) for _ in keys]
+    for u, vec in enumerate(vectors):
+        for k, coef in vec.items():
+            i = pos.get(k)
+            if i is not None:
+                matrix[i][u] = coef
+    return matrix
+
+
+def _dense_rows(keys: list[tuple], vectors) -> list[list[Fraction]]:
+    """One row over ``keys`` per sparse vector; vector entries on keys
+    outside ``keys`` are dropped."""
+    pos = {k: i for i, k in enumerate(keys)}
+    rows = []
+    for vec in vectors:
+        row = [Q(0)] * len(keys)
+        for k, coef in vec.items():
+            i = pos.get(k)
+            if i is not None:
+                row[i] = coef
+        rows.append(row)
+    return rows
+
+
+def _cochain_from_values(sheaf: SheafSpec, degree: int, keys, values) -> CechCochain:
+    """Cochain with coefficient ``value`` on the (tuple, frame, exponents)
+    monomial of each key."""
+    cover = sheaf.space.cover
+    data: dict[tuple, list[LaurentPoly]] = {}
+    for (key, frame, exps), value in zip(keys, values):
+        if value == 0:
+            continue
+        if key not in data:
+            data[key] = sheaf.zero_vector(key[0])
+        vars = cover.chart(key[0]).vars
+        data[key][frame] = data[key][frame] + LaurentPoly.monomial(vars, value, exps)
+    return CechCochain(sheaf, degree, data)
 
 
 def solve_coboundary(c: CechCochain, window: int | None = None) -> CechCochain | None:
@@ -260,37 +305,14 @@ def solve_coboundary(c: CechCochain, window: int | None = None) -> CechCochain |
     bound = auto_window(sheaf, c, window=window)
     lin = _delta0_linearization(sheaf, bound)
     rhs_map = _cochain_keys(c)
-    all_keys = set(rhs_map)
-    for img in lin.images:
-        all_keys.update(img)
-    keys = _keys_order(all_keys, sheaf.space.cover)
-    key_pos = {k: i for i, k in enumerate(keys)}
-    matrix = [[Q(0)] * len(lin.unknowns) for _ in keys]
-    for u, img in enumerate(lin.images):
-        for k, coef in img.items():
-            matrix[key_pos[k]][u] = coef
-    rhs = [rhs_map.get(k, Q(0)) for k in keys]
-    sol = linalg.solve(matrix, rhs)
+    keys = _keys_order(lin, sheaf.space.cover, rhs_map)
+    sol = linalg.solve(_dense_columns(keys, lin.images), _dense_rows(keys, [rhs_map])[0])
     if sol is None:
         return None
-    witness = _cochain_from_solution(sheaf, lin, sol)
+    witness = _cochain_from_values(sheaf, 0, lin.unknowns, sol)
     if cech_delta(witness) != c:
         raise CocycleError("internal error: witness does not reproduce the cocycle")
     return witness
-
-
-def _cochain_from_solution(sheaf: SheafSpec, lin: _Linearization, sol) -> CechCochain:
-    cover = sheaf.space.cover
-    data: dict[tuple, list[LaurentPoly]] = {}
-    for (chart, frame, exps), value in zip(lin.unknowns, sol):
-        if value == 0:
-            continue
-        key = (chart,)
-        if key not in data:
-            data[key] = sheaf.zero_vector(chart)
-        vars = cover.chart(chart).vars
-        data[key][frame] = data[key][frame] + LaurentPoly.monomial(vars, value, exps)
-    return CechCochain(sheaf, 0, data)
 
 
 def canonical_representative(c: CechCochain, window: int | None = None) -> CechCochain:
@@ -304,30 +326,10 @@ def canonical_representative(c: CechCochain, window: int | None = None) -> CechC
     bound = auto_window(sheaf, c, window=window)
     lin = _delta0_linearization(sheaf, bound)
     rhs_map = _cochain_keys(c)
-    all_keys = set(rhs_map)
-    for img in lin.images:
-        all_keys.update(img)
-    keys = _keys_order(all_keys, sheaf.space.cover)
-    key_pos = {k: i for i, k in enumerate(keys)}
-    span = []
-    for img in lin.images:
-        row = [Q(0)] * len(keys)
-        for k, coef in img.items():
-            row[key_pos[k]] = coef
-        span.append(row)
-    vec = [rhs_map.get(k, Q(0)) for k in keys]
-    reduced = linalg.reduce_mod_span(span, vec)
-    data: dict[tuple, list[LaurentPoly]] = {}
-    cover = sheaf.space.cover
-    for k, value in zip(keys, reduced):
-        if value == 0:
-            continue
-        (pair, frame, exps) = k
-        if pair not in data:
-            data[pair] = sheaf.zero_vector(pair[0])
-        vars = cover.chart(pair[0]).vars
-        data[pair][frame] = data[pair][frame] + LaurentPoly.monomial(vars, value, exps)
-    return CechCochain(sheaf, 1, data)
+    keys = _keys_order(lin, sheaf.space.cover, rhs_map)
+    reducer = linalg.SpanReducer(_dense_rows(keys, lin.images))
+    reduced = reducer.reduce(_dense_rows(keys, [rhs_map])[0])
+    return _cochain_from_values(sheaf, 1, keys, reduced)
 
 
 @dataclass
@@ -364,10 +366,8 @@ def cohomology_class(c: CechCochain, window: int | None = None) -> CohomologyCla
 
 def is_coboundary(c: CechCochain, window: int | None = None):
     """(True, witness) or (False, canonical nontrivial representative)."""
-    witness = solve_coboundary(c, window=window)
-    if witness is not None:
-        return True, witness
-    return False, canonical_representative(c, window=window)
+    cls = cohomology_class(c, window=window)
+    return cls.trivial, cls.witness if cls.trivial else cls.representative
 
 
 # --------------------------------------------------------- cohomology bases
@@ -384,17 +384,9 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
     cover = sheaf.space.cover
     if degree == 0:
         lin = _delta0_linearization(sheaf, bound)
-        all_keys = set()
-        for img in lin.images:
-            all_keys.update(img)
-        keys = _keys_order(all_keys, cover)
-        key_pos = {k: i for i, k in enumerate(keys)}
-        matrix = [[Q(0)] * len(lin.unknowns) for _ in keys]
-        for u, img in enumerate(lin.images):
-            for k, coef in img.items():
-                matrix[key_pos[k]][u] = coef
-        kernel = linalg.nullspace(matrix)
-        return [_cochain_from_solution(sheaf, lin, v) for v in kernel]
+        keys = _keys_order(lin, cover)
+        kernel = linalg.nullspace(_dense_columns(keys, lin.images))
+        return [_cochain_from_values(sheaf, 0, lin.unknowns, v) for v in kernel]
     if degree != 1:
         raise ValueError("cohomology_basis supports degrees 0 and 1")
 
@@ -409,58 +401,24 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
             for exps in iproduct(*ranges):
                 candidates.append(((a, b), frame, exps))
     # cocycle constraint (only when triples exist)
-    cocycle_vectors = []
-    triples = cover.canonical_triples()
-    if triples:
+    if cover.canonical_triples():
         images = []
         for cand in candidates:
             c = _unit_cochain(sheaf, 1, cand)
             images.append(_cochain_keys(cech_delta(c)))
         tkeys = sorted({k for img in images for k in img})
-        tpos = {k: i for i, k in enumerate(tkeys)}
-        matrix = [[Q(0)] * len(candidates) for _ in tkeys]
-        for u, img in enumerate(images):
-            for k, coef in img.items():
-                matrix[tpos[k]][u] = coef
-        cocycle_vectors = linalg.nullspace(matrix)
+        cocycle_vectors = linalg.nullspace(_dense_columns(tkeys, images))
     else:
-        cocycle_vectors = [[Q(1) if i == j else Q(0) for i in range(len(candidates))]
-                           for j in range(len(candidates))]
+        cocycle_vectors = identity_matrix(len(candidates))
 
     lin = _delta0_linearization(sheaf, witness_bound)
-    keys = _keys_order({k for img in lin.images for k in img}
-                       | set(candidates), cover)
-    key_pos = {k: i for i, k in enumerate(keys)}
-    span = []
-    for img in lin.images:
-        row = [Q(0)] * len(keys)
-        for k, coef in img.items():
-            row[key_pos[k]] = coef
-        span.append(row)
-    reducer = linalg.SpanReducer(span)
-    reduced_rows = []
-    for v in cocycle_vectors:
-        row = [Q(0)] * len(keys)
-        for cand, coef in zip(candidates, v):
-            if coef != 0:
-                row[key_pos[cand]] = row[key_pos[cand]] + coef
-        reduced_rows.append(reducer.reduce(row))
+    keys = _keys_order(lin, cover, candidates)
+    reducer = linalg.SpanReducer(_dense_rows(keys, lin.images))
+    cocycles = _dense_rows(keys, [dict(zip(candidates, v)) for v in cocycle_vectors])
+    reduced_rows = [reducer.reduce(row) for row in cocycles]
     basis_rows, _ = linalg.rref(reduced_rows) if reduced_rows else ([], [])
-    out = []
-    for row in basis_rows:
-        if all(v == 0 for v in row):
-            continue
-        data: dict[tuple, list[LaurentPoly]] = {}
-        for k, value in zip(keys, row):
-            if value == 0:
-                continue
-            (pair, frame, exps) = k
-            if pair not in data:
-                data[pair] = sheaf.zero_vector(pair[0])
-            vars = cover.chart(pair[0]).vars
-            data[pair][frame] = data[pair][frame] + LaurentPoly.monomial(vars, value, exps)
-        out.append(CechCochain(sheaf, 1, data))
-    return out
+    return [_cochain_from_values(sheaf, 1, keys, row) for row in basis_rows
+            if any(v != 0 for v in row)]
 
 
 def _unit_cochain(sheaf: SheafSpec, degree: int, key_triple) -> CechCochain:
@@ -527,13 +485,14 @@ class ShortExactSequence:
     quot: SheafSpec
     inclusion: list[list[Fraction]]    # total.rank x sub.rank
     projection: list[list[Fraction]]   # quot.rank x total.rank
+    _verified: bool = field(default=False, init=False, compare=False, repr=False)
 
     def verify(self):
-        if getattr(self, "_verified", False):
+        if self._verified:
             return
         if self.sub.rank + self.quot.rank != self.total.rank:
             raise CocycleError("ranks do not add up")
-        comp = _qmat_mul(self.projection, self.inclusion)
+        comp = mat_mul(self.projection, self.inclusion)
         if any(any(v != 0 for v in row) for row in comp):
             raise CocycleError("projection o inclusion is not zero")
         if linalg.rank([row[:] for row in self.inclusion]) != self.sub.rank:
@@ -542,12 +501,12 @@ class ShortExactSequence:
             raise CocycleError("projection not surjective")
         for key in self.total.matrices:
             vars = self.total.space.cover.chart(key[0]).vars
-            lhs = _qmat_apply_right(self.total.matrices[key], self.inclusion, vars)
-            rhs = _qmat_apply_left(self.inclusion, self.sub.matrices[key], vars)
+            lhs = mat_mul(self.total.matrices[key], self.inclusion, vars)
+            rhs = mat_mul(self.inclusion, self.sub.matrices[key], vars)
             if lhs != rhs:
                 raise CocycleError(f"inclusion is not a sheaf map on {key}")
-            lhs = _qmat_apply_left(self.projection, self.total.matrices[key], vars)
-            rhs = _qmat_apply_right(self.quot.matrices[key], self.projection, vars)
+            lhs = mat_mul(self.projection, self.total.matrices[key], vars)
+            rhs = mat_mul(self.quot.matrices[key], self.projection, vars)
             if lhs != rhs:
                 raise CocycleError(f"projection is not a sheaf map on {key}")
         self._verified = True
@@ -564,53 +523,6 @@ class ShortExactSequence:
         return [[cols[j][i] for j in range(n)] for i in range(self.total.rank)]
 
 
-def _qmat_mul(a, b):
-    return [[sum((x * y for x, y in zip(row, col)), Q(0))
-             for col in zip(*b)] for row in a]
-
-
-def _qmat_apply_left(qmat, lmat, vars):
-    """(rational matrix) . (Laurent matrix)"""
-    out = []
-    for row in qmat:
-        out_row = []
-        for j in range(len(lmat[0]) if lmat else 0):
-            acc = LaurentPoly.zero(vars)
-            for k, c in enumerate(row):
-                if c != 0 and not lmat[k][j].is_zero():
-                    acc = acc + lmat[k][j].scale(c)
-            out_row.append(acc)
-        out.append(out_row)
-    return out
-
-
-def _qmat_apply_right(lmat, qmat, vars):
-    """(Laurent matrix) . (rational matrix)"""
-    out = []
-    for row in lmat:
-        out_row = []
-        for j in range(len(qmat[0]) if qmat else 0):
-            acc = LaurentPoly.zero(vars)
-            for k, entry in enumerate(row):
-                c = qmat[k][j]
-                if c != 0 and not entry.is_zero():
-                    acc = acc + entry.scale(c)
-            out_row.append(acc)
-        out.append(out_row)
-    return out
-
-
-def _qmat_vec(qmat, vec, vars):
-    out = []
-    for row in qmat:
-        acc = LaurentPoly.zero(vars)
-        for c, p in zip(row, vec):
-            if c != 0 and not p.is_zero():
-                acc = acc + p.scale(c)
-        out.append(acc)
-    return out
-
-
 def connecting_map(ses: ShortExactSequence, c: CechCochain) -> CechCochain:
     """Connecting homomorphism: lift through the projection chartwise, apply
     the coboundary, express in the subsheaf.  Input degree 0 or 1 (degree 1
@@ -625,7 +537,7 @@ def connecting_map(ses: ShortExactSequence, c: CechCochain) -> CechCochain:
     lift_data = {}
     for key, vec in c.sections.items():
         vars = cover.chart(key[0]).vars
-        lift_data[key] = _qmat_vec(sigma, vec, vars)
+        lift_data[key] = mat_vec(sigma, vec, vars)
     lift = CechCochain(ses.total, c.degree, lift_data)
     boundary = cech_delta(lift)
     out = {}
@@ -677,14 +589,7 @@ def extension_sheaf(sub: SheafSpec, quot: SheafSpec, cocycle: CechCochain) -> Sh
         ms = sub.matrices[(a, b)]
         mq = quot.matrices[(a, b)]
         vars = cover.chart(a).vars
-        block = [[LaurentPoly.zero(vars) for _ in range(quot.rank)] for _ in range(sub.rank)]
-        for i in range(sub.rank):
-            for j in range(quot.rank):
-                acc = LaurentPoly.zero(vars)
-                for k in range(sub.rank):
-                    if not ms[i][k].is_zero() and not X[k][j].is_zero():
-                        acc = acc + ms[i][k] * X[k][j]
-                block[i][j] = acc
+        block = mat_mul(ms, X)
         n = sub.rank + quot.rank
         m = [[LaurentPoly.zero(vars) for _ in range(n)] for _ in range(n)]
         for i in range(sub.rank):
@@ -727,7 +632,6 @@ def specs_gauge_equivalent(spec1: SheafSpec, spec2: SheafSpec,
                            gauges: dict[str, list[list[LaurentPoly]]]) -> bool:
     """Check spec2 = g_b . spec1 . g_a^{-1} on every overlap."""
     from .gluing import invert_laurent_matrix
-    from .sheaf import mat_mul
     cover = spec1.space.cover
     for (a, b) in cover.overlaps:
         ga_inv = invert_laurent_matrix(gauges[a])

@@ -423,9 +423,6 @@ class SuperGluingData:
             j_emb == INFINITY and j_fiber == INFINITY)
         return EmbeddingTriple(j_emb, j_fiber, j_family, lemma_ok)
 
-    def is_split_presentation(self) -> bool:
-        return self.splitting_type(verify=False) == INFINITY
-
     def __eq__(self, other):
         return (isinstance(other, SuperGluingData)
                 and self.cover.order == other.cover.order

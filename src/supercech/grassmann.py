@@ -146,11 +146,6 @@ class GrassmannElement:
             self.vars, self.odd_rank,
             {i: c for i, c in self.terms.items() if len(i) >= min_odd_degree})
 
-    def drop_above(self, max_odd_degree: int) -> "GrassmannElement":
-        return GrassmannElement(
-            self.vars, self.odd_rank,
-            {i: c for i, c in self.terms.items() if len(i) <= max_odd_degree})
-
     def min_odd_degree(self) -> int | None:
         if not self.terms:
             return None

@@ -91,15 +91,6 @@ def nullspace(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
-def in_span(basis: list[list[Fraction]], vector: list[Fraction]) -> list[Fraction] | None:
-    """Coordinates of ``vector`` in ``span(basis)`` or ``None``."""
-    if not basis:
-        return [] if all(v == 0 for v in vector) else None
-    cols = len(vector)
-    matrix = [[basis[j][i] for j in range(len(basis))] for i in range(cols)]
-    return solve(matrix, list(vector))
-
-
 class SpanReducer:
     """Reduces vectors to canonical representatives modulo a fixed span.
 
@@ -123,8 +114,3 @@ class SpanReducer:
                 for k in self.support[r]:
                     v[k] -= f * row[k]
         return v
-
-
-def reduce_mod_span(basis: list[list[Fraction]], vector: list[Fraction]) -> list[Fraction]:
-    """Canonical representative of ``vector`` modulo ``span(basis)``."""
-    return SpanReducer(basis).reduce(vector)

@@ -23,7 +23,7 @@ from .gluing import (INFINITY, SuperGluingData, SuperTransition,
                      identity_transition, invert_laurent_matrix)
 from .grassmann import GrassmannElement
 from .laurent import LaurentPoly, Q
-from .sheaf import SheafSpec, sheaf_dual, sheaf_exterior_power, sheaf_hom
+from .sheaf import SheafSpec, mat_mul, sheaf_dual, sheaf_exterior_power, sheaf_hom
 
 
 # ------------------------------------------------------------ basic specs
@@ -121,7 +121,7 @@ def deviation_cochain(g: SuperGluingData, level: int, reduced=None) -> CechCocha
                 if any(not e.is_zero() for e in blocks[i]):
                     raise CocycleError(
                         f"deviation of ({a},{b}) has a base-direction component")
-        normalized = _lmat_mul(normalizer, blocks)
+        normalized = mat_mul(normalizer, blocks)
         flat = []
         for i in range(len(normalized)):
             flat.extend(normalized[i])
@@ -130,20 +130,6 @@ def deviation_cochain(g: SuperGluingData, level: int, reduced=None) -> CechCocha
     if not is_cocycle(cochain):
         raise CocycleError("extracted deviation data is not a cocycle")
     return cochain
-
-
-def _lmat_mul(a, b):
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(len(b[0]) if b else 0):
-            acc = LaurentPoly.zero(row[0].vars)
-            for k, e in enumerate(row):
-                if not e.is_zero() and not b[k][j].is_zero():
-                    acc = acc + e * b[k][j]
-            out_row.append(acc)
-        out.append(out_row)
-    return out
 
 
 # ------------------------------------------------------------ attempt split

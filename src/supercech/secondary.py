@@ -16,36 +16,21 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .cech import (CechCochain, CohomologyClass, ShortExactSequence,
-                   cohomology_basis, cohomology_class, connecting_map,
+from . import linalg
+from .cech import (CechCochain, CohomologyClass, ShortExactSequence, auto_window,
+                   cech_delta, cohomology_basis, cohomology_class, connecting_map,
                    cup_product, extension_sheaf, is_coboundary, is_cocycle,
-                   solve_coboundary, _qmat_vec)
+                   solve_coboundary, _cochain_from_values, _cochain_keys,
+                   _delta0_linearization, _dense_columns, _dense_rows)
 from .errors import CocycleError, SupercechError
 from .gluing import SuperGluingData, restrict_odd
 from .laurent import LaurentPoly, Q
 from .obstruction import (cotangent_spec, deviation_cochain,
                           deviation_hom_spec)
-from .sheaf import (SheafSpec, filtration, hom_unflatten, sheaf_exterior_power,
-                    sheaf_hom, sheaf_tensor, trivial_spec)
+from .sheaf import (SheafSpec, filtration, hom_unflatten, identity_matrix, kron,
+                    mat_vec, sheaf_exterior_power, sheaf_hom, sheaf_tensor,
+                    trivial_spec)
 from .spaces import ReducedSpace
-
-
-def qkron(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    if not a or not b:
-        return []
-    out = []
-    for i in range(len(a)):
-        for j in range(len(b)):
-            row = []
-            for k in range(len(a[0])):
-                for l in range(len(b[0])):
-                    row.append(a[i][k] * b[j][l])
-            out.append(row)
-    return out
-
-
-def qeye(n: int) -> list[list[Fraction]]:
-    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
 
 
 @dataclass
@@ -55,6 +40,8 @@ class GtModel:
     base_spec: SheafSpec
     theta: CechCochain          # 1-cocycle valued in hom(fiber_spec, base_spec)
     total_odd: SheafSpec        # extension_sheaf(base_spec, fiber_spec, theta)
+    # derived specs, filtrations and sequences, built on first use
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def base_rank(self) -> int:
@@ -99,7 +86,7 @@ def model_class(m: GtModel, cross_validate: bool = True) -> ModelClassReport:
     incl = [[Q(1) if i == j else Q(0) for j in range(s)] for i in range(s + q)]
     proj = [[Q(1) if j == s + i else Q(0) for j in range(s + q)] for i in range(q)]
     ses = ShortExactSequence(hom_sub, hom_tot, hom_quot,
-                             qkron(incl, qeye(q)), qkron(proj, qeye(q)))
+                             kron(incl, identity_matrix(q)), kron(proj, identity_matrix(q)))
     ident_sections = {}
     for name in m.space.cover.order:
         vars = m.space.cover.chart(name).vars
@@ -120,13 +107,9 @@ def model_class(m: GtModel, cross_validate: bool = True) -> ModelClassReport:
 
 
 def _cached(m: GtModel, key, builder):
-    cache = getattr(m, "_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(m, "_cache", cache)
-    if key not in cache:
-        cache[key] = builder()
-    return cache[key]
+    if key not in m._cache:
+        m._cache[key] = builder()
+    return m._cache[key]
 
 
 def parity_spec(m: GtModel, level: int) -> SheafSpec:
@@ -217,18 +200,18 @@ def secondary_differential(m: GtModel, a: int, b: int, p: int,
         hom_quot = sheaf_hom(P, filt.quotient_specs[b])
         return ShortExactSequence(
             hom_sub, hom_tot, hom_quot,
-            qkron(filt.piece_to_piece_inclusion(b), qeye(P.rank)),
-            qkron(filt.projection_matrix(b), qeye(P.rank)))
+            kron(filt.piece_to_piece_inclusion(b), identity_matrix(P.rank)),
+            kron(filt.projection_matrix(b), identity_matrix(P.rank)))
 
     ses = _cached(m, ("ses", level, b), build_ses)
     nu_q = CechCochain(ses.quot, p, nu.sections)
     conn = connecting_map(ses, nu_q)
-    proj2 = qkron(filt.projection_matrix(b + 1), qeye(P.rank))
+    proj2 = kron(filt.projection_matrix(b + 1), identity_matrix(P.rank))
     out_spec = hom_into_quotient(m, a - 1, b + 1)
     sections = {}
     for key, vec in conn.sections.items():
         vars = m.space.cover.chart(key[0]).vars
-        sections[key] = _qmat_vec(proj2, vec, vars)
+        sections[key] = mat_vec(proj2, vec, vars)
     return _finalize(out_spec, p + 1, sections, window)
 
 
@@ -331,7 +314,7 @@ def model_class_map(m: GtModel, a: int, b: int, p: int, nu: CechCochain,
     sections = {}
     for key, vec in cup.sections.items():
         vars = m.space.cover.chart(key[0]).vars
-        sections[key] = _qmat_vec(TM, vec, vars)
+        sections[key] = mat_vec(TM, vec, vars)
     return _finalize(out_spec, p + 1, sections, window)
 
 
@@ -380,10 +363,6 @@ class RefinedLevelReport:
     refined_b: int | None            # largest b with a lift through F_b
     secondary: CohomologyClass | None
 
-    @property
-    def has_refinement(self) -> bool:
-        return self.refined_b is not None and self.refined_b > 0
-
 
 def refined_splitting_data(m: GtModel, cochain: CechCochain,
                            level: int, window: int | None = None) -> RefinedLevelReport:
@@ -409,11 +388,11 @@ def refined_splitting_data(m: GtModel, cochain: CechCochain,
         hom_quot = sheaf_hom(P, quot_spec)
         proj = [[Q(1) if sel_j == i else Q(0) for sel_j in range(filt.ambient.rank)]
                 for i in complement]
-        proj_h = qkron(proj, qeye(P.rank))
+        proj_h = kron(proj, identity_matrix(P.rank))
         sections = {}
         for key, vec in cochain.sections.items():
             vars = m.space.cover.chart(key[0]).vars
-            sections[key] = _qmat_vec(proj_h, vec, vars)
+            sections[key] = mat_vec(proj_h, vec, vars)
         image = CechCochain(hom_quot, 1, sections)
         if solve_coboundary(image, window=window) is not None:
             best_b = b
@@ -423,7 +402,7 @@ def refined_splitting_data(m: GtModel, cochain: CechCochain,
     a = level - best_b
     # lift explicitly: find a 0-cochain w with (c - delta w) supported in F_b
     lifted = _lift_into_piece(m, cochain, level, best_b, window)
-    graded_proj = qkron(filt.projection_matrix(best_b), qeye(P.rank))
+    graded_proj = kron(filt.projection_matrix(best_b), identity_matrix(P.rank))
     piece_pos = {idx: i for i, idx in enumerate(filt.pieces[best_b])}
     sections = {}
     for key, vec in lifted.sections.items():
@@ -432,7 +411,7 @@ def refined_splitting_data(m: GtModel, cochain: CechCochain,
         for idx in filt.pieces[best_b]:
             for pi in range(P.rank):
                 piece_vec.append(vec[idx * P.rank + pi])
-        sections[key] = _qmat_vec(graded_proj, piece_vec, vars)
+        sections[key] = mat_vec(graded_proj, piece_vec, vars)
     out_spec = hom_into_quotient(m, a, best_b)
     graded = CechCochain(out_spec, 1, sections)
     return RefinedLevelReport(level, best_b, cohomology_class(graded, window=window))
@@ -441,8 +420,6 @@ def refined_splitting_data(m: GtModel, cochain: CechCochain,
 def _lift_into_piece(m: GtModel, cochain: CechCochain, level: int, b: int,
                      window: int | None) -> CechCochain:
     """Cocycle cohomologous to the input with components in F_b only."""
-    from .cech import auto_window, cech_delta, _delta0_linearization, _cochain_keys
-    from . import linalg
     sheaf = cochain.sheaf
     filt = filtration_of(m, level)
     P = parity_spec(m, level)
@@ -458,18 +435,10 @@ def _lift_into_piece(m: GtModel, cochain: CechCochain, level: int, b: int,
     for img in lin.images:
         all_keys.update(k for k in img if outside(k))
     keys = sorted(all_keys, key=str)
-    pos = {k: i for i, k in enumerate(keys)}
-    matrix = [[Q(0)] * len(lin.unknowns) for _ in keys]
-    for u, img in enumerate(lin.images):
-        for k, coef in img.items():
-            if k in pos:
-                matrix[pos[k]][u] = coef
-    rhs = [rhs_map.get(k, Q(0)) for k in keys]
-    sol = linalg.solve(matrix, rhs)
+    sol = linalg.solve(_dense_columns(keys, lin.images), _dense_rows(keys, [rhs_map])[0])
     if sol is None:
         raise CocycleError("no lift although the quotient image is trivial")
-    from .cech import _cochain_from_solution
-    w = _cochain_from_solution(sheaf, lin, sol)
+    w = _cochain_from_values(sheaf, 0, lin.unknowns, sol)
     lifted = cochain - cech_delta(w)
     for key, vec in lifted.sections.items():
         for idx in range(filt.ambient.rank):

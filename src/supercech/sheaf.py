@@ -24,46 +24,58 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import CocycleError
-from .gluing import invert_laurent_matrix
+from .gluing import invert_laurent_matrix, laurent_det
 from .laurent import LaurentPoly, Q
 from .spaces import ReducedSpace
 
 
-def mat_mul(a: list[list[LaurentPoly]], b: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    vars = a[0][0].vars if a and a[0] else (b[0][0].vars if b and b[0] else ())
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = LaurentPoly.zero(vars)
-            for t in range(k):
-                if not a[i][t].is_zero() and not b[t][j].is_zero():
-                    acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
+def mat_mul(a: list[list], b: list[list], vars: tuple[str, ...] | None = None) -> list[list]:
+    """Matrix product ``a . b``.
+
+    Entries are Laurent polynomials in one context, and either factor may
+    instead be a constant matrix of rationals.  ``vars`` is the context of
+    the product; by default it is read off the first entries, and the
+    product of two rational matrices is rational."""
+    vars = _context(vars, a, b)
+    cols = list(zip(*b))
+    return [[_dot(row, col, vars) for col in cols] for row in a]
 
 
-def mat_vec(m: list[list[LaurentPoly]], v: list[LaurentPoly]) -> list[LaurentPoly]:
-    out = []
-    for row in m:
-        acc = LaurentPoly.zero(v[0].vars) if v else LaurentPoly.zero(row[0].vars if row else ())
-        for entry, comp in zip(row, v):
-            if not entry.is_zero() and not comp.is_zero():
-                acc = acc + entry * comp
-        out.append(acc)
-    return out
+def mat_vec(m: list[list], v: list, vars: tuple[str, ...] | None = None) -> list:
+    """``m . v``, with the entry conventions of :func:`mat_mul`."""
+    vars = _context(vars, [v], m)
+    return [_dot(row, v, vars) for row in m]
+
+
+def _context(vars, *matrices):
+    """``vars``, or else the context of the first Laurent entry leading one
+    of ``matrices``; ``None`` means the product is rational."""
+    if vars is None:
+        for m in matrices:
+            if m and m[0] and isinstance(m[0][0], LaurentPoly):
+                return m[0][0].vars
+    return vars
+
+
+def _dot(xs, ys, vars):
+    acc = Q(0) if vars is None else LaurentPoly.zero(vars)
+    for x, y in zip(xs, ys):
+        if _nonzero(x) and _nonzero(y):
+            acc = acc + x * y
+    return acc
+
+
+def _nonzero(x) -> bool:
+    return not x.is_zero() if isinstance(x, LaurentPoly) else x != 0
 
 
 def mat_transpose(m):
     return [list(col) for col in zip(*m)] if m else []
 
 
-def kron(a: list[list[LaurentPoly]], b: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
-    """Row-major Kronecker product: entry ((i,j),(k,l)) = a[i][k] * b[j][l]."""
+def kron(a: list[list], b: list[list]) -> list[list]:
+    """Row-major Kronecker product: entry ((i,j),(k,l)) = a[i][k] * b[j][l].
+    Entries may be Laurent polynomials or rationals."""
     if not a or not b:
         return []
     ra, ca = len(a), len(a[0])
@@ -79,9 +91,13 @@ def kron(a: list[list[LaurentPoly]], b: list[list[LaurentPoly]]) -> list[list[La
     return out
 
 
-def identity_matrix(vars: tuple[str, ...], n: int) -> list[list[LaurentPoly]]:
-    one = LaurentPoly.const(vars, 1)
-    zero = LaurentPoly.zero(vars)
+def identity_matrix(n: int, vars: tuple[str, ...] | None = None) -> list[list]:
+    """n x n identity over the Laurent polynomials in ``vars``, or over the
+    rationals when ``vars`` is ``None``."""
+    if vars is None:
+        one, zero = Q(1), Q(0)
+    else:
+        one, zero = LaurentPoly.const(vars, 1), LaurentPoly.zero(vars)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
@@ -97,6 +113,7 @@ class SheafSpec:
         self.matrices = matrices
         self.basis_labels = tuple(basis_labels) if basis_labels is not None else tuple(range(rank))
         self.extension = extension  # (sub_spec, quot_spec) when built as an extension
+        self.linearizations: dict = {}  # cech._delta0_linearization by window bound
         cover = space.cover
         for key in cover.overlaps:
             if key not in matrices:
@@ -111,7 +128,7 @@ class SheafSpec:
         cover = self.space.cover
         for (a, b) in cover.canonical_overlaps():
             prod = mat_mul(self._matrix_in(a, (b, a)), self.matrices[(a, b)])
-            if prod != identity_matrix(self._vars(a), self.rank) and self.rank > 0:
+            if prod != identity_matrix(self.rank, self._vars(a)) and self.rank > 0:
                 raise CocycleError(f"matrices on ({a},{b}) and ({b},{a}) are not inverse")
         for (a, b, c) in cover.triples:
             via = mat_mul(self._matrix_in(a, (b, c)), self.matrices[(a, b)])
@@ -164,14 +181,9 @@ class SheafSpec:
 
 
 def trivial_spec(space: ReducedSpace, rank: int = 1) -> SheafSpec:
-    mats = {key: identity_matrix(space.cover.chart(key[0]).vars, rank)
+    mats = {key: identity_matrix(rank, space.cover.chart(key[0]).vars)
             for key in space.cover.overlaps}
     return SheafSpec(space, rank, mats, check=False)
-
-
-def line_bundle_spec(space: ReducedSpace, fiber_var_exponents: dict[tuple[str, str], LaurentPoly]) -> SheafSpec:
-    mats = {key: [[entry]] for key, entry in fiber_var_exponents.items()}
-    return SheafSpec(space, 1, mats)
 
 
 def sheaf_dual(spec: SheafSpec) -> SheafSpec:
@@ -215,10 +227,6 @@ def sheaf_hom(a: SheafSpec, b: SheafSpec) -> SheafSpec:
     return SheafSpec(a.space, a.rank * b.rank, mats, labels, check=False)
 
 
-def hom_flatten(matrix: list[list[LaurentPoly]]) -> list[LaurentPoly]:
-    return [e for row in matrix for e in row]
-
-
 def hom_unflatten(flat: list[LaurentPoly], rank_target: int, rank_source: int) -> list[list[LaurentPoly]]:
     return [list(flat[i * rank_source:(i + 1) * rank_source]) for i in range(rank_target)]
 
@@ -240,26 +248,11 @@ def sheaf_exterior_power(spec: SheafSpec, k: int) -> SheafSpec:
             row_entries = []
             for cols in idxs:
                 sub = [[m[r][c] for c in cols] for r in rows]
-                row_entries.append(_det(sub))
+                row_entries.append(laurent_det(sub))
             out.append(row_entries)
         mats[key] = out
     labels = tuple(tuple(spec.basis_labels[i] for i in I) for I in idxs)
     return SheafSpec(spec.space, len(idxs), mats, labels, check=False)
-
-
-def _det(m: list[list[LaurentPoly]]) -> LaurentPoly:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    vars = m[0][0].vars
-    acc = LaurentPoly.zero(vars)
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * _det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
 
 
 # -------------------------------------------------------------- filtrations
@@ -284,12 +277,6 @@ class FilteredSheaf:
     graded: dict[int, list[int]]
     piece_specs: dict[int, SheafSpec]
     quotient_specs: dict[int, SheafSpec]
-
-    def inclusion_matrix(self, k: int) -> list[list[Fraction]]:
-        """Constant matrix embedding F_k into the ambient exterior power."""
-        sel = self.pieces[k]
-        return [[Q(1) if (j < len(sel) and i == sel[j]) else Q(0)
-                 for j in range(len(sel))] for i in range(self.ambient.rank)]
 
     def piece_to_piece_inclusion(self, k: int) -> list[list[Fraction]]:
         """Constant matrix embedding F_{k+1} into F_k."""

@@ -96,6 +96,7 @@ class ReducedSpace:
                  check: bool = True):
         self.cover = cover
         self.coordinate_maps = coordinate_maps
+        self._neg_cache: dict[tuple[str, str], frozenset[str]] = {}
         for (a, b) in cover.overlaps:
             if (a, b) not in coordinate_maps:
                 raise ValueError(f"missing coordinate map for overlap ({a},{b})")
@@ -127,9 +128,6 @@ class ReducedSpace:
                 if direct != via:
                     raise CocycleError(f"reduced cocycle fails on ({a},{b},{c}) at {v}")
 
-    def pull_map(self, frm: str, to: str) -> dict[str, LaurentPoly]:
-        return self.coordinate_maps[(to, frm)]
-
     def negative_vars(self, a: str, b: str) -> frozenset[str]:
         """Chart-a coordinates allowed to appear with negative exponents in
         sections on the (a, b) overlap.
@@ -138,12 +136,8 @@ class ReducedSpace:
         coordinate image has a pole in it; overlaps whose coordinate change
         is pole-free (e.g. a rescaled copy of the same chart, or the base
         directions of a family) carry polynomial sections only."""
-        cache = getattr(self, "_neg_cache", None)
-        if cache is None:
-            cache = {}
-            setattr(self, "_neg_cache", cache)
         key = (a, b)
-        if key not in cache:
+        if key not in self._neg_cache:
             out = set()
             cmap = self.coordinate_maps[(a, b)]
             avars = self.cover.chart(a).vars
@@ -152,8 +146,8 @@ class ReducedSpace:
                     for v, e in zip(avars, exps):
                         if e < 0:
                             out.add(v)
-            cache[key] = frozenset(out)
-        return cache[key]
+            self._neg_cache[key] = frozenset(out)
+        return self._neg_cache[key]
 
     def compose_into(self, a: str, b: str, poly: LaurentPoly) -> LaurentPoly:
         """Re-express a polynomial in b-coordinates as one in a-coordinates,
@@ -169,19 +163,3 @@ class ReducedSpace:
         ca, cb = self.cover.chart(a), self.cover.chart(b)
         cmap = self.coordinate_maps[(a, b)]
         return [[cmap[u].derivative(v) for v in ca.vars] for u in cb.vars]
-
-
-def product_space(space: ReducedSpace, base_vars: tuple[str, ...]) -> ReducedSpace:
-    """Extend every chart of ``space`` with shared base coordinates mapped
-    identically across overlaps."""
-    charts = [Chart(ch.name, ch.fiber_vars, ch.base_vars + base_vars, ch.odd_rank)
-              for ch in (space.cover.chart(n) for n in space.cover.order)]
-    cover = Cover(charts, space.cover.overlaps, space.cover.triples)
-    maps = {}
-    for (a, b), cmap in space.coordinate_maps.items():
-        av = cover.chart(a).vars
-        new = {v: img.with_context(av) for v, img in cmap.items()}
-        for t in base_vars:
-            new[t] = LaurentPoly.var(av, t)
-        maps[(a, b)] = new
-    return ReducedSpace(cover, maps, check=False)

@@ -99,7 +99,7 @@ def test_contraction_matrix_example():
 
 def test_contraction_naturality(M):
     # contraction commutes with the induced transition matrices
-    from supercech.cech import _qmat_apply_left, _qmat_apply_right
+    from supercech.sheaf import mat_mul
     a = 2
     rank = 3
     # use the rank-3 trivial base factor's exterior powers as the test module
@@ -107,9 +107,9 @@ def test_contraction_naturality(M):
     cm = contraction_matrix(rank, a)
     for key, mat in sheaf_exterior_power(spec, a).matrices.items():
         vars = M.space.cover.chart(key[0]).vars
-        lhs = _qmat_apply_left(cm, mat, vars)
+        lhs = mat_mul(cm, mat, vars)
         target = sheaf_tensor(spec, sheaf_exterior_power(spec, a - 1))
-        rhs = _qmat_apply_right(target.matrices[key], cm, vars)
+        rhs = mat_mul(target.matrices[key], cm, vars)
         assert lhs == rhs
 
 
