@@ -93,6 +93,12 @@ class CechCochain:
         return CechCochain(self.sheaf, self.degree,
                            {k: [a.scale(c) for a in v] for k, v in self.sections.items()})
 
+    def map(self, matrix: list[list[Fraction]], sheaf: SheafSpec) -> "CechCochain":
+        """The constant ``matrix`` applied to every section; values in ``sheaf``."""
+        cover = self.sheaf.space.cover
+        return CechCochain(sheaf, self.degree, {
+            k: mat_vec(matrix, v, cover.chart(k[0]).vars) for k, v in self.sections.items()})
+
     def is_zero(self) -> bool:
         return all(p.is_zero() for v in self.sections.values() for p in v)
 
@@ -293,43 +299,50 @@ def _cochain_from_values(sheaf: SheafSpec, degree: int, keys, values) -> CechCoc
     return CechCochain(sheaf, degree, data)
 
 
-def solve_coboundary(c: CechCochain, window: int | None = None) -> CechCochain | None:
-    """Witness b with delta(b) = c, or ``None``; c must be a 1-cocycle."""
+def _delta0_system(c: CechCochain, window: int | None, frames: set[int] | None = None):
+    """Set-up for deciding ``c = delta(w)``: the degree and cocycle checks,
+    the window, the linearization, and the ordered equation keys (those on
+    ``frames`` only, when given) with the right-hand side over them.
+    ``None`` when ``c`` is zero or the sheaf has rank 0."""
     if c.degree != 1:
         raise ValueError("solve_coboundary expects a degree-1 cochain")
     if not is_cocycle(c):
         raise CocycleError("input is not a cocycle")
     sheaf = c.sheaf
     if sheaf.rank == 0 or c.is_zero():
-        return CechCochain(sheaf, 0)
+        return None
     bound = auto_window(sheaf, c, window=window)
     lin = _delta0_linearization(sheaf, bound)
     rhs_map = _cochain_keys(c)
     keys = _keys_order(lin, sheaf.space.cover, rhs_map)
-    sol = linalg.solve(_dense_columns(keys, lin.images), _dense_rows(keys, [rhs_map])[0])
+    if frames is not None:
+        keys = [k for k in keys if k[1] in frames]
+    return lin, keys, _dense_rows(keys, [rhs_map])[0]
+
+
+def _solve(c: CechCochain, system, frames: set[int] | None = None) -> CechCochain | None:
+    """Witness solving a set-up system (zero when there is none), or ``None``;
+    the self-check compares ``c`` and delta(w) on ``frames`` when given."""
+    if system is None:
+        return CechCochain(c.sheaf, 0)
+    lin, keys, rhs = system
+    sol = linalg.solve(_dense_columns(keys, lin.images), rhs)
     if sol is None:
         return None
-    witness = _cochain_from_values(sheaf, 0, lin.unknowns, sol)
-    if cech_delta(witness) != c:
+    witness = _cochain_from_values(c.sheaf, 0, lin.unknowns, sol)
+    delta = cech_delta(witness).sections
+    checked = range(c.sheaf.rank) if frames is None else frames
+    if any(delta[k][f] != vec[f] for k, vec in c.sections.items() for f in checked):
         raise CocycleError("internal error: witness does not reproduce the cocycle")
     return witness
 
 
-def canonical_representative(c: CechCochain, window: int | None = None) -> CechCochain:
-    """Deterministic representative of the class of ``c``: the residual after
-    eliminating the image of delta in a fixed key order."""
-    if not is_cocycle(c):
-        raise CocycleError("input is not a cocycle")
-    sheaf = c.sheaf
-    if sheaf.rank == 0 or c.is_zero():
-        return CechCochain(sheaf, 1)
-    bound = auto_window(sheaf, c, window=window)
-    lin = _delta0_linearization(sheaf, bound)
-    rhs_map = _cochain_keys(c)
-    keys = _keys_order(lin, sheaf.space.cover, rhs_map)
-    reducer = linalg.SpanReducer(_dense_rows(keys, lin.images))
-    reduced = reducer.reduce(_dense_rows(keys, [rhs_map])[0])
-    return _cochain_from_values(sheaf, 1, keys, reduced)
+def solve_coboundary(c: CechCochain, window: int | None = None,
+                     frames: set[int] | None = None) -> CechCochain | None:
+    """Witness w with delta(w) = c, or ``None``; c must be a 1-cocycle.
+    With ``frames``, only the components on those frame indices must agree:
+    c - delta(w) vanishes there and is left free elsewhere."""
+    return _solve(c, _delta0_system(c, window, frames), frames)
 
 
 @dataclass
@@ -355,13 +368,19 @@ class CohomologyClass:
 
 
 def cohomology_class(c: CechCochain, window: int | None = None) -> CohomologyClass:
+    """Trivial class with a witness, or the canonical representative: the
+    residual of ``c`` after eliminating the image of delta in a fixed key
+    order."""
     if c.degree != 1:
         raise ValueError("class formation implemented for degree 1")
-    witness = solve_coboundary(c, window=window)
+    system = _delta0_system(c, window)
+    witness = _solve(c, system)
     if witness is not None:
         return CohomologyClass(c.sheaf, 1, CechCochain(c.sheaf, 1), True, witness)
-    rep = canonical_representative(c, window=window)
-    return CohomologyClass(c.sheaf, 1, rep, False, None)
+    lin, keys, rhs = system
+    reduced = linalg.SpanReducer(_dense_rows(keys, lin.images)).reduce(rhs)
+    return CohomologyClass(c.sheaf, 1, _cochain_from_values(c.sheaf, 1, keys, reduced),
+                           False, None)
 
 
 def is_coboundary(c: CechCochain, window: int | None = None):
@@ -404,8 +423,8 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
     if cover.canonical_triples():
         images = []
         for cand in candidates:
-            c = _unit_cochain(sheaf, 1, cand)
-            images.append(_cochain_keys(cech_delta(c)))
+            unit = _cochain_from_values(sheaf, 1, [cand], [Q(1)])
+            images.append(_cochain_keys(cech_delta(unit)))
         tkeys = sorted({k for img in images for k in img})
         cocycle_vectors = linalg.nullspace(_dense_columns(tkeys, images))
     else:
@@ -419,14 +438,6 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
     basis_rows, _ = linalg.rref(reduced_rows) if reduced_rows else ([], [])
     return [_cochain_from_values(sheaf, 1, keys, row) for row in basis_rows
             if any(v != 0 for v in row)]
-
-
-def _unit_cochain(sheaf: SheafSpec, degree: int, key_triple) -> CechCochain:
-    (key, frame, exps) = key_triple
-    vars = sheaf.space.cover.chart(key[0]).vars
-    vec = sheaf.zero_vector(key[0])
-    vec[frame] = LaurentPoly.monomial(vars, 1, exps)
-    return CechCochain(sheaf, degree, {key: vec})
 
 
 # ------------------------------------------------------------- cup products
@@ -532,14 +543,8 @@ def connecting_map(ses: ShortExactSequence, c: CechCochain) -> CechCochain:
         raise CocycleError("cochain is not valued in the quotient")
     if not is_cocycle(c):
         raise CocycleError("connecting map needs a cocycle")
-    sigma = ses.section_of_projection()
+    boundary = cech_delta(c.map(ses.section_of_projection(), ses.total))
     cover = ses.total.space.cover
-    lift_data = {}
-    for key, vec in c.sections.items():
-        vars = cover.chart(key[0]).vars
-        lift_data[key] = mat_vec(sigma, vec, vars)
-    lift = CechCochain(ses.total, c.degree, lift_data)
-    boundary = cech_delta(lift)
     out = {}
     for key, vec in boundary.sections.items():
         out[key] = _express_in_sub(ses.inclusion, vec, cover.chart(key[0]).vars,
@@ -618,12 +623,9 @@ def extension_gauge(sub: SheafSpec, quot: SheafSpec, witness: CechCochain) -> di
     for name in cover.order:
         vars = cover.chart(name).vars
         w = hom_unflatten(witness.sections[(name,)], sub.rank, quot.rank)
-        n = sub.rank + quot.rank
-        g = [[LaurentPoly.const(vars, 1) if i == j else LaurentPoly.zero(vars)
-              for j in range(n)] for i in range(n)]
+        g = identity_matrix(sub.rank + quot.rank, vars)
         for i in range(sub.rank):
-            for j in range(quot.rank):
-                g[i][sub.rank + j] = w[i][j]
+            g[i][sub.rank:] = w[i]
         out[name] = g
     return out
 

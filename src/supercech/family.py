@@ -232,10 +232,11 @@ def write_glued_family(glued: GluedFamily) -> str:
 
 def read_glued_family(doc) -> GluedFamily:
     """Rebuild a glued family from a document carrying a base atlas: the
-    fiber over 1 of the stored piece regenerates both pieces."""
+    fiber over 1 of the stored piece in the atlas coordinate regenerates
+    both pieces; other family coordinates stay base coordinates."""
     if doc.base_atlas is None or doc.gluing is None:
         raise SupercechError("document carries no base atlas")
     base_vars = doc.base_atlas["base_vars"]
     exponent = doc.base_atlas.get("witness_exponent", -2)
-    fiber = doc.gluing.restrict_fiber({base_vars[0]: Q(1)})
+    fiber = doc.gluing.evaluate_base({base_vars[0]: Q(1)})
     return glue_over_p1(fiber, tuple(base_vars), exponent)

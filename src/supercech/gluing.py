@@ -377,6 +377,11 @@ class SuperGluingData:
         gluing data for the fiber over that point."""
         if set(point) != set(self.base_vars):
             raise ValueError(f"point must assign exactly the base coordinates {self.base_vars}")
+        return self.evaluate_base(point)
+
+    def evaluate_base(self, point: dict[str, Fraction]) -> "SuperGluingData":
+        """Evaluate some base coordinates at rational values; the others stay
+        base coordinates of the result."""
         new_charts = []
         for name in self.cover.order:
             ch = self.cover.chart(name)
@@ -399,7 +404,8 @@ class SuperGluingData:
             odd = {k: g.substitute(even_images, odd_images, src.vars, src.odd_rank)
                    for k, g in t.odd_maps.items()}
             transitions[(a, b)] = SuperTransition(src, cover.chart(b), even, odd)
-        return SuperGluingData(cover, transitions)
+        return SuperGluingData(cover, transitions,
+                               tuple(v for v in self.base_vars if v not in point))
 
     def conjugate(self, witnesses: dict[str, SuperTransition]) -> "SuperGluingData":
         """Apply chartwise coordinate changes: each transition t_ab becomes

@@ -58,6 +58,30 @@ def _tokens(line: str) -> list[str]:
     return line.split()
 
 
+def _args(toks: list[str], count: int, lineno: int) -> list[str]:
+    """The ``count`` arguments following the keyword ``toks[0]``."""
+    if len(toks) != count + 1:
+        raise ParseError(f"{toks[0]!r} takes {count} argument(s), got {len(toks) - 1}",
+                         lineno, 1)
+    return toks[1:]
+
+
+def _int(toks: list[str], lineno: int, line: str) -> int:
+    """The single integer argument of the keyword ``toks[0]``."""
+    token = _args(toks, 1, lineno)[0]
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {token!r}", lineno,
+                         line.rfind(token) + 1) from None
+
+
+def _chart(chart_map: dict, name: str, lineno: int):
+    if name not in chart_map:
+        raise ParseError(f"undeclared chart {name!r}", lineno, 1)
+    return chart_map[name]
+
+
 def parse_model_text(text: str) -> ModelDocument:
     lines = text.splitlines()
     charts: list[Chart] = []
@@ -65,6 +89,7 @@ def parse_model_text(text: str) -> ModelDocument:
     overlaps: list[tuple[str, str]] = []
     triples: list[tuple[str, str, str]] = []
     transitions_raw: dict[tuple[str, str], list[tuple[str, str, int]]] = {}
+    transition_lines: dict[tuple[str, str], int] = {}
     family_vars: tuple[str, ...] = ()
     base_odd = 0
     declared = None
@@ -95,33 +120,38 @@ def parse_model_text(text: str) -> ModelDocument:
                 pending_chart = None
             mode = None
             if head == "format":
-                if len(toks) != 2 or int(toks[1]) != FORMAT_VERSION:
+                if _int(toks, lineno, line) != FORMAT_VERSION:
                     raise ParseError(f"unsupported format version {toks[1:]}", lineno, 1)
             elif head == "chart":
-                name = toks[1]
+                name, = _args(toks, 1, lineno)
                 chart_data[name] = {}
                 pending_chart = name
                 mode = ("chart", name)
             elif head == "overlap":
-                overlaps.append((toks[1], toks[2]))
+                overlaps.append(tuple(_args(toks, 2, lineno)))
             elif head == "triple":
-                triples.append((toks[1], toks[2], toks[3]))
+                triples.append(tuple(_args(toks, 3, lineno)))
             elif head == "transition":
-                key = (toks[1], toks[2])
+                key = tuple(_args(toks, 2, lineno))
                 transitions_raw[key] = []
+                transition_lines[key] = lineno
                 mode = ("transition", key)
             elif head == "family":
                 family_vars = tuple(toks[1:])
             elif head == "base_odd":
-                base_odd = int(toks[1])
+                base_odd = _int(toks, lineno, line)
             elif head == "splitting_type":
-                declared = int(toks[1])
+                declared = _int(toks, lineno, line)
             elif head == "sheaf":
-                sheaves_raw[toks[1]] = {"rank": None, "matrices": {}}
-                mode = ("sheaf", toks[1])
+                name, = _args(toks, 1, lineno)
+                sheaves_raw[name] = {"rank": None, "matrices": {}, "lines": {},
+                                     "line": lineno}
+                mode = ("sheaf", name)
             elif head == "gtmodel":
-                gt_raw[toks[1]] = {"fiber_sheaf": None, "base_rank": None, "theta": {}}
-                mode = ("gtmodel", toks[1])
+                name, = _args(toks, 1, lineno)
+                gt_raw[name] = {"fiber_sheaf": None, "base_rank": None, "theta": {},
+                                "lines": {}, "line": lineno}
+                mode = ("gtmodel", name)
             elif head == "baseatlas":
                 atlas = {}
                 mode = ("baseatlas", atlas)
@@ -139,7 +169,7 @@ def parse_model_text(text: str) -> ModelDocument:
             elif head == "base":
                 d["base"] = tuple(toks[1:])
             elif head == "odd":
-                d["odd"] = int(toks[1])
+                d["odd"] = _int(toks, lineno, line)
             else:
                 raise ParseError(f"unknown chart field {head!r}", lineno, 1)
         elif kind == "transition":
@@ -150,21 +180,27 @@ def parse_model_text(text: str) -> ModelDocument:
         elif kind == "sheaf":
             d = sheaves_raw[mode[1]]
             if head == "rank":
-                d["rank"] = int(toks[1])
+                d["rank"] = _int(toks, lineno, line)
             elif head == "matrix":
-                d["current"] = (toks[1], toks[2])
-                d["matrices"][(toks[1], toks[2])] = []
+                d["current"] = tuple(_args(toks, 2, lineno))
+                d["matrices"][d["current"]] = []
+                d["lines"][d["current"]] = lineno
+            elif "current" not in d:
+                raise ParseError("matrix entries before any 'matrix A B' line", lineno, 1)
             else:
                 d["matrices"][d["current"]].append((line.strip(), lineno))
         elif kind == "gtmodel":
             d = gt_raw[mode[1]]
             if head == "fiber_sheaf":
-                d["fiber_sheaf"] = toks[1]
+                d["fiber_sheaf"] = (_args(toks, 1, lineno)[0], lineno)
             elif head == "base_rank":
-                d["base_rank"] = int(toks[1])
+                d["base_rank"] = _int(toks, lineno, line)
             elif head == "theta":
-                d["current"] = (toks[1], toks[2])
-                d["theta"][(toks[1], toks[2])] = []
+                d["current"] = tuple(_args(toks, 2, lineno))
+                d["theta"][d["current"]] = []
+                d["lines"][d["current"]] = lineno
+            elif "current" not in d:
+                raise ParseError("theta entries before any 'theta A B' line", lineno, 1)
             else:
                 d["theta"][d["current"]].append((line.strip(), lineno))
         elif kind == "baseatlas":
@@ -172,7 +208,7 @@ def parse_model_text(text: str) -> ModelDocument:
             if head == "base_vars":
                 atlas["base_vars"] = tuple(toks[1:])
             elif head == "witness_exponent":
-                atlas["witness_exponent"] = int(toks[1])
+                atlas["witness_exponent"] = _int(toks, lineno, line)
             else:
                 raise ParseError(f"unknown base-atlas field {head!r}", lineno, 1)
     if pending_chart is not None:
@@ -186,7 +222,8 @@ def parse_model_text(text: str) -> ModelDocument:
         cover = Cover(charts, overlaps, triples)
         transitions = {}
         for (a, b), assignments in transitions_raw.items():
-            src, tgt = chart_map[a], chart_map[b]
+            line_no = transition_lines[(a, b)]
+            src, tgt = _chart(chart_map, a, line_no), _chart(chart_map, b, line_no)
             parser = ExpressionParser(src.vars, src.odd_rank)
             even, odd = {}, {}
             for lhs, rhs, lineno in assignments:
@@ -203,9 +240,11 @@ def parse_model_text(text: str) -> ModelDocument:
         space = _reduced_space_for_sheaves(doc, charts, overlaps, triples)
     for name, d in sheaves_raw.items():
         rank = d["rank"]
+        if rank is None:
+            raise ParseError(f"sheaf {name!r} declares no rank", d["line"], 1)
         mats = {}
         for key, rows in d["matrices"].items():
-            src = chart_map[key[0]]
+            src = _chart(chart_map, key[0], d["lines"][key])
             parser = ExpressionParser(src.vars, 0)
             m = []
             for text_row, lineno in rows:
@@ -220,11 +259,16 @@ def parse_model_text(text: str) -> ModelDocument:
             mats[key] = m
         doc.sheaves[name] = SheafSpec(space, rank, mats)
     for name, d in gt_raw.items():
-        fiber = doc.sheaves[d["fiber_sheaf"]]
+        if d["fiber_sheaf"] is None or d["base_rank"] is None:
+            raise ParseError(f"gtmodel {name!r} needs fiber_sheaf and base_rank", d["line"], 1)
+        fiber_name, line_no = d["fiber_sheaf"]
+        if fiber_name not in doc.sheaves:
+            raise ParseError(f"unknown fiber_sheaf {fiber_name!r}", line_no, 1)
+        fiber = doc.sheaves[fiber_name]
         n = d["base_rank"]
         theta_sections = {}
         for key, rows in d["theta"].items():
-            src = chart_map[key[0]]
+            src = _chart(chart_map, key[0], d["lines"][key])
             parser = ExpressionParser(src.vars, 0)
             flat = []
             for text_row, lineno in rows:

@@ -16,19 +16,16 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from . import linalg
-from .cech import (CechCochain, CohomologyClass, ShortExactSequence, auto_window,
-                   cech_delta, cohomology_basis, cohomology_class, connecting_map,
-                   cup_product, extension_sheaf, is_coboundary, is_cocycle,
-                   solve_coboundary, _cochain_from_values, _cochain_keys,
-                   _delta0_linearization, _dense_columns, _dense_rows)
+from .cech import (CechCochain, CohomologyClass, ShortExactSequence, cech_delta,
+                   cohomology_basis, cohomology_class, connecting_map, cup_product,
+                   extension_sheaf, is_coboundary, is_cocycle, solve_coboundary)
 from .errors import CocycleError, SupercechError
 from .gluing import SuperGluingData, restrict_odd
 from .laurent import LaurentPoly, Q
 from .obstruction import (cotangent_spec, deviation_cochain,
                           deviation_hom_spec)
-from .sheaf import (SheafSpec, filtration, hom_unflatten, identity_matrix, kron,
-                    mat_vec, sheaf_exterior_power, sheaf_hom, sheaf_tensor,
+from .sheaf import (SheafSpec, diagonal_block, filtration, identity_matrix, kron,
+                    selection_matrix, sheaf_exterior_power, sheaf_hom, sheaf_tensor,
                     trivial_spec)
 from .spaces import ReducedSpace
 
@@ -83,20 +80,11 @@ def model_class(m: GtModel, cross_validate: bool = True) -> ModelClassReport:
     hom_tot = sheaf_hom(m.fiber_spec, m.total_odd)
     hom_quot = sheaf_hom(m.fiber_spec, m.fiber_spec)
     s, q = m.base_rank, m.fiber_rank
-    incl = [[Q(1) if i == j else Q(0) for j in range(s)] for i in range(s + q)]
-    proj = [[Q(1) if j == s + i else Q(0) for j in range(s + q)] for i in range(q)]
+    incl = [row[:s] for row in identity_matrix(s + q)]
+    proj = selection_matrix(range(s, s + q), s + q)
     ses = ShortExactSequence(hom_sub, hom_tot, hom_quot,
                              kron(incl, identity_matrix(q)), kron(proj, identity_matrix(q)))
-    ident_sections = {}
-    for name in m.space.cover.order:
-        vars = m.space.cover.chart(name).vars
-        flat = []
-        for i in range(q):
-            for j in range(q):
-                flat.append(LaurentPoly.const(vars, 1 if i == j else 0))
-        ident_sections[(name,)] = flat
-    ident = CechCochain(hom_quot, 0, ident_sections)
-    delta1 = connecting_map(ses, ident)
+    delta1 = connecting_map(ses, _identity_section(hom_quot, q))
     for sign in (1, -1):
         if solve_coboundary(delta1 - m.theta.scale(sign)) is not None:
             return ModelClassReport(cls, True, sign)
@@ -104,6 +92,14 @@ def model_class(m: GtModel, cross_validate: bool = True) -> ModelClassReport:
 
 
 # ---------------------------------------------------------- graded spaces
+
+
+def _identity_section(hom_ff: SheafSpec, q: int) -> CechCochain:
+    """The identity of a rank-q sheaf as a 0-cochain of its endomorphisms."""
+    cover = hom_ff.space.cover
+    return CechCochain(hom_ff, 0, {
+        (name,): [e for row in identity_matrix(q, cover.chart(name).vars) for e in row]
+        for name in cover.order})
 
 
 def _cached(m: GtModel, key, builder):
@@ -172,13 +168,12 @@ class SecondaryValue:
         return self.cochain.is_zero()
 
 
-def _finalize(spec: SheafSpec, degree: int, sections, window=None) -> SecondaryValue:
-    c = CechCochain(spec, degree, sections)
-    if degree <= 1:
-        cls = cohomology_class(c, window=window) if degree == 1 else None
-        return SecondaryValue(c, degree, True, cls)
+def _finalize(c: CechCochain, window=None) -> SecondaryValue:
+    if c.degree <= 1:
+        cls = cohomology_class(c, window=window) if c.degree == 1 else None
+        return SecondaryValue(c, c.degree, True, cls)
     decided = not c.sheaf.space.cover.canonical_triples()
-    return SecondaryValue(c, degree, decided or c.is_zero(), None)
+    return SecondaryValue(c, c.degree, decided or c.is_zero(), None)
 
 
 def secondary_differential(m: GtModel, a: int, b: int, p: int,
@@ -191,7 +186,7 @@ def secondary_differential(m: GtModel, a: int, b: int, p: int,
     if out_quot is None or out_quot.rank == 0:
         spec = hom_into_quotient(m, a - 1, b + 1) if out_quot is not None else \
             sheaf_hom(P, sheaf_exterior_power(m.fiber_spec, m.fiber_rank + 1))
-        return _finalize(spec, p + 1, {})
+        return _finalize(CechCochain(spec, p + 1))
     filt = filtration_of(m, level)
 
     def build_ses():
@@ -207,12 +202,7 @@ def secondary_differential(m: GtModel, a: int, b: int, p: int,
     nu_q = CechCochain(ses.quot, p, nu.sections)
     conn = connecting_map(ses, nu_q)
     proj2 = kron(filt.projection_matrix(b + 1), identity_matrix(P.rank))
-    out_spec = hom_into_quotient(m, a - 1, b + 1)
-    sections = {}
-    for key, vec in conn.sections.items():
-        vars = m.space.cover.chart(key[0]).vars
-        sections[key] = mat_vec(proj2, vec, vars)
-    return _finalize(out_spec, p + 1, sections, window)
+    return _finalize(conn.map(proj2, hom_into_quotient(m, a - 1, b + 1)), window)
 
 
 # -------------------------------------------------------- model class map
@@ -308,14 +298,9 @@ def model_class_map(m: GtModel, a: int, b: int, p: int, nu: CechCochain,
     out_quot = quotient_spec(m, a - 1, b + 1)
     out_spec = hom_into_quotient(m, a - 1, b + 1)
     if out_quot.rank == 0 or P.rank == 0:
-        return _finalize(out_spec, p + 1, {})
-    cup = cup_product(m.theta, nu)
+        return _finalize(CechCochain(out_spec, p + 1))
     TM = _theta_pairing_matrix(m, a, b, P.rank, MODEL_CLASS_MAP_SIGN)
-    sections = {}
-    for key, vec in cup.sections.items():
-        vars = m.space.cover.chart(key[0]).vars
-        sections[key] = mat_vec(TM, vec, vars)
-    return _finalize(out_spec, p + 1, sections, window)
+    return _finalize(cup_product(m.theta, nu).map(TM, out_spec), window)
 
 
 def tau_push_identity(m: GtModel, a: int, b: int, nu: CechCochain) -> CechCochain:
@@ -324,14 +309,7 @@ def tau_push_identity(m: GtModel, a: int, b: int, nu: CechCochain) -> CechCochai
     if a != 1:
         raise SupercechError("identity push implemented for a = 1")
     qx = m.fiber_rank
-    hom_ff = sheaf_hom(m.fiber_spec, m.fiber_spec)
-    ident_sections = {}
-    for name in m.space.cover.order:
-        vars = m.space.cover.chart(name).vars
-        flat = [LaurentPoly.const(vars, 1 if i == j else 0)
-                for i in range(qx) for j in range(qx)]
-        ident_sections[(name,)] = flat
-    ident = CechCochain(hom_ff, 0, ident_sections)
+    ident = _identity_section(sheaf_hom(m.fiber_spec, m.fiber_spec), qx)
     cup = cup_product(ident, nu)
     P_rank = nu.sheaf.rank // quotient_spec(m, a, b).rank
     n = m.base_rank
@@ -371,82 +349,42 @@ def refined_splitting_data(m: GtModel, cochain: CechCochain,
     secondary class is the graded projection of an explicit lifted cocycle."""
     P = parity_spec(m, level)
     filt = filtration_of(m, level)
+    amb = filt.ambient
     best_b = None
     for b in range(level, 0, -1):
         sel = filt.pieces[b]
         if not sel:
             continue
-        complement = [i for i in range(filt.ambient.rank) if i not in sel]
+        complement = [i for i in range(amb.rank) if i not in sel]
         if not complement:
             best_b = b
             break
-        quot_spec = SheafSpec(
-            m.space, len(complement),
-            {key: [[mm[i][j] for j in complement] for i in complement]
-             for key, mm in filt.ambient.matrices.items()},
-            tuple(filt.ambient.basis_labels[i] for i in complement), check=False)
-        hom_quot = sheaf_hom(P, quot_spec)
-        proj = [[Q(1) if sel_j == i else Q(0) for sel_j in range(filt.ambient.rank)]
-                for i in complement]
-        proj_h = kron(proj, identity_matrix(P.rank))
-        sections = {}
-        for key, vec in cochain.sections.items():
-            vars = m.space.cover.chart(key[0]).vars
-            sections[key] = mat_vec(proj_h, vec, vars)
-        image = CechCochain(hom_quot, 1, sections)
-        if solve_coboundary(image, window=window) is not None:
+        hom_quot = sheaf_hom(P, diagonal_block(amb, complement))
+        proj = kron(selection_matrix(complement, amb.rank), identity_matrix(P.rank))
+        if solve_coboundary(cochain.map(proj, hom_quot), window=window) is not None:
             best_b = b
             break
     if best_b is None:
         return RefinedLevelReport(level, None, None)
-    a = level - best_b
-    # lift explicitly: find a 0-cochain w with (c - delta w) supported in F_b
     lifted = _lift_into_piece(m, cochain, level, best_b, window)
-    graded_proj = kron(filt.projection_matrix(best_b), identity_matrix(P.rank))
-    piece_pos = {idx: i for i, idx in enumerate(filt.pieces[best_b])}
-    sections = {}
-    for key, vec in lifted.sections.items():
-        vars = m.space.cover.chart(key[0]).vars
-        piece_vec = []
-        for idx in filt.pieces[best_b]:
-            for pi in range(P.rank):
-                piece_vec.append(vec[idx * P.rank + pi])
-        sections[key] = mat_vec(graded_proj, piece_vec, vars)
-    out_spec = hom_into_quotient(m, a, best_b)
-    graded = CechCochain(out_spec, 1, sections)
+    graded_proj = kron(selection_matrix(filt.graded[best_b], amb.rank), identity_matrix(P.rank))
+    graded = lifted.map(graded_proj, hom_into_quotient(m, level - best_b, best_b))
     return RefinedLevelReport(level, best_b, cohomology_class(graded, window=window))
 
 
 def _lift_into_piece(m: GtModel, cochain: CechCochain, level: int, b: int,
                      window: int | None) -> CechCochain:
-    """Cocycle cohomologous to the input with components in F_b only."""
-    sheaf = cochain.sheaf
+    """Cocycle cohomologous to the input with components in F_b only: the
+    equations on the frames outside F_b are solved exactly."""
     filt = filtration_of(m, level)
-    P = parity_spec(m, level)
-    sel = set(filt.pieces[b])
-    bound = auto_window(sheaf, cochain, window=window)
-    lin = _delta0_linearization(sheaf, bound)
-    rhs_map = _cochain_keys(cochain)
-    # keep only the equations for components outside F_b
-    def outside(key):
-        (pair, frame, exps) = key
-        return (frame // P.rank) not in sel
-    all_keys = {k for k in rhs_map if outside(k)}
-    for img in lin.images:
-        all_keys.update(k for k in img if outside(k))
-    keys = sorted(all_keys, key=str)
-    sol = linalg.solve(_dense_columns(keys, lin.images), _dense_rows(keys, [rhs_map])[0])
-    if sol is None:
+    rank_p = parity_spec(m, level).rank
+    inside = set(filt.pieces[b])
+    outside = {idx * rank_p + pi for idx in range(filt.ambient.rank) if idx not in inside
+               for pi in range(rank_p)}
+    w = solve_coboundary(cochain, window=window, frames=outside)
+    if w is None:
         raise CocycleError("no lift although the quotient image is trivial")
-    w = _cochain_from_values(sheaf, 0, lin.unknowns, sol)
-    lifted = cochain - cech_delta(w)
-    for key, vec in lifted.sections.items():
-        for idx in range(filt.ambient.rank):
-            if idx not in sel:
-                for pi in range(P.rank):
-                    if not vec[idx * P.rank + pi].is_zero():
-                        raise CocycleError("lift left components outside the piece")
-    return lifted
+    return cochain - cech_delta(w)
 
 
 # ------------------------------------------------------- containment check
@@ -538,15 +476,8 @@ def verify_obstruction_compatibility(total: SuperGluingData,
     idxs_total = list(combinations(range(1, q + 1), level))
     keep = [k for k, I in enumerate(idxs_total) if all(i <= qx for i in I)]
     n_rows = w_total.sheaf.rank // len(idxs_total)
-    sections = {}
-    for key, vec in w_total.sections.items():
-        mat = hom_unflatten(vec, n_rows, len(idxs_total))
-        flat = []
-        for i in range(n_rows):
-            for k in keep:
-                flat.append(mat[i][k])
-        sections[key] = flat
-    p_cochain = CechCochain(fib_hom, 1, sections)
+    columns = kron(identity_matrix(n_rows), selection_matrix(keep, len(idxs_total)))
+    p_cochain = w_total.map(columns, fib_hom)
     if not is_cocycle(p_cochain):
         raise CocycleError("restricted deviation data is not a cocycle")
     i_cochain = deviation_cochain(fiber, level, fiber_reduced)

@@ -101,6 +101,12 @@ def identity_matrix(n: int, vars: tuple[str, ...] | None = None) -> list[list]:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
+def selection_matrix(positions: list[int], n: int) -> list[list[Fraction]]:
+    """Constant 0/1 matrix whose row i picks coordinate ``positions[i]`` of
+    an n-vector."""
+    return [[Q(1) if j == p else Q(0) for j in range(n)] for p in positions]
+
+
 class SheafSpec:
     """Rank + per-overlap transition matrices over a reduced space."""
 
@@ -280,13 +286,12 @@ class FilteredSheaf:
 
     def piece_to_piece_inclusion(self, k: int) -> list[list[Fraction]]:
         """Constant matrix embedding F_{k+1} into F_k."""
-        return _piece_to_piece_matrix(self.pieces[k], self.pieces[k + 1])
+        return [[Q(1) if i == s else Q(0) for s in self.pieces[k + 1]] for i in self.pieces[k]]
 
     def projection_matrix(self, k: int) -> list[list[Fraction]]:
         """Constant matrix projecting F_k onto F_k / F_{k+1}."""
         big = self.pieces[k]
-        exact = self.graded[k]
-        return [[Q(1) if big[j] == e else Q(0) for j in range(len(big))] for e in exact]
+        return selection_matrix([big.index(e) for e in self.graded[k]], len(big))
 
     def verify(self) -> None:
         """Exact block-triangularity and quotient-equals-Kronecker checks."""
@@ -311,12 +316,14 @@ class FilteredSheaf:
                         f"quotient F_{k}/F_{k+1} differs from the product matrices on {key}")
 
 
-def _piece_to_piece_matrix(big: list[int], small: list[int]) -> list[list[Fraction]]:
-    pos = {idx: i for i, idx in enumerate(big)}
-    out = [[Q(0)] * len(small) for _ in range(len(big))]
-    for j, s in enumerate(small):
-        out[pos[s]][j] = Q(1)
-    return out
+def diagonal_block(spec: SheafSpec, positions: list[int]) -> SheafSpec:
+    """Spec of the frames at ``positions``: the diagonal blocks of the
+    transition matrices (unchecked, so callers pick blocks that are)."""
+    return SheafSpec(
+        spec.space, len(positions),
+        {key: [[m[i][j] for j in positions] for i in positions]
+         for key, m in spec.matrices.items()},
+        tuple(spec.basis_labels[i] for i in positions), check=False)
 
 
 def filtration(ext: SheafSpec, degree: int) -> FilteredSheaf:
@@ -334,17 +341,6 @@ def filtration(ext: SheafSpec, degree: int) -> FilteredSheaf:
     for k in range(degree + 1):
         pieces[k] = [p for p, c in enumerate(counts) if c >= k]
         graded[k] = [p for p, c in enumerate(counts) if c == k]
-    piece_specs = {}
-    quotient_specs = {}
-    for k in range(degree + 1):
-        sel = pieces[k]
-        piece_specs[k] = SheafSpec(
-            amb.space, len(sel),
-            {key: [[m[i][j] for j in sel] for i in sel] for key, m in amb.matrices.items()},
-            tuple(amb.basis_labels[i] for i in sel), check=False)
-        gsel = graded[k]
-        quotient_specs[k] = SheafSpec(
-            amb.space, len(gsel),
-            {key: [[m[i][j] for j in gsel] for i in gsel] for key, m in amb.matrices.items()},
-            tuple(amb.basis_labels[i] for i in gsel), check=False)
+    piece_specs = {k: diagonal_block(amb, sel) for k, sel in pieces.items()}
+    quotient_specs = {k: diagonal_block(amb, sel) for k, sel in graded.items()}
     return FilteredSheaf(amb, degree, sub, quot, pieces, graded, piece_specs, quotient_specs)

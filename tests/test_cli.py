@@ -135,6 +135,84 @@ transition U1 U0
     assert code == 3
 
 
+VALID_MODEL = """format 1
+chart U0
+  fiber x
+  odd 0
+chart U1
+  fiber y
+  odd 0
+overlap U0 U1
+overlap U1 U0
+transition U0 U1
+  y = 1/x
+transition U1 U0
+  x = 1/y
+sheaf TX
+  rank 1
+  matrix U0 U1
+    x^-4
+  matrix U1 U0
+    y^-4
+gtmodel M
+  fiber_sheaf TX
+  base_rank 1
+  theta U0 U1
+    x^-1
+"""
+
+
+def _with_line(lineno, text):
+    lines = VALID_MODEL.splitlines()
+    lines[lineno - 1] = text
+    return "\n".join(lines) + "\n"
+
+
+def test_valid_model_for_malformed_variants(tmp_path, capsys):
+    path = tmp_path / "valid.model"
+    path.write_text(VALID_MODEL)
+    code, out, _ = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 0 and "gtmodel.M.class_trivial: False" in out
+
+
+@pytest.mark.parametrize("lineno,text", [
+    (1, "format x"),
+    (2, "chart"),
+    (4, "  odd q"),
+    (8, "overlap U0"),
+    (9, "triple U0 U1"),
+    (10, "transition U0"),
+    (12, "transition U1 W"),
+    (15, "  rank one"),
+    (16, "    x^-4"),
+    (21, "  fiber_sheaf TY"),
+    (22, "  base_rank"),
+    (23, "    x^-1"),
+])
+def test_malformed_model_is_input_error_with_location(tmp_path, capsys, lineno, text):
+    path = tmp_path / "bad.model"
+    path.write_text(_with_line(lineno, text))
+    code, _, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 2
+    assert f"line {lineno}," in err
+
+
+@pytest.mark.parametrize("name", ["two_parameter_family", "nonsplit_p1", "gtm_odd_base"])
+def test_glue_p1_reads_back_its_output(tmp_path, capsys, name):
+    code, out, _ = run_cli(capsys, "glue-p1", "--input", str(corpus_path(f"{name}.model")))
+    assert code == 0
+    path = tmp_path / "glued.model"
+    path.write_text(out.split("\n", 3)[3])   # drop the three header lines
+    code, again, _ = run_cli(capsys, "glue-p1", "--input", str(path))
+    assert code == 0 and again == out
+
+
+def test_partial_fiber_point_is_input_error(capsys):
+    path = str(corpus_path("two_parameter_family.model"))
+    code, _, err = run_cli(capsys, "splitting-type", "--input", path, "--at", "t1=1")
+    assert code == 2 and "base coordinates" in err
+
+
 def test_entry_point_subprocess():
     # the module is runnable as a script
     path = str(corpus_path("split_p1.model"))

@@ -149,31 +149,56 @@ def test_kernel_containment_when_cup_vanishes(M):
             assert s.rhs_trivial
 
 
-def test_refined_splitting_data(M):
-    from supercech.secondary import parity_spec, refined_splitting_data
-    from supercech.sheaf import sheaf_exterior_power, sheaf_hom
-    level = 3
+def _top_piece_cocycle(M, level):
+    """A nontrivial cocycle of hom(P, wedge^level total_odd) supported in
+    the top filtration piece (pure base factors)."""
+    from supercech.cech import cohomology_basis
+    from supercech.secondary import parity_spec
+    from supercech.sheaf import sheaf_hom
     P = parity_spec(M, level)
-    amb = sheaf_exterior_power(M.total_odd, level)
-    full = sheaf_hom(P, amb)
+    full = sheaf_hom(P, sheaf_exterior_power(M.total_odd, level))
     filt = filtration(M.total_odd, level)
-    # build a cocycle supported in the top piece F_3 (pure base factors)
-    top = filt.pieces[3]
+    top = filt.pieces[level]
     assert len(top) == 1
-    sub = filt.piece_specs[3]
-    hom_top = sheaf_hom(P, sub)
-    basis = __import__("supercech.cech", fromlist=["cohomology_basis"]).cohomology_basis(hom_top, 1)
+    basis = cohomology_basis(sheaf_hom(P, filt.piece_specs[level]), 1)
     assert len(basis) >= 1
-    rep = basis[0]
     sections = {}
-    for key, vec in rep.sections.items():
+    for key, vec in basis[0].sections.items():
         full_vec = full.zero_vector(key[0])
         for pi in range(P.rank):
             full_vec[top[0] * P.rank + pi] = vec[pi]
         sections[key] = full_vec
-    c = CechCochain(full, 1, sections)
-    report = refined_splitting_data(M, c, level)
+    return CechCochain(full, 1, sections)
+
+
+def test_refined_splitting_data(M):
+    from supercech.secondary import refined_splitting_data
+    report = refined_splitting_data(M, _top_piece_cocycle(M, 3), 3)
     assert report.refined_b == 3
+    assert not report.secondary.trivial
+
+
+def test_refined_splitting_data_lifts_a_shifted_cocycle(M):
+    # c_top + delta(w) with w nonzero on every frame: reaching F_3 needs a
+    # nonzero lift, and the secondary class must not see the shift
+    from supercech.cech import cech_delta
+    from supercech.secondary import _lift_into_piece, refined_splitting_data
+    c_top = _top_piece_cocycle(M, 3)
+    full = c_top.sheaf
+    w = CechCochain(full, 0, {("U0",): [LaurentPoly.monomial(("x",), i + 1, (i % 3,))
+                                        for i in range(full.rank)]})
+    shifted = c_top + cech_delta(w)
+    filt = filtration(M.total_odd, 3)
+    rank_p = full.rank // filt.ambient.rank
+    outside = [f for f in range(full.rank) if f // rank_p not in filt.pieces[3]]
+    assert any(not shifted.sections[("U0", "U1")][f].is_zero() for f in outside)
+    lifted = _lift_into_piece(M, shifted, 3, 3, None)
+    assert all(vec[f].is_zero() for vec in lifted.sections.values() for f in outside)
+    assert is_coboundary(shifted - lifted)[0]
+    report = refined_splitting_data(M, shifted, 3)
+    assert report.refined_b == 3
+    expected = refined_splitting_data(M, c_top, 3).secondary
+    assert report.secondary.representative == expected.representative
     assert not report.secondary.trivial
 
 
