@@ -19,10 +19,12 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .errors import CocycleError, WindowError
+from .gluing import invert_laurent_matrix
 from .laurent import LaurentPoly, Q
 from . import linalg
-from .sheaf import (SheafSpec, hom_unflatten, identity_matrix, mat_mul, mat_vec,
-                    sheaf_tensor)
+from .sheaf import (SheafSpec, diagonal_block, frames_leak, hom_unflatten,
+                    identity_matrix, mat_mul, mat_transpose, mat_vec, selection_matrix,
+                    sheaf_hom, sheaf_tensor)
 
 WINDOW_CAP = 60
 
@@ -488,86 +490,58 @@ def _tensor_vec(u: list[LaurentPoly], v: list[LaurentPoly]) -> list[LaurentPoly]
 
 @dataclass
 class ShortExactSequence:
-    """Chartwise-constant inclusion/projection presentation of an exact
-    sequence sub -> total -> quot of sheaf specs."""
+    """Exact sequence sub -> total -> quot of sheaf specs split by frames:
+    the subsheaf is spanned by the frames ``sub_frames`` of ``total``, the
+    quotient by the other frames (``quot_frames``, increasing), and both are
+    diagonal blocks of ``total``."""
 
-    sub: SheafSpec
     total: SheafSpec
-    quot: SheafSpec
-    inclusion: list[list[Fraction]]    # total.rank x sub.rank
-    projection: list[list[Fraction]]   # quot.rank x total.rank
+    sub_frames: list[int]
+    quot_frames: list[int] = field(init=False)
+    sub: SheafSpec = field(init=False)
+    quot: SheafSpec = field(init=False)
     _verified: bool = field(default=False, init=False, compare=False, repr=False)
 
+    def __post_init__(self):
+        n = self.total.rank
+        self.sub_frames = list(self.sub_frames)
+        chosen = set(self.sub_frames)
+        if len(chosen) != len(self.sub_frames) or any(not 0 <= f < n for f in chosen):
+            raise ValueError(f"sub frames {self.sub_frames} are not distinct frames of rank {n}")
+        self.quot_frames = [f for f in range(n) if f not in chosen]
+        self.sub = diagonal_block(self.total, self.sub_frames)
+        self.quot = diagonal_block(self.total, self.quot_frames)
+
     def verify(self):
+        """The sub frames span a subsheaf: no transition moves them out."""
         if self._verified:
             return
-        if self.sub.rank + self.quot.rank != self.total.rank:
-            raise CocycleError("ranks do not add up")
-        comp = mat_mul(self.projection, self.inclusion)
-        if any(any(v != 0 for v in row) for row in comp):
-            raise CocycleError("projection o inclusion is not zero")
-        if linalg.rank([row[:] for row in self.inclusion]) != self.sub.rank:
-            raise CocycleError("inclusion not injective")
-        if linalg.rank([row[:] for row in self.projection]) != self.quot.rank:
-            raise CocycleError("projection not surjective")
-        for key in self.total.matrices:
-            vars = self.total.space.cover.chart(key[0]).vars
-            lhs = mat_mul(self.total.matrices[key], self.inclusion, vars)
-            rhs = mat_mul(self.inclusion, self.sub.matrices[key], vars)
-            if lhs != rhs:
-                raise CocycleError(f"inclusion is not a sheaf map on {key}")
-            lhs = mat_mul(self.projection, self.total.matrices[key], vars)
-            rhs = mat_mul(self.quot.matrices[key], self.projection, vars)
-            if lhs != rhs:
-                raise CocycleError(f"projection is not a sheaf map on {key}")
+        leak = frames_leak(self.total, self.sub_frames)
+        if leak is not None:
+            raise CocycleError(f"inclusion is not a sheaf map on {leak[0]}")
         self._verified = True
 
     def section_of_projection(self) -> list[list[Fraction]]:
-        cols = []
-        n = self.quot.rank
-        for j in range(n):
-            rhs = [Q(1) if i == j else Q(0) for i in range(n)]
-            col = linalg.solve([row[:] for row in self.projection], rhs)
-            if col is None:
-                raise CocycleError("projection has no section")
-            cols.append(col)
-        return [[cols[j][i] for j in range(n)] for i in range(self.total.rank)]
+        """Constant embedding of the quotient onto its frames of ``total``."""
+        return mat_transpose(selection_matrix(self.quot_frames, self.total.rank))
 
 
 def connecting_map(ses: ShortExactSequence, c: CechCochain) -> CechCochain:
-    """Connecting homomorphism: lift through the projection chartwise, apply
-    the coboundary, express in the subsheaf.  Input degree 0 or 1 (degree 1
-    requires triples to carry the output)."""
+    """Connecting homomorphism: lift onto the quotient frames, apply the
+    coboundary, read off the sub-frame components.  Input degree 0 or 1
+    (degree 1 requires triples to carry the output)."""
     ses.verify()
     if c.sheaf.rank != ses.quot.rank or c.sheaf.matrices != ses.quot.matrices:
         raise CocycleError("cochain is not valued in the quotient")
     if not is_cocycle(c):
         raise CocycleError("connecting map needs a cocycle")
     boundary = cech_delta(c.map(ses.section_of_projection(), ses.total))
-    cover = ses.total.space.cover
-    out = {}
-    for key, vec in boundary.sections.items():
-        out[key] = _express_in_sub(ses.inclusion, vec, cover.chart(key[0]).vars,
-                                   ses.sub.rank)
-    result = CechCochain(ses.sub, c.degree + 1, out)
+    if any(not vec[f].is_zero() for vec in boundary.sections.values() for f in ses.quot_frames):
+        raise CocycleError("coboundary does not land in the subsheaf")
+    result = boundary.map(selection_matrix(ses.sub_frames, ses.total.rank), ses.sub)
     if result.degree == 1 and not is_cocycle(result):
         raise CocycleError("connecting image failed the cocycle check")
     return result
-
-
-def _express_in_sub(inclusion, vec, vars, sub_rank) -> list[LaurentPoly]:
-    """Solve inclusion . w = vec exactly, monomial by monomial."""
-    monomials = sorted({exps for p in vec for exps in p.terms})
-    out = [LaurentPoly.zero(vars) for _ in range(sub_rank)]
-    for exps in monomials:
-        rhs = [p.terms.get(exps, Q(0)) for p in vec]
-        sol = linalg.solve([row[:] for row in inclusion], rhs)
-        if sol is None:
-            raise CocycleError("coboundary does not land in the subsheaf")
-        for i, v in enumerate(sol):
-            if v != 0:
-                out[i] = out[i] + LaurentPoly.monomial(vars, v, exps)
-    return out
 
 
 # ------------------------------------------------------------- extensions
@@ -576,7 +550,6 @@ def _express_in_sub(inclusion, vec, vars, sub_rank) -> list[LaurentPoly]:
 def extension_sheaf(sub: SheafSpec, quot: SheafSpec, cocycle: CechCochain) -> SheafSpec:
     """Extension spec with block matrices [[M_sub, M_sub.X],[0, M_quot]] for
     a 1-cocycle X valued in hom(quot, sub); records the sub/quot split."""
-    from .sheaf import sheaf_hom  # late import to avoid cycle at module load
     hom = sheaf_hom(quot, sub)
     if cocycle.degree != 1 or cocycle.sheaf.rank != hom.rank:
         raise CocycleError("extension cocycle must be a degree-1 hom(quot, sub) cochain")
@@ -633,7 +606,6 @@ def extension_gauge(sub: SheafSpec, quot: SheafSpec, witness: CechCochain) -> di
 def specs_gauge_equivalent(spec1: SheafSpec, spec2: SheafSpec,
                            gauges: dict[str, list[list[LaurentPoly]]]) -> bool:
     """Check spec2 = g_b . spec1 . g_a^{-1} on every overlap."""
-    from .gluing import invert_laurent_matrix
     cover = spec1.space.cover
     for (a, b) in cover.overlaps:
         ga_inv = invert_laurent_matrix(gauges[a])

@@ -20,7 +20,7 @@ from .gluing import INFINITY
 from .modelfile import parse_model_file, write_gluing
 from .obstruction import (attempt_split, characteristic_factorization,
                           obstruction_cocycle, scaling_action)
-from .family import glue_over_p1, rothstein_family
+from .family import glue_over_p1, read_glued_family, rothstein_family, write_glued_family
 from .secondary import (model_class, secondary_space, verify_a1_containment,
                         verify_obstruction_compatibility)
 
@@ -206,7 +206,6 @@ def _dispatch(args, doc, rep: Reporter) -> int:
         return EXIT_PASS
 
     if cmd == "glue-p1":
-        from .family import read_glued_family, write_glued_family
         if doc.base_atlas is not None:
             glued = read_glued_family(doc)
         else:

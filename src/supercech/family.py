@@ -11,7 +11,7 @@ from .errors import CocycleError, SupercechError
 from .gluing import INFINITY, SuperGluingData, SuperTransition
 from .grassmann import GrassmannElement
 from .laurent import LaurentPoly, Q
-from .obstruction import _scaling_witnesses, scaling_action
+from .obstruction import _scaling_witnesses, attempt_split, scaling_action
 from .spaces import Chart, Cover
 
 
@@ -90,7 +90,6 @@ def rothstein_family(g: SuperGluingData, base_var: str = "t") -> FamilySpec:
 def is_weakly_centrally_split(family: FamilySpec) -> bool:
     """True when the fiber over the distinguished base point is certified
     split by the level-by-level solver; needs a recorded base point."""
-    from .obstruction import attempt_split
     if family.base_point is None:
         raise SupercechError("no distinguished base point recorded")
     fiber = family.fiber(family.base_point)

@@ -76,6 +76,15 @@ def _int(toks: list[str], lineno: int, line: str) -> int:
                          line.rfind(token) + 1) from None
 
 
+def _count(toks: list[str], lineno: int, line: str) -> int:
+    """The single nonnegative integer argument of the keyword ``toks[0]``."""
+    value = _int(toks, lineno, line)
+    if value < 0:
+        raise ParseError(f"{toks[0]!r} must be nonnegative, got {value}", lineno,
+                         line.rfind(toks[1]) + 1)
+    return value
+
+
 def _chart(chart_map: dict, name: str, lineno: int):
     if name not in chart_map:
         raise ParseError(f"undeclared chart {name!r}", lineno, 1)
@@ -94,6 +103,7 @@ def parse_model_text(text: str) -> ModelDocument:
     base_odd = 0
     declared = None
     atlas = None
+    atlas_line = None
     sheaves_raw: dict[str, dict] = {}
     gt_raw: dict[str, dict] = {}
 
@@ -139,7 +149,7 @@ def parse_model_text(text: str) -> ModelDocument:
             elif head == "family":
                 family_vars = tuple(toks[1:])
             elif head == "base_odd":
-                base_odd = _int(toks, lineno, line)
+                base_odd = _count(toks, lineno, line)
             elif head == "splitting_type":
                 declared = _int(toks, lineno, line)
             elif head == "sheaf":
@@ -154,6 +164,7 @@ def parse_model_text(text: str) -> ModelDocument:
                 mode = ("gtmodel", name)
             elif head == "baseatlas":
                 atlas = {}
+                atlas_line = lineno
                 mode = ("baseatlas", atlas)
             else:
                 raise ParseError(f"unknown directive {head!r}", lineno, 1)
@@ -169,7 +180,7 @@ def parse_model_text(text: str) -> ModelDocument:
             elif head == "base":
                 d["base"] = tuple(toks[1:])
             elif head == "odd":
-                d["odd"] = _int(toks, lineno, line)
+                d["odd"] = _count(toks, lineno, line)
             else:
                 raise ParseError(f"unknown chart field {head!r}", lineno, 1)
         elif kind == "transition":
@@ -180,7 +191,7 @@ def parse_model_text(text: str) -> ModelDocument:
         elif kind == "sheaf":
             d = sheaves_raw[mode[1]]
             if head == "rank":
-                d["rank"] = _int(toks, lineno, line)
+                d["rank"] = _count(toks, lineno, line)
             elif head == "matrix":
                 d["current"] = tuple(_args(toks, 2, lineno))
                 d["matrices"][d["current"]] = []
@@ -194,7 +205,7 @@ def parse_model_text(text: str) -> ModelDocument:
             if head == "fiber_sheaf":
                 d["fiber_sheaf"] = (_args(toks, 1, lineno)[0], lineno)
             elif head == "base_rank":
-                d["base_rank"] = _int(toks, lineno, line)
+                d["base_rank"] = _count(toks, lineno, line)
             elif head == "theta":
                 d["current"] = tuple(_args(toks, 2, lineno))
                 d["theta"][d["current"]] = []
@@ -206,13 +217,15 @@ def parse_model_text(text: str) -> ModelDocument:
         elif kind == "baseatlas":
             atlas = mode[1]
             if head == "base_vars":
-                atlas["base_vars"] = tuple(toks[1:])
+                atlas["base_vars"] = tuple(_args(toks, 2, lineno))
             elif head == "witness_exponent":
                 atlas["witness_exponent"] = _int(toks, lineno, line)
             else:
                 raise ParseError(f"unknown base-atlas field {head!r}", lineno, 1)
     if pending_chart is not None:
         flush_chart(pending_chart)
+    if atlas is not None and "base_vars" not in atlas:
+        raise ParseError("baseatlas needs a 'base_vars' line", atlas_line, 1)
 
     doc = ModelDocument(base_odd=base_odd, declared_splitting_type=declared,
                         base_atlas=atlas)
@@ -229,7 +242,12 @@ def parse_model_text(text: str) -> ModelDocument:
             for lhs, rhs, lineno in assignments:
                 value = parser.parse(rhs, line=lineno)
                 if lhs.startswith("theta_"):
-                    odd[int(lhs.split("_", 1)[1])] = value
+                    try:
+                        index = int(lhs.split("_", 1)[1])
+                    except ValueError:
+                        raise ParseError(f"expected an integer theta index, got {lhs!r}",
+                                         lineno, 1) from None
+                    odd[index] = value
                 else:
                     even[lhs] = value
             transitions[(a, b)] = SuperTransition(src, tgt, even, odd)

@@ -19,11 +19,12 @@ from itertools import combinations
 from .cech import (CechCochain, CohomologyClass, cohomology_class, is_cocycle,
                    solve_coboundary)
 from .errors import CocycleError, LevelError, SupercechError
-from .gluing import (INFINITY, SuperGluingData, SuperTransition,
+from .gluing import (INFINITY, SuperGluingData, SuperTransition, compose_transitions,
                      identity_transition, invert_laurent_matrix)
 from .grassmann import GrassmannElement
 from .laurent import LaurentPoly, Q
 from .sheaf import SheafSpec, mat_mul, sheaf_dual, sheaf_exterior_power, sheaf_hom
+from .spaces import Chart, Cover, ReducedSpace
 
 
 # ------------------------------------------------------------ basic specs
@@ -177,18 +178,13 @@ def attempt_split(g: SuperGluingData, window: int | None = None) -> SplitReport:
                                                 "even" if level % 2 == 0 else "odd"))
         corrections = _witness_to_coordinate_change(current, witness, level)
         current = current.conjugate(corrections)
-        total = {name: _compose_auto(total[name], corrections[name])
+        total = {name: compose_transitions(total[name], corrections[name])
                  for name in g.cover.order}
         if current.splitting_type(verify=False) <= level:
             raise SupercechError("correction did not clear the level")
     if current.splitting_type(verify=False) != INFINITY:
         raise SupercechError("levels exhausted but deviation remains")
     return SplitReport(True, total, current)
-
-
-def _compose_auto(first: SuperTransition, second: SuperTransition) -> SuperTransition:
-    from .gluing import compose_transitions
-    return compose_transitions(first, second)
 
 
 def _witness_to_coordinate_change(g: SuperGluingData, witness: CechCochain,
@@ -342,8 +338,6 @@ class CharacteristicFactorization:
 def _fiber_space_of_family(g: SuperGluingData):
     """Structural fiber space of a product-type family (base coordinates
     dropped); requires reduced data independent of the base coordinates."""
-    from .spaces import Chart, Cover, ReducedSpace
-    from .sheaf import SheafSpec
     charts = []
     for name in g.cover.order:
         ch = g.cover.chart(name)

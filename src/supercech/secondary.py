@@ -21,6 +21,7 @@ from .cech import (CechCochain, CohomologyClass, ShortExactSequence, cech_delta,
                    extension_sheaf, is_coboundary, is_cocycle, solve_coboundary)
 from .errors import CocycleError, SupercechError
 from .gluing import SuperGluingData, restrict_odd
+from .grassmann import GrassmannElement
 from .laurent import LaurentPoly, Q
 from .obstruction import (cotangent_spec, deviation_cochain,
                           deviation_hom_spec)
@@ -76,15 +77,10 @@ def model_class(m: GtModel, cross_validate: bool = True) -> ModelClassReport:
     cls = cohomology_class(m.theta)
     if not cross_validate:
         return ModelClassReport(cls, False, None)
-    hom_sub = sheaf_hom(m.fiber_spec, m.base_spec)
-    hom_tot = sheaf_hom(m.fiber_spec, m.total_odd)
-    hom_quot = sheaf_hom(m.fiber_spec, m.fiber_spec)
-    s, q = m.base_rank, m.fiber_rank
-    incl = [row[:s] for row in identity_matrix(s + q)]
-    proj = selection_matrix(range(s, s + q), s + q)
-    ses = ShortExactSequence(hom_sub, hom_tot, hom_quot,
-                             kron(incl, identity_matrix(q)), kron(proj, identity_matrix(q)))
-    delta1 = connecting_map(ses, _identity_section(hom_quot, q))
+    # the base frames of hom(fiber, total_odd) come first (target index major)
+    ses = ShortExactSequence(sheaf_hom(m.fiber_spec, m.total_odd),
+                             list(range(m.base_rank * m.fiber_rank)))
+    delta1 = connecting_map(ses, _identity_section(ses.quot, m.fiber_rank))
     for sign in (1, -1):
         if solve_coboundary(delta1 - m.theta.scale(sign)) is not None:
             return ModelClassReport(cls, True, sign)
@@ -190,13 +186,10 @@ def secondary_differential(m: GtModel, a: int, b: int, p: int,
     filt = filtration_of(m, level)
 
     def build_ses():
-        hom_sub = sheaf_hom(P, filt.piece_specs[b + 1])
-        hom_tot = sheaf_hom(P, filt.piece_specs[b])
-        hom_quot = sheaf_hom(P, filt.quotient_specs[b])
-        return ShortExactSequence(
-            hom_sub, hom_tot, hom_quot,
-            kron(filt.piece_to_piece_inclusion(b), identity_matrix(P.rank)),
-            kron(filt.projection_matrix(b), identity_matrix(P.rank)))
+        # F_{b+1} inside F_b, expanded through hom(P, .) (target index major)
+        inner = [filt.pieces[b].index(e) for e in filt.pieces[b + 1]]
+        return ShortExactSequence(sheaf_hom(P, filt.piece_specs[b]),
+                                  [i * P.rank + k for i in inner for k in range(P.rank)])
 
     ses = _cached(m, ("ses", level, b), build_ses)
     nu_q = CechCochain(ses.quot, p, nu.sections)
@@ -453,7 +446,6 @@ def verify_obstruction_compatibility(total: SuperGluingData,
     Implemented for even levels (deviations of the even coordinate maps)."""
     q = next(iter(total.cover.charts.values())).odd_rank
     qx = q - base_odd
-    from .grassmann import GrassmannElement
     for (a, b), t in total.transitions.items():
         for k in range(qx + 1, q + 1):
             expect = GrassmannElement.odd_gen(t.source.vars, t.source.odd_rank, k)

@@ -284,10 +284,6 @@ class FilteredSheaf:
     piece_specs: dict[int, SheafSpec]
     quotient_specs: dict[int, SheafSpec]
 
-    def piece_to_piece_inclusion(self, k: int) -> list[list[Fraction]]:
-        """Constant matrix embedding F_{k+1} into F_k."""
-        return [[Q(1) if i == s else Q(0) for s in self.pieces[k + 1]] for i in self.pieces[k]]
-
     def projection_matrix(self, k: int) -> list[list[Fraction]]:
         """Constant matrix projecting F_k onto F_k / F_{k+1}."""
         big = self.pieces[k]
@@ -296,14 +292,11 @@ class FilteredSheaf:
     def verify(self) -> None:
         """Exact block-triangularity and quotient-equals-Kronecker checks."""
         amb = self.ambient
-        for key, m in amb.matrices.items():
-            for k, sel in self.pieces.items():
-                below = [i for i in range(amb.rank) if i not in sel]
-                for i in below:
-                    for j in sel:
-                        if not m[i][j].is_zero():
-                            raise CocycleError(
-                                f"filtration not respected on {key} at entry ({i},{j})")
+        for sel in self.pieces.values():
+            leak = frames_leak(amb, sel)
+            if leak is not None:
+                key, i, j = leak
+                raise CocycleError(f"filtration not respected on {key} at entry ({i},{j})")
         sub, quot = self.sub, self.quot
         for k in self.quotient_specs:
             expect_sub = sheaf_exterior_power(sub, k)
@@ -314,6 +307,20 @@ class FilteredSheaf:
                 if expected.matrices[key] != got.matrices[key]:
                     raise CocycleError(
                         f"quotient F_{k}/F_{k+1} differs from the product matrices on {key}")
+
+
+def frames_leak(spec: SheafSpec, frames: list[int]) -> tuple | None:
+    """First ``(key, i, j)`` whose transition entry moves frame ``j`` of
+    ``frames`` onto frame ``i`` outside them, or ``None`` when the frames
+    span a subsheaf."""
+    chosen = set(frames)
+    outside = [i for i in range(spec.rank) if i not in chosen]
+    for key, m in spec.matrices.items():
+        for i in outside:
+            for j in frames:
+                if not m[i][j].is_zero():
+                    return key, i, j
+    return None
 
 
 def diagonal_block(spec: SheafSpec, positions: list[int]) -> SheafSpec:

@@ -229,12 +229,9 @@ def test_connecting_map_of_extension_reproduces_class(p1_space):
     coc = CechCochain(hom, 1, {("U0", "U1"): [mono(p1_space, "U0", 1, -1)]})
     ext = extension_sheaf(sub, quot, coc)
     # hom(quot, -) twist of the sequence sub -> ext -> quot
-    h_sub = sheaf_hom(quot, sub)
     h_tot = sheaf_hom(quot, ext)
     h_quot = sheaf_hom(quot, quot)
-    incl = [[Q(1)], [Q(0)]]
-    proj = [[Q(0), Q(1)]]
-    ses = ShortExactSequence(h_sub, h_tot, h_quot, incl, proj)
+    ses = ShortExactSequence(h_tot, [0])
     ident = CechCochain(h_quot, 0, {("U0",): [mono(p1_space, "U0", 1, 0)],
                                     ("U1",): [mono(p1_space, "U1", 1, 0)]})
     delta1 = connecting_map(ses, ident)
@@ -259,7 +256,7 @@ def test_connecting_independent_of_lift(p1_space):
     h_sub = sheaf_hom(quot, sub)
     h_tot = sheaf_hom(quot, ext)
     h_quot = sheaf_hom(quot, quot)
-    ses = ShortExactSequence(h_sub, h_tot, h_quot, [[Q(1)], [Q(0)]], [[Q(0), Q(1)]])
+    ses = ShortExactSequence(h_tot, [0])
     c = CechCochain(h_quot, 0, {("U0",): [mono(p1_space, "U0", 1, 0)],
                                 ("U1",): [mono(p1_space, "U1", 1, 0)]})
     out1 = connecting_map(ses, c)
@@ -282,6 +279,23 @@ def test_connecting_independent_of_lift(p1_space):
     out2 = CechCochain(h_sub, 1, out2_sections)
     ok, _ = is_coboundary(out2 - out1)
     assert ok
+
+
+def test_short_exact_sequence_checks_its_frames(p1_space):
+    sub = trivial_spec(p1_space, 1)
+    quot = line_bundle(p1_space, 2)
+    coc = CechCochain(sheaf_hom(quot, sub), 1,
+                      {("U0", "U1"): [mono(p1_space, "U0", 1, -1)]})
+    h_tot = sheaf_hom(quot, extension_sheaf(sub, quot, coc))
+    for frames in ([0, 0], [2], [-1]):
+        with pytest.raises(ValueError):
+            ShortExactSequence(h_tot, frames)
+    # the cocycle block moves frame 1 into frame 0, so frame 1 spans no subsheaf
+    ses = ShortExactSequence(h_tot, [1])
+    c = CechCochain(ses.quot, 0, {("U0",): [mono(p1_space, "U0", 1, 0)],
+                                  ("U1",): [mono(p1_space, "U1", 1, 0)]})
+    with pytest.raises(CocycleError, match="inclusion is not a sheaf map"):
+        connecting_map(ses, c)
 
 
 def test_non_cocycle_rejected(split_three_charts):

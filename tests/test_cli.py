@@ -188,11 +188,36 @@ def test_valid_model_for_malformed_variants(tmp_path, capsys):
     (21, "  fiber_sheaf TY"),
     (22, "  base_rank"),
     (23, "    x^-1"),
+    (11, "  theta_x = x"),
+    (4, "  odd -1"),
+    (15, "  rank -1"),
+    (22, "  base_rank -1"),
+    (1, "base_odd -1"),
 ])
 def test_malformed_model_is_input_error_with_location(tmp_path, capsys, lineno, text):
     path = tmp_path / "bad.model"
     path.write_text(_with_line(lineno, text))
     code, _, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 2
+    assert f"line {lineno}," in err
+
+
+def test_valid_base_atlas_for_malformed_variants(tmp_path, capsys):
+    path = tmp_path / "valid.model"
+    path.write_text(VALID_MODEL + "baseatlas\n  base_vars t s\n")
+    code, out, _ = run_cli(capsys, "glue-p1", "--input", str(path))
+    assert code == 0 and "witness_ok: True" in out
+
+
+@pytest.mark.parametrize("block,lineno", [
+    ("baseatlas\n  base_vars t\n", 26),
+    ("baseatlas\n  base_vars t s u\n", 26),
+    ("baseatlas\n  witness_exponent -2\n", 25),
+])
+def test_malformed_base_atlas_is_input_error_with_location(tmp_path, capsys, block, lineno):
+    path = tmp_path / "bad.model"
+    path.write_text(VALID_MODEL + block)
+    code, _, err = run_cli(capsys, "glue-p1", "--input", str(path))
     assert code == 2
     assert f"line {lineno}," in err
 
