@@ -196,6 +196,8 @@ class _Linearization:
 
     unknowns: list[tuple]                              # ((chart,), frame, exps)
     images: list[dict[tuple, Fraction]]                # per unknown
+    # _factor by frame set (None: all frames)
+    factors: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _delta0_linearization(sheaf: SheafSpec, bound: int) -> _Linearization:
@@ -258,42 +260,45 @@ def _keys_order(lin: _Linearization, cover, extra=()) -> list[tuple]:
     return sorted(keys, key=lambda k: (overlap_pos[k[0]], k[1], k[2]))
 
 
-def _dense_columns(keys: list[tuple], vectors) -> list[list[Fraction]]:
-    """Matrix with one row per key and one column per sparse vector; vector
-    entries on keys outside ``keys`` are dropped."""
-    pos = {k: i for i, k in enumerate(keys)}
-    matrix = [[Q(0)] * len(vectors) for _ in keys]
-    for u, vec in enumerate(vectors):
-        for k, coef in vec.items():
-            i = pos.get(k)
-            if i is not None:
-                matrix[i][u] = coef
-    return matrix
+def _sparse_rows(columns: dict[tuple, int], vectors) -> list[linalg.Row]:
+    """One ``linalg`` row per sparse vector over keys, with ``columns``
+    numbering the keys; entries on other keys are dropped."""
+    return [[(columns[k], v) for k, v in vec.items() if k in columns] for vec in vectors]
 
 
-def _dense_rows(keys: list[tuple], vectors) -> list[list[Fraction]]:
-    """One row over ``keys`` per sparse vector; vector entries on keys
-    outside ``keys`` are dropped."""
-    pos = {k: i for i, k in enumerate(keys)}
-    rows = []
-    for vec in vectors:
-        row = [Q(0)] * len(keys)
-        for k, coef in vec.items():
-            i = pos.get(k)
-            if i is not None:
-                row[i] = coef
-        rows.append(row)
-    return rows
+def _factor(lin: _Linearization, cover, frames: set[int] | None = None):
+    """The delta images of ``lin`` eliminated once over their own keys (only
+    those on ``frames``, when given) and kept on ``lin``: ``(keys, columns,
+    reducer)``, the keys in key order and ``columns`` their positions."""
+    tag = None if frames is None else frozenset(frames)
+    if tag not in lin.factors:
+        keys = _keys_order(lin, cover)
+        if frames is not None:
+            keys = [k for k in keys if k[1] in frames]
+        columns = {k: i for i, k in enumerate(keys)}
+        lin.factors[tag] = (keys, columns,
+                            linalg.SpanReducer(_sparse_rows(columns, lin.images)))
+    return lin.factors[tag]
 
 
-def _cochain_from_values(sheaf: SheafSpec, degree: int, keys, values) -> CechCochain:
+def _reduce(factor, vector: dict[tuple, Fraction]):
+    """``SpanReducer.reduce`` of a sparse vector over keys by a factor, with
+    the residual over keys; entries on keys outside the factor's stay in the
+    residual unchanged."""
+    keys, columns, reducer = factor
+    residual, multiples = reducer.reduce(
+        {columns[k]: v for k, v in vector.items() if k in columns})
+    out = {keys[i]: v for i, v in residual.items()}
+    out.update((k, v) for k, v in vector.items() if k not in columns)
+    return out, multiples
+
+
+def _cochain_from_values(sheaf: SheafSpec, degree: int, values) -> CechCochain:
     """Cochain with coefficient ``value`` on the (tuple, frame, exponents)
-    monomial of each key."""
+    monomial of each ``(key, value)`` pair."""
     cover = sheaf.space.cover
     data: dict[tuple, list[LaurentPoly]] = {}
-    for (key, frame, exps), value in zip(keys, values):
-        if value == 0:
-            continue
+    for (key, frame, exps), value in values:
         if key not in data:
             data[key] = sheaf.zero_vector(key[0])
         vars = cover.chart(key[0]).vars
@@ -303,9 +308,10 @@ def _cochain_from_values(sheaf: SheafSpec, degree: int, keys, values) -> CechCoc
 
 def _delta0_system(c: CechCochain, window: int | None, frames: set[int] | None = None):
     """Set-up for deciding ``c = delta(w)``: the degree and cocycle checks,
-    the window, the linearization, and the ordered equation keys (those on
-    ``frames`` only, when given) with the right-hand side over them.
-    ``None`` when ``c`` is zero or the sheaf has rank 0."""
+    the window, the linearization, and the reduction of ``c`` (its entries on
+    ``frames`` only, when given) by the linearization's factor.  Returns
+    ``(lin, reducer, residual, multiples)`` as in ``_reduce``; ``None`` when
+    ``c`` is zero or the sheaf has rank 0."""
     if c.degree != 1:
         raise ValueError("solve_coboundary expects a degree-1 cochain")
     if not is_cocycle(c):
@@ -315,11 +321,11 @@ def _delta0_system(c: CechCochain, window: int | None, frames: set[int] | None =
         return None
     bound = auto_window(sheaf, c, window=window)
     lin = _delta0_linearization(sheaf, bound)
-    rhs_map = _cochain_keys(c)
-    keys = _keys_order(lin, sheaf.space.cover, rhs_map)
+    factor = _factor(lin, sheaf.space.cover, frames)
+    rhs = _cochain_keys(c)
     if frames is not None:
-        keys = [k for k in keys if k[1] in frames]
-    return lin, keys, _dense_rows(keys, [rhs_map])[0]
+        rhs = {k: v for k, v in rhs.items() if k[1] in frames}
+    return (lin, factor[2], *_reduce(factor, rhs))
 
 
 def _solve(c: CechCochain, system, frames: set[int] | None = None) -> CechCochain | None:
@@ -327,11 +333,11 @@ def _solve(c: CechCochain, system, frames: set[int] | None = None) -> CechCochai
     the self-check compares ``c`` and delta(w) on ``frames`` when given."""
     if system is None:
         return CechCochain(c.sheaf, 0)
-    lin, keys, rhs = system
-    sol = linalg.solve(_dense_columns(keys, lin.images), rhs)
-    if sol is None:
+    lin, reducer, residual, multiples = system
+    if residual:
         return None
-    witness = _cochain_from_values(c.sheaf, 0, lin.unknowns, sol)
+    sol = reducer.combination(multiples)
+    witness = _cochain_from_values(c.sheaf, 0, ((lin.unknowns[u], v) for u, v in sol.items()))
     delta = cech_delta(witness).sections
     checked = range(c.sheaf.rank) if frames is None else frames
     if any(delta[k][f] != vec[f] for k, vec in c.sections.items() for f in checked):
@@ -379,9 +385,8 @@ def cohomology_class(c: CechCochain, window: int | None = None) -> CohomologyCla
     witness = _solve(c, system)
     if witness is not None:
         return CohomologyClass(c.sheaf, 1, CechCochain(c.sheaf, 1), True, witness)
-    lin, keys, rhs = system
-    reduced = linalg.SpanReducer(_dense_rows(keys, lin.images)).reduce(rhs)
-    return CohomologyClass(c.sheaf, 1, _cochain_from_values(c.sheaf, 1, keys, reduced),
+    residual = system[2]
+    return CohomologyClass(c.sheaf, 1, _cochain_from_values(c.sheaf, 1, residual.items()),
                            False, None)
 
 
@@ -405,9 +410,9 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
     cover = sheaf.space.cover
     if degree == 0:
         lin = _delta0_linearization(sheaf, bound)
-        keys = _keys_order(lin, cover)
-        kernel = linalg.nullspace(_dense_columns(keys, lin.images))
-        return [_cochain_from_values(sheaf, 0, lin.unknowns, v) for v in kernel]
+        _, _, reducer = _factor(lin, cover)
+        return [_cochain_from_values(sheaf, 0, ((lin.unknowns[u], v) for u, v in k.items()))
+                for k in reducer.kernel()]
     if degree != 1:
         raise ValueError("cohomology_basis supports degrees 0 and 1")
 
@@ -423,23 +428,24 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
                 candidates.append(((a, b), frame, exps))
     # cocycle constraint (only when triples exist)
     if cover.canonical_triples():
-        images = []
-        for cand in candidates:
-            unit = _cochain_from_values(sheaf, 1, [cand], [Q(1)])
-            images.append(_cochain_keys(cech_delta(unit)))
+        images = [_cochain_keys(cech_delta(_cochain_from_values(sheaf, 1, [(cand, Q(1))])))
+                  for cand in candidates]
         tkeys = sorted({k for img in images for k in img})
-        cocycle_vectors = linalg.nullspace(_dense_columns(tkeys, images))
+        relations = linalg.SpanReducer(
+            _sparse_rows({k: i for i, k in enumerate(tkeys)}, images)).kernel()
+        cocycles = [{candidates[u]: v for u, v in k.items()} for k in relations]
     else:
-        cocycle_vectors = identity_matrix(len(candidates))
+        cocycles = [{cand: Q(1)} for cand in candidates]
 
     lin = _delta0_linearization(sheaf, witness_bound)
+    factor = _factor(lin, cover)
     keys = _keys_order(lin, cover, candidates)
-    reducer = linalg.SpanReducer(_dense_rows(keys, lin.images))
-    cocycles = _dense_rows(keys, [dict(zip(candidates, v)) for v in cocycle_vectors])
-    reduced_rows = [reducer.reduce(row) for row in cocycles]
-    basis_rows, _ = linalg.rref(reduced_rows) if reduced_rows else ([], [])
-    return [_cochain_from_values(sheaf, 1, keys, row) for row in basis_rows
-            if any(v != 0 for v in row)]
+    residuals = [_reduce(factor, cocycle)[0] for cocycle in cocycles]
+    if not residuals:
+        return []
+    rows = _sparse_rows({k: i for i, k in enumerate(keys)}, residuals)
+    return [_cochain_from_values(sheaf, 1, ((keys[i], v) for i, v in row.items()))
+            for row in linalg.SpanReducer(rows).basis()]
 
 
 # ------------------------------------------------------------- cup products

@@ -138,11 +138,19 @@ def _dispatch(args, doc, rep: Reporter) -> int:
         code = EXIT_PASS
         if doc.gluing is not None:
             r = doc.gluing.verify_cocycle()
+            failures = [str(f) for f in r.failures]
+            declared = doc.gluing.declared_splitting_type
+            if r.ok and declared is not None:
+                actual = doc.gluing.splitting_type(verify=False)
+                if actual != declared:
+                    shown = "infinity" if actual == INFINITY else actual
+                    failures.append(f"declared splitting_type {declared}, "
+                                    f"the transitions give {shown}")
             rep.emit("gluing.checks", r.checks)
-            rep.emit("gluing.ok", r.ok)
-            for i, f in enumerate(r.failures):
-                rep.emit(f"gluing.failure.{i}", str(f))
-            if not r.ok:
+            rep.emit("gluing.ok", not failures)
+            for i, f in enumerate(failures):
+                rep.emit(f"gluing.failure.{i}", f)
+            if failures:
                 code = EXIT_FAIL
         for name, m in doc.gt_models.items():
             mc = model_class(m)

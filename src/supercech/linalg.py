@@ -1,116 +1,154 @@
-"""Dense exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the rationals.
 
-Everything here works on lists of lists of ``Fraction`` and is deterministic:
-pivots are chosen as the first nonzero entry scanning columns left to right,
-so reduced forms (and hence canonical cohomology representatives built on
-them) are reproducible.
+A row is a list of ``(column, value)`` pairs with distinct columns and
+nonzero ``Fraction`` values; a vector is a dict ``column -> value`` with
+nonzero values.  Columns are integers and their order is the column order.
+Elimination touches only nonzero entries.
+
+Every result depends only on the rows, their order and the column order, not
+on the order in which the elimination happens to visit them:
+
+* the pivot columns of a span are the first nonzero columns of its elements,
+  so the representative of a vector modulo the span that vanishes on all of
+  them is unique, and so is the reduced row echelon form;
+* the rows independent of the rows before them are fixed by the row order,
+  so a vector in the span has exactly one combination of those rows, and
+  each dependent row exactly one relation to them.
+
+Canonical cohomology representatives and witnesses built on these results
+are therefore reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from bisect import insort
 
-Q = Fraction
+Row = list[tuple[int, Fraction]]
 
 
-def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices).
-
-    Row operations touch only the nonzero columns of the pivot row, which is
-    what makes the large sparse systems coming from coboundary equations
-    tractable."""
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
+def _clear(v: dict[int, Fraction], rows: dict[int, dict[int, Fraction]]) -> dict[int, Fraction]:
+    """Subtract multiples of the echelon ``rows`` (keyed by their first
+    nonzero column) from ``v`` in place until ``v`` vanishes on every one of
+    those columns; returns the multiple taken of each row.  Leading columns
+    are cleared in increasing order, and a row only touches columns at or
+    after its own, so a cleared column stays clear."""
+    multiples = {}
+    todo = sorted(c for c in v if c in rows)
+    k = 0
+    while k < len(todo):
+        p = todo[k]
+        k += 1
+        f = v.pop(p, None)
+        if f is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = [v / pv for v in m[r]]
-        row_r = m[r]
-        support = [k for k, v in enumerate(row_r) if v != 0]
-        for i in range(rows):
-            if i != r:
-                f = m[i][c]
-                if f != 0:
-                    row_i = m[i]
-                    for k in support:
-                        row_i[k] -= f * row_r[k]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+        row = rows[p]
+        f /= row[p]
+        multiples[p] = f
+        for c, a in row.items():
+            if c == p:
+                continue
+            s = v.get(c)
+            if s is None:
+                v[c] = -f * a
+                if c in rows:
+                    insort(todo, c, k)
+            else:
+                s -= f * a
+                if s:
+                    v[c] = s
+                else:
+                    del v[c]
+    return multiples
 
 
-def rank(matrix: list[list[Fraction]]) -> int:
-    return len(rref(matrix)[1])
+def rref(rows: list[Row]):
+    """Eliminate ``rows`` in order, once.
 
-
-def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One solution of ``matrix @ x = rhs`` (free variables set to 0), or
-    ``None`` when the system is inconsistent."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [matrix[i][:] + [rhs[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Q(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
-    return x
-
-
-def nullspace(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[Q(1) if i == j else Q(0) for i in range(cols)] for j in range(cols)]
-    red, pivots = rref(matrix)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Q(0)] * cols
-        v[fc] = Q(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    Each row is cleared on the leading columns of the echelon rows built
+    before it.  What is left either becomes a new echelon row, keyed by its
+    first nonzero column, or is zero, and the row depends on the rows before
+    it.  Returns ``(echelon, built, dependent)``: the echelon rows by leading
+    column; ``(lead, row index, multiples)`` for each echelon row in the order
+    built, where ``multiples`` maps the leads of earlier echelon rows to the
+    multiple of each subtracted; and ``(row index, multiples)`` for each
+    dependent row.  ``SpanReducer.basis`` finishes the reduced form."""
+    echelon: dict[int, dict[int, Fraction]] = {}
+    built: list[tuple[int, int, dict[int, Fraction]]] = []
+    dependent: list[tuple[int, dict[int, Fraction]]] = []
+    for i, row in enumerate(rows):
+        v = dict(row)
+        multiples = _clear(v, echelon)
+        if v:
+            lead = min(v)
+            echelon[lead] = v
+            built.append((lead, i, multiples))
+        else:
+            dependent.append((i, multiples))
+    return echelon, built, dependent
 
 
 class SpanReducer:
-    """Reduces vectors to canonical representatives modulo a fixed span.
+    """The span of fixed rows, eliminated once (``rref``) and then reused:
+    canonical representatives modulo the span, the combination of the rows
+    that reaches a vector of the span, the relations among the rows and the
+    reduced row echelon form."""
 
-    The span is brought to reduced row echelon form once; reduction then
-    eliminates, in order, every coordinate where some span element has its
-    leading entry, which makes representatives deterministic."""
+    def __init__(self, rows: list[Row]):
+        self.echelon, self.built, self.dependent = rref(rows)
 
-    def __init__(self, basis: list[list[Fraction]]):
-        if basis:
-            self.red, self.pivots = rref(basis)
-            self.support = [[k for k, v in enumerate(row) if v != 0] for row in self.red]
-        else:
-            self.red, self.pivots, self.support = [], [], []
+    def reduce(self, vector: dict[int, Fraction]) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+        """``(residual, multiples)``: the one vector of ``vector`` + span that
+        vanishes on every pivot column, and the multiples of the echelon rows
+        that ``vector`` minus the residual is made of (for ``combination``).
+        The residual is empty exactly when ``vector`` lies in the span."""
+        v = dict(vector)
+        multiples = _clear(v, self.echelon)
+        return v, multiples
 
-    def reduce(self, vector: list[Fraction]) -> list[Fraction]:
-        v = list(vector)
-        for r, c in enumerate(self.pivots):
-            f = v[c]
-            if f != 0:
-                row = self.red[r]
-                for k in self.support[r]:
-                    v[k] -= f * row[k]
-        return v
+    def combination(self, multiples: dict[int, Fraction]) -> dict[int, Fraction]:
+        """Coefficients ``x`` by row index with ``sum x[i] * rows[i]`` equal to
+        ``sum multiples[p] * echelon[p]``, supported on the rows independent of
+        the rows before them (the only such ``x``).  Echelon row ``p`` is its
+        source row minus earlier echelon rows, so the coefficients are read
+        off from the last row built back to the first."""
+        x = dict(multiples)
+        out = {}
+        for lead, i, steps in reversed(self.built):
+            if not x:
+                break
+            f = x.pop(lead, None)
+            if not f:
+                continue
+            out[i] = f
+            for q, g in steps.items():
+                s = x.get(q, 0) - f * g
+                if s:
+                    x[q] = s
+                else:
+                    x.pop(q, None)
+        return out
+
+    def kernel(self) -> list[dict[int, Fraction]]:
+        """A basis of the relations ``sum k[i] * rows[i] = 0``: one per row
+        that depends on the rows before it, with coefficient 1 on that row
+        and the rest on independent rows, in row order."""
+        basis = []
+        for i, multiples in self.dependent:
+            k = {j: -f for j, f in self.combination(multiples).items()}
+            k[i] = Fraction(1)
+            basis.append(k)
+        return basis
+
+    def basis(self) -> list[dict[int, Fraction]]:
+        """The nonzero rows of the reduced row echelon form, in pivot order:
+        each is 1 on its own pivot column and 0 on every other.  Rows are
+        finished from the last built back to the first; each was already
+        clear of the pivots built before it."""
+        reduced: dict[int, dict[int, Fraction]] = {}
+        for lead, _, _ in reversed(self.built):
+            v = dict(self.echelon[lead])
+            _clear(v, reduced)
+            pv = v[lead]
+            reduced[lead] = v if pv == 1 else {c: a / pv for c, a in v.items()}
+        return [reduced[p] for p in sorted(reduced)]

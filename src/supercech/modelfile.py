@@ -10,11 +10,11 @@ Grammar (line oriented; ``#`` starts a comment; indentation is free)::
     overlap A B               # ordered; declare both directions
     triple A B C              # optional
     transition A B            # expressions in A-coordinates
-      <target-coord> = <expression>
-      theta_K = <expression>
+      <target-coord> = <expression>   # each coordinate of B exactly once:
+      theta_K = <expression>          # its even ones and theta_1..theta_odd
     family t [...]            # flags base coordinates (declared on charts)
     base_odd N                # trailing N odd generators are base directions
-    splitting_type J          # optional declaration
+    splitting_type J          # optional declaration, checked by verify
     sheaf NAME
       rank R
       matrix A B              # R rows of R comma-separated expressions
@@ -85,6 +85,18 @@ def _count(toks: list[str], lineno: int, line: str) -> int:
     return value
 
 
+def _names(toks: list[str], lineno: int, line: str, taken=()) -> tuple[str, ...]:
+    """The arguments of the keyword ``toks[0]`` as coordinate names, each
+    named once and none of them in ``taken``."""
+    seen = set(taken)
+    for name in toks[1:]:
+        if name in seen:
+            raise ParseError(f"coordinate {name!r} is named twice", lineno,
+                             line.rfind(name) + 1)
+        seen.add(name)
+    return tuple(toks[1:])
+
+
 def _chart(chart_map: dict, name: str, lineno: int):
     if name not in chart_map:
         raise ParseError(f"undeclared chart {name!r}", lineno, 1)
@@ -147,11 +159,11 @@ def parse_model_text(text: str) -> ModelDocument:
                 transition_lines[key] = lineno
                 mode = ("transition", key)
             elif head == "family":
-                family_vars = tuple(toks[1:])
+                family_vars = _names(toks, lineno, line)
             elif head == "base_odd":
                 base_odd = _count(toks, lineno, line)
             elif head == "splitting_type":
-                declared = _int(toks, lineno, line)
+                declared = _count(toks, lineno, line)
             elif head == "sheaf":
                 name, = _args(toks, 1, lineno)
                 sheaves_raw[name] = {"rank": None, "matrices": {}, "lines": {},
@@ -176,9 +188,9 @@ def parse_model_text(text: str) -> ModelDocument:
         if kind == "chart":
             d = chart_data[mode[1]]
             if head == "fiber":
-                d["fiber"] = tuple(toks[1:])
+                d["fiber"] = _names(toks, lineno, line, d.get("base", ()))
             elif head == "base":
-                d["base"] = tuple(toks[1:])
+                d["base"] = _names(toks, lineno, line, d.get("fiber", ()))
             elif head == "odd":
                 d["odd"] = _count(toks, lineno, line)
             else:
@@ -217,7 +229,8 @@ def parse_model_text(text: str) -> ModelDocument:
         elif kind == "baseatlas":
             atlas = mode[1]
             if head == "base_vars":
-                atlas["base_vars"] = tuple(_args(toks, 2, lineno))
+                _args(toks, 2, lineno)
+                atlas["base_vars"] = _names(toks, lineno, line)
             elif head == "witness_exponent":
                 atlas["witness_exponent"] = _int(toks, lineno, line)
             else:
@@ -240,16 +253,28 @@ def parse_model_text(text: str) -> ModelDocument:
             parser = ExpressionParser(src.vars, src.odd_rank)
             even, odd = {}, {}
             for lhs, rhs, lineno in assignments:
-                value = parser.parse(rhs, line=lineno)
                 if lhs.startswith("theta_"):
                     try:
-                        index = int(lhs.split("_", 1)[1])
+                        coord = int(lhs.split("_", 1)[1])
                     except ValueError:
                         raise ParseError(f"expected an integer theta index, got {lhs!r}",
                                          lineno, 1) from None
-                    odd[index] = value
+                    if not 1 <= coord <= tgt.odd_rank:
+                        raise ParseError(f"{lhs} is not an odd coordinate of chart {b!r} "
+                                         f"(odd {tgt.odd_rank})", lineno, 1)
+                    images = odd
+                elif lhs in tgt.vars:
+                    coord, images = lhs, even
                 else:
-                    even[lhs] = value
+                    raise ParseError(f"{lhs!r} is not a coordinate of chart {b!r}", lineno, 1)
+                if coord in images:
+                    raise ParseError(f"{lhs} is assigned twice", lineno, 1)
+                images[coord] = parser.parse(rhs, line=lineno)
+            missing = [v for v in tgt.vars if v not in even] + \
+                [f"theta_{k}" for k in range(1, tgt.odd_rank + 1) if k not in odd]
+            if missing:
+                raise ParseError(f"transition {a} {b} has no image for {', '.join(missing)}",
+                                 line_no, 1)
             transitions[(a, b)] = SuperTransition(src, tgt, even, odd)
         doc.gluing = SuperGluingData(cover, transitions, family_vars, declared)
 

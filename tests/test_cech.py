@@ -8,8 +8,9 @@ from supercech.cech import (CechCochain, ShortExactSequence, cech_delta,
                             cup_product, extension_sheaf, is_coboundary,
                             is_cocycle, solve_coboundary)
 from supercech.errors import CocycleError
+from supercech import linalg
 from supercech.laurent import LaurentPoly
-from supercech.linalg import rank as qrank
+from dense_reference import rank as qrank
 from supercech.sheaf import sheaf_hom, trivial_spec, sheaf_tensor
 
 from conftest import line_bundle
@@ -96,6 +97,43 @@ def test_witness_reproduces_coboundary(p1_space):
         ok, witness = is_coboundary(c)
         assert ok
         assert cech_delta(witness) == c
+
+
+def test_each_system_is_eliminated_once(p1_space, monkeypatch):
+    eliminations = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows: eliminations.append(rows) or rref(rows))
+
+    def decide(n, window=4):
+        spec = line_bundle(p1_space, n)
+        nontrivial = CechCochain(spec, 1, {("U0", "U1"): [mono(p1_space, "U0", 1, -1)]})
+        trivial = CechCochain(spec, 1, {("U0", "U1"): [mono(p1_space, "U0", 3, 0)]})
+        cls = cohomology_class(nontrivial, window=window)
+        assert len(eliminations) == 1          # nontrivial: one elimination
+        again = cohomology_class(nontrivial, window=window)
+        witness = solve_coboundary(trivial, window=window)
+        assert cech_delta(witness) == trivial
+        assert solve_coboundary(nontrivial, window=window) is None
+        assert len(eliminations) == 1          # same sheaf and window: reused
+        return cls, again, witness
+
+    cls, again, witness = decide(-2)
+    assert not cls.trivial and again == cls
+    eliminations.clear()
+    fresh_cls, _, fresh_witness = decide(-2)  # a freshly built sheaf
+    assert fresh_cls.representative == cls.representative and fresh_witness == witness
+
+    spec = sheaf_tensor(line_bundle(p1_space, -2), trivial_spec(p1_space, 2))
+    c = CechCochain(spec, 1, {("U0", "U1"): [mono(p1_space, "U0", 1, 0),
+                                              mono(p1_space, "U0", 1, -1)]})
+    eliminations.clear()
+    assert solve_coboundary(c, window=4) is None
+    assert len(eliminations) == 1
+    w0 = solve_coboundary(c, window=4, frames={0})
+    assert len(eliminations) == 2                # a frame set has its own factor
+    assert solve_coboundary(c, window=4, frames={0}) == w0 and len(eliminations) == 2
+    assert cech_delta(w0).sections[("U0", "U1")][0] == c.sections[("U0", "U1")][0]
+    assert solve_coboundary(c, window=4, frames={1}) is None and len(eliminations) == 3
 
 
 def brute_force_h_dims(n: int):

@@ -163,8 +163,11 @@ gtmodel M
 
 
 def _with_line(lineno, text):
+    """VALID_MODEL with the lines from ``lineno`` on replaced by the lines
+    of ``text``."""
     lines = VALID_MODEL.splitlines()
-    lines[lineno - 1] = text
+    new = text.split("\n")
+    lines[lineno - 1:lineno - 1 + len(new)] = new
     return "\n".join(lines) + "\n"
 
 
@@ -193,6 +196,16 @@ def test_valid_model_for_malformed_variants(tmp_path, capsys):
     (15, "  rank -1"),
     (22, "  base_rank -1"),
     (1, "base_odd -1"),
+    (11, "  z = 1/x"),
+    (11, "  theta_0 = 0"),
+    (11, "  theta_9 = 0"),
+    (12, "  y = 1/x"),
+    (10, "transition U0 U1\n  # no image for y"),
+    (3, "  fiber x x"),
+    (4, "  base t t"),
+    (4, "  base x"),
+    (1, "family t t"),
+    (1, "splitting_type -1"),
 ])
 def test_malformed_model_is_input_error_with_location(tmp_path, capsys, lineno, text):
     path = tmp_path / "bad.model"
@@ -213,6 +226,7 @@ def test_valid_base_atlas_for_malformed_variants(tmp_path, capsys):
     ("baseatlas\n  base_vars t\n", 26),
     ("baseatlas\n  base_vars t s u\n", 26),
     ("baseatlas\n  witness_exponent -2\n", 25),
+    ("baseatlas\n  base_vars t t\n", 26),
 ])
 def test_malformed_base_atlas_is_input_error_with_location(tmp_path, capsys, block, lineno):
     path = tmp_path / "bad.model"
@@ -220,6 +234,18 @@ def test_malformed_base_atlas_is_input_error_with_location(tmp_path, capsys, blo
     code, _, err = run_cli(capsys, "glue-p1", "--input", str(path))
     assert code == 2
     assert f"line {lineno}," in err
+
+
+def test_declared_splitting_type_is_checked(tmp_path, capsys):
+    text = corpus_path("nonsplit_p1.model").read_text()
+    assert "splitting_type 2" in text
+    code, out, _ = run_cli(capsys, "verify", "--input", str(corpus_path("nonsplit_p1.model")))
+    assert code == 0 and "gluing.ok: True" in out
+    path = tmp_path / "wrong.model"
+    path.write_text(text.replace("splitting_type 2", "splitting_type 99"))
+    code, out, _ = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 1 and "gluing.ok: False" in out
+    assert "declared splitting_type 99, the transitions give 2" in out
 
 
 @pytest.mark.parametrize("name", ["two_parameter_family", "nonsplit_p1", "gtm_odd_base"])
