@@ -220,16 +220,13 @@ def _delta0_linearization(sheaf: SheafSpec, bound: int) -> _Linearization:
                         key = ((a, b), frame, exps)
                         contrib[key] = contrib.get(key, Q(0)) - 1
                     if chart == b:
-                        mono = sheaf.space.compose_into(
-                            a, b, LaurentPoly.monomial(vars, 1, exps))
+                        mono, mcoef = sheaf.space.exponent_map(a, b, vars).term(exps, Q(1))
                         matrix = transported[(a, b)]
                         for r in range(sheaf.rank):
-                            entry = matrix[r][frame]
-                            if entry.is_zero():
-                                continue
-                            for mexps, coef in (entry * mono).terms.items():
-                                key = ((a, b), r, mexps)
-                                s = contrib.get(key, Q(0)) + coef
+                            for eexps, ecoef in matrix[r][frame].terms.items():
+                                key = ((a, b), r,
+                                       tuple(x + y for x, y in zip(eexps, mono)))
+                                s = contrib.get(key, Q(0)) + ecoef * mcoef
                                 if s == 0:
                                     contrib.pop(key, None)
                                 else:

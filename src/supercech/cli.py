@@ -135,6 +135,9 @@ def _dispatch(args, doc, rep: Reporter) -> int:
     cmd = args.command
 
     if cmd == "verify":
+        if doc.gluing is None and not doc.gt_models:
+            raise ParseError("nothing to verify: the input file has no transitions "
+                             "and no gtmodel")
         code = EXIT_PASS
         if doc.gluing is not None:
             r = doc.gluing.verify_cocycle()

@@ -26,8 +26,10 @@ Grammar (line oriented; ``#`` starts a comment; indentation is free)::
         <entry>, ...
 
 A file holds at most one gluing-data block (charts/overlaps/transitions) and
-any number of named sheaves and gt models.  Expressions follow the grammar of
-:mod:`supercech.parsing`.
+any number of named sheaves and gt models.  Each chart, overlap, triple,
+transition, sheaf and gt model, and each matrix or theta block inside one, is
+declared once; a repeat is an error at the repeated line.  Expressions
+follow the grammar of :mod:`supercech.parsing`.
 """
 
 from __future__ import annotations
@@ -103,6 +105,14 @@ def _chart(chart_map: dict, name: str, lineno: int):
     return chart_map[name]
 
 
+def _declare(declared: dict, key: tuple, lineno: int) -> None:
+    """Record the block ``key`` (its kind and names) as opened on ``lineno``."""
+    if key in declared:
+        raise ParseError(f"duplicate {' '.join(key)} (first on line {declared[key]})",
+                         lineno, 1)
+    declared[key] = lineno
+
+
 def parse_model_text(text: str) -> ModelDocument:
     lines = text.splitlines()
     charts: list[Chart] = []
@@ -110,7 +120,7 @@ def parse_model_text(text: str) -> ModelDocument:
     overlaps: list[tuple[str, str]] = []
     triples: list[tuple[str, str, str]] = []
     transitions_raw: dict[tuple[str, str], list[tuple[str, str, int]]] = {}
-    transition_lines: dict[tuple[str, str], int] = {}
+    declared_at: dict[tuple[str, ...], int] = {}   # line of each block by kind and names
     family_vars: tuple[str, ...] = ()
     base_odd = 0
     declared = None
@@ -146,17 +156,20 @@ def parse_model_text(text: str) -> ModelDocument:
                     raise ParseError(f"unsupported format version {toks[1:]}", lineno, 1)
             elif head == "chart":
                 name, = _args(toks, 1, lineno)
+                _declare(declared_at, ("chart", name), lineno)
                 chart_data[name] = {}
                 pending_chart = name
                 mode = ("chart", name)
             elif head == "overlap":
                 overlaps.append(tuple(_args(toks, 2, lineno)))
+                _declare(declared_at, ("overlap", *overlaps[-1]), lineno)
             elif head == "triple":
                 triples.append(tuple(_args(toks, 3, lineno)))
+                _declare(declared_at, ("triple", *triples[-1]), lineno)
             elif head == "transition":
                 key = tuple(_args(toks, 2, lineno))
+                _declare(declared_at, ("transition", *key), lineno)
                 transitions_raw[key] = []
-                transition_lines[key] = lineno
                 mode = ("transition", key)
             elif head == "family":
                 family_vars = _names(toks, lineno, line)
@@ -166,11 +179,13 @@ def parse_model_text(text: str) -> ModelDocument:
                 declared = _count(toks, lineno, line)
             elif head == "sheaf":
                 name, = _args(toks, 1, lineno)
+                _declare(declared_at, ("sheaf", name), lineno)
                 sheaves_raw[name] = {"rank": None, "matrices": {}, "lines": {},
                                      "line": lineno}
                 mode = ("sheaf", name)
             elif head == "gtmodel":
                 name, = _args(toks, 1, lineno)
+                _declare(declared_at, ("gtmodel", name), lineno)
                 gt_raw[name] = {"fiber_sheaf": None, "base_rank": None, "theta": {},
                                 "lines": {}, "line": lineno}
                 mode = ("gtmodel", name)
@@ -206,6 +221,7 @@ def parse_model_text(text: str) -> ModelDocument:
                 d["rank"] = _count(toks, lineno, line)
             elif head == "matrix":
                 d["current"] = tuple(_args(toks, 2, lineno))
+                _declare(declared_at, ("matrix", *d["current"], "in sheaf", mode[1]), lineno)
                 d["matrices"][d["current"]] = []
                 d["lines"][d["current"]] = lineno
             elif "current" not in d:
@@ -220,6 +236,7 @@ def parse_model_text(text: str) -> ModelDocument:
                 d["base_rank"] = _count(toks, lineno, line)
             elif head == "theta":
                 d["current"] = tuple(_args(toks, 2, lineno))
+                _declare(declared_at, ("theta", *d["current"], "in gtmodel", mode[1]), lineno)
                 d["theta"][d["current"]] = []
                 d["lines"][d["current"]] = lineno
             elif "current" not in d:
@@ -248,7 +265,7 @@ def parse_model_text(text: str) -> ModelDocument:
         cover = Cover(charts, overlaps, triples)
         transitions = {}
         for (a, b), assignments in transitions_raw.items():
-            line_no = transition_lines[(a, b)]
+            line_no = declared_at[("transition", a, b)]
             src, tgt = _chart(chart_map, a, line_no), _chart(chart_map, b, line_no)
             parser = ExpressionParser(src.vars, src.odd_rank)
             even, odd = {}, {}

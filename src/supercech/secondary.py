@@ -38,7 +38,7 @@ class GtModel:
     base_spec: SheafSpec
     theta: CechCochain          # 1-cocycle valued in hom(fiber_spec, base_spec)
     total_odd: SheafSpec        # extension_sheaf(base_spec, fiber_spec, theta)
-    # derived specs, filtrations and sequences, built on first use
+    # the cotangent spec, filtrations and sequences, built on first use
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -113,14 +113,12 @@ def parity_spec(m: GtModel, level: int) -> SheafSpec:
 
 
 def quotient_spec(m: GtModel, a: int, b: int) -> SheafSpec:
-    return _cached(m, ("quot", a, b),
-                   lambda: sheaf_tensor(sheaf_exterior_power(m.base_spec, b),
-                                        sheaf_exterior_power(m.fiber_spec, a)))
+    return sheaf_tensor(sheaf_exterior_power(m.base_spec, b),
+                        sheaf_exterior_power(m.fiber_spec, a))
 
 
 def hom_into_quotient(m: GtModel, a: int, b: int) -> SheafSpec:
-    return _cached(m, ("homquot", a, b),
-                   lambda: sheaf_hom(parity_spec(m, a + b), quotient_spec(m, a, b)))
+    return sheaf_hom(parity_spec(m, a + b), quotient_spec(m, a, b))
 
 
 def filtration_of(m: GtModel, level: int):

@@ -75,18 +75,28 @@ def mat_transpose(m):
 
 def kron(a: list[list], b: list[list]) -> list[list]:
     """Row-major Kronecker product: entry ((i,j),(k,l)) = a[i][k] * b[j][l].
-    Entries may be Laurent polynomials or rationals."""
+    Entries may be Laurent polynomials or rationals; a product with a zero
+    factor is the zero of the product's type, built without multiplying."""
     if not a or not b:
         return []
-    ra, ca = len(a), len(a[0])
-    rb, cb = len(b), len(b[0])
+    zeros: dict = {}
+
+    def zero(x, y):
+        vars = (x.vars if isinstance(x, LaurentPoly)
+                else y.vars if isinstance(y, LaurentPoly) else None)
+        if vars not in zeros:
+            zeros[vars] = Q(0) if vars is None else LaurentPoly.zero(vars)
+        return zeros[vars]
+
     out = []
-    for i in range(ra):
-        for j in range(rb):
+    for arow in a:
+        for brow in b:
             row = []
-            for k in range(ca):
-                for l in range(cb):
-                    row.append(a[i][k] * b[j][l])
+            for x in arow:
+                if _nonzero(x):
+                    row.extend(x * y if _nonzero(y) else zero(x, y) for y in brow)
+                else:
+                    row.extend(zero(x, y) for y in brow)
             out.append(row)
     return out
 
@@ -120,6 +130,10 @@ class SheafSpec:
         self.basis_labels = tuple(basis_labels) if basis_labels is not None else tuple(range(rank))
         self.extension = extension  # (sub_spec, quot_spec) when built as an extension
         self.linearizations: dict = {}  # cech._delta0_linearization by window bound
+        # (operand, spec) of tensor, hom, dual and exterior powers with this
+        # spec on the left, by (operation, id(operand)) or (operation, k)
+        self.derived: dict[tuple, tuple] = {}
+        self._transported: dict[tuple, list[list[LaurentPoly]]] = {}  # _matrix_in
         cover = space.cover
         for key in cover.overlaps:
             if key not in matrices:
@@ -150,7 +164,11 @@ class SheafSpec:
         m = self.matrices[key]
         if src == chart:
             return m
-        return [[self.space.compose_into(chart, src, e) for e in row] for row in m]
+        moved = self._transported.get((chart, key))
+        if moved is None:
+            moved = [[self.space.compose_into(chart, src, e) for e in row] for row in m]
+            self._transported[(chart, key)] = moved
+        return moved
 
     # ------------------------------------------------------------- transport
 
@@ -192,7 +210,20 @@ def trivial_spec(space: ReducedSpace, rank: int = 1) -> SheafSpec:
     return SheafSpec(space, rank, mats, check=False)
 
 
+def _derived(owner: SheafSpec, key: tuple, operand, build) -> SheafSpec:
+    """``build()`` once per ``owner`` and ``key``.  The operand is kept beside
+    the result, so the id in ``key`` cannot pass to another object."""
+    hit = owner.derived.get(key)
+    if hit is None:
+        hit = owner.derived[key] = (operand, build())
+    return hit[1]
+
+
 def sheaf_dual(spec: SheafSpec) -> SheafSpec:
+    return _derived(spec, ("dual",), None, lambda: _dual(spec))
+
+
+def _dual(spec: SheafSpec) -> SheafSpec:
     mats = {}
     for key, m in spec.matrices.items():
         if spec.rank == 0:
@@ -209,6 +240,10 @@ def sheaf_dual(spec: SheafSpec) -> SheafSpec:
 def sheaf_tensor(a: SheafSpec, b: SheafSpec) -> SheafSpec:
     if not a.same_cover(b):
         raise CocycleError("tensor factors live on different covers")
+    return _derived(a, ("tensor", id(b)), b, lambda: _tensor(a, b))
+
+
+def _tensor(a: SheafSpec, b: SheafSpec) -> SheafSpec:
     mats = {key: kron(a.matrices[key], b.matrices[key]) for key in a.matrices}
     labels = tuple((la, lb) for la in a.basis_labels for lb in b.basis_labels)
     return SheafSpec(a.space, a.rank * b.rank, mats, labels, check=False)
@@ -220,6 +255,10 @@ def sheaf_hom(a: SheafSpec, b: SheafSpec) -> SheafSpec:
     flattened row-major (b-index major)."""
     if not a.same_cover(b):
         raise CocycleError("hom factors live on different covers")
+    return _derived(a, ("hom", id(b)), b, lambda: _hom(a, b))
+
+
+def _hom(a: SheafSpec, b: SheafSpec) -> SheafSpec:
     mats = {}
     for key in a.matrices:
         if a.rank == 0 or b.rank == 0:
@@ -241,6 +280,10 @@ def sheaf_exterior_power(spec: SheafSpec, k: int) -> SheafSpec:
     """k-th compound: basis of increasing multi-indices, entries k x k minors."""
     if k < 0:
         raise ValueError("negative exterior power")
+    return _derived(spec, ("wedge", k), None, lambda: _exterior_power(spec, k))
+
+
+def _exterior_power(spec: SheafSpec, k: int) -> SheafSpec:
     if k == 0:
         return trivial_spec(spec.space, 1)
     if k > spec.rank:

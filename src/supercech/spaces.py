@@ -4,11 +4,16 @@ A :class:`Cover` is purely combinatorial: named charts, declared ordered
 overlaps and declared triples.  A :class:`ReducedSpace` adds the reduced
 coordinate changes (invertible Laurent monomials) between chart coordinate
 systems; it is the base geometry on which sheaves and cochains live.
+Because every coordinate image is a monomial, re-expressing a polynomial in
+another chart moves each term on its own: the exponents go through an
+integer linear map (:class:`MonomialMap`) and the coefficient picks up a
+product of powers of the image coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import CocycleError, ContextError
 from .laurent import LaurentPoly
@@ -82,6 +87,50 @@ class Cover:
         return out
 
 
+class MonomialMap:
+    """Substitution of invertible Laurent monomials, acting term by term.
+
+    Variable i of the source goes to ``c_i * x^E_i`` over ``target``, so the
+    term ``c * prod v_i^e_i`` goes to ``c * prod c_i^e_i`` times ``x`` to the
+    power ``sum e_i E_i``.  The result equals
+    ``LaurentPoly.subs_monomial`` with the same images, terms in the same
+    order."""
+
+    __slots__ = ("target", "columns", "coefs")
+
+    def __init__(self, images: list[LaurentPoly], target: tuple[str, ...]):
+        parts = [img.monomial_parts() for img in images]
+        self.target = target
+        # per target variable, the (source index, exponent) pairs it collects
+        self.columns = tuple(
+            tuple((i, exps[j]) for i, (_, exps) in enumerate(parts) if exps[j])
+            for j in range(len(target)))
+        # None when every image coefficient is 1
+        coefs = tuple(c for c, _ in parts)
+        self.coefs = None if all(c == 1 for c in coefs) else coefs
+
+    def term(self, exps: tuple[int, ...], coef: Fraction) -> tuple[tuple[int, ...], Fraction]:
+        """Image ``(exponents, coefficient)`` of the term ``coef * v^exps``."""
+        new = tuple(sum(exps[i] * m for i, m in col) for col in self.columns)
+        if self.coefs is not None:
+            for c, e in zip(self.coefs, exps):
+                if e and c != 1:
+                    coef = coef * c ** e
+        return new, coef
+
+    def apply(self, poly: LaurentPoly) -> LaurentPoly:
+        out: dict[tuple[int, ...], Fraction] = {}
+        for exps, c in poly.terms.items():
+            new, c = self.term(exps, c)
+            if new in out:
+                c = out[new] + c
+                if c == 0:
+                    del out[new]
+                    continue
+            out[new] = c
+        return LaurentPoly(self.target, out)
+
+
 class ReducedSpace:
     """A cover together with monomial coordinate changes between charts.
 
@@ -97,6 +146,8 @@ class ReducedSpace:
         self.cover = cover
         self.coordinate_maps = coordinate_maps
         self._neg_cache: dict[tuple[str, str], frozenset[str]] = {}
+        # MonomialMap by (a, b, source variables)
+        self._exponent_maps: dict[tuple, MonomialMap] = {}
         for (a, b) in cover.overlaps:
             if (a, b) not in coordinate_maps:
                 raise ValueError(f"missing coordinate map for overlap ({a},{b})")
@@ -149,13 +200,20 @@ class ReducedSpace:
             self._neg_cache[key] = frozenset(out)
         return self._neg_cache[key]
 
+    def exponent_map(self, a: str, b: str, vars: tuple[str, ...]) -> MonomialMap:
+        """The (a, b) coordinate map on polynomials over ``vars`` (b-coordinates)."""
+        key = (a, b, vars)
+        emap = self._exponent_maps.get(key)
+        if emap is None:
+            cmap = self.coordinate_maps[(a, b)]
+            emap = MonomialMap([cmap[v] for v in vars], self.cover.chart(a).vars)
+            self._exponent_maps[key] = emap
+        return emap
+
     def compose_into(self, a: str, b: str, poly: LaurentPoly) -> LaurentPoly:
         """Re-express a polynomial in b-coordinates as one in a-coordinates,
         using the (a, b) coordinate map."""
-        cmap = self.coordinate_maps[(a, b)]
-        target = self.cover.chart(a).vars
-        images = {v: cmap[v] for v in poly.vars}
-        return poly.subs_monomial(images, target)
+        return self.exponent_map(a, b, poly.vars).apply(poly)
 
     def jacobian(self, a: str, b: str) -> list[list[LaurentPoly]]:
         """Matrix d(b-coords)/d(a-coords), entries in a-coordinates; rows are

@@ -206,6 +206,14 @@ def test_valid_model_for_malformed_variants(tmp_path, capsys):
     (4, "  base x"),
     (1, "family t t"),
     (1, "splitting_type -1"),
+    (25, "chart U1"),
+    (25, "overlap U0 U1"),
+    (25, "transition U0 U1\n  y = 1/x"),
+    (25, "sheaf TX\n  rank 1\n  matrix U0 U1\n    x^-4\n  matrix U1 U0\n    y^-4"),
+    (20, "  matrix U0 U1\n    x^-4\ngtmodel M\n  fiber_sheaf TX\n  base_rank 1\n"
+         "  theta U0 U1\n    x^-1"),
+    (25, "  theta U0 U1\n    x^-1"),
+    (25, "gtmodel M\n  fiber_sheaf TX\n  base_rank 1\n  theta U0 U1\n    x^-1"),
 ])
 def test_malformed_model_is_input_error_with_location(tmp_path, capsys, lineno, text):
     path = tmp_path / "bad.model"
@@ -213,6 +221,15 @@ def test_malformed_model_is_input_error_with_location(tmp_path, capsys, lineno, 
     code, _, err = run_cli(capsys, "verify", "--input", str(path))
     assert code == 2
     assert f"line {lineno}," in err
+
+
+@pytest.mark.parametrize("text", ["", "format 1\nchart U0\n  fiber x\n  odd 0\n"])
+def test_verify_without_transitions_or_gtmodel_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "empty.model"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "nothing to verify" in err
 
 
 def test_valid_base_atlas_for_malformed_variants(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from supercech.errors import ParseError
 from supercech.modelfile import parse_model_text, write_gluing
 
-from conftest import load_model
+from conftest import corpus_path, load_model
 
 
 def test_round_trip_through_writer(nonsplit_p1):
@@ -78,3 +78,11 @@ def test_glued_family_round_trip(nonsplit_p1):
     rebuilt = read_glued_family(doc)
     assert rebuilt.verify().ok
     assert rebuilt.piece_low.gluing == glued.piece_low.gluing
+
+
+def test_repeated_triple_is_located():
+    text = (corpus_path("split_p1_three_charts.model").read_text()
+            + "triple U0 U1 U2\n")
+    with pytest.raises(ParseError, match="duplicate triple U0 U1 U2") as exc:
+        parse_model_text(text)
+    assert exc.value.line == len(text.splitlines())

@@ -144,3 +144,89 @@ def test_filtration_requires_extension_metadata(p1_space):
     spec = line_bundle(p1_space, 2)
     with pytest.raises(ValueError):
         filtration(spec, 1)
+
+
+# ------------------------------------------------ memoised constructions
+
+
+def fresh(spec):
+    """A new spec with ``spec``'s data and no derived specs yet."""
+    return SheafSpec(spec.space, spec.rank, spec.matrices, spec.basis_labels, check=False)
+
+
+def same_data(x, y):
+    return (x.rank == y.rank and x.basis_labels == y.basis_labels
+            and x.matrices == y.matrices and x.space is y.space)
+
+
+def model_specs(gt_model_doc, split_three_charts):
+    (m,) = gt_model_doc.gt_models.values()
+    _, odd3 = split_three_charts.reduce()
+    return [m.fiber_spec, m.base_spec, m.total_odd, m.theta.sheaf, odd3]
+
+
+def test_binary_constructions_are_built_once(gt_model_doc, split_three_charts):
+    specs = model_specs(gt_model_doc, split_three_charts)
+    for a in specs:
+        for b in specs:
+            if not a.same_cover(b):
+                continue
+            for build in (sheaf_tensor, sheaf_hom):
+                got = build(a, b)
+                assert build(a, b) is got
+                assert same_data(got, build(fresh(a), fresh(b)))
+
+
+def test_unary_constructions_are_built_once(gt_model_doc, split_three_charts):
+    for a in model_specs(gt_model_doc, split_three_charts):
+        assert sheaf_dual(a) is sheaf_dual(a)
+        assert same_data(sheaf_dual(a), sheaf_dual(fresh(a)))
+        for k in range(a.rank + 2):
+            got = sheaf_exterior_power(a, k)
+            assert sheaf_exterior_power(a, k) is got
+            assert same_data(got, sheaf_exterior_power(fresh(a), k))
+
+
+def test_memo_keeps_each_operand_apart(p1_space):
+    # operands made and dropped one after another may reuse an id; the memo
+    # holds each one, so every result belongs to its own operand
+    a = line_bundle(p1_space, 1)
+    X = p1_space.cover.chart("U0").vars
+    for n in range(-6, 7):
+        assert entry(sheaf_tensor(a, line_bundle(p1_space, n))) == \
+            LaurentPoly.monomial(X, 1, (-1 - n,))
+        assert entry(sheaf_hom(a, line_bundle(p1_space, n))) == \
+            LaurentPoly.monomial(X, 1, (1 - n,))
+    assert len({id(operand) for operand, _ in a.derived.values()}) == 26
+
+
+def test_transported_matrices_are_cached(gt_model_doc, split_three_charts):
+    for spec in model_specs(gt_model_doc, split_three_charts):
+        space = spec.space
+        for key, m in spec.matrices.items():
+            for chart in space.cover.order:
+                if chart == key[0] or (chart, key[0]) not in space.coordinate_maps:
+                    continue
+                got = spec._matrix_in(chart, key)
+                assert spec._matrix_in(chart, key) is got
+                assert got == [[space.compose_into(chart, key[0], e) for e in row]
+                               for row in m]
+
+
+def naive_kron(a, b):
+    return [[a[i][k] * b[j][l] for k in range(len(a[0])) for l in range(len(b[0]))]
+            for i in range(len(a)) for j in range(len(b))]
+
+
+def test_kron_zero_entries_match_the_naive_product():
+    X = ("x",)
+    z, one = LaurentPoly.zero(X), LaurentPoly.const(X, 1)
+    xm = LaurentPoly.monomial(X, Q(-2, 3), (-1,))
+    laurent = [[z, xm], [one, z]]
+    rational = [[Q(0), Q(3)], [Q(-1, 2), Q(0)]]
+    for a in (laurent, rational):
+        for b in (laurent, rational):
+            got, want = kron(a, b), naive_kron(a, b)
+            assert got == want
+            assert [[type(e) for e in row] for row in got] == \
+                [[type(e) for e in row] for row in want]
