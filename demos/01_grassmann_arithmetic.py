@@ -4,6 +4,7 @@ Walks through products with Koszul signs, odd derivatives, and the finite
 Taylor expansion that powers coordinate substitutions.
 """
 
+from supercech.grassmann import Substitution
 from supercech.parsing import parse_element
 
 P = lambda s: parse_element(s, ("x",), 2)
@@ -23,13 +24,13 @@ print("d/dtheta_2 (theta_1 theta_2) =", e.odd_derivative(2))
 print()
 print("== substitution expands nilpotent corrections ==")
 square = P("x^2")
-shifted = square.substitute({"x": P("x + theta_1*theta_2")},
-                            {1: t1, 2: t2}, ("x",), 2)
+shifted = square.substitute(Substitution({"x": P("x + theta_1*theta_2")},
+                                         {1: t1, 2: t2}, ("x",), 2))
 print("x^2 after x -> x + theta_1 theta_2:", shifted)
 
 inverse_target = P("x^-2")
-moved = inverse_target.substitute({"x": P("1/x + x^2*theta_1*theta_2")},
-                                  {1: t1, 2: t2}, ("x",), 2)
+moved = inverse_target.substitute(Substitution({"x": P("1/x + x^2*theta_1*theta_2")},
+                                               {1: t1, 2: t2}, ("x",), 2))
 print("x^-2 after x -> 1/x + x^2 theta_1 theta_2:", moved)
 
 print()

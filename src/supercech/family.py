@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .errors import CocycleError, SupercechError
 from .gluing import INFINITY, SuperGluingData, SuperTransition
-from .grassmann import GrassmannElement
+from .grassmann import GrassmannElement, Substitution
 from .laurent import LaurentPoly, Q
 from .obstruction import _scaling_witnesses, attempt_split, scaling_action
 from .spaces import Chart, Cover
@@ -197,16 +197,16 @@ def _pull_base(tr: SuperTransition, old_var: str, new_var: str, exponent: int,
             even_images[v] = GrassmannElement.even_var(src.vars, src.odd_rank, v)
     odd_images = {k: GrassmannElement.odd_gen(src.vars, src.odd_rank, k)
                   for k in range(1, src.odd_rank + 1)}
+    images = Substitution(even_images, odd_images, src.vars, src.odd_rank)
     even = {}
     for v, g in tr.even_maps.items():
         name = new_var if v == old_var else v
-        image = g.substitute(even_images, odd_images, src.vars, src.odd_rank)
+        image = g.substitute(images)
         if v == old_var:
             # the base map t' = t' turns into t = t after renaming
             image = GrassmannElement.even_var(src.vars, src.odd_rank, new_var)
         even[name] = image
-    odd = {k: g.substitute(even_images, odd_images, src.vars, src.odd_rank)
-           for k, g in tr.odd_maps.items()}
+    odd = {k: g.substitute(images) for k, g in tr.odd_maps.items()}
     return SuperTransition(src, tgt, even, odd, check=False)
 
 

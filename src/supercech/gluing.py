@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CocycleError, ContextError, SupercechError
-from .grassmann import GrassmannElement
+from .grassmann import GrassmannElement, Substitution
 from .laurent import LaurentPoly
 from .spaces import Chart, Cover, ReducedSpace
 
@@ -22,7 +22,10 @@ INFINITY = float("inf")
 
 
 class SuperTransition:
-    """Coordinate images of a super coordinate change between two charts."""
+    """Coordinate images of a super coordinate change between two charts.
+
+    ``_pullback`` is the substitution by these images, built on the first
+    :meth:`apply`; its memo of image powers serves every later call."""
 
     def __init__(self, source: Chart, target: Chart,
                  even_maps: dict[str, GrassmannElement],
@@ -32,6 +35,7 @@ class SuperTransition:
         self.target = target
         self.even_maps = dict(even_maps)
         self.odd_maps = dict(odd_maps)
+        self._pullback: Substitution | None = None
         if check:
             self._validate()
 
@@ -68,8 +72,10 @@ class SuperTransition:
     def apply(self, element: GrassmannElement) -> GrassmannElement:
         """Pull an element in target-chart coordinates back to source-chart
         coordinates through this transition."""
-        return element.substitute(self.even_maps, self.odd_maps,
-                                  self.source.vars, self.source.odd_rank)
+        if self._pullback is None:
+            self._pullback = Substitution(self.even_maps, self.odd_maps,
+                                          self.source.vars, self.source.odd_rank)
+        return element.substitute(self._pullback)
 
     def reduced_map(self) -> dict[str, LaurentPoly]:
         return {v: g.body() for v, g in self.even_maps.items()}
@@ -399,10 +405,9 @@ class SuperGluingData:
                     even_images[v] = GrassmannElement.even_var(src.vars, src.odd_rank, v)
             odd_images = {k: GrassmannElement.odd_gen(src.vars, src.odd_rank, k)
                           for k in range(1, src.odd_rank + 1)}
-            even = {v: g.substitute(even_images, odd_images, src.vars, src.odd_rank)
-                    for v, g in t.even_maps.items() if v not in point}
-            odd = {k: g.substitute(even_images, odd_images, src.vars, src.odd_rank)
-                   for k, g in t.odd_maps.items()}
+            images = Substitution(even_images, odd_images, src.vars, src.odd_rank)
+            even = {v: g.substitute(images) for v, g in t.even_maps.items() if v not in point}
+            odd = {k: g.substitute(images) for k, g in t.odd_maps.items()}
             transitions[(a, b)] = SuperTransition(src, cover.chart(b), even, odd)
         return SuperGluingData(cover, transitions,
                                tuple(v for v in self.base_vars if v not in point))
@@ -460,10 +465,9 @@ def restrict_odd(g: SuperGluingData, keep: int) -> SuperGluingData:
                 odd_images[k] = GrassmannElement.odd_gen(src.vars, keep, k)
             else:
                 odd_images[k] = GrassmannElement.zero(src.vars, keep)
-        even = {v: gr.substitute(even_images, odd_images, src.vars, keep)
-                for v, gr in t.even_maps.items()}
-        odd = {k: t.odd_maps[k].substitute(even_images, odd_images, src.vars, keep)
-               for k in range(1, keep + 1)}
+        images = Substitution(even_images, odd_images, src.vars, keep)
+        even = {v: gr.substitute(images) for v, gr in t.even_maps.items()}
+        odd = {k: t.odd_maps[k].substitute(images) for k in range(1, keep + 1)}
         transitions[(a, b)] = SuperTransition(src, cover.chart(b), even, odd)
     return SuperGluingData(cover, transitions, g.base_vars)
 

@@ -4,48 +4,57 @@ An element is a finite sum ``sum_I  c_I(x) * theta_I`` where ``I`` runs over
 strictly increasing multi-indices in ``1..q`` and each coefficient ``c_I`` is
 a :class:`~supercech.laurent.LaurentPoly` over the even coordinates.  The
 product follows the Koszul rule ``theta_a theta_b = -theta_b theta_a`` with
-multi-indices kept sorted; the sign of a merge is ``(-1)^{#transpositions}``.
+multi-indices kept sorted.
+
+Inside a product a multi-index travels as a bitmask (bit ``a`` set for
+``theta_a``), the bitmap form of basis blades (Dorst, Fontijne and Mann,
+*Geometric Algebra for Computer Science*, 2007): two monomials vanish
+together when their masks meet, and the sign of ``theta_I theta_J`` is
+``(-1)`` to the number of pairs ``i in I, j in J`` with ``i > j``, counted by
+:func:`_koszul_sign` with ``int.bit_count``.  Every coefficient product of one
+output multi-index is summed in one exponent dict
+(:func:`~supercech.laurent.mul_into`), so a product builds one polynomial per
+output term.
+
+Substitution of coordinate images is one ring homomorphism,
+:class:`Substitution`, which checks its images once per source context and
+memoises the powers of the even images and the products of the odd ones for
+as long as it lives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import ContextError, SubstitutionError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, add_into, collect, mul_into
 
 MultiIndex = tuple[int, ...]
 
 
-def merge_indices(i1: MultiIndex, i2: MultiIndex) -> tuple[MultiIndex, int] | None:
-    """Merge two increasing multi-indices; ``None`` on a repeated generator.
+def _index_mask(idx: MultiIndex) -> int:
+    m = 0
+    for a in idx:
+        m |= 1 << a
+    return m
 
-    The sign counts the transpositions needed to sort the concatenation.
-    """
-    if not i1:
-        return i2, 1
-    if not i2:
-        return i1, 1
-    if set(i1) & set(i2):
-        return None
-    merged = []
-    sign = 1
-    a, b = 0, 0
-    while a < len(i1) and b < len(i2):
-        if i1[a] < i2[b]:
-            merged.append(i1[a])
-            a += 1
-        else:
-            merged.append(i2[b])
-            # i2[b] jumps over the remaining entries of i1
-            if (len(i1) - a) % 2:
-                sign = -sign
-            b += 1
-    merged.extend(i1[a:])
-    merged.extend(i2[b:])
-    return tuple(merged), sign
+
+def _mask_index(m: int) -> MultiIndex:
+    return tuple(a for a in range(1, m.bit_length()) if m >> a & 1)
+
+
+def _koszul_sign(m1: int, m2: int) -> int:
+    """Sign of ``theta_I theta_J`` sorted, for disjoint masks of I and J:
+    each generator of J passes every generator of I above it."""
+    swaps = 0
+    while m2:
+        low = m2 & -m2
+        swaps += (m1 & -(low << 1)).bit_count()
+        m2 ^= low
+    return -1 if swaps & 1 else 1
 
 
 def binomial(e: int, k: int) -> Fraction:
@@ -63,7 +72,15 @@ class GrassmannElement:
     __slots__ = ("vars", "odd_rank", "terms")
 
     def __init__(self, vars: tuple[str, ...], odd_rank: int,
-                 terms: Mapping[MultiIndex, LaurentPoly] | None = None):
+                 terms: Mapping[MultiIndex, LaurentPoly] | None = None,
+                 trusted: bool = False):
+        if trusted:
+            # arithmetic results: ``terms`` is a fresh dict of increasing
+            # in-range tuples to nonzero coefficients over ``vars``
+            self.vars = vars
+            self.odd_rank = odd_rank
+            self.terms = terms
+            return
         self.vars = tuple(vars)
         self.odd_rank = int(odd_rank)
         clean: dict[MultiIndex, LaurentPoly] = {}
@@ -88,15 +105,19 @@ class GrassmannElement:
                     clean[idx] = coeff
         self.terms = clean
 
+    def _like(self, terms: dict[MultiIndex, LaurentPoly]) -> "GrassmannElement":
+        """An element of this context with terms valid by construction."""
+        return GrassmannElement(self.vars, self.odd_rank, terms, trusted=True)
+
     # ---------------------------------------------------------- constructors
 
     @classmethod
     def zero(cls, vars, odd_rank) -> "GrassmannElement":
-        return cls(vars, odd_rank, {})
+        return cls(tuple(vars), int(odd_rank), {}, trusted=True)
 
     @classmethod
     def from_poly(cls, poly: LaurentPoly, odd_rank: int) -> "GrassmannElement":
-        return cls(poly.vars, odd_rank, {(): poly})
+        return cls(poly.vars, int(odd_rank), {(): poly} if poly.terms else {}, trusted=True)
 
     @classmethod
     def const(cls, vars, odd_rank, c) -> "GrassmannElement":
@@ -110,7 +131,8 @@ class GrassmannElement:
     def odd_gen(cls, vars, odd_rank, index: int) -> "GrassmannElement":
         if not 1 <= index <= odd_rank:
             raise ValueError(f"odd generator theta_{index} out of range 1..{odd_rank}")
-        return cls(vars, odd_rank, {(index,): LaurentPoly.const(vars, 1)})
+        return cls(tuple(vars), int(odd_rank), {(index,): LaurentPoly.const(vars, 1)},
+                   trusted=True)
 
     # --------------------------------------------------------------- queries
 
@@ -137,14 +159,10 @@ class GrassmannElement:
         return "mixed"
 
     def component(self, odd_degree: int) -> "GrassmannElement":
-        return GrassmannElement(
-            self.vars, self.odd_rank,
-            {i: c for i, c in self.terms.items() if len(i) == odd_degree})
+        return self._like({i: c for i, c in self.terms.items() if len(i) == odd_degree})
 
     def truncate(self, min_odd_degree: int) -> "GrassmannElement":
-        return GrassmannElement(
-            self.vars, self.odd_rank,
-            {i: c for i, c in self.terms.items() if len(i) >= min_odd_degree})
+        return self._like({i: c for i, c in self.terms.items() if len(i) >= min_odd_degree})
 
     def min_odd_degree(self) -> int | None:
         if not self.terms:
@@ -165,11 +183,10 @@ class GrassmannElement:
                     out[idx] = s
             else:
                 out[idx] = c
-        return GrassmannElement(self.vars, self.odd_rank, out)
+        return self._like(out)
 
     def __neg__(self) -> "GrassmannElement":
-        return GrassmannElement(self.vars, self.odd_rank,
-                                {i: -c for i, c in self.terms.items()})
+        return self._like({i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
         return self + (-other)
@@ -178,26 +195,14 @@ class GrassmannElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if isinstance(other, LaurentPoly):
-            return GrassmannElement(self.vars, self.odd_rank,
-                                    {i: c * other for i, c in self.terms.items()})
+            if other.is_zero():
+                return GrassmannElement.zero(self.vars, self.odd_rank)
+            # Laurent polynomials have no zero divisors
+            return self._like({i: c * other for i, c in self.terms.items()})
         self._check(other)
-        out: dict[MultiIndex, LaurentPoly] = {}
-        for i1, c1 in self.terms.items():
-            for i2, c2 in other.terms.items():
-                merged = merge_indices(i1, i2)
-                if merged is None:
-                    continue
-                idx, sign = merged
-                c = c1 * c2 if sign == 1 else -(c1 * c2)
-                if idx in out:
-                    s = out[idx] + c
-                    if s.is_zero():
-                        del out[idx]
-                    else:
-                        out[idx] = s
-                else:
-                    out[idx] = c
-        return GrassmannElement(self.vars, self.odd_rank, out)
+        acc: dict[int, dict] = {}
+        _product_into(acc, self, other)
+        return _collect(self.vars, self.odd_rank, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
@@ -207,26 +212,37 @@ class GrassmannElement:
     def scale(self, c) -> "GrassmannElement":
         if c == 0:
             return GrassmannElement.zero(self.vars, self.odd_rank)
-        return GrassmannElement(self.vars, self.odd_rank,
-                                {i: co.scale(c) for i, co in self.terms.items()})
+        return self._like({i: co.scale(c) for i, co in self.terms.items()})
 
     def power(self, e: int) -> "GrassmannElement":
-        """Integer power; negative exponents use the finite expansion
-        ``(m+n)^e = m^e * sum_k C(e,k) (n/m)^k`` which terminates because the
-        positive-degree part ``n`` is nilpotent.  Requires the reduced part to
-        be an invertible monomial when ``e < 0``."""
-        if e >= 0:
-            result = GrassmannElement.const(self.vars, self.odd_rank, 1)
-            for _ in range(e):
-                result = result * self
-            return result
+        """Integer power.  ``e >= 0`` squares and multiplies; negative
+        exponents use the finite expansion ``(m+n)^e = m^e * sum_k C(e,k)
+        (n/m)^k``, which terminates because the positive-degree part ``n`` is
+        nilpotent.  Requires the reduced part to be an invertible monomial
+        when ``e < 0``."""
+        if e == 0:
+            return GrassmannElement.const(self.vars, self.odd_rank, 1)
+        if e == 1:
+            return self
         m = self.body()
-        if m.is_zero():
+        if e < 0 and m.is_zero():
             raise SubstitutionError("negative power of an element with zero reduced part")
-        if not m.is_monomial():
+        if e < 0 and not m.is_monomial():
             raise SubstitutionError(
                 "negative power requires an invertible monomial reduced part")
         n = self - GrassmannElement.from_poly(m, self.odd_rank)
+        if n.is_zero():
+            return GrassmannElement.from_poly(m ** e, self.odd_rank)
+        if e > 0:
+            result = None
+            base = self
+            while e:
+                if e & 1:
+                    result = base if result is None else result * base
+                e >>= 1
+                if e:
+                    base = base * base
+            return result
         m_inv = m.inverse()
         u = n * m_inv  # nilpotent
         result = GrassmannElement.const(self.vars, self.odd_rank, 0)
@@ -248,62 +264,32 @@ class GrassmannElement:
         for idx, c in self.terms.items():
             if gen not in idx:
                 continue
+            # idx is rest plus gen, so no two terms share a rest
             pos = idx.index(gen)
-            rest = idx[:pos] + idx[pos + 1:]
-            coeff = c if pos % 2 == 0 else -c
-            if rest in out:
-                s = out[rest] + coeff
-                if s.is_zero():
-                    del out[rest]
-                else:
-                    out[rest] = s
-            else:
-                out[rest] = coeff
-        return GrassmannElement(self.vars, self.odd_rank, out)
+            out[idx[:pos] + idx[pos + 1:]] = c if pos % 2 == 0 else -c
+        return self._like(out)
 
-    def substitute(self, even_images: Mapping[str, "GrassmannElement"],
-                   odd_images: Mapping[int, "GrassmannElement"],
-                   target_vars: tuple[str, ...], target_odd_rank: int) -> "GrassmannElement":
-        """Simultaneous substitution of every coordinate.
-
-        ``even_images`` maps each even coordinate name to a parity-even
-        element of the target algebra and ``odd_images`` maps each generator
-        index to a parity-odd element.  Coefficients are expanded through
-        nilpotent parts by the finite Taylor rule (see :meth:`power`).
-        """
-        for v in self.vars:
-            if v not in even_images:
-                raise SubstitutionError(f"no image for even coordinate {v}")
-            if even_images[v].parity() == "odd" and not even_images[v].is_zero():
-                raise SubstitutionError(f"image of even coordinate {v} is not even")
-        for a in range(1, self.odd_rank + 1):
-            if a not in odd_images:
-                raise SubstitutionError(f"no image for odd generator theta_{a}")
-            if odd_images[a].parity() == "even" and not odd_images[a].is_zero():
-                raise SubstitutionError(f"image of theta_{a} is not odd")
-
-        zero = GrassmannElement.zero(target_vars, target_odd_rank)
-        result = zero
-        pow_cache: dict[tuple[str, int], GrassmannElement] = {}
+    def substitute(self, images: "Substitution") -> "GrassmannElement":
+        """Image under the ring homomorphism ``images``, which sends every
+        even coordinate and odd generator of this context to an element of
+        its target.  Coefficients are expanded through nilpotent parts by
+        the finite Taylor rule (see :meth:`power`)."""
+        images.check(self.vars, self.odd_rank)
+        vars, q = images.vars, images.odd_rank
+        acc: dict[int, dict] = {}
         for idx, coeff in self.terms.items():
+            odd = images.odd_monomial(idx)
+            if odd.is_zero():
+                continue
+            # sum the images of the even monomials, then multiply by the
+            # image of theta_idx once
+            even = acc if not idx else {}
             for exps, c in coeff.terms.items():
-                term = GrassmannElement.const(target_vars, target_odd_rank, c)
-                for v, e in zip(self.vars, exps):
-                    if e == 0:
-                        continue
-                    key = (v, e)
-                    if key not in pow_cache:
-                        pow_cache[key] = even_images[v].power(e)
-                    term = term * pow_cache[key]
-                    if term.is_zero():
-                        break
-                else:
-                    for a in idx:
-                        term = term * odd_images[a]
-                        if term.is_zero():
-                            break
-                    result = result + term
-        return result
+                for i, part in images.even_monomial(self.vars, exps).terms.items():
+                    add_into(even.setdefault(_index_mask(i), {}), part.terms, c)
+            if idx:
+                _product_into(acc, _collect(vars, q, even), odd)
+        return _collect(vars, q, acc)
 
     # ------------------------------------------------------------- interface
 
@@ -341,3 +327,113 @@ class GrassmannElement:
 
     def __repr__(self) -> str:
         return f"GrassmannElement({self})"
+
+
+def _product_into(acc: dict[int, dict], left: GrassmannElement, right: GrassmannElement) -> None:
+    """Add ``left * right`` to ``acc``, a dict from output masks to exponent
+    dicts.  Pairs whose odd degree passes the odd rank are never visited."""
+    q = left.odd_rank
+    rights = sorted(((len(i), _index_mask(i), c.terms) for i, c in right.terms.items()),
+                    key=itemgetter(0))
+    for i1, c1 in left.terms.items():
+        m1 = _index_mask(i1)
+        room = q - len(i1)
+        t1 = c1.terms
+        for d2, m2, t2 in rights:
+            if d2 > room:
+                break
+            if m1 & m2:
+                continue
+            target = acc.get(m1 | m2)
+            if target is None:
+                target = acc[m1 | m2] = {}
+            mul_into(target, t1, t2, _koszul_sign(m1, m2))
+
+
+def _collect(vars: tuple[str, ...], odd_rank: int, acc: dict[int, dict]) -> GrassmannElement:
+    """The element held by an accumulator of :func:`_product_into`."""
+    terms = {}
+    for m, exps in acc.items():
+        coeff = collect(exps)
+        if coeff:
+            terms[_mask_index(m)] = LaurentPoly(vars, coeff, trusted=True)
+    return GrassmannElement(vars, odd_rank, terms, trusted=True)
+
+
+class Substitution:
+    """The ring homomorphism sending each even coordinate ``v`` to
+    ``even_images[v]`` and each ``theta_a`` to ``odd_images[a]``, all in the
+    target context ``(vars, odd_rank)``.
+
+    The images of the monomials it has met stay memoised for as long as the
+    object lives: powers of even images per ``(v, e)``, their products per
+    exponent vector, and products of odd images per multi-index.  Build one
+    per image set and apply it to every element that set acts on."""
+
+    __slots__ = ("even_images", "odd_images", "vars", "odd_rank",
+                 "_checked", "_powers", "_even", "_odd")
+
+    def __init__(self, even_images: Mapping[str, GrassmannElement],
+                 odd_images: Mapping[int, GrassmannElement],
+                 vars: tuple[str, ...], odd_rank: int):
+        self.even_images = even_images
+        self.odd_images = odd_images
+        self.vars = tuple(vars)
+        self.odd_rank = int(odd_rank)
+        self._checked: set[tuple[tuple[str, ...], int]] = set()
+        self._powers: dict[tuple[str, int], GrassmannElement] = {}
+        self._even: dict[tuple[tuple[str, ...], tuple[int, ...]], GrassmannElement] = {}
+        self._odd: dict[MultiIndex, GrassmannElement] = {
+            (): GrassmannElement.const(self.vars, self.odd_rank, 1)}
+
+    def check(self, vars: tuple[str, ...], odd_rank: int) -> None:
+        """Require an image of the right parity and context for every
+        coordinate of the source context ``(vars, odd_rank)``."""
+        if (vars, odd_rank) in self._checked:
+            return
+        for v in vars:
+            if v not in self.even_images:
+                raise SubstitutionError(f"no image for even coordinate {v}")
+            g = self.even_images[v]
+            self._check_context(g)
+            if g.parity() == "odd" and not g.is_zero():
+                raise SubstitutionError(f"image of even coordinate {v} is not even")
+        for a in range(1, odd_rank + 1):
+            if a not in self.odd_images:
+                raise SubstitutionError(f"no image for odd generator theta_{a}")
+            g = self.odd_images[a]
+            self._check_context(g)
+            if g.parity() == "even" and not g.is_zero():
+                raise SubstitutionError(f"image of theta_{a} is not odd")
+        self._checked.add((vars, odd_rank))
+
+    def _check_context(self, g: GrassmannElement) -> None:
+        if g.vars != self.vars or g.odd_rank != self.odd_rank:
+            raise ContextError("Grassmann contexts differ")
+
+    def power(self, v: str, e: int) -> GrassmannElement:
+        key = (v, e)
+        p = self._powers.get(key)
+        if p is None:
+            p = self._powers[key] = self.even_images[v].power(e)
+        return p
+
+    def even_monomial(self, vars: tuple[str, ...], exps: tuple[int, ...]) -> GrassmannElement:
+        """Image of ``prod v^e`` over ``zip(vars, exps)``."""
+        key = (vars, exps)
+        img = self._even.get(key)
+        if img is None:
+            factors = [self.power(v, e) for v, e in zip(vars, exps) if e]
+            img = factors[0] if factors else self._odd[()]
+            for f in factors[1:]:
+                img = img * f
+            self._even[key] = img
+        return img
+
+    def odd_monomial(self, idx: MultiIndex) -> GrassmannElement:
+        """Image of ``theta_idx``, the product of the odd images in order."""
+        img = self._odd.get(idx)
+        if img is None:
+            img = self.odd_monomial(idx[:-1]) * self.odd_images[idx[-1]]
+            self._odd[idx] = img
+        return img

@@ -5,11 +5,17 @@ the ``ei`` are integers (negative allowed) and ``c`` is a ``Fraction``.  The
 ordered tuple of variable names is the *context*; two polynomials can only be
 combined when their contexts agree.  No term with zero coefficient is ever
 stored, so equality of values is equality of the term maps.
+
+Products go through one fused multiply-accumulate (:func:`mul_into`): every
+coefficient product of an output lands in one exponent dict, integral
+coefficients are multiplied as ``int``, and one polynomial is built at the
+end (:func:`collect`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import ContextError, PoleError, SubstitutionError
@@ -32,7 +38,14 @@ class LaurentPoly:
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction] | None = None,
+                 trusted: bool = False):
+        if trusted:
+            # arithmetic results: ``vars`` is a tuple and ``terms`` a fresh
+            # dict of integer exponent tuples to nonzero Fractions
+            self.vars = vars
+            self.terms = terms
+            return
         self.vars = tuple(vars)
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
@@ -53,14 +66,13 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls, vars: tuple[str, ...]) -> "LaurentPoly":
-        return cls(vars, {})
+        return cls(tuple(vars), {}, trusted=True)
 
     @classmethod
     def const(cls, vars: tuple[str, ...], c) -> "LaurentPoly":
         c = _as_fraction(c)
-        if c == 0:
-            return cls.zero(vars)
-        return cls(vars, {tuple([0] * len(vars)): c})
+        vars = tuple(vars)
+        return cls(vars, {(0,) * len(vars): c} if c else {}, trusted=True)
 
     @classmethod
     def var(cls, vars: tuple[str, ...], name: str, power: int = 1) -> "LaurentPoly":
@@ -111,10 +123,10 @@ class LaurentPoly:
                 out.pop(exps, None)
             else:
                 out[exps] = s
-        return LaurentPoly(self.vars, out)
+        return LaurentPoly(self.vars, out, trusted=True)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()}, trusted=True)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -123,16 +135,9 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Q(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPoly(self.vars, out)
+        acc: dict = {}
+        mul_into(acc, self.terms, other.terms)
+        return LaurentPoly(self.vars, collect(acc), trusted=True)
 
     __rmul__ = __mul__
 
@@ -140,12 +145,12 @@ class LaurentPoly:
         c = _as_fraction(c)
         if c == 0:
             return LaurentPoly.zero(self.vars)
-        return LaurentPoly(self.vars, {e: c * v for e, v in self.terms.items()})
+        return LaurentPoly(self.vars, {e: c * v for e, v in self.terms.items()}, trusted=True)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             c, exps = self.monomial_parts()  # raises if not invertible
-            return LaurentPoly(self.vars, {tuple(n * e for e in exps): c ** n})
+            return LaurentPoly(self.vars, {tuple(n * e for e in exps): c ** n}, trusted=True)
         result = LaurentPoly.const(self.vars, 1)
         base = self
         k = n
@@ -301,6 +306,54 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
+
+
+def mul_into(acc: dict, p: Mapping[tuple[int, ...], Fraction],
+             q: Mapping[tuple[int, ...], Fraction], sign: int = 1) -> None:
+    """Add ``sign * p * q`` to the exponent dict ``acc``, whose values are
+    ``int`` or ``Fraction``; ``p`` and ``q`` are term maps of one context."""
+    qs = [(e2, _small(c2)) for e2, c2 in q.items()]
+    for e1, c1 in p.items():
+        c1 = sign * _small(c1)
+        for e2, c2 in qs:
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def add_into(acc: dict, p: Mapping[tuple[int, ...], Fraction], scale=1) -> None:
+    """Add ``scale * p`` to an accumulator of :func:`mul_into`."""
+    scale = _small(scale)
+    for e, c in p.items():
+        acc[e] = acc.get(e, 0) + scale * _small(c)
+
+
+def collect(acc: dict) -> dict[tuple[int, ...], Fraction]:
+    """The nonzero entries of an accumulator of :func:`mul_into`, as a term
+    map ready for a trusted :class:`LaurentPoly`."""
+    return {e: Fraction(c) if type(c) is int else c for e, c in acc.items() if c}
+
+
+def dot(vars: tuple[str, ...], xs, ys) -> LaurentPoly:
+    """``sum(x * y)`` over paired entries, each a :class:`LaurentPoly` over
+    ``vars`` or a rational constant, built as one polynomial."""
+    acc: dict = {}
+    for x, y in zip(xs, ys):
+        p = x.terms if isinstance(x, LaurentPoly) else _constant_terms(x, vars)
+        if p:
+            q = y.terms if isinstance(y, LaurentPoly) else _constant_terms(y, vars)
+            if q:
+                mul_into(acc, p, q)
+    return LaurentPoly(vars, collect(acc), trusted=True)
+
+
+def _constant_terms(c, vars) -> Mapping[tuple[int, ...], Fraction]:
+    return {(0,) * len(vars): c} if c else {}
+
+
+def _small(c: Fraction):
+    """An integral coefficient as ``int``: products of ints skip Fraction's
+    normalisation, and the sums stay exact either way."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _frac_str(c: Fraction) -> str:

@@ -13,11 +13,19 @@ Rationals are written as divisions, e.g. ``1/2`` or ``x/3``.  A divisor (and
 the base of a negative exponent) must be invertible, i.e. have a single-term
 reduced part; this keeps every result a Laurent-polynomial-coefficient
 element.
+
+Input budgets keep the work of one expression bounded: an exponent may not
+exceed ``MAX_EXPONENT`` in absolute value, and no product or power may
+expand to more than ``MAX_TERMS`` terms (coefficient monomials summed over
+the odd multi-indices).  The term count is bounded from the operands before
+anything is multiplied, so an oversized expression fails at once with a
+located :class:`~supercech.errors.ParseError`.
 """
 
 from __future__ import annotations
 
 import re
+from math import comb, prod
 
 from .errors import ParseError, SubstitutionError
 from .grassmann import GrassmannElement
@@ -25,6 +33,9 @@ from .laurent import LaurentPoly
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|/|\+|-|\(|\)))")
 _THETA = re.compile(r"^theta_([0-9]+)$")
+
+MAX_EXPONENT = 100
+MAX_TERMS = 2000
 
 
 class _Tokenizer:
@@ -113,14 +124,15 @@ class ExpressionParser:
             if kind == "op" and val in "*/":
                 tz.next()
                 rhs = self._factor(tz)
-                if val == "*":
-                    value = value * rhs
-                else:
+                if val == "/":
+                    _budget(_power_bound(rhs, -1), tz.line, col)
                     try:
-                        value = value * rhs.power(-1)
+                        rhs = rhs.power(-1)
                     except SubstitutionError as exc:
                         raise ParseError(f"division by a non-invertible expression ({exc})",
                                          tz.line, col + 1)
+                _budget(_product_bound(value, rhs), tz.line, col)
+                value = value * rhs
             else:
                 return value
 
@@ -134,6 +146,7 @@ class ExpressionParser:
         if kind == "op" and val == "^":
             tz.next()
             e = self._exponent(tz)
+            _budget(_power_bound(value, e), tz.line, col)
             try:
                 value = value.power(e)
             except SubstitutionError as exc:
@@ -153,12 +166,18 @@ class ExpressionParser:
             kind, val, col = tz.next()
         if kind != "num":
             raise ParseError("expected an integer exponent", tz.line, col + 1)
+        if len(val.lstrip("0")) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+            raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT} in absolute value",
+                             tz.line, col + 1)
         return sign * int(val)
 
     def _atom(self, tz):
         kind, val, col = tz.next()
         if kind == "num":
-            return GrassmannElement.const(self.vars, self.odd_rank, int(val))
+            try:
+                return GrassmannElement.const(self.vars, self.odd_rank, int(val))
+            except ValueError:  # longer than the interpreter converts
+                raise ParseError("integer literal is too long", tz.line, col + 1)
         if kind == "name":
             m = _THETA.match(val)
             if m:
@@ -175,6 +194,53 @@ class ExpressionParser:
             tz.expect_op(")")
             return value
         raise ParseError(f"unexpected token {val!r}", tz.line, col + 1)
+
+
+def _budget(bound: int, line: int | None, col: int):
+    if bound > MAX_TERMS:
+        raise ParseError(f"expression may expand to more than {MAX_TERMS} terms",
+                         line, col + 1)
+
+
+def _size(g: GrassmannElement) -> int:
+    return sum(len(c.terms) for c in g.terms.values())
+
+
+def _shape(g: GrassmannElement) -> tuple[int, list[int]]:
+    """Multi-indices and the span of each even exponent of ``g``."""
+    exps = [e for c in g.terms.values() for e in c.terms]
+    return len(g.terms), [max(col) - min(col) for col in zip(*exps)] if exps else []
+
+
+def _product_bound(a: GrassmannElement, b: GrassmannElement) -> int:
+    """Upper bound on the terms of ``a * b``: one per pair of terms, and at
+    most one per exponent vector in the sum of the ranges per multi-index."""
+    pairs = _size(a) * _size(b)
+    if pairs <= MAX_TERMS:
+        return pairs
+    (t1, s1), (t2, s2) = _shape(a), _shape(b)
+    box = min(t1 * t2, 2 ** a.odd_rank) * prod(x + y + 1 for x, y in zip(s1, s2))
+    return min(pairs, box)
+
+
+def _power_bound(g: GrassmannElement, e: int) -> int:
+    """Upper bound on the terms of ``g^e``.  For ``e >= 0`` a power has at
+    most one term per multiset of ``e`` terms of ``g`` and per exponent
+    vector in ``e`` times its ranges.  For ``e < 0`` the expansion in
+    :meth:`GrassmannElement.power` sums the powers ``k`` of the nilpotent
+    part up to ``odd_rank`` over its least odd degree."""
+    if e < 0:
+        degree = g.truncate(1).min_odd_degree()
+        k = g.odd_rank // degree if degree else 0
+        return 1 + k * _power_bound(g, k)
+    n = _size(g)
+    if not n:
+        return 1
+    multisets = comb(n + e - 1, e)
+    if multisets <= MAX_TERMS:
+        return multisets
+    t, spans = _shape(g)
+    return min(multisets, min(t ** e, 2 ** g.odd_rank) * prod(e * s + 1 for s in spans))
 
 
 def parse_element(text: str, vars: tuple[str, ...], odd_rank: int,

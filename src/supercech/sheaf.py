@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .errors import CocycleError
 from .gluing import invert_laurent_matrix, laurent_det
-from .laurent import LaurentPoly, Q
+from .laurent import LaurentPoly, Q, dot
 from .spaces import ReducedSpace
 
 
@@ -58,7 +58,9 @@ def _context(vars, *matrices):
 
 
 def _dot(xs, ys, vars):
-    acc = Q(0) if vars is None else LaurentPoly.zero(vars)
+    if vars is not None:
+        return dot(vars, xs, ys)
+    acc = Q(0)
     for x, y in zip(xs, ys):
         if _nonzero(x) and _nonzero(y):
             acc = acc + x * y

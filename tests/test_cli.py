@@ -214,6 +214,10 @@ def test_valid_model_for_malformed_variants(tmp_path, capsys):
          "  theta U0 U1\n    x^-1"),
     (25, "  theta U0 U1\n    x^-1"),
     (25, "gtmodel M\n  fiber_sheaf TX\n  base_rank 1\n  theta U0 U1\n    x^-1"),
+    (11, "  y = 1/x^100000000"),
+    (11, "  y = (1+x)^800/x"),
+    (16, "    (1+x+x^50)^100"),
+    (11, "  y = " + "7" * 5000 + "/x"),
 ])
 def test_malformed_model_is_input_error_with_location(tmp_path, capsys, lineno, text):
     path = tmp_path / "bad.model"

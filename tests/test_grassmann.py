@@ -1,16 +1,51 @@
 import random
 from fractions import Fraction as Q
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supercech.errors import SubstitutionError
-from supercech.grassmann import GrassmannElement, merge_indices
+from supercech.gluing import SuperTransition
+from supercech.grassmann import GrassmannElement, Substitution, _koszul_sign
 from supercech.laurent import LaurentPoly
+from supercech.spaces import Chart
 
 from conftest import parse, random_grassmann
 
 X = ("x",)
+
+
+def merge_indices(i1, i2):
+    """Reference merge of two increasing multi-indices (the sorted-merge
+    form the product used before bitmasks); ``None`` on a repeated
+    generator, else the merged index and the sign of the transpositions."""
+    if not i1:
+        return i2, 1
+    if not i2:
+        return i1, 1
+    if set(i1) & set(i2):
+        return None
+    merged = []
+    sign = 1
+    a, b = 0, 0
+    while a < len(i1) and b < len(i2):
+        if i1[a] < i2[b]:
+            merged.append(i1[a])
+            a += 1
+        else:
+            merged.append(i2[b])
+            # i2[b] jumps over the remaining entries of i1
+            if (len(i1) - a) % 2:
+                sign = -sign
+            b += 1
+    merged.extend(i1[a:])
+    merged.extend(i2[b:])
+    return tuple(merged), sign
+
+
+def mask(idx):
+    return sum(1 << a for a in idx)
 
 
 def test_merge_signs():
@@ -18,6 +53,23 @@ def test_merge_signs():
     assert merge_indices((2,), (1,)) == ((1, 2), -1)
     assert merge_indices((1, 3), (2,)) == ((1, 2, 3), -1)
     assert merge_indices((1,), (1,)) is None
+    assert _koszul_sign(mask((2,)), mask((1,))) == -1
+    assert _koszul_sign(mask((1, 3)), mask((2,))) == -1
+
+
+def test_bitmask_sign_matches_merge_on_all_subsets():
+    subsets = [i for k in range(7) for i in combinations(range(1, 7), k)]
+    monomial = {i: GrassmannElement(X, 6, {i: LaurentPoly.const(X, 1)}) for i in subsets}
+    for i1 in subsets:
+        for i2 in subsets:
+            ref = merge_indices(i1, i2)
+            product = monomial[i1] * monomial[i2]
+            if ref is None:
+                assert mask(i1) & mask(i2)
+                assert product.is_zero()
+            else:
+                assert _koszul_sign(mask(i1), mask(i2)) == ref[1]
+                assert product == monomial[ref[0]].scale(ref[1])
 
 
 def test_product_examples():
@@ -54,19 +106,21 @@ def test_substitute_taylor():
     e = parse("x^2")
     images = {"x": parse("x + theta_1*theta_2")}
     odd = {1: parse("theta_1"), 2: parse("theta_2")}
-    assert e.substitute(images, odd, X, 2) == parse("x^2 + 2*x*theta_1*theta_2")
+    assert e.substitute(Substitution(images, odd, X, 2)) == parse("x^2 + 2*x*theta_1*theta_2")
 
 
 def test_substitute_odd_resorting():
     e = parse("theta_1*theta_2")
-    out = e.substitute({"x": parse("x")}, {1: parse("x*theta_2"), 2: parse("theta_1")}, X, 2)
+    out = e.substitute(Substitution({"x": parse("x")},
+                                  {1: parse("x*theta_2"), 2: parse("theta_1")}, X, 2))
     assert out == parse("-x*theta_1*theta_2")
 
 
 def test_substitute_pole_and_unsupported():
     e = parse("x^-1")
     with pytest.raises(SubstitutionError):
-        e.substitute({"x": parse("x + 1")}, {1: parse("theta_1"), 2: parse("theta_2")}, X, 2)
+        e.substitute(Substitution({"x": parse("x + 1")},
+                                  {1: parse("theta_1"), 2: parse("theta_2")}, X, 2))
 
 
 def test_negative_power_through_nilpotent():
@@ -113,7 +167,8 @@ def test_substitute_distributes_over_mul():
                                                         exp_range=(-1, 1)).truncate(2)}
         odd = {1: random_grassmann(rng, X, 2, parity="odd", exp_range=(-1, 1)),
                2: random_grassmann(rng, X, 2, parity="odd", exp_range=(-1, 1))}
-        sub = lambda e: e.substitute(images, odd, X, 2)
+        kernel = Substitution(images, odd, X, 2)
+        sub = lambda e: e.substitute(kernel)
         assert sub(a * b) == sub(a) * sub(b)
 
 
@@ -146,6 +201,86 @@ def test_taylor_matches_multinomial_oracle():
                                                  exp_range=(0, 2)).truncate(2)]
         image = pieces[0] + pieces[1]
         odd = {1: parse("theta_1"), 2: parse("theta_2")}
-        fast = element.substitute({"x": image}, odd, X, 2)
+        fast = element.substitute(Substitution({"x": image}, odd, X, 2))
         slow = brute_force_poly_subst(poly, pieces)
         assert fast == slow
+
+
+# ------------------------------------------------------- hypothesis properties
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+Q3 = 3
+INDICES = [i for k in range(Q3 + 1) for i in combinations(range(1, Q3 + 1), k)]
+
+
+@st.composite
+def elements(draw, parity=None, exps=(-2, 2), max_terms=4):
+    indices = [i for i in INDICES if parity is None or len(i) % 2 == (parity == "odd")]
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        idx = draw(st.sampled_from(indices))
+        poly = LaurentPoly.monomial(X, Q(draw(st.integers(-3, 3)), draw(st.integers(1, 3))),
+                                    (draw(st.integers(*exps)),))
+        terms[idx] = terms[idx] + poly if idx in terms else poly
+    return GrassmannElement(X, Q3, terms)
+
+
+@st.composite
+def invertible(draw):
+    """An element whose reduced part is an invertible monomial."""
+    body = LaurentPoly.monomial(X, draw(st.sampled_from([1, -1, 2, Q(1, 3)])),
+                                (draw(st.integers(-2, 2)),))
+    return GrassmannElement.from_poly(body, Q3) + draw(elements()).truncate(1)
+
+
+@st.composite
+def substitutions(draw):
+    """Images of a coordinate change x -> c*x^(+-1) + nilpotent, theta -> odd."""
+    body = LaurentPoly.monomial(X, draw(st.sampled_from([1, -2, Q(1, 2)])),
+                                (draw(st.sampled_from([1, -1])),))
+    even = {"x": GrassmannElement.from_poly(body, Q3)
+            + draw(elements("even", exps=(-1, 1), max_terms=2)).truncate(2)}
+    odd = {a: draw(elements("odd", exps=(-1, 1), max_terms=2)) for a in range(1, Q3 + 1)}
+    return even, odd
+
+
+@PROPERTY
+@given(substitutions(), elements(), elements())
+def test_substitution_is_additive_and_multiplicative(images, a, b):
+    kernel = Substitution(*images, X, Q3)
+    assert (a + b).substitute(kernel) == a.substitute(kernel) + b.substitute(kernel)
+    assert (a * b).substitute(kernel) == a.substitute(kernel) * b.substitute(kernel)
+
+
+@PROPERTY
+@given(invertible(), st.integers(-6, 8))
+def test_power_is_repeated_multiplication(x, e):
+    step = x if e >= 0 else x.power(-1)
+    expected = GrassmannElement.const(X, Q3, 1)
+    for _ in range(abs(e)):
+        expected = expected * step
+    assert x.power(e) == expected
+
+
+@PROPERTY
+@given(elements(), st.integers(0, 5))
+def test_nonnegative_power_of_any_element(x, e):
+    expected = GrassmannElement.const(X, Q3, 1)
+    for _ in range(e):
+        expected = expected * x
+    assert x.power(e) == expected
+
+
+@PROPERTY
+@given(invertible(), st.integers(-6, 8))
+def test_power_times_opposite_power_is_one(x, e):
+    assert x.power(e) * x.power(-e) == GrassmannElement.const(X, Q3, 1)
+
+
+@PROPERTY
+@given(substitutions(), st.lists(elements(), min_size=1, max_size=4))
+def test_memoised_apply_equals_fresh_substitution(images, targets):
+    chart = Chart("U", X, (), Q3)
+    t = SuperTransition(chart, chart, *images, check=False)
+    for g in targets:
+        assert t.apply(g) == g.substitute(Substitution(*images, X, Q3))
