@@ -20,22 +20,35 @@ from itertools import product as iproduct
 
 from .errors import CocycleError, WindowError
 from .gluing import invert_laurent_matrix
-from .laurent import LaurentPoly, Q
+from .laurent import LaurentPoly, Q, add_into, collect
 from . import linalg
 from .sheaf import (SheafSpec, diagonal_block, frames_leak, hom_unflatten,
-                    identity_matrix, mat_mul, mat_transpose, mat_vec, selection_matrix,
+                    identity_matrix, mat_mul, mat_transpose, selection_matrix,
                     sheaf_hom, sheaf_tensor)
 
 WINDOW_CAP = 60
+# Largest delta0 system, in unknowns (charts x rank x window box), built for
+# any window, derived or given; a larger one fails with WindowError.  The
+# largest system of the corpus and the benchmark has 3072 unknowns
+# (two_parameter_family, derived window 7); 50,000 unknowns take under 1 s.
+MAX_UNKNOWNS = 50_000
 
 
 class CechCochain:
     """Degree-p cochain valued in a sheaf spec."""
 
     def __init__(self, sheaf: SheafSpec, degree: int,
-                 sections: dict[tuple, list[LaurentPoly]] | None = None):
+                 sections: dict[tuple, list[LaurentPoly]] | None = None,
+                 trusted: bool = False):
         self.sheaf = sheaf
         self.degree = int(degree)
+        if trusted:
+            # results of arithmetic, delta and frame maps: ``sections`` is a
+            # fresh dict with every canonical key in canonical order, each a
+            # fresh list of ``sheaf.rank`` polynomials in the leading chart's
+            # coordinates (chart-regular in degree 0)
+            self.sections = sections
+            return
         cover = sheaf.space.cover
         self.sections: dict[tuple, list[LaurentPoly]] = {}
         keys = self._canonical_keys()
@@ -82,24 +95,61 @@ class CechCochain:
         self._check(other)
         return CechCochain(self.sheaf, self.degree, {
             k: [a + b for a, b in zip(v, other.sections[k])]
-            for k, v in self.sections.items()})
+            for k, v in self.sections.items()}, trusted=True)
 
     def __neg__(self) -> "CechCochain":
         return CechCochain(self.sheaf, self.degree,
-                           {k: [-a for a in v] for k, v in self.sections.items()})
+                           {k: [-a for a in v] for k, v in self.sections.items()},
+                           trusted=True)
 
     def __sub__(self, other: "CechCochain") -> "CechCochain":
         return self + (-other)
 
     def scale(self, c) -> "CechCochain":
         return CechCochain(self.sheaf, self.degree,
-                           {k: [a.scale(c) for a in v] for k, v in self.sections.items()})
+                           {k: [a.scale(c) for a in v] for k, v in self.sections.items()},
+                           trusted=True)
 
-    def map(self, matrix: list[list[Fraction]], sheaf: SheafSpec) -> "CechCochain":
-        """The constant ``matrix`` applied to every section; values in ``sheaf``."""
+    def map(self, rows: list[list[tuple[int, Fraction]]], sheaf: SheafSpec) -> "CechCochain":
+        """The constant matrix with sparse ``rows`` (``(column, coefficient)``
+        pairs, nonzero coefficients) applied to every section; values in
+        ``sheaf``."""
+        if len(rows) != sheaf.rank:
+            raise ValueError(f"map has {len(rows)} rows, target rank is {sheaf.rank}")
         cover = self.sheaf.space.cover
+        out = {}
+        for k, v in self.sections.items():
+            vars = cover.chart(k[0]).vars
+            vec = []
+            for row in rows:
+                acc: dict = {}
+                for j, c in row:
+                    add_into(acc, v[j].terms, c)
+                vec.append(LaurentPoly(vars, collect(acc), trusted=True))
+            out[k] = vec
+        return CechCochain(sheaf, self.degree, out, trusted=True)
+
+    def restrict(self, frames: list[int], sheaf: SheafSpec) -> "CechCochain":
+        """Components on ``frames``, in that order, as a cochain valued in
+        ``sheaf`` (of rank ``len(frames)``)."""
+        if len(frames) != sheaf.rank:
+            raise ValueError(f"{len(frames)} frames for a sheaf of rank {sheaf.rank}")
         return CechCochain(sheaf, self.degree, {
-            k: mat_vec(matrix, v, cover.chart(k[0]).vars) for k, v in self.sections.items()})
+            k: [v[f] for f in frames] for k, v in self.sections.items()}, trusted=True)
+
+    def extend(self, frames: list[int], sheaf: SheafSpec) -> "CechCochain":
+        """Cochain valued in ``sheaf`` whose component ``frames[i]`` is
+        component i of this one and whose other components are zero."""
+        if len(frames) != self.sheaf.rank:
+            raise ValueError(f"{len(frames)} frames for a cochain of rank {self.sheaf.rank}")
+        cover = self.sheaf.space.cover
+        out = {}
+        for k, v in self.sections.items():
+            vec = [LaurentPoly.zero(cover.chart(k[0]).vars)] * sheaf.rank
+            for f, p in zip(frames, v):
+                vec[f] = p
+            out[k] = vec
+        return CechCochain(sheaf, self.degree, out, trusted=True)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for v in self.sections.values() for p in v)
@@ -145,7 +195,7 @@ def cech_delta(c: CechCochain) -> CechCochain:
             moved = sheaf.transport(b, a, c.sections[(b,)])
             here = [p.with_context(cover.chart(a).vars) for p in c.sections[(a,)]]
             out[(a, b)] = [m - h for m, h in zip(moved, here)]
-        return CechCochain(sheaf, 1, out)
+        return CechCochain(sheaf, 1, out, trusted=True)
     if c.degree == 1:
         out = {}
         for (a, b, cc) in cover.canonical_triples():
@@ -153,7 +203,7 @@ def cech_delta(c: CechCochain) -> CechCochain:
             v_ac = c.sections[(a, cc)]
             v_ab = c.sections[(a, b)]
             out[(a, b, cc)] = [x - y + z for x, y, z in zip(t_bc, v_ac, v_ab)]
-        return CechCochain(sheaf, 2, out)
+        return CechCochain(sheaf, 2, out, trusted=True)
     if c.degree == 2:
         if not cover.canonical_triples():
             raise ValueError("no degree-3 support on this cover")
@@ -200,33 +250,57 @@ class _Linearization:
     factors: dict = field(default_factory=dict, repr=False, compare=False)
 
 
+def _window_unknowns(sheaf: SheafSpec, bound: int) -> int:
+    """Unknowns of the delta0 system in window ``bound``: one per chart,
+    frame and exponent vector in the chart's window box."""
+    cover = sheaf.space.cover
+    return sum(sheaf.rank * (bound + 1) ** len(cover.chart(name).vars)
+               for name in cover.order)
+
+
 def _delta0_linearization(sheaf: SheafSpec, bound: int) -> _Linearization:
     cache = sheaf.linearizations
     if bound in cache:
         return cache[bound]
+    size = _window_unknowns(sheaf, bound)
+    if size > MAX_UNKNOWNS:
+        raise WindowError(
+            f"exponent window 0..{bound} needs a delta0 system of {size} unknowns "
+            f"({len(sheaf.space.cover.order)} charts x rank {sheaf.rank} x window box), "
+            f"over the budget of {MAX_UNKNOWNS}; pass a smaller window")
     cover = sheaf.space.cover
+    space = sheaf.space
+    overlaps = cover.canonical_overlaps()
+    # per canonical overlap (a, b): the columns of the b-to-a transition
+    # in a-coordinates, nonzero entries only
+    columns = {(a, b): sheaf._nonzeros_in(a, (b, a))[1] for (a, b) in overlaps}
+    one, minus_one = Q(1), Q(-1)
     unknowns: list[tuple] = []
     images: list[dict[tuple, Fraction]] = []
-    transported: dict[tuple, list[list[LaurentPoly]]] = {}
-    for (a, b) in cover.canonical_overlaps():
-        transported[(a, b)] = sheaf._matrix_in(a, (b, a))
     for chart in cover.order:
         vars = cover.chart(chart).vars
+        # the overlaps this chart leads or trails, in overlap order; a
+        # trailing chart's monomial moves through the overlap's exponent map
+        touching = [(o, o[0] == chart,
+                     space.exponent_map(o[0], o[1], vars) if o[1] == chart else None)
+                    for o in overlaps if chart in o]
         for frame in range(sheaf.rank):
             for exps in _exp_tuples(len(vars), 0, bound):
                 contrib: dict[tuple, Fraction] = {}
-                for (a, b) in cover.canonical_overlaps():
-                    if chart == a:
-                        key = ((a, b), frame, exps)
-                        contrib[key] = contrib.get(key, Q(0)) - 1
-                    if chart == b:
-                        mono, mcoef = sheaf.space.exponent_map(a, b, vars).term(exps, Q(1))
-                        matrix = transported[(a, b)]
-                        for r in range(sheaf.rank):
-                            for eexps, ecoef in matrix[r][frame].terms.items():
-                                key = ((a, b), r,
-                                       tuple(x + y for x, y in zip(eexps, mono)))
-                                s = contrib.get(key, Q(0)) + ecoef * mcoef
+                for o, leads, emap in touching:
+                    if leads:
+                        key = (o, frame, exps)
+                        s = contrib.get(key)
+                        contrib[key] = minus_one if s is None else s - 1
+                    if emap is not None:
+                        mono, mcoef = emap.term(exps, one)
+                        for r, e in columns[o][frame]:
+                            for eexps, ecoef in e.terms.items():
+                                key = (o, r, tuple(x + y for x, y in zip(eexps, mono)))
+                                if mcoef is not one:
+                                    ecoef = ecoef * mcoef
+                                s = contrib.get(key)
+                                s = ecoef if s is None else s + ecoef
                                 if s == 0:
                                     contrib.pop(key, None)
                                 else:
@@ -291,16 +365,23 @@ def _reduce(factor, vector: dict[tuple, Fraction]):
 
 
 def _cochain_from_values(sheaf: SheafSpec, degree: int, values) -> CechCochain:
-    """Cochain with coefficient ``value`` on the (tuple, frame, exponents)
-    monomial of each ``(key, value)`` pair."""
+    """Cochain with coefficient ``value`` (a ``Fraction``) on the (tuple,
+    frame, exponents) monomial of each ``(key, value)`` pair."""
     cover = sheaf.space.cover
-    data: dict[tuple, list[LaurentPoly]] = {}
+    terms: dict[tuple, list[dict]] = {}
     for (key, frame, exps), value in values:
-        if key not in data:
-            data[key] = sheaf.zero_vector(key[0])
-        vars = cover.chart(key[0]).vars
-        data[key][frame] = data[key][frame] + LaurentPoly.monomial(vars, value, exps)
-    return CechCochain(sheaf, degree, data)
+        vec = terms.get(key)
+        if vec is None:
+            vec = terms[key] = [{} for _ in range(sheaf.rank)]
+        t = vec[frame]
+        s = t.get(exps, 0) + value
+        if s:
+            t[exps] = s
+        else:
+            t.pop(exps, None)
+    return CechCochain(sheaf, degree, {
+        key: [LaurentPoly(cover.chart(key[0]).vars, t, trusted=True) for t in vec]
+        for key, vec in terms.items()})
 
 
 def _delta0_system(c: CechCochain, window: int | None, frames: set[int] | None = None):
@@ -412,6 +493,8 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
                 for k in reducer.kernel()]
     if degree != 1:
         raise ValueError("cohomology_basis supports degrees 0 and 1")
+    # built first, so that a window over budget fails before any work
+    lin = _delta0_linearization(sheaf, witness_bound)
 
     # candidate monomials on canonical overlaps, within each overlap's
     # regularity cone (negative exponents only in inverted coordinates)
@@ -434,7 +517,6 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
     else:
         cocycles = [{cand: Q(1)} for cand in candidates]
 
-    lin = _delta0_linearization(sheaf, witness_bound)
     factor = _factor(lin, cover)
     keys = _keys_order(lin, cover, candidates)
     residuals = [_reduce(factor, cocycle)[0] for cocycle in cocycles]
@@ -461,30 +543,34 @@ def cup_product(u: CechCochain, v: CechCochain) -> CechCochain:
     if (qdeg, pdeg) == (0, 0):
         for (name,) in [(n,) for n in cover.order]:
             out[(name,)] = _tensor_vec(u.sections[(name,)], v.sections[(name,)])
-        return CechCochain(target, 0, out)
+        return CechCochain(target, 0, out, trusted=True)
     if (qdeg, pdeg) == (1, 0):
         for (a, b) in cover.canonical_overlaps():
             moved = B.transport(b, a, v.sections[(b,)])
             out[(a, b)] = _tensor_vec(u.sections[(a, b)], moved)
-        return CechCochain(target, 1, out)
+        return CechCochain(target, 1, out, trusted=True)
     if (qdeg, pdeg) == (0, 1):
         for (a, b) in cover.canonical_overlaps():
             ua = [p.with_context(cover.chart(a).vars) for p in u.sections[(a,)]]
             out[(a, b)] = _tensor_vec(ua, v.sections[(a, b)])
-        return CechCochain(target, 1, out)
+        return CechCochain(target, 1, out, trusted=True)
     if (qdeg, pdeg) == (1, 1):
         for (a, b, c) in cover.canonical_triples():
             moved = B.transport(b, a, v.sections[(b, c)])
             out[(a, b, c)] = _tensor_vec(u.sections[(a, b)], moved)
-        return CechCochain(target, 2, out)
+        return CechCochain(target, 2, out, trusted=True)
     raise ValueError(f"cup product for degrees ({qdeg},{pdeg}) not supported")
 
 
 def _tensor_vec(u: list[LaurentPoly], v: list[LaurentPoly]) -> list[LaurentPoly]:
+    """Components ``a * b``, left factor major; a product with a zero factor
+    is built as zero without multiplying."""
     out = []
     for a in u:
-        for b in v:
-            out.append(a * b)
+        if not a.terms:
+            out.extend([LaurentPoly.zero(a.vars)] * len(v))
+            continue
+        out.extend(a * b if b.terms else LaurentPoly.zero(a.vars) for b in v)
     return out
 
 
@@ -538,10 +624,10 @@ def connecting_map(ses: ShortExactSequence, c: CechCochain) -> CechCochain:
         raise CocycleError("cochain is not valued in the quotient")
     if not is_cocycle(c):
         raise CocycleError("connecting map needs a cocycle")
-    boundary = cech_delta(c.map(ses.section_of_projection(), ses.total))
+    boundary = cech_delta(c.extend(ses.quot_frames, ses.total))
     if any(not vec[f].is_zero() for vec in boundary.sections.values() for f in ses.quot_frames):
         raise CocycleError("coboundary does not land in the subsheaf")
-    result = boundary.map(selection_matrix(ses.sub_frames, ses.total.rank), ses.sub)
+    result = boundary.restrict(ses.sub_frames, ses.sub)
     if result.degree == 1 and not is_cocycle(result):
         raise CocycleError("connecting image failed the cocycle check")
     return result

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import CocycleError, ContextError, SupercechError
 from .grassmann import GrassmannElement, Substitution
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, collect, mul_into
 from .spaces import Chart, Cover, ReducedSpace
 
 INFINITY = float("inf")
@@ -221,7 +221,8 @@ def invert_transition(t: SuperTransition, max_iter: int | None = None) -> SuperT
 
 def invert_laurent_matrix(matrix: list[list[LaurentPoly]]) -> list[list[LaurentPoly]] | None:
     """Inverse of a square matrix of Laurent polynomials when the determinant
-    is an invertible monomial; ``None`` otherwise."""
+    is an invertible monomial; ``None`` otherwise.  The cofactors that delete
+    row i share one memo of minors (see :func:`_minors`)."""
     n = len(matrix)
     if n == 0:
         return []
@@ -231,12 +232,12 @@ def invert_laurent_matrix(matrix: list[list[LaurentPoly]]) -> list[list[LaurentP
     det_inv = det.inverse()
     if n == 1:
         return [[det_inv]]
+    full = (1 << n) - 1
     out = [[None] * n for _ in range(n)]
     for i in range(n):
+        minor = _minors(matrix, [r for r in range(n) if r != i])
         for j in range(n):
-            minor = [[matrix[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            cof = laurent_det(minor)
+            cof = minor(full ^ (1 << j))
             if (i + j) % 2:
                 cof = -cof
             out[j][i] = cof * det_inv
@@ -247,17 +248,44 @@ def laurent_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
-    if n == 1:
-        return matrix[0][0]
+    return _minors(matrix, list(range(n)))((1 << n) - 1)
+
+
+def _minors(matrix: list[list[LaurentPoly]], rows: list[int]):
+    """``det(mask)``: the determinant of the square submatrix of ``matrix``
+    on the last ``popcount(mask)`` of ``rows`` and the columns in the bitmask
+    ``mask``, by expansion along its first row with zero entries skipped.
+    Each column set is expanded once and kept, so a determinant of size n
+    takes at most n * 2^n products instead of n!."""
     vars = matrix[0][0].vars
-    result = LaurentPoly.zero(vars)
-    for j in range(n):
-        if matrix[0][j].is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = matrix[0][j] * laurent_det(minor)
-        result = result + (term if j % 2 == 0 else -term)
-    return result
+    memo: dict[int, LaurentPoly] = {}
+
+    def det(mask: int) -> LaurentPoly:
+        hit = memo.get(mask)
+        if hit is not None:
+            return hit
+        size = mask.bit_count()
+        row = matrix[rows[len(rows) - size]]
+        if size == 1:
+            result = row[mask.bit_length() - 1]
+        else:
+            acc: dict = {}
+            sign = 1
+            rest = mask
+            while rest:
+                low = rest & -rest
+                entry = row[low.bit_length() - 1]
+                if entry.terms:
+                    sub = det(mask ^ low)
+                    if sub.terms:
+                        mul_into(acc, entry.terms, sub.terms, sign)
+                sign = -sign
+                rest ^= low
+            result = LaurentPoly(vars, collect(acc), trusted=True)
+        memo[mask] = result
+        return result
+
+    return det
 
 
 # --------------------------------------------------------------------- data

@@ -185,6 +185,8 @@ class LaurentPoly:
 
     def with_context(self, new_vars: tuple[str, ...]) -> "LaurentPoly":
         """Re-express in a larger (or re-ordered) context containing all used vars."""
+        if new_vars == self.vars:
+            return self
         idx = []
         for j, v in enumerate(self.vars):
             if v in new_vars:

@@ -25,9 +25,8 @@ from .grassmann import GrassmannElement
 from .laurent import LaurentPoly, Q
 from .obstruction import (cotangent_spec, deviation_cochain,
                           deviation_hom_spec)
-from .sheaf import (SheafSpec, diagonal_block, filtration, identity_matrix, kron,
-                    selection_matrix, sheaf_exterior_power, sheaf_hom, sheaf_tensor,
-                    trivial_spec)
+from .sheaf import (SheafSpec, diagonal_block, filtration, identity_matrix,
+                    sheaf_exterior_power, sheaf_hom, sheaf_tensor, trivial_spec)
 from .spaces import ReducedSpace
 
 
@@ -125,6 +124,12 @@ def filtration_of(m: GtModel, level: int):
     return _cached(m, ("filtration", level), lambda: filtration(m.total_odd, level))
 
 
+def _hom_frames(frames: list[int], rank_p: int) -> list[int]:
+    """Frames of hom(P, X) over the frames ``frames`` of X, for P of rank
+    ``rank_p`` (target index major)."""
+    return [f * rank_p + k for f in frames for k in range(rank_p)]
+
+
 @dataclass
 class SecondarySpace:
     a: int
@@ -186,14 +191,15 @@ def secondary_differential(m: GtModel, a: int, b: int, p: int,
     def build_ses():
         # F_{b+1} inside F_b, expanded through hom(P, .) (target index major)
         inner = [filt.pieces[b].index(e) for e in filt.pieces[b + 1]]
-        return ShortExactSequence(sheaf_hom(P, filt.piece_specs[b]),
-                                  [i * P.rank + k for i in inner for k in range(P.rank)])
+        return ShortExactSequence(sheaf_hom(P, filt.piece_specs[b]), _hom_frames(inner, P.rank))
 
     ses = _cached(m, ("ses", level, b), build_ses)
     nu_q = CechCochain(ses.quot, p, nu.sections)
     conn = connecting_map(ses, nu_q)
-    proj2 = kron(filt.projection_matrix(b + 1), identity_matrix(P.rank))
-    return _finalize(conn.map(proj2, hom_into_quotient(m, a - 1, b + 1)), window)
+    # F_{b+1} -> F_{b+1}/F_{b+2}: the graded frames among those of F_{b+1}
+    big = filt.pieces[b + 1]
+    graded = _hom_frames([big.index(e) for e in filt.graded[b + 1]], P.rank)
+    return _finalize(conn.restrict(graded, hom_into_quotient(m, a - 1, b + 1)), window)
 
 
 # -------------------------------------------------------- model class map
@@ -229,12 +235,13 @@ def _wedge_insert(element: int, K: tuple[int, ...]):
 
 
 def _theta_pairing_matrix(m: GtModel, a: int, b: int, rank_p: int,
-                          sign_fix: int = 1) -> list[list[Fraction]]:
+                          sign_fix: int = 1) -> list[list[tuple[int, Fraction]]]:
     """Constant cochain-level map realizing: contract the a-th fiber factor,
     compose with a hom(fiber, base) value, wedge the base factors.
 
     Maps tensor(hom(fiber, base), hom(P, quot^{a,b})) components to
-    hom(P, quot^{a-1,b+1}) components."""
+    hom(P, quot^{a-1,b+1}) components; one sparse row of ``(column,
+    coefficient)`` pairs per output component, columns increasing."""
     n, qx = m.base_rank, m.fiber_rank
     Ia = list(combinations(range(qx), a))
     Ia1 = list(combinations(range(qx), a - 1))
@@ -243,9 +250,8 @@ def _theta_pairing_matrix(m: GtModel, a: int, b: int, rank_p: int,
     ia1pos = {I: i for i, I in enumerate(Ia1)}
     kb1pos = {K: i for i, K in enumerate(Kb1)}
     rank_quot_in = len(Kb) * len(Ia)
-    rank_in = (n * qx) * (rank_quot_in * rank_p)
     rank_out = (len(Kb1) * len(Ia1)) * rank_p
-    out = [[Q(0)] * rank_in for _ in range(rank_out)]
+    out: list[dict[int, Fraction]] = [{} for _ in range(rank_out)]
     norm = Fraction(sign_fix, factorial(a))
     for bi in range(n):
         for fi in range(qx):
@@ -266,9 +272,9 @@ def _theta_pairing_matrix(m: GtModel, a: int, b: int, rank_p: int,
                     coeff = norm * tsign * wsign
                     for pi in range(rank_p):
                         col = h * (rank_quot_in * rank_p) + (qi_in * rank_p + pi)
-                        row = qi_out * rank_p + pi
-                        out[row][col] += coeff
-    return out
+                        row = out[qi_out * rank_p + pi]
+                        row[col] = row.get(col, 0) + coeff
+    return [sorted((c, v) for c, v in row.items() if v) for row in out]
 
 
 # The coboundary here is transport(v_b) - v_a, under which the connecting
@@ -290,7 +296,8 @@ def model_class_map(m: GtModel, a: int, b: int, p: int, nu: CechCochain,
     out_spec = hom_into_quotient(m, a - 1, b + 1)
     if out_quot.rank == 0 or P.rank == 0:
         return _finalize(CechCochain(out_spec, p + 1))
-    TM = _theta_pairing_matrix(m, a, b, P.rank, MODEL_CLASS_MAP_SIGN)
+    TM = _cached(m, ("theta pairing", a, b, P.rank),
+                 lambda: _theta_pairing_matrix(m, a, b, P.rank, MODEL_CLASS_MAP_SIGN))
     return _finalize(cup_product(m.theta, nu).map(TM, out_spec), window)
 
 
@@ -306,21 +313,17 @@ def tau_push_identity(m: GtModel, a: int, b: int, nu: CechCochain) -> CechCochai
     n = m.base_rank
     Kb = list(combinations(range(n), b))
     rank_quot = len(Kb) * qx
-    sections = {}
-    for key, vec in cup.sections.items():
-        vars = m.space.cover.chart(key[0]).vars
-        out = [LaurentPoly.zero(vars) for _ in range(rank_quot * P_rank)]
-        for fo in range(qx):
-            for fi in range(qx):
-                h = fo * qx + fi
-                for kpos in range(len(Kb)):
-                    for pi in range(P_rank):
-                        qi_in = kpos * qx + fi
-                        col = h * (rank_quot * P_rank) + (qi_in * P_rank + pi)
-                        row = (kpos * qx + fo) * P_rank + pi
-                        out[row] = out[row] + vec[col]
-        sections[key] = out
-    return CechCochain(nu.sheaf, nu.degree, sections)
+    # output (fo, K, p) collects input (fo, fi) x (K, fi, p) over fi
+    rows = [[] for _ in range(rank_quot * P_rank)]
+    for fo in range(qx):
+        for fi in range(qx):
+            h = fo * qx + fi
+            for kpos in range(len(Kb)):
+                for pi in range(P_rank):
+                    qi_in = kpos * qx + fi
+                    col = h * (rank_quot * P_rank) + (qi_in * P_rank + pi)
+                    rows[(kpos * qx + fo) * P_rank + pi].append((col, Q(1)))
+    return cup.map([sorted(row) for row in rows], nu.sheaf)
 
 
 # --------------------------------------------------- refined splitting type
@@ -351,15 +354,15 @@ def refined_splitting_data(m: GtModel, cochain: CechCochain,
             best_b = b
             break
         hom_quot = sheaf_hom(P, diagonal_block(amb, complement))
-        proj = kron(selection_matrix(complement, amb.rank), identity_matrix(P.rank))
-        if solve_coboundary(cochain.map(proj, hom_quot), window=window) is not None:
+        if solve_coboundary(cochain.restrict(_hom_frames(complement, P.rank), hom_quot),
+                            window=window) is not None:
             best_b = b
             break
     if best_b is None:
         return RefinedLevelReport(level, None, None)
     lifted = _lift_into_piece(m, cochain, level, best_b, window)
-    graded_proj = kron(selection_matrix(filt.graded[best_b], amb.rank), identity_matrix(P.rank))
-    graded = lifted.map(graded_proj, hom_into_quotient(m, level - best_b, best_b))
+    graded = lifted.restrict(_hom_frames(filt.graded[best_b], P.rank),
+                             hom_into_quotient(m, level - best_b, best_b))
     return RefinedLevelReport(level, best_b, cohomology_class(graded, window=window))
 
 
@@ -370,8 +373,7 @@ def _lift_into_piece(m: GtModel, cochain: CechCochain, level: int, b: int,
     filt = filtration_of(m, level)
     rank_p = parity_spec(m, level).rank
     inside = set(filt.pieces[b])
-    outside = {idx * rank_p + pi for idx in range(filt.ambient.rank) if idx not in inside
-               for pi in range(rank_p)}
+    outside = set(_hom_frames([i for i in range(filt.ambient.rank) if i not in inside], rank_p))
     w = solve_coboundary(cochain, window=window, frames=outside)
     if w is None:
         raise CocycleError("no lift although the quotient image is trivial")
@@ -466,8 +468,8 @@ def verify_obstruction_compatibility(total: SuperGluingData,
     idxs_total = list(combinations(range(1, q + 1), level))
     keep = [k for k, I in enumerate(idxs_total) if all(i <= qx for i in I)]
     n_rows = w_total.sheaf.rank // len(idxs_total)
-    columns = kron(identity_matrix(n_rows), selection_matrix(keep, len(idxs_total)))
-    p_cochain = w_total.map(columns, fib_hom)
+    columns = [r * len(idxs_total) + k for r in range(n_rows) for k in keep]
+    p_cochain = w_total.restrict(columns, fib_hom)
     if not is_cocycle(p_cochain):
         raise CocycleError("restricted deviation data is not a cocycle")
     i_cochain = deviation_cochain(fiber, level, fiber_reduced)

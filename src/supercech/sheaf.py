@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .errors import CocycleError
 from .gluing import invert_laurent_matrix, laurent_det
-from .laurent import LaurentPoly, Q, dot
+from .laurent import LaurentPoly, Q, collect, dot, mul_into
 from .spaces import ReducedSpace
 
 
@@ -39,12 +39,6 @@ def mat_mul(a: list[list], b: list[list], vars: tuple[str, ...] | None = None) -
     vars = _context(vars, a, b)
     cols = list(zip(*b))
     return [[_dot(row, col, vars) for col in cols] for row in a]
-
-
-def mat_vec(m: list[list], v: list, vars: tuple[str, ...] | None = None) -> list:
-    """``m . v``, with the entry conventions of :func:`mat_mul`."""
-    vars = _context(vars, [v], m)
-    return [_dot(row, v, vars) for row in m]
 
 
 def _context(vars, *matrices):
@@ -132,10 +126,14 @@ class SheafSpec:
         self.basis_labels = tuple(basis_labels) if basis_labels is not None else tuple(range(rank))
         self.extension = extension  # (sub_spec, quot_spec) when built as an extension
         self.linearizations: dict = {}  # cech._delta0_linearization by window bound
-        # (operand, spec) of tensor, hom, dual and exterior powers with this
-        # spec on the left, by (operation, id(operand)) or (operation, k)
+        # (operand, spec) of tensor, hom and exterior powers with this spec
+        # on the left, by (operation, id(operand)) or (operation, k)
         self.derived: dict[tuple, tuple] = {}
+        self._dual: SheafSpec | None = None  # sheaf_dual, which every hom uses
         self._transported: dict[tuple, list[list[LaurentPoly]]] = {}  # _matrix_in
+        # (rows, columns) of _nonzeros_in by (chart, key)
+        self._nonzeros: dict[tuple, tuple] = {}
+        self._max_pole_order: int | None = None
         cover = space.cover
         for key in cover.overlaps:
             if key not in matrices:
@@ -172,30 +170,60 @@ class SheafSpec:
             self._transported[(chart, key)] = moved
         return moved
 
+    def _nonzeros_in(self, chart: str, key: tuple[str, str]) -> tuple[tuple, tuple]:
+        """Nonzero pattern of ``_matrix_in(chart, key)``: ``(rows, columns)``,
+        where ``rows[i]`` lists the ``(j, entry)`` pairs of row i with a
+        nonzero entry and ``columns[j]`` the ``(i, entry)`` pairs of column j,
+        both in increasing index order."""
+        pattern = self._nonzeros.get((chart, key))
+        if pattern is None:
+            m = self._matrix_in(chart, key)
+            rows = tuple(tuple((j, e) for j, e in enumerate(row) if e.terms) for row in m)
+            columns = [[] for _ in range(self.rank)]
+            for i, row in enumerate(rows):
+                for j, e in row:
+                    columns[j].append((i, e))
+            pattern = self._nonzeros[(chart, key)] = (rows, tuple(map(tuple, columns)))
+        return pattern
+
     # ------------------------------------------------------------- transport
 
     def transport(self, frm: str, to: str, vector: list[LaurentPoly]) -> list[LaurentPoly]:
         """Re-express a component vector given in ``frm`` frame/coordinates in
-        the ``to`` frame/coordinates (the two charts must overlap)."""
-        composed = [self.space.compose_into(to, frm, p) for p in vector]
-        matrix = self._matrix_in(to, (frm, to))
-        return mat_vec(matrix, composed)
+        the ``to`` frame/coordinates (the two charts must overlap).  Only the
+        nonzero components are moved and only the nonzero entries of the
+        transition matrix multiplied."""
+        compose = self.space.compose_into
+        moved = [compose(to, frm, p).terms if p.terms else None for p in vector]
+        vars = self._vars(to)
+        out = []
+        for row in self._nonzeros_in(to, (frm, to))[0]:
+            acc: dict = {}
+            for j, e in row:
+                if moved[j] is not None:
+                    mul_into(acc, e.terms, moved[j])
+            out.append(LaurentPoly(vars, collect(acc), trusted=True))
+        return out
 
     def zero_vector(self, chart: str) -> list[LaurentPoly]:
         return [LaurentPoly.zero(self._vars(chart)) for _ in range(self.rank)]
 
     def max_pole_order(self) -> int:
-        worst = 0
-        for m in self.matrices.values():
-            for row in m:
-                for e in row:
-                    for exps in e.terms:
+        """Largest absolute exponent in the transition matrices and in the
+        coordinate maps of the space (computed once)."""
+        if self._max_pole_order is None:
+            worst = 0
+            for m in self.matrices.values():
+                for row in m:
+                    for e in row:
+                        for exps in e.terms:
+                            worst = max(worst, max((abs(x) for x in exps), default=0))
+            for cmap in self.space.coordinate_maps.values():
+                for img in cmap.values():
+                    for exps in img.terms:
                         worst = max(worst, max((abs(x) for x in exps), default=0))
-        for cmap in self.space.coordinate_maps.values():
-            for img in cmap.values():
-                for exps in img.terms:
-                    worst = max(worst, max((abs(x) for x in exps), default=0))
-        return worst
+            self._max_pole_order = worst
+        return self._max_pole_order
 
     def same_cover(self, other: "SheafSpec") -> bool:
         return self.space is other.space or (
@@ -222,7 +250,9 @@ def _derived(owner: SheafSpec, key: tuple, operand, build) -> SheafSpec:
 
 
 def sheaf_dual(spec: SheafSpec) -> SheafSpec:
-    return _derived(spec, ("dual",), None, lambda: _dual(spec))
+    if spec._dual is None:
+        spec._dual = _dual(spec)
+    return spec._dual
 
 
 def _dual(spec: SheafSpec) -> SheafSpec:
@@ -261,15 +291,11 @@ def sheaf_hom(a: SheafSpec, b: SheafSpec) -> SheafSpec:
 
 
 def _hom(a: SheafSpec, b: SheafSpec) -> SheafSpec:
-    mats = {}
-    for key in a.matrices:
-        if a.rank == 0 or b.rank == 0:
-            mats[key] = []
-            continue
-        inv = invert_laurent_matrix(a.matrices[key])
-        if inv is None:
-            raise CocycleError(f"matrix on {key} not invertible in the Laurent class")
-        mats[key] = kron(b.matrices[key], mat_transpose(inv))
+    if a.rank == 0 or b.rank == 0:
+        mats = {key: [] for key in a.matrices}
+    else:
+        dual = sheaf_dual(a)
+        mats = {key: kron(b.matrices[key], dual.matrices[key]) for key in a.matrices}
     labels = tuple((lb, la) for lb in b.basis_labels for la in a.basis_labels)
     return SheafSpec(a.space, a.rank * b.rank, mats, labels, check=False)
 
@@ -328,11 +354,6 @@ class FilteredSheaf:
     graded: dict[int, list[int]]
     piece_specs: dict[int, SheafSpec]
     quotient_specs: dict[int, SheafSpec]
-
-    def projection_matrix(self, k: int) -> list[list[Fraction]]:
-        """Constant matrix projecting F_k onto F_k / F_{k+1}."""
-        big = self.pieces[k]
-        return selection_matrix([big.index(e) for e in self.graded[k]], len(big))
 
     def verify(self) -> None:
         """Exact block-triangularity and quotient-equals-Kronecker checks."""

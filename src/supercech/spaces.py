@@ -58,6 +58,8 @@ class Cover:
             for e in ((a, b), (b, c), (a, c)):
                 if e not in pairs:
                     raise ValueError(f"triple ({a},{b},{c}) misses overlap {e}")
+        # a cover is not changed once built, so its canonical tuples are fixed
+        self._canonical_overlaps, self._canonical_triples = self._canonical()
 
     def chart(self, name: str) -> Chart:
         return self.charts[name]
@@ -65,26 +67,29 @@ class Cover:
     def index(self, name: str) -> int:
         return self.order.index(name)
 
-    def canonical_overlaps(self) -> list[tuple[str, str]]:
+    def canonical_overlaps(self) -> tuple[tuple[str, str], ...]:
         """One representative per unordered overlap, in declaration order."""
+        return self._canonical_overlaps
+
+    def canonical_triples(self) -> tuple[tuple[str, str, str], ...]:
+        return self._canonical_triples
+
+    def _canonical(self):
         seen = set()
-        out = []
+        overlaps = []
         for a, b in self.overlaps:
             key = frozenset((a, b))
             if key not in seen:
                 seen.add(key)
-                out.append((a, b) if self.index(a) < self.index(b) else (b, a))
-        return out
-
-    def canonical_triples(self) -> list[tuple[str, str, str]]:
+                overlaps.append((a, b) if self.index(a) < self.index(b) else (b, a))
         seen = set()
-        out = []
+        triples = []
         for t in self.triples:
             key = frozenset(t)
             if key not in seen:
                 seen.add(key)
-                out.append(tuple(sorted(t, key=self.index)))
-        return out
+                triples.append(tuple(sorted(t, key=self.index)))
+        return tuple(overlaps), tuple(triples)
 
 
 class MonomialMap:
@@ -128,7 +133,7 @@ class MonomialMap:
                     del out[new]
                     continue
             out[new] = c
-        return LaurentPoly(self.target, out)
+        return LaurentPoly(self.target, out, trusted=True)
 
 
 class ReducedSpace:

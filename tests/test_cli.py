@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -160,6 +161,31 @@ gtmodel M
   theta U0 U1
     x^-1
 """
+
+
+@pytest.mark.parametrize("command,model,flags", [
+    ("obstruction", "two_parameter_family", ("--window-hi", "200")),
+    ("obstruction", "two_parameter_family", ("--window-hi", "60")),
+    ("attempt-split", "two_parameter_family", ("--window-lo", "-200")),
+    ("secondary", "gt_model_p1", ("--window-hi", "100000")),
+])
+def test_window_over_the_system_budget_is_undecidable(capsys, command, model, flags):
+    # explicit windows skip the derived-window cap; the delta0 system's
+    # unknowns (charts x rank x window box) are bounded for every window
+    t0 = time.process_time()
+    code, _, err = run_cli(capsys, command, "--input", str(corpus_path(f"{model}.model")),
+                           *flags)
+    assert time.process_time() - t0 < 1
+    assert code == 3
+    assert f"exponent window 0..{abs(int(flags[1]))} " in err and "over the budget of" in err
+
+
+def test_explicit_window_inside_the_budget_is_decided(capsys):
+    path = str(corpus_path("two_parameter_family.model"))
+    _, derived, _ = run_cli(capsys, "obstruction", "--input", path, "--format", "structured")
+    code, out, _ = run_cli(capsys, "obstruction", "--input", path, "--format", "structured",
+                           "--window-hi", "12")
+    assert code == 0 and out == derived
 
 
 def _with_line(lineno, text):

@@ -1,0 +1,297 @@
+"""The sparse Cech kernel against dense references.
+
+Transport, frame maps, the theta pairing and the Laurent inverse visit only
+nonzero entries; ``dense_reference`` keeps the entry-by-entry versions they
+must agree with.  Cochains built through the trusted constructor branch must
+equal the same data passed through the checking constructor.
+"""
+
+import os
+import random
+import time
+from functools import cache
+from types import SimpleNamespace
+
+from hypothesis import given, settings, strategies as st
+
+import dense_reference as dense
+from conftest import corpus_path, load_model
+from supercech.cech import CechCochain, cech_delta, cup_product
+from supercech.errors import SupercechError
+from supercech.gluing import invert_laurent_matrix, laurent_det
+from supercech.laurent import LaurentPoly, Q
+from supercech.secondary import _hom_frames, _theta_pairing_matrix, filtration_of
+from supercech.sheaf import (diagonal_block, identity_matrix, kron, mat_mul,
+                             mat_transpose, selection_matrix, sheaf_dual,
+                             sheaf_exterior_power, sheaf_hom, sheaf_tensor)
+
+PROPERTY = settings(derandomize=True, max_examples=15, deadline=None, database=None)
+
+
+@cache
+def corpus_sheaves():
+    """Every sheaf of the corpus: declared sheaves, the specs of each gt model
+    and the odd spec of every gluing that reduces."""
+    out = []
+    for name in sorted(os.listdir(os.path.dirname(str(corpus_path("split_p1.model"))))):
+        if not name.endswith(".model"):
+            continue
+        doc = load_model(name)
+        out.extend(doc.sheaves.values())
+        for m in doc.gt_models.values():
+            out.extend([m.fiber_spec, m.base_spec, m.total_odd, m.theta.sheaf])
+        if doc.gluing is not None:
+            try:
+                out.append(doc.gluing.reduce()[1])
+            except SupercechError:
+                pass  # corrupt_sign is not a valid gluing
+    return out
+
+
+@cache
+def transport_specs():
+    """The corpus sheaves, their tensor, hom, dual and exterior-power specs,
+    and the filtration pieces of gt_model_p1."""
+    base = [s for s in corpus_sheaves() if s.rank]
+    out = list(base)
+    for a in base:
+        out.append(sheaf_dual(a))
+        out.extend(sheaf_exterior_power(a, k) for k in range(2, a.rank + 1))
+        for b in base:
+            if a.same_cover(b) and a.rank * b.rank <= 36:
+                out.extend([sheaf_tensor(a, b), sheaf_hom(a, b)])
+    (m,) = load_model("gt_model_p1.model").gt_models.values()
+    for level in range(1, m.total_odd.rank + 1):
+        filt = filtration_of(m, level)
+        out.extend(filt.piece_specs.values())
+        out.extend(filt.quotient_specs.values())
+    return [s for s in out if s.rank]
+
+
+def polys(vars):
+    """Laurent polynomials over ``vars`` with a few small terms, zero often."""
+    term = st.tuples(st.tuples(*[st.integers(-2, 2) for _ in vars]),
+                     st.fractions(-3, 3, max_denominator=3))
+    return st.one_of(st.just(LaurentPoly.zero(vars)),
+                     st.dictionaries(st.tuples(*[st.integers(-2, 2) for _ in vars]),
+                                     st.fractions(-3, 3, max_denominator=3),
+                                     max_size=3).map(lambda t: LaurentPoly(vars, t)),
+                     term.map(lambda t: LaurentPoly.monomial(vars, t[1], t[0])))
+
+
+def regular_polys(vars):
+    return st.dictionaries(st.tuples(*[st.integers(0, 2) for _ in vars]),
+                           st.fractions(-3, 3, max_denominator=3),
+                           max_size=2).map(lambda t: LaurentPoly(vars, t))
+
+
+def cochains(data, spec, degree):
+    cover = spec.space.cover
+    keys = ([(n,) for n in cover.order] if degree == 0
+            else list(cover.canonical_overlaps()))
+    draw = regular_polys if degree == 0 else polys
+    return CechCochain(spec, degree, {
+        k: [data.draw(draw(cover.chart(k[0]).vars)) for _ in range(spec.rank)]
+        for k in keys})
+
+
+# ---------------------------------------------------------------- transport
+
+
+def random_poly(rng, vars):
+    """Zero half the time, else up to three terms with small exponents."""
+    if rng.random() < 0.5:
+        return LaurentPoly.zero(vars)
+    return LaurentPoly(vars, {tuple(rng.randint(-2, 2) for _ in vars):
+                              Q(rng.randint(-3, 3), rng.randint(1, 3))
+                              for _ in range(rng.randint(1, 3))})
+
+
+@settings(PROPERTY, max_examples=5)
+@given(st.integers(0, 2 ** 32))
+def test_transport_equals_dense_product_on_every_overlap(seed):
+    rng = random.Random(seed)
+    specs = transport_specs()
+    assert len(specs) > 100
+    for spec in specs:
+        cover = spec.space.cover
+        for frm, to in cover.overlaps:
+            vector = [random_poly(rng, cover.chart(frm).vars) for _ in range(spec.rank)]
+            assert spec.transport(frm, to, vector) == dense.transport(spec, frm, to, vector)
+
+
+def test_nonzero_patterns_match_the_dense_matrices():
+    for spec in transport_specs():
+        for frm, to in spec.space.cover.overlaps:
+            for chart in (frm, to):
+                dense_m = spec._matrix_in(chart, (frm, to))
+                pattern = spec._nonzeros_in(chart, (frm, to))
+                assert spec._nonzeros_in(chart, (frm, to)) is pattern
+                rows, columns = pattern
+                assert [[(j, e) for j, e in enumerate(r) if not e.is_zero()]
+                        for r in dense_m] == [list(r) for r in rows]
+                assert [[(i, dense_m[i][j]) for i in range(spec.rank)
+                         if not dense_m[i][j].is_zero()]
+                        for j in range(spec.rank)] == [list(c) for c in columns]
+
+
+# --------------------------------------------------------------- frame maps
+
+
+@cache
+def frame_specs():
+    (m,) = load_model("gt_model_p1.model").gt_models.values()
+    return m, [m.total_odd, sheaf_hom(m.fiber_spec, m.total_odd),
+               filtration_of(m, 2).ambient]
+
+
+@PROPERTY
+@given(st.data())
+def test_restrict_and_extend_equal_the_selection_matrix_maps(data):
+    m, specs = frame_specs()
+    spec = data.draw(st.sampled_from(specs))
+    n = spec.rank
+    frames = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    block = diagonal_block(spec, frames)
+    degree = data.draw(st.integers(0, 1))
+    c = cochains(data, spec, degree)
+    assert c.restrict(frames, block) == dense.map_cochain(c, selection_matrix(frames, n), block)
+    small = cochains(data, block, degree)
+    assert small.extend(frames, spec) == \
+        dense.map_cochain(small, mat_transpose(selection_matrix(frames, n)), spec)
+    # frames of hom(P, X) over frames of X: kron(selection, identity)
+    P = m.fiber_spec
+    hom, hom_block = sheaf_hom(P, spec), sheaf_hom(P, block)
+    h = cochains(data, hom, degree)
+    projection = kron(selection_matrix(frames, n), identity_matrix(P.rank))
+    assert h.restrict(_hom_frames(frames, P.rank), hom_block) == \
+        dense.map_cochain(h, projection, hom_block)
+
+
+@PROPERTY
+@given(st.data())
+def test_sparse_map_equals_the_dense_map(data):
+    _, specs = frame_specs()
+    spec = data.draw(st.sampled_from(specs))
+    c = cochains(data, spec, data.draw(st.integers(0, 1)))
+    target = data.draw(st.sampled_from(specs))
+    matrix = [[data.draw(st.sampled_from([Q(0), Q(0), Q(1), Q(-2, 3)]))
+               for _ in range(spec.rank)] for _ in range(target.rank)]
+    rows = [[(j, v) for j, v in enumerate(row) if v] for row in matrix]
+    assert c.map(rows, target) == dense.map_cochain(c, matrix, target)
+
+
+def test_sparse_theta_pairing_equals_the_dense_matrix():
+    for n in range(1, 4):
+        for q in range(1, 4):
+            m = SimpleNamespace(base_rank=n, fiber_rank=q)
+            for a in range(1, q + 1):
+                for b in range(n):
+                    for rank_p in (1, 2):
+                        for sign in (1, -1):
+                            rows = _theta_pairing_matrix(m, a, b, rank_p, sign)
+                            want = dense.theta_pairing_matrix(n, q, a, b, rank_p, sign)
+                            assert len(rows) == len(want)
+                            got = [[Q(0)] * len(want[0]) for _ in want]
+                            for i, row in enumerate(rows):
+                                assert [j for j, _ in row] == sorted({j for j, _ in row})
+                                for j, v in row:
+                                    assert v != 0
+                                    got[i][j] = v
+                            assert got == want
+
+
+# --------------------------------------------------------- trusted cochains
+
+
+def rebuilt(c):
+    """``c`` passed through the checking constructor: equal, keys in the
+    same (canonical) order."""
+    again = CechCochain(c.sheaf, c.degree, c.sections)
+    assert list(again.sections) == list(c.sections)
+    assert all(type(v) is list and len(v) == c.sheaf.rank for v in c.sections.values())
+    return again
+
+
+@PROPERTY
+@given(st.data())
+def test_trusted_cochains_equal_checked_rebuilds(data):
+    _, specs = frame_specs()
+    three = load_model("split_p1_three_charts.model").gluing.reduce()[1]
+    spec = data.draw(st.sampled_from(specs + [three]))
+    degree = data.draw(st.integers(0, 1))
+    u, v = cochains(data, spec, degree), cochains(data, spec, degree)
+    n = spec.rank
+    frames = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    block = diagonal_block(spec, frames)
+    results = [u + v, u - v, -u, u.scale(Q(-3, 2)), u.scale(0), cech_delta(u),
+               u.restrict(frames, block), u.restrict(frames, block).extend(frames, spec),
+               u.map([[(j, Q(j + 1))] for j in range(n)], spec),
+               cup_product(u, cochains(data, three if spec is three else specs[0], 0))]
+    for r in results:
+        assert rebuilt(r) == r
+
+
+# ------------------------------------------------------------ Laurent inverse
+
+
+X = ("x", "y")
+
+
+def laurent_matrices(n):
+    entry = st.one_of(
+        st.just(LaurentPoly.zero(X)),
+        st.builds(lambda c, e: LaurentPoly.monomial(X, c, e),
+                  st.sampled_from([Q(1), Q(-1), Q(2), Q(1, 2)]),
+                  st.tuples(st.integers(-2, 2), st.integers(-2, 2))))
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def unimodular_matrices(draw, n):
+    """Monomial diagonal times elementary row operations: the determinant is
+    a monomial, so the inverse exists."""
+    m = [[draw(laurent_matrices(1))[0][0] if i == j else LaurentPoly.zero(X)
+          for j in range(n)] for i in range(n)]
+    for i in range(n):
+        if m[i][i].is_zero():
+            m[i][i] = LaurentPoly.const(X, 1)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            f = draw(laurent_matrices(1))[0][0]
+            m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(lambda n: st.one_of(laurent_matrices(n),
+                                                     unimodular_matrices(n))))
+def test_inverse_equals_the_cofactor_reference(matrix):
+    assert laurent_det(matrix) == dense.laurent_det(matrix)
+    got = invert_laurent_matrix(matrix)
+    assert got == dense.invert_laurent_matrix(matrix)
+    if got is not None:
+        assert mat_mul(matrix, got) == identity_matrix(len(matrix), X)
+
+
+def test_inverse_of_a_singular_or_non_monomial_matrix_is_none():
+    x = LaurentPoly.var(X, "x")
+    one = LaurentPoly.const(X, 1)
+    assert invert_laurent_matrix([[x, x], [x, x]]) is None
+    assert invert_laurent_matrix([[x + one, one], [one, one]]) is not None   # det x
+    assert invert_laurent_matrix([[x + one, one], [one, x]]) is None         # det x^2 + x - 1
+
+
+def test_dense_eight_by_eight_inverse_is_fast():
+    # an upper unitriangular matrix of all-nonzero entries times its
+    # transpose: every entry nonzero, determinant 1
+    n = 8
+    upper = [[LaurentPoly.const(X, 1 if i == j else (i + 2 * j) % 5 + 1) if j >= i
+              else LaurentPoly.zero(X) for j in range(n)] for i in range(n)]
+    A = mat_mul(upper, mat_transpose(upper))
+    assert all(not e.is_zero() for row in A for e in row)
+    t0 = time.process_time()
+    inv = invert_laurent_matrix(A)
+    assert time.process_time() - t0 < 1
+    assert mat_mul(A, inv) == identity_matrix(n, X)
