@@ -6,7 +6,7 @@ and decides splitting/obstruction questions by finite exact linear algebra.
 """
 
 from .errors import (CocycleError, ContextError, LevelError, ParseError,
-                     PoleError, SubstitutionError, SupercechError, WindowError)
+                     SubstitutionError, SupercechError, WindowError)
 from .laurent import LaurentPoly
 from .grassmann import GrassmannElement
 from .spaces import Chart, Cover, ReducedSpace

@@ -19,12 +19,11 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .errors import CocycleError, WindowError
-from .gluing import invert_laurent_matrix
 from .laurent import LaurentPoly, Q, add_into, collect
 from . import linalg
 from .sheaf import (SheafSpec, diagonal_block, frames_leak, hom_unflatten,
-                    identity_matrix, mat_mul, mat_transpose, selection_matrix,
-                    sheaf_hom, sheaf_tensor)
+                    mat_mul, mat_transpose, selection_matrix, sheaf_hom,
+                    sheaf_tensor)
 
 WINDOW_CAP = 60
 # Largest delta0 system, in unknowns (charts x rank x window box), built for
@@ -222,11 +221,11 @@ def is_cocycle(c: CechCochain) -> bool:
 # ------------------------------------------------------------------ windows
 
 
-def auto_window(sheaf: SheafSpec, *cochains: CechCochain, pad: int = 1,
+def auto_window(sheaf: SheafSpec, *cochains: CechCochain,
                 window: int | None = None) -> int:
     if window is not None:
         return window
-    bound = sheaf.max_pole_order() + pad
+    bound = sheaf.max_pole_order() + 1
     for c in cochains:
         bound += c.max_exponent()
     if bound > WINDOW_CAP:
@@ -675,31 +674,3 @@ def extension_sheaf(sub: SheafSpec, quot: SheafSpec, cocycle: CechCochain) -> Sh
                          check=True, extension=(sub, quot))
     except CocycleError as exc:
         raise CocycleError(f"invalid extension data: {exc}") from exc
-
-
-def extension_gauge(sub: SheafSpec, quot: SheafSpec, witness: CechCochain) -> dict[str, list[list[LaurentPoly]]]:
-    """Chartwise block-unipotent gauge [[I, w_alpha],[0, I]] built from a
-    0-cochain witness relating two cohomologous extension cocycles."""
-    cover = sub.space.cover
-    out = {}
-    for name in cover.order:
-        vars = cover.chart(name).vars
-        w = hom_unflatten(witness.sections[(name,)], sub.rank, quot.rank)
-        g = identity_matrix(sub.rank + quot.rank, vars)
-        for i in range(sub.rank):
-            g[i][sub.rank:] = w[i]
-        out[name] = g
-    return out
-
-
-def specs_gauge_equivalent(spec1: SheafSpec, spec2: SheafSpec,
-                           gauges: dict[str, list[list[LaurentPoly]]]) -> bool:
-    """Check spec2 = g_b . spec1 . g_a^{-1} on every overlap."""
-    cover = spec1.space.cover
-    for (a, b) in cover.overlaps:
-        ga_inv = invert_laurent_matrix(gauges[a])
-        gb = [[spec1.space.compose_into(a, b, e) for e in row] for row in gauges[b]]
-        lhs = mat_mul(gb, mat_mul(spec1.matrices[(a, b)], ga_inv))
-        if lhs != spec2.matrices[(a, b)]:
-            return False
-    return True

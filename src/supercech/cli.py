@@ -173,9 +173,10 @@ def _dispatch(args, doc, rep: Reporter) -> int:
         g = _require_gluing(doc)
         if args.at:
             g = g.restrict_fiber(_parse_point(args.at))
+        # verifies the cocycle conditions, also when --level is given
+        j = g.splitting_type()
         level = args.level
         if level is None:
-            j = g.splitting_type()
             if j == INFINITY:
                 rep.emit("splitting_type", INFINITY)
                 rep.emit("class", "0")

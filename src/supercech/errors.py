@@ -15,10 +15,6 @@ class SubstitutionError(SupercechError):
     that coordinate have to be expanded)."""
 
 
-class PoleError(SupercechError):
-    """Evaluation at a point where some coefficient has a pole."""
-
-
 class CocycleError(SupercechError):
     """Input that was required to satisfy a cocycle/inverse condition does not."""
 

@@ -11,17 +11,16 @@ from .errors import CocycleError, SupercechError
 from .gluing import INFINITY, SuperGluingData, SuperTransition
 from .grassmann import GrassmannElement, Substitution
 from .laurent import LaurentPoly, Q
-from .obstruction import _scaling_witnesses, attempt_split, scaling_action
+from .obstruction import _scaling_witnesses, scaling_action
 from .spaces import Chart, Cover
 
 
 @dataclass
 class FamilySpec:
-    """Gluing data flagged as a family, plus fiber-model bookkeeping."""
+    """Gluing data flagged as a family over the named base coordinates."""
 
     gluing: SuperGluingData
     base_vars: tuple[str, ...]
-    base_point: dict[str, Fraction] | None = None
 
     def fiber(self, point: dict[str, Fraction]) -> SuperGluingData:
         return self.gluing.restrict_fiber(point)
@@ -78,22 +77,13 @@ def rothstein_family(g: SuperGluingData, base_var: str = "t") -> FamilySpec:
         raise CocycleError(str(report.failures[0]))
     extended = extend_with_base(g, (base_var,))
     if g.splitting_type(verify=False) == INFINITY:
-        return FamilySpec(extended, (base_var,), base_point={base_var: Q(0)})
+        return FamilySpec(extended, (base_var,))
     fam = scaling_action(extended, base_var)
     report = fam.verify_cocycle()
     if not report.ok:
         raise CocycleError("scaling produced invalid data: "
                            + str(report.failures[0]))
-    return FamilySpec(fam, (base_var,), base_point={base_var: Q(0)})
-
-
-def is_weakly_centrally_split(family: FamilySpec) -> bool:
-    """True when the fiber over the distinguished base point is certified
-    split by the level-by-level solver; needs a recorded base point."""
-    if family.base_point is None:
-        raise SupercechError("no distinguished base point recorded")
-    fiber = family.fiber(family.base_point)
-    return attempt_split(fiber).split
+    return FamilySpec(fam, (base_var,))
 
 
 # --------------------------------------------------------------- witnesses

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import CocycleError, ContextError, SupercechError
 from .grassmann import GrassmannElement, Substitution
 from .laurent import LaurentPoly, collect, mul_into
-from .spaces import Chart, Cover, ReducedSpace
+from .spaces import Chart, Cover, MonomialMap, ReducedSpace
 
 INFINITY = float("inf")
 
@@ -158,7 +158,7 @@ def compose_transitions(s: SuperTransition, t: SuperTransition) -> SuperTransiti
     return SuperTransition(s.source, t.target, even, odd, check=False)
 
 
-def invert_transition(t: SuperTransition, max_iter: int | None = None) -> SuperTransition:
+def invert_transition(t: SuperTransition) -> SuperTransition:
     """Exact inverse of an admissible transition, solved order by order in
     odd degree.  Raises if the data is not invertible in the Laurent class."""
     src, tgt = t.source, t.target
@@ -190,19 +190,18 @@ def invert_transition(t: SuperTransition, max_iter: int | None = None) -> SuperT
     if zeta_inv is None:
         raise SupercechError("degree-one odd matrix is not invertible over Laurent polynomials")
     # express the inverted matrix in target coordinates via the reduced inverse
-    body_images = {v: g.body() for v, g in even0.items()}
+    to_target = MonomialMap([even0[v].body() for v in src.vars], tv)
     odd0: dict[int, GrassmannElement] = {}
     for a in range(1, src.odd_rank + 1):
         acc = GrassmannElement.zero(tv, tq)
         for b in range(1, tgt.odd_rank + 1):
-            entry = zeta_inv[a - 1][b - 1].subs_monomial(body_images, tv)
+            entry = to_target.apply(zeta_inv[a - 1][b - 1])
             acc = acc + GrassmannElement.odd_gen(tv, tq, b) * entry
         odd0[a] = acc
 
     inverse = SuperTransition(tgt, src, even0, odd0, check=False)
     ident = identity_transition(src)
-    limit = max_iter if max_iter is not None else src.odd_rank + 3
-    for _ in range(limit):
+    for _ in range(src.odd_rank + 3):
         comp = compose_transitions(t, inverse)
         d_even = {v: comp.even_maps[v] - ident.even_maps[v] for v in src.vars}
         d_odd = {a: comp.odd_maps[a] - ident.odd_maps[a] for a in range(1, src.odd_rank + 1)}
@@ -506,9 +505,6 @@ class EmbeddingTriple:
     fiber: float
     family: float
     lemma_holds: bool
-
-    def as_tuple(self):
-        return (self.embedding, self.fiber, self.family)
 
 
 def _first_discrepancy(got: SuperTransition, expected: SuperTransition) -> str:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
-from .errors import ContextError, PoleError, SubstitutionError
+from .errors import ContextError
 
 Q = Fraction
 
@@ -206,50 +206,6 @@ class LaurentPoly:
         return LaurentPoly(new_vars, out)
 
     # -------------------------------------------------------------- mappings
-
-    def subs_monomial(self, images: Mapping[str, "LaurentPoly"], target_vars: tuple[str, ...]) -> "LaurentPoly":
-        """Substitute each variable by an invertible Laurent monomial (or, for
-        variables occurring only with nonnegative exponents, any polynomial).
-
-        ``images`` must cover every variable of the context; the result lives
-        over ``target_vars``.
-        """
-        result = LaurentPoly.zero(target_vars)
-        cache: dict[tuple[str, int], LaurentPoly] = {}
-        for exps, c in self.terms.items():
-            term = LaurentPoly.const(target_vars, c)
-            for v, e in zip(self.vars, exps):
-                if e == 0:
-                    continue
-                key = (v, e)
-                if key not in cache:
-                    img = images[v]
-                    if img.vars != target_vars:
-                        img = img.with_context(target_vars)
-                    if e < 0 and not img.is_monomial():
-                        if img.is_zero():
-                            raise PoleError(f"substituting {v} -> 0 into negative power")
-                        raise SubstitutionError(
-                            f"negative power of {v} but image is not an invertible monomial")
-                    cache[key] = img ** e
-                term = term * cache[key]
-            result = result + term
-        return result
-
-    def eval_at(self, point: Mapping[str, Fraction]) -> "LaurentPoly":
-        """Evaluate a subset of variables at rational values; the remaining
-        variables form the context of the result."""
-        keep = tuple(v for v in self.vars if v not in point)
-        images: dict[str, LaurentPoly] = {}
-        for v in self.vars:
-            if v in point:
-                images[v] = LaurentPoly.const(keep, _as_fraction(point[v]))
-            else:
-                images[v] = LaurentPoly.var(keep, v)
-        try:
-            return self.subs_monomial(images, keep)
-        except SubstitutionError as exc:
-            raise PoleError(str(exc)) from exc
 
     def split_by(self, group_vars: tuple[str, ...]) -> dict[tuple[int, ...], "LaurentPoly"]:
         """Group terms by their exponents in ``group_vars``; values live over

@@ -283,34 +283,10 @@ class SplittingTypeDifferential:
     cochain: CechCochain | None      # None for split families
 
     def __call__(self, point: dict[str, Fraction]) -> ObstructionClass | None:
+        """The obstruction class of the fiber over ``point``."""
         if self.cochain is None:
             return None
-        level = int(self.level)
-        fiber = self.family.restrict_fiber(point)
-        reduced = fiber.reduce(verify=False)
-        hom = deviation_hom_spec(fiber, level, reduced)
-        q = next(iter(fiber.cover.charts.values())).odd_rank
-        n_idx = len(list(combinations(range(q), level)))
-        sections = {}
-        for key, vec in self.cochain.sections.items():
-            family_chart = self.family.cover.chart(key[0])
-            lead = fiber.cover.chart(key[0]).vars
-            if level % 2 == 0:
-                # drop the base-coordinate target rows (zero by the family
-                # structure); the fiber tangent keeps the fiber rows only
-                rows = [i for i, v in enumerate(family_chart.vars)
-                        if v not in self.family.base_vars]
-            else:
-                rows = list(range(family_chart.odd_rank))
-            out = []
-            for i in rows:
-                for k in range(n_idx):
-                    out.append(vec[i * n_idx + k].eval_at(point).with_context(lead))
-            sections[key] = out
-        cochain = CechCochain(hom, 1, sections)
-        cls = cohomology_class(cochain)
-        return ObstructionClass(level, cochain, cls,
-                                "even" if level % 2 == 0 else "odd")
+        return obstruction_cocycle(self.family.restrict_fiber(point), int(self.level))
 
 
 def splitting_type_differential(g: SuperGluingData) -> SplittingTypeDifferential:
@@ -408,15 +384,15 @@ def characteristic_factorization(g: SuperGluingData,
         cls = cohomology_class(c, window=window)
         reps[m] = cls.representative
 
-    base_point = None
+    base_monomial = None
     for m in monomials:
         if not reps[m].is_zero():
-            base_point = m
+            base_monomial = m
             break
-    if base_point is None:
+    if base_monomial is None:
         return CharacteristicFactorization(True, LaurentPoly.zero(g.base_vars),
                                            None, level, True)
-    r0 = reps[base_point]
+    r0 = reps[base_monomial]
     s_terms: dict[tuple[int, ...], Fraction] = {}
     for m in monomials:
         lam = _proportionality(reps[m], r0)
@@ -424,7 +400,7 @@ def characteristic_factorization(g: SuperGluingData,
             return CharacteristicFactorization(
                 False, None, None, level, False,
                 violation=f"coefficient of base monomial {m} is not a rational "
-                          f"multiple of the one at {base_point}")
+                          f"multiple of the one at {base_monomial}")
         if lam != 0:
             s_terms[m] = lam
     section = LaurentPoly(g.base_vars, s_terms)

@@ -67,15 +67,13 @@ def gt_model(space: ReducedSpace, fiber_spec: SheafSpec, base_rank: int,
 class ModelClassReport:
     cls: CohomologyClass
     cross_validated: bool
-    sign: int | None     # delta(identity) = sign * theta up to coboundary
+    sign: int            # delta(identity) = sign * theta up to coboundary
 
 
-def model_class(m: GtModel, cross_validate: bool = True) -> ModelClassReport:
+def model_class(m: GtModel) -> ModelClassReport:
     """Class of the extension cocycle; cross-validated against the connecting
     image of the identity section in the hom-twisted exact sequence."""
     cls = cohomology_class(m.theta)
-    if not cross_validate:
-        return ModelClassReport(cls, False, None)
     # the base frames of hom(fiber, total_odd) come first (target index major)
     ses = ShortExactSequence(sheaf_hom(m.fiber_spec, m.total_odd),
                              list(range(m.base_rank * m.fiber_rank)))
@@ -203,26 +201,6 @@ def secondary_differential(m: GtModel, a: int, b: int, p: int,
 
 
 # -------------------------------------------------------- model class map
-
-
-def contraction_matrix(rank: int, a: int) -> list[list[Fraction]]:
-    """Constant matrix of (1/a!) sum_t e_t (x) d/d e_t from the a-th exterior
-    power into (rank) x (a-1 exterior) tensor components."""
-    if a < 1:
-        raise ValueError("contraction needs a >= 1")
-    src = list(combinations(range(rank), a))
-    tgt_small = list(combinations(range(rank), a - 1))
-    tpos = {K: i for i, K in enumerate(tgt_small)}
-    rows = rank * len(tgt_small)
-    out = [[Q(0)] * len(src) for _ in range(rows)]
-    norm = Fraction(1, factorial(a))
-    for col, I in enumerate(src):
-        for pos, t in enumerate(I):
-            K = tuple(v for v in I if v != t)
-            sign = -1 if pos % 2 else 1
-            row = t * len(tgt_small) + tpos[K]
-            out[row][col] += sign * norm
-    return out
 
 
 def _wedge_insert(element: int, K: tuple[int, ...]):

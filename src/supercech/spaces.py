@@ -97,9 +97,9 @@ class MonomialMap:
 
     Variable i of the source goes to ``c_i * x^E_i`` over ``target``, so the
     term ``c * prod v_i^e_i`` goes to ``c * prod c_i^e_i`` times ``x`` to the
-    power ``sum e_i E_i``.  The result equals
-    ``LaurentPoly.subs_monomial`` with the same images, terms in the same
-    order."""
+    power ``sum e_i E_i``.  This is the one re-expression of Laurent
+    polynomials under a monomial coordinate change: chart transport and the
+    inverse of a transition both go through it."""
 
     __slots__ = ("target", "columns", "coefs")
 

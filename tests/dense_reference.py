@@ -1,4 +1,6 @@
-"""Dense exact elimination, kept as a reference for the sparse ``linalg``.
+"""Plain references for the optimised kernels: dense exact elimination for
+the sparse ``linalg``, dense sheaf maps for the sparse Cech kernel, and
+term-by-term substitution for ``spaces.MonomialMap``.
 
 Matrices are lists of lists of ``Fraction``.  Pivots are the first nonzero
 entry scanning columns left to right, taken from the topmost remaining row.
@@ -181,3 +183,60 @@ def invert_laurent_matrix(matrix):
             cof = laurent_det(minor)
             out[j][i] = (-cof if (i + j) % 2 else cof) * det_inv
     return out
+
+
+def contraction_matrix(rank, a):
+    """Constant matrix of (1/a!) sum_t e_t (x) d/d e_t from the a-th exterior
+    power into (rank) x (a-1 exterior) tensor components: the contraction
+    ``secondary._theta_pairing_matrix`` applies to the fiber factor."""
+    from itertools import combinations
+    from math import factorial
+    src = list(combinations(range(rank), a))
+    tgt_small = list(combinations(range(rank), a - 1))
+    tpos = {K: i for i, K in enumerate(tgt_small)}
+    out = [[Q(0)] * len(src) for _ in range(rank * len(tgt_small))]
+    norm = Q(1, factorial(a))
+    for col, I in enumerate(src):
+        for pos, t in enumerate(I):
+            K = tuple(v for v in I if v != t)
+            sign = -1 if pos % 2 else 1
+            out[t * len(tgt_small) + tpos[K]][col] += sign * norm
+    return out
+
+
+# ---------------------------------------------------------- Laurent layer
+
+
+def subs_monomial(poly, images, target):
+    """Substitute each variable of ``poly`` by its image over ``target``, one
+    term at a time with image powers from ``LaurentPoly.__pow__``: the
+    reference for ``spaces.MonomialMap``.  A variable that occurs with a
+    negative exponent needs an invertible monomial image; one that occurs
+    with nonnegative exponents only may go to any polynomial (a constant,
+    for evaluation)."""
+    from supercech.laurent import LaurentPoly
+    result = LaurentPoly.zero(target)
+    cache = {}
+    for exps, c in poly.terms.items():
+        term = LaurentPoly.const(target, c)
+        for v, e in zip(poly.vars, exps):
+            if e == 0:
+                continue
+            if (v, e) not in cache:
+                img = images[v].with_context(target)
+                if e < 0 and not img.is_monomial():
+                    raise ValueError(f"negative power of {v} needs a monomial image, got {img}")
+                cache[(v, e)] = img ** e
+            term = term * cache[(v, e)]
+        result = result + term
+    return result
+
+
+def evaluate(poly, point):
+    """``poly`` with the variables named in ``point`` set to those rationals;
+    the other variables form the context of the result."""
+    from supercech.laurent import LaurentPoly
+    keep = tuple(v for v in poly.vars if v not in point)
+    images = {v: LaurentPoly.const(keep, point[v]) if v in point else LaurentPoly.var(keep, v)
+              for v in poly.vars}
+    return subs_monomial(poly, images, keep)

@@ -52,6 +52,21 @@ def test_obstruction_structured(capsys):
     assert "canonical=U0|U1 -> (-x^-1)" in out
 
 
+def test_obstruction_at_a_given_level_verifies_first(tmp_path, capsys):
+    # one transition of nonsplit_p1 with its deviation doubled: the pair is
+    # no longer mutually inverse, so no level may be decided on it
+    text = corpus_path("nonsplit_p1.model").read_text()
+    text = text.replace("splitting_type 2\n", "").replace(
+        "x = 1/y + y^-3*theta_1*theta_2", "x = 1/y + 2*y^-3*theta_1*theta_2")
+    path = tmp_path / "bad_inverse.model"
+    path.write_text(text)
+    for flags in ((), ("--level", "2")):
+        code, out, err = run_cli(capsys, "obstruction", "--input", str(path),
+                                 "--format", "structured", *flags)
+        assert code == 1 and out == ""
+        assert "inverse check failed on ('U0', 'U1')" in err
+
+
 def test_attempt_split_reports(capsys):
     code, out, _ = run_cli(capsys, "attempt-split", "--input",
                            str(corpus_path("nonsplit_p1.model")))

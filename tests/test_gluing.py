@@ -11,6 +11,7 @@ from supercech.parsing import parse_element
 from supercech.spaces import Chart, Cover
 
 from conftest import load_model
+from dense_reference import evaluate
 
 
 def P(chart, text):
@@ -38,6 +39,20 @@ def test_invert_solves_correction_term(nonsplit_p1):
 def test_invert_level3(nonsplit_p1_level3):
     t01 = nonsplit_p1_level3.transitions[("U0", "U1")]
     assert invert_transition(t01) == nonsplit_p1_level3.transitions[("U1", "U0")]
+
+
+CORPUS = ["corrupt_sign", "gt_model_p1", "gtm_odd_base", "nonsplit_p1", "nonsplit_p1_level3",
+          "split_p1", "split_p1_three_charts", "two_parameter_family"]
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_invert_composes_to_the_identity_on_both_sides(name):
+    # every transition of every corpus model, including the two of
+    # corrupt_sign, which are each invertible but not each other's inverse
+    for t in load_model(f"{name}.model").gluing.transitions.values():
+        inv = invert_transition(t)
+        assert compose_transitions(t, inv).is_identity()
+        assert compose_transitions(inv, t).is_identity()
 
 
 def test_verify_passes_on_corpus(split_p1, nonsplit_p1, split_three_charts,
@@ -105,22 +120,22 @@ def test_reduce_commutes_with_restriction(two_parameter_family):
     for key, cmap in space_fiber.coordinate_maps.items():
         for v, img in cmap.items():
             full = space_total.coordinate_maps[key][v]
-            assert img == full.eval_at(point).with_context(img.vars)
+            assert img == evaluate(full, point).with_context(img.vars)
     for key in spec_fiber.matrices:
         got = spec_fiber.matrices[key]
         full = spec_total.matrices[key]
         for r1, r2 in zip(got, full):
             for e1, e2 in zip(r1, r2):
-                assert e1 == e2.eval_at(point).with_context(e1.vars)
+                assert e1 == evaluate(e2, point).with_context(e1.vars)
 
 
 def test_embedding_triples(two_parameter_family):
     g = two_parameter_family
     t = g.embedding_splitting_triple({"t1": Q(1), "t2": Q(1)})
-    assert t.as_tuple() == (2, 2, 2)
+    assert (t.embedding, t.fiber, t.family) == (2, 2, 2)
     assert t.lemma_holds
     t0 = g.embedding_splitting_triple({"t1": Q(0), "t2": Q(0)})
-    assert t0.as_tuple() == (INFINITY, INFINITY, 2)
+    assert (t0.embedding, t0.fiber, t0.family) == (INFINITY, INFINITY, 2)
     assert t0.lemma_holds  # split-fiber convention
 
 

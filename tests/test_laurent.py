@@ -2,8 +2,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from supercech.errors import ContextError, PoleError, SubstitutionError
+from supercech.errors import ContextError
 from supercech.laurent import LaurentPoly
+from supercech.spaces import MonomialMap
 
 X = ("x",)
 XT = ("x", "t")
@@ -57,27 +58,13 @@ def test_derivative():
     assert p.derivative("x") == mono(3, (2,)) + mono(-2, (-3,))
 
 
-def test_subs_monomial_composition():
+def test_monomial_map_composition():
     p = mono(1, (2,))
-    inv = {"x": mono(1, (-1,))}
-    assert p.subs_monomial(inv, X) == mono(1, (-2,))
-    half = {"x": mono(Q(1, 2), (1,))}
-    assert p.subs_monomial(half, X) == mono(Q(1, 4), (2,))
-
-
-def test_subs_polynomial_only_for_nonnegative_powers():
-    p = mono(1, (2,))
-    images = {"x": mono(1, (1,)) + mono(1, (0,))}
-    assert p.subs_monomial(images, X) == mono(1, (2,)) + mono(2, (1,)) + mono(1, (0,))
-    with pytest.raises(SubstitutionError):
-        mono(1, (-1,)).subs_monomial(images, X)
-
-
-def test_eval_at_and_pole():
-    p = LaurentPoly(XT, {(1, 2): Q(3), (0, 0): Q(1)})
-    assert p.eval_at({"t": Q(2)}) == mono(12, (1,)) + mono(1, (0,))
-    with pytest.raises(PoleError):
-        LaurentPoly(XT, {(0, -1): Q(1)}).eval_at({"t": Q(0)})
+    assert MonomialMap([mono(1, (-1,))], X).apply(p) == mono(1, (-2,))
+    assert MonomialMap([mono(Q(1, 2), (1,))], X).apply(p) == mono(Q(1, 4), (2,))
+    # only invertible monomials are images
+    with pytest.raises(ValueError):
+        MonomialMap([mono(1, (1,)) + mono(1, (0,))], X)
 
 
 def test_split_by_groups_base_monomials():

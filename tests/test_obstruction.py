@@ -1,18 +1,22 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
-from supercech.cech import is_cocycle
-from supercech.errors import CocycleError, LevelError
+from supercech.cech import CechCochain, cohomology_class, is_cocycle
+from supercech.errors import CocycleError, LevelError, SupercechError
+from supercech.family import rothstein_family
 from supercech.gluing import INFINITY, SuperTransition, identity_transition
-from supercech.obstruction import (attempt_split, characteristic_factorization,
-                                   deviation_cochain, obstruction_cocycle,
+from supercech.obstruction import (ObstructionClass, attempt_split,
+                                   characteristic_factorization, deviation_cochain,
+                                   deviation_hom_spec, obstruction_cocycle,
                                    scale_class, scaling_action,
                                    splitting_type_differential)
 from supercech.parsing import parse_element
 
-from conftest import random_grassmann
+from conftest import load_model, random_grassmann
+from dense_reference import evaluate
 
 
 def P(chart, text):
@@ -148,6 +152,69 @@ def test_differential_and_factorization(two_parameter_family):
     assert [str(p) for p in cf.omega.representative.sections[("U0", "U1")]] == ["-x^-1"]
 
 
+def evaluated_differential(d, point):
+    """The fiber class over ``point`` read off the family's deviation
+    cochain: every entry evaluated at the point, the base-coordinate target
+    rows (zero by the family structure) dropped at even levels."""
+    level = int(d.level)
+    fiber = d.family.restrict_fiber(point)
+    hom = deviation_hom_spec(fiber, level, fiber.reduce(verify=False))
+    q = next(iter(fiber.cover.charts.values())).odd_rank
+    n_idx = len(list(combinations(range(q), level)))
+    sections = {}
+    for key, vec in d.cochain.sections.items():
+        family_chart = d.family.cover.chart(key[0])
+        lead = fiber.cover.chart(key[0]).vars
+        if level % 2 == 0:
+            rows = [i for i, v in enumerate(family_chart.vars) if v not in d.family.base_vars]
+        else:
+            rows = range(family_chart.odd_rank)
+        sections[key] = [evaluate(vec[i * n_idx + k], point).with_context(lead)
+                         for i in rows for k in range(n_idx)]
+    cochain = CechCochain(hom, 1, sections)
+    return ObstructionClass(level, cochain, cohomology_class(cochain),
+                            "even" if level % 2 == 0 else "odd")
+
+
+def differential_families():
+    out = []
+    for name in ("nonsplit_p1", "nonsplit_p1_level3", "gtm_odd_base", "two_parameter_family"):
+        out.append(rothstein_family(load_model(f"{name}.model").gluing).gluing)
+    return out + [load_model("two_parameter_family.model").gluing]
+
+
+VALUES = [Q(0), Q(1), Q(-1), Q(2), Q(-2), Q(1, 2), Q(-1, 3), Q(3), Q(5, 2), Q(1, 7), Q(-4), Q(7, 3)]
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except SupercechError as exc:
+        return type(exc)
+
+
+def test_differential_equals_the_evaluated_family_cochain():
+    rng = random.Random(7)
+    pairs = 0
+    for fam in differential_families():
+        d = splitting_type_differential(fam)
+        # 12 points per family; the first is the origin of the base
+        points = [{v: Q(0) for v in fam.base_vars}]
+        points += [{v: rng.choice(VALUES) for v in fam.base_vars} for _ in range(11)]
+        for point in points:
+            got, want = outcome(d, point), outcome(evaluated_differential, d, point)
+            pairs += 1
+            if isinstance(want, type):
+                assert got is want
+                continue
+            assert (got.level, got.parity) == (want.level, want.parity)
+            assert got.cochain.sheaf.matrices == want.cochain.sheaf.matrices
+            assert got.cochain.sections == want.cochain.sections
+            assert got.cls.trivial == want.cls.trivial
+            assert got.cls.representative.sections == want.cls.representative.sections
+    assert pairs == 60
+
+
 def test_factorization_of_split_family(split_p1):
     from supercech.family import split_family
     fam = split_family(split_p1, ("t",))
@@ -175,7 +242,7 @@ def test_fiber_class_matches_scaled_class(two_parameter_family):
     d = splitting_type_differential(g)
     for point in ({"t1": Q(1), "t2": Q(0)}, {"t1": Q(2), "t2": Q(1)},
                   {"t1": Q(0), "t2": Q(2)}):
-        s_val = cf.section.eval_at(point).constant_value()
+        s_val = evaluate(cf.section, point).constant_value()
         fiber_class = d(point)
         expected = cf.omega.representative.scale(s_val)
         assert fiber_class.cls.representative == expected

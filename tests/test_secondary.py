@@ -6,12 +6,13 @@ import pytest
 from supercech.cech import CechCochain, cohomology_class, is_coboundary
 from supercech.errors import CocycleError, SupercechError
 from supercech.laurent import LaurentPoly
-from supercech.secondary import (contraction_matrix, gt_model, model_class,
-                                 model_class_map, quotient_spec,
+from supercech.secondary import (gt_model, model_class, model_class_map, quotient_spec,
                                  secondary_differential, secondary_space,
                                  tau_push_identity, verify_a1_containment,
                                  verify_obstruction_compatibility)
 from supercech.sheaf import filtration, sheaf_exterior_power, sheaf_tensor
+
+from dense_reference import contraction_matrix
 
 
 @pytest.fixture(scope="module")

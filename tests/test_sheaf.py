@@ -1,14 +1,16 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from supercech.cech import (CechCochain, extension_sheaf, extension_gauge,
-                            is_coboundary, specs_gauge_equivalent)
+from supercech.cech import (CechCochain, cech_delta, cohomology_basis, extension_sheaf,
+                            is_coboundary)
 from supercech.errors import CocycleError
+from supercech.gluing import invert_laurent_matrix
 from supercech.laurent import LaurentPoly
-from supercech.sheaf import (SheafSpec, filtration, kron, sheaf_dual,
-                             sheaf_exterior_power, sheaf_hom, sheaf_tensor,
-                             trivial_spec)
+from supercech.sheaf import (SheafSpec, filtration, hom_unflatten, identity_matrix, kron,
+                             mat_mul, sheaf_dual, sheaf_exterior_power, sheaf_hom,
+                             sheaf_tensor, trivial_spec)
 
 from conftest import line_bundle
 
@@ -105,20 +107,89 @@ def test_extension_rejects_non_cocycle(split_three_charts):
         extension_sheaf(sub, quot, bad)
 
 
-def test_cohomologous_cocycles_give_gauge_equivalent_extensions(p1_space):
-    sub = trivial_spec(p1_space, 1)
-    quot = line_bundle(p1_space, 2)
+# ------------------------------------------------------------ gauge oracle
+
+
+def extension_gauge(sub, quot, witness):
+    """Chartwise block-unipotent gauge [[I, w_alpha],[0, I]] built from a
+    0-cochain witness relating two cohomologous extension cocycles."""
+    cover = sub.space.cover
+    out = {}
+    for name in cover.order:
+        w = hom_unflatten(witness.sections[(name,)], sub.rank, quot.rank)
+        g = identity_matrix(sub.rank + quot.rank, cover.chart(name).vars)
+        for i in range(sub.rank):
+            g[i][sub.rank:] = w[i]
+        out[name] = g
+    return out
+
+
+def specs_gauge_equivalent(spec1, spec2, gauges):
+    """Check spec2 = g_b . spec1 . g_a^{-1} on every overlap."""
+    for (a, b) in spec1.space.cover.overlaps:
+        ga_inv = invert_laurent_matrix(gauges[a])
+        gb = [[spec1.space.compose_into(a, b, e) for e in row] for row in gauges[b]]
+        if mat_mul(gb, mat_mul(spec1.matrices[(a, b)], ga_inv)) != spec2.matrices[(a, b)]:
+            return False
+    return True
+
+
+def split_bundle(space, degrees):
+    """O(n_1) + ... + O(n_r) on the two-chart projective line."""
+    mats = {}
+    for (a, b) in space.cover.overlaps:
+        vars = space.cover.chart(a).vars
+        mats[(a, b)] = [[LaurentPoly.monomial(vars, 1, (-n,)) if i == j else LaurentPoly.zero(vars)
+                         for j, n in enumerate(degrees)] for i in range(len(degrees))]
+    return SheafSpec(space, len(degrees), mats)
+
+
+COEFFICIENTS = st.sampled_from([Q(1), Q(-1), Q(2), Q(-1, 2)])
+
+
+@st.composite
+def extension_data(draw):
+    """Degrees of two split bundles of rank 1-2 on the projective line, the
+    entries of a hom(quot, sub) 1-cocycle on the first overlap and of a
+    0-cochain witness on each chart: each entry is zero (None) or one
+    (coefficient, exponent) monomial.  Witness entries are regular on their
+    chart, so the gauge is an isomorphism."""
+    degrees = st.lists(st.integers(-2, 2), min_size=1, max_size=2)
+    sub, quot = draw(degrees), draw(degrees)
+    n = len(sub) * len(quot)
+
+    def entries(exponents):
+        return st.lists(st.one_of(st.none(), st.tuples(COEFFICIENTS, exponents)),
+                        min_size=n, max_size=n)
+
+    return (sub, quot, draw(entries(st.integers(-3, 3))),
+            [draw(entries(st.integers(0, 2))) for _ in range(2)])
+
+
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(extension_data())
+@example(([0], [2], [(Q(1), -1)], [[(Q(2), 1)], [None]]))
+def test_cohomologous_cocycles_give_gauge_equivalent_extensions(p1_space, data):
+    sub_degrees, quot_degrees, cocycle, witnesses = data
+    sub, quot = split_bundle(p1_space, sub_degrees), split_bundle(p1_space, quot_degrees)
     hom = sheaf_hom(quot, sub)
-    vars0 = p1_space.cover.chart("U0").vars
-    c1 = CechCochain(hom, 1, {("U0", "U1"): [LaurentPoly.monomial(vars0, 1, (-1,))]})
-    # add a coboundary: witness supported on U0
-    witness = CechCochain(hom, 0, {("U0",): [LaurentPoly.monomial(vars0, 2, (1,))]})
-    from supercech.cech import cech_delta
-    c2 = c1 + cech_delta(witness)
+    cover = p1_space.cover
+
+    def section(name, entries):
+        vars = cover.chart(name).vars
+        return [LaurentPoly.zero(vars) if e is None else LaurentPoly.monomial(vars, e[0], (e[1],))
+                for e in entries]
+
+    (a, b) = cover.canonical_overlaps()[0]
+    c1 = CechCochain(hom, 1, {(a, b): section(a, cocycle)})
+    # add a coboundary
+    witness = CechCochain(hom, 0, {(name,): section(name, entries)
+                                   for name, entries in zip(cover.order, witnesses)})
     e1 = extension_sheaf(sub, quot, c1)
-    e2 = extension_sheaf(sub, quot, c2)
-    gauges = extension_gauge(sub, quot, witness)
-    assert specs_gauge_equivalent(e1, e2, gauges)
+    e2 = extension_sheaf(sub, quot, c1 + cech_delta(witness))
+    assert specs_gauge_equivalent(e1, e2, extension_gauge(sub, quot, witness))
+    for degree in (0, 1):
+        assert len(cohomology_basis(e1, degree)) == len(cohomology_basis(e2, degree))
 
 
 def test_filtration_blocks_and_quotients(p1_space):

@@ -1,5 +1,5 @@
 """Coordinate substitution between charts: the monomial exponent map behind
-``ReducedSpace.compose_into`` against the substitution it replaces."""
+``ReducedSpace.compose_into`` against term-by-term substitution."""
 
 import random
 from fractions import Fraction as Q
@@ -10,6 +10,7 @@ from supercech.laurent import LaurentPoly
 from supercech.spaces import Chart, Cover, ReducedSpace
 
 from conftest import load_model
+from dense_reference import subs_monomial
 
 # every corpus model whose reduced space is valid (corrupt_sign fails its
 # inverse check on purpose)
@@ -45,8 +46,7 @@ def random_poly(rng: random.Random, vars) -> LaurentPoly:
 
 def old_compose_into(space, a, b, poly):
     cmap = space.coordinate_maps[(a, b)]
-    return poly.subs_monomial({v: cmap[v] for v in poly.vars},
-                              space.cover.chart(a).vars)
+    return subs_monomial(poly, {v: cmap[v] for v in poly.vars}, space.cover.chart(a).vars)
 
 
 @pytest.mark.parametrize("name,space", spaces())
