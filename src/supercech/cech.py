@@ -257,16 +257,35 @@ def _window_unknowns(sheaf: SheafSpec, bound: int) -> int:
                for name in cover.order)
 
 
-def _delta0_linearization(sheaf: SheafSpec, bound: int) -> _Linearization:
-    cache = sheaf.linearizations
-    if bound in cache:
-        return cache[bound]
+def _check_budget(sheaf: SheafSpec, bound: int) -> None:
     size = _window_unknowns(sheaf, bound)
     if size > MAX_UNKNOWNS:
         raise WindowError(
             f"exponent window 0..{bound} needs a delta0 system of {size} unknowns "
             f"({len(sheaf.space.cover.order)} charts x rank {sheaf.rank} x window box), "
             f"over the budget of {MAX_UNKNOWNS}; pass a smaller window")
+
+
+def _basis_bound(sheaf: SheafSpec, degree: int, bound: int) -> int:
+    """Window of the delta0 system behind an H^degree basis in window
+    ``bound``: H^1 witnesses may need exponents one pole-order beyond it."""
+    return bound if degree == 0 else bound + sheaf.max_pole_order() + 1
+
+
+def check_window(sheaf: SheafSpec, window: int | None, degree: int | None = None) -> None:
+    """Raise at once the WindowError over the system budget that deciding a
+    class on ``sheaf`` (``degree`` None) or its H^degree basis in the
+    explicit ``window`` would raise; derived windows are checked when the
+    system is built."""
+    if window is not None and sheaf.rank:
+        _check_budget(sheaf, window if degree is None else _basis_bound(sheaf, degree, window))
+
+
+def _delta0_linearization(sheaf: SheafSpec, bound: int) -> _Linearization:
+    cache = sheaf.linearizations
+    if bound in cache:
+        return cache[bound]
+    _check_budget(sheaf, bound)
     cover = sheaf.space.cover
     space = sheaf.space
     overlaps = cover.canonical_overlaps()
@@ -482,8 +501,6 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
     if sheaf.rank == 0:
         return []
     bound = auto_window(sheaf, window=window)
-    # witnesses may need exponents one pole-order beyond the candidate window
-    witness_bound = bound + sheaf.max_pole_order() + 1
     cover = sheaf.space.cover
     if degree == 0:
         lin = _delta0_linearization(sheaf, bound)
@@ -493,7 +510,7 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
     if degree != 1:
         raise ValueError("cohomology_basis supports degrees 0 and 1")
     # built first, so that a window over budget fails before any work
-    lin = _delta0_linearization(sheaf, witness_bound)
+    lin = _delta0_linearization(sheaf, _basis_bound(sheaf, 1, bound))
 
     # candidate monomials on canonical overlaps, within each overlap's
     # regularity cone (negative exponents only in inverted coordinates)

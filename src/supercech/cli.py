@@ -21,8 +21,8 @@ from .modelfile import parse_model_file, write_gluing
 from .obstruction import (attempt_split, characteristic_factorization,
                           obstruction_cocycle, scaling_action)
 from .family import glue_over_p1, read_glued_family, rothstein_family, write_glued_family
-from .secondary import (model_class, secondary_space, verify_a1_containment,
-                        verify_obstruction_compatibility)
+from .secondary import (check_a1_window, model_class, secondary_spaces,
+                        verify_a1_containment, verify_obstruction_compatibility)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -238,15 +238,8 @@ def _dispatch(args, doc, rep: Reporter) -> int:
         for name, m in doc.gt_models.items():
             mc = model_class(m)
             rep.emit(f"{name}.model_class_trivial", mc.cls.trivial)
-            rank = m.total_odd.rank
-            for level in range(1, rank + 1):
-                for b in range(0, level + 1):
-                    a = level - b
-                    if a > m.fiber_rank or b > m.base_rank:
-                        continue
-                    for p in (0, 1):
-                        space = secondary_space(m, a, b, p, window=window)
-                        rep.emit(f"{name}.dim[a={a},b={b},p={p}]", space.dimension)
+            for s in secondary_spaces(m, window=window):
+                rep.emit(f"{name}.dim[a={s.a},b={s.b},p={s.p}]", s.dimension)
         return EXIT_PASS
 
     if cmd == "a1-check":
@@ -256,6 +249,8 @@ def _dispatch(args, doc, rep: Reporter) -> int:
         for name, m in doc.gt_models.items():
             bs = [args.level] if args.level is not None else \
                 list(range(0, m.base_rank))
+            for b in bs:
+                check_a1_window(m, b, 0, window)
             for b in bs:
                 r = verify_a1_containment(m, b, 0, window=window)
                 rep.emit(f"{name}.b={b}.dimension", r.dimension)

@@ -53,12 +53,16 @@ def _extend(g: GrassmannElement, chart: Chart) -> GrassmannElement:
                             {i: c.with_context(chart.vars) for i, c in g.terms.items()})
 
 
+def _require_cocycle(g: SuperGluingData, prefix: str = "") -> None:
+    report = g.verify_cocycle()
+    if not report.ok:
+        raise CocycleError(prefix + str(report.failures[0]))
+
+
 def split_family(split_model: SuperGluingData, base_vars: tuple[str, ...]) -> FamilySpec:
     """Constant family with the given (split) fiber model."""
     fam = extend_with_base(split_model, base_vars)
-    report = fam.verify_cocycle()
-    if not report.ok:
-        raise CocycleError(str(report.failures[0]))
+    _require_cocycle(fam)
     return FamilySpec(fam, tuple(base_vars))
 
 
@@ -72,17 +76,17 @@ def rothstein_family(g: SuperGluingData, base_var: str = "t") -> FamilySpec:
     (j even) resp. t^(j-1) (j odd).  For split input the result is the
     constant family.
     """
-    report = g.verify_cocycle()
-    if not report.ok:
-        raise CocycleError(str(report.failures[0]))
+    _require_cocycle(g)
+    return _scaling_family(g, base_var)
+
+
+def _scaling_family(g: SuperGluingData, base_var: str) -> FamilySpec:
+    """:func:`rothstein_family` of gluing data already verified."""
     extended = extend_with_base(g, (base_var,))
     if g.splitting_type(verify=False) == INFINITY:
         return FamilySpec(extended, (base_var,))
     fam = scaling_action(extended, base_var)
-    report = fam.verify_cocycle()
-    if not report.ok:
-        raise CocycleError("scaling produced invalid data: "
-                           + str(report.failures[0]))
+    _require_cocycle(fam, "scaling produced invalid data: ")
     return FamilySpec(fam, (base_var,))
 
 
@@ -204,8 +208,9 @@ def glue_over_p1(g: SuperGluingData, base_vars: tuple[str, str] = ("t", "s"),
                  witness_exponent: int = -2) -> GluedFamily:
     """One-parameter scaling families of ``g`` over the two standard charts,
     glued over t' = 1/t with the (t^-2)-scaling witness."""
-    low = rothstein_family(g, base_vars[0])
-    high = rothstein_family(g, base_vars[1])
+    _require_cocycle(g)
+    low = _scaling_family(g, base_vars[0])
+    high = _scaling_family(g, base_vars[1])
     return GluedFamily(low, high, tuple(base_vars), witness_exponent)
 
 

@@ -14,6 +14,13 @@ the base of a negative exponent) must be invertible, i.e. have a single-term
 reduced part; this keeps every result a Laurent-polynomial-coefficient
 element.
 
+Evaluation builds no element per atom: a term's numbers, coordinates and
+``theta_k`` (with powers, unary minus and division by a monomial) fold into
+one running monomial with the Koszul sign of ``grassmann._koszul_sign``, and
+each term is added into one ``{mask: {exps: coef}}`` accumulator, as in
+Grassmann products.  A group that is not a monomial, its powers and
+divisions by it use :class:`GrassmannElement` arithmetic.
+
 Input budgets keep the work of one expression bounded: an exponent may not
 exceed ``MAX_EXPONENT`` in absolute value, and no product or power may
 expand to more than ``MAX_TERMS`` terms (coefficient monomials summed over
@@ -25,13 +32,17 @@ located :class:`~supercech.errors.ParseError`.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from math import comb, prod
+from operator import add
 
 from .errors import ParseError, SubstitutionError
-from .grassmann import GrassmannElement
+from .grassmann import GrassmannElement, _collect, _koszul_sign, _product_into
 from .laurent import LaurentPoly
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|/|\+|-|\(|\)))")
+# the last group takes a character that starts no token (or trailing space)
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))|(.)", re.S)
+_KINDS = (None, "num", "name", "op")
 _THETA = re.compile(r"^theta_([0-9]+)$")
 
 MAX_EXPONENT = 100
@@ -39,36 +50,23 @@ MAX_TERMS = 2000
 
 
 class _Tokenizer:
+    """``(kind, value, column)`` tokens, then ``(None, None, len(text))``."""
+
     def __init__(self, text: str, line: int | None = None):
-        self.text = text
         self.line = line
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
         self.i = 0
-
-    def _scan(self):
-        pos = 0
-        while pos < len(self.text):
-            m = _TOKEN.match(self.text, pos)
-            if not m or m.end() == pos:
-                if self.text[pos:].strip() == "":
-                    break
-                raise ParseError(f"unexpected character {self.text[pos]!r}",
-                                 self.line, pos + 1)
-            if m.group(1):
-                self.tokens.append(("num", m.group(1), m.start(1)))
-            elif m.group(2):
-                self.tokens.append(("name", m.group(2), m.start(2)))
-            else:
-                self.tokens.append(("op", m.group(3), m.start(3)))
-            pos = m.end()
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+        self.tokens: list[tuple[str | None, str | None, int]] = []
+        for m in _TOKEN.finditer(text):
+            kind = m.lastindex
+            if kind == 4:
+                if text[m.start():].strip():
+                    raise ParseError(f"unexpected character {m[4]!r}", line, m.start() + 1)
+                break
+            self.tokens.append((_KINDS[kind], m[kind], m.start(kind)))
+        self.tokens.append((None, None, len(text)))
 
     def next(self):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         self.i += 1
         return tok
 
@@ -77,26 +75,29 @@ class _Tokenizer:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}, found {val!r}", self.line, col + 1)
 
-    def error(self, message: str):
-        _, _, col = self.peek()
-        raise ParseError(message, self.line, col + 1)
-
 
 class ExpressionParser:
     """Parses expressions into :class:`GrassmannElement` values over a fixed
-    coordinate context."""
+    coordinate context.  A monomial ``coef * x^exps * theta_mask`` is the
+    tuple ``(coef, exps, mask)``; ``coef`` is 0 for zero."""
 
     def __init__(self, vars: tuple[str, ...], odd_rank: int):
         self.vars = tuple(vars)
         self.odd_rank = odd_rank
+        n = len(self.vars)
+        self._one = (1, (0,) * n, 0)
+        # atoms by name, theta_k added on first use; a coordinate named like
+        # an odd generator is read as that generator
+        self._atoms = {v: (1, tuple(int(i == j) for j in range(n)), 0)
+                       for i, v in enumerate(self.vars) if not _THETA.match(v)}
 
     def parse(self, text: str, line: int | None = None) -> GrassmannElement:
         tz = _Tokenizer(text, line)
         value = self._expr(tz)
-        kind, val, col = tz.peek()
+        kind, val, col = tz.tokens[tz.i]
         if kind is not None:
             raise ParseError(f"trailing input starting at {val!r}", line, col + 1)
-        return value
+        return self._element(value)
 
     def parse_poly(self, text: str, line: int | None = None) -> LaurentPoly:
         g = self.parse(text, line)
@@ -107,52 +108,116 @@ class ExpressionParser:
     # ---------------------------------------------------------------- rules
 
     def _expr(self, tz):
-        value = self._term(tz)
+        """A monomial when the expression is one term without groups, else
+        the accumulator of its terms."""
+        acc: dict[int, dict] = {}
+        sign = 1
         while True:
-            kind, val, _ = tz.peek()
-            if kind == "op" and val in "+-":
-                tz.next()
-                rhs = self._term(tz)
-                value = value + rhs if val == "+" else value - rhs
-            else:
-                return value
+            mono = self._term(tz, acc, sign)
+            kind, val, _ = tz.tokens[tz.i]
+            more = kind == "op" and val in "+-"
+            if mono is not None:
+                if sign == 1 and not (acc or more):
+                    return mono
+                c, e, m = mono
+                exps = acc.setdefault(m, {})
+                exps[e] = exps.get(e, 0) + sign * c
+            if not more:
+                return acc
+            tz.i += 1
+            sign = 1 if val == "+" else -1
 
-    def _term(self, tz):
-        value = self._factor(tz)
+    def _term(self, tz, acc, sign):
+        """Add ``sign`` times the term to ``acc``, or return its monomial if
+        it has no group.  Each ``*`` and ``/`` checks the budget of the product
+        so far (``group`` times the monomial) with the next factor."""
+        group, f = None, self._factor(tz)
+        if type(f) is not tuple:
+            group, f = f, self._one
+        c, e, m = f
         while True:
-            kind, val, col = tz.peek()
-            if kind == "op" and val in "*/":
-                tz.next()
-                rhs = self._factor(tz)
-                if val == "/":
-                    _budget(_power_bound(rhs, -1), tz.line, col)
-                    try:
-                        rhs = rhs.power(-1)
-                    except SubstitutionError as exc:
-                        raise ParseError(f"division by a non-invertible expression ({exc})",
-                                         tz.line, col + 1)
-                _budget(_product_bound(value, rhs), tz.line, col)
-                value = value * rhs
+            kind, op, col = tz.tokens[tz.i]
+            if kind != "op" or op not in "*/":
+                break
+            tz.i += 1
+            f = self._factor(tz)
+            if op == "/":
+                f = self._power(f, -1, tz.line, col, "division by")
+            if type(f) is tuple:
+                # a monomial pairs with each term of the product so far once,
+                # so only a group over the budget can break it
+                if group is not None and _size(group) > MAX_TERMS:
+                    _budget(_product_bound(group * self._element((c, e, m)), self._element(f)),
+                            tz.line, col)
+                fc, fe, fm = f
+                if m & fm:
+                    fc = 0
+                elif fm:
+                    fc *= _koszul_sign(m, fm)
+                c, e, m = c * fc, tuple(map(add, e, fe)), m | fm
             else:
-                return value
+                value = self._element((c, e, m))
+                if group is not None:
+                    value = group * value
+                _budget(_product_bound(value, f), tz.line, col)
+                group, (c, e, m) = value * f, self._one
+        if group is None:
+            return c, e, m
+        _product_into(acc, group, self._element((sign * c, e, m)))
+        return None
 
     def _factor(self, tz):
-        kind, val, _ = tz.peek()
-        if kind == "op" and val == "-":
-            tz.next()
-            return -self._factor(tz)
-        value = self._atom(tz)
-        kind, val, col = tz.peek()
-        if kind == "op" and val == "^":
-            tz.next()
-            e = self._exponent(tz)
-            _budget(_power_bound(value, e), tz.line, col)
+        kind, val, col = tz.next()
+        if kind == "name":
+            value = self._atoms.get(val)
+            if value is None:
+                theta = _THETA.match(val)
+                if not theta:
+                    raise ParseError(f"unknown coordinate {val!r}", tz.line, col + 1)
+                k = int(theta.group(1))
+                if not 1 <= k <= self.odd_rank:
+                    raise ParseError(f"theta_{k} out of range 1..{self.odd_rank}",
+                                     tz.line, col + 1)
+                value = self._atoms[val] = (1, self._one[1], 1 << k)
+        elif kind == "num":
             try:
-                value = value.power(e)
-            except SubstitutionError as exc:
-                raise ParseError(f"negative power of a non-invertible expression ({exc})",
-                                 tz.line, col + 1)
+                value = int(val), self._one[1], 0
+            except ValueError:  # longer than the interpreter converts
+                raise ParseError("integer literal is too long", tz.line, col + 1)
+        elif kind == "op" and val == "-":
+            f = self._factor(tz)
+            return (-f[0], f[1], f[2]) if type(f) is tuple else -f
+        elif kind == "op" and val == "(":
+            value = self._expr(tz)
+            tz.expect_op(")")
+            if type(value) is not tuple:
+                value = self._element(value)
+        else:
+            raise ParseError(f"unexpected token {val!r}", tz.line, col + 1)
+        kind, val, col = tz.tokens[tz.i]
+        if kind == "op" and val == "^":
+            tz.i += 1
+            value = self._power(value, self._exponent(tz), tz.line, col, "negative power of")
         return value
+
+    def _power(self, value, e: int, line, col: int, what: str):
+        """``value^e``.  A monomial stays one unless the power is negative
+        and the monomial not invertible; then the element path raises."""
+        if e == 0:
+            return self._one
+        if type(value) is tuple:
+            c, exps, m = value
+            if m and e > 0:
+                return value if e == 1 else (0, exps, 0)
+            if not m and (c or e > 0):
+                c = c ** e if e > 0 else c ** -e if c in (1, -1) else Fraction(c) ** e
+                return c, tuple(x * e for x in exps), 0
+            value = self._element(value)
+        _budget(_power_bound(value, e), line, col)
+        try:
+            return value.power(e)
+        except SubstitutionError as exc:
+            raise ParseError(f"{what} a non-invertible expression ({exc})", line, col + 1)
 
     def _exponent(self, tz) -> int:
         kind, val, col = tz.next()
@@ -171,29 +236,12 @@ class ExpressionParser:
                              tz.line, col + 1)
         return sign * int(val)
 
-    def _atom(self, tz):
-        kind, val, col = tz.next()
-        if kind == "num":
-            try:
-                return GrassmannElement.const(self.vars, self.odd_rank, int(val))
-            except ValueError:  # longer than the interpreter converts
-                raise ParseError("integer literal is too long", tz.line, col + 1)
-        if kind == "name":
-            m = _THETA.match(val)
-            if m:
-                k = int(m.group(1))
-                if not 1 <= k <= self.odd_rank:
-                    raise ParseError(f"theta_{k} out of range 1..{self.odd_rank}",
-                                     tz.line, col + 1)
-                return GrassmannElement.odd_gen(self.vars, self.odd_rank, k)
-            if val not in self.vars:
-                raise ParseError(f"unknown coordinate {val!r}", tz.line, col + 1)
-            return GrassmannElement.even_var(self.vars, self.odd_rank, val)
-        if kind == "op" and val == "(":
-            value = self._expr(tz)
-            tz.expect_op(")")
-            return value
-        raise ParseError(f"unexpected token {val!r}", tz.line, col + 1)
+    def _element(self, value) -> GrassmannElement:
+        """The element of a monomial or of an accumulator."""
+        if type(value) is tuple:
+            c, e, m = value
+            value = {m: {e: c}}
+        return _collect(self.vars, self.odd_rank, value)
 
 
 def _budget(bound: int, line: int | None, col: int):

@@ -17,8 +17,9 @@ from itertools import combinations
 from math import factorial
 
 from .cech import (CechCochain, CohomologyClass, ShortExactSequence, cech_delta,
-                   cohomology_basis, cohomology_class, connecting_map, cup_product,
-                   extension_sheaf, is_coboundary, is_cocycle, solve_coboundary)
+                   check_window, cohomology_basis, cohomology_class, connecting_map,
+                   cup_product, extension_sheaf, is_coboundary, is_cocycle,
+                   solve_coboundary)
 from .errors import CocycleError, SupercechError
 from .gluing import SuperGluingData, restrict_odd
 from .grassmann import GrassmannElement
@@ -148,6 +149,19 @@ def secondary_space(m: GtModel, a: int, b: int, p: int,
     spec = hom_into_quotient(m, a, b)
     basis = cohomology_basis(spec, p, window=window) if spec.rank else []
     return SecondarySpace(a, b, p, spec, basis)
+
+
+def secondary_spaces(m: GtModel, window: int | None = None) -> list[SecondarySpace]:
+    """Every graded space, by level, base-factor count and degree.  An
+    explicit window over the system budget of any space fails before the
+    first is computed."""
+    keys = [(level - b, b, p) for level in range(1, m.total_odd.rank + 1)
+            for b in range(level + 1) if level - b <= m.fiber_rank and b <= m.base_rank
+            for p in (0, 1)]
+    if window is not None:
+        for a, b, p in keys:
+            check_window(hom_into_quotient(m, a, b), window, p)
+    return [secondary_space(m, a, b, p, window=window) for a, b, p in keys]
 
 
 @dataclass
@@ -387,6 +401,7 @@ def verify_a1_containment(m: GtModel, b: int, p: int = 0,
     """For every basis class nu of the (1, b) space in degree p: the
     cup-with-theta image equals the differential of the identity push of nu,
     as canonical representatives."""
+    check_a1_window(m, b, p, window)
     space = secondary_space(m, 1, b, p, window=window)
     report = ContainmentReport(1, b, p, space.dimension)
     for i, nu in enumerate(space.basis):
@@ -401,6 +416,18 @@ def verify_a1_containment(m: GtModel, b: int, p: int = 0,
             report.samples.append(ContainmentSample(
                 i, lhs.is_zero(), rhs.is_zero(), lhs.is_zero() == rhs.is_zero()))
     return report
+
+
+def check_a1_window(m: GtModel, b: int, p: int, window: int | None) -> None:
+    """Raise at once the WindowError over the system budget that
+    :func:`verify_a1_containment` may meet in ``window``: on the (1, b) space,
+    or, in degree 0, on the (0, b + 1) piece its samples are decided in
+    (whether or not the space turns out to have a basis)."""
+    if window is None:
+        return
+    check_window(hom_into_quotient(m, 1, b), window, p)
+    if p == 0:
+        check_window(hom_into_quotient(m, 0, b + 1), window)
 
 
 # --------------------------------------------------- compatibility relation

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from supercech.grassmann import GrassmannElement
 from supercech.laurent import LaurentPoly
@@ -14,6 +15,12 @@ from supercech.sheaf import SheafSpec
 import importlib.resources as resources
 
 Q = Fraction
+
+# one Hypothesis profile for every run: the same examples each time, no
+# example database on disk and no per-example deadline on a loaded machine;
+# a test sets only its own max_examples
+settings.register_profile("supercech", derandomize=True, database=None, deadline=None)
+settings.load_profile("supercech")
 
 
 def corpus_path(name: str):

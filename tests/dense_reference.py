@@ -1,12 +1,19 @@
 """Plain references for the optimised kernels: dense exact elimination for
 the sparse ``linalg``, dense sheaf maps for the sparse Cech kernel, and
-term-by-term substitution for ``spaces.MonomialMap``.
+term-by-term substitution for ``spaces.MonomialMap``, and an expression
+parser that builds one Grassmann element per atom for ``parsing``.
 
 Matrices are lists of lists of ``Fraction``.  Pivots are the first nonzero
 entry scanning columns left to right, taken from the topmost remaining row.
 """
 
+import re
 from fractions import Fraction as Q
+
+from supercech.errors import ParseError, SubstitutionError
+from supercech.grassmann import GrassmannElement
+from supercech.laurent import LaurentPoly
+from supercech.parsing import MAX_EXPONENT, _budget, _power_bound, _product_bound
 
 
 def rref(matrix):
@@ -87,7 +94,6 @@ def reduce(basis, vector):
 def mat_vec(m, v):
     """``m . v`` entry by entry, for Laurent vectors ``v`` of one context and
     entries of ``m`` that are Laurent polynomials or rationals."""
-    from supercech.laurent import LaurentPoly
     vars = v[0].vars
     out = []
     for row in m:
@@ -151,7 +157,6 @@ def theta_pairing_matrix(n, qx, a, b, rank_p, sign_fix=1):
 
 def laurent_det(matrix):
     """Determinant by recursive cofactor expansion along the first row."""
-    from supercech.laurent import LaurentPoly
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
@@ -214,7 +219,6 @@ def subs_monomial(poly, images, target):
     negative exponent needs an invertible monomial image; one that occurs
     with nonnegative exponents only may go to any polynomial (a constant,
     for evaluation)."""
-    from supercech.laurent import LaurentPoly
     result = LaurentPoly.zero(target)
     cache = {}
     for exps, c in poly.terms.items():
@@ -235,8 +239,169 @@ def subs_monomial(poly, images, target):
 def evaluate(poly, point):
     """``poly`` with the variables named in ``point`` set to those rationals;
     the other variables form the context of the result."""
-    from supercech.laurent import LaurentPoly
     keep = tuple(v for v in poly.vars if v not in point)
     images = {v: LaurentPoly.const(keep, point[v]) if v in point else LaurentPoly.var(keep, v)
               for v in poly.vars}
     return subs_monomial(poly, images, keep)
+
+
+# ------------------------------------------------------------ expressions
+
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|/|\+|-|\(|\)))")
+_THETA = re.compile(r"^theta_([0-9]+)$")
+
+
+class _ReferenceTokenizer:
+    def __init__(self, text: str, line: int | None = None):
+        self.text = text
+        self.line = line
+        self.pos = 0
+        self.tokens: list[tuple[str, str, int]] = []
+        self._scan()
+        self.i = 0
+
+    def _scan(self):
+        pos = 0
+        while pos < len(self.text):
+            m = _TOKEN.match(self.text, pos)
+            if not m or m.end() == pos:
+                if self.text[pos:].strip() == "":
+                    break
+                raise ParseError(f"unexpected character {self.text[pos]!r}",
+                                 self.line, pos + 1)
+            if m.group(1):
+                self.tokens.append(("num", m.group(1), m.start(1)))
+            elif m.group(2):
+                self.tokens.append(("name", m.group(2), m.start(2)))
+            else:
+                self.tokens.append(("op", m.group(3), m.start(3)))
+            pos = m.end()
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+
+    def next(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def expect_op(self, op: str):
+        kind, val, col = self.next()
+        if kind != "op" or val != op:
+            raise ParseError(f"expected {op!r}, found {val!r}", self.line, col + 1)
+
+
+class ReferenceParser:
+    """The grammar of ``parsing.ExpressionParser``, evaluated atom by atom:
+    every number, coordinate and ``theta_k`` becomes a
+    :class:`GrassmannElement` and every operator one element operation, with
+    the same budget checks and errors."""
+
+    def __init__(self, vars: tuple[str, ...], odd_rank: int):
+        self.vars = tuple(vars)
+        self.odd_rank = odd_rank
+
+    def parse(self, text: str, line: int | None = None) -> GrassmannElement:
+        tz = _ReferenceTokenizer(text, line)
+        value = self._expr(tz)
+        kind, val, col = tz.peek()
+        if kind is not None:
+            raise ParseError(f"trailing input starting at {val!r}", line, col + 1)
+        return value
+
+    def parse_poly(self, text: str, line: int | None = None) -> LaurentPoly:
+        g = self.parse(text, line)
+        if g.truncate(1).is_zero():
+            return g.body()
+        raise ParseError("expected an expression without odd generators", line, 1)
+
+    # ---------------------------------------------------------------- rules
+
+    def _expr(self, tz):
+        value = self._term(tz)
+        while True:
+            kind, val, _ = tz.peek()
+            if kind == "op" and val in "+-":
+                tz.next()
+                rhs = self._term(tz)
+                value = value + rhs if val == "+" else value - rhs
+            else:
+                return value
+
+    def _term(self, tz):
+        value = self._factor(tz)
+        while True:
+            kind, val, col = tz.peek()
+            if kind == "op" and val in "*/":
+                tz.next()
+                rhs = self._factor(tz)
+                if val == "/":
+                    _budget(_power_bound(rhs, -1), tz.line, col)
+                    try:
+                        rhs = rhs.power(-1)
+                    except SubstitutionError as exc:
+                        raise ParseError(f"division by a non-invertible expression ({exc})",
+                                         tz.line, col + 1)
+                _budget(_product_bound(value, rhs), tz.line, col)
+                value = value * rhs
+            else:
+                return value
+
+    def _factor(self, tz):
+        kind, val, _ = tz.peek()
+        if kind == "op" and val == "-":
+            tz.next()
+            return -self._factor(tz)
+        value = self._atom(tz)
+        kind, val, col = tz.peek()
+        if kind == "op" and val == "^":
+            tz.next()
+            e = self._exponent(tz)
+            _budget(_power_bound(value, e), tz.line, col)
+            try:
+                value = value.power(e)
+            except SubstitutionError as exc:
+                raise ParseError(f"negative power of a non-invertible expression ({exc})",
+                                 tz.line, col + 1)
+        return value
+
+    def _exponent(self, tz) -> int:
+        kind, val, col = tz.next()
+        if kind == "op" and val == "(":
+            e = self._exponent(tz)
+            tz.expect_op(")")
+            return e
+        sign = 1
+        if kind == "op" and val == "-":
+            sign = -1
+            kind, val, col = tz.next()
+        if kind != "num":
+            raise ParseError("expected an integer exponent", tz.line, col + 1)
+        if len(val.lstrip("0")) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+            raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT} in absolute value",
+                             tz.line, col + 1)
+        return sign * int(val)
+
+    def _atom(self, tz):
+        kind, val, col = tz.next()
+        if kind == "num":
+            try:
+                return GrassmannElement.const(self.vars, self.odd_rank, int(val))
+            except ValueError:  # longer than the interpreter converts
+                raise ParseError("integer literal is too long", tz.line, col + 1)
+        if kind == "name":
+            m = _THETA.match(val)
+            if m:
+                k = int(m.group(1))
+                if not 1 <= k <= self.odd_rank:
+                    raise ParseError(f"theta_{k} out of range 1..{self.odd_rank}",
+                                     tz.line, col + 1)
+                return GrassmannElement.odd_gen(self.vars, self.odd_rank, k)
+            if val not in self.vars:
+                raise ParseError(f"unknown coordinate {val!r}", tz.line, col + 1)
+            return GrassmannElement.even_var(self.vars, self.odd_rank, val)
+        if kind == "op" and val == "(":
+            value = self._expr(tz)
+            tz.expect_op(")")
+            return value
+        raise ParseError(f"unexpected token {val!r}", tz.line, col + 1)

@@ -1,10 +1,16 @@
+import io
+import re
 import subprocess
 import sys
 import time
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 
 import pytest
 
 from supercech.cli import main
+from supercech.gluing import SuperGluingData
 
 from conftest import corpus_path
 
@@ -103,6 +109,22 @@ def test_glue_p1(capsys):
     assert code == 0 and "witness_ok: True" in out
 
 
+@pytest.mark.parametrize("model,verifications", [("nonsplit_p1", 3), ("split_p1", 1)])
+def test_glue_p1_verifies_its_input_once(monkeypatch, capsys, model, verifications):
+    # the input once, plus each of the two scaled families when it is not split
+    calls = []
+    verify = SuperGluingData.verify_cocycle
+
+    def counted(self):
+        calls.append(self)
+        return verify(self)
+
+    monkeypatch.setattr(SuperGluingData, "verify_cocycle", counted)
+    code, out, _ = run_cli(capsys, "glue-p1", "--input", str(corpus_path(f"{model}.model")))
+    assert code == 0 and "witness_ok: True" in out
+    assert len(calls) == verifications
+
+
 def test_a1_check(capsys):
     code, out, _ = run_cli(capsys, "a1-check", "--input",
                            str(corpus_path("gt_model_p1.model")), "--level", "2")
@@ -193,6 +215,19 @@ def test_window_over_the_system_budget_is_undecidable(capsys, command, model, fl
     assert time.process_time() - t0 < 1
     assert code == 3
     assert f"exponent window 0..{abs(int(flags[1]))} " in err and "over the budget of" in err
+
+
+@pytest.mark.parametrize("command", ["secondary", "a1-check"])
+def test_window_over_the_budget_fails_before_any_system(capsys, command):
+    # at window 5000 the rank-4 spaces of gt_model_p1 fit the budget and the
+    # rank-12 ones do not; the command is refused before it builds the former
+    t0 = time.process_time()
+    code, out, err = run_cli(capsys, command, "--input", str(corpus_path("gt_model_p1.model")),
+                             "--window-hi", "5000")
+    assert time.process_time() - t0 < 0.2
+    assert code == 3 and out == ""
+    assert "exponent window 0..5000 " in err and "rank 12" in err
+    assert "over the budget of 50000" in err
 
 
 def test_explicit_window_inside_the_budget_is_decided(capsys):
@@ -333,3 +368,52 @@ def test_entry_point_subprocess():
                            "--input", path], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "gluing.ok" in proc.stdout
+
+
+_WORDS = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+|\S")
+
+
+def _line_mutants(line):
+    """The fixed single-line mutations of ``line`` that apply to it: drop
+    its first or last token, double its first operator, drop its first
+    ``)``, append a digit to its first exponent, or name ``theta_9`` (out of
+    range in every corpus model) in place of its first odd generator."""
+    out = []
+    words = list(_WORDS.finditer(line))
+    for w in (words[0], words[-1]):
+        out.append(line[:w.start()] + line[w.end():])
+    op = re.search(r"[-+*/^]", line)
+    if op:
+        out.append(line[:op.end()] + line[op.start():])
+    if ")" in line:
+        out.append(line.replace(")", "", 1))
+    exp = re.search(r"\^\(?-?\d+", line)
+    if exp:
+        out.append(line[:exp.end()] + "0" + line[exp.end():])
+    theta = re.search(r"theta_\d+", line)
+    if theta:
+        out.append(line[:theta.start()] + "theta_9" + line[theta.end():])
+    return [m for m in dict.fromkeys(out) if m != line]
+
+
+def test_single_line_mutations_of_the_corpus_end_in_an_exit_code(tmp_path):
+    # every mutant is verified in process: a traceback fails the test, and
+    # the only allowed outcomes are the documented exit codes
+    path = tmp_path / "mutant.model"
+    codes = Counter()
+    for model in sorted(p.name for p in resources.files("supercech.corpus").iterdir()
+                        if p.name.endswith(".model")):
+        lines = corpus_path(model).read_text().splitlines()
+        for i, line in enumerate(lines):
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            for mutant in _line_mutants(line):
+                path.write_text("\n".join(lines[:i] + [mutant] + lines[i + 1:]) + "\n")
+                try:
+                    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                        code = main(["verify", "--input", str(path)])
+                except Exception as exc:
+                    pytest.fail(f"{model} line {i + 1} as {mutant!r}: {exc!r}")
+                assert code in (0, 1, 2, 3), f"{model} line {i + 1} as {mutant!r}"
+                codes[code] += 1
+    assert sum(codes.values()) > 300 and codes[0] and codes[1] and codes[2]

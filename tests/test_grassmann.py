@@ -208,7 +208,7 @@ def test_taylor_matches_multinomial_oracle():
 
 # ------------------------------------------------------- hypothesis properties
 
-PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+PROPERTY = settings(max_examples=40)
 Q3 = 3
 INDICES = [i for k in range(Q3 + 1) for i in combinations(range(1, Q3 + 1), k)]
 

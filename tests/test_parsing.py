@@ -1,17 +1,24 @@
+import importlib.util
 import random
 import time
 from fractions import Fraction as Q
+from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from supercech.errors import ParseError
+import supercech
+from supercech.errors import ParseError, SupercechError
 from supercech.grassmann import GrassmannElement
 from supercech import parsing
 from supercech.laurent import LaurentPoly
+from supercech.modelfile import parse_model_text
 from supercech.parsing import (MAX_EXPONENT, ExpressionParser, _power_bound, _product_bound,
                                _size, parse_element, parse_poly)
 
 from conftest import parse, random_grassmann
+from dense_reference import ReferenceParser
 
 
 def test_rational_literals_via_division():
@@ -97,3 +104,115 @@ def test_budget_bounds_are_upper_bounds(monkeypatch):
         body = GrassmannElement.from_poly(LaurentPoly.monomial(("x", "y"), 2, (1, -1)), 3)
         c = body + a.truncate(1)
         assert _size(c.power(-1)) <= _power_bound(c, -1)
+
+
+# ------------------------------------------------ against the reference parser
+
+def _outcome(parser, text, line=None):
+    """The parsed element, or the type and text of the error raised."""
+    try:
+        return parser.parse(text, line)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+
+
+def _agree(vars, q, text, line=None):
+    got = _outcome(ExpressionParser(vars, q), text, line)
+    want = _outcome(ReferenceParser(vars, q), text, line)
+    assert got == want, text
+
+
+NUMBERS = st.integers(0, 12).map(str)
+NAMES = st.sampled_from(["x", "y", "theta_1", "theta_2", "theta_3", "theta_0", "theta_4",
+                         "theta_01", "z"])
+EXPONENTS = st.tuples(st.sampled_from(["{}", "-{}", "({})", "(-{})"]),
+                      st.one_of(st.integers(0, 4), st.sampled_from([30, 100, 101]))
+                      ).map(lambda t: "^" + t[0].format(t[1]))
+
+
+def _join(parts, spaces):
+    return "".join(p + s for p, s in zip(parts, spaces))
+
+
+EXPRESSIONS = st.recursive(
+    st.one_of(NUMBERS, NAMES),
+    lambda inner: st.one_of(
+        inner.map(lambda a: f"({a})"),
+        inner.map(lambda a: f"-{a}"),
+        st.tuples(inner, EXPONENTS).map("".join),
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner,
+                  st.lists(st.sampled_from(["", " "]), min_size=3, max_size=3)
+                  ).map(lambda t: _join(t[:3], t[3]))),
+    max_leaves=8)
+
+
+@st.composite
+def mutated(draw):
+    """A drawn expression, often with one character dropped or inserted."""
+    text = draw(EXPRESSIONS)
+    kind = draw(st.sampled_from(["keep", "keep", "drop", "insert"]))
+    if kind == "keep" or not text:
+        return text
+    at = draw(st.integers(0, len(text) - (kind == "drop")))
+    if kind == "drop":
+        return text[:at] + text[at + 1:]
+    return text[:at] + draw(st.sampled_from(list("()^*/+-$ 7") + ["theta_9", "٣"])) \
+        + text[at:]
+
+
+LARGE = "((1+x)^40*(1+y)^40 + x^100*(1+x)^40*(1+y)^40)"   # 3362 terms
+
+
+@settings(max_examples=300)
+@given(mutated(), st.sampled_from([("x",), ("x", "y")]), st.integers(0, 3))
+@example("(1+x)^40*(1+y)^60", ("x", "y"), 0)
+@example("theta_1*(1+x)^30*theta_2/x*(1+y)^70", ("x", "y"), 3)
+@example("(x+theta_1)^3*y^2*theta_2*(1+theta_3)^-1/(x - theta_1)^2", ("x", "y"), 3)
+@example(f"{LARGE}*2", ("x", "y"), 0)
+@example(f"2*{LARGE}", ("x", "y"), 0)
+@example(f"-{LARGE}/y^2 - 1", ("x", "y"), 0)
+@example("1/(x + 1) + 2^-3*(-3)^-2*x^-(2)", ("x", "y"), 0)
+@example("0^-1 + theta_1^-1", ("x",), 2)
+@example(f"{LARGE} - 0*{LARGE}*theta_1", ("x", "y"), 1)
+def test_parser_matches_the_reference(text, vars, q):
+    _agree(vars, q, text, line=3)
+
+
+def _workload_models():
+    """Model texts the benchmark's input generators write, on two seeds."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "models.py"
+    spec = importlib.util.spec_from_file_location("perfbench_models", path)
+    models = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(models)
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        for d, r in ((2, 1), (4, 3)):
+            yield models.gt_model(rng, d, r)
+        yield models.nonsplit_level2(supercech, rng)
+        yield models.nonsplit_level3(supercech, rng)
+        for q in (4, 5, 6):
+            for planted in (False, True):
+                yield models.gauged_model(supercech, rng, q, planted)
+
+
+def test_corpus_and_workload_expressions_match_the_reference(monkeypatch):
+    seen = []
+    parse = ExpressionParser.parse
+
+    def recording(self, text, line=None):
+        seen.append((self.vars, self.odd_rank, text, line))
+        return parse(self, text, line)
+
+    texts = [p.read_text() for p in resources.files("supercech.corpus").iterdir()
+             if p.name.endswith(".model")]
+    texts += list(_workload_models())
+    monkeypatch.setattr(ExpressionParser, "parse", recording)
+    for text in texts:
+        try:
+            parse_model_text(text)
+        except SupercechError:  # corrupt_sign.model and the like still parse every line
+            pass
+    monkeypatch.undo()
+    assert len(texts) > 20 and len(seen) > 200
+    for vars, q, text, line in seen:
+        _agree(vars, q, text, line)

@@ -166,7 +166,7 @@ def extension_data(draw):
             [draw(entries(st.integers(0, 2))) for _ in range(2)])
 
 
-@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@settings(max_examples=15)
 @given(extension_data())
 @example(([0], [2], [(Q(1), -1)], [[(Q(2), 1)], [None]]))
 def test_cohomologous_cocycles_give_gauge_equivalent_extensions(p1_space, data):

@@ -25,7 +25,7 @@ from supercech.sheaf import (diagonal_block, identity_matrix, kron, mat_mul,
                              mat_transpose, selection_matrix, sheaf_dual,
                              sheaf_exterior_power, sheaf_hom, sheaf_tensor)
 
-PROPERTY = settings(derandomize=True, max_examples=15, deadline=None, database=None)
+PROPERTY = settings(max_examples=15)
 
 
 @cache
