@@ -11,8 +11,7 @@ import importlib.resources as resources
 from supercech.modelfile import parse_model_file
 from supercech.secondary import (model_class, model_class_map,
                                  secondary_differential, secondary_space,
-                                 tau_push_identity, verify_a1_containment,
-                                 verify_obstruction_compatibility)
+                                 verify_a1_containment, verify_obstruction_compatibility)
 from supercech.sheaf import filtration
 
 corpus = resources.files("supercech.corpus")
@@ -46,7 +45,7 @@ space = secondary_space(m, 1, 2, 0)
 shown = 0
 for i, nu in enumerate(space.basis):
     lhs = model_class_map(m, 1, 2, 0, nu)
-    rhs = secondary_differential(m, 1, 2, 0, tau_push_identity(m, 1, 2, nu))
+    rhs = secondary_differential(m, 1, 2, 0, nu)
     if not lhs.cls.trivial and shown < 2:
         print(f"basis class {i}:")
         print("  cup image:         ",

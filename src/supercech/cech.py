@@ -684,10 +684,7 @@ def extension_sheaf(sub: SheafSpec, quot: SheafSpec, cocycle: CechCochain) -> Sh
             for j in range(quot.rank):
                 m[sub.rank + i][sub.rank + j] = mq[i][j]
         mats[(a, b)] = m
-    labels = tuple(("sub", l) for l in sub.basis_labels) + \
-        tuple(("quot", l) for l in quot.basis_labels)
     try:
-        return SheafSpec(space, sub.rank + quot.rank, mats, labels,
-                         check=True, extension=(sub, quot))
+        return SheafSpec(space, sub.rank + quot.rank, mats, extension=(sub, quot))
     except CocycleError as exc:
         raise CocycleError(f"invalid extension data: {exc}") from exc

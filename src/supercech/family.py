@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .errors import CocycleError, SupercechError
 from .gluing import INFINITY, SuperGluingData, SuperTransition
-from .grassmann import GrassmannElement, Substitution
+from .grassmann import GrassmannElement
 from .laurent import LaurentPoly, Q
 from .obstruction import _scaling_witnesses, scaling_action
 from .spaces import Chart, Cover
@@ -159,11 +159,12 @@ class GluedFamily:
         factor = LaurentPoly.var(low.cover.chart(low.cover.order[0]).vars,
                                  t, self.witness_exponent)
         conj = low.conjugate(star_witnesses(low, factor))
-        high = self.piece_high.gluing
-        for key in conj.transitions:
-            got = conj.transitions[key]
-            expected = _pull_base(high.transitions[key], tp, t, -1,
-                                  got.source, got.target)
+        charts = [conj.chart(name) for name in conj.cover.order]
+        inverse_t = {ch.name: {tp: GrassmannElement.even_var(ch.vars, ch.odd_rank, t, -1)}
+                     for ch in charts}
+        high = self.piece_high.gluing.pull_back(charts, inverse_t, low.base_vars)
+        for key, got in conj.transitions.items():
+            expected = high.transitions[key]
             if got != expected:
                 for v in got.target.vars:
                     if got.even_maps[v] != expected.even_maps[v]:
@@ -176,32 +177,6 @@ class GluedFamily:
                             False, f"overlap {key}: odd map theta_{b} differs by "
                                    f"{got.odd_maps[b] - expected.odd_maps[b]}")
         return WitnessReport(True)
-
-
-def _pull_base(tr: SuperTransition, old_var: str, new_var: str, exponent: int,
-               src: Chart, tgt: Chart) -> SuperTransition:
-    """Rename the base coordinate old_var to new_var^exponent in a transition
-    (substitution of the base change into every coefficient)."""
-    even_images = {}
-    for v in tr.source.vars:
-        if v == old_var:
-            even_images[v] = GrassmannElement.from_poly(
-                LaurentPoly.var(src.vars, new_var, exponent), src.odd_rank)
-        else:
-            even_images[v] = GrassmannElement.even_var(src.vars, src.odd_rank, v)
-    odd_images = {k: GrassmannElement.odd_gen(src.vars, src.odd_rank, k)
-                  for k in range(1, src.odd_rank + 1)}
-    images = Substitution(even_images, odd_images, src.vars, src.odd_rank)
-    even = {}
-    for v, g in tr.even_maps.items():
-        name = new_var if v == old_var else v
-        image = g.substitute(images)
-        if v == old_var:
-            # the base map t' = t' turns into t = t after renaming
-            image = GrassmannElement.even_var(src.vars, src.odd_rank, new_var)
-        even[name] = image
-    odd = {k: g.substitute(images) for k, g in tr.odd_maps.items()}
-    return SuperTransition(src, tgt, even, odd, check=False)
 
 
 def glue_over_p1(g: SuperGluingData, base_vars: tuple[str, str] = ("t", "s"),

@@ -91,26 +91,14 @@ class SuperTransition:
             mat.append([lin.coefficient((a,)) for a in range(1, q_src + 1)])
         return mat
 
-    def deviation_even(self) -> dict[str, GrassmannElement]:
-        return {v: g - GrassmannElement.from_poly(g.body(), g.odd_rank)
-                for v, g in self.even_maps.items()}
-
-    def deviation_odd(self) -> dict[int, GrassmannElement]:
-        return {b: g - g.component(1) for b, g in self.odd_maps.items()}
-
     def deviation_degree(self) -> float:
         """Smallest odd degree (>= 2) of any deviation from the split normal
-        form, or infinity for an exactly split transition."""
-        degree = INFINITY
-        for g in self.deviation_even().values():
-            d = g.min_odd_degree()
-            if d is not None:
-                degree = min(degree, d)
-        for g in self.deviation_odd().values():
-            d = g.min_odd_degree()
-            if d is not None:
-                degree = min(degree, d)
-        return degree
+        form, or infinity for an exactly split transition: every term of an
+        even image but its body, and every term of an odd image not of
+        degree one, is a deviation."""
+        degrees = [len(i) for g in self.even_maps.values() for i in g.terms if i]
+        degrees += [len(i) for g in self.odd_maps.values() for i in g.terms if len(i) != 1]
+        return min(degrees, default=INFINITY)
 
     def is_identity(self) -> bool:
         if self.source.vars != self.target.vars or self.source.odd_rank != self.target.odd_rank:
@@ -415,29 +403,53 @@ class SuperGluingData:
     def evaluate_base(self, point: dict[str, Fraction]) -> "SuperGluingData":
         """Evaluate some base coordinates at rational values; the others stay
         base coordinates of the result."""
-        new_charts = []
+        charts, changed = [], {}
         for name in self.cover.order:
-            ch = self.cover.chart(name)
-            keep_base = tuple(v for v in ch.base_vars if v not in point)
-            new_charts.append(Chart(ch.name, ch.fiber_vars, keep_base, ch.odd_rank))
-        cover = Cover(new_charts, self.cover.overlaps, self.cover.triples)
+            ch = self.chart(name)
+            for v in point:
+                if v in ch.fiber_vars:
+                    raise ValueError(f"{v} is a fiber coordinate of chart {name}, "
+                                     f"not a base coordinate")
+            new = Chart(name, ch.fiber_vars, tuple(v for v in ch.base_vars if v not in point),
+                        ch.odd_rank)
+            charts.append(new)
+            changed[name] = {v: GrassmannElement.const(new.vars, new.odd_rank, c)
+                             for v, c in point.items() if v in ch.base_vars}
+        return self.pull_back(charts, changed,
+                              tuple(v for v in self.base_vars if v not in point))
+
+    def pull_back(self, charts: list[Chart], changed: dict[str, dict],
+                  base_vars: tuple[str, ...]) -> "SuperGluingData":
+        """The data re-expressed in ``charts``, which keep the names, overlaps
+        and triples of this cover.
+
+        ``changed[name]`` holds the images, over the new chart ``name``, of
+        the coordinates (by name) and odd generators (by index) of the old
+        chart that do not map to themselves.  Every transition out of a chart
+        is pulled back through one substitution by these images: each even
+        coordinate of the new target chart gets its pulled-back old image,
+        or maps to itself when the old target chart has no such coordinate
+        (a renamed base coordinate), and each odd generator up to the new odd
+        rank gets its pulled-back old image."""
+        cover = Cover(charts, self.cover.overlaps, self.cover.triples)
+        subs = {}
+        for name in cover.order:
+            old, new = self.chart(name), cover.chart(name)
+            images = changed.get(name, {})
+            even = {v: images[v] if v in images else
+                    GrassmannElement.even_var(new.vars, new.odd_rank, v) for v in old.vars}
+            odd = {k: images[k] if k in images else
+                   GrassmannElement.odd_gen(new.vars, new.odd_rank, k)
+                   for k in range(1, old.odd_rank + 1)}
+            subs[name] = Substitution(even, odd, new.vars, new.odd_rank)
         transitions = {}
         for (a, b), t in self.transitions.items():
-            src = cover.chart(a)
-            even_images = {}
-            for v in t.source.vars:
-                if v in point:
-                    even_images[v] = GrassmannElement.const(src.vars, src.odd_rank, point[v])
-                else:
-                    even_images[v] = GrassmannElement.even_var(src.vars, src.odd_rank, v)
-            odd_images = {k: GrassmannElement.odd_gen(src.vars, src.odd_rank, k)
-                          for k in range(1, src.odd_rank + 1)}
-            images = Substitution(even_images, odd_images, src.vars, src.odd_rank)
-            even = {v: g.substitute(images) for v, g in t.even_maps.items() if v not in point}
-            odd = {k: g.substitute(images) for k, g in t.odd_maps.items()}
-            transitions[(a, b)] = SuperTransition(src, cover.chart(b), even, odd)
-        return SuperGluingData(cover, transitions,
-                               tuple(v for v in self.base_vars if v not in point))
+            src, tgt, sub = cover.chart(a), cover.chart(b), subs[a]
+            even = {v: t.even_maps[v].substitute(sub) if v in t.even_maps else
+                    GrassmannElement.even_var(src.vars, src.odd_rank, v) for v in tgt.vars}
+            odd = {k: t.odd_maps[k].substitute(sub) for k in range(1, tgt.odd_rank + 1)}
+            transitions[(a, b)] = SuperTransition(src, tgt, even, odd)
+        return SuperGluingData(cover, transitions, base_vars)
 
     def conjugate(self, witnesses: dict[str, SuperTransition]) -> "SuperGluingData":
         """Apply chartwise coordinate changes: each transition t_ab becomes
@@ -476,27 +488,13 @@ def restrict_odd(g: SuperGluingData, keep: int) -> SuperGluingData:
     coordinates are the trailing generators, mapped identically) to the data
     of the underlying fibration; setting them to zero commutes with
     composition because the ideal they generate is transition-stable."""
-    new_charts = []
+    charts, changed = [], {}
     for name in g.cover.order:
-        ch = g.cover.chart(name)
-        new_charts.append(Chart(ch.name, ch.fiber_vars, ch.base_vars, keep))
-    cover = Cover(new_charts, g.cover.overlaps, g.cover.triples)
-    transitions = {}
-    for (a, b), t in g.transitions.items():
-        src = cover.chart(a)
-        even_images = {v: GrassmannElement.even_var(src.vars, keep, v)
-                       for v in t.source.vars}
-        odd_images = {}
-        for k in range(1, t.source.odd_rank + 1):
-            if k <= keep:
-                odd_images[k] = GrassmannElement.odd_gen(src.vars, keep, k)
-            else:
-                odd_images[k] = GrassmannElement.zero(src.vars, keep)
-        images = Substitution(even_images, odd_images, src.vars, keep)
-        even = {v: gr.substitute(images) for v, gr in t.even_maps.items()}
-        odd = {k: t.odd_maps[k].substitute(images) for k in range(1, keep + 1)}
-        transitions[(a, b)] = SuperTransition(src, cover.chart(b), even, odd)
-    return SuperGluingData(cover, transitions, g.base_vars)
+        ch = g.chart(name)
+        charts.append(Chart(name, ch.fiber_vars, ch.base_vars, keep))
+        changed[name] = {k: GrassmannElement.zero(ch.vars, keep)
+                         for k in range(keep + 1, ch.odd_rank + 1)}
+    return g.pull_back(charts, changed, g.base_vars)
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,10 @@ follow the grammar of :mod:`supercech.parsing`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import CocycleError, ParseError
 from .gluing import SuperGluingData, SuperTransition
 from .parsing import ExpressionParser
 from .secondary import GtModel, gt_model
@@ -315,9 +316,11 @@ def parse_model_text(text: str) -> ModelDocument:
                                      lineno, 1)
                 m.append(entries)
             if len(m) != rank:
-                raise ParseError(f"matrix {key} has {len(m)} rows, want {rank}")
+                raise ParseError(f"matrix {key} has {len(m)} rows, want {rank}",
+                                 d["lines"][key], 1)
             mats[key] = m
-        doc.sheaves[name] = SheafSpec(space, rank, mats)
+        with _located(d["line"]):
+            doc.sheaves[name] = SheafSpec(space, rank, mats)
     for name, d in gt_raw.items():
         if d["fiber_sheaf"] is None or d["base_rank"] is None:
             raise ParseError(f"gtmodel {name!r} needs fiber_sheaf and base_rank", d["line"], 1)
@@ -339,10 +342,20 @@ def parse_model_text(text: str) -> ModelDocument:
                                      f"want {fiber.rank}", lineno, 1)
                 flat.extend(entries)
             if len(flat) != n * fiber.rank:
-                raise ParseError(f"theta {key} must have {n} rows")
+                raise ParseError(f"theta {key} must have {n} rows", d["lines"][key], 1)
             theta_sections[key] = flat
-        doc.gt_models[name] = gt_model(space, fiber, n, theta_sections)
+        with _located(d["line"]):
+            doc.gt_models[name] = gt_model(space, fiber, n, theta_sections)
     return doc
+
+
+@contextmanager
+def _located(lineno: int):
+    """Report a failed check of a block's data at the line opening the block."""
+    try:
+        yield
+    except (CocycleError, ValueError) as exc:
+        raise ParseError(str(exc), lineno, 1) from None
 
 
 def _reduced_space_for_sheaves(doc, charts, overlaps, triples) -> ReducedSpace:

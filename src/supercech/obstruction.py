@@ -24,7 +24,6 @@ from .gluing import (INFINITY, SuperGluingData, SuperTransition, compose_transit
 from .grassmann import GrassmannElement
 from .laurent import LaurentPoly, Q
 from .sheaf import SheafSpec, mat_mul, sheaf_dual, sheaf_exterior_power, sheaf_hom
-from .spaces import Chart, Cover, ReducedSpace
 
 
 # ------------------------------------------------------------ basic specs
@@ -312,39 +311,20 @@ class CharacteristicFactorization:
 
 
 def _fiber_space_of_family(g: SuperGluingData):
-    """Structural fiber space of a product-type family (base coordinates
-    dropped); requires reduced data independent of the base coordinates."""
-    charts = []
-    for name in g.cover.order:
-        ch = g.cover.chart(name)
-        fb = tuple(v for v in ch.base_vars if v not in g.base_vars)
-        charts.append(Chart(ch.name, ch.fiber_vars, fb, ch.odd_rank))
-    cover = Cover(charts, g.cover.overlaps, g.cover.triples)
-    maps = {}
-    mats = {}
-    for (a, b), t in g.transitions.items():
-        av = cover.chart(a).vars
-        cmap = {}
+    """Structural fiber space of a product-type family: the reduced space
+    and odd bundle of the fiber over 1, which requires reduced data
+    independent of the base coordinates."""
+    for t in g.transitions.values():
         for v, img in t.reduced_map().items():
-            if v in g.base_vars:
-                continue
-            for bad in g.base_vars:
-                rng = img.exponent_range(bad)
-                if rng is not None and rng != (0, 0):
-                    raise SupercechError("reduced data depends on the base; not product-type")
-            cmap[v] = img.with_context(av)
-        maps[(a, b)] = cmap
-        zeta = t.odd_matrix()
-        for row in zeta:
-            for e in row:
-                for bad in g.base_vars:
-                    rng = e.exponent_range(bad)
-                    if rng is not None and rng != (0, 0):
-                        raise SupercechError("odd bundle depends on the base; not product-type")
-        mats[(a, b)] = [[e.with_context(av) for e in row] for row in zeta]
-    space = ReducedSpace(cover, maps)
-    q = charts[0].odd_rank
-    return space, SheafSpec(space, q, mats)
+            if v not in g.base_vars and _depends_on_base(img, g.base_vars):
+                raise SupercechError("reduced data depends on the base; not product-type")
+        if any(_depends_on_base(e, g.base_vars) for row in t.odd_matrix() for e in row):
+            raise SupercechError("odd bundle depends on the base; not product-type")
+    return g.restrict_fiber({v: 1 for v in g.base_vars}).reduce(verify=False)
+
+
+def _depends_on_base(poly: LaurentPoly, base_vars: tuple[str, ...]) -> bool:
+    return any(poly.exponent_range(v) not in (None, (0, 0)) for v in base_vars)
 
 
 def characteristic_factorization(g: SuperGluingData,

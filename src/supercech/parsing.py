@@ -49,6 +49,16 @@ MAX_EXPONENT = 100
 MAX_TERMS = 2000
 
 
+def _theta_index(digits: str, odd_rank: int, line, column) -> int:
+    """The index written as ``digits``, which must lie in 1..odd_rank; an
+    index with more digits than ``odd_rank`` is out of range before it is
+    converted, so no length reaches the interpreter's conversion limit."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(odd_rank)) or not 1 <= int(digits) <= odd_rank:
+        raise ParseError(f"theta_{digits} out of range 1..{odd_rank}", line, column)
+    return int(digits)
+
+
 class _Tokenizer:
     """``(kind, value, column)`` tokens, then ``(None, None, len(text))``."""
 
@@ -174,10 +184,7 @@ class ExpressionParser:
                 theta = _THETA.match(val)
                 if not theta:
                     raise ParseError(f"unknown coordinate {val!r}", tz.line, col + 1)
-                k = int(theta.group(1))
-                if not 1 <= k <= self.odd_rank:
-                    raise ParseError(f"theta_{k} out of range 1..{self.odd_rank}",
-                                     tz.line, col + 1)
+                k = _theta_index(theta.group(1), self.odd_rank, tz.line, col + 1)
                 value = self._atoms[val] = (1, self._one[1], 1 << k)
         elif kind == "num":
             try:

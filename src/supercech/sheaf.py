@@ -118,12 +118,10 @@ class SheafSpec:
 
     def __init__(self, space: ReducedSpace, rank: int,
                  matrices: dict[tuple[str, str], list[list[LaurentPoly]]],
-                 basis_labels: tuple | None = None, check: bool = True,
-                 extension: tuple | None = None):
+                 check: bool = True, extension: tuple | None = None):
         self.space = space
         self.rank = int(rank)
         self.matrices = matrices
-        self.basis_labels = tuple(basis_labels) if basis_labels is not None else tuple(range(rank))
         self.extension = extension  # (sub_spec, quot_spec) when built as an extension
         self.linearizations: dict = {}  # cech._delta0_linearization by window bound
         # (operand, spec) of tensor, hom and exterior powers with this spec
@@ -265,8 +263,7 @@ def _dual(spec: SheafSpec) -> SheafSpec:
         if inv is None:
             raise CocycleError(f"matrix on {key} not invertible in the Laurent class")
         mats[key] = mat_transpose(inv)
-    return SheafSpec(spec.space, spec.rank, mats,
-                     tuple(("dual", l) for l in spec.basis_labels), check=False)
+    return SheafSpec(spec.space, spec.rank, mats, check=False)
 
 
 def sheaf_tensor(a: SheafSpec, b: SheafSpec) -> SheafSpec:
@@ -277,8 +274,7 @@ def sheaf_tensor(a: SheafSpec, b: SheafSpec) -> SheafSpec:
 
 def _tensor(a: SheafSpec, b: SheafSpec) -> SheafSpec:
     mats = {key: kron(a.matrices[key], b.matrices[key]) for key in a.matrices}
-    labels = tuple((la, lb) for la in a.basis_labels for lb in b.basis_labels)
-    return SheafSpec(a.space, a.rank * b.rank, mats, labels, check=False)
+    return SheafSpec(a.space, a.rank * b.rank, mats, check=False)
 
 
 def sheaf_hom(a: SheafSpec, b: SheafSpec) -> SheafSpec:
@@ -296,8 +292,7 @@ def _hom(a: SheafSpec, b: SheafSpec) -> SheafSpec:
     else:
         dual = sheaf_dual(a)
         mats = {key: kron(b.matrices[key], dual.matrices[key]) for key in a.matrices}
-    labels = tuple((lb, la) for lb in b.basis_labels for la in a.basis_labels)
-    return SheafSpec(a.space, a.rank * b.rank, mats, labels, check=False)
+    return SheafSpec(a.space, a.rank * b.rank, mats, check=False)
 
 
 def hom_unflatten(flat: list[LaurentPoly], rank_target: int, rank_source: int) -> list[list[LaurentPoly]]:
@@ -316,7 +311,7 @@ def _exterior_power(spec: SheafSpec, k: int) -> SheafSpec:
         return trivial_spec(spec.space, 1)
     if k > spec.rank:
         mats = {key: [] for key in spec.matrices}
-        return SheafSpec(spec.space, 0, mats, (), check=False)
+        return SheafSpec(spec.space, 0, mats, check=False)
     idxs = list(combinations(range(spec.rank), k))
     mats = {}
     for key, m in spec.matrices.items():
@@ -328,8 +323,7 @@ def _exterior_power(spec: SheafSpec, k: int) -> SheafSpec:
                 row_entries.append(laurent_det(sub))
             out.append(row_entries)
         mats[key] = out
-    labels = tuple(tuple(spec.basis_labels[i] for i in I) for I in idxs)
-    return SheafSpec(spec.space, len(idxs), mats, labels, check=False)
+    return SheafSpec(spec.space, len(idxs), mats, check=False)
 
 
 # -------------------------------------------------------------- filtrations
@@ -395,8 +389,7 @@ def diagonal_block(spec: SheafSpec, positions: list[int]) -> SheafSpec:
     return SheafSpec(
         spec.space, len(positions),
         {key: [[m[i][j] for j in positions] for i in positions]
-         for key, m in spec.matrices.items()},
-        tuple(spec.basis_labels[i] for i in positions), check=False)
+         for key, m in spec.matrices.items()}, check=False)
 
 
 def filtration(ext: SheafSpec, degree: int) -> FilteredSheaf:

@@ -146,8 +146,7 @@ class ReducedSpace:
     """
 
     def __init__(self, cover: Cover,
-                 coordinate_maps: dict[tuple[str, str], dict[str, LaurentPoly]],
-                 check: bool = True):
+                 coordinate_maps: dict[tuple[str, str], dict[str, LaurentPoly]]):
         self.cover = cover
         self.coordinate_maps = coordinate_maps
         self._neg_cache: dict[tuple[str, str], frozenset[str]] = {}
@@ -167,8 +166,7 @@ class ReducedSpace:
                     raise ContextError(f"coordinate map ({a},{b}):{v} not in {a}-coordinates")
                 if not img.is_monomial():
                     raise ValueError(f"coordinate map ({a},{b}):{v} is not an invertible monomial")
-        if check:
-            self._verify()
+        self._verify()
 
     def _verify(self):
         for (a, b) in self.cover.overlaps:

@@ -392,11 +392,12 @@ class ReferenceParser:
         if kind == "name":
             m = _THETA.match(val)
             if m:
-                k = int(m.group(1))
-                if not 1 <= k <= self.odd_rank:
-                    raise ParseError(f"theta_{k} out of range 1..{self.odd_rank}",
+                digits = m.group(1).lstrip("0") or "0"
+                if len(digits) > len(str(self.odd_rank)) or \
+                        not 1 <= int(digits) <= self.odd_rank:
+                    raise ParseError(f"theta_{digits} out of range 1..{self.odd_rank}",
                                      tz.line, col + 1)
-                return GrassmannElement.odd_gen(self.vars, self.odd_rank, k)
+                return GrassmannElement.odd_gen(self.vars, self.odd_rank, int(digits))
             if val not in self.vars:
                 raise ParseError(f"unknown coordinate {val!r}", tz.line, col + 1)
             return GrassmannElement.even_var(self.vars, self.odd_rank, val)

@@ -319,6 +319,15 @@ def test_valid_base_atlas_for_malformed_variants(tmp_path, capsys):
     assert code == 0 and "witness_ok: True" in out
 
 
+def test_base_atlas_naming_a_fiber_coordinate_is_input_error(tmp_path, capsys):
+    # the stored piece is evaluated at 1 in the first atlas coordinate, and
+    # only a base coordinate can be evaluated
+    path = tmp_path / "bad.model"
+    path.write_text(VALID_MODEL + "baseatlas\n  base_vars x s\n")
+    code, out, _ = run_cli(capsys, "glue-p1", "--input", str(path))
+    assert code == 2 and out == ""
+
+
 @pytest.mark.parametrize("block,lineno", [
     ("baseatlas\n  base_vars t\n", 26),
     ("baseatlas\n  base_vars t s u\n", 26),
@@ -397,8 +406,9 @@ def _line_mutants(line):
 
 
 def test_single_line_mutations_of_the_corpus_end_in_an_exit_code(tmp_path):
-    # every mutant is verified in process: a traceback fails the test, and
-    # the only allowed outcomes are the documented exit codes
+    # every mutant is verified in process: a traceback fails the test, the
+    # only allowed outcomes are the documented exit codes, and every input
+    # error names its line
     path = tmp_path / "mutant.model"
     codes = Counter()
     for model in sorted(p.name for p in resources.files("supercech.corpus").iterdir()
@@ -409,11 +419,14 @@ def test_single_line_mutations_of_the_corpus_end_in_an_exit_code(tmp_path):
                 continue
             for mutant in _line_mutants(line):
                 path.write_text("\n".join(lines[:i] + [mutant] + lines[i + 1:]) + "\n")
+                err = io.StringIO()
                 try:
-                    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    with redirect_stdout(io.StringIO()), redirect_stderr(err):
                         code = main(["verify", "--input", str(path)])
                 except Exception as exc:
                     pytest.fail(f"{model} line {i + 1} as {mutant!r}: {exc!r}")
                 assert code in (0, 1, 2, 3), f"{model} line {i + 1} as {mutant!r}"
+                assert code != 2 or re.search(r"line \d+", err.getvalue()), \
+                    f"{model} line {i + 1} as {mutant!r}: {err.getvalue()}"
                 codes[code] += 1
     assert sum(codes.values()) > 300 and codes[0] and codes[1] and codes[2]

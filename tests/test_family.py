@@ -110,7 +110,8 @@ def test_glue_over_p1_negative_control(nonsplit_p1):
     bad = glue_over_p1(nonsplit_p1, witness_exponent=-1)
     report = bad.verify()
     assert not report.ok
-    assert "overlap" in report.detail
+    assert report.detail == ("overlap ('U0', 'U1'): even map y differs by "
+                             "(-x^-3*t^-2 + x^-3)*theta_1*theta_2")
 
 
 def test_glue_over_p1_split_input(split_p1):

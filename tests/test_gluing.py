@@ -1,3 +1,4 @@
+import importlib.resources as resources
 import random
 from fractions import Fraction as Q
 
@@ -158,6 +159,29 @@ def test_restrict_odd(gtm_odd_base_doc):
     assert fiber.verify_cocycle().ok
     assert fiber.splitting_type() == 2
     assert fiber.chart("U0").odd_rank == 2
+
+
+def _corpus_gluings():
+    names = sorted(p.name for p in resources.files("supercech.corpus").iterdir()
+                   if p.name.endswith(".model"))
+    return [(n, g) for n, g in ((n, load_model(n).gluing) for n in names) if g is not None]
+
+
+@pytest.mark.parametrize("name,g", _corpus_gluings())
+def test_identity_pull_backs(name, g):
+    # keeping every odd generator, or evaluating no coordinate, changes nothing
+    q = g.chart(g.cover.order[0]).odd_rank
+    assert restrict_odd(g, q) == g
+    assert g.evaluate_base({}) == g
+
+
+def test_evaluate_base_in_two_steps(two_parameter_family):
+    g = two_parameter_family
+    for t1, t2 in ((Q(1), Q(2)), (Q(0), Q(-3, 2)), (Q(-1), Q(0))):
+        both = g.evaluate_base({"t1": t1, "t2": t2})
+        stepwise = g.evaluate_base({"t1": t1}).evaluate_base({"t2": t2})
+        assert stepwise == both
+        assert stepwise.chart("U0").vars == ("x",) and not stepwise.base_vars
 
 
 def test_q0_gluing_is_allowed(gt_model_doc):

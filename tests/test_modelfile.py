@@ -86,3 +86,18 @@ def test_repeated_triple_is_located():
     with pytest.raises(ParseError, match="duplicate triple U0 U1 U2") as exc:
         parse_model_text(text)
     assert exc.value.line == len(text.splitlines())
+
+
+@pytest.mark.parametrize("lineno,replacement,line,message", [
+    (27, "    x^-40", 24, "matrices on (U0,U1) and (U1,U0) are not inverse"),
+    (37, "    ", 34, "theta ('U0', 'U1') must have 3 rows"),
+    (27, "", 26, "matrix ('U0', 'U1') has 0 rows, want 1"),
+])
+def test_sheaf_and_gtmodel_data_errors_are_located(lineno, replacement, line, message):
+    # a check of a block's data fails at the line that opens the block
+    lines = corpus_path("gt_model_p1.model").read_text().splitlines()
+    lines[lineno - 1] = replacement
+    with pytest.raises(ParseError) as exc:
+        parse_model_text("\n".join(lines) + "\n")
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}, column 1: {message}"

@@ -76,6 +76,7 @@ def test_trailing_garbage():
     ("(1+x+y)^90", ("x", "y"), 0, 8),
     ("(1+x+x^50)^100", ("x",), 0, 11),
     ("(1+x)^60*(1+y)^60", ("x", "y"), 0, 9),
+    ("x + theta_" + "1" * 5000, ("x",), 2, 5),
 ])
 def test_input_budgets_fail_fast_with_location(text, vars, q, col):
     start = time.process_time()
@@ -174,6 +175,8 @@ LARGE = "((1+x)^40*(1+y)^40 + x^100*(1+x)^40*(1+y)^40)"   # 3362 terms
 @example("1/(x + 1) + 2^-3*(-3)^-2*x^-(2)", ("x", "y"), 0)
 @example("0^-1 + theta_1^-1", ("x",), 2)
 @example(f"{LARGE} - 0*{LARGE}*theta_1", ("x", "y"), 1)
+@example("x*theta_" + "1" * 5000, ("x",), 2)
+@example("theta_000" + "9" * 5000 + " + 1", ("x",), 3)
 def test_parser_matches_the_reference(text, vars, q):
     _agree(vars, q, text, line=3)
 

@@ -8,8 +8,7 @@ from supercech.errors import CocycleError, SupercechError
 from supercech.laurent import LaurentPoly
 from supercech.secondary import (gt_model, model_class, model_class_map, quotient_spec,
                                  secondary_differential, secondary_space,
-                                 tau_push_identity, verify_a1_containment,
-                                 verify_obstruction_compatibility)
+                                 verify_a1_containment, verify_obstruction_compatibility)
 from supercech.sheaf import filtration, sheaf_exterior_power, sheaf_tensor
 
 from dense_reference import contraction_matrix
@@ -120,12 +119,6 @@ def test_differential_squared_zero(M):
         d1 = secondary_differential(M, 1, 2, 0, nu)
         d2 = secondary_differential(M, 0, 3, 1, d1.cochain)
         assert d2.cochain.is_zero() or d2.decided
-
-
-def test_tau_push_identity_is_canonical_repackaging(M):
-    s = secondary_space(M, 1, 2, 0)
-    for nu in s.basis[:5]:
-        assert tau_push_identity(M, 1, 2, nu) == nu
 
 
 def test_a1_containment_all_b(M):

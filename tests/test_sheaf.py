@@ -222,12 +222,11 @@ def test_filtration_requires_extension_metadata(p1_space):
 
 def fresh(spec):
     """A new spec with ``spec``'s data and no derived specs yet."""
-    return SheafSpec(spec.space, spec.rank, spec.matrices, spec.basis_labels, check=False)
+    return SheafSpec(spec.space, spec.rank, spec.matrices, check=False)
 
 
 def same_data(x, y):
-    return (x.rank == y.rank and x.basis_labels == y.basis_labels
-            and x.matrices == y.matrices and x.space is y.space)
+    return x.rank == y.rank and x.matrices == y.matrices and x.space is y.space
 
 
 def model_specs(gt_model_doc, split_three_charts):

@@ -64,13 +64,13 @@ def test_compose_into_matches_substitution(name, space):
 
 
 def test_compose_into_collects_colliding_terms():
-    # a map that is not injective on exponents (the ReducedSpace is built
-    # unchecked): colliding terms add up, and cancelling ones drop out
+    # a map that is not injective on exponents (the cover declares no
+    # overlap, so nothing is verified): colliding terms add up, and
+    # cancelling ones drop out
     chart = Chart("U", ("x", "y"))
     cover = Cover([chart], [])
     space = ReducedSpace(cover, {("U", "U"): {"x": LaurentPoly.var(("x", "y"), "x"),
-                                              "y": LaurentPoly.var(("x", "y"), "x")}},
-                         check=False)
+                                              "y": LaurentPoly.var(("x", "y"), "x")}})
     X = chart.vars
     for terms in ({(1, 0): Q(1), (0, 1): Q(2)}, {(1, 0): Q(1), (0, 1): Q(-1), (2, -1): Q(3)}):
         p = LaurentPoly(X, terms)
