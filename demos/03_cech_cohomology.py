@@ -32,7 +32,7 @@ for n in range(-4, 5):
 print()
 print("== canonical class representatives for degree -4 ==")
 for c in cohomology_basis(line_bundle(-4), 1):
-    print("  ", str(c.sections[("U0", "U1")][0]))
+    print("  ", str(c.section("U0", "U1")[0]))
 
 print()
 print("== deciding coboundaries with witnesses ==")
@@ -42,7 +42,7 @@ for exponent in (0, -1):
     ok, data = is_coboundary(c)
     if ok:
         print(f"x^{exponent}: coboundary; witness on U0 is",
-              str(data.sections[('U0',)][0]))
+              str(data.section('U0')[0]))
     else:
         print(f"x^{exponent}: nontrivial class with canonical representative",
-              str(data.sections[('U0', 'U1')][0]))
+              str(data.section('U0', 'U1')[0]))

@@ -18,8 +18,8 @@ split = parse_model_file(corpus / "split_p1.model").gluing
 
 print("== the level-2 obstruction class ==")
 oc = obstruction_cocycle(nonsplit, 2)
-print("cocycle:   ", [str(p) for p in oc.cochain.sections[("U0", "U1")]])
-print("canonical: ", [str(p) for p in oc.cls.representative.sections[("U0", "U1")]])
+print("cocycle:   ", [str(p) for p in oc.cochain.section("U0", "U1")])
+print("canonical: ", [str(p) for p in oc.cls.representative.section("U0", "U1")])
 print("trivial:   ", oc.cls.trivial)
 
 print()
@@ -28,7 +28,7 @@ for lam in (Q(2), Q(-1), Q(1, 2)):
     scaled = obstruction_cocycle(scaling_action(nonsplit, lam), 2)
     expected = scale_class(oc, lam)
     match = scaled.cls.representative == expected.cls.representative
-    rep = [str(p) for p in scaled.cls.representative.sections[("U0", "U1")]]
+    rep = [str(p) for p in scaled.cls.representative.section("U0", "U1")]
     print(f"lambda = {lam}: class {rep}, equals lambda^2 * class: {match}")
 
 print()

@@ -28,11 +28,11 @@ print()
 print("== the characteristic section ==")
 cf = characteristic_factorization(fam.gluing)
 print("s(t) =", cf.section)
-print("fixed class:", [str(p) for p in cf.omega.representative.sections[("U0", "U1")]])
+print("fixed class:", [str(p) for p in cf.omega.representative.section("U0", "U1")])
 
 d = splitting_type_differential(fam.gluing)
 print("class of the fiber over t=3:",
-      [str(p) for p in d({"t": Q(3)}).cls.representative.sections[("U0", "U1")]])
+      [str(p) for p in d({"t": Q(3)}).cls.representative.section("U0", "U1")])
 
 print()
 print("== fibers over nonzero points are conjugate ==")

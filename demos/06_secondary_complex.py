@@ -14,6 +14,12 @@ from supercech.secondary import (model_class, model_class_map,
                                  verify_a1_containment, verify_obstruction_compatibility)
 from supercech.sheaf import filtration
 
+
+def dense(cochain):
+    """Every component of every section, zeros included, as text."""
+    return {k: [str(p) for p in cochain.section(*k)] for k in cochain.sections}
+
+
 corpus = resources.files("supercech.corpus")
 doc = parse_model_file(corpus / "gt_model_p1.model")
 m = doc.gt_models["M"]
@@ -49,9 +55,9 @@ for i, nu in enumerate(space.basis):
     if not lhs.cls.trivial and shown < 2:
         print(f"basis class {i}:")
         print("  cup image:         ",
-              {k: [str(p) for p in v] for k, v in lhs.cls.representative.sections.items()})
+              dense(lhs.cls.representative))
         print("  differential image:",
-              {k: [str(p) for p in v] for k, v in rhs.cls.representative.sections.items()})
+              dense(rhs.cls.representative))
         shown += 1
 rep = verify_a1_containment(m, 2, 0)
 print("all", rep.dimension, "basis classes agree:", rep.ok)
@@ -62,4 +68,4 @@ odd_doc = parse_model_file(corpus / "gtm_odd_base.model")
 cr = verify_obstruction_compatibility(odd_doc.gluing, odd_doc.base_odd)
 print("restricted total-space class equals the underlying class:", cr.ok)
 print("common canonical representative:",
-      {k: [str(p) for p in v] for k, v in cr.fiber_class.representative.sections.items()})
+      dense(cr.fiber_class.representative))

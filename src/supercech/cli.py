@@ -59,8 +59,8 @@ class Reporter:
 
 def _fmt_cochain(c) -> str:
     parts = []
-    for key, vec in sorted(c.sections.items()):
-        body = ", ".join(str(p) for p in vec)
+    for key in sorted(c.sections):
+        body = ", ".join(str(p) for p in c.section(*key))
         parts.append(f"{'|'.join(key)} -> ({body})")
     return "; ".join(parts) if parts else "0"
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from bisect import insort
+from heapq import heapify, heappop, heappush
 
 Row = list[tuple[int, Fraction]]
 
@@ -96,6 +97,8 @@ class SpanReducer:
 
     def __init__(self, rows: list[Row]):
         self.echelon, self.built, self.dependent = rref(rows)
+        # position in ``built`` of each echelon row, by leading column
+        self.position = {lead: k for k, (lead, _, _) in enumerate(self.built)}
 
     def reduce(self, vector: dict[int, Fraction]) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
         """``(residual, multiples)``: the one vector of ``vector`` + span that
@@ -111,22 +114,32 @@ class SpanReducer:
         ``sum multiples[p] * echelon[p]``, supported on the rows independent of
         the rows before them (the only such ``x``).  Echelon row ``p`` is its
         source row minus earlier echelon rows, so the coefficients are read
-        off from the last row built back to the first."""
+        off from the last row built back to the first, visiting only the
+        rows reached: a heap holds the pending build positions (negated, so
+        the latest pops first), and a row only reaches rows built before
+        it."""
         x = dict(multiples)
+        built, position = self.built, self.position
+        pending = [-position[p] for p in x]
+        heapify(pending)
         out = {}
-        for lead, i, steps in reversed(self.built):
-            if not x:
-                break
+        while pending:
+            lead, i, steps = built[-heappop(pending)]
             f = x.pop(lead, None)
-            if not f:
-                continue
+            if f is None:
+                continue    # cancelled to zero, or a repeated position
             out[i] = f
             for q, g in steps.items():
-                s = x.get(q, 0) - f * g
-                if s:
-                    x[q] = s
+                s = x.get(q)
+                if s is None:
+                    x[q] = -f * g
+                    heappush(pending, -position[q])
                 else:
-                    x.pop(q, None)
+                    s -= f * g
+                    if s:
+                        x[q] = s
+                    else:
+                        del x[q]
         return out
 
     def kernel(self) -> list[dict[int, Fraction]]:

@@ -127,6 +127,7 @@ def parse_model_text(text: str) -> ModelDocument:
     declared = None
     atlas = None
     atlas_line = None
+    atlas_vars_line = None
     sheaves_raw: dict[str, dict] = {}
     gt_raw: dict[str, dict] = {}
 
@@ -249,6 +250,7 @@ def parse_model_text(text: str) -> ModelDocument:
             if head == "base_vars":
                 _args(toks, 2, lineno)
                 atlas["base_vars"] = _names(toks, lineno, line)
+                atlas_vars_line = lineno
             elif head == "witness_exponent":
                 atlas["witness_exponent"] = _int(toks, lineno, line)
             else:
@@ -272,11 +274,19 @@ def parse_model_text(text: str) -> ModelDocument:
             even, odd = {}, {}
             for lhs, rhs, lineno in assignments:
                 if lhs.startswith("theta_"):
-                    try:
-                        coord = int(lhs.split("_", 1)[1])
-                    except ValueError:
-                        raise ParseError(f"expected an integer theta index, got {lhs!r}",
-                                         lineno, 1) from None
+                    index = lhs[len("theta_"):]
+                    if index.isdecimal():
+                        # decided by its digit count first (as in the
+                        # expression parser), so no length reaches the
+                        # interpreter's conversion limit; 0 is out of range
+                        index = index.lstrip("0") or "0"
+                        coord = int(index) if len(index) <= len(str(tgt.odd_rank)) else 0
+                    else:
+                        try:
+                            coord = int(index)
+                        except ValueError:
+                            raise ParseError(f"expected an integer theta index, got {lhs!r}",
+                                             lineno, 1) from None
                     if not 1 <= coord <= tgt.odd_rank:
                         raise ParseError(f"{lhs} is not an odd coordinate of chart {b!r} "
                                          f"(odd {tgt.odd_rank})", lineno, 1)
@@ -295,6 +305,14 @@ def parse_model_text(text: str) -> ModelDocument:
                                  line_no, 1)
             transitions[(a, b)] = SuperTransition(src, tgt, even, odd)
         doc.gluing = SuperGluingData(cover, transitions, family_vars, declared)
+        if atlas is not None and family_vars:
+            # the stored piece is evaluated in the first atlas coordinate,
+            # which a family must carry (data with no family coordinate is
+            # constant in it)
+            first = atlas["base_vars"][0]
+            if not any(first in c.vars for c in charts):
+                raise ParseError(f"base atlas coordinate {first!r} is on no chart",
+                                 atlas_vars_line, 1)
 
     space = None
     if sheaves_raw or gt_raw:
@@ -420,7 +438,8 @@ def write_gt_model(name: str, m: GtModel, fiber_sheaf_name: str) -> str:
     out = [f"gtmodel {name}",
            f"  fiber_sheaf {fiber_sheaf_name}",
            f"  base_rank {m.base_rank}"]
-    for (a, b), flat in m.theta.sections.items():
+    for (a, b) in m.theta.sections:
+        flat = m.theta.section(a, b)
         out.append(f"  theta {a} {b}")
         for i in range(m.base_rank):
             row = flat[i * m.fiber_rank:(i + 1) * m.fiber_rank]

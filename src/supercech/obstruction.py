@@ -20,7 +20,7 @@ from .cech import (CechCochain, CohomologyClass, cohomology_class, is_cocycle,
                    solve_coboundary)
 from .errors import CocycleError, LevelError, SupercechError
 from .gluing import (INFINITY, SuperGluingData, SuperTransition, compose_transitions,
-                     identity_transition, invert_laurent_matrix)
+                     identity_transition)
 from .grassmann import GrassmannElement
 from .laurent import LaurentPoly, Q
 from .sheaf import SheafSpec, mat_mul, sheaf_dual, sheaf_exterior_power, sheaf_hom
@@ -46,9 +46,14 @@ def deviation_hom_spec(g: SuperGluingData, level: int,
                        reduced=None) -> SheafSpec:
     """Sheaf housing normalized level-j deviation cochains."""
     space, odd_spec = reduced if reduced is not None else g.reduce(verify=False)
+    return sheaf_hom(*_deviation_specs(level, space, odd_spec))
+
+
+def _deviation_specs(level: int, space, odd_spec) -> tuple[SheafSpec, SheafSpec]:
+    """Source and target of the level-j deviation hom sheaf; the target's
+    matrices are what the deviation blocks are normalized by."""
     source = sheaf_exterior_power(odd_spec, level)
-    target = tangent_spec(space) if level % 2 == 0 else odd_spec
-    return sheaf_hom(source, target)
+    return source, tangent_spec(space) if level % 2 == 0 else odd_spec
 
 
 # --------------------------------------------------------------- extraction
@@ -104,17 +109,15 @@ def deviation_cochain(g: SuperGluingData, level: int, reduced=None) -> CechCocha
     """Normalized level-j deviation data as a hom-sheaf 1-cochain (raw, not
     reduced to a canonical representative)."""
     space, odd_spec = reduced if reduced is not None else g.reduce(verify=False)
-    hom = deviation_hom_spec(g, level, (space, odd_spec))
+    source, target = _deviation_specs(level, space, odd_spec)
+    hom = sheaf_hom(source, target)
     sections = {}
     for (a, b) in g.cover.canonical_overlaps():
         t = g.transitions[(a, b)]
         blocks, idxs = _deviation_blocks(g, t, level)
-        if level % 2 == 0:
-            normalizer = invert_laurent_matrix(space.jacobian(a, b))
-        else:
-            normalizer = invert_laurent_matrix(t.odd_matrix())
-        if normalizer is None:
-            raise SupercechError(f"transition ({a},{b}) is not Laurent-invertible")
+        # the inverse of the reduced Jacobian (even levels) or of the odd
+        # matrix (odd levels) of the transition
+        normalizer = target.inverse(a, b)
         if g.is_family and level % 2 == 0:
             base_rows = [i for i, v in enumerate(t.target.vars) if v in g.base_vars]
             for i in base_rows:
@@ -196,7 +199,7 @@ def _witness_to_coordinate_change(g: SuperGluingData, witness: CechCochain,
     for name in g.cover.order:
         chart = g.cover.chart(name)
         vars = chart.vars
-        vec = witness.sections[(name,)]
+        frames = witness.sections[(name,)]
         n_targets = len(vars) if level % 2 == 0 else chart.odd_rank
         ident = identity_transition(chart)
         even = dict(ident.even_maps)
@@ -204,8 +207,8 @@ def _witness_to_coordinate_change(g: SuperGluingData, witness: CechCochain,
         for t_index in range(n_targets):
             correction = GrassmannElement.zero(vars, chart.odd_rank)
             for k, I in enumerate(idxs):
-                coeff = vec[t_index * len(idxs) + k]
-                if coeff.is_zero():
+                coeff = frames.get(t_index * len(idxs) + k)
+                if coeff is None:
                     continue
                 correction = correction + GrassmannElement(
                     vars, chart.odd_rank, {I: coeff})
@@ -347,9 +350,9 @@ def characteristic_factorization(g: SuperGluingData,
 
     # per-base-monomial fiber cochains
     by_monomial: dict[tuple[int, ...], dict[tuple, list[LaurentPoly]]] = {}
-    for key, vec in fam_cochain.sections.items():
+    for key, frames in fam_cochain.sections.items():
         lead_fiber_vars = fiber_space.cover.chart(key[0]).vars
-        for frame, poly in enumerate(vec):
+        for frame, poly in frames.items():
             for m, coeffpoly in poly.split_by(g.base_vars).items():
                 data = by_monomial.setdefault(m, {})
                 if key not in data:
@@ -391,13 +394,14 @@ def characteristic_factorization(g: SuperGluingData,
 def _proportionality(c: CechCochain, base: CechCochain) -> Fraction | None:
     """lambda with c = lambda * base, comparing canonical representatives."""
     lam = None
-    for key, vec in base.sections.items():
+    for key, frames in base.sections.items():
         other = c.sections[key]
-        for p, q in zip(vec, other):
-            keys = set(p.terms) | set(q.terms)
-            for exps in keys:
-                pv = p.terms.get(exps, Q(0))
-                qv = q.terms.get(exps, Q(0))
+        for f in frames.keys() | other.keys():
+            p = frames[f].terms if f in frames else {}
+            q = other[f].terms if f in other else {}
+            for exps in p.keys() | q.keys():
+                pv = p.get(exps, Q(0))
+                qv = q.get(exps, Q(0))
                 if pv == 0:
                     if qv != 0:
                         return None

@@ -206,7 +206,11 @@ def secondary_differential(m: GtModel, a: int, b: int, p: int,
         return ShortExactSequence(sheaf_hom(P, filt.piece_specs[b]), _hom_frames(inner, P.rank))
 
     ses = _cached(m, ("ses", level, b), build_ses)
-    nu_q = CechCochain(ses.quot, p, nu.sections)
+    if nu.degree != p:
+        raise ValueError(f"nu has degree {nu.degree}, not {p}")
+    # the same frame maps, valued in the quotient of the sequence (which
+    # connecting_map checks against nu's sheaf)
+    nu_q = CechCochain(ses.quot, p, nu.sections, trusted=True)
     conn = connecting_map(ses, nu_q)
     # F_{b+1} -> F_{b+1}/F_{b+2}: the graded frames among those of F_{b+1}
     big = filt.pieces[b + 1]
@@ -232,8 +236,9 @@ def _theta_pairing_matrix(m: GtModel, a: int, b: int, rank_p: int,
     compose with a hom(fiber, base) value, wedge the base factors.
 
     Maps tensor(hom(fiber, base), hom(P, quot^{a,b})) components to
-    hom(P, quot^{a-1,b+1}) components; one sparse row of ``(column,
-    coefficient)`` pairs per output component, columns increasing."""
+    hom(P, quot^{a-1,b+1}) components; one sparse column of ``(row,
+    coefficient)`` pairs per input component, rows increasing (the form
+    ``CechCochain.map`` reads)."""
     n, qx = m.base_rank, m.fiber_rank
     Ia = list(combinations(range(qx), a))
     Ia1 = list(combinations(range(qx), a - 1))
@@ -242,8 +247,8 @@ def _theta_pairing_matrix(m: GtModel, a: int, b: int, rank_p: int,
     ia1pos = {I: i for i, I in enumerate(Ia1)}
     kb1pos = {K: i for i, K in enumerate(Kb1)}
     rank_quot_in = len(Kb) * len(Ia)
-    rank_out = (len(Kb1) * len(Ia1)) * rank_p
-    out: list[dict[int, Fraction]] = [{} for _ in range(rank_out)]
+    rank_in = n * qx * rank_quot_in * rank_p
+    out: list[dict[int, Fraction]] = [{} for _ in range(rank_in)]
     norm = Fraction(sign_fix, factorial(a))
     for bi in range(n):
         for fi in range(qx):
@@ -263,10 +268,10 @@ def _theta_pairing_matrix(m: GtModel, a: int, b: int, rank_p: int,
                     qi_out = kb1pos[K2] * len(Ia1) + ia1pos[I2]
                     coeff = norm * tsign * wsign
                     for pi in range(rank_p):
-                        col = h * (rank_quot_in * rank_p) + (qi_in * rank_p + pi)
-                        row = out[qi_out * rank_p + pi]
-                        row[col] = row.get(col, 0) + coeff
-    return [sorted((c, v) for c, v in row.items() if v) for row in out]
+                        col = out[h * (rank_quot_in * rank_p) + (qi_in * rank_p + pi)]
+                        row = qi_out * rank_p + pi
+                        col[row] = col.get(row, 0) + coeff
+    return [sorted((r, v) for r, v in col.items() if v) for col in out]
 
 
 # The coboundary here is transport(v_b) - v_a, under which the connecting

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import CocycleError
-from .gluing import invert_laurent_matrix, laurent_det
+from .gluing import laurent_det
 from .laurent import LaurentPoly, Q, collect, dot, mul_into
 from .spaces import ReducedSpace
 
@@ -71,28 +71,22 @@ def mat_transpose(m):
 
 def kron(a: list[list], b: list[list]) -> list[list]:
     """Row-major Kronecker product: entry ((i,j),(k,l)) = a[i][k] * b[j][l].
-    Entries may be Laurent polynomials or rationals; a product with a zero
-    factor is the zero of the product's type, built without multiplying."""
+    Entries may be Laurent polynomials of one context or rationals; a
+    product with a zero factor is one shared zero of the product's type,
+    built without multiplying."""
     if not a or not b:
         return []
-    zeros: dict = {}
-
-    def zero(x, y):
-        vars = (x.vars if isinstance(x, LaurentPoly)
-                else y.vars if isinstance(y, LaurentPoly) else None)
-        if vars not in zeros:
-            zeros[vars] = Q(0) if vars is None else LaurentPoly.zero(vars)
-        return zeros[vars]
-
+    vars = _context(None, a, b)
+    zero = Q(0) if vars is None else LaurentPoly.zero(vars)
     out = []
     for arow in a:
         for brow in b:
             row = []
             for x in arow:
                 if _nonzero(x):
-                    row.extend(x * y if _nonzero(y) else zero(x, y) for y in brow)
+                    row.extend(x * y if _nonzero(y) else zero for y in brow)
                 else:
-                    row.extend(zero(x, y) for y in brow)
+                    row.extend([zero] * len(brow))
             out.append(row)
     return out
 
@@ -113,6 +107,17 @@ def selection_matrix(positions: list[int], n: int) -> list[list[Fraction]]:
     return [[Q(1) if j == p else Q(0) for j in range(n)] for p in positions]
 
 
+def frame_map(vars: tuple[str, ...], accs: dict[int, dict]) -> dict[int, LaurentPoly]:
+    """The nonzero polynomials over ``vars`` of accumulators (``mul_into``,
+    ``add_into``) by frame index."""
+    out = {}
+    for f, acc in accs.items():
+        terms = collect(acc)
+        if terms:
+            out[f] = LaurentPoly(vars, terms, trusted=True)
+    return out
+
+
 class SheafSpec:
     """Rank + per-overlap transition matrices over a reduced space."""
 
@@ -129,7 +134,7 @@ class SheafSpec:
         self.derived: dict[tuple, tuple] = {}
         self._dual: SheafSpec | None = None  # sheaf_dual, which every hom uses
         self._transported: dict[tuple, list[list[LaurentPoly]]] = {}  # _matrix_in
-        # (rows, columns) of _nonzeros_in by (chart, key)
+        # columns of _nonzeros_in by (chart, key)
         self._nonzeros: dict[tuple, tuple] = {}
         self._max_pole_order: int | None = None
         cover = space.cover
@@ -145,9 +150,7 @@ class SheafSpec:
     def _verify(self):
         cover = self.space.cover
         for (a, b) in cover.canonical_overlaps():
-            prod = mat_mul(self._matrix_in(a, (b, a)), self.matrices[(a, b)])
-            if prod != identity_matrix(self.rank, self._vars(a)) and self.rank > 0:
-                raise CocycleError(f"matrices on ({a},{b}) and ({b},{a}) are not inverse")
+            self.inverse(a, b)
         for (a, b, c) in cover.triples:
             via = mat_mul(self._matrix_in(a, (b, c)), self.matrices[(a, b)])
             if via != self.matrices[(a, c)]:
@@ -164,47 +167,53 @@ class SheafSpec:
             return m
         moved = self._transported.get((chart, key))
         if moved is None:
-            moved = [[self.space.compose_into(chart, src, e) for e in row] for row in m]
+            zero = LaurentPoly.zero(self._vars(chart))
+            moved = [[self.space.compose_into(chart, src, e) if e.terms else zero for e in row]
+                     for row in m]
             self._transported[(chart, key)] = moved
         return moved
 
-    def _nonzeros_in(self, chart: str, key: tuple[str, str]) -> tuple[tuple, tuple]:
-        """Nonzero pattern of ``_matrix_in(chart, key)``: ``(rows, columns)``,
-        where ``rows[i]`` lists the ``(j, entry)`` pairs of row i with a
-        nonzero entry and ``columns[j]`` the ``(i, entry)`` pairs of column j,
-        both in increasing index order."""
-        pattern = self._nonzeros.get((chart, key))
-        if pattern is None:
+    def _nonzeros_in(self, chart: str, key: tuple[str, str]) -> tuple[tuple, ...]:
+        """Nonzero pattern of ``_matrix_in(chart, key)`` by column:
+        ``columns[j]`` lists the ``(i, entry)`` pairs of column j with a
+        nonzero entry, in increasing row order."""
+        columns = self._nonzeros.get((chart, key))
+        if columns is None:
             m = self._matrix_in(chart, key)
-            rows = tuple(tuple((j, e) for j, e in enumerate(row) if e.terms) for row in m)
-            columns = [[] for _ in range(self.rank)]
-            for i, row in enumerate(rows):
-                for j, e in row:
-                    columns[j].append((i, e))
-            pattern = self._nonzeros[(chart, key)] = (rows, tuple(map(tuple, columns)))
-        return pattern
+            columns = self._nonzeros[(chart, key)] = tuple(
+                tuple((i, row[j]) for i, row in enumerate(m) if row[j].terms)
+                for j in range(self.rank))
+        return columns
+
+    def inverse(self, a: str, b: str) -> list[list[LaurentPoly]]:
+        """Inverse of the (a, b) matrix: its partner (b, a) re-expressed in
+        a-coordinates, checked by one product against the identity (which
+        an unchecked spec may fail)."""
+        inv = self._matrix_in(a, (b, a))
+        if mat_mul(self.matrices[(a, b)], inv) != identity_matrix(self.rank, self._vars(a)):
+            raise CocycleError(f"matrices on ({a},{b}) and ({b},{a}) are not inverse")
+        return inv
 
     # ------------------------------------------------------------- transport
 
-    def transport(self, frm: str, to: str, vector: list[LaurentPoly]) -> list[LaurentPoly]:
-        """Re-express a component vector given in ``frm`` frame/coordinates in
-        the ``to`` frame/coordinates (the two charts must overlap).  Only the
-        nonzero components are moved and only the nonzero entries of the
-        transition matrix multiplied."""
+    def transport(self, frm: str, to: str,
+                  frames: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
+        """Re-express a frame map (the nonzero components by frame index)
+        given in ``frm`` frame/coordinates in the ``to`` frame/coordinates
+        (the two charts must overlap), as a frame map.  Each component is
+        moved once and multiplied into the nonzero entries of its column of
+        the transition matrix."""
         compose = self.space.compose_into
-        moved = [compose(to, frm, p).terms if p.terms else None for p in vector]
-        vars = self._vars(to)
-        out = []
-        for row in self._nonzeros_in(to, (frm, to))[0]:
-            acc: dict = {}
-            for j, e in row:
-                if moved[j] is not None:
-                    mul_into(acc, e.terms, moved[j])
-            out.append(LaurentPoly(vars, collect(acc), trusted=True))
-        return out
-
-    def zero_vector(self, chart: str) -> list[LaurentPoly]:
-        return [LaurentPoly.zero(self._vars(chart)) for _ in range(self.rank)]
+        columns = self._nonzeros_in(to, (frm, to))
+        accs: dict[int, dict] = {}
+        for j, p in frames.items():
+            moved = compose(to, frm, p).terms
+            for i, e in columns[j]:
+                acc = accs.get(i)
+                if acc is None:
+                    acc = accs[i] = {}
+                mul_into(acc, e.terms, moved)
+        return frame_map(self._vars(to), accs)
 
     def max_pole_order(self) -> int:
         """Largest absolute exponent in the transition matrices and in the
@@ -254,15 +263,7 @@ def sheaf_dual(spec: SheafSpec) -> SheafSpec:
 
 
 def _dual(spec: SheafSpec) -> SheafSpec:
-    mats = {}
-    for key, m in spec.matrices.items():
-        if spec.rank == 0:
-            mats[key] = []
-            continue
-        inv = invert_laurent_matrix(m)
-        if inv is None:
-            raise CocycleError(f"matrix on {key} not invertible in the Laurent class")
-        mats[key] = mat_transpose(inv)
+    mats = {(a, b): mat_transpose(spec.inverse(a, b)) for (a, b) in spec.matrices}
     return SheafSpec(spec.space, spec.rank, mats, check=False)
 
 

@@ -1,5 +1,6 @@
 """Plain references for the optimised kernels: dense exact elimination for
-the sparse ``linalg``, dense sheaf maps for the sparse Cech kernel, and
+the sparse ``linalg``, dense sheaf maps and dense-list cochain operations for
+the sparse Cech kernel and its frame-map cochains, and
 term-by-term substitution for ``spaces.MonomialMap``, and an expression
 parser that builds one Grassmann element per atom for ``parsing``.
 
@@ -85,6 +86,25 @@ def reduce(basis, vector):
     return v
 
 
+def combination(reducer, multiples):
+    """``SpanReducer.combination`` by walking every built row from the last
+    one back to the first."""
+    x = dict(multiples)
+    out = {}
+    for lead, i, steps in reversed(reducer.built):
+        f = x.pop(lead, None)
+        if not f:
+            continue
+        out[i] = f
+        for q, g in steps.items():
+            s = x.get(q, 0) - f * g
+            if s:
+                x[q] = s
+            else:
+                x.pop(q, None)
+    return out
+
+
 # ------------------------------------------------------------ sheaf layer
 #
 # Dense references for the sparse Cech kernel: every matrix entry is visited,
@@ -107,9 +127,19 @@ def mat_vec(m, v):
 
 
 def transport(spec, frm, to, vector):
-    """``SheafSpec.transport`` through the dense re-expressed matrix."""
+    """``SheafSpec.transport`` of a dense component list through the dense
+    re-expressed matrix."""
     composed = [spec.space.compose_into(to, frm, p) for p in vector]
     return mat_vec(spec._matrix_in(to, (frm, to)), composed)
+
+
+# Dense cochain operations: a cochain is read as ``dense(c)``, every
+# canonical tuple's full component list, and the results are such dicts.
+
+
+def dense(cochain):
+    """Every component of every canonical section, zeros included."""
+    return {k: cochain.section(*k) for k in cochain.sections}
 
 
 def map_cochain(cochain, matrix, sheaf):
@@ -117,7 +147,59 @@ def map_cochain(cochain, matrix, sheaf):
     built through the checking constructor."""
     from supercech.cech import CechCochain
     return CechCochain(sheaf, cochain.degree,
-                       {k: mat_vec(matrix, v) for k, v in cochain.sections.items()})
+                       {k: mat_vec(matrix, v) for k, v in dense(cochain).items()})
+
+
+def restrict(cochain, frames):
+    return {k: [v[f] for f in frames] for k, v in dense(cochain).items()}
+
+
+def extend(cochain, frames, rank):
+    out = {}
+    for k, v in dense(cochain).items():
+        vec = [LaurentPoly.zero(v[0].vars)] * rank
+        for f, p in zip(frames, v):
+            vec[f] = p
+        out[k] = vec
+    return out
+
+
+def combine(u, v, sign):
+    """``u + sign * v`` component by component."""
+    return {k: [a + b if sign == 1 else a - b for a, b in zip(x, dense(v)[k])]
+            for k, x in dense(u).items()}
+
+
+def delta(cochain):
+    """The alternating-sum coboundary, every component transported."""
+    spec = cochain.sheaf
+    cover = spec.space.cover
+    s = dense(cochain)
+    if cochain.degree == 0:
+        return {(a, b): [m - h for m, h in zip(transport(spec, b, a, s[(b,)]), s[(a,)])]
+                for (a, b) in cover.canonical_overlaps()}
+    return {(a, b, c): [x - y + z for x, y, z in
+                        zip(transport(spec, b, a, s[(b, c)]), s[(a, c)], s[(a, b)])]
+            for (a, b, c) in cover.canonical_triples()}
+
+
+def cup_product(u, v):
+    """``cech.cup_product`` with every product of components formed."""
+    B = v.sheaf
+    cover = B.space.cover
+    us, vs = dense(u), dense(v)
+
+    def tensor(x, y):
+        return [a * b for a in x for b in y]
+    if (u.degree, v.degree) == (0, 0):
+        return {(n,): tensor(us[(n,)], vs[(n,)]) for n in cover.order}
+    if (u.degree, v.degree) == (1, 0):
+        return {(a, b): tensor(us[(a, b)], transport(B, b, a, vs[(b,)]))
+                for (a, b) in cover.canonical_overlaps()}
+    if (u.degree, v.degree) == (0, 1):
+        return {(a, b): tensor(us[(a,)], vs[(a, b)]) for (a, b) in cover.canonical_overlaps()}
+    return {(a, b, c): tensor(us[(a, b)], transport(B, b, a, vs[(b, c)]))
+            for (a, b, c) in cover.canonical_triples()}
 
 
 def theta_pairing_matrix(n, qx, a, b, rank_p, sign_fix=1):

@@ -30,7 +30,7 @@ def random_cochain(rng, spec, degree):
     lo = 0 if degree == 0 else -2
     for key in keys:
         chart = key[0]
-        vec = spec.zero_vector(chart)
+        vec = [None] * spec.rank
         for i in range(spec.rank):
             vec[i] = mono(spec.space, chart, Q(rng.randint(-3, 3)), rng.randint(lo, 2))
         sections[tuple(key) if degree else (key[0],)] = vec
@@ -301,7 +301,8 @@ def test_connecting_independent_of_lift(p1_space):
     # second lift: add something in the image of the inclusion
     sigma = ses.section_of_projection()
     lifted = {}
-    for key, vec in c.sections.items():
+    for key in c.sections:
+        vec = c.section(*key)
         vars = p1_space.cover.chart(key[0]).vars
         base = [sum((row[j].__mul__(vec[j]) for j in range(len(vec))),
                     LaurentPoly.zero(vars)) for row in
@@ -312,8 +313,8 @@ def test_connecting_independent_of_lift(p1_space):
     lift2 = CechCochain(h_tot, 0, lifted)
     boundary = cech_delta(lift2)
     out2_sections = {}
-    for key, vec in boundary.sections.items():
-        out2_sections[key] = [vec[0]]
+    for key in boundary.sections:
+        out2_sections[key] = [boundary.section(*key)[0]]
     out2 = CechCochain(h_sub, 1, out2_sections)
     ok, _ = is_coboundary(out2 - out1)
     assert ok
@@ -334,6 +335,25 @@ def test_short_exact_sequence_checks_its_frames(p1_space):
                                   ("U1",): [mono(p1_space, "U1", 1, 0)]})
     with pytest.raises(CocycleError, match="inclusion is not a sheaf map"):
         connecting_map(ses, c)
+
+
+def test_connecting_map_rejects_a_non_cocycle(p1_space, split_three_charts):
+    sub = trivial_spec(p1_space, 1)
+    quot = line_bundle(p1_space, 2)
+    coc = CechCochain(sheaf_hom(quot, sub), 1,
+                      {("U0", "U1"): [mono(p1_space, "U0", 1, -1)]})
+    ses = ShortExactSequence(sheaf_hom(quot, extension_sheaf(sub, quot, coc)), [0])
+    # a section on U0 only: its coboundary is the section itself
+    c = CechCochain(ses.quot, 0, {("U0",): [mono(p1_space, "U0", 1, 0)]})
+    with pytest.raises(CocycleError, match="^connecting map needs a cocycle$"):
+        connecting_map(ses, c)
+    # degree 1 on three charts: a cochain on a single edge of the triple
+    space, odd = split_three_charts.reduce()
+    total = trivial_spec(space, 2)
+    ses3 = ShortExactSequence(total, [0])
+    bad = CechCochain(ses3.quot, 1, {("U0", "U1"): [mono(space, "U0", 1, 0)]})
+    with pytest.raises(CocycleError, match="^connecting map needs a cocycle$"):
+        connecting_map(ses3, bad)
 
 
 def test_non_cocycle_rejected(split_three_charts):

@@ -294,6 +294,7 @@ def test_valid_model_for_malformed_variants(tmp_path, capsys):
     (11, "  y = (1+x)^800/x"),
     (16, "    (1+x+x^50)^100"),
     (11, "  y = " + "7" * 5000 + "/x"),
+    (11, "  theta_" + "1" * 5000 + " = 0"),
 ])
 def test_malformed_model_is_input_error_with_location(tmp_path, capsys, lineno, text):
     path = tmp_path / "bad.model"
@@ -301,6 +302,16 @@ def test_malformed_model_is_input_error_with_location(tmp_path, capsys, lineno, 
     code, _, err = run_cli(capsys, "verify", "--input", str(path))
     assert code == 2
     assert f"line {lineno}," in err
+
+
+def test_long_theta_index_on_the_left_is_not_an_odd_coordinate(tmp_path, capsys):
+    # the index is decided by its digit count, not by int() (whose limit
+    # is 4300 digits)
+    path = tmp_path / "bad.model"
+    path.write_text(_with_line(11, "  theta_" + "0" * 5000 + "1" * 5000 + " = 0"))
+    code, _, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 2 and "line 11, column 1:" in err
+    assert "is not an odd coordinate of chart 'U1' (odd 0)" in err
 
 
 @pytest.mark.parametrize("text", ["", "format 1\nchart U0\n  fiber x\n  odd 0\n"])
@@ -326,6 +337,19 @@ def test_base_atlas_naming_a_fiber_coordinate_is_input_error(tmp_path, capsys):
     path.write_text(VALID_MODEL + "baseatlas\n  base_vars x s\n")
     code, out, _ = run_cli(capsys, "glue-p1", "--input", str(path))
     assert code == 2 and out == ""
+
+
+def test_base_atlas_coordinate_on_no_chart_of_a_family_is_input_error(tmp_path, capsys):
+    # the family over t stored by glue-p1, with an atlas over q instead
+    code, out, _ = run_cli(capsys, "glue-p1", "--input", str(corpus_path("nonsplit_p1.model")))
+    assert code == 0
+    text = out.split("\n", 3)[3].replace("  base_vars t s", "  base_vars q s")
+    lineno = text.splitlines().index("  base_vars q s") + 1
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "glue-p1", "--input", str(path))
+    assert code == 2 and out == ""
+    assert f"line {lineno}, column 1: base atlas coordinate 'q' is on no chart" in err
 
 
 @pytest.mark.parametrize("block,lineno", [

@@ -57,8 +57,8 @@ def test_rothstein_differential_and_section(nonsplit_p1):
     d = splitting_type_differential(fam.gluing)
     # symbolically: the family cochain is t^2 times the fiber cochain
     base = obstruction_cocycle(nonsplit_p1, 2).cochain
-    fam_sections = d.cochain.sections[("U0", "U1")]
-    expected = base.sections[("U0", "U1")]
+    fam_sections = d.cochain.section("U0", "U1")
+    expected = base.section("U0", "U1")
     for fam_entry, fib_entry in zip(fam_sections, expected):
         grouped = fam_entry.split_by(("t",))
         assert set(grouped) <= {(2,)}

@@ -185,6 +185,29 @@ def test_solve_matches_reference(seed):
                 assert dense(reducer.combination(multiples), cols) == expected
 
 
+@pytest.mark.parametrize("seed", [31, 32])
+def test_combination_equals_the_full_walk(seed):
+    # larger, sparser systems than ``shapes``, so that a combination reaches
+    # only some of the rows built; the dict is compared with its order
+    rng = random.Random(seed)
+    for _ in range(30):
+        rows, cols = rng.randint(1, 30), rng.randint(1, 30)
+        a = random_matrix(rng, rows, cols, rng.choice((0.05, 0.1, 0.3)))
+        reducer = linalg.SpanReducer(sparse(a))
+        for _ in range(5):
+            leads = [lead for lead, _, _ in reducer.built]
+            multiples = {p: Q(rng.randint(-3, 3) or 1, rng.randint(1, 2))
+                         for p in rng.sample(leads, rng.randint(0, len(leads)))}
+            got = reducer.combination(multiples)
+            assert list(got.items()) == list(ref.combination(reducer, multiples).items())
+            # the coefficients reach the vector the multiples stand for
+            target = [Q(0)] * cols
+            for p, f in multiples.items():
+                for c, v in reducer.echelon[p].items():
+                    target[c] += f * v
+            assert apply([list(col) for col in zip(*a)], dense(got, rows)) == target
+
+
 @pytest.mark.parametrize("seed", [25, 26])
 def test_kernel_matches_reference(seed):
     for rng, a, rows, cols in shapes(seed):

@@ -33,7 +33,7 @@ def test_nonsplit_class_extraction(nonsplit_p1):
     oc = obstruction_cocycle(nonsplit_p1, 2)
     assert oc.parity == "even"
     assert not oc.cls.trivial
-    rep = oc.cls.representative.sections[("U0", "U1")]
+    rep = oc.cls.representative.section("U0", "U1")
     assert [str(p) for p in rep] == ["-x^-1"]
     assert is_cocycle(oc.cochain)
 
@@ -149,7 +149,7 @@ def test_differential_and_factorization(two_parameter_family):
     assert cf.ok
     from supercech.laurent import LaurentPoly
     assert cf.section == LaurentPoly(("t1", "t2"), {(1, 0): Q(1), (0, 2): Q(1)})
-    assert [str(p) for p in cf.omega.representative.sections[("U0", "U1")]] == ["-x^-1"]
+    assert [str(p) for p in cf.omega.representative.section("U0", "U1")] == ["-x^-1"]
 
 
 def evaluated_differential(d, point):
@@ -162,7 +162,8 @@ def evaluated_differential(d, point):
     q = next(iter(fiber.cover.charts.values())).odd_rank
     n_idx = len(list(combinations(range(q), level)))
     sections = {}
-    for key, vec in d.cochain.sections.items():
+    for key in d.cochain.sections:
+        vec = d.cochain.section(*key)
         family_chart = d.family.cover.chart(key[0])
         lead = fiber.cover.chart(key[0]).vars
         if level % 2 == 0:
@@ -227,7 +228,8 @@ def test_no_base_direction_component(two_parameter_family):
     # hom rows targeting base coordinates must vanish; rows are (coords of
     # the leading chart) x (wedge indices), flattened row-major
     n_idx = 1  # C(2,2)
-    for key, vec in c.sections.items():
+    for key in c.sections:
+        vec = c.section(*key)
         chart = two_parameter_family.cover.chart(key[0])
         for i, v in enumerate(chart.vars):
             entries = vec[i * n_idx:(i + 1) * n_idx]

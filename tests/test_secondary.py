@@ -53,7 +53,7 @@ def test_model_class_of_coboundary_theta(gt_model_doc):
                                              LaurentPoly.zero(("x",)),
                                              LaurentPoly.monomial(("x",), 1, (0,))]})
     theta = cech_delta(witness)
-    m0 = gt_model(space, fiber, 3, dict(theta.sections))
+    m0 = gt_model(space, fiber, 3, {key: theta.section(*key) for key in theta.sections})
     assert model_class(m0).cls.trivial
 
 
@@ -157,8 +157,9 @@ def _top_piece_cocycle(M, level):
     basis = cohomology_basis(sheaf_hom(P, filt.piece_specs[level]), 1)
     assert len(basis) >= 1
     sections = {}
-    for key, vec in basis[0].sections.items():
-        full_vec = full.zero_vector(key[0])
+    for key in basis[0].sections:
+        vec = basis[0].section(*key)
+        full_vec = [LaurentPoly.zero(vec[0].vars)] * full.rank
         for pi in range(P.rank):
             full_vec[top[0] * P.rank + pi] = vec[pi]
         sections[key] = full_vec
@@ -185,9 +186,9 @@ def test_refined_splitting_data_lifts_a_shifted_cocycle(M):
     filt = filtration(M.total_odd, 3)
     rank_p = full.rank // filt.ambient.rank
     outside = [f for f in range(full.rank) if f // rank_p not in filt.pieces[3]]
-    assert any(not shifted.sections[("U0", "U1")][f].is_zero() for f in outside)
+    assert any(f in shifted.sections[("U0", "U1")] for f in outside)
     lifted = _lift_into_piece(M, shifted, 3, 3, None)
-    assert all(vec[f].is_zero() for vec in lifted.sections.values() for f in outside)
+    assert not any(f in frames for frames in lifted.sections.values() for f in outside)
     assert is_coboundary(shifted - lifted)[0]
     report = refined_splitting_data(M, shifted, 3)
     assert report.refined_b == 3

@@ -1,9 +1,10 @@
 """The sparse Cech kernel against dense references.
 
 Transport, frame maps, the theta pairing and the Laurent inverse visit only
-nonzero entries; ``dense_reference`` keeps the entry-by-entry versions they
-must agree with.  Cochains built through the trusted constructor branch must
-equal the same data passed through the checking constructor.
+nonzero entries, and cochains store only nonzero frames; ``dense_reference``
+keeps the entry-by-entry versions on dense component lists they must agree
+with.  Cochains built through the trusted constructor branch must equal the
+same data passed through the checking constructor.
 """
 
 import os
@@ -12,17 +13,18 @@ import time
 from functools import cache
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as dense
 from conftest import corpus_path, load_model
 from supercech.cech import CechCochain, cech_delta, cup_product
-from supercech.errors import SupercechError
+from supercech.errors import CocycleError, SupercechError
 from supercech.gluing import invert_laurent_matrix, laurent_det
 from supercech.laurent import LaurentPoly, Q
 from supercech.secondary import _hom_frames, _theta_pairing_matrix, filtration_of
-from supercech.sheaf import (diagonal_block, identity_matrix, kron, mat_mul,
-                             mat_transpose, selection_matrix, sheaf_dual,
+from supercech.sheaf import (SheafSpec, diagonal_block, identity_matrix, kron,
+                             mat_mul, mat_transpose, selection_matrix, sheaf_dual,
                              sheaf_exterior_power, sheaf_hom, sheaf_tensor)
 
 PROPERTY = settings(max_examples=15)
@@ -95,6 +97,16 @@ def cochains(data, spec, degree):
         for k in keys})
 
 
+def frames_of(vector):
+    """The frame map of a dense component list."""
+    return {f: p for f, p in enumerate(vector) if p.terms}
+
+
+def dense_list(frames, vars, rank):
+    zero = LaurentPoly.zero(vars)
+    return [frames.get(f, zero) for f in range(rank)]
+
+
 # ---------------------------------------------------------------- transport
 
 
@@ -117,7 +129,10 @@ def test_transport_equals_dense_product_on_every_overlap(seed):
         cover = spec.space.cover
         for frm, to in cover.overlaps:
             vector = [random_poly(rng, cover.chart(frm).vars) for _ in range(spec.rank)]
-            assert spec.transport(frm, to, vector) == dense.transport(spec, frm, to, vector)
+            moved = spec.transport(frm, to, frames_of(vector))
+            assert all(p.terms for p in moved.values())
+            assert dense_list(moved, cover.chart(to).vars, spec.rank) == \
+                dense.transport(spec, frm, to, vector)
 
 
 def test_nonzero_patterns_match_the_dense_matrices():
@@ -125,11 +140,8 @@ def test_nonzero_patterns_match_the_dense_matrices():
         for frm, to in spec.space.cover.overlaps:
             for chart in (frm, to):
                 dense_m = spec._matrix_in(chart, (frm, to))
-                pattern = spec._nonzeros_in(chart, (frm, to))
-                assert spec._nonzeros_in(chart, (frm, to)) is pattern
-                rows, columns = pattern
-                assert [[(j, e) for j, e in enumerate(r) if not e.is_zero()]
-                        for r in dense_m] == [list(r) for r in rows]
+                columns = spec._nonzeros_in(chart, (frm, to))
+                assert spec._nonzeros_in(chart, (frm, to)) is columns
                 assert [[(i, dense_m[i][j]) for i in range(spec.rank)
                          if not dense_m[i][j].is_zero()]
                         for j in range(spec.rank)] == [list(c) for c in columns]
@@ -177,8 +189,9 @@ def test_sparse_map_equals_the_dense_map(data):
     target = data.draw(st.sampled_from(specs))
     matrix = [[data.draw(st.sampled_from([Q(0), Q(0), Q(1), Q(-2, 3)]))
                for _ in range(spec.rank)] for _ in range(target.rank)]
-    rows = [[(j, v) for j, v in enumerate(row) if v] for row in matrix]
-    assert c.map(rows, target) == dense.map_cochain(c, matrix, target)
+    columns = [[(i, row[j]) for i, row in enumerate(matrix) if row[j]]
+               for j in range(spec.rank)]
+    assert c.map(columns, target) == dense.map_cochain(c, matrix, target)
 
 
 def test_sparse_theta_pairing_equals_the_dense_matrix():
@@ -189,13 +202,13 @@ def test_sparse_theta_pairing_equals_the_dense_matrix():
                 for b in range(n):
                     for rank_p in (1, 2):
                         for sign in (1, -1):
-                            rows = _theta_pairing_matrix(m, a, b, rank_p, sign)
+                            columns = _theta_pairing_matrix(m, a, b, rank_p, sign)
                             want = dense.theta_pairing_matrix(n, q, a, b, rank_p, sign)
-                            assert len(rows) == len(want)
+                            assert len(columns) == len(want[0])
                             got = [[Q(0)] * len(want[0]) for _ in want]
-                            for i, row in enumerate(rows):
-                                assert [j for j, _ in row] == sorted({j for j, _ in row})
-                                for j, v in row:
+                            for j, col in enumerate(columns):
+                                assert [i for i, _ in col] == sorted({i for i, _ in col})
+                                for i, v in col:
                                     assert v != 0
                                     got[i][j] = v
                             assert got == want
@@ -204,12 +217,17 @@ def test_sparse_theta_pairing_equals_the_dense_matrix():
 # --------------------------------------------------------- trusted cochains
 
 
+def stores_nonzero_frames_only(c):
+    return all(type(v) is dict and all(0 <= f < c.sheaf.rank and p.terms for f, p in v.items())
+               for v in c.sections.values())
+
+
 def rebuilt(c):
-    """``c`` passed through the checking constructor: equal, keys in the
-    same (canonical) order."""
-    again = CechCochain(c.sheaf, c.degree, c.sections)
+    """``c``'s dense sections passed through the checking constructor:
+    equal, keys in the same (canonical) order."""
+    again = CechCochain(c.sheaf, c.degree, dense.dense(c))
     assert list(again.sections) == list(c.sections)
-    assert all(type(v) is list and len(v) == c.sheaf.rank for v in c.sections.values())
+    assert stores_nonzero_frames_only(c)
     return again
 
 
@@ -230,6 +248,86 @@ def test_trusted_cochains_equal_checked_rebuilds(data):
                cup_product(u, cochains(data, three if spec is three else specs[0], 0))]
     for r in results:
         assert rebuilt(r) == r
+
+
+@cache
+def partners(spec):
+    """Specs of rank at most 3 among the transport specs on ``spec``'s cover:
+    right factors of cup products."""
+    return [s for s in transport_specs() if s.rank <= 3 and s.same_cover(spec)]
+
+
+def random_cochain(rng, spec, degree):
+    """Dense random sections through the checking constructor; degree-0
+    sections are chart-regular."""
+    cover = spec.space.cover
+    keys = ([(n,) for n in cover.order] if degree == 0
+            else list(cover.canonical_overlaps()))
+    sections = {}
+    for k in keys:
+        vars = cover.chart(k[0]).vars
+        vec = [random_poly(rng, vars) for _ in range(spec.rank)]
+        if degree == 0:
+            vec = [LaurentPoly(vars, {e: c for e, c in p.terms.items() if min(e) >= 0})
+                   for p in vec]
+        sections[k] = vec
+    return CechCochain(spec, degree, sections)
+
+
+@settings(PROPERTY, max_examples=3)
+@given(st.integers(0, 2 ** 32))
+def test_frame_map_operations_equal_the_dense_reference(seed):
+    rng = random.Random(seed)
+    for spec in transport_specs():
+        n = spec.rank
+        degree = rng.randint(0, 1)
+        u, v = random_cochain(rng, spec, degree), random_cochain(rng, spec, degree)
+        frames = rng.sample(range(n), rng.randint(1, n))
+        small = u.restrict(frames, diagonal_block(spec, frames))
+        matrix = [[Q(0)] * n for _ in range(n)]
+        columns = [[] for _ in range(n)]
+        for _ in range(2 * n):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if not matrix[i][j]:
+                matrix[i][j] = Q(rng.choice([1, -2]), rng.choice([1, 3]))
+                columns[j].append((i, matrix[i][j]))
+        for col in columns:
+            col.sort()
+        w = random_cochain(rng, rng.choice(partners(spec)), rng.randint(0, 1))
+        checks = {
+            "delta": (cech_delta(u), dense.delta(u)),
+            "sum": (u + v, dense.combine(u, v, 1)),
+            "difference": (u - v, dense.combine(u, v, -1)),
+            "scale": (u.scale(Q(-1, 2)), {k: [p.scale(Q(-1, 2)) for p in vec]
+                                          for k, vec in dense.dense(u).items()}),
+            "restrict": (small, dense.restrict(u, frames)),
+            "extend": (small.extend(frames, spec), dense.extend(small, frames, n)),
+            "map": (u.map(columns, spec), dense.dense(dense.map_cochain(u, matrix, spec))),
+            "cup": (cup_product(u, w), dense.cup_product(u, w)),
+        }
+        for name, (got, want) in checks.items():
+            assert stores_nonzero_frames_only(got), name
+            assert dense.dense(got) == want, name
+        if degree == 0:
+            cover = spec.space.cover
+            for frm, to in cover.overlaps:
+                moved = spec.transport(frm, to, u.sections[(frm,)])
+                assert all(p.terms for p in moved.values())
+                assert dense_list(moved, cover.chart(to).vars, n) == \
+                    dense.transport(spec, frm, to, u.section(frm))
+
+
+def test_dual_reads_the_partner_matrices():
+    for spec in transport_specs():
+        dual = sheaf_dual(spec)
+        for key, m in spec.matrices.items():
+            assert dual.matrices[key] == mat_transpose(invert_laurent_matrix(m))
+    # an unchecked spec whose partner matrices are not inverse
+    space = load_model("split_p1.model").gluing.reduce()[0]
+    mats = {(a, b): [[LaurentPoly.monomial(space.cover.chart(a).vars, 1, (e,))]]
+            for (a, b), e in ((("U0", "U1"), 2), (("U1", "U0"), -1))}
+    with pytest.raises(CocycleError, match=r"\(U0,U1\) and \(U1,U0\) are not inverse"):
+        sheaf_dual(SheafSpec(space, 1, mats, check=False))
 
 
 # ------------------------------------------------------------ Laurent inverse
