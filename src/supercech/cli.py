@@ -15,7 +15,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .errors import ParseError, SupercechError, WindowError
+from .errors import CocycleError, ParseError, SupercechError, WindowError
 from .gluing import INFINITY
 from .modelfile import parse_model_file, write_gluing
 from .obstruction import (attempt_split, characteristic_factorization,
@@ -130,6 +130,15 @@ def _require_gluing(doc):
     return doc.gluing
 
 
+def _checked_class(m):
+    """The class of a gt model's extension cocycle, which must pass its
+    cross-validation."""
+    mc = model_class(m)
+    if not mc.cross_validated:
+        raise CocycleError("connecting image of the identity does not match theta")
+    return mc.cls
+
+
 def _dispatch(args, doc, rep: Reporter) -> int:
     window = _window(args)
     cmd = args.command
@@ -159,6 +168,8 @@ def _dispatch(args, doc, rep: Reporter) -> int:
             mc = model_class(m)
             rep.emit(f"gtmodel.{name}.class_trivial", mc.cls.trivial)
             rep.emit(f"gtmodel.{name}.cross_validated", mc.cross_validated)
+            if not mc.cross_validated:
+                code = EXIT_FAIL
         return code
 
     if cmd == "splitting-type":
@@ -236,8 +247,7 @@ def _dispatch(args, doc, rep: Reporter) -> int:
         if not doc.gt_models:
             raise ParseError("secondary needs a gtmodel section")
         for name, m in doc.gt_models.items():
-            mc = model_class(m)
-            rep.emit(f"{name}.model_class_trivial", mc.cls.trivial)
+            rep.emit(f"{name}.model_class_trivial", _checked_class(m).trivial)
             for s in secondary_spaces(m, window=window):
                 rep.emit(f"{name}.dim[a={s.a},b={s.b},p={s.p}]", s.dimension)
         return EXIT_PASS
@@ -313,8 +323,7 @@ def _report_all(args, doc, rep: Reporter, window) -> int:
             result = attempt_split(g, window=window)
             rep.emit("attempt_split.split", result.split)
     for name, m in doc.gt_models.items():
-        mc = model_class(m)
-        rep.emit(f"gtmodel.{name}.class_trivial", mc.cls.trivial)
+        rep.emit(f"gtmodel.{name}.class_trivial", _checked_class(m).trivial)
         r = verify_a1_containment(m, m.base_rank - 1, 0, window=window)
         rep.emit(f"gtmodel.{name}.a1_ok", r.ok)
         if not r.ok:

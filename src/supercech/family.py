@@ -11,7 +11,7 @@ from .errors import CocycleError, SupercechError
 from .gluing import INFINITY, SuperGluingData, SuperTransition
 from .grassmann import GrassmannElement
 from .laurent import LaurentPoly, Q
-from .obstruction import _scaling_witnesses, scaling_action
+from .obstruction import scaling_action, scaling_witnesses
 from .spaces import Chart, Cover
 
 
@@ -99,22 +99,6 @@ class WitnessReport:
     detail: str = ""
 
 
-def star_witnesses(g: SuperGluingData, factor) -> dict[str, SuperTransition]:
-    """Chartwise odd-scaling automorphisms theta -> factor * theta (the maps
-    whose conjugation defines the scaling action)."""
-    if isinstance(factor, LaurentPoly):
-        def factor_inverse(chart):
-            return factor.with_context(chart.vars).inverse()
-    else:
-        c = Fraction(factor)
-        if c == 0:
-            raise ValueError("zero scaling factor")
-
-        def factor_inverse(chart):
-            return LaurentPoly.const(chart.vars, 1 / c)
-    return _scaling_witnesses(g, factor_inverse)
-
-
 def isotriviality_witness(family: FamilySpec, t0: Fraction, t1: Fraction):
     """Scaling map with parameter t1/t0 conjugating the fiber over t0 into
     the fiber over t1; the identity is verified exactly."""
@@ -128,7 +112,7 @@ def isotriviality_witness(family: FamilySpec, t0: Fraction, t1: Fraction):
     fib1 = family.fiber({tvar: t1})
     lam = t1 / t0
     conj = scaling_action(fib0, lam)
-    witnesses = star_witnesses(fib0, lam)
+    witnesses = scaling_witnesses(fib0, lam)
     if conj == fib1:
         return witnesses, WitnessReport(True)
     for key in conj.transitions:
@@ -158,7 +142,7 @@ class GluedFamily:
         low = self.piece_low.gluing
         factor = LaurentPoly.var(low.cover.chart(low.cover.order[0]).vars,
                                  t, self.witness_exponent)
-        conj = low.conjugate(star_witnesses(low, factor))
+        conj = low.conjugate(scaling_witnesses(low, factor))
         charts = [conj.chart(name) for name in conj.cover.order]
         inverse_t = {ch.name: {tp: GrassmannElement.even_var(ch.vars, ch.odd_rank, t, -1)}
                      for ch in charts}

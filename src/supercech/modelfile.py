@@ -323,16 +323,7 @@ def parse_model_text(text: str) -> ModelDocument:
             raise ParseError(f"sheaf {name!r} declares no rank", d["line"], 1)
         mats = {}
         for key, rows in d["matrices"].items():
-            src = _chart(chart_map, key[0], d["lines"][key])
-            parser = ExpressionParser(src.vars, 0)
-            m = []
-            for text_row, lineno in rows:
-                entries = [parser.parse_poly(e.strip(), lineno)
-                           for e in text_row.split(",")]
-                if len(entries) != rank:
-                    raise ParseError(f"matrix row has {len(entries)} entries, want {rank}",
-                                     lineno, 1)
-                m.append(entries)
+            m = _rows(chart_map, key, rows, d["lines"][key], rank, "matrix")
             if len(m) != rank:
                 raise ParseError(f"matrix {key} has {len(m)} rows, want {rank}",
                                  d["lines"][key], 1)
@@ -349,22 +340,30 @@ def parse_model_text(text: str) -> ModelDocument:
         n = d["base_rank"]
         theta_sections = {}
         for key, rows in d["theta"].items():
-            src = _chart(chart_map, key[0], d["lines"][key])
-            parser = ExpressionParser(src.vars, 0)
-            flat = []
-            for text_row, lineno in rows:
-                entries = [parser.parse_poly(e.strip(), lineno)
-                           for e in text_row.split(",")]
-                if len(entries) != fiber.rank:
-                    raise ParseError(f"theta row has {len(entries)} entries, "
-                                     f"want {fiber.rank}", lineno, 1)
-                flat.extend(entries)
+            flat = [e for row in _rows(chart_map, key, rows, d["lines"][key], fiber.rank, "theta")
+                    for e in row]
             if len(flat) != n * fiber.rank:
                 raise ParseError(f"theta {key} must have {n} rows", d["lines"][key], 1)
             theta_sections[key] = flat
         with _located(d["line"]):
             doc.gt_models[name] = gt_model(space, fiber, n, theta_sections)
     return doc
+
+
+def _rows(chart_map: dict, key: tuple, rows: list, lineno: int, width: int,
+          block: str) -> list[list]:
+    """The ``(text, line)`` rows of a ``block`` (``matrix`` or ``theta``)
+    opened at ``lineno`` for overlap ``key``, each ``width`` comma-separated
+    expressions in the coordinates of the overlap's first chart."""
+    parser = ExpressionParser(_chart(chart_map, key[0], lineno).vars, 0)
+    out = []
+    for text_row, row_line in rows:
+        entries = [parser.parse_poly(e.strip(), row_line) for e in text_row.split(",")]
+        if len(entries) != width:
+            raise ParseError(f"{block} row has {len(entries)} entries, want {width}",
+                             row_line, 1)
+        out.append(entries)
+    return out
 
 
 @contextmanager

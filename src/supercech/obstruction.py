@@ -227,15 +227,33 @@ def _witness_to_coordinate_change(g: SuperGluingData, witness: CechCochain,
 # ---------------------------------------------------------- scaling action
 
 
-def _scaling_witnesses(g: SuperGluingData, factor_inverse) -> dict[str, SuperTransition]:
+def scaling_witnesses(g: SuperGluingData, factor) -> dict[str, SuperTransition]:
+    """Chartwise odd-scaling automorphisms theta -> factor * theta, whose
+    conjugation is the scaling action.
+
+    ``factor`` is a nonzero rational, the name of a base coordinate or a
+    Laurent monomial; each chart's map sends theta_b to theta_b / factor in
+    that chart's coordinates."""
+    if isinstance(factor, str):
+        def inverse(vars):
+            return LaurentPoly.var(vars, factor, -1)
+    elif isinstance(factor, LaurentPoly):
+        def inverse(vars):
+            return factor.with_context(vars).inverse()
+    else:
+        c = Fraction(factor)
+        if c == 0:
+            raise ValueError("scaling factor must be nonzero")
+
+        def inverse(vars):
+            return LaurentPoly.const(vars, 1 / c)
     out = {}
     for name in g.cover.order:
         chart = g.cover.chart(name)
         ident = identity_transition(chart)
-        odd = {}
-        for b in range(1, chart.odd_rank + 1):
-            gen = GrassmannElement.odd_gen(chart.vars, chart.odd_rank, b)
-            odd[b] = gen * factor_inverse(chart)
+        scale = inverse(chart.vars)
+        odd = {b: GrassmannElement.odd_gen(chart.vars, chart.odd_rank, b) * scale
+               for b in range(1, chart.odd_rank + 1)}
         out[name] = SuperTransition(chart, chart, dict(ident.even_maps), odd, check=False)
     return out
 
@@ -243,23 +261,12 @@ def _scaling_witnesses(g: SuperGluingData, factor_inverse) -> dict[str, SuperTra
 def scaling_action(g: SuperGluingData, factor) -> SuperGluingData:
     """Conjugate the gluing data by the odd-coordinate scaling theta -> c*theta.
 
-    ``factor`` is a nonzero rational or the name of a base coordinate (the
-    latter makes the deviation coefficients polynomial in that coordinate, as
-    used for the one-parameter scaling family).  Classes at level j scale by
-    factor^j (j even) and factor^(j-1) (j odd).
+    ``factor`` is as for :func:`scaling_witnesses`; a base coordinate makes
+    the deviation coefficients polynomial in that coordinate, as used for
+    the one-parameter scaling family.  Classes at level j scale by factor^j
+    (j even) and factor^(j-1) (j odd).
     """
-    if isinstance(factor, str):
-        def factor_inverse(chart):
-            return LaurentPoly.var(chart.vars, factor, -1)
-    else:
-        c = Fraction(factor)
-        if c == 0:
-            raise ValueError("scaling factor must be nonzero")
-
-        def factor_inverse(chart):
-            return LaurentPoly.const(chart.vars, 1 / c)
-    witnesses = _scaling_witnesses(g, factor_inverse)
-    return g.conjugate(witnesses)
+    return g.conjugate(scaling_witnesses(g, factor))
 
 
 def scale_class(oc: ObstructionClass, factor: Fraction) -> ObstructionClass:
@@ -309,7 +316,6 @@ class CharacteristicFactorization:
     section: LaurentPoly | None              # s, over the base coordinates
     omega: CohomologyClass | None            # common fiber class (None if s = 0)
     level: float
-    certified_zero_residual: bool
     violation: str | None = None
 
 
@@ -342,7 +348,7 @@ def characteristic_factorization(g: SuperGluingData,
     if level == INFINITY:
         # degenerate split case: zero section, class left undefined
         return CharacteristicFactorization(True, LaurentPoly.zero(g.base_vars),
-                                           None, INFINITY, True)
+                                           None, INFINITY)
     level = int(level)
     fam_cochain = deviation_cochain(g, level)
     fiber_space, fiber_odd = _fiber_space_of_family(g)
@@ -361,7 +367,6 @@ def characteristic_factorization(g: SuperGluingData,
                 data[key][frame] = data[key][frame] + coeffpoly.with_context(lead_fiber_vars)
     monomials = sorted(by_monomial)
     reps: dict[tuple[int, ...], CechCochain] = {}
-    witnesses_ok = True
     for m in monomials:
         c = CechCochain(fiber_hom, 1, by_monomial[m])
         cls = cohomology_class(c, window=window)
@@ -374,21 +379,21 @@ def characteristic_factorization(g: SuperGluingData,
             break
     if base_monomial is None:
         return CharacteristicFactorization(True, LaurentPoly.zero(g.base_vars),
-                                           None, level, True)
+                                           None, level)
     r0 = reps[base_monomial]
     s_terms: dict[tuple[int, ...], Fraction] = {}
     for m in monomials:
         lam = _proportionality(reps[m], r0)
         if lam is None:
             return CharacteristicFactorization(
-                False, None, None, level, False,
+                False, None, None, level,
                 violation=f"coefficient of base monomial {m} is not a rational "
                           f"multiple of the one at {base_monomial}")
         if lam != 0:
             s_terms[m] = lam
     section = LaurentPoly(g.base_vars, s_terms)
     omega = CohomologyClass(fiber_hom, 1, r0, False, None)
-    return CharacteristicFactorization(True, section, omega, level, witnesses_ok)
+    return CharacteristicFactorization(True, section, omega, level)
 
 
 def _proportionality(c: CechCochain, base: CechCochain) -> Fraction | None:

@@ -4,9 +4,13 @@ their secondary obstruction complex, and the model-class map.
 A gt model over a point-reduced superspace base consists of a fiber odd
 bundle spec on the curve, a trivial rank-n base spec, and an extension
 cocycle theta valued in hom(fiber, base).  The exterior powers of the
-extension bundle carry the filtration by base-factor count; the graded
-spaces, the connecting differentials between them, and the cup-with-theta
-construction are all computed exactly.
+extension bundle carry the filtration by base-factor count, held as frame
+lists of the exterior power (:class:`~supercech.sheaf.FilteredSheaf`); the
+graded spaces, the connecting differentials between them, and the
+cup-with-theta construction are all computed exactly.  Each question is
+decided once: the model class by one class decision, its cross-check as an
+identity of cochains, and a refined lift by one coboundary solve per
+filtration piece.
 """
 
 from __future__ import annotations
@@ -67,22 +71,19 @@ def gt_model(space: ReducedSpace, fiber_spec: SheafSpec, base_rank: int,
 @dataclass
 class ModelClassReport:
     cls: CohomologyClass
-    cross_validated: bool
-    sign: int            # delta(identity) = sign * theta up to coboundary
+    cross_validated: bool    # delta(identity) = -theta as cochains
 
 
 def model_class(m: GtModel) -> ModelClassReport:
     """Class of the extension cocycle; cross-validated against the connecting
-    image of the identity section in the hom-twisted exact sequence."""
+    image of the identity section in the hom-twisted exact sequence, which
+    is minus the cocycle on the nose (see ``MODEL_CLASS_MAP_SIGN``)."""
     cls = cohomology_class(m.theta)
     # the base frames of hom(fiber, total_odd) come first (target index major)
     ses = ShortExactSequence(sheaf_hom(m.fiber_spec, m.total_odd),
                              list(range(m.base_rank * m.fiber_rank)))
     delta1 = connecting_map(ses, _identity_section(ses.quot, m.fiber_rank))
-    for sign in (1, -1):
-        if solve_coboundary(delta1 - m.theta.scale(sign)) is not None:
-            return ModelClassReport(cls, True, sign)
-    raise CocycleError("connecting image of the identity does not match theta")
+    return ModelClassReport(cls, (delta1 + m.theta).is_zero())
 
 
 # ---------------------------------------------------------- graded spaces
@@ -203,7 +204,8 @@ def secondary_differential(m: GtModel, a: int, b: int, p: int,
     def build_ses():
         # F_{b+1} inside F_b, expanded through hom(P, .) (target index major)
         inner = [filt.pieces[b].index(e) for e in filt.pieces[b + 1]]
-        return ShortExactSequence(sheaf_hom(P, filt.piece_specs[b]), _hom_frames(inner, P.rank))
+        piece = diagonal_block(filt.ambient, filt.pieces[b])
+        return ShortExactSequence(sheaf_hom(P, piece), _hom_frames(inner, P.rank))
 
     ses = _cached(m, ("ses", level, b), build_ses)
     if nu.degree != p:
@@ -310,46 +312,25 @@ class RefinedLevelReport:
 
 def refined_splitting_data(m: GtModel, cochain: CechCochain,
                            level: int, window: int | None = None) -> RefinedLevelReport:
-    """Largest b such that the class lifts through hom(P, F_b), found by
-    testing triviality of the image in the complementary quotient; the
-    secondary class is the graded projection of an explicit lifted cocycle."""
+    """Largest b such that the class lifts through hom(P, F_b): the first b,
+    from the level down, for which the equations on the frames outside F_b
+    have a solution w.  F_b is a subsheaf, so those equations are the
+    coboundary question of the image in the quotient by F_b; the secondary
+    class is the graded projection of the lifted cocycle ``cochain -
+    delta(w)``."""
     P = parity_spec(m, level)
     filt = filtration_of(m, level)
-    amb = filt.ambient
-    best_b = None
     for b in range(level, 0, -1):
-        sel = filt.pieces[b]
-        if not sel:
+        inside = set(filt.pieces[b])
+        if not inside:
             continue
-        complement = [i for i in range(amb.rank) if i not in sel]
-        if not complement:
-            best_b = b
-            break
-        hom_quot = sheaf_hom(P, diagonal_block(amb, complement))
-        if solve_coboundary(cochain.restrict(_hom_frames(complement, P.rank), hom_quot),
-                            window=window) is not None:
-            best_b = b
-            break
-    if best_b is None:
-        return RefinedLevelReport(level, None, None)
-    lifted = _lift_into_piece(m, cochain, level, best_b, window)
-    graded = lifted.restrict(_hom_frames(filt.graded[best_b], P.rank),
-                             hom_into_quotient(m, level - best_b, best_b))
-    return RefinedLevelReport(level, best_b, cohomology_class(graded, window=window))
-
-
-def _lift_into_piece(m: GtModel, cochain: CechCochain, level: int, b: int,
-                     window: int | None) -> CechCochain:
-    """Cocycle cohomologous to the input with components in F_b only: the
-    equations on the frames outside F_b are solved exactly."""
-    filt = filtration_of(m, level)
-    rank_p = parity_spec(m, level).rank
-    inside = set(filt.pieces[b])
-    outside = set(_hom_frames([i for i in range(filt.ambient.rank) if i not in inside], rank_p))
-    w = solve_coboundary(cochain, window=window, frames=outside)
-    if w is None:
-        raise CocycleError("no lift although the quotient image is trivial")
-    return cochain - cech_delta(w)
+        outside = [i for i in range(filt.ambient.rank) if i not in inside]
+        w = solve_coboundary(cochain, window=window, frames=set(_hom_frames(outside, P.rank)))
+        if w is not None:
+            graded = (cochain - cech_delta(w)).restrict(
+                _hom_frames(filt.graded[b], P.rank), hom_into_quotient(m, level - b, b))
+            return RefinedLevelReport(level, b, cohomology_class(graded, window=window))
+    return RefinedLevelReport(level, None, None)
 
 
 # ------------------------------------------------------- containment check

@@ -335,10 +335,12 @@ class FilteredSheaf:
     """Filtration of the j-th exterior power of an extension spec by the
     number of sub-factors in each wedge monomial.
 
-    ``pieces[k]`` holds the ambient basis positions of monomials with at
-    least k sub-factors; ``graded[k]`` those with exactly k.  Quotient specs
-    are the compressed diagonal blocks and coincide entrywise with the
-    Kronecker products of the exterior powers of the two factors.
+    ``pieces[k]`` holds the ambient frames of monomials with at least k
+    sub-factors, ``graded[k]`` those with exactly k.  A piece or graded
+    quotient is the diagonal block of the ambient spec on its frames
+    (:func:`diagonal_block`), built by whoever needs it; the graded blocks
+    coincide entrywise with the Kronecker products of the exterior powers
+    of the two factors.
     """
 
     ambient: SheafSpec
@@ -347,8 +349,6 @@ class FilteredSheaf:
     quot: SheafSpec
     pieces: dict[int, list[int]]
     graded: dict[int, list[int]]
-    piece_specs: dict[int, SheafSpec]
-    quotient_specs: dict[int, SheafSpec]
 
     def verify(self) -> None:
         """Exact block-triangularity and quotient-equals-Kronecker checks."""
@@ -359,11 +359,11 @@ class FilteredSheaf:
                 key, i, j = leak
                 raise CocycleError(f"filtration not respected on {key} at entry ({i},{j})")
         sub, quot = self.sub, self.quot
-        for k in self.quotient_specs:
+        for k, sel in self.graded.items():
             expect_sub = sheaf_exterior_power(sub, k)
             expect_quot = sheaf_exterior_power(quot, self.degree - k)
             expected = sheaf_tensor(expect_sub, expect_quot)
-            got = self.quotient_specs[k]
+            got = diagonal_block(amb, sel)
             for key in amb.matrices:
                 if expected.matrices[key] != got.matrices[key]:
                     raise CocycleError(
@@ -408,6 +408,4 @@ def filtration(ext: SheafSpec, degree: int) -> FilteredSheaf:
     for k in range(degree + 1):
         pieces[k] = [p for p, c in enumerate(counts) if c >= k]
         graded[k] = [p for p, c in enumerate(counts) if c == k]
-    piece_specs = {k: diagonal_block(amb, sel) for k, sel in pieces.items()}
-    quotient_specs = {k: diagonal_block(amb, sel) for k, sel in graded.items()}
-    return FilteredSheaf(amb, degree, sub, quot, pieces, graded, piece_specs, quotient_specs)
+    return FilteredSheaf(amb, degree, sub, quot, pieces, graded)

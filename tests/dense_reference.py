@@ -1,6 +1,7 @@
 """Plain references for the optimised kernels: dense exact elimination for
 the sparse ``linalg``, dense sheaf maps and dense-list cochain operations for
-the sparse Cech kernel and its frame-map cochains, and
+the sparse Cech kernel and its frame-map cochains, a quotient spec per
+filtration piece for ``secondary.refined_splitting_data``,
 term-by-term substitution for ``spaces.MonomialMap``, and an expression
 parser that builds one Grassmann element per atom for ``parsing``.
 
@@ -289,6 +290,40 @@ def contraction_matrix(rank, a):
             sign = -1 if pos % 2 else 1
             out[t * len(tgt_small) + tpos[K]][col] += sign * norm
     return out
+
+
+# ------------------------------------------------------- secondary layer
+
+
+def refined_splitting_data(m, cochain, level, window=None):
+    """``secondary.refined_splitting_data`` deciding each b on its own
+    quotient spec: the image of ``cochain`` in hom(P, quotient by F_b), a
+    diagonal block built for the purpose, must be a coboundary; the lift
+    through F_b is then solved on the frames outside F_b.  Returns
+    ``(refined_b, secondary class)``."""
+    from supercech.cech import cech_delta, cohomology_class, solve_coboundary
+    from supercech.secondary import _hom_frames, filtration_of, hom_into_quotient, parity_spec
+    from supercech.sheaf import diagonal_block, sheaf_hom
+    P = parity_spec(m, level)
+    filt = filtration_of(m, level)
+    amb = filt.ambient
+    for b in range(level, 0, -1):
+        sel = filt.pieces[b]
+        if not sel:
+            continue
+        complement = [i for i in range(amb.rank) if i not in sel]
+        if complement:
+            hom_quot = sheaf_hom(P, diagonal_block(amb, complement))
+            image = cochain.restrict(_hom_frames(complement, P.rank), hom_quot)
+            if solve_coboundary(image, window=window) is None:
+                continue
+        w = solve_coboundary(cochain, window=window,
+                             frames=set(_hom_frames(complement, P.rank)))
+        assert w is not None, "no lift although the quotient image is trivial"
+        graded = (cochain - cech_delta(w)).restrict(
+            _hom_frames(filt.graded[b], P.rank), hom_into_quotient(m, level - b, b))
+        return b, cohomology_class(graded, window=window)
+    return None, None
 
 
 # ---------------------------------------------------------- Laurent layer

@@ -131,6 +131,29 @@ def test_a1_check(capsys):
     assert code == 0 and "b=2.ok: True" in out
 
 
+def _double_the_connecting_map(monkeypatch):
+    from supercech import secondary
+    connecting = secondary.connecting_map
+    monkeypatch.setattr(secondary, "connecting_map",
+                        lambda ses, c: connecting(ses, c).scale(2))
+
+
+def test_verify_reports_a_failed_identity_check(monkeypatch, capsys):
+    _double_the_connecting_map(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--input", str(corpus_path("gt_model_p1.model")),
+                           "--format", "structured")
+    assert code == 1
+    assert "gtmodel.M.cross_validated=False" in out.splitlines()
+
+
+@pytest.mark.parametrize("command", ["secondary", "report-all"])
+def test_gt_commands_fail_on_a_failed_identity_check(monkeypatch, capsys, command):
+    _double_the_connecting_map(monkeypatch)
+    code, out, err = run_cli(capsys, command, "--input", str(corpus_path("gt_model_p1.model")))
+    assert code == 1 and out == ""
+    assert err == "check failed: connecting image of the identity does not match theta\n"
+
+
 def test_report_all_deterministic(capsys):
     path = str(corpus_path("two_parameter_family.model"))
     code1, out1, _ = run_cli(capsys, "report-all", "--input", path,

@@ -4,7 +4,7 @@ import pytest
 
 from supercech.family import (GluedFamily, extend_with_base, glue_over_p1,
                               isotriviality_witness, rothstein_family,
-                              split_family, star_witnesses)
+                              split_family)
 from supercech.gluing import INFINITY
 from supercech.obstruction import (attempt_split, characteristic_factorization,
                                    obstruction_cocycle, scaling_action,
@@ -44,6 +44,17 @@ def test_rothstein_fiber_round_trip(nonsplit_p1):
     # fiber over t is the t-scaling of the input
     for t in (Q(2), Q(-3), Q(1, 2)):
         assert fam.fiber({"t": t}) == scaling_action(nonsplit_p1, t)
+
+
+def test_scaling_witnesses_take_a_name_a_monomial_or_a_rational(nonsplit_p1):
+    from supercech.laurent import LaurentPoly
+    from supercech.obstruction import scaling_witnesses
+    g = extend_with_base(nonsplit_p1, ("t",))
+    t = LaurentPoly.var(g.cover.chart("U0").vars, "t", 1)
+    assert scaling_witnesses(g, "t") == scaling_witnesses(g, t)
+    assert scaling_witnesses(g, Q(2)) == scaling_witnesses(g, t.scale(2) * t.inverse())
+    with pytest.raises(ValueError, match="scaling factor must be nonzero"):
+        scaling_witnesses(g, 0)
 
 
 def test_rothstein_of_split_model_is_constant(split_p1):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supercech.cech import CechCochain, cohomology_class, is_coboundary
 from supercech.errors import CocycleError, SupercechError
@@ -9,9 +10,10 @@ from supercech.laurent import LaurentPoly
 from supercech.secondary import (gt_model, model_class, model_class_map, quotient_spec,
                                  secondary_differential, secondary_space,
                                  verify_a1_containment, verify_obstruction_compatibility)
-from supercech.sheaf import filtration, sheaf_exterior_power, sheaf_tensor
+from supercech.sheaf import diagonal_block, filtration, sheaf_exterior_power, sheaf_tensor
 
 from dense_reference import contraction_matrix
+from dense_reference import refined_splitting_data as dense_refined_splitting_data
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +24,7 @@ def M(gt_model_doc):
 def test_model_class_nontrivial_and_cross_validated(M):
     report = model_class(M)
     assert not report.cls.trivial
-    assert report.cross_validated and report.sign in (1, -1)
+    assert report.cross_validated
 
 
 def test_model_class_trivial_for_zero_theta(gt_model_doc):
@@ -69,7 +71,7 @@ def test_quotient_matches_kron(M):
         if a > M.fiber_rank or b > M.base_rank:
             continue
         expected = quotient_spec(M, a, b)
-        got = filt.quotient_specs[b]
+        got = diagonal_block(filt.ambient, filt.graded[b])
         assert got.rank == expected.rank
         for key in got.matrices:
             assert got.matrices[key] == expected.matrices[key]
@@ -154,7 +156,7 @@ def _top_piece_cocycle(M, level):
     filt = filtration(M.total_odd, level)
     top = filt.pieces[level]
     assert len(top) == 1
-    basis = cohomology_basis(sheaf_hom(P, filt.piece_specs[level]), 1)
+    basis = cohomology_basis(sheaf_hom(P, diagonal_block(filt.ambient, top)), 1)
     assert len(basis) >= 1
     sections = {}
     for key in basis[0].sections:
@@ -176,8 +178,8 @@ def test_refined_splitting_data(M):
 def test_refined_splitting_data_lifts_a_shifted_cocycle(M):
     # c_top + delta(w) with w nonzero on every frame: reaching F_3 needs a
     # nonzero lift, and the secondary class must not see the shift
-    from supercech.cech import cech_delta
-    from supercech.secondary import _lift_into_piece, refined_splitting_data
+    from supercech.cech import cech_delta, solve_coboundary
+    from supercech.secondary import refined_splitting_data
     c_top = _top_piece_cocycle(M, 3)
     full = c_top.sheaf
     w = CechCochain(full, 0, {("U0",): [LaurentPoly.monomial(("x",), i + 1, (i % 3,))
@@ -187,7 +189,7 @@ def test_refined_splitting_data_lifts_a_shifted_cocycle(M):
     rank_p = full.rank // filt.ambient.rank
     outside = [f for f in range(full.rank) if f // rank_p not in filt.pieces[3]]
     assert any(f in shifted.sections[("U0", "U1")] for f in outside)
-    lifted = _lift_into_piece(M, shifted, 3, 3, None)
+    lifted = shifted - cech_delta(solve_coboundary(shifted, frames=set(outside)))
     assert not any(f in frames for frames in lifted.sections.values() for f in outside)
     assert is_coboundary(shifted - lifted)[0]
     report = refined_splitting_data(M, shifted, 3)
@@ -205,6 +207,93 @@ def test_refined_splitting_data_zero_class(M):
     report = refined_splitting_data(M, CechCochain(full, 1), level)
     assert report.refined_b == level
     assert report.secondary.trivial
+
+
+# ----------------------------------------- random extensions and cocycles
+
+
+def _random_cochain(rng, spec, degree):
+    """Random 1-cochain, or chart-regular 0-cochain, with small monomials."""
+    cover = spec.space.cover
+    keys = [(n,) for n in cover.order] if degree == 0 else cover.canonical_overlaps()
+    lo = 0 if degree == 0 else -2
+    return CechCochain(spec, degree, {tuple(key): [
+        LaurentPoly.monomial(cover.chart(key[0]).vars, Q(rng.randint(-3, 3)),
+                             tuple(rng.randint(lo, 2) for _ in cover.chart(key[0]).vars))
+        for _ in range(spec.rank)] for key in keys})
+
+
+def _random_cocycle(rng, spec, basis):
+    """A rational combination of ``basis`` plus the coboundary of a random
+    0-cochain of ``spec``."""
+    from supercech.cech import cech_delta
+    c = cech_delta(_random_cochain(rng, spec, 0))
+    for b in basis:
+        c = c + b.scale(Q(rng.randint(-3, 3), rng.randint(1, 2)))
+    return c
+
+
+@pytest.fixture(scope="module")
+def fiber_specs(nonsplit_p1, split_three_charts):
+    """Fiber specs over the two-chart and the three-chart covers."""
+    from conftest import line_bundle
+    from supercech.sheaf import sheaf_dual
+    space2, odd2 = nonsplit_p1.reduce()
+    _, odd3 = split_three_charts.reduce()
+    return {2: [line_bundle(space2, 2), line_bundle(space2, -3), odd2],
+            3: [odd3, sheaf_dual(odd3), sheaf_exterior_power(odd3, 2)]}
+
+
+def _random_extension(rng, fiber, base_rank):
+    """gt model whose extension cocycle is a random cocycle of
+    hom(fiber, trivial base)."""
+    from supercech.cech import cohomology_basis
+    from supercech.sheaf import sheaf_hom, trivial_spec
+    hom = sheaf_hom(fiber, trivial_spec(fiber.space, base_rank))
+    theta = _random_cocycle(rng, hom, cohomology_basis(hom, 1))
+    return gt_model(fiber.space, fiber, base_rank,
+                    {key: theta.section(*key) for key in theta.sections})
+
+
+@settings(max_examples=12)
+@given(st.integers(0, 2 ** 32), st.sampled_from([2, 3]))
+def test_connecting_image_of_identity_is_minus_theta(fiber_specs, seed, charts):
+    rng = random.Random(seed)
+    fiber = rng.choice(fiber_specs[charts])
+    m = _random_extension(rng, fiber, rng.randint(1, 2))
+    assert model_class(m).cross_validated
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2 ** 32))
+def test_refined_splitting_data_matches_the_quotient_decisions(M, fiber_specs, seed):
+    # a cocycle with a random part lifted through a random piece F_b0, plus
+    # a coboundary on every frame, and on two charts a random 1-cochain
+    # (every 1-cochain is a cocycle there)
+    from supercech.cech import cohomology_basis
+    from supercech.secondary import _hom_frames, filtration_of, parity_spec, refined_splitting_data
+    from supercech.sheaf import sheaf_hom
+    rng = random.Random(seed)
+    charts = rng.choice([2, 3])
+    m = M if rng.random() < 0.3 else \
+        _random_extension(rng, rng.choice(fiber_specs[charts]), rng.randint(1, 2))
+    level = rng.randint(1, m.total_odd.rank)
+    P = parity_spec(m, level)
+    filt = filtration_of(m, level)
+    full = sheaf_hom(P, filt.ambient)
+    b0 = rng.randint(1, level)
+    if not full.rank or not filt.pieces[b0]:
+        return
+    piece = sheaf_hom(P, diagonal_block(filt.ambient, filt.pieces[b0]))
+    lifted = _random_cocycle(rng, piece, cohomology_basis(piece, 1))
+    cocycle = _random_cocycle(rng, full, []) + \
+        lifted.extend(_hom_frames(filt.pieces[b0], P.rank), full)
+    if not m.space.cover.canonical_triples():
+        cocycle = cocycle + _random_cochain(rng, full, 1)
+    report = refined_splitting_data(m, cocycle, level)
+    refined_b, secondary = dense_refined_splitting_data(m, cocycle, level)
+    assert report.refined_b == refined_b
+    assert report.secondary == secondary
 
 
 def test_compatibility_on_odd_base_instance(gtm_odd_base_doc):

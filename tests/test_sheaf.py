@@ -8,9 +8,9 @@ from supercech.cech import (CechCochain, cech_delta, cohomology_basis, extension
 from supercech.errors import CocycleError
 from supercech.gluing import invert_laurent_matrix
 from supercech.laurent import LaurentPoly
-from supercech.sheaf import (SheafSpec, filtration, hom_unflatten, identity_matrix, kron,
-                             mat_mul, sheaf_dual, sheaf_exterior_power, sheaf_hom,
-                             sheaf_tensor, trivial_spec)
+from supercech.sheaf import (SheafSpec, diagonal_block, filtration, hom_unflatten,
+                             identity_matrix, kron, mat_mul, sheaf_dual,
+                             sheaf_exterior_power, sheaf_hom, sheaf_tensor, trivial_spec)
 
 from conftest import line_bundle
 
@@ -202,7 +202,7 @@ def test_filtration_blocks_and_quotients(p1_space):
         filt.verify()
     filt = filtration(ext, 2)
     # top piece is the exterior square of the sub factor
-    top = filt.piece_specs[2]
+    top = diagonal_block(filt.ambient, filt.pieces[2])
     assert top.rank == 1
     expected = sheaf_exterior_power(sub, 2)
     assert top.matrices[("U0", "U1")] == expected.matrices[("U0", "U1")]

@@ -65,8 +65,8 @@ def transport_specs():
     (m,) = load_model("gt_model_p1.model").gt_models.values()
     for level in range(1, m.total_odd.rank + 1):
         filt = filtration_of(m, level)
-        out.extend(filt.piece_specs.values())
-        out.extend(filt.quotient_specs.values())
+        out.extend(diagonal_block(filt.ambient, sel)
+                   for sel in [*filt.pieces.values(), *filt.graded.values()])
     return [s for s in out if s.rank]
 
 
