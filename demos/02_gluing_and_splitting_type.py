@@ -9,6 +9,7 @@ import importlib.resources as resources
 
 from supercech.modelfile import parse_model_file
 from supercech.gluing import invert_transition
+from supercech.sheaf import rows_of
 
 corpus = resources.files("supercech.corpus")
 
@@ -37,4 +38,5 @@ space, odd_spec = nonsplit.reduce()
 print("reduced map U0 -> U1:", {v: str(p) for v, p in
                                 space.coordinate_maps[("U0", "U1")].items()})
 print("odd matrix U0 -> U1:",
-      [[str(e) for e in row] for row in odd_spec.matrices[("U0", "U1")]])
+      [[str(e) for e in row] for row in rows_of(odd_spec.matrices[("U0", "U1")],
+                                                 space.cover.chart("U0").vars)])

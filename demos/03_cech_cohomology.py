@@ -10,7 +10,7 @@ import importlib.resources as resources
 from supercech.cech import CechCochain, cohomology_basis, is_coboundary
 from supercech.laurent import LaurentPoly
 from supercech.modelfile import parse_model_file
-from supercech.sheaf import SheafSpec
+from supercech.sheaf import SheafSpec, columns_of
 
 corpus = resources.files("supercech.corpus")
 space, _ = parse_model_file(corpus / "split_p1.model").gluing.reduce()
@@ -18,8 +18,8 @@ space, _ = parse_model_file(corpus / "split_p1.model").gluing.reduce()
 
 def line_bundle(n):
     return SheafSpec(space, 1, {
-        ("U0", "U1"): [[LaurentPoly.monomial(("x",), 1, (-n,))]],
-        ("U1", "U0"): [[LaurentPoly.monomial(("y",), 1, (-n,))]]})
+        ("U0", "U1"): columns_of([[LaurentPoly.monomial(("x",), 1, (-n,))]]),
+        ("U1", "U0"): columns_of([[LaurentPoly.monomial(("y",), 1, (-n,))]])})
 
 
 print("degree   dim H0   dim H1")

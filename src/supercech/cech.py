@@ -28,8 +28,7 @@ from itertools import product as iproduct
 from .errors import CocycleError, WindowError
 from .laurent import LaurentPoly, Q, add_into
 from . import linalg
-from .sheaf import (SheafSpec, diagonal_block, frame_map, frames_leak,
-                    hom_unflatten, mat_mul, mat_transpose, selection_matrix,
+from .sheaf import (SheafSpec, diagonal_block, frame_map, frames_leak, mat_mul,
                     sheaf_hom, sheaf_tensor)
 
 WINDOW_CAP = 60
@@ -190,18 +189,22 @@ class CechCochain:
         return (isinstance(other, CechCochain) and self.degree == other.degree
                 and self.sections == other.sections)
 
+    def _frames(self, *charts: str) -> FrameMap:
+        """The frame map on ``charts``; reversed pairs are transported with a
+        sign."""
+        key = tuple(charts)
+        if key in self.sections:
+            return self.sections[key]
+        if self.degree == 1 and key[::-1] in self.sections:
+            a, b = key[::-1]
+            return {f: -p for f, p in self.sheaf.transport(a, b, self.sections[(a, b)]).items()}
+        raise KeyError(f"no section for {key}")
+
     def section(self, *charts: str) -> list[LaurentPoly]:
         """Every component on ``charts``, zeros included; reversed pairs are
         transported with a sign."""
-        key = tuple(charts)
-        if key in self.sections:
-            frames = self.sections[key]
-        elif self.degree == 1 and key[::-1] in self.sections:
-            a, b = key[::-1]
-            frames = {f: -p for f, p in self.sheaf.transport(a, b, self.sections[(a, b)]).items()}
-        else:
-            raise KeyError(f"no section for {key}")
-        zero = LaurentPoly.zero(self.sheaf.space.cover.chart(key[0]).vars)
+        frames = self._frames(*charts)
+        zero = LaurentPoly.zero(self.sheaf.space.cover.chart(charts[0]).vars)
         return [frames.get(f, zero) for f in range(self.sheaf.rank)]
 
     def max_exponent(self) -> int:
@@ -324,7 +327,7 @@ def _delta0_linearization(sheaf: SheafSpec, bound: int) -> _Linearization:
     overlaps = cover.canonical_overlaps()
     # per canonical overlap (a, b): the columns of the b-to-a transition
     # in a-coordinates, nonzero entries only
-    columns = {(a, b): sheaf._nonzeros_in(a, (b, a)) for (a, b) in overlaps}
+    columns = {(a, b): sheaf._matrix_in(a, (b, a)) for (a, b) in overlaps}
     one, minus_one = Q(1), Q(-1)
     unknowns: list[tuple] = []
     images: list[dict[tuple, Fraction]] = []
@@ -657,9 +660,10 @@ class ShortExactSequence:
             raise CocycleError(f"inclusion is not a sheaf map on {leak[0]}")
         self._verified = True
 
-    def section_of_projection(self) -> list[list[Fraction]]:
-        """Constant embedding of the quotient onto its frames of ``total``."""
-        return mat_transpose(selection_matrix(self.quot_frames, self.total.rank))
+    def section_of_projection(self) -> list[tuple[tuple[int, Fraction], ...]]:
+        """Constant embedding of the quotient onto its frames of ``total``,
+        as the columns :meth:`CechCochain.map` reads."""
+        return [((f, Q(1)),) for f in self.quot_frames]
 
 
 def connecting_map(ses: ShortExactSequence, c: CechCochain) -> CechCochain:
@@ -695,25 +699,17 @@ def extension_sheaf(sub: SheafSpec, quot: SheafSpec, cocycle: CechCochain) -> Sh
     if not is_cocycle(cocycle):
         raise CocycleError("extension input is not a cocycle")
     space = sub.space
-    cover = space.cover
+    s, q = sub.rank, quot.rank
     mats = {}
-    for (a, b) in cover.overlaps:
-        X = hom_unflatten(cocycle.section(a, b), sub.rank, quot.rank)
+    for (a, b) in space.cover.overlaps:
+        # X by columns: hom frame i * q + j is entry (i, j)
+        X = [[] for _ in range(q)]
+        for f, p in sorted(cocycle._frames(a, b).items()):
+            i, j = divmod(f, q)
+            X[j].append((i, p))
         ms = sub.matrices[(a, b)]
-        mq = quot.matrices[(a, b)]
-        vars = cover.chart(a).vars
-        block = mat_mul(ms, X)
-        n = sub.rank + quot.rank
-        m = [[LaurentPoly.zero(vars) for _ in range(n)] for _ in range(n)]
-        for i in range(sub.rank):
-            for j in range(sub.rank):
-                m[i][j] = ms[i][j]
-            for j in range(quot.rank):
-                m[i][sub.rank + j] = block[i][j]
-        for i in range(quot.rank):
-            for j in range(quot.rank):
-                m[sub.rank + i][sub.rank + j] = mq[i][j]
-        mats[(a, b)] = m
+        mats[(a, b)] = ms + tuple(top + tuple((s + i, e) for i, e in col)
+                                  for top, col in zip(mat_mul(ms, X), quot.matrices[(a, b)]))
     try:
         return SheafSpec(space, sub.rank + quot.rank, mats, extension=(sub, quot))
     except CocycleError as exc:

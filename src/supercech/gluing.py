@@ -381,14 +381,14 @@ class SuperGluingData:
     def reduce(self, verify: bool = True) -> tuple["ReducedSpace", "object"]:
         """Reduced space (degree-zero coordinate maps) plus the odd-bundle
         sheaf spec whose matrices are the degree-one coefficient matrices."""
-        from .sheaf import SheafSpec  # local import; sheaf builds on spaces only
+        from .sheaf import SheafSpec, columns_of  # local import; sheaf builds on gluing
         if verify:
             report = self.verify_cocycle()
             if not report.ok:
                 raise CocycleError(str(report.failures[0]))
         maps = {key: t.reduced_map() for key, t in self.transitions.items()}
         space = ReducedSpace(self.cover, maps)
-        matrices = {key: t.odd_matrix() for key, t in self.transitions.items()}
+        matrices = {key: columns_of(t.odd_matrix()) for key, t in self.transitions.items()}
         q = next(iter(self.cover.charts.values())).odd_rank
         spec = SheafSpec(space, q, matrices)
         return space, spec
@@ -464,14 +464,12 @@ class SuperGluingData:
 
     def embedding_splitting_triple(self, point: dict[str, Fraction]):
         """Splitting-type triple (j'', j_b, j') of the fiber-wise embedding at
-        a base point; j'' is read off the fiber presentation inside the family."""
+        a base point; j'' is read off the fiber presentation inside the family.
+        Evaluating base coordinates keeps odd degrees, so a fiber deviates no
+        earlier than its family: ``lemma_holds`` is j' <= j_b."""
         j_family = self.splitting_type()
-        fiber = self.restrict_fiber(point)
-        j_fiber = fiber.splitting_type()
-        j_emb = j_fiber
-        lemma_ok = (j_emb <= min(j_fiber, j_family)) or (
-            j_emb == INFINITY and j_fiber == INFINITY)
-        return EmbeddingTriple(j_emb, j_fiber, j_family, lemma_ok)
+        j_fiber = self.restrict_fiber(point).splitting_type()
+        return EmbeddingTriple(j_fiber, j_fiber, j_family, j_family <= j_fiber)
 
     def __eq__(self, other):
         return (isinstance(other, SuperGluingData)

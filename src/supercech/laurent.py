@@ -291,23 +291,6 @@ def collect(acc: dict) -> dict[tuple[int, ...], Fraction]:
     return {e: Fraction(c) if type(c) is int else c for e, c in acc.items() if c}
 
 
-def dot(vars: tuple[str, ...], xs, ys) -> LaurentPoly:
-    """``sum(x * y)`` over paired entries, each a :class:`LaurentPoly` over
-    ``vars`` or a rational constant, built as one polynomial."""
-    acc: dict = {}
-    for x, y in zip(xs, ys):
-        p = x.terms if isinstance(x, LaurentPoly) else _constant_terms(x, vars)
-        if p:
-            q = y.terms if isinstance(y, LaurentPoly) else _constant_terms(y, vars)
-            if q:
-                mul_into(acc, p, q)
-    return LaurentPoly(vars, collect(acc), trusted=True)
-
-
-def _constant_terms(c, vars) -> Mapping[tuple[int, ...], Fraction]:
-    return {(0,) * len(vars): c} if c else {}
-
-
 def _small(c: Fraction):
     """An integral coefficient as ``int``: products of ints skip Fraction's
     normalisation, and the sums stay exact either way."""

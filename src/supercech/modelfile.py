@@ -41,7 +41,7 @@ from .errors import CocycleError, ParseError
 from .gluing import SuperGluingData, SuperTransition
 from .parsing import ExpressionParser
 from .secondary import GtModel, gt_model
-from .sheaf import SheafSpec
+from .sheaf import SheafSpec, columns_of, rows_of
 from .spaces import Chart, Cover, ReducedSpace
 
 FORMAT_VERSION = 1
@@ -327,7 +327,7 @@ def parse_model_text(text: str) -> ModelDocument:
             if len(m) != rank:
                 raise ParseError(f"matrix {key} has {len(m)} rows, want {rank}",
                                  d["lines"][key], 1)
-            mats[key] = m
+            mats[key] = columns_of(m)
         with _located(d["line"]):
             doc.sheaves[name] = SheafSpec(space, rank, mats)
     for name, d in gt_raw.items():
@@ -428,7 +428,7 @@ def write_sheaf(name: str, spec: SheafSpec) -> str:
     out = [f"sheaf {name}", f"  rank {spec.rank}"]
     for (a, b), m in spec.matrices.items():
         out.append(f"  matrix {a} {b}")
-        for row in m:
+        for row in rows_of(m, spec.space.cover.chart(a).vars):
             out.append("    " + ", ".join(str(e) for e in row))
     return "\n".join(out) + "\n"
 

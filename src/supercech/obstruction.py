@@ -23,7 +23,7 @@ from .gluing import (INFINITY, SuperGluingData, SuperTransition, compose_transit
                      identity_transition)
 from .grassmann import GrassmannElement
 from .laurent import LaurentPoly, Q
-from .sheaf import SheafSpec, mat_mul, sheaf_dual, sheaf_exterior_power, sheaf_hom
+from .sheaf import SheafSpec, columns_of, mat_mul, sheaf_dual, sheaf_exterior_power, sheaf_hom
 
 
 # ------------------------------------------------------------ basic specs
@@ -33,7 +33,7 @@ def tangent_spec(space) -> SheafSpec:
     """Spec with the reduced Jacobian matrices (components of vector fields)."""
     mats = {}
     for (a, b) in space.cover.overlaps:
-        mats[(a, b)] = space.jacobian(a, b)
+        mats[(a, b)] = columns_of(space.jacobian(a, b))
     rank = len(space.cover.chart(space.cover.order[0]).vars)
     return SheafSpec(space, rank, mats, check=False)
 
@@ -73,24 +73,22 @@ class ObstructionClass:
         return self.cls.representative
 
 
-def _deviation_blocks(g: SuperGluingData, t: SuperTransition, level: int):
-    """Rows: target coordinates (even maps for even level, odd maps for odd
-    level); columns: increasing multi-indices of weight `level`."""
+def _deviation_blocks(t: SuperTransition, level: int):
+    """Sparse columns over the increasing multi-indices of weight ``level``;
+    rows: target coordinates (even maps for even level, odd maps for odd
+    level)."""
     q = t.source.odd_rank
     idxs = list(combinations(range(1, q + 1), level))
     pos = {I: k for k, I in enumerate(idxs)}
-    vars = t.source.vars
     if level % 2 == 0:
         rows = [t.even_maps[v].component(level) for v in t.target.vars]
     else:
         rows = [t.odd_maps[b].component(level) for b in range(1, t.target.odd_rank + 1)]
-    out = []
-    for row in rows:
-        entries = [LaurentPoly.zero(vars) for _ in idxs]
+    out = [[] for _ in idxs]
+    for i, row in enumerate(rows):
         for I, coeff in row.terms.items():
-            entries[pos[I]] = coeff
-        out.append(entries)
-    return out, idxs
+            out[pos[I]].append((i, coeff))
+    return out
 
 
 def obstruction_cocycle(g: SuperGluingData, level: int, reduced=None,
@@ -114,22 +112,19 @@ def deviation_cochain(g: SuperGluingData, level: int, reduced=None) -> CechCocha
     sections = {}
     for (a, b) in g.cover.canonical_overlaps():
         t = g.transitions[(a, b)]
-        blocks, idxs = _deviation_blocks(g, t, level)
+        blocks = _deviation_blocks(t, level)
         # the inverse of the reduced Jacobian (even levels) or of the odd
         # matrix (odd levels) of the transition
         normalizer = target.inverse(a, b)
         if g.is_family and level % 2 == 0:
-            base_rows = [i for i, v in enumerate(t.target.vars) if v in g.base_vars]
-            for i in base_rows:
-                if any(not e.is_zero() for e in blocks[i]):
-                    raise CocycleError(
-                        f"deviation of ({a},{b}) has a base-direction component")
+            base_rows = {i for i, v in enumerate(t.target.vars) if v in g.base_vars}
+            if any(i in base_rows for col in blocks for i, _ in col):
+                raise CocycleError(f"deviation of ({a},{b}) has a base-direction component")
+        # hom frame i * len(blocks) + j is entry (i, j)
         normalized = mat_mul(normalizer, blocks)
-        flat = []
-        for i in range(len(normalized)):
-            flat.extend(normalized[i])
-        sections[(a, b)] = flat
-    cochain = CechCochain(hom, 1, sections)
+        sections[(a, b)] = {i * len(blocks) + j: p
+                            for j, col in enumerate(normalized) for i, p in col}
+    cochain = CechCochain(hom, 1, sections, trusted=True)
     if not is_cocycle(cochain):
         raise CocycleError("extracted deviation data is not a cocycle")
     return cochain

@@ -30,8 +30,8 @@ from .grassmann import GrassmannElement
 from .laurent import LaurentPoly
 from .obstruction import (cotangent_spec, deviation_cochain,
                           deviation_hom_spec)
-from .sheaf import (SheafSpec, diagonal_block, filtration, identity_matrix,
-                    sheaf_exterior_power, sheaf_hom, sheaf_tensor, trivial_spec)
+from .sheaf import (SheafSpec, diagonal_block, filtration, sheaf_exterior_power,
+                    sheaf_hom, sheaf_tensor, trivial_spec)
 from .spaces import ReducedSpace
 
 
@@ -93,8 +93,8 @@ def _identity_section(hom_ff: SheafSpec, q: int) -> CechCochain:
     """The identity of a rank-q sheaf as a 0-cochain of its endomorphisms."""
     cover = hom_ff.space.cover
     return CechCochain(hom_ff, 0, {
-        (name,): [e for row in identity_matrix(q, cover.chart(name).vars) for e in row]
-        for name in cover.order})
+        (name,): {i * (q + 1): LaurentPoly.const(cover.chart(name).vars, 1) for i in range(q)}
+        for name in cover.order}, trusted=True)
 
 
 def _cached(m: GtModel, key, builder):

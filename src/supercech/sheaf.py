@@ -7,6 +7,13 @@ section component vectors from the a-frame to the b-frame::
 
     v_b (expressed in a-coordinates)  =  M[(a, b)] . v_a
 
+Every matrix is kept as sparse columns: a tuple with one column per frame,
+column j the ``(row, entry)`` pairs of its nonzero entries, rows increasing.
+Every operation here visits nonzero entries only.  Dense rows appear only at
+the edges, through :func:`columns_of` and :func:`rows_of`: matrices read from
+model files or gluing data, written model files, and the minors of exterior
+powers.
+
 Convention for the two-chart projective-line covers used throughout tests
 and the golden corpus: the sheaf spec labeled ``O(n)`` has overlap matrix
 ``x^(-n)``, which yields dim H0 = n + 1 (n >= 0) and dim H1 = -n - 1
@@ -14,97 +21,41 @@ and the golden corpus: the sheaf spec labeled ``O(n)`` has overlap matrix
 
 Constructions (dual, tensor, hom, exterior power) produce the induced
 matrices; hom components are flattened row-major with the target index
-major, so ``hom(A, B)`` has flat transition ``kron(M_B, M_A^-T)``.
+major, so ``hom(A, B)`` has the Kronecker product of ``M_B`` and the dual's
+``M_A^-T`` as transition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import CocycleError
 from .gluing import laurent_det
-from .laurent import LaurentPoly, Q, collect, dot, mul_into
+from .laurent import LaurentPoly, collect, mul_into
 from .spaces import ReducedSpace
 
-
-def mat_mul(a: list[list], b: list[list], vars: tuple[str, ...] | None = None) -> list[list]:
-    """Matrix product ``a . b``.
-
-    Entries are Laurent polynomials in one context, and either factor may
-    instead be a constant matrix of rationals.  ``vars`` is the context of
-    the product; by default it is read off the first entries, and the
-    product of two rational matrices is rational."""
-    vars = _context(vars, a, b)
-    cols = list(zip(*b))
-    return [[_dot(row, col, vars) for col in cols] for row in a]
+Column = tuple[tuple[int, LaurentPoly], ...]
+Columns = tuple[Column, ...]
 
 
-def _context(vars, *matrices):
-    """``vars``, or else the context of the first Laurent entry leading one
-    of ``matrices``; ``None`` means the product is rational."""
-    if vars is None:
-        for m in matrices:
-            if m and m[0] and isinstance(m[0][0], LaurentPoly):
-                return m[0][0].vars
-    return vars
+def columns_of(rows: list[list[LaurentPoly]]) -> Columns:
+    """Sparse columns of a dense square matrix given by its rows."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"matrix with {n} rows is not square")
+    return tuple(tuple((i, row[j]) for i, row in enumerate(rows) if row[j].terms)
+                 for j in range(n))
 
 
-def _dot(xs, ys, vars):
-    if vars is not None:
-        return dot(vars, xs, ys)
-    acc = Q(0)
-    for x, y in zip(xs, ys):
-        if _nonzero(x) and _nonzero(y):
-            acc = acc + x * y
-    return acc
-
-
-def _nonzero(x) -> bool:
-    return not x.is_zero() if isinstance(x, LaurentPoly) else x != 0
-
-
-def mat_transpose(m):
-    return [list(col) for col in zip(*m)] if m else []
-
-
-def kron(a: list[list], b: list[list]) -> list[list]:
-    """Row-major Kronecker product: entry ((i,j),(k,l)) = a[i][k] * b[j][l].
-    Entries may be Laurent polynomials of one context or rationals; a
-    product with a zero factor is one shared zero of the product's type,
-    built without multiplying."""
-    if not a or not b:
-        return []
-    vars = _context(None, a, b)
-    zero = Q(0) if vars is None else LaurentPoly.zero(vars)
-    out = []
-    for arow in a:
-        for brow in b:
-            row = []
-            for x in arow:
-                if _nonzero(x):
-                    row.extend(x * y if _nonzero(y) else zero for y in brow)
-                else:
-                    row.extend([zero] * len(brow))
-            out.append(row)
-    return out
-
-
-def identity_matrix(n: int, vars: tuple[str, ...] | None = None) -> list[list]:
-    """n x n identity over the Laurent polynomials in ``vars``, or over the
-    rationals when ``vars`` is ``None``."""
-    if vars is None:
-        one, zero = Q(1), Q(0)
-    else:
-        one, zero = LaurentPoly.const(vars, 1), LaurentPoly.zero(vars)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def selection_matrix(positions: list[int], n: int) -> list[list[Fraction]]:
-    """Constant 0/1 matrix whose row i picks coordinate ``positions[i]`` of
-    an n-vector."""
-    return [[Q(1) if j == p else Q(0) for j in range(n)] for p in positions]
+def rows_of(m: Columns, vars: tuple[str, ...]) -> list[list[LaurentPoly]]:
+    """Dense rows over ``vars`` of a square matrix of sparse columns."""
+    zero = LaurentPoly.zero(vars)
+    rows = [[zero] * len(m) for _ in m]
+    for j, col in enumerate(m):
+        for i, e in col:
+            rows[i][j] = e
+    return rows
 
 
 def frame_map(vars: tuple[str, ...], accs: dict[int, dict]) -> dict[int, LaurentPoly]:
@@ -118,11 +69,51 @@ def frame_map(vars: tuple[str, ...], accs: dict[int, dict]) -> dict[int, Laurent
     return out
 
 
+def mat_mul(a: Columns, b: Columns) -> Columns:
+    """Product ``a . b``: column j adds up the columns of ``a`` scaled by the
+    entries of column j of ``b``."""
+    out = []
+    for col in b:
+        accs: dict[int, dict] = {}
+        vars = None
+        for k, y in col:
+            for i, x in a[k]:
+                acc = accs.get(i)
+                if acc is None:
+                    acc = accs[i] = {}
+                mul_into(acc, x.terms, y.terms)
+                vars = x.vars
+        out.append(tuple(sorted(frame_map(vars, accs).items())))
+    return tuple(out)
+
+
+def transpose(m: Columns) -> Columns:
+    out = [[] for _ in m]
+    for j, col in enumerate(m):
+        for i, e in col:
+            out[i].append((j, e))
+    return tuple(map(tuple, out))
+
+
+def kron(a: Columns, b: Columns) -> Columns:
+    """Kronecker product of square matrices, rows and columns row-major:
+    entry ((i, j), (k, l)) is a[i][k] * b[j][l].  Column (k, l) is column k
+    of ``a`` times column l of ``b``, so zeros are never written."""
+    n = len(b)
+    return tuple(tuple((i * n + j, x * y) for i, x in ca for j, y in cb)
+                 for ca in a for cb in b)
+
+
+def identity_matrix(n: int, vars: tuple[str, ...]) -> Columns:
+    one = LaurentPoly.const(vars, 1)
+    return tuple(((j, one),) for j in range(n))
+
+
 class SheafSpec:
     """Rank + per-overlap transition matrices over a reduced space."""
 
     def __init__(self, space: ReducedSpace, rank: int,
-                 matrices: dict[tuple[str, str], list[list[LaurentPoly]]],
+                 matrices: dict[tuple[str, str], Columns],
                  check: bool = True, extension: tuple | None = None):
         self.space = space
         self.rank = int(rank)
@@ -133,16 +124,16 @@ class SheafSpec:
         # on the left, by (operation, id(operand)) or (operation, k)
         self.derived: dict[tuple, tuple] = {}
         self._dual: SheafSpec | None = None  # sheaf_dual, which every hom uses
-        self._transported: dict[tuple, list[list[LaurentPoly]]] = {}  # _matrix_in
-        # columns of _nonzeros_in by (chart, key)
-        self._nonzeros: dict[tuple, tuple] = {}
+        self._transported: dict[tuple, Columns] = {}  # _matrix_in
         self._max_pole_order: int | None = None
         cover = space.cover
         for key in cover.overlaps:
             if key not in matrices:
                 raise ValueError(f"missing matrix for overlap {key}")
             m = matrices[key]
-            if len(m) != self.rank or any(len(r) != self.rank for r in m):
+            # rows increase down a column, so its ends bound them
+            if len(m) != self.rank or any(col and (col[0][0] < 0 or col[-1][0] >= self.rank)
+                                          for col in m):
                 raise ValueError(f"matrix for {key} is not {self.rank}x{self.rank}")
         if check:
             self._verify()
@@ -159,7 +150,7 @@ class SheafSpec:
     def _vars(self, chart: str) -> tuple[str, ...]:
         return self.space.cover.chart(chart).vars
 
-    def _matrix_in(self, chart: str, key: tuple[str, str]) -> list[list[LaurentPoly]]:
+    def _matrix_in(self, chart: str, key: tuple[str, str]) -> Columns:
         """Matrix of overlap ``key`` re-expressed in ``chart`` coordinates."""
         src = key[0]
         m = self.matrices[key]
@@ -167,25 +158,13 @@ class SheafSpec:
             return m
         moved = self._transported.get((chart, key))
         if moved is None:
-            zero = LaurentPoly.zero(self._vars(chart))
-            moved = [[self.space.compose_into(chart, src, e) if e.terms else zero for e in row]
-                     for row in m]
-            self._transported[(chart, key)] = moved
+            compose = self.space.compose_into
+            moved = self._transported[(chart, key)] = tuple(
+                tuple((i, q) for i, e in col if (q := compose(chart, src, e)).terms)
+                for col in m)
         return moved
 
-    def _nonzeros_in(self, chart: str, key: tuple[str, str]) -> tuple[tuple, ...]:
-        """Nonzero pattern of ``_matrix_in(chart, key)`` by column:
-        ``columns[j]`` lists the ``(i, entry)`` pairs of column j with a
-        nonzero entry, in increasing row order."""
-        columns = self._nonzeros.get((chart, key))
-        if columns is None:
-            m = self._matrix_in(chart, key)
-            columns = self._nonzeros[(chart, key)] = tuple(
-                tuple((i, row[j]) for i, row in enumerate(m) if row[j].terms)
-                for j in range(self.rank))
-        return columns
-
-    def inverse(self, a: str, b: str) -> list[list[LaurentPoly]]:
+    def inverse(self, a: str, b: str) -> Columns:
         """Inverse of the (a, b) matrix: its partner (b, a) re-expressed in
         a-coordinates, checked by one product against the identity (which
         an unchecked spec may fail)."""
@@ -204,7 +183,7 @@ class SheafSpec:
         moved once and multiplied into the nonzero entries of its column of
         the transition matrix."""
         compose = self.space.compose_into
-        columns = self._nonzeros_in(to, (frm, to))
+        columns = self._matrix_in(to, (frm, to))
         accs: dict[int, dict] = {}
         for j, p in frames.items():
             moved = compose(to, frm, p).terms
@@ -221,8 +200,8 @@ class SheafSpec:
         if self._max_pole_order is None:
             worst = 0
             for m in self.matrices.values():
-                for row in m:
-                    for e in row:
+                for col in m:
+                    for _, e in col:
                         for exps in e.terms:
                             worst = max(worst, max((abs(x) for x in exps), default=0))
             for cmap in self.space.coordinate_maps.values():
@@ -263,7 +242,7 @@ def sheaf_dual(spec: SheafSpec) -> SheafSpec:
 
 
 def _dual(spec: SheafSpec) -> SheafSpec:
-    mats = {(a, b): mat_transpose(spec.inverse(a, b)) for (a, b) in spec.matrices}
+    mats = {(a, b): transpose(spec.inverse(a, b)) for (a, b) in spec.matrices}
     return SheafSpec(spec.space, spec.rank, mats, check=False)
 
 
@@ -289,15 +268,11 @@ def sheaf_hom(a: SheafSpec, b: SheafSpec) -> SheafSpec:
 
 def _hom(a: SheafSpec, b: SheafSpec) -> SheafSpec:
     if a.rank == 0 or b.rank == 0:
-        mats = {key: [] for key in a.matrices}
+        mats = {key: () for key in a.matrices}
     else:
         dual = sheaf_dual(a)
         mats = {key: kron(b.matrices[key], dual.matrices[key]) for key in a.matrices}
     return SheafSpec(a.space, a.rank * b.rank, mats, check=False)
-
-
-def hom_unflatten(flat: list[LaurentPoly], rank_target: int, rank_source: int) -> list[list[LaurentPoly]]:
-    return [list(flat[i * rank_source:(i + 1) * rank_source]) for i in range(rank_target)]
 
 
 def sheaf_exterior_power(spec: SheafSpec, k: int) -> SheafSpec:
@@ -311,19 +286,17 @@ def _exterior_power(spec: SheafSpec, k: int) -> SheafSpec:
     if k == 0:
         return trivial_spec(spec.space, 1)
     if k > spec.rank:
-        mats = {key: [] for key in spec.matrices}
+        mats = {key: () for key in spec.matrices}
         return SheafSpec(spec.space, 0, mats, check=False)
     idxs = list(combinations(range(spec.rank), k))
     mats = {}
     for key, m in spec.matrices.items():
-        out = []
-        for rows in idxs:
-            row_entries = []
-            for cols in idxs:
-                sub = [[m[r][c] for c in cols] for r in rows]
-                row_entries.append(laurent_det(sub))
-            out.append(row_entries)
-        mats[key] = out
+        # the minors expand dense k x k submatrices
+        rows = rows_of(m, spec._vars(key[0]))
+        mats[key] = tuple(
+            tuple((i, det) for i, I in enumerate(idxs)
+                  if (det := laurent_det([[rows[r][c] for c in J] for r in I])).terms)
+            for J in idxs)
     return SheafSpec(spec.space, len(idxs), mats, check=False)
 
 
@@ -375,21 +348,26 @@ def frames_leak(spec: SheafSpec, frames: list[int]) -> tuple | None:
     ``frames`` onto frame ``i`` outside them, or ``None`` when the frames
     span a subsheaf."""
     chosen = set(frames)
-    outside = [i for i in range(spec.rank) if i not in chosen]
     for key, m in spec.matrices.items():
-        for i in outside:
-            for j in frames:
-                if not m[i][j].is_zero():
-                    return key, i, j
+        first = None  # smallest outside row, then first column in frames order
+        for j in frames:
+            # rows increase down a column: its first outside row is its least
+            i = next((i for i, _ in m[j] if i not in chosen), None)
+            if i is not None and (first is None or i < first[0]):
+                first = (i, j)
+        if first is not None:
+            return (key, *first)
     return None
 
 
 def diagonal_block(spec: SheafSpec, positions: list[int]) -> SheafSpec:
     """Spec of the frames at ``positions``: the diagonal blocks of the
     transition matrices (unchecked, so callers pick blocks that are)."""
+    position = {f: i for i, f in enumerate(positions)}
     return SheafSpec(
         spec.space, len(positions),
-        {key: [[m[i][j] for j in positions] for i in positions]
+        {key: tuple(tuple(sorted((position[i], e) for i, e in m[j] if i in position))
+                    for j in positions)
          for key, m in spec.matrices.items()}, check=False)
 
 

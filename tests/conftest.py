@@ -10,7 +10,7 @@ from supercech.modelfile import parse_model_file
 from supercech.parsing import parse_element
 from supercech.spaces import Chart, Cover, ReducedSpace
 from supercech.gluing import SuperGluingData, SuperTransition
-from supercech.sheaf import SheafSpec
+from supercech.sheaf import SheafSpec, columns_of
 
 import importlib.resources as resources
 
@@ -78,8 +78,10 @@ def line_bundle(space, n: int) -> SheafSpec:
     (a, b) = space.cover.canonical_overlaps()[0]
     xa = space.cover.chart(a).vars
     xb = space.cover.chart(b).vars
-    mats = {(a, b): [[LaurentPoly.monomial(xa, 1, tuple(-n if v == xa[0] else 0 for v in xa))]],
-            (b, a): [[LaurentPoly.monomial(xb, 1, tuple(-n if v == xb[0] else 0 for v in xb))]]}
+    mats = {(a, b): columns_of([[LaurentPoly.monomial(xa, 1, tuple(-n if v == xa[0] else 0
+                                                                   for v in xa))]]),
+            (b, a): columns_of([[LaurentPoly.monomial(xb, 1, tuple(-n if v == xb[0] else 0
+                                                                   for v in xb))]])}
     return SheafSpec(space, 1, mats)
 
 

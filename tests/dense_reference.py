@@ -1,6 +1,7 @@
 """Plain references for the optimised kernels: dense exact elimination for
-the sparse ``linalg``, dense sheaf maps and dense-list cochain operations for
-the sparse Cech kernel and its frame-map cochains, a quotient spec per
+the sparse ``linalg``, dense matrix helpers for the sparse columns of
+``sheaf``, dense sheaf maps and dense-list cochain operations for the sparse
+Cech kernel and its frame-map cochains, a quotient spec per
 filtration piece for ``secondary.refined_splitting_data``,
 term-by-term substitution for ``spaces.MonomialMap``, and an expression
 parser that builds one Grassmann element per atom for ``parsing``.
@@ -108,8 +109,117 @@ def combination(reducer, multiples):
 
 # ------------------------------------------------------------ sheaf layer
 #
-# Dense references for the sparse Cech kernel: every matrix entry is visited,
-# zero or not, as the kernel did before it kept nonzero patterns.
+# Dense references for the sparse matrix layer and the sparse Cech kernel:
+# matrices are lists of rows and every entry is visited, zero or not, as the
+# sheaf layer did before it kept sparse columns.  Entries are Laurent
+# polynomials of one context or, where noted, rationals.
+
+
+def _context(vars, *matrices):
+    """``vars``, or else the context of the first Laurent entry leading one
+    of ``matrices``; ``None`` means the product is rational."""
+    if vars is None:
+        for m in matrices:
+            if m and m[0] and isinstance(m[0][0], LaurentPoly):
+                return m[0][0].vars
+    return vars
+
+
+def _nonzero(x) -> bool:
+    return not x.is_zero() if isinstance(x, LaurentPoly) else x != 0
+
+
+def mat_mul(a, b, vars=None):
+    """Matrix product ``a . b``.  Either factor may be a constant matrix of
+    rationals; ``vars`` is the context of the product, by default read off
+    the first entries, and the product of two rational matrices is
+    rational."""
+    vars = _context(vars, a, b)
+    out = []
+    for row in a:
+        out_row = []
+        for col in zip(*b):
+            acc = Q(0) if vars is None else LaurentPoly.zero(vars)
+            for x, y in zip(row, col):
+                if _nonzero(x) and _nonzero(y):
+                    if vars is not None and not isinstance(x, LaurentPoly):
+                        x = LaurentPoly.const(vars, x)
+                    if vars is not None and not isinstance(y, LaurentPoly):
+                        y = LaurentPoly.const(vars, y)
+                    acc = acc + x * y
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def mat_transpose(m):
+    return [list(col) for col in zip(*m)] if m else []
+
+
+def kron(a, b):
+    """Row-major Kronecker product: entry ((i,j),(k,l)) = a[i][k] * b[j][l];
+    a product with a zero factor is one shared zero of the product's type."""
+    if not a or not b:
+        return []
+    vars = _context(None, a, b)
+    zero = Q(0) if vars is None else LaurentPoly.zero(vars)
+    out = []
+    for arow in a:
+        for brow in b:
+            row = []
+            for x in arow:
+                if _nonzero(x):
+                    row.extend(x * y if _nonzero(y) else zero for y in brow)
+                else:
+                    row.extend([zero] * len(brow))
+            out.append(row)
+    return out
+
+
+def identity_matrix(n, vars=None):
+    """n x n identity over the Laurent polynomials in ``vars``, or over the
+    rationals when ``vars`` is ``None``."""
+    if vars is None:
+        one, zero = Q(1), Q(0)
+    else:
+        one, zero = LaurentPoly.const(vars, 1), LaurentPoly.zero(vars)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def selection_matrix(positions, n):
+    """Constant 0/1 matrix whose row i picks coordinate ``positions[i]`` of
+    an n-vector."""
+    return [[Q(1) if j == p else Q(0) for j in range(n)] for p in positions]
+
+
+def hom_unflatten(flat, rank_target, rank_source):
+    return [list(flat[i * rank_source:(i + 1) * rank_source]) for i in range(rank_target)]
+
+
+def matrices(spec):
+    """The transition matrices of ``spec`` as dense rows, by overlap."""
+    from supercech.sheaf import rows_of
+    return {key: rows_of(m, spec.space.cover.chart(key[0]).vars)
+            for key, m in spec.matrices.items()}
+
+
+def diagonal_block(spec, positions):
+    """Dense matrices of ``sheaf.diagonal_block``, by overlap."""
+    return {key: [[m[i][j] for j in positions] for i in positions]
+            for key, m in matrices(spec).items()}
+
+
+def frames_leak(spec, frames):
+    """``sheaf.frames_leak`` scanning every entry: rows outside ``frames`` in
+    increasing order, then ``frames`` in their order."""
+    chosen = set(frames)
+    outside = [i for i in range(spec.rank) if i not in chosen]
+    for key, m in matrices(spec).items():
+        for i in outside:
+            for j in frames:
+                if not m[i][j].is_zero():
+                    return key, i, j
+    return None
 
 
 def mat_vec(m, v):
@@ -130,8 +240,10 @@ def mat_vec(m, v):
 def transport(spec, frm, to, vector):
     """``SheafSpec.transport`` of a dense component list through the dense
     re-expressed matrix."""
+    from supercech.sheaf import rows_of
     composed = [spec.space.compose_into(to, frm, p) for p in vector]
-    return mat_vec(spec._matrix_in(to, (frm, to)), composed)
+    return mat_vec(rows_of(spec._matrix_in(to, (frm, to)), spec.space.cover.chart(to).vars),
+                   composed)
 
 
 # Dense cochain operations: a cochain is read as ``dense(c)``, every

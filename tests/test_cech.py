@@ -300,13 +300,11 @@ def test_connecting_independent_of_lift(p1_space):
     out1 = connecting_map(ses, c)
     # second lift: add something in the image of the inclusion
     sigma = ses.section_of_projection()
+    lift = c.map(sigma, ses.total)
     lifted = {}
-    for key in c.sections:
-        vec = c.section(*key)
+    for key in lift.sections:
         vars = p1_space.cover.chart(key[0]).vars
-        base = [sum((row[j].__mul__(vec[j]) for j in range(len(vec))),
-                    LaurentPoly.zero(vars)) for row in
-                [[LaurentPoly.const(vars, v) for v in r] for r in sigma]]
+        base = lift.section(*key)
         # shift by incl(x^2)
         base[0] = base[0] + LaurentPoly.monomial(vars, 5, (2,))
         lifted[key] = base

@@ -4,13 +4,16 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import pytest
 
 from supercech.cli import main
-from supercech.gluing import SuperGluingData
+from supercech.gluing import SuperGluingData, SuperTransition, identity_transition
+from supercech.modelfile import parse_model_text, write_gluing
+from supercech.parsing import parse_element
 
 from conftest import corpus_path
 
@@ -415,6 +418,32 @@ def test_partial_fiber_point_is_input_error(capsys):
     path = str(corpus_path("two_parameter_family.model"))
     code, _, err = run_cli(capsys, "splitting-type", "--input", path, "--at", "t1=1")
     assert code == 2 and "base coordinates" in err
+
+
+def test_report_all_on_a_family_whose_fiber_deviates_later(tmp_path, capsys):
+    # nonsplit_p1_level3 over the base coordinate t, conjugated on U0 by
+    # x -> x + (t-1)*x*theta_1*theta_2: the family has type 2, its fiber over
+    # t=1 type 3, and seed 9 samples t=1
+    text = corpus_path("nonsplit_p1_level3.model").read_text()
+    text = text.replace("  fiber x\n", "  fiber x\n  base t\n")
+    text = text.replace("  fiber y\n", "  fiber y\n  base t\n")
+    text = text.replace("  y = 1/x\n", "  y = 1/x\n  t = t\n")
+    text = text.replace("  x = 1/y\n", "  x = 1/y\n  t = t\n")
+    text = text.replace("splitting_type 3", "family t")
+    g = parse_model_text(text).gluing
+    ch0 = g.chart("U0")
+    odd = {k: parse_element(f"theta_{k}", ch0.vars, ch0.odd_rank) for k in (1, 2, 3)}
+    w0 = SuperTransition(ch0, ch0, {
+        "x": parse_element("x + (t - 1)*x*theta_1*theta_2", ch0.vars, ch0.odd_rank),
+        "t": parse_element("t", ch0.vars, ch0.odd_rank)}, odd)
+    family = g.conjugate({"U0": w0, "U1": identity_transition(g.chart("U1"))})
+    assert family.splitting_type() == 2
+    assert family.restrict_fiber({"t": Fraction(1)}).splitting_type() == 3
+    path = tmp_path / "family.model"
+    path.write_text(write_gluing(family))
+    code, out, _ = run_cli(capsys, "report-all", "--input", str(path), "--seed", "9")
+    assert "embedding_triple.0: 3,3,2" in out
+    assert code == 0
 
 
 def test_entry_point_subprocess():

@@ -12,7 +12,7 @@ from supercech.parsing import parse_element
 from supercech.spaces import Chart, Cover
 
 from conftest import load_model
-from dense_reference import evaluate
+from dense_reference import evaluate, matrices
 
 
 def P(chart, text):
@@ -91,7 +91,7 @@ def test_splitting_type_requires_valid_cocycle():
 
 def test_reduce_reads_off_data(split_p1, nonsplit_p1):
     space, spec = split_p1.reduce()
-    m = spec.matrices[("U0", "U1")]
+    m = matrices(spec)[("U0", "U1")]
     assert str(m[0][0]) == "x^-2" and str(m[1][1]) == "x^-2"
     assert str(space.coordinate_maps[("U0", "U1")]["y"]) == "x^-1"
     # deviation terms do not change the reduction
@@ -122,9 +122,9 @@ def test_reduce_commutes_with_restriction(two_parameter_family):
         for v, img in cmap.items():
             full = space_total.coordinate_maps[key][v]
             assert img == evaluate(full, point).with_context(img.vars)
-    for key in spec_fiber.matrices:
-        got = spec_fiber.matrices[key]
-        full = spec_total.matrices[key]
+    dense_total = matrices(spec_total)
+    for key, got in matrices(spec_fiber).items():
+        full = dense_total[key]
         for r1, r2 in zip(got, full):
             for e1, e2 in zip(r1, r2):
                 assert e1 == evaluate(e2, point).with_context(e1.vars)

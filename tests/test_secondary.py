@@ -12,7 +12,7 @@ from supercech.secondary import (gt_model, model_class, model_class_map, quotien
                                  verify_a1_containment, verify_obstruction_compatibility)
 from supercech.sheaf import diagonal_block, filtration, sheaf_exterior_power, sheaf_tensor
 
-from dense_reference import contraction_matrix
+from dense_reference import contraction_matrix, matrices, mat_mul
 from dense_reference import refined_splitting_data as dense_refined_splitting_data
 
 
@@ -101,17 +101,16 @@ def test_contraction_matrix_example():
 
 def test_contraction_naturality(M):
     # contraction commutes with the induced transition matrices
-    from supercech.sheaf import mat_mul
     a = 2
     rank = 3
     # use the rank-3 trivial base factor's exterior powers as the test module
     spec = M.base_spec
     cm = contraction_matrix(rank, a)
-    for key, mat in sheaf_exterior_power(spec, a).matrices.items():
+    target = matrices(sheaf_tensor(spec, sheaf_exterior_power(spec, a - 1)))
+    for key, mat in matrices(sheaf_exterior_power(spec, a)).items():
         vars = M.space.cover.chart(key[0]).vars
         lhs = mat_mul(cm, mat, vars)
-        target = sheaf_tensor(spec, sheaf_exterior_power(spec, a - 1))
-        rhs = mat_mul(target.matrices[key], cm, vars)
+        rhs = mat_mul(target[key], cm, vars)
         assert lhs == rhs
 
 

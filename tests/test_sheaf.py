@@ -8,22 +8,24 @@ from supercech.cech import (CechCochain, cech_delta, cohomology_basis, extension
 from supercech.errors import CocycleError
 from supercech.gluing import invert_laurent_matrix
 from supercech.laurent import LaurentPoly
-from supercech.sheaf import (SheafSpec, diagonal_block, filtration, hom_unflatten,
-                             identity_matrix, kron, mat_mul, sheaf_dual,
-                             sheaf_exterior_power, sheaf_hom, sheaf_tensor, trivial_spec)
+from supercech.sheaf import (SheafSpec, columns_of, diagonal_block, filtration, kron,
+                             rows_of, sheaf_dual, sheaf_exterior_power, sheaf_hom,
+                             sheaf_tensor, trivial_spec)
 
+import dense_reference as dense
 from conftest import line_bundle
+from dense_reference import hom_unflatten, identity_matrix, mat_mul, matrices
 
 
 def entry(spec, key=("U0", "U1")):
-    return spec.matrices[key][0][0]
+    return matrices(spec)[key][0][0]
 
 
 def test_dual_inverts_matrices(p1_space, nonsplit_p1):
     _, odd = nonsplit_p1.reduce()
-    dual = sheaf_dual(odd)
-    assert str(dual.matrices[("U0", "U1")][0][0]) == "x^2"
-    assert str(dual.matrices[("U0", "U1")][1][1]) == "x^2"
+    dual = matrices(sheaf_dual(odd))
+    assert str(dual[("U0", "U1")][0][0]) == "x^2"
+    assert str(dual[("U0", "U1")][1][1]) == "x^2"
 
 
 def test_exterior_square_is_determinant(nonsplit_p1):
@@ -75,7 +77,7 @@ def test_extension_zero_cocycle_is_direct_sum(p1_space):
     hom = sheaf_hom(quot, sub)
     zero = CechCochain(hom, 1)
     ext = extension_sheaf(sub, quot, zero)
-    m = ext.matrices[("U0", "U1")]
+    m = matrices(ext)[("U0", "U1")]
     assert m[0][1].is_zero() and m[1][0].is_zero()
 
 
@@ -123,10 +125,11 @@ def extension_gauge(sub, quot, witness):
 
 def specs_gauge_equivalent(spec1, spec2, gauges):
     """Check spec2 = g_b . spec1 . g_a^{-1} on every overlap."""
+    m1, m2 = matrices(spec1), matrices(spec2)
     for (a, b) in spec1.space.cover.overlaps:
         ga_inv = invert_laurent_matrix(gauges[a])
         gb = [[spec1.space.compose_into(a, b, e) for e in row] for row in gauges[b]]
-        if mat_mul(gb, mat_mul(spec1.matrices[(a, b)], ga_inv)) != spec2.matrices[(a, b)]:
+        if mat_mul(gb, mat_mul(m1[(a, b)], ga_inv)) != m2[(a, b)]:
             return False
     return True
 
@@ -136,8 +139,9 @@ def split_bundle(space, degrees):
     mats = {}
     for (a, b) in space.cover.overlaps:
         vars = space.cover.chart(a).vars
-        mats[(a, b)] = [[LaurentPoly.monomial(vars, 1, (-n,)) if i == j else LaurentPoly.zero(vars)
-                         for j, n in enumerate(degrees)] for i in range(len(degrees))]
+        mats[(a, b)] = columns_of([[LaurentPoly.monomial(vars, 1, (-n,)) if i == j
+                                    else LaurentPoly.zero(vars)
+                                    for j, n in enumerate(degrees)] for i in range(len(degrees))])
     return SheafSpec(space, len(degrees), mats)
 
 
@@ -276,8 +280,9 @@ def test_transported_matrices_are_cached(gt_model_doc, split_three_charts):
                     continue
                 got = spec._matrix_in(chart, key)
                 assert spec._matrix_in(chart, key) is got
-                assert got == [[space.compose_into(chart, key[0], e) for e in row]
-                               for row in m]
+                assert rows_of(got, space.cover.chart(chart).vars) == \
+                    [[space.compose_into(chart, key[0], e) for e in row]
+                     for row in rows_of(m, space.cover.chart(key[0]).vars)]
 
 
 def naive_kron(a, b):
@@ -293,7 +298,11 @@ def test_kron_zero_entries_match_the_naive_product():
     rational = [[Q(0), Q(3)], [Q(-1, 2), Q(0)]]
     for a in (laurent, rational):
         for b in (laurent, rational):
-            got, want = kron(a, b), naive_kron(a, b)
+            got, want = dense.kron(a, b), naive_kron(a, b)
             assert got == want
             assert [[type(e) for e in row] for row in got] == \
                 [[type(e) for e in row] for row in want]
+    # the sparse product writes the nonzero entries only
+    got = kron(columns_of(laurent), columns_of(laurent))
+    assert got == columns_of(naive_kron(laurent, laurent))
+    assert rows_of(got, X) == naive_kron(laurent, laurent)

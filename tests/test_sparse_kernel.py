@@ -1,16 +1,19 @@
-"""The sparse Cech kernel against dense references.
+"""The sparse matrix layer and the sparse Cech kernel against dense references.
 
-Transport, frame maps, the theta pairing and the Laurent inverse visit only
-nonzero entries, and cochains store only nonzero frames; ``dense_reference``
-keeps the entry-by-entry versions on dense component lists they must agree
-with.  Cochains built through the trusted constructor branch must equal the
+Transition matrices are sparse columns; the sheaf constructions, transport,
+frame maps, the theta pairing and the Laurent inverse visit only nonzero
+entries, and cochains store only nonzero frames; ``dense_reference`` keeps
+the entry-by-entry versions on dense rows and component lists they must
+agree with.  Cochains built through the trusted constructor branch must equal the
 same data passed through the checking constructor.
 """
 
 import os
 import random
 import time
+from collections import Counter
 from functools import cache
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -23,9 +26,8 @@ from supercech.errors import CocycleError, SupercechError
 from supercech.gluing import invert_laurent_matrix, laurent_det
 from supercech.laurent import LaurentPoly, Q
 from supercech.secondary import _hom_frames, _theta_pairing_matrix, filtration_of
-from supercech.sheaf import (SheafSpec, diagonal_block, identity_matrix, kron,
-                             mat_mul, mat_transpose, selection_matrix, sheaf_dual,
-                             sheaf_exterior_power, sheaf_hom, sheaf_tensor)
+from supercech.sheaf import (SheafSpec, columns_of, diagonal_block, frames_leak, rows_of,
+                             sheaf_dual, sheaf_exterior_power, sheaf_hom, sheaf_tensor)
 
 PROPERTY = settings(max_examples=15)
 
@@ -135,16 +137,82 @@ def test_transport_equals_dense_product_on_every_overlap(seed):
                 dense.transport(spec, frm, to, vector)
 
 
+def is_sparse_columns(m, rank):
+    """``rank`` columns, each the (row, entry) pairs of its nonzero entries
+    with rows increasing."""
+    return type(m) is tuple and len(m) == rank and all(
+        type(col) is tuple and all(e.terms for _, e in col)
+        and [i for i, _ in col] == sorted({i for i, _ in col})
+        and all(0 <= i < rank for i, _ in col) for col in m)
+
+
+def re_expressed(spec, chart, key):
+    """The dense matrix of ``key`` with every entry moved to ``chart``."""
+    vars = spec.space.cover.chart(chart).vars
+    m = dense.matrices(spec)[key]
+    if chart == key[0]:
+        return m
+    return [[spec.space.compose_into(chart, key[0], e) if e.terms else LaurentPoly.zero(vars)
+             for e in row] for row in m]
+
+
 def test_nonzero_patterns_match_the_dense_matrices():
     for spec in transport_specs():
         for frm, to in spec.space.cover.overlaps:
+            assert is_sparse_columns(spec.matrices[(frm, to)], spec.rank)
             for chart in (frm, to):
-                dense_m = spec._matrix_in(chart, (frm, to))
-                columns = spec._nonzeros_in(chart, (frm, to))
-                assert spec._nonzeros_in(chart, (frm, to)) is columns
-                assert [[(i, dense_m[i][j]) for i in range(spec.rank)
-                         if not dense_m[i][j].is_zero()]
-                        for j in range(spec.rank)] == [list(c) for c in columns]
+                columns = spec._matrix_in(chart, (frm, to))
+                assert spec._matrix_in(chart, (frm, to)) is columns
+                assert is_sparse_columns(columns, spec.rank)
+                assert rows_of(columns, spec.space.cover.chart(chart).vars) == \
+                    re_expressed(spec, chart, (frm, to))
+
+
+@settings(PROPERTY, max_examples=3)
+@given(st.integers(0, 2 ** 32))
+def test_column_constructions_equal_the_dense_references(seed):
+    rng = random.Random(seed)
+    specs = transport_specs()
+    assert len(specs) > 100
+    leaks = Counter()
+    for spec in specs:
+        n = spec.rank
+        cover = spec.space.cover
+        D = dense.matrices(spec)
+        # the dual's matrices are the transposed inverses, and each inverse is
+        # the partner matrix re-expressed
+        dual = {}
+        for a, b in cover.overlaps:
+            inv = re_expressed(spec, a, (b, a))
+            assert rows_of(spec.inverse(a, b), cover.chart(a).vars) == inv
+            assert dense.mat_mul(D[(a, b)], inv) == dense.identity_matrix(n, cover.chart(a).vars)
+            dual[(a, b)] = dense.mat_transpose(inv)
+        assert dense.matrices(sheaf_dual(spec)) == dual
+        other = rng.choice(partners(spec))
+        O = dense.matrices(other)
+        assert dense.matrices(sheaf_tensor(spec, other)) == \
+            {key: dense.kron(D[key], O[key]) for key in D}
+        assert dense.matrices(sheaf_hom(other, spec)) == \
+            {key: dense.kron(D[key], dense.mat_transpose(re_expressed(other, key[0], key[::-1])))
+             for key in D}
+        if n <= 6:
+            k = rng.randint(0, n + 1)
+            idxs = list(combinations(range(n), k))
+            wedge = sheaf_exterior_power(spec, k)
+            assert is_sparse_columns(wedge.matrices[next(iter(D))], wedge.rank)
+            if 0 < k <= n:
+                assert dense.matrices(wedge) == {
+                    key: [[dense.laurent_det([[m[r][c] for c in J] for r in I]) for J in idxs]
+                          for I in idxs] for key, m in D.items()}
+        frames = rng.sample(range(n), rng.randint(1, n))
+        block = diagonal_block(spec, frames)
+        assert all(is_sparse_columns(m, len(frames)) for m in block.matrices.values())
+        assert dense.matrices(block) == dense.diagonal_block(spec, frames)
+        leak = frames_leak(spec, frames)
+        assert leak == dense.frames_leak(spec, frames)
+        leaks[leak is None] += 1
+    # both outcomes occur, so the first leak is compared as well
+    assert leaks[True] and leaks[False]
 
 
 # --------------------------------------------------------------- frame maps
@@ -167,15 +235,16 @@ def test_restrict_and_extend_equal_the_selection_matrix_maps(data):
     block = diagonal_block(spec, frames)
     degree = data.draw(st.integers(0, 1))
     c = cochains(data, spec, degree)
-    assert c.restrict(frames, block) == dense.map_cochain(c, selection_matrix(frames, n), block)
+    assert c.restrict(frames, block) == \
+        dense.map_cochain(c, dense.selection_matrix(frames, n), block)
     small = cochains(data, block, degree)
     assert small.extend(frames, spec) == \
-        dense.map_cochain(small, mat_transpose(selection_matrix(frames, n)), spec)
+        dense.map_cochain(small, dense.mat_transpose(dense.selection_matrix(frames, n)), spec)
     # frames of hom(P, X) over frames of X: kron(selection, identity)
     P = m.fiber_spec
     hom, hom_block = sheaf_hom(P, spec), sheaf_hom(P, block)
     h = cochains(data, hom, degree)
-    projection = kron(selection_matrix(frames, n), identity_matrix(P.rank))
+    projection = dense.kron(dense.selection_matrix(frames, n), dense.identity_matrix(P.rank))
     assert h.restrict(_hom_frames(frames, P.rank), hom_block) == \
         dense.map_cochain(h, projection, hom_block)
 
@@ -320,11 +389,11 @@ def test_frame_map_operations_equal_the_dense_reference(seed):
 def test_dual_reads_the_partner_matrices():
     for spec in transport_specs():
         dual = sheaf_dual(spec)
-        for key, m in spec.matrices.items():
-            assert dual.matrices[key] == mat_transpose(invert_laurent_matrix(m))
+        for key, m in dense.matrices(spec).items():
+            assert dense.matrices(dual)[key] == dense.mat_transpose(invert_laurent_matrix(m))
     # an unchecked spec whose partner matrices are not inverse
     space = load_model("split_p1.model").gluing.reduce()[0]
-    mats = {(a, b): [[LaurentPoly.monomial(space.cover.chart(a).vars, 1, (e,))]]
+    mats = {(a, b): columns_of([[LaurentPoly.monomial(space.cover.chart(a).vars, 1, (e,))]])
             for (a, b), e in ((("U0", "U1"), 2), (("U1", "U0"), -1))}
     with pytest.raises(CocycleError, match=r"\(U0,U1\) and \(U1,U0\) are not inverse"):
         sheaf_dual(SheafSpec(space, 1, mats, check=False))
@@ -370,7 +439,7 @@ def test_inverse_equals_the_cofactor_reference(matrix):
     got = invert_laurent_matrix(matrix)
     assert got == dense.invert_laurent_matrix(matrix)
     if got is not None:
-        assert mat_mul(matrix, got) == identity_matrix(len(matrix), X)
+        assert dense.mat_mul(matrix, got) == dense.identity_matrix(len(matrix), X)
 
 
 def test_inverse_of_a_singular_or_non_monomial_matrix_is_none():
@@ -387,9 +456,9 @@ def test_dense_eight_by_eight_inverse_is_fast():
     n = 8
     upper = [[LaurentPoly.const(X, 1 if i == j else (i + 2 * j) % 5 + 1) if j >= i
               else LaurentPoly.zero(X) for j in range(n)] for i in range(n)]
-    A = mat_mul(upper, mat_transpose(upper))
+    A = dense.mat_mul(upper, dense.mat_transpose(upper))
     assert all(not e.is_zero() for row in A for e in row)
     t0 = time.process_time()
     inv = invert_laurent_matrix(A)
     assert time.process_time() - t0 < 1
-    assert mat_mul(A, inv) == identity_matrix(n, X)
+    assert dense.mat_mul(A, inv) == dense.identity_matrix(n, X)
