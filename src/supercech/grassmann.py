@@ -6,20 +6,28 @@ a :class:`~supercech.laurent.LaurentPoly` over the even coordinates.  The
 product follows the Koszul rule ``theta_a theta_b = -theta_b theta_a`` with
 multi-indices kept sorted.
 
-Inside a product a multi-index travels as a bitmask (bit ``a`` set for
-``theta_a``), the bitmap form of basis blades (Dorst, Fontijne and Mann,
-*Geometric Algebra for Computer Science*, 2007): two monomials vanish
+Products work on one raw form, ``{mask: {exps: coef}}``: a multi-index
+travels as a bitmask (bit ``a`` set for ``theta_a``), the bitmap form of
+basis blades (Dorst, Fontijne and Mann, *Geometric Algebra for Computer
+Science*, 2007), and its coefficient as an exponent dict whose values are
+``int`` when integral and ``Fraction`` otherwise.  Two monomials vanish
 together when their masks meet, and the sign of ``theta_I theta_J`` is
 ``(-1)`` to the number of pairs ``i in I, j in J`` with ``i > j``, counted by
-:func:`_koszul_sign` with ``int.bit_count``.  Every coefficient product of one
-output multi-index is summed in one exponent dict
-(:func:`~supercech.laurent.mul_into`), so a product builds one polynomial per
-output term.
+:func:`_koszul_sign` with ``int.bit_count``.  One kernel,
+:func:`_product_into`, multiplies raw forms: every coefficient product of
+one output multi-index is summed in one exponent dict
+(:func:`~supercech.laurent.mul_into`), and no element or polynomial is built
+until :func:`_collect` converts the result.  Element products, the
+substitution memo and the expression parser all go through it.
 
 Substitution of coordinate images is one ring homomorphism,
-:class:`Substitution`, which checks its images once per source context and
-memoises the powers of the even images and the products of the odd ones for
-as long as it lives.
+:class:`Substitution`, which checks its images once per source context.  It
+memoises, in raw form and for as long as it lives, the powers of the even
+images, their products per exponent vector and the products of the odd
+images.  The Taylor series through a nilpotent part runs once per
+coordinate, for ``v^-1``; every other power is one product of the memoised
+power next to it and ``v^(+-1)``.  A substituted element is converted once,
+at the end.
 """
 
 from __future__ import annotations
@@ -201,7 +209,7 @@ class GrassmannElement:
             return self._like({i: c * other for i, c in self.terms.items()})
         self._check(other)
         acc: dict[int, dict] = {}
-        _product_into(acc, self, other)
+        _product_into(acc, _raw(self), _raw(other), self.odd_rank)
         return _collect(self.vars, self.odd_rank, acc)
 
     def __rmul__(self, other):
@@ -219,7 +227,7 @@ class GrassmannElement:
         exponents use the finite expansion ``(m+n)^e = m^e * sum_k C(e,k)
         (n/m)^k``, which terminates because the positive-degree part ``n`` is
         nilpotent.  Requires the reduced part to be an invertible monomial
-        when ``e < 0``."""
+        when ``e < 0``.  The work stays in raw form and converts once."""
         if e == 0:
             return GrassmannElement.const(self.vars, self.odd_rank, 1)
         if e == 1:
@@ -230,29 +238,31 @@ class GrassmannElement:
         if e < 0 and not m.is_monomial():
             raise SubstitutionError(
                 "negative power requires an invertible monomial reduced part")
-        n = self - GrassmannElement.from_poly(m, self.odd_rank)
-        if n.is_zero():
-            return GrassmannElement.from_poly(m ** e, self.odd_rank)
+        q = self.odd_rank
+        base = _raw(self)
+        n = {mask: exps for mask, exps in base.items() if mask}
+        if not n:
+            return GrassmannElement.from_poly(m ** e, q)
         if e > 0:
             result = None
-            base = self
             while e:
                 if e & 1:
-                    result = base if result is None else result * base
+                    result = base if result is None else _product(result, base, q)
                 e >>= 1
                 if e:
-                    base = base * base
-            return result
-        m_inv = m.inverse()
-        u = n * m_inv  # nilpotent
-        result = GrassmannElement.const(self.vars, self.odd_rank, 0)
-        u_pow = GrassmannElement.const(self.vars, self.odd_rank, 1)
+                    base = _product(base, base, q)
+            return _collect(self.vars, q, result)
+        u = _product(n, {0: m.inverse().terms}, q)  # nilpotent
+        acc: dict[int, dict] = {}
+        u_pow = {0: {(0,) * len(self.vars): 1}}
         k = 0
-        while not u_pow.is_zero():
-            result = result + u_pow.scale(binomial(e, k))
-            u_pow = u_pow * u
+        while u_pow:
+            c = binomial(e, k)
+            for mask, exps in u_pow.items():
+                add_into(acc.setdefault(mask, {}), exps, c)
+            u_pow = _product(u_pow, u, q)
             k += 1
-        return result * (m ** e)
+        return _collect(self.vars, q, _product(_clean(acc), {0: (m ** e).terms}, q))
 
     # -------------------------------------------------------------- calculus
 
@@ -273,23 +283,25 @@ class GrassmannElement:
         """Image under the ring homomorphism ``images``, which sends every
         even coordinate and odd generator of this context to an element of
         its target.  Coefficients are expanded through nilpotent parts by
-        the finite Taylor rule (see :meth:`power`)."""
+        the finite Taylor rule (see :meth:`power`).  The images stay in raw
+        form (see :func:`_product_into`) until the one conversion at the
+        end."""
         images.check(self.vars, self.odd_rank)
-        vars, q = images.vars, images.odd_rank
+        q = images.odd_rank
         acc: dict[int, dict] = {}
         for idx, coeff in self.terms.items():
             odd = images.odd_monomial(idx)
-            if odd.is_zero():
+            if not odd:
                 continue
             # sum the images of the even monomials, then multiply by the
             # image of theta_idx once
             even = acc if not idx else {}
             for exps, c in coeff.terms.items():
-                for i, part in images.even_monomial(self.vars, exps).terms.items():
-                    add_into(even.setdefault(_index_mask(i), {}), part.terms, c)
+                for m, part in images.even_monomial(self.vars, exps).items():
+                    add_into(even.setdefault(m, {}), part, c)
             if idx:
-                _product_into(acc, _collect(vars, q, even), odd)
-        return _collect(vars, q, acc)
+                _product_into(acc, _clean(even), odd, q)
+        return _collect(images.vars, q, acc)
 
     # ------------------------------------------------------------- interface
 
@@ -329,16 +341,32 @@ class GrassmannElement:
         return f"GrassmannElement({self})"
 
 
-def _product_into(acc: dict[int, dict], left: GrassmannElement, right: GrassmannElement) -> None:
-    """Add ``left * right`` to ``acc``, a dict from output masks to exponent
-    dicts.  Pairs whose odd degree passes the odd rank are never visited."""
-    q = left.odd_rank
-    rights = sorted(((len(i), _index_mask(i), c.terms) for i, c in right.terms.items()),
-                    key=itemgetter(0))
-    for i1, c1 in left.terms.items():
-        m1 = _index_mask(i1)
-        room = q - len(i1)
-        t1 = c1.terms
+def _raw(g: GrassmannElement) -> dict[int, dict]:
+    """The raw form of ``g``.  Its exponent dicts are the term maps of
+    ``g``'s coefficients, so it is read and never written."""
+    return {_index_mask(i): c.terms for i, c in g.terms.items()}
+
+
+def _clean(acc: dict[int, dict]) -> dict[int, dict]:
+    """The raw form held by an accumulator: no zero coefficient and no empty
+    mask."""
+    out = {}
+    for m, exps in acc.items():
+        terms = {e: c for e, c in exps.items() if c}
+        if terms:
+            out[m] = terms
+    return out
+
+
+def _product_into(acc: dict[int, dict], left: dict[int, dict], right: dict[int, dict],
+                  odd_rank: int) -> None:
+    """Add ``left * right`` to ``acc``.  All three are raw forms
+    ``{mask: {exps: coef}}`` over one context of odd rank ``odd_rank``, with
+    coefficients ``int`` or ``Fraction`` (see :func:`~supercech.laurent.mul_into`).
+    Pairs whose odd degree passes the odd rank are never visited."""
+    rights = sorted(((m.bit_count(), m, t) for m, t in right.items()), key=itemgetter(0))
+    for m1, t1 in left.items():
+        room = odd_rank - m1.bit_count()
         for d2, m2, t2 in rights:
             if d2 > room:
                 break
@@ -348,6 +376,13 @@ def _product_into(acc: dict[int, dict], left: GrassmannElement, right: Grassmann
             if target is None:
                 target = acc[m1 | m2] = {}
             mul_into(target, t1, t2, _koszul_sign(m1, m2))
+
+
+def _product(left: dict[int, dict], right: dict[int, dict], odd_rank: int) -> dict[int, dict]:
+    """``left * right`` as a raw form of its own."""
+    acc: dict[int, dict] = {}
+    _product_into(acc, left, right, odd_rank)
+    return _clean(acc)
 
 
 def _collect(vars: tuple[str, ...], odd_rank: int, acc: dict[int, dict]) -> GrassmannElement:
@@ -365,10 +400,11 @@ class Substitution:
     ``even_images[v]`` and each ``theta_a`` to ``odd_images[a]``, all in the
     target context ``(vars, odd_rank)``.
 
-    The images of the monomials it has met stay memoised for as long as the
-    object lives: powers of even images per ``(v, e)``, their products per
-    exponent vector, and products of odd images per multi-index.  Build one
-    per image set and apply it to every element that set acts on."""
+    The raw images (see :func:`_product_into`) of the monomials it has met
+    stay memoised for as long as the object lives: powers of even images per
+    ``(v, e)``, their products per exponent vector, and products of odd
+    images per multi-index.  Build one per image set and apply it to every
+    element that set acts on."""
 
     __slots__ = ("even_images", "odd_images", "vars", "odd_rank",
                  "_checked", "_powers", "_even", "_odd")
@@ -381,10 +417,9 @@ class Substitution:
         self.vars = tuple(vars)
         self.odd_rank = int(odd_rank)
         self._checked: set[tuple[tuple[str, ...], int]] = set()
-        self._powers: dict[tuple[str, int], GrassmannElement] = {}
-        self._even: dict[tuple[tuple[str, ...], tuple[int, ...]], GrassmannElement] = {}
-        self._odd: dict[MultiIndex, GrassmannElement] = {
-            (): GrassmannElement.const(self.vars, self.odd_rank, 1)}
+        self._powers: dict[tuple[str, int], dict[int, dict]] = {}
+        self._even: dict[tuple[tuple[str, ...], tuple[int, ...]], dict[int, dict]] = {}
+        self._odd: dict[MultiIndex, dict[int, dict]] = {(): {0: {(0,) * len(self.vars): 1}}}
 
     def check(self, vars: tuple[str, ...], odd_rank: int) -> None:
         """Require an image of the right parity and context for every
@@ -411,29 +446,47 @@ class Substitution:
         if g.vars != self.vars or g.odd_rank != self.odd_rank:
             raise ContextError("Grassmann contexts differ")
 
-    def power(self, v: str, e: int) -> GrassmannElement:
-        key = (v, e)
-        p = self._powers.get(key)
+    def power(self, v: str, e: int) -> dict[int, dict]:
+        """Raw image of ``v^e``.  ``v^1`` is the image of ``v`` and ``v^-1``
+        its inverse by the Taylor rule of :meth:`GrassmannElement.power`;
+        every other power is one product of the memoised power next to it
+        towards zero and ``v^(+-1)``."""
+        powers = self._powers
+        p = powers.get((v, e))
+        if p is not None:
+            return p
+        if e == 0:
+            return self._odd[()]
+        step = 1 if e > 0 else -1
+        k = e
+        while k != step and (v, k) not in powers:
+            k -= step
+        p = powers.get((v, k))
         if p is None:
-            p = self._powers[key] = self.even_images[v].power(e)
+            p = powers[(v, step)] = _raw(self.even_images[v].power(step))
+        base = powers[(v, step)]
+        while k != e:
+            k += step
+            p = powers[(v, k)] = _product(p, base, self.odd_rank)
         return p
 
-    def even_monomial(self, vars: tuple[str, ...], exps: tuple[int, ...]) -> GrassmannElement:
-        """Image of ``prod v^e`` over ``zip(vars, exps)``."""
+    def even_monomial(self, vars: tuple[str, ...], exps: tuple[int, ...]) -> dict[int, dict]:
+        """Raw image of ``prod v^e`` over ``zip(vars, exps)``."""
         key = (vars, exps)
         img = self._even.get(key)
         if img is None:
-            factors = [self.power(v, e) for v, e in zip(vars, exps) if e]
-            img = factors[0] if factors else self._odd[()]
-            for f in factors[1:]:
-                img = img * f
-            self._even[key] = img
+            for v, e in zip(vars, exps):
+                if e:
+                    f = self.power(v, e)
+                    img = f if img is None else _product(img, f, self.odd_rank)
+            img = self._even[key] = self._odd[()] if img is None else img
         return img
 
-    def odd_monomial(self, idx: MultiIndex) -> GrassmannElement:
-        """Image of ``theta_idx``, the product of the odd images in order."""
+    def odd_monomial(self, idx: MultiIndex) -> dict[int, dict]:
+        """Raw image of ``theta_idx``, the product of the odd images in
+        order."""
         img = self._odd.get(idx)
         if img is None:
-            img = self.odd_monomial(idx[:-1]) * self.odd_images[idx[-1]]
-            self._odd[idx] = img
+            img = self._odd[idx] = _product(self.odd_monomial(idx[:-1]),
+                                            _raw(self.odd_images[idx[-1]]), self.odd_rank)
         return img

@@ -17,9 +17,11 @@ element.
 Evaluation builds no element per atom: a term's numbers, coordinates and
 ``theta_k`` (with powers, unary minus and division by a monomial) fold into
 one running monomial with the Koszul sign of ``grassmann._koszul_sign``, and
-each term is added into one ``{mask: {exps: coef}}`` accumulator, as in
-Grassmann products.  A group that is not a monomial, its powers and
-divisions by it use :class:`GrassmannElement` arithmetic.
+each term is added into one ``{mask: {exps: coef}}`` accumulator, the raw
+form of Grassmann products.  A group that is not a monomial, its powers and
+divisions by it use :class:`GrassmannElement` arithmetic, and a term with a
+group enters the accumulator through the shared product kernel
+``grassmann._product_into``.
 
 Input budgets keep the work of one expression bounded: an exponent may not
 exceed ``MAX_EXPONENT`` in absolute value, and no product or power may
@@ -37,7 +39,7 @@ from math import comb, prod
 from operator import add
 
 from .errors import ParseError, SubstitutionError
-from .grassmann import GrassmannElement, _collect, _koszul_sign, _product_into
+from .grassmann import GrassmannElement, _collect, _koszul_sign, _product_into, _raw
 from .laurent import LaurentPoly
 
 # the last group takes a character that starts no token (or trailing space)
@@ -173,7 +175,7 @@ class ExpressionParser:
                 group, (c, e, m) = value * f, self._one
         if group is None:
             return c, e, m
-        _product_into(acc, group, self._element((sign * c, e, m)))
+        _product_into(acc, _raw(group), {m: {e: sign * c}}, self.odd_rank)
         return None
 
     def _factor(self, tz):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .cech import (CechCochain, CohomologyClass, ShortExactSequence, cech_delta,
+from .cech import (CechCochain, CohomologyClass, ShortExactSequence, auto_window, cech_delta,
                    check_window, cohomology_basis, cohomology_class, connecting_map,
                    cup_product, extension_sheaf, is_coboundary, is_cocycle,
                    solve_coboundary)
@@ -153,15 +153,16 @@ def secondary_space(m: GtModel, a: int, b: int, p: int,
 
 
 def secondary_spaces(m: GtModel, window: int | None = None) -> list[SecondarySpace]:
-    """Every graded space, by level, base-factor count and degree.  An
-    explicit window over the system budget of any space fails before the
-    first is computed."""
+    """Every graded space, by level, base-factor count and degree.  A
+    window over the system budget of any space, explicit or derived, fails
+    before the first is computed."""
     keys = [(level - b, b, p) for level in range(1, m.total_odd.rank + 1)
             for b in range(level + 1) if level - b <= m.fiber_rank and b <= m.base_rank
             for p in (0, 1)]
-    if window is not None:
-        for a, b, p in keys:
-            check_window(hom_into_quotient(m, a, b), window, p)
+    for a, b, p in keys:
+        spec = hom_into_quotient(m, a, b)
+        if spec.rank:
+            check_window(spec, auto_window(spec, window=window), p)
     return [secondary_space(m, a, b, p, window=window) for a, b, p in keys]
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CocycleError
-from .gluing import laurent_det
+from .gluing import _minors
 from .laurent import LaurentPoly, collect, mul_into
 from .spaces import ReducedSpace
 
@@ -289,14 +289,15 @@ def _exterior_power(spec: SheafSpec, k: int) -> SheafSpec:
         mats = {key: () for key in spec.matrices}
         return SheafSpec(spec.space, 0, mats, check=False)
     idxs = list(combinations(range(spec.rank), k))
+    masks = [sum(1 << c for c in J) for J in idxs]
     mats = {}
     for key, m in spec.matrices.items():
-        # the minors expand dense k x k submatrices
+        # one memo of minors per row set I serves every column set J
         rows = rows_of(m, spec._vars(key[0]))
+        dets = [_minors(rows, list(I)) for I in idxs]
         mats[key] = tuple(
-            tuple((i, det) for i, I in enumerate(idxs)
-                  if (det := laurent_det([[rows[r][c] for c in J] for r in I])).terms)
-            for J in idxs)
+            tuple((i, d) for i, det in enumerate(dets) if (d := det(mask)).terms)
+            for mask in masks)
     return SheafSpec(spec.space, len(idxs), mats, check=False)
 
 

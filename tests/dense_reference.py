@@ -3,8 +3,10 @@ the sparse ``linalg``, dense matrix helpers for the sparse columns of
 ``sheaf``, dense sheaf maps and dense-list cochain operations for the sparse
 Cech kernel and its frame-map cochains, a quotient spec per
 filtration piece for ``secondary.refined_splitting_data``,
-term-by-term substitution for ``spaces.MonomialMap``, and an expression
-parser that builds one Grassmann element per atom for ``parsing``.
+term-by-term substitution for ``spaces.MonomialMap``, element-level
+Grassmann products, powers and substitution for the raw kernel of
+``grassmann``, and an expression parser that builds one Grassmann element
+per atom for ``parsing``.
 
 Matrices are lists of lists of ``Fraction``.  Pivots are the first nonzero
 entry scanning columns left to right, taken from the topmost remaining row.
@@ -14,7 +16,7 @@ import re
 from fractions import Fraction as Q
 
 from supercech.errors import ParseError, SubstitutionError
-from supercech.grassmann import GrassmannElement
+from supercech.grassmann import GrassmannElement, binomial
 from supercech.laurent import LaurentPoly
 from supercech.parsing import MAX_EXPONENT, _budget, _power_bound, _product_bound
 
@@ -472,6 +474,69 @@ def evaluate(poly, point):
     images = {v: LaurentPoly.const(keep, point[v]) if v in point else LaurentPoly.var(keep, v)
               for v in poly.vars}
     return subs_monomial(poly, images, keep)
+
+
+# -------------------------------------------------------- Grassmann layer
+# Element-level references for ``grassmann``: a product merges sorted
+# multi-indices and counts its transpositions pair by pair, a power
+# multiplies or sums its Taylor series one element at a time, and a
+# substitution maps term by term with no memo.  None of them goes through
+# the raw product kernel.
+
+
+def grassmann_mul(a, b):
+    """``a * b`` by sorted merge of the multi-indices; the sign is ``(-1)``
+    to the number of pairs ``i in I, j in J`` with ``i > j``."""
+    terms = {}
+    for i1, c1 in a.terms.items():
+        for i2, c2 in b.terms.items():
+            if set(i1) & set(i2):
+                continue
+            idx = tuple(sorted(i1 + i2))
+            part = c1 * c2
+            if sum(i > j for i in i1 for j in i2) % 2:
+                part = -part
+            terms[idx] = terms[idx] + part if idx in terms else part
+    return GrassmannElement(a.vars, a.odd_rank, terms)
+
+
+def grassmann_power(g, e):
+    """``g^e``: ``e`` products for ``e >= 0``; for ``e < 0`` the Taylor
+    series ``m^e * sum_k C(e, k) (n/m)^k`` through the nilpotent part ``n``
+    of an invertible monomial body ``m``."""
+    one = GrassmannElement.const(g.vars, g.odd_rank, 1)
+    if e >= 0:
+        out = one
+        for _ in range(e):
+            out = grassmann_mul(out, g)
+        return out
+    m = g.body()
+    if not m.is_monomial():
+        raise SubstitutionError("negative power of a non-invertible element")
+    u = grassmann_mul(g - GrassmannElement.from_poly(m, g.odd_rank),
+                      GrassmannElement.from_poly(m.inverse(), g.odd_rank))
+    series, u_pow, k = GrassmannElement.zero(g.vars, g.odd_rank), one, 0
+    while not u_pow.is_zero():
+        series = series + u_pow.scale(binomial(e, k))
+        u_pow = grassmann_mul(u_pow, u)
+        k += 1
+    return grassmann_mul(series, GrassmannElement.from_poly(m ** e, g.odd_rank))
+
+
+def substitute(element, even_images, odd_images, vars, odd_rank):
+    """Image of ``element`` under the coordinate images, term by term: the
+    reference for ``GrassmannElement.substitute``."""
+    total = GrassmannElement.zero(vars, odd_rank)
+    for idx, coeff in element.terms.items():
+        odd = GrassmannElement.const(vars, odd_rank, 1)
+        for a in idx:
+            odd = grassmann_mul(odd, odd_images[a])
+        for exps, c in coeff.terms.items():
+            term = GrassmannElement.const(vars, odd_rank, c)
+            for v, e in zip(element.vars, exps):
+                term = grassmann_mul(term, grassmann_power(even_images[v], e))
+            total = total + grassmann_mul(term, odd)
+    return total
 
 
 # ------------------------------------------------------------ expressions

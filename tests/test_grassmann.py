@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from supercech.errors import SubstitutionError
 from supercech.gluing import SuperTransition
-from supercech.grassmann import GrassmannElement, Substitution, _koszul_sign
+from supercech.grassmann import GrassmannElement, Substitution, _collect, _koszul_sign
 from supercech.laurent import LaurentPoly
 from supercech.spaces import Chart
 
 from conftest import parse, random_grassmann
+from dense_reference import grassmann_power, substitute
 
 X = ("x",)
 
@@ -284,3 +285,65 @@ def test_memoised_apply_equals_fresh_substitution(images, targets):
     t = SuperTransition(chart, chart, *images, check=False)
     for g in targets:
         assert t.apply(g) == g.substitute(Substitution(*images, X, Q3))
+
+
+# Raw substitution kernel against the element-level reference: contexts with
+# one even coordinate, or two of which the base coordinate t maps to itself,
+# odd ranks 1..5, exponents -4..4 and image bodies c * x^(+-1).
+
+
+@st.composite
+def raw_cases(draw, q):
+    vars = draw(st.sampled_from([("x",), ("x", "t")]))
+    indices = [i for k in range(q + 1) for i in combinations(range(1, q + 1), k)]
+
+    def element(kind=None, exps=(-4, 4), max_terms=3):
+        """Any element, an odd one, or a nilpotent even one."""
+        pool = {None: indices,
+                "odd": [i for i in indices if len(i) % 2],
+                "nilpotent": [i for i in indices if i and not len(i) % 2]}[kind]
+        if not pool:
+            return GrassmannElement.zero(vars, q)
+        terms = {}
+        for _ in range(draw(st.integers(0, max_terms))):
+            idx = draw(st.sampled_from(pool))
+            poly = LaurentPoly.monomial(
+                vars, Q(draw(st.integers(-3, 3)), draw(st.integers(1, 3))),
+                [draw(st.integers(*exps)) for _ in vars])
+            terms[idx] = terms[idx] + poly if idx in terms else poly
+        return GrassmannElement(vars, q, terms)
+
+    body = LaurentPoly.monomial(vars, draw(st.sampled_from([2, -3, Q(1, 2), 1, -1])),
+                                (draw(st.sampled_from([1, -1])),) + (0,) * (len(vars) - 1))
+    even = {"x": GrassmannElement.from_poly(body, q) + element("nilpotent", (-1, 1), 2)}
+    if "t" in vars:
+        even["t"] = GrassmannElement.even_var(vars, q, "t")
+    odd = {a: element("odd", (-1, 1), 2) for a in range(1, q + 1)}
+    targets = [element() for _ in range(draw(st.integers(1, 3)))]
+    return vars, even, odd, targets
+
+
+@pytest.mark.parametrize("q", range(1, 6))
+@PROPERTY
+@given(data=st.data())
+def test_raw_substitution_equals_the_reference(q, data):
+    vars, even, odd, targets = data.draw(raw_cases(q))
+    kernel = Substitution(even, odd, vars, q)
+    for g in targets:
+        assert g.substitute(kernel) == substitute(g, even, odd, vars, q)
+
+
+@pytest.mark.parametrize("q", range(1, 6))
+@PROPERTY
+@given(data=st.data())
+def test_memoised_powers_in_any_order(q, data):
+    # each power of the memo is one product of the power next to it towards
+    # zero, so asking for v^-3 before v^-1 or v^5 before v^2 fills the
+    # chain in between
+    vars, even, odd, _ = data.draw(raw_cases(q))
+    order = data.draw(st.permutations([-4, -3, -2, -1, 2, 3, 4, 5]))
+    for sequence in ([-3, -1, 5, 2], order):
+        kernel = Substitution(even, odd, vars, q)
+        for e in sequence:
+            got = _collect(vars, q, kernel.power("x", e))
+            assert got == even["x"].power(e) == grassmann_power(even["x"], e)

@@ -4,14 +4,16 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from supercech import cech
 from supercech.cech import CechCochain, cohomology_class, is_coboundary
-from supercech.errors import CocycleError, SupercechError
+from supercech.errors import CocycleError, SupercechError, WindowError
 from supercech.laurent import LaurentPoly
 from supercech.secondary import (gt_model, model_class, model_class_map, quotient_spec,
-                                 secondary_differential, secondary_space,
+                                 secondary_differential, secondary_space, secondary_spaces,
                                  verify_a1_containment, verify_obstruction_compatibility)
 from supercech.sheaf import diagonal_block, filtration, sheaf_exterior_power, sheaf_tensor
 
+from conftest import load_model
 from dense_reference import contraction_matrix, matrices, mat_mul
 from dense_reference import refined_splitting_data as dense_refined_splitting_data
 
@@ -307,3 +309,21 @@ def test_compatibility_on_odd_base_instance(gtm_odd_base_doc):
 def test_compatibility_rejects_moving_base_directions(nonsplit_p1):
     with pytest.raises(SupercechError):
         verify_obstruction_compatibility(nonsplit_p1, 1)
+
+
+def test_derived_window_over_the_budget_fails_before_any_system(monkeypatch):
+    # with a budget of 100 unknowns the derived windows of the first two
+    # spaces of gt_model_p1 fit (48 and 88 unknowns) and the rank-12 space
+    # (0, 1) in degree 0 does not (144); nothing is built before it fails
+    m = load_model("gt_model_p1.model").gt_models["M"]
+    built = []
+    linearize = cech._delta0_linearization
+    monkeypatch.setattr(cech, "_delta0_linearization",
+                        lambda sheaf, bound: built.append(bound) or linearize(sheaf, bound))
+    monkeypatch.setattr(cech, "MAX_UNKNOWNS", 100)
+    with pytest.raises(WindowError) as err:
+        secondary_spaces(m)
+    assert str(err.value) == (
+        "exponent window 0..5 needs a delta0 system of 144 unknowns "
+        "(2 charts x rank 12 x window box), over the budget of 100; pass a smaller window")
+    assert built == []
