@@ -22,11 +22,10 @@ are impossible by support bookkeeping and the linear solve is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product as iproduct
 
 from .errors import CocycleError, WindowError
-from .laurent import LaurentPoly, Q, add_into
+from .laurent import Coef, LaurentPoly, add_into, collect
 from . import linalg
 from .sheaf import (SheafSpec, diagonal_block, frame_map, frames_leak, mat_mul,
                     sheaf_hom, sheaf_tensor)
@@ -144,7 +143,7 @@ class CechCochain:
         return self._like({k: {f: q for f, p in v.items() if (q := p.scale(c)).terms}
                            for k, v in self.sections.items()})
 
-    def map(self, columns: list[list[tuple[int, Fraction]]], sheaf: SheafSpec) -> "CechCochain":
+    def map(self, columns: list[list[tuple[int, Coef]]], sheaf: SheafSpec) -> "CechCochain":
         """The constant matrix whose column j has the nonzero entries
         ``columns[j]`` (``(row, coefficient)`` pairs) applied to every
         section; values in ``sheaf``, whose rank bounds the rows."""
@@ -280,7 +279,7 @@ class _Linearization:
     monomial, as sparse vectors over (overlap, frame, monomial) keys."""
 
     unknowns: list[tuple]                              # ((chart,), frame, exps)
-    images: list[dict[tuple, Fraction]]                # per unknown
+    images: list[dict[tuple, Coef]]                    # per unknown
     # _factor by frame set (None: all frames)
     factors: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -328,9 +327,8 @@ def _delta0_linearization(sheaf: SheafSpec, bound: int) -> _Linearization:
     # per canonical overlap (a, b): the columns of the b-to-a transition
     # in a-coordinates, nonzero entries only
     columns = {(a, b): sheaf._matrix_in(a, (b, a)) for (a, b) in overlaps}
-    one, minus_one = Q(1), Q(-1)
     unknowns: list[tuple] = []
-    images: list[dict[tuple, Fraction]] = []
+    images: list[dict[tuple, Coef]] = []
     for chart in cover.order:
         vars = cover.chart(chart).vars
         # the overlaps this chart leads or trails, in overlap order; a
@@ -340,18 +338,18 @@ def _delta0_linearization(sheaf: SheafSpec, bound: int) -> _Linearization:
                     for o in overlaps if chart in o]
         for frame in range(sheaf.rank):
             for exps in _exp_tuples(len(vars), 0, bound):
-                contrib: dict[tuple, Fraction] = {}
+                contrib: dict[tuple, Coef] = {}
                 for o, leads, emap in touching:
                     if leads:
                         key = (o, frame, exps)
                         s = contrib.get(key)
-                        contrib[key] = minus_one if s is None else s - 1
+                        contrib[key] = -1 if s is None else s - 1
                     if emap is not None:
-                        mono, mcoef = emap.term(exps, one)
+                        mono, mcoef = emap.term(exps, 1)
                         for r, e in columns[o][frame]:
                             for eexps, ecoef in e.terms.items():
                                 key = (o, r, tuple(x + y for x, y in zip(eexps, mono)))
-                                if mcoef is not one:
+                                if mcoef != 1:
                                     ecoef = ecoef * mcoef
                                 s = contrib.get(key)
                                 s = ecoef if s is None else s + ecoef
@@ -366,7 +364,7 @@ def _delta0_linearization(sheaf: SheafSpec, bound: int) -> _Linearization:
     return lin
 
 
-def _cochain_keys(c: CechCochain) -> dict[tuple, Fraction]:
+def _cochain_keys(c: CechCochain) -> dict[tuple, Coef]:
     """The cochain as a sparse vector over (tuple, frame, exponents) keys."""
     return {(key, frame, exps): coef for key, frames in c.sections.items()
             for frame, poly in frames.items() for exps, coef in poly.terms.items()}
@@ -403,7 +401,7 @@ def _factor(lin: _Linearization, cover, frames: set[int] | None = None):
     return lin.factors[tag]
 
 
-def _reduce(factor, vector: dict[tuple, Fraction]):
+def _reduce(factor, vector: dict[tuple, Coef]):
     """``SpanReducer.reduce`` of a sparse vector over keys by a factor, with
     the residual over keys; entries on keys outside the factor's stay in the
     residual unchanged."""
@@ -416,10 +414,10 @@ def _reduce(factor, vector: dict[tuple, Fraction]):
 
 
 def _cochain_from_values(sheaf: SheafSpec, degree: int, values) -> CechCochain:
-    """Cochain with coefficient ``value`` (a nonzero ``Fraction``) on the
-    (tuple, frame, exponents) monomial of each ``(key, value)`` pair, every
-    key once; the inverse of ``_cochain_keys``.  Keys are canonical tuples,
-    chart-regular in degree 0."""
+    """Cochain with the nonzero coefficient ``value`` on the (tuple, frame,
+    exponents) monomial of each ``(key, value)`` pair, every key once; the
+    inverse of ``_cochain_keys``.  Keys are canonical tuples, chart-regular
+    in degree 0."""
     cover = sheaf.space.cover
     terms: dict[tuple, dict[int, dict]] = {}
     for (key, frame, exps), value in values:
@@ -433,7 +431,7 @@ def _cochain_from_values(sheaf: SheafSpec, degree: int, values) -> CechCochain:
     sections = {}
     for key in canonical_keys(cover, degree):
         vars = cover.chart(key[0]).vars
-        sections[key] = {f: LaurentPoly(vars, t, trusted=True)
+        sections[key] = {f: LaurentPoly(vars, collect(t), trusted=True)
                          for f, t in terms.get(key, {}).items()}
     return CechCochain(sheaf, degree, sections, trusted=True)
 
@@ -565,14 +563,14 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
                 candidates.append(((a, b), frame, exps))
     # cocycle constraint (only when triples exist)
     if cover.canonical_triples():
-        images = [_cochain_keys(cech_delta(_cochain_from_values(sheaf, 1, [(cand, Q(1))])))
+        images = [_cochain_keys(cech_delta(_cochain_from_values(sheaf, 1, [(cand, 1)])))
                   for cand in candidates]
         tkeys = sorted({k for img in images for k in img})
         relations = linalg.SpanReducer(
             _sparse_rows({k: i for i, k in enumerate(tkeys)}, images)).kernel()
         cocycles = [{candidates[u]: v for u, v in k.items()} for k in relations]
     else:
-        cocycles = [{cand: Q(1)} for cand in candidates]
+        cocycles = [{cand: 1} for cand in candidates]
 
     factor = _factor(lin, cover)
     keys = _keys_order(lin, cover, candidates)
@@ -660,10 +658,10 @@ class ShortExactSequence:
             raise CocycleError(f"inclusion is not a sheaf map on {leak[0]}")
         self._verified = True
 
-    def section_of_projection(self) -> list[tuple[tuple[int, Fraction], ...]]:
+    def section_of_projection(self) -> list[tuple[tuple[int, Coef], ...]]:
         """Constant embedding of the quotient onto its frames of ``total``,
         as the columns :meth:`CechCochain.map` reads."""
-        return [((f, Q(1)),) for f in self.quot_frames]
+        return [((f, 1),) for f in self.quot_frames]
 
 
 def connecting_map(ses: ShortExactSequence, c: CechCochain) -> CechCochain:

@@ -303,7 +303,7 @@ def _report_all(args, doc, rep: Reporter, window) -> int:
                 rep.emit("factorization.class", _fmt_cochain(cf.omega.representative))
             pts = []
             while len(pts) < 3:
-                cand = Fraction(rng.randint(-6, 6))
+                cand = rng.randint(-6, 6)
                 if cand != 0:
                     pts.append(cand)
             for i, value in enumerate(pts):

@@ -5,12 +5,11 @@ standard charts of the projective line."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CocycleError, SupercechError
 from .gluing import INFINITY, SuperGluingData, SuperTransition
 from .grassmann import GrassmannElement
-from .laurent import LaurentPoly, Q
+from .laurent import Coef, LaurentPoly, div
 from .obstruction import scaling_action, scaling_witnesses
 from .spaces import Chart, Cover
 
@@ -22,7 +21,7 @@ class FamilySpec:
     gluing: SuperGluingData
     base_vars: tuple[str, ...]
 
-    def fiber(self, point: dict[str, Fraction]) -> SuperGluingData:
+    def fiber(self, point: dict[str, Coef]) -> SuperGluingData:
         return self.gluing.restrict_fiber(point)
 
 
@@ -99,10 +98,9 @@ class WitnessReport:
     detail: str = ""
 
 
-def isotriviality_witness(family: FamilySpec, t0: Fraction, t1: Fraction):
+def isotriviality_witness(family: FamilySpec, t0: Coef, t1: Coef):
     """Scaling map with parameter t1/t0 conjugating the fiber over t0 into
     the fiber over t1; the identity is verified exactly."""
-    t0, t1 = Fraction(t0), Fraction(t1)
     if t0 == 0 or t1 == 0:
         raise ValueError("isotriviality witnesses need nonzero parameters")
     if len(family.base_vars) != 1:
@@ -110,7 +108,7 @@ def isotriviality_witness(family: FamilySpec, t0: Fraction, t1: Fraction):
     tvar = family.base_vars[0]
     fib0 = family.fiber({tvar: t0})
     fib1 = family.fiber({tvar: t1})
-    lam = t1 / t0
+    lam = div(t1, t0)
     conj = scaling_action(fib0, lam)
     witnesses = scaling_witnesses(fib0, lam)
     if conj == fib1:
@@ -191,5 +189,5 @@ def read_glued_family(doc) -> GluedFamily:
         raise SupercechError("document carries no base atlas")
     base_vars = doc.base_atlas["base_vars"]
     exponent = doc.base_atlas.get("witness_exponent", -2)
-    fiber = doc.gluing.evaluate_base({base_vars[0]: Q(1)})
+    fiber = doc.gluing.evaluate_base({base_vars[0]: 1})
     return glue_over_p1(fiber, tuple(base_vars), exponent)

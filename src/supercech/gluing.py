@@ -11,11 +11,10 @@ ordered overlap and is subject to the exact inverse and triple conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import CocycleError, ContextError, SupercechError
 from .grassmann import GrassmannElement, Substitution
-from .laurent import LaurentPoly, collect, mul_into
+from .laurent import Coef, LaurentPoly, collect, div, mul_into
 from .spaces import Chart, Cover, MonomialMap, ReducedSpace
 
 INFINITY = float("inf")
@@ -152,7 +151,7 @@ def invert_transition(t: SuperTransition) -> SuperTransition:
     src, tgt = t.source, t.target
     # reduced inverse: each target coordinate body is c * v^(+-1) for a single
     # source coordinate v, and the pairing must be a bijection.
-    assign: dict[str, tuple[str, Fraction, int]] = {}
+    assign: dict[str, tuple[str, Coef, int]] = {}
     for u in tgt.vars:
         c, exps = t.even_maps[u].body().monomial_parts()
         nz = [(i, e) for i, e in enumerate(exps) if e != 0]
@@ -169,7 +168,7 @@ def invert_transition(t: SuperTransition) -> SuperTransition:
     for u, (v, c, e) in assign.items():
         # u = c * v^e  =>  v = u/c (e = 1)  or  v = c/u (e = -1)
         if e == 1:
-            img = LaurentPoly.var(tv, u).scale(Fraction(1, 1) / c)
+            img = LaurentPoly.var(tv, u).scale(div(1, c))
         else:
             img = LaurentPoly.var(tv, u, -1).scale(c)
         even0[v] = GrassmannElement.from_poly(img, tq)
@@ -393,14 +392,14 @@ class SuperGluingData:
         spec = SheafSpec(space, q, matrices)
         return space, spec
 
-    def restrict_fiber(self, point: dict[str, Fraction]) -> "SuperGluingData":
+    def restrict_fiber(self, point: dict[str, Coef]) -> "SuperGluingData":
         """Evaluate the base coordinates at a rational point; the result is
         gluing data for the fiber over that point."""
         if set(point) != set(self.base_vars):
             raise ValueError(f"point must assign exactly the base coordinates {self.base_vars}")
         return self.evaluate_base(point)
 
-    def evaluate_base(self, point: dict[str, Fraction]) -> "SuperGluingData":
+    def evaluate_base(self, point: dict[str, Coef]) -> "SuperGluingData":
         """Evaluate some base coordinates at rational values; the others stay
         base coordinates of the result."""
         charts, changed = [], {}
@@ -462,7 +461,7 @@ class SuperGluingData:
         return SuperGluingData(self.cover, transitions, self.base_vars,
                                self.declared_splitting_type)
 
-    def embedding_splitting_triple(self, point: dict[str, Fraction]):
+    def embedding_splitting_triple(self, point: dict[str, Coef]):
         """Splitting-type triple (j'', j_b, j') of the fiber-wise embedding at
         a base point; j'' is read off the fiber presentation inside the family.
         Evaluating base coordinates keeps odd degrees, so a fiber deviates no

@@ -9,8 +9,8 @@ multi-indices kept sorted.
 Products work on one raw form, ``{mask: {exps: coef}}``: a multi-index
 travels as a bitmask (bit ``a`` set for ``theta_a``), the bitmap form of
 basis blades (Dorst, Fontijne and Mann, *Geometric Algebra for Computer
-Science*, 2007), and its coefficient as an exponent dict whose values are
-``int`` when integral and ``Fraction`` otherwise.  Two monomials vanish
+Science*, 2007), and its coefficient as an exponent dict whose values follow
+the coefficient convention of :mod:`supercech.laurent`.  Two monomials vanish
 together when their masks meet, and the sign of ``theta_I theta_J`` is
 ``(-1)`` to the number of pairs ``i in I, j in J`` with ``i > j``, counted by
 :func:`_koszul_sign` with ``int.bit_count``.  One kernel,
@@ -32,13 +32,12 @@ at the end.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from operator import itemgetter
 from typing import Mapping
 
 from .errors import ContextError, SubstitutionError
-from .laurent import LaurentPoly, add_into, collect, mul_into
+from .laurent import Coef, LaurentPoly, add_into, collect, div, mul_into
 
 MultiIndex = tuple[int, ...]
 
@@ -65,12 +64,12 @@ def _koszul_sign(m1: int, m2: int) -> int:
     return -1 if swaps & 1 else 1
 
 
-def binomial(e: int, k: int) -> Fraction:
+def binomial(e: int, k: int) -> Coef:
     """Generalized binomial coefficient C(e, k) for integer e (possibly negative)."""
     num = 1
     for j in range(k):
         num *= e - j
-    return Fraction(num, factorial(k))
+    return div(num, factorial(k))
 
 
 class GrassmannElement:
@@ -200,7 +199,7 @@ class GrassmannElement:
         return self + (-other)
 
     def __mul__(self, other) -> "GrassmannElement":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Coef):
             return self.scale(other)
         if isinstance(other, LaurentPoly):
             if other.is_zero():
@@ -213,7 +212,7 @@ class GrassmannElement:
         return _collect(self.vars, self.odd_rank, acc)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
+        if isinstance(other, (Coef, LaurentPoly)):
             return self.__mul__(other)
         return NotImplemented
 
@@ -348,11 +347,11 @@ def _raw(g: GrassmannElement) -> dict[int, dict]:
 
 
 def _clean(acc: dict[int, dict]) -> dict[int, dict]:
-    """The raw form held by an accumulator: no zero coefficient and no empty
-    mask."""
+    """The raw form held by an accumulator: its exponent dicts collected
+    (:func:`~supercech.laurent.collect`), empty masks dropped."""
     out = {}
     for m, exps in acc.items():
-        terms = {e: c for e, c in exps.items() if c}
+        terms = collect(exps)
         if terms:
             out[m] = terms
     return out
@@ -361,8 +360,7 @@ def _clean(acc: dict[int, dict]) -> dict[int, dict]:
 def _product_into(acc: dict[int, dict], left: dict[int, dict], right: dict[int, dict],
                   odd_rank: int) -> None:
     """Add ``left * right`` to ``acc``.  All three are raw forms
-    ``{mask: {exps: coef}}`` over one context of odd rank ``odd_rank``, with
-    coefficients ``int`` or ``Fraction`` (see :func:`~supercech.laurent.mul_into`).
+    ``{mask: {exps: coef}}`` over one context of odd rank ``odd_rank``.
     Pairs whose odd degree passes the odd rank are never visited."""
     rights = sorted(((m.bit_count(), m, t) for m, t in right.items()), key=itemgetter(0))
     for m1, t1 in left.items():
@@ -387,12 +385,8 @@ def _product(left: dict[int, dict], right: dict[int, dict], odd_rank: int) -> di
 
 def _collect(vars: tuple[str, ...], odd_rank: int, acc: dict[int, dict]) -> GrassmannElement:
     """The element held by an accumulator of :func:`_product_into`."""
-    terms = {}
-    for m, exps in acc.items():
-        coeff = collect(exps)
-        if coeff:
-            terms[_mask_index(m)] = LaurentPoly(vars, coeff, trusted=True)
-    return GrassmannElement(vars, odd_rank, terms, trusted=True)
+    return GrassmannElement(vars, odd_rank, {_mask_index(m): LaurentPoly(vars, t, trusted=True)
+                                             for m, t in _clean(acc).items()}, trusted=True)
 
 
 class Substitution:

@@ -1,15 +1,25 @@
 """Multivariate Laurent polynomials with exact rational coefficients.
 
 A ``LaurentPoly`` is a finite sum of terms ``c * x1^e1 * ... * xm^em`` where
-the ``ei`` are integers (negative allowed) and ``c`` is a ``Fraction``.  The
-ordered tuple of variable names is the *context*; two polynomials can only be
-combined when their contexts agree.  No term with zero coefficient is ever
-stored, so equality of values is equality of the term maps.
+the ``ei`` are integers (negative allowed) and ``c`` is an exact rational.
+The ordered tuple of variable names is the *context*; two polynomials can
+only be combined when their contexts agree.  No term with zero coefficient is
+ever stored, so equality of values is equality of the term maps.
+
+Coefficient convention.  Every coefficient the package stores -- polynomial
+terms and the raw Grassmann forms built from them -- is an ``int`` when it
+is integral and a ``Fraction`` otherwise, so products of integral coefficients
+skip ``Fraction``'s normalisation.  This module alone applies the rule:
+:func:`_coefficient` admits a value from outside (a ``float`` is refused),
+:func:`collect` normalises every accumulated sum, and :func:`div` is the one
+exact quotient (``int / int`` would be a ``float``).  ``int`` and
+``Fraction`` compare and hash alike, so equality, dict keys and printing do
+not depend on the type.
 
 Products go through one fused multiply-accumulate (:func:`mul_into`): every
-coefficient product of an output lands in one exponent dict, integral
-coefficients are multiplied as ``int``, and one polynomial is built at the
-end (:func:`collect`).
+coefficient product of an output lands in one exponent dict, and one
+polynomial is built at the end (:func:`collect`); sums go through
+:func:`add_into` into the same kind of dict.
 """
 
 from __future__ import annotations
@@ -21,16 +31,27 @@ from typing import Iterable, Mapping
 from .errors import ContextError
 
 Q = Fraction
+Coef = int | Fraction
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _coefficient(c) -> Coef:
+    """``c`` as a coefficient of the convention; ``c`` is an ``int``, a
+    ``Fraction`` or a string such as ``"-3/4"``."""
+    if type(c) is int:
         return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
-    raise TypeError(f"not an exact rational: {c!r}")
+    if isinstance(c, (int, str)):
+        c = Fraction(c)
+    elif not isinstance(c, Fraction):
+        raise TypeError(f"not an exact rational: {c!r}")
+    return c.numerator if c.denominator == 1 else c
+
+
+def div(a: Coef, b: Coef) -> Coef:
+    """The exact quotient ``a / b`` as a coefficient of the convention."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coefficient(a / b)
 
 
 class LaurentPoly:
@@ -38,29 +59,28 @@ class LaurentPoly:
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction] | None = None,
+    def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], Coef] | None = None,
                  trusted: bool = False):
         if trusted:
             # arithmetic results: ``vars`` is a tuple and ``terms`` a fresh
-            # dict of integer exponent tuples to nonzero Fractions
+            # dict of integer exponent tuples to nonzero coefficients of the
+            # convention
             self.vars = vars
             self.terms = terms
             return
         self.vars = tuple(vars)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], Coef] = {}
         if terms:
             n = len(self.vars)
             for exps, c in terms.items():
-                c = _as_fraction(c)
+                c = _coefficient(c)
                 if c == 0:
                     continue
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != n:
                     raise ValueError("exponent vector length does not match context")
-                clean[exps] = clean.get(exps, Q(0)) + c
-                if clean[exps] == 0:
-                    del clean[exps]
-        self.terms = clean
+                acc[exps] = acc.get(exps, 0) + c
+        self.terms = collect(acc)
 
     # ---------------------------------------------------------------- basics
 
@@ -70,7 +90,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, vars: tuple[str, ...], c) -> "LaurentPoly":
-        c = _as_fraction(c)
+        c = _coefficient(c)
         vars = tuple(vars)
         return cls(vars, {(0,) * len(vars): c} if c else {}, trusted=True)
 
@@ -79,30 +99,20 @@ class LaurentPoly:
         i = vars.index(name)
         exps = [0] * len(vars)
         exps[i] = power
-        return cls(vars, {tuple(exps): Q(1)})
+        return cls(vars, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, vars: tuple[str, ...], coef, exps: Iterable[int]) -> "LaurentPoly":
-        return cls(vars, {tuple(exps): _as_fraction(coef)})
+        return cls(vars, {tuple(exps): coef})
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Q(0)
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return next(iter(self.terms.values()))
 
     def is_monomial(self) -> bool:
         """Single term with nonzero coefficient (an invertible element)."""
         return len(self.terms) == 1
 
-    def monomial_parts(self) -> tuple[Fraction, tuple[int, ...]]:
+    def monomial_parts(self) -> tuple[Coef, tuple[int, ...]]:
         if not self.is_monomial():
             raise ValueError("not a monomial")
         exps, c = next(iter(self.terms.items()))
@@ -116,14 +126,9 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, Q(0)) + c
-            if s == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return LaurentPoly(self.vars, out, trusted=True)
+        acc = dict(self.terms)
+        add_into(acc, other.terms)
+        return LaurentPoly(self.vars, collect(acc), trusted=True)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()}, trusted=True)
@@ -132,7 +137,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Coef):
             return self.scale(other)
         self._check(other)
         acc: dict = {}
@@ -142,15 +147,15 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentPoly":
-        c = _as_fraction(c)
-        if c == 0:
-            return LaurentPoly.zero(self.vars)
-        return LaurentPoly(self.vars, {e: c * v for e, v in self.terms.items()}, trusted=True)
+        acc: dict = {}
+        add_into(acc, self.terms, _coefficient(c))
+        return LaurentPoly(self.vars, collect(acc), trusted=True)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             c, exps = self.monomial_parts()  # raises if not invertible
-            return LaurentPoly(self.vars, {tuple(n * e for e in exps): c ** n}, trusted=True)
+            return LaurentPoly(self.vars, {tuple(n * e for e in exps): div(1, c ** -n)},
+                               trusted=True)
         result = LaurentPoly.const(self.vars, 1)
         base = self
         k = n
@@ -166,20 +171,10 @@ class LaurentPoly:
 
     def derivative(self, name: str) -> "LaurentPoly":
         i = self.vars.index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            if exps[i] == 0:
-                continue
-            e = list(exps)
-            coef = c * e[i]
-            e[i] -= 1
-            key = tuple(e)
-            s = out.get(key, Q(0)) + coef
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return LaurentPoly(self.vars, out)
+        # lowering one exponent keeps the terms apart
+        return LaurentPoly(self.vars, collect(
+            {exps[:i] + (exps[i] - 1,) + exps[i + 1:]: exps[i] * c
+             for exps, c in self.terms.items()}), trusted=True)
 
     # ---------------------------------------------------- context management
 
@@ -187,23 +182,14 @@ class LaurentPoly:
         """Re-express in a larger (or re-ordered) context containing all used vars."""
         if new_vars == self.vars:
             return self
-        idx = []
+        pos = [self.vars.index(v) if v in self.vars else None for v in new_vars]
         for j, v in enumerate(self.vars):
-            if v in new_vars:
-                idx.append((j, new_vars.index(v)))
-            else:
-                if any(exps[j] != 0 for exps in self.terms):
-                    raise ContextError(f"variable {v} used but absent from new context")
-                idx.append((j, None))
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            e = [0] * len(new_vars)
-            for j, tgt in idx:
-                if tgt is not None:
-                    e[tgt] = exps[j]
-            key = tuple(e)
-            out[key] = out.get(key, Q(0)) + c
-        return LaurentPoly(new_vars, out)
+            if v not in new_vars and any(exps[j] for exps in self.terms):
+                raise ContextError(f"variable {v} used but absent from new context")
+        # every used variable keeps its exponent, so the terms stay apart
+        return LaurentPoly(tuple(new_vars), {
+            tuple(0 if j is None else exps[j] for j in pos): c
+            for exps, c in self.terms.items()}, trusted=True)
 
     # -------------------------------------------------------------- mappings
 
@@ -213,12 +199,11 @@ class LaurentPoly:
         gi = [self.vars.index(v) for v in group_vars]
         rest = tuple(v for v in self.vars if v not in group_vars)
         ri = [self.vars.index(v) for v in rest]
-        out: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        out: dict[tuple[int, ...], dict[tuple[int, ...], Coef]] = {}
         for exps, c in self.terms.items():
-            g = tuple(exps[i] for i in gi)
-            r = tuple(exps[i] for i in ri)
-            out.setdefault(g, {})[r] = out.get(g, {}).get(r, Q(0)) + c
-        return {g: LaurentPoly(rest, t) for g, t in out.items()}
+            # the group and rest exponents together are the term's own
+            out.setdefault(tuple(exps[i] for i in gi), {})[tuple(exps[i] for i in ri)] = c
+        return {g: LaurentPoly(rest, t, trusted=True) for g, t in out.items()}
 
     def exponent_range(self, name: str) -> tuple[int, int] | None:
         i = self.vars.index(name)
@@ -250,13 +235,13 @@ class LaurentPoly:
                 elif e != 0:
                     factors.append(f"{v}^{e}")
             if not factors:
-                parts.append(_frac_str(c))
+                parts.append(str(c))
             elif c == 1:
                 parts.append("*".join(factors))
             elif c == -1:
                 parts.append("-" + "*".join(factors))
             else:
-                parts.append(_frac_str(c) + "*" + "*".join(factors))
+                parts.append(str(c) + "*" + "*".join(factors))
         s = parts[0]
         for p in parts[1:]:
             s += " - " + p[1:] if p.startswith("-") else " + " + p
@@ -266,36 +251,26 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-def mul_into(acc: dict, p: Mapping[tuple[int, ...], Fraction],
-             q: Mapping[tuple[int, ...], Fraction], sign: int = 1) -> None:
-    """Add ``sign * p * q`` to the exponent dict ``acc``, whose values are
-    ``int`` or ``Fraction``; ``p`` and ``q`` are term maps of one context."""
-    qs = [(e2, _small(c2)) for e2, c2 in q.items()]
+def mul_into(acc: dict, p: Mapping[tuple[int, ...], Coef],
+             q: Mapping[tuple[int, ...], Coef], sign: int = 1) -> None:
+    """Add ``sign * p * q`` to the exponent dict ``acc``; ``p`` and ``q`` are
+    term maps of one context."""
     for e1, c1 in p.items():
-        c1 = sign * _small(c1)
-        for e2, c2 in qs:
+        c1 = sign * c1
+        for e2, c2 in q.items():
             e = tuple(map(add, e1, e2))
             acc[e] = acc.get(e, 0) + c1 * c2
 
 
-def add_into(acc: dict, p: Mapping[tuple[int, ...], Fraction], scale=1) -> None:
+def add_into(acc: dict, p: Mapping[tuple[int, ...], Coef], scale: Coef = 1) -> None:
     """Add ``scale * p`` to an accumulator of :func:`mul_into`."""
-    scale = _small(scale)
     for e, c in p.items():
-        acc[e] = acc.get(e, 0) + scale * _small(c)
+        acc[e] = acc.get(e, 0) + scale * c
 
 
-def collect(acc: dict) -> dict[tuple[int, ...], Fraction]:
-    """The nonzero entries of an accumulator of :func:`mul_into`, as a term
-    map ready for a trusted :class:`LaurentPoly`."""
-    return {e: Fraction(c) if type(c) is int else c for e, c in acc.items() if c}
+def collect(acc: dict) -> dict[tuple[int, ...], Coef]:
+    """The nonzero entries of an accumulator of :func:`mul_into`, integral
+    ones as ``int``: a term map ready for a trusted :class:`LaurentPoly`."""
+    return {e: c if type(c) is int or c.denominator != 1 else c.numerator
+            for e, c in acc.items() if c}
 
-
-def _small(c: Fraction):
-    """An integral coefficient as ``int``: products of ints skip Fraction's
-    normalisation, and the sums stay exact either way."""
-    return c.numerator if c.denominator == 1 else c
-
-
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"

@@ -1,8 +1,10 @@
 """Sparse exact linear algebra over the rationals.
 
 A row is a list of ``(column, value)`` pairs with distinct columns and
-nonzero ``Fraction`` values; a vector is a dict ``column -> value`` with
-nonzero values.  Columns are integers and their order is the column order.
+nonzero exact values (``int`` or ``Fraction``, see the coefficient
+convention in :mod:`supercech.laurent`, whose :func:`~supercech.laurent.div`
+makes every quotient); a vector is a dict ``column -> value`` with nonzero
+values.  Columns are integers and their order is the column order.
 Elimination touches only nonzero entries.
 
 Every result depends only on the rows, their order and the column order, not
@@ -21,14 +23,15 @@ are therefore reproducible.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from bisect import insort
 from heapq import heapify, heappop, heappush
 
-Row = list[tuple[int, Fraction]]
+from .laurent import Coef, div
+
+Row = list[tuple[int, Coef]]
 
 
-def _clear(v: dict[int, Fraction], rows: dict[int, dict[int, Fraction]]) -> dict[int, Fraction]:
+def _clear(v: dict[int, Coef], rows: dict[int, dict[int, Coef]]) -> dict[int, Coef]:
     """Subtract multiples of the echelon ``rows`` (keyed by their first
     nonzero column) from ``v`` in place until ``v`` vanishes on every one of
     those columns; returns the multiple taken of each row.  Leading columns
@@ -44,7 +47,7 @@ def _clear(v: dict[int, Fraction], rows: dict[int, dict[int, Fraction]]) -> dict
         if f is None:
             continue
         row = rows[p]
-        f /= row[p]
+        f = div(f, row[p])
         multiples[p] = f
         for c, a in row.items():
             if c == p:
@@ -74,9 +77,9 @@ def rref(rows: list[Row]):
     built, where ``multiples`` maps the leads of earlier echelon rows to the
     multiple of each subtracted; and ``(row index, multiples)`` for each
     dependent row.  ``SpanReducer.basis`` finishes the reduced form."""
-    echelon: dict[int, dict[int, Fraction]] = {}
-    built: list[tuple[int, int, dict[int, Fraction]]] = []
-    dependent: list[tuple[int, dict[int, Fraction]]] = []
+    echelon: dict[int, dict[int, Coef]] = {}
+    built: list[tuple[int, int, dict[int, Coef]]] = []
+    dependent: list[tuple[int, dict[int, Coef]]] = []
     for i, row in enumerate(rows):
         v = dict(row)
         multiples = _clear(v, echelon)
@@ -100,7 +103,7 @@ class SpanReducer:
         # position in ``built`` of each echelon row, by leading column
         self.position = {lead: k for k, (lead, _, _) in enumerate(self.built)}
 
-    def reduce(self, vector: dict[int, Fraction]) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    def reduce(self, vector: dict[int, Coef]) -> tuple[dict[int, Coef], dict[int, Coef]]:
         """``(residual, multiples)``: the one vector of ``vector`` + span that
         vanishes on every pivot column, and the multiples of the echelon rows
         that ``vector`` minus the residual is made of (for ``combination``).
@@ -109,7 +112,7 @@ class SpanReducer:
         multiples = _clear(v, self.echelon)
         return v, multiples
 
-    def combination(self, multiples: dict[int, Fraction]) -> dict[int, Fraction]:
+    def combination(self, multiples: dict[int, Coef]) -> dict[int, Coef]:
         """Coefficients ``x`` by row index with ``sum x[i] * rows[i]`` equal to
         ``sum multiples[p] * echelon[p]``, supported on the rows independent of
         the rows before them (the only such ``x``).  Echelon row ``p`` is its
@@ -142,26 +145,26 @@ class SpanReducer:
                         del x[q]
         return out
 
-    def kernel(self) -> list[dict[int, Fraction]]:
+    def kernel(self) -> list[dict[int, Coef]]:
         """A basis of the relations ``sum k[i] * rows[i] = 0``: one per row
         that depends on the rows before it, with coefficient 1 on that row
         and the rest on independent rows, in row order."""
         basis = []
         for i, multiples in self.dependent:
             k = {j: -f for j, f in self.combination(multiples).items()}
-            k[i] = Fraction(1)
+            k[i] = 1
             basis.append(k)
         return basis
 
-    def basis(self) -> list[dict[int, Fraction]]:
+    def basis(self) -> list[dict[int, Coef]]:
         """The nonzero rows of the reduced row echelon form, in pivot order:
         each is 1 on its own pivot column and 0 on every other.  Rows are
         finished from the last built back to the first; each was already
         clear of the pivots built before it."""
-        reduced: dict[int, dict[int, Fraction]] = {}
+        reduced: dict[int, dict[int, Coef]] = {}
         for lead, _, _ in reversed(self.built):
             v = dict(self.echelon[lead])
             _clear(v, reduced)
             pv = v[lead]
-            reduced[lead] = v if pv == 1 else {c: a / pv for c, a in v.items()}
+            reduced[lead] = v if pv == 1 else {c: div(a, pv) for c, a in v.items()}
         return [reduced[p] for p in sorted(reduced)]

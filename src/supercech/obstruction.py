@@ -13,7 +13,6 @@ which obstruction classes are decided here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .cech import (CechCochain, CohomologyClass, cohomology_class, is_cocycle,
@@ -22,7 +21,7 @@ from .errors import CocycleError, LevelError, SupercechError
 from .gluing import (INFINITY, SuperGluingData, SuperTransition, compose_transitions,
                      identity_transition)
 from .grassmann import GrassmannElement
-from .laurent import LaurentPoly, Q
+from .laurent import Coef, LaurentPoly, div
 from .sheaf import SheafSpec, columns_of, mat_mul, sheaf_dual, sheaf_exterior_power, sheaf_hom
 
 
@@ -236,12 +235,11 @@ def scaling_witnesses(g: SuperGluingData, factor) -> dict[str, SuperTransition]:
         def inverse(vars):
             return factor.with_context(vars).inverse()
     else:
-        c = Fraction(factor)
-        if c == 0:
+        if factor == 0:
             raise ValueError("scaling factor must be nonzero")
 
         def inverse(vars):
-            return LaurentPoly.const(vars, 1 / c)
+            return LaurentPoly.const(vars, div(1, factor))
     out = {}
     for name in g.cover.order:
         chart = g.cover.chart(name)
@@ -264,10 +262,9 @@ def scaling_action(g: SuperGluingData, factor) -> SuperGluingData:
     return g.conjugate(scaling_witnesses(g, factor))
 
 
-def scale_class(oc: ObstructionClass, factor: Fraction) -> ObstructionClass:
+def scale_class(oc: ObstructionClass, factor: Coef) -> ObstructionClass:
     """Action of the scaling on an obstruction class: factor^j for even j,
     factor^(j-1) for odd j."""
-    factor = Fraction(factor)
     if factor == 0:
         raise ValueError("scaling factor must be nonzero")
     power = oc.level if oc.level % 2 == 0 else oc.level - 1
@@ -286,7 +283,7 @@ class SplittingTypeDifferential:
     level: float
     cochain: CechCochain | None      # None for split families
 
-    def __call__(self, point: dict[str, Fraction]) -> ObstructionClass | None:
+    def __call__(self, point: dict[str, Coef]) -> ObstructionClass | None:
         """The obstruction class of the fiber over ``point``."""
         if self.cochain is None:
             return None
@@ -376,7 +373,7 @@ def characteristic_factorization(g: SuperGluingData,
         return CharacteristicFactorization(True, LaurentPoly.zero(g.base_vars),
                                            None, level)
     r0 = reps[base_monomial]
-    s_terms: dict[tuple[int, ...], Fraction] = {}
+    s_terms: dict[tuple[int, ...], Coef] = {}
     for m in monomials:
         lam = _proportionality(reps[m], r0)
         if lam is None:
@@ -391,7 +388,7 @@ def characteristic_factorization(g: SuperGluingData,
     return CharacteristicFactorization(True, section, omega, level)
 
 
-def _proportionality(c: CechCochain, base: CechCochain) -> Fraction | None:
+def _proportionality(c: CechCochain, base: CechCochain) -> Coef | None:
     """lambda with c = lambda * base, comparing canonical representatives."""
     lam = None
     for key, frames in base.sections.items():
@@ -400,15 +397,15 @@ def _proportionality(c: CechCochain, base: CechCochain) -> Fraction | None:
             p = frames[f].terms if f in frames else {}
             q = other[f].terms if f in other else {}
             for exps in p.keys() | q.keys():
-                pv = p.get(exps, Q(0))
-                qv = q.get(exps, Q(0))
+                pv = p.get(exps, 0)
+                qv = q.get(exps, 0)
                 if pv == 0:
                     if qv != 0:
                         return None
                     continue
-                ratio = qv / pv
+                ratio = div(qv, pv)
                 if lam is None:
                     lam = ratio
                 elif ratio != lam:
                     return None
-    return Q(0) if lam is None else lam
+    return 0 if lam is None else lam

@@ -34,13 +34,12 @@ located :class:`~supercech.errors.ParseError`.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import comb, prod
 from operator import add
 
 from .errors import ParseError, SubstitutionError
 from .grassmann import GrassmannElement, _collect, _koszul_sign, _product_into, _raw
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, div
 
 # the last group takes a character that starts no token (or trailing space)
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))|(.)", re.S)
@@ -219,7 +218,7 @@ class ExpressionParser:
             if m and e > 0:
                 return value if e == 1 else (0, exps, 0)
             if not m and (c or e > 0):
-                c = c ** e if e > 0 else c ** -e if c in (1, -1) else Fraction(c) ** e
+                c = c ** e if e > 0 else div(1, c ** -e)
                 return c, tuple(x * e for x in exps), 0
             value = self._element(value)
         _budget(_power_bound(value, e), line, col)

@@ -16,7 +16,6 @@ filtration piece.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
@@ -27,7 +26,7 @@ from .cech import (CechCochain, CohomologyClass, ShortExactSequence, auto_window
 from .errors import CocycleError, SupercechError
 from .gluing import SuperGluingData, restrict_odd
 from .grassmann import GrassmannElement
-from .laurent import LaurentPoly
+from .laurent import Coef, LaurentPoly, div
 from .obstruction import (cotangent_spec, deviation_cochain,
                           deviation_hom_spec)
 from .sheaf import (SheafSpec, diagonal_block, filtration, sheaf_exterior_power,
@@ -124,6 +123,12 @@ def filtration_of(m: GtModel, level: int):
     return _cached(m, ("filtration", level), lambda: filtration(m.total_odd, level))
 
 
+def _positions(frames: list[int], within: list[int]) -> list[int]:
+    """The position in ``within`` of each of ``frames``."""
+    position = {f: i for i, f in enumerate(within)}
+    return [position[f] for f in frames]
+
+
 def _hom_frames(frames: list[int], rank_p: int) -> list[int]:
     """Frames of hom(P, X) over the frames ``frames`` of X, for P of rank
     ``rank_p`` (target index major)."""
@@ -203,21 +208,21 @@ def secondary_differential(m: GtModel, a: int, b: int, p: int,
     filt = filtration_of(m, level)
 
     def build_ses():
-        # F_{b+1} inside F_b, expanded through hom(P, .) (target index major)
-        inner = [filt.pieces[b].index(e) for e in filt.pieces[b + 1]]
+        # F_{b+1} inside F_b, expanded through hom(P, .) (target index major),
+        # and the frames of F_{b+1} -> F_{b+1}/F_{b+2} among those of F_{b+1}
         piece = diagonal_block(filt.ambient, filt.pieces[b])
-        return ShortExactSequence(sheaf_hom(P, piece), _hom_frames(inner, P.rank))
+        inner = _positions(filt.pieces[b + 1], filt.pieces[b])
+        graded = _positions(filt.graded[b + 1], filt.pieces[b + 1])
+        return (ShortExactSequence(sheaf_hom(P, piece), _hom_frames(inner, P.rank)),
+                _hom_frames(graded, P.rank))
 
-    ses = _cached(m, ("ses", level, b), build_ses)
+    ses, graded = _cached(m, ("ses", level, b), build_ses)
     if nu.degree != p:
         raise ValueError(f"nu has degree {nu.degree}, not {p}")
     # the same frame maps, valued in the quotient of the sequence (which
     # connecting_map checks against nu's sheaf)
     nu_q = CechCochain(ses.quot, p, nu.sections, trusted=True)
     conn = connecting_map(ses, nu_q)
-    # F_{b+1} -> F_{b+1}/F_{b+2}: the graded frames among those of F_{b+1}
-    big = filt.pieces[b + 1]
-    graded = _hom_frames([big.index(e) for e in filt.graded[b + 1]], P.rank)
     return _finalize(conn.restrict(graded, hom_into_quotient(m, a - 1, b + 1)), window)
 
 
@@ -234,7 +239,7 @@ def _wedge_insert(element: int, K: tuple[int, ...]):
 
 
 def _theta_pairing_matrix(m: GtModel, a: int, b: int, rank_p: int,
-                          sign_fix: int = 1) -> list[list[tuple[int, Fraction]]]:
+                          sign_fix: int = 1) -> list[list[tuple[int, Coef]]]:
     """Constant cochain-level map realizing: contract the a-th fiber factor,
     compose with a hom(fiber, base) value, wedge the base factors.
 
@@ -251,8 +256,8 @@ def _theta_pairing_matrix(m: GtModel, a: int, b: int, rank_p: int,
     kb1pos = {K: i for i, K in enumerate(Kb1)}
     rank_quot_in = len(Kb) * len(Ia)
     rank_in = n * qx * rank_quot_in * rank_p
-    out: list[dict[int, Fraction]] = [{} for _ in range(rank_in)]
-    norm = Fraction(sign_fix, factorial(a))
+    out: list[dict[int, Coef]] = [{} for _ in range(rank_in)]
+    norm = div(sign_fix, factorial(a))
     for bi in range(n):
         for fi in range(qx):
             h = bi * qx + fi
@@ -383,13 +388,14 @@ def verify_a1_containment(m: GtModel, b: int, p: int = 0,
 
 def check_a1_window(m: GtModel, b: int, p: int, window: int | None) -> None:
     """Raise at once the WindowError over the system budget that
-    :func:`verify_a1_containment` may meet in ``window``: on the (1, b) space,
-    or, in degree 0, on the (0, b + 1) piece its samples are decided in
-    (whether or not the space turns out to have a basis)."""
-    if window is None:
-        return
-    check_window(hom_into_quotient(m, 1, b), window, p)
-    if p == 0:
+    :func:`verify_a1_containment` may meet: on the basis system of the
+    (1, b) space, in ``window`` or in its derived window, and, in degree 0
+    with an explicit ``window``, on the (0, b + 1) piece its samples are
+    decided in (whether or not the space turns out to have a basis)."""
+    spec = hom_into_quotient(m, 1, b)
+    if spec.rank:
+        check_window(spec, auto_window(spec, window=window), p)
+    if window is not None and p == 0:
         check_window(hom_into_quotient(m, 0, b + 1), window)
 
 

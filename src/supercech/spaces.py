@@ -13,10 +13,9 @@ product of powers of the image coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CocycleError, ContextError
-from .laurent import LaurentPoly
+from .laurent import Coef, LaurentPoly, collect, div
 
 
 @dataclass(frozen=True)
@@ -114,26 +113,21 @@ class MonomialMap:
         coefs = tuple(c for c, _ in parts)
         self.coefs = None if all(c == 1 for c in coefs) else coefs
 
-    def term(self, exps: tuple[int, ...], coef: Fraction) -> tuple[tuple[int, ...], Fraction]:
+    def term(self, exps: tuple[int, ...], coef: Coef) -> tuple[tuple[int, ...], Coef]:
         """Image ``(exponents, coefficient)`` of the term ``coef * v^exps``."""
         new = tuple(sum(exps[i] * m for i, m in col) for col in self.columns)
         if self.coefs is not None:
             for c, e in zip(self.coefs, exps):
                 if e and c != 1:
-                    coef = coef * c ** e
+                    coef = coef * c ** e if e > 0 else div(coef, c ** -e)
         return new, coef
 
     def apply(self, poly: LaurentPoly) -> LaurentPoly:
-        out: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], Coef] = {}
         for exps, c in poly.terms.items():
             new, c = self.term(exps, c)
-            if new in out:
-                c = out[new] + c
-                if c == 0:
-                    del out[new]
-                    continue
-            out[new] = c
-        return LaurentPoly(self.target, out, trusted=True)
+            acc[new] = acc.get(new, 0) + c
+        return LaurentPoly(self.target, collect(acc), trusted=True)
 
 
 class ReducedSpace:

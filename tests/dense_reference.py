@@ -33,7 +33,7 @@ def rref(matrix):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
+        pv = Q(m[r][c])
         m[r] = [v / pv for v in m[r]]
         for i in range(rows):
             f = m[i][c]
@@ -474,6 +474,14 @@ def evaluate(poly, point):
     images = {v: LaurentPoly.const(keep, point[v]) if v in point else LaurentPoly.var(keep, v)
               for v in poly.vars}
     return subs_monomial(poly, images, keep)
+
+
+def constant_value(poly):
+    """The value of a polynomial without variables in its terms (0 for the
+    zero polynomial)."""
+    if any(any(exps) for exps in poly.terms):
+        raise ValueError("not a constant")
+    return next(iter(poly.terms.values()), 0)
 
 
 # -------------------------------------------------------- Grassmann layer

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supercech.cech import (CechCochain, ShortExactSequence, cech_delta,
                             cohomology_basis, cohomology_class, connecting_map,
@@ -190,6 +191,26 @@ def test_cohomology_dims_match_brute_force(p1_space, n):
     assert (h0, h1) == (max(n + 1, 0), max(-n - 1, 0))
     bf_h0, bf_h1 = brute_force_h_dims(n)
     assert (h0, h1) == (bf_h0, bf_h1)
+
+
+@settings(max_examples=30)
+@given(st.lists(st.integers(-3, 3), min_size=2, max_size=3), st.data())
+def test_riemann_roch_on_upper_triangular_bundles(p1_space, degrees, data):
+    # h0 - h1 = deg + rank on P^1, for a bundle built as extensions of the
+    # line bundles O(n) one at a time (upper-triangular transitions) by
+    # random cocycles
+    vars = p1_space.cover.chart("U0").vars
+    entries = st.dictionaries(st.tuples(st.integers(-3, 3)), st.integers(-2, 2), max_size=3)
+    bundle = line_bundle(p1_space, degrees[0])
+    for n in degrees[1:]:
+        quot = line_bundle(p1_space, n)
+        hom = sheaf_hom(quot, bundle)
+        theta = CechCochain(hom, 1, {("U0", "U1"): [LaurentPoly(vars, data.draw(entries))
+                                                    for _ in range(hom.rank)]})
+        bundle = extension_sheaf(bundle, quot, theta)
+    h0 = len(cohomology_basis(bundle, 0))
+    h1 = len(cohomology_basis(bundle, 1))
+    assert h0 - h1 == sum(degrees) + len(degrees)
 
 
 def test_cohomology_basis_on_three_charts(split_three_charts):

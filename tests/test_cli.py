@@ -134,6 +134,18 @@ def test_a1_check(capsys):
     assert code == 0 and "b=2.ok: True" in out
 
 
+def test_a1_check_fails_with_the_wrong_pairing_sign(monkeypatch, capsys):
+    # the opposite sign of the theta pairing breaks the containment on every
+    # b with nonzero samples, so the check can fail
+    from supercech import secondary
+    monkeypatch.setattr(secondary, "MODEL_CLASS_MAP_SIGN", 1)
+    code, out, _ = run_cli(capsys, "a1-check", "--input",
+                           str(corpus_path("gt_model_p1.model")), "--format", "structured")
+    assert code == 1
+    lines = out.splitlines()
+    assert "M.b=0.ok=False" in lines and "M.b=2.ok=False" in lines
+
+
 def _double_the_connecting_map(monkeypatch):
     from supercech import secondary
     connecting = secondary.connecting_map

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from supercech import cech
 from supercech.cech import CechCochain, cohomology_class, is_coboundary
+from supercech.cli import main
 from supercech.errors import CocycleError, SupercechError, WindowError
 from supercech.laurent import LaurentPoly
 from supercech.secondary import (gt_model, model_class, model_class_map, quotient_spec,
@@ -13,7 +14,7 @@ from supercech.secondary import (gt_model, model_class, model_class_map, quotien
                                  verify_a1_containment, verify_obstruction_compatibility)
 from supercech.sheaf import diagonal_block, filtration, sheaf_exterior_power, sheaf_tensor
 
-from conftest import load_model
+from conftest import corpus_path, load_model
 from dense_reference import contraction_matrix, matrices, mat_mul
 from dense_reference import refined_splitting_data as dense_refined_splitting_data
 
@@ -326,4 +327,21 @@ def test_derived_window_over_the_budget_fails_before_any_system(monkeypatch):
     assert str(err.value) == (
         "exponent window 0..5 needs a delta0 system of 144 unknowns "
         "(2 charts x rank 12 x window box), over the budget of 100; pass a smaller window")
+    assert built == []
+
+
+def test_a1_check_refuses_a_derived_window_before_any_system(monkeypatch, capsys):
+    # with a budget of 100 unknowns the derived basis windows of the (1, 0)
+    # and (1, 1) spaces of gt_model_p1 fit (48 unknowns each) and that of
+    # the rank-12 (1, 2) space does not (144); a1-check checks every b
+    # before it decides anything, so nothing is built
+    built = []
+    linearize = cech._delta0_linearization
+    monkeypatch.setattr(cech, "_delta0_linearization",
+                        lambda sheaf, bound: built.append(bound) or linearize(sheaf, bound))
+    monkeypatch.setattr(cech, "MAX_UNKNOWNS", 100)
+    code = main(["a1-check", "--input", str(corpus_path("gt_model_p1.model"))])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "exponent window 0..5 needs a delta0 system of 144 unknowns" in err
     assert built == []
