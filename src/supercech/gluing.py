@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CocycleError, ContextError, SupercechError
-from .grassmann import GrassmannElement, Substitution
+from .grassmann import GrassmannElement, Substitution, _product
 from .laurent import Coef, LaurentPoly, collect, div, mul_into
+from .sheaf import SheafSpec, columns_of
 from .spaces import Chart, Cover, MonomialMap, ReducedSpace
 
 INFINITY = float("inf")
@@ -207,71 +208,39 @@ def invert_transition(t: SuperTransition) -> SuperTransition:
 
 def invert_laurent_matrix(matrix: list[list[LaurentPoly]]) -> list[list[LaurentPoly]] | None:
     """Inverse of a square matrix of Laurent polynomials when the determinant
-    is an invertible monomial; ``None`` otherwise.  The cofactors that delete
-    row i share one memo of minors (see :func:`_minors`)."""
+    is an invertible monomial; ``None`` otherwise.
+
+    Column j is the degree-one raw form ``{1 << row: entry}`` of
+    :mod:`supercech.grassmann`.  The exterior product of all columns is the
+    determinant times the top mask; the product of every column but j,
+    joined from one prefix and one suffix product, has the minor that deletes
+    row i and column j as its coefficient at the top mask without bit i."""
     n = len(matrix)
     if n == 0:
         return []
-    det = laurent_det(matrix)
-    if det.is_zero() or not det.is_monomial():
-        return None
-    det_inv = det.inverse()
-    if n == 1:
-        return [[det_inv]]
-    full = (1 << n) - 1
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        minor = _minors(matrix, [r for r in range(n) if r != i])
-        for j in range(n):
-            cof = minor(full ^ (1 << j))
-            if (i + j) % 2:
-                cof = -cof
-            out[j][i] = cof * det_inv
-    return out
-
-
-def laurent_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
-    return _minors(matrix, list(range(n)))((1 << n) - 1)
-
-
-def _minors(matrix: list[list[LaurentPoly]], rows: list[int]):
-    """``det(mask)``: the determinant of the square submatrix of ``matrix``
-    on the last ``popcount(mask)`` of ``rows`` and the columns in the bitmask
-    ``mask``, by expansion along its first row with zero entries skipped.
-    Each column set is expanded once and kept, so a determinant of size n
-    takes at most n * 2^n products instead of n!."""
     vars = matrix[0][0].vars
-    memo: dict[int, LaurentPoly] = {}
-
-    def det(mask: int) -> LaurentPoly:
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        size = mask.bit_count()
-        row = matrix[rows[len(rows) - size]]
-        if size == 1:
-            result = row[mask.bit_length() - 1]
-        else:
+    unit = {0: {(0,) * len(vars): 1}}
+    columns = [{1 << i: row[j].terms for i, row in enumerate(matrix) if row[j].terms}
+               for j in range(n)]
+    prefix = [unit]  # prefix[j]: the product of the columns before j
+    for col in columns:
+        prefix.append(_product(prefix[-1], col, n))
+    suffix = [unit] * (n + 1)  # suffix[j]: the product of the columns from j on
+    for j in range(n - 1, 0, -1):
+        suffix[j] = _product(columns[j], suffix[j + 1], n)
+    full = (1 << n) - 1
+    det = LaurentPoly(vars, prefix[n].get(full, {}), trusted=True)
+    if not det.is_monomial():
+        return None
+    det_inv = det.inverse().terms
+    out = [[None] * n for _ in range(n)]
+    for j in range(n):
+        minors = _product(prefix[j], suffix[j + 1], n)
+        for i in range(n):
             acc: dict = {}
-            sign = 1
-            rest = mask
-            while rest:
-                low = rest & -rest
-                entry = row[low.bit_length() - 1]
-                if entry.terms:
-                    sub = det(mask ^ low)
-                    if sub.terms:
-                        mul_into(acc, entry.terms, sub.terms, sign)
-                sign = -sign
-                rest ^= low
-            result = LaurentPoly(vars, collect(acc), trusted=True)
-        memo[mask] = result
-        return result
-
-    return det
+            mul_into(acc, minors.get(full ^ (1 << i), {}), det_inv, -1 if (i + j) % 2 else 1)
+            out[j][i] = LaurentPoly(vars, collect(acc), trusted=True)
+    return out
 
 
 # --------------------------------------------------------------------- data
@@ -377,10 +346,9 @@ class SuperGluingData:
         return min((t.deviation_degree() for t in self.transitions.values()),
                    default=INFINITY)
 
-    def reduce(self, verify: bool = True) -> tuple["ReducedSpace", "object"]:
+    def reduce(self, verify: bool = True) -> tuple[ReducedSpace, SheafSpec]:
         """Reduced space (degree-zero coordinate maps) plus the odd-bundle
         sheaf spec whose matrices are the degree-one coefficient matrices."""
-        from .sheaf import SheafSpec, columns_of  # local import; sheaf builds on gluing
         if verify:
             report = self.verify_cocycle()
             if not report.ok:

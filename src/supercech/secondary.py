@@ -25,7 +25,7 @@ from .cech import (CechCochain, CohomologyClass, ShortExactSequence, auto_window
                    solve_coboundary)
 from .errors import CocycleError, SupercechError
 from .gluing import SuperGluingData, restrict_odd
-from .grassmann import GrassmannElement
+from .grassmann import GrassmannElement, _index_mask, _koszul_sign
 from .laurent import Coef, LaurentPoly, div
 from .obstruction import (cotangent_spec, deviation_cochain,
                           deviation_hom_spec)
@@ -229,15 +229,6 @@ def secondary_differential(m: GtModel, a: int, b: int, p: int,
 # -------------------------------------------------------- model class map
 
 
-def _wedge_insert(element: int, K: tuple[int, ...]):
-    """e_K wedge e_element: (sign, sorted index) or None on repetition."""
-    if element in K:
-        return None
-    greater = sum(1 for k in K if k > element)
-    sign = -1 if greater % 2 else 1
-    return sign, tuple(sorted(K + (element,)))
-
-
 def _theta_pairing_matrix(m: GtModel, a: int, b: int, rank_p: int,
                           sign_fix: int = 1) -> list[list[tuple[int, Coef]]]:
     """Constant cochain-level map realizing: contract the a-th fiber factor,
@@ -248,12 +239,10 @@ def _theta_pairing_matrix(m: GtModel, a: int, b: int, rank_p: int,
     coefficient)`` pairs per input component, rows increasing (the form
     ``CechCochain.map`` reads)."""
     n, qx = m.base_rank, m.fiber_rank
-    Ia = list(combinations(range(qx), a))
-    Ia1 = list(combinations(range(qx), a - 1))
-    Kb = list(combinations(range(n), b))
-    Kb1 = list(combinations(range(n), b + 1))
-    ia1pos = {I: i for i, I in enumerate(Ia1)}
-    kb1pos = {K: i for i, K in enumerate(Kb1)}
+    Ia = [_index_mask(I) for I in combinations(range(qx), a)]
+    Kb = [_index_mask(K) for K in combinations(range(n), b)]
+    ia1pos = {_index_mask(I): i for i, I in enumerate(combinations(range(qx), a - 1))}
+    kb1pos = {_index_mask(K): i for i, K in enumerate(combinations(range(n), b + 1))}
     rank_quot_in = len(Kb) * len(Ia)
     rank_in = n * qx * rank_quot_in * rank_p
     out: list[dict[int, Coef]] = [{} for _ in range(rank_in)]
@@ -262,18 +251,16 @@ def _theta_pairing_matrix(m: GtModel, a: int, b: int, rank_p: int,
         for fi in range(qx):
             h = bi * qx + fi
             for kpos, K in enumerate(Kb):
-                wedge = _wedge_insert(bi, K)
-                if wedge is None:
+                if K >> bi & 1:
                     continue
-                wsign, K2 = wedge
+                wsign = _koszul_sign(K, 1 << bi)  # e_K wedge e_bi
                 for ipos, I in enumerate(Ia):
-                    if fi not in I:
+                    if not I >> fi & 1:
                         continue
-                    tpos_in_I = I.index(fi)
-                    tsign = -1 if tpos_in_I % 2 else 1
-                    I2 = tuple(v for v in I if v != fi)
+                    I2 = I ^ (1 << fi)
+                    tsign = _koszul_sign(1 << fi, I2)  # e_I = e_fi wedge e_I2
                     qi_in = kpos * len(Ia) + ipos
-                    qi_out = kb1pos[K2] * len(Ia1) + ia1pos[I2]
+                    qi_out = kb1pos[K | 1 << bi] * len(ia1pos) + ia1pos[I2]
                     coeff = norm * tsign * wsign
                     for pi in range(rank_p):
                         col = out[h * (rank_quot_in * rank_p) + (qi_in * rank_p + pi)]

@@ -11,8 +11,10 @@ Every matrix is kept as sparse columns: a tuple with one column per frame,
 column j the ``(row, entry)`` pairs of its nonzero entries, rows increasing.
 Every operation here visits nonzero entries only.  Dense rows appear only at
 the edges, through :func:`columns_of` and :func:`rows_of`: matrices read from
-model files or gluing data, written model files, and the minors of exterior
-powers.
+model files or gluing data, and written model files.  An exterior power is
+built column by column as exterior products of columns in the one Grassmann
+kernel (:func:`~supercech.grassmann._product`), so its entries, the k x k
+minors, are never expanded one by one.
 
 Convention for the two-chart projective-line covers used throughout tests
 and the golden corpus: the sheaf spec labeled ``O(n)`` has overlap matrix
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CocycleError
-from .gluing import _minors
+from .grassmann import _index_mask, _product
 from .laurent import LaurentPoly, collect, mul_into
 from .spaces import ReducedSpace
 
@@ -283,21 +285,34 @@ def sheaf_exterior_power(spec: SheafSpec, k: int) -> SheafSpec:
 
 
 def _exterior_power(spec: SheafSpec, k: int) -> SheafSpec:
+    """Column J of the k-th compound is the exterior product of the columns
+    of J in order, each column the degree-one raw form ``{1 << row: entry}``
+    of :mod:`supercech.grassmann`; the product of J's tail is kept for every
+    J that shares it."""
     if k == 0:
         return trivial_spec(spec.space, 1)
-    if k > spec.rank:
+    n = spec.rank
+    if k > n:
         mats = {key: () for key in spec.matrices}
         return SheafSpec(spec.space, 0, mats, check=False)
-    idxs = list(combinations(range(spec.rank), k))
-    masks = [sum(1 << c for c in J) for J in idxs]
+    idxs = list(combinations(range(n), k))
+    position = {_index_mask(I): p for p, I in enumerate(idxs)}
     mats = {}
     for key, m in spec.matrices.items():
-        # one memo of minors per row set I serves every column set J
-        rows = rows_of(m, spec._vars(key[0]))
-        dets = [_minors(rows, list(I)) for I in idxs]
+        vars = spec._vars(key[0])
+        columns = [{1 << i: e.terms for i, e in col} for col in m]
+        wedges = {(): {0: {(0,) * len(vars): 1}}}
+
+        def wedge(J):
+            w = wedges.get(J)
+            if w is None:
+                w = wedges[J] = _product(columns[J[0]], wedge(J[1:]), n)
+            return w
+
         mats[key] = tuple(
-            tuple((i, d) for i, det in enumerate(dets) if (d := det(mask)).terms)
-            for mask in masks)
+            tuple(sorted((position[mask], LaurentPoly(vars, t, trusted=True))
+                         for mask, t in wedge(J).items()))
+            for J in idxs)
     return SheafSpec(spec.space, len(idxs), mats, check=False)
 
 

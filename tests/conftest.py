@@ -1,5 +1,8 @@
+import importlib.util
 import random
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -29,6 +32,16 @@ def corpus_path(name: str):
 
 def load_model(name: str):
     return parse_model_file(corpus_path(name))
+
+
+@cache
+def perfbench_models():
+    """The benchmark's input generators, ``perfbench/models.py``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "models.py"
+    spec = importlib.util.spec_from_file_location("perfbench_models", path)
+    models = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(models)
+    return models
 
 
 @pytest.fixture(scope="session")

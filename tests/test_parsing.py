@@ -1,9 +1,7 @@
-import importlib.util
 import random
 import time
 from fractions import Fraction as Q
 from importlib import resources
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +15,7 @@ from supercech.modelfile import parse_model_text
 from supercech.parsing import (MAX_EXPONENT, ExpressionParser, _power_bound, _product_bound,
                                _size, parse_element, parse_poly)
 
-from conftest import parse, random_grassmann
+from conftest import parse, perfbench_models, random_grassmann
 from dense_reference import ReferenceParser
 
 
@@ -183,10 +181,7 @@ def test_parser_matches_the_reference(text, vars, q):
 
 def _workload_models():
     """Model texts the benchmark's input generators write, on two seeds."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "models.py"
-    spec = importlib.util.spec_from_file_location("perfbench_models", path)
-    models = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(models)
+    models = perfbench_models()
     for seed in (1, 2):
         rng = random.Random(seed)
         for d, r in ((2, 1), (4, 3)):
