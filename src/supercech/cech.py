@@ -17,6 +17,10 @@ pole order of the transition data, inside each chart's regularity cone
 (nonnegative exponents in that chart's own coordinates).  Monomial reduced
 coordinate changes move exponents affinely, so solutions outside the window
 are impossible by support bookkeeping and the linear solve is exact.
+:func:`cohomology_class` is the one decision: it reduces the cochain by the
+delta0 system of its sheaf and window, eliminated once per (sheaf, window),
+and returns a checked witness or the canonical residual;
+:func:`solve_coboundary` and :func:`is_coboundary` are views of it.
 """
 
 from __future__ import annotations
@@ -280,8 +284,7 @@ class _Linearization:
 
     unknowns: list[tuple]                              # ((chart,), frame, exps)
     images: list[dict[tuple, Coef]]                    # per unknown
-    # _factor by frame set (None: all frames)
-    factors: dict = field(default_factory=dict, repr=False, compare=False)
+    factor: tuple | None = field(default=None, repr=False, compare=False)  # _factor
 
 
 def _window_unknowns(sheaf: SheafSpec, bound: int) -> int:
@@ -386,19 +389,15 @@ def _sparse_rows(columns: dict[tuple, int], vectors) -> list[linalg.Row]:
     return [[(columns[k], v) for k, v in vec.items() if k in columns] for vec in vectors]
 
 
-def _factor(lin: _Linearization, cover, frames: set[int] | None = None):
-    """The delta images of ``lin`` eliminated once over their own keys (only
-    those on ``frames``, when given) and kept on ``lin``: ``(keys, columns,
-    reducer)``, the keys in key order and ``columns`` their positions."""
-    tag = None if frames is None else frozenset(frames)
-    if tag not in lin.factors:
+def _factor(lin: _Linearization, cover):
+    """The delta images of ``lin`` eliminated once over their own keys and
+    kept on ``lin``: ``(keys, columns, reducer)``, the keys in key order and
+    ``columns`` their positions."""
+    if lin.factor is None:
         keys = _keys_order(lin, cover)
-        if frames is not None:
-            keys = [k for k in keys if k[1] in frames]
         columns = {k: i for i, k in enumerate(keys)}
-        lin.factors[tag] = (keys, columns,
-                            linalg.SpanReducer(_sparse_rows(columns, lin.images)))
-    return lin.factors[tag]
+        lin.factor = (keys, columns, linalg.SpanReducer(_sparse_rows(columns, lin.images)))
+    return lin.factor
 
 
 def _reduce(factor, vector: dict[tuple, Coef]):
@@ -436,58 +435,6 @@ def _cochain_from_values(sheaf: SheafSpec, degree: int, values) -> CechCochain:
     return CechCochain(sheaf, degree, sections, trusted=True)
 
 
-def _delta0_system(c: CechCochain, window: int | None, frames: set[int] | None = None):
-    """Set-up for deciding ``c = delta(w)``: the degree and cocycle checks,
-    the window, the linearization, and the reduction of ``c`` (its entries on
-    ``frames`` only, when given) by the linearization's factor.  Returns
-    ``(lin, reducer, residual, multiples)`` as in ``_reduce``; ``None`` when
-    ``c`` is zero or the sheaf has rank 0."""
-    if c.degree != 1:
-        raise ValueError("solve_coboundary expects a degree-1 cochain")
-    if not is_cocycle(c):
-        raise CocycleError("input is not a cocycle")
-    sheaf = c.sheaf
-    if sheaf.rank == 0 or c.is_zero():
-        return None
-    bound = auto_window(sheaf, c, window=window)
-    lin = _delta0_linearization(sheaf, bound)
-    factor = _factor(lin, sheaf.space.cover, frames)
-    rhs = _cochain_keys(c)
-    if frames is not None:
-        rhs = {k: v for k, v in rhs.items() if k[1] in frames}
-    return (lin, factor[2], *_reduce(factor, rhs))
-
-
-def _solve(c: CechCochain, system, frames: set[int] | None = None) -> CechCochain | None:
-    """Witness solving a set-up system (zero when there is none), or ``None``;
-    the self-check compares ``c`` and delta(w) on ``frames`` when given."""
-    if system is None:
-        return CechCochain(c.sheaf, 0)
-    lin, reducer, residual, multiples = system
-    if residual:
-        return None
-    sol = reducer.combination(multiples)
-    witness = _cochain_from_values(c.sheaf, 0, ((lin.unknowns[u], v) for u, v in sol.items()))
-    delta = cech_delta(witness).sections
-    if frames is None:
-        wrong = delta != c.sections
-    else:
-        def on(m):
-            return {f: p for f, p in m.items() if f in frames}
-        wrong = any(on(delta[k]) != on(v) for k, v in c.sections.items())
-    if wrong:
-        raise CocycleError("internal error: witness does not reproduce the cocycle")
-    return witness
-
-
-def solve_coboundary(c: CechCochain, window: int | None = None,
-                     frames: set[int] | None = None) -> CechCochain | None:
-    """Witness w with delta(w) = c, or ``None``; c must be a 1-cocycle.
-    With ``frames``, only the components on those frame indices must agree:
-    c - delta(w) vanishes there and is left free elsewhere."""
-    return _solve(c, _delta0_system(c, window, frames), frames)
-
-
 @dataclass
 class CohomologyClass:
     """Canonical representative plus triviality witness data."""
@@ -511,18 +458,33 @@ class CohomologyClass:
 
 
 def cohomology_class(c: CechCochain, window: int | None = None) -> CohomologyClass:
-    """Trivial class with a witness, or the canonical representative: the
-    residual of ``c`` after eliminating the image of delta in a fixed key
-    order."""
+    """The one coboundary decision for a 1-cocycle ``c``: trivial with a
+    witness w, delta(w) = c, or the canonical representative, the residual
+    of ``c`` after eliminating the image of delta in a fixed key order.  The
+    delta0 system is eliminated once per (sheaf, window)."""
     if c.degree != 1:
         raise ValueError("class formation implemented for degree 1")
-    system = _delta0_system(c, window)
-    witness = _solve(c, system)
-    if witness is not None:
-        return CohomologyClass(c.sheaf, 1, CechCochain(c.sheaf, 1), True, witness)
-    residual = system[2]
-    return CohomologyClass(c.sheaf, 1, _cochain_from_values(c.sheaf, 1, residual.items()),
-                           False, None)
+    if not is_cocycle(c):
+        raise CocycleError("input is not a cocycle")
+    sheaf = c.sheaf
+    if sheaf.rank == 0 or c.is_zero():
+        return CohomologyClass(sheaf, 1, CechCochain(sheaf, 1), True, CechCochain(sheaf, 0))
+    lin = _delta0_linearization(sheaf, auto_window(sheaf, c, window=window))
+    factor = _factor(lin, sheaf.space.cover)
+    residual, multiples = _reduce(factor, _cochain_keys(c))
+    if residual:
+        return CohomologyClass(sheaf, 1, _cochain_from_values(sheaf, 1, residual.items()),
+                               False, None)
+    sol = factor[2].combination(multiples)
+    witness = _cochain_from_values(sheaf, 0, ((lin.unknowns[u], v) for u, v in sol.items()))
+    if cech_delta(witness).sections != c.sections:
+        raise CocycleError("internal error: witness does not reproduce the cocycle")
+    return CohomologyClass(sheaf, 1, CechCochain(sheaf, 1), True, witness)
+
+
+def solve_coboundary(c: CechCochain, window: int | None = None) -> CechCochain | None:
+    """Witness w with delta(w) = c, or ``None``; c must be a 1-cocycle."""
+    return cohomology_class(c, window=window).witness
 
 
 def is_coboundary(c: CechCochain, window: int | None = None):

@@ -27,8 +27,7 @@ from .errors import CocycleError, SupercechError
 from .gluing import SuperGluingData, restrict_odd
 from .grassmann import GrassmannElement, _index_mask, _koszul_sign
 from .laurent import Coef, LaurentPoly, div
-from .obstruction import (cotangent_spec, deviation_cochain,
-                          deviation_hom_spec)
+from .obstruction import cotangent_spec, deviation_cochain
 from .sheaf import (SheafSpec, diagonal_block, filtration, sheaf_exterior_power,
                     sheaf_hom, sheaf_tensor, trivial_spec)
 from .spaces import ReducedSpace
@@ -306,21 +305,29 @@ class RefinedLevelReport:
 def refined_splitting_data(m: GtModel, cochain: CechCochain,
                            level: int, window: int | None = None) -> RefinedLevelReport:
     """Largest b such that the class lifts through hom(P, F_b): the first b,
-    from the level down, for which the equations on the frames outside F_b
-    have a solution w.  F_b is a subsheaf, so those equations are the
-    coboundary question of the image in the quotient by F_b; the secondary
-    class is the graded projection of the lifted cocycle ``cochain -
-    delta(w)``."""
+    from the level down, for which the image in the quotient by F_b (the
+    diagonal block on the frames outside F_b) is a coboundary delta(w).  F_b
+    is a subsheaf, so ``cochain - delta(w)``, with w extended by zero, lies
+    in it; the secondary class is the graded projection of that lift.  Every
+    quotient is solved in the window of the whole sheaf."""
     P = parity_spec(m, level)
     filt = filtration_of(m, level)
-    for b in range(level, 0, -1):
+    nonempty = [b for b in range(level, 0, -1) if filt.pieces[b]]
+    bound = window
+    if nonempty and not cochain.is_zero():
+        # what a solve on the whole sheaf refuses: a non-cocycle, and a
+        # window over that sheaf's budget
+        if not is_cocycle(cochain):
+            raise CocycleError("input is not a cocycle")
+        bound = auto_window(cochain.sheaf, cochain, window=window)
+        check_window(cochain.sheaf, bound)
+    for b in nonempty:
         inside = set(filt.pieces[b])
-        if not inside:
-            continue
-        outside = [i for i in range(filt.ambient.rank) if i not in inside]
-        w = solve_coboundary(cochain, window=window, frames=set(_hom_frames(outside, P.rank)))
+        outside = _hom_frames([i for i in range(filt.ambient.rank) if i not in inside], P.rank)
+        quot = diagonal_block(cochain.sheaf, outside)
+        w = solve_coboundary(cochain.restrict(outside, quot), window=bound)
         if w is not None:
-            graded = (cochain - cech_delta(w)).restrict(
+            graded = (cochain - cech_delta(w.extend(outside, cochain.sheaf))).restrict(
                 _hom_frames(filt.graded[b], P.rank), hom_into_quotient(m, level - b, b))
             return RefinedLevelReport(level, b, cohomology_class(graded, window=window))
     return RefinedLevelReport(level, None, None)
@@ -424,8 +431,10 @@ def verify_obstruction_compatibility(total: SuperGluingData,
     if level % 2 == 1:
         raise SupercechError("comparison implemented for even levels")
     w_total = deviation_cochain(total, level)
-    fiber_reduced = fiber.reduce(verify=False)
-    fib_hom = deviation_hom_spec(fiber, level, fiber_reduced)
+    # the restriction is valued in the fiber's deviation hom, the sheaf of
+    # the fiber's own deviation cochain
+    i_cochain = deviation_cochain(fiber, level)
+    fib_hom = i_cochain.sheaf
     idxs_total = list(combinations(range(1, q + 1), level))
     keep = [k for k, I in enumerate(idxs_total) if all(i <= qx for i in I)]
     n_rows = w_total.sheaf.rank // len(idxs_total)
@@ -433,7 +442,6 @@ def verify_obstruction_compatibility(total: SuperGluingData,
     p_cochain = w_total.restrict(columns, fib_hom)
     if not is_cocycle(p_cochain):
         raise CocycleError("restricted deviation data is not a cocycle")
-    i_cochain = deviation_cochain(fiber, level, fiber_reduced)
     ok, _ = is_coboundary(p_cochain - i_cochain)
     return CompatibilityReport(
         ok, level,

@@ -1,8 +1,8 @@
 """Plain references for the optimised kernels: dense exact elimination for
 the sparse ``linalg``, dense matrix helpers for the sparse columns of
 ``sheaf``, dense sheaf maps and dense-list cochain operations for the sparse
-Cech kernel and its frame-map cochains, a quotient spec per
-filtration piece for ``secondary.refined_splitting_data``,
+Cech kernel and its frame-map cochains, a lift through each filtration
+piece solved on the whole sheaf for ``secondary.refined_splitting_data``,
 term-by-term substitution for ``spaces.MonomialMap``, element-level
 Grassmann products, powers and substitution for the raw kernel of
 ``grassmann``, and an expression parser that builds one Grassmann element
@@ -410,32 +410,40 @@ def contraction_matrix(rank, a):
 
 
 def refined_splitting_data(m, cochain, level, window=None):
-    """``secondary.refined_splitting_data`` deciding each b on its own
-    quotient spec: the image of ``cochain`` in hom(P, quotient by F_b), a
-    diagonal block built for the purpose, must be a coboundary; the lift
-    through F_b is then solved on the frames outside F_b.  Returns
+    """``secondary.refined_splitting_data`` lifting through each F_b on the
+    whole sheaf: the delta0 images of every frame, with their entries on
+    the frames outside F_b only, are eliminated by one ``linalg.SpanReducer``,
+    and a combination matching ``cochain`` on those frames is the witness w
+    (checked there); the lift is ``cochain - delta(w)``.  Returns
     ``(refined_b, secondary class)``."""
-    from supercech.cech import cech_delta, cohomology_class, solve_coboundary
+    from supercech import linalg
+    from supercech.cech import (_cochain_from_values, _cochain_keys, _delta0_linearization,
+                                _keys_order, auto_window, cech_delta, cohomology_class)
     from supercech.secondary import _hom_frames, filtration_of, hom_into_quotient, parity_spec
-    from supercech.sheaf import diagonal_block, sheaf_hom
     P = parity_spec(m, level)
     filt = filtration_of(m, level)
-    amb = filt.ambient
+    sheaf = cochain.sheaf
     for b in range(level, 0, -1):
-        sel = filt.pieces[b]
-        if not sel:
+        inside = set(filt.pieces[b])
+        if not inside:
             continue
-        complement = [i for i in range(amb.rank) if i not in sel]
-        if complement:
-            hom_quot = sheaf_hom(P, diagonal_block(amb, complement))
-            image = cochain.restrict(_hom_frames(complement, P.rank), hom_quot)
-            if solve_coboundary(image, window=window) is None:
-                continue
-        w = solve_coboundary(cochain, window=window,
-                             frames=set(_hom_frames(complement, P.rank)))
-        assert w is not None, "no lift although the quotient image is trivial"
-        graded = (cochain - cech_delta(w)).restrict(
-            _hom_frames(filt.graded[b], P.rank), hom_into_quotient(m, level - b, b))
+        outside = set(_hom_frames([i for i in range(filt.ambient.rank) if i not in inside],
+                                  P.rank))
+        lin = _delta0_linearization(sheaf, auto_window(sheaf, cochain, window=window))
+        rhs = {k: v for k, v in _cochain_keys(cochain).items() if k[1] in outside}
+        keys = [k for k in _keys_order(lin, sheaf.space.cover, rhs) if k[1] in outside]
+        columns = {k: i for i, k in enumerate(keys)}
+        reducer = linalg.SpanReducer([[(columns[k], v) for k, v in img.items() if k in columns]
+                                      for img in lin.images])
+        residual, multiples = reducer.reduce({columns[k]: v for k, v in rhs.items()})
+        if residual:
+            continue
+        w = _cochain_from_values(sheaf, 0, ((lin.unknowns[u], v)
+                                            for u, v in reducer.combination(multiples).items()))
+        lifted = cochain - cech_delta(w)
+        assert not any(f in outside for frames in lifted.sections.values() for f in frames)
+        graded = lifted.restrict(_hom_frames(filt.graded[b], P.rank),
+                                 hom_into_quotient(m, level - b, b))
         return b, cohomology_class(graded, window=window)
     return None, None
 

@@ -130,11 +130,6 @@ def test_each_system_is_eliminated_once(p1_space, monkeypatch):
     eliminations.clear()
     assert solve_coboundary(c, window=4) is None
     assert len(eliminations) == 1
-    w0 = solve_coboundary(c, window=4, frames={0})
-    assert len(eliminations) == 2                # a frame set has its own factor
-    assert solve_coboundary(c, window=4, frames={0}) == w0 and len(eliminations) == 2
-    assert cech_delta(w0).sections[("U0", "U1")][0] == c.sections[("U0", "U1")][0]
-    assert solve_coboundary(c, window=4, frames={1}) is None and len(eliminations) == 3
 
 
 def brute_force_h_dims(n: int):

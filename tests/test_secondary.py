@@ -191,7 +191,9 @@ def test_refined_splitting_data_lifts_a_shifted_cocycle(M):
     rank_p = full.rank // filt.ambient.rank
     outside = [f for f in range(full.rank) if f // rank_p not in filt.pieces[3]]
     assert any(f in shifted.sections[("U0", "U1")] for f in outside)
-    lifted = shifted - cech_delta(solve_coboundary(shifted, frames=set(outside)))
+    quot = diagonal_block(full, outside)
+    w_quot = solve_coboundary(shifted.restrict(outside, quot))
+    lifted = shifted - cech_delta(w_quot.extend(outside, full))
     assert not any(f in frames for frames in lifted.sections.values() for f in outside)
     assert is_coboundary(shifted - lifted)[0]
     report = refined_splitting_data(M, shifted, 3)
@@ -266,6 +268,24 @@ def test_connecting_image_of_identity_is_minus_theta(fiber_specs, seed, charts):
     assert model_class(m).cross_validated
 
 
+@settings(max_examples=12)
+@given(st.integers(0, 2 ** 32), st.sampled_from([2, 3]), st.integers(1, 3))
+def test_secondary_dimensions_are_copies_of_one_hom(fiber_specs, seed, charts, base_rank):
+    # the base spec is trivial, so hom(P, Λ^b O^r ⊗ Λ^a F) is C(r, b)
+    # copies of hom(P, Λ^a F), and P depends only on the parity of a + b
+    from math import comb
+    from supercech.cech import cohomology_basis
+    from supercech.secondary import parity_spec
+    from supercech.sheaf import sheaf_hom
+    rng = random.Random(seed)
+    m = _random_extension(rng, rng.choice(fiber_specs[charts]), base_rank)
+    for space in secondary_spaces(m):
+        small = sheaf_hom(parity_spec(m, space.a + space.b),
+                          sheaf_exterior_power(m.fiber_spec, space.a))
+        h = len(cohomology_basis(small, space.p))
+        assert space.dimension == comb(base_rank, space.b) * h, (space.a, space.b, space.p)
+
+
 @settings(max_examples=30)
 @given(st.integers(0, 2 ** 32))
 def test_refined_splitting_data_matches_the_quotient_decisions(M, fiber_specs, seed):
@@ -305,6 +325,25 @@ def test_compatibility_on_odd_base_instance(gtm_odd_base_doc):
     assert cr.level == 2
     assert not cr.fiber_class.trivial
     assert cr.total_class.representative == cr.fiber_class.representative
+
+
+def test_compatibility_decides_on_one_system(gtm_odd_base_doc, monkeypatch):
+    # the restricted and the fiber's deviation cochains share one hom sheaf,
+    # so the three class decisions build and eliminate one delta0 system
+    from supercech import linalg
+    built, eliminations = [], []
+    linearize, rref = cech._delta0_linearization, linalg.rref
+
+    def counted(sheaf, bound):
+        if bound not in sheaf.linearizations:
+            built.append((sheaf, bound))
+        return linearize(sheaf, bound)
+
+    monkeypatch.setattr(cech, "_delta0_linearization", counted)
+    monkeypatch.setattr(linalg, "rref", lambda rows: eliminations.append(rows) or rref(rows))
+    cr = verify_obstruction_compatibility(gtm_odd_base_doc.gluing, gtm_odd_base_doc.base_odd)
+    assert cr.ok
+    assert len(built) == 1 and len(eliminations) == 1
 
 
 def test_compatibility_rejects_moving_base_directions(nonsplit_p1):
