@@ -224,6 +224,12 @@ def _dispatch(args, doc, rep: Reporter) -> int:
         if args.lam is None:
             raise ParseError("scale needs --lambda")
         lam = Fraction(args.lam)
+        if lam == 0:
+            # a bad flag is an input error before the data is checked
+            raise ValueError("scaling factor must be nonzero")
+        report = g.verify_cocycle()
+        if not report.ok:
+            raise CocycleError(str(report.failures[0]))
         scaled = scaling_action(g, lam)
         print(write_gluing(scaled), end="")
         return EXIT_PASS

@@ -135,7 +135,12 @@ class GluedFamily:
     def verify(self) -> WitnessReport:
         """Check, as exact Laurent identities in t, that scaling by
         t^exponent maps the low piece onto the high piece pulled back along
-        t' = 1/t."""
+        t' = 1/t.
+
+        The scaling here is the general conjugation by the inverted scaling
+        witnesses, not :func:`~supercech.obstruction.scaling_action`, which
+        re-weights terms and built both pieces: the check stays independent
+        of the path it checks."""
         t, tp = self.base_vars
         low = self.piece_low.gluing
         factor = LaurentPoly.var(low.cover.chart(low.cover.order[0]).vars,

@@ -181,11 +181,9 @@ def invert_transition(t: SuperTransition) -> SuperTransition:
     to_target = MonomialMap([even0[v].body() for v in src.vars], tv)
     odd0: dict[int, GrassmannElement] = {}
     for a in range(1, src.odd_rank + 1):
-        acc = GrassmannElement.zero(tv, tq)
-        for b in range(1, tgt.odd_rank + 1):
-            entry = to_target.apply(zeta_inv[a - 1][b - 1])
-            acc = acc + GrassmannElement.odd_gen(tv, tq, b) * entry
-        odd0[a] = acc
+        row = (to_target.apply(entry) for entry in zeta_inv[a - 1])
+        odd0[a] = GrassmannElement(tv, tq, {(b,): e for b, e in enumerate(row, 1) if e.terms},
+                                   trusted=True)
 
     inverse = SuperTransition(tgt, src, even0, odd0, check=False)
     ident = identity_transition(src)

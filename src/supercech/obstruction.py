@@ -221,30 +221,44 @@ def _witness_to_coordinate_change(g: SuperGluingData, witness: CechCochain,
 # ---------------------------------------------------------- scaling action
 
 
-def scaling_witnesses(g: SuperGluingData, factor) -> dict[str, SuperTransition]:
-    """Chartwise odd-scaling automorphisms theta -> factor * theta, whose
-    conjugation is the scaling action.
+def _chart_factors(g: SuperGluingData, factor) -> dict[str, LaurentPoly]:
+    """The scaling factor in each chart's coordinates, by chart name.
 
-    ``factor`` is a nonzero rational, the name of a base coordinate or a
-    Laurent monomial; each chart's map sends theta_b to theta_b / factor in
-    that chart's coordinates."""
+    ``factor`` is a nonzero rational, the name of a coordinate or a Laurent
+    monomial; every coordinate it uses must be on every chart."""
     if isinstance(factor, str):
-        def inverse(vars):
-            return LaurentPoly.var(vars, factor, -1)
-    elif isinstance(factor, LaurentPoly):
-        def inverse(vars):
-            return factor.with_context(vars).inverse()
-    else:
-        if factor == 0:
-            raise ValueError("scaling factor must be nonzero")
-
-        def inverse(vars):
-            return LaurentPoly.const(vars, div(1, factor))
+        factor = LaurentPoly.var((factor,), factor)
+    elif not isinstance(factor, LaurentPoly):
+        factor = LaurentPoly.const((), factor)
+    if factor.is_zero():
+        raise ValueError("scaling factor must be nonzero")
+    if not factor.is_monomial():
+        raise ValueError(f"scaling factor {factor} is not a monomial")
+    used = [v for v, e in zip(factor.vars, next(iter(factor.terms))) if e]
     out = {}
     for name in g.cover.order:
+        vars = g.cover.chart(name).vars
+        for v in used:
+            if v not in vars:
+                raise ValueError(f"scaling factor {factor} uses {v}, "
+                                 f"which is not a coordinate of chart {name}")
+        out[name] = factor.with_context(vars)
+    return out
+
+
+def scaling_witnesses(g: SuperGluingData, factor) -> dict[str, SuperTransition]:
+    """Chartwise odd-scaling automorphisms theta -> factor * theta.
+
+    ``factor`` is as for :func:`scaling_action`; each chart's map sends
+    theta_b to theta_b / factor in that chart's coordinates.  Conjugation by
+    these maps is the scaling action for any monomial factor;
+    :func:`scaling_action` computes it without conjugating when the factor
+    is invariant."""
+    out = {}
+    for name, f in _chart_factors(g, factor).items():
         chart = g.cover.chart(name)
         ident = identity_transition(chart)
-        scale = inverse(chart.vars)
+        scale = f.inverse()
         odd = {b: GrassmannElement.odd_gen(chart.vars, chart.odd_rank, b) * scale
                for b in range(1, chart.odd_rank + 1)}
         out[name] = SuperTransition(chart, chart, dict(ident.even_maps), odd, check=False)
@@ -252,14 +266,43 @@ def scaling_witnesses(g: SuperGluingData, factor) -> dict[str, SuperTransition]:
 
 
 def scaling_action(g: SuperGluingData, factor) -> SuperGluingData:
-    """Conjugate the gluing data by the odd-coordinate scaling theta -> c*theta.
+    """The gluing data conjugated by the odd-coordinate scaling theta -> c*theta.
 
-    ``factor`` is as for :func:`scaling_witnesses`; a base coordinate makes
-    the deviation coefficients polynomial in that coordinate, as used for
-    the one-parameter scaling family.  Classes at level j scale by factor^j
+    ``factor`` is a nonzero rational, the name of a coordinate or a Laurent
+    monomial, and it must be invariant: every transition maps each
+    coordinate the factor uses to itself (a base coordinate of a family,
+    for the one-parameter scaling family).  Otherwise a ``ValueError`` is
+    raised.  For an invariant factor the conjugation re-weights terms: the
+    theta^I term of every even image is multiplied by factor^|I| and that
+    of every odd image by factor^(|I|-1), with the factor in the source
+    chart's coordinates.  Classes at level j therefore scale by factor^j
     (j even) and factor^(j-1) (j odd).
     """
-    return g.conjugate(scaling_witnesses(g, factor))
+    factors = _chart_factors(g, factor)
+    transitions = {}
+    for (a, b), t in g.transitions.items():
+        src = t.source
+        f = factors[a]
+        for v, e in zip(src.vars, next(iter(f.terms))):
+            if e and t.even_maps[v] != GrassmannElement.even_var(src.vars, src.odd_rank, v):
+                raise ValueError(f"scaling factor {factor} is not invariant: "
+                                 f"transition ({a}, {b}) moves {v}")
+        powers = [None, f]  # powers[k] is factor^k over the source chart
+        for _ in range(1, src.odd_rank):
+            powers.append(powers[-1] * f)
+        even = {v: _reweighted(img, powers, 0) for v, img in t.even_maps.items()}
+        odd = {k: _reweighted(img, powers, 1) for k, img in t.odd_maps.items()}
+        transitions[(a, b)] = SuperTransition(src, t.target, even, odd, check=False)
+    return SuperGluingData(g.cover, transitions, g.base_vars, g.declared_splitting_type)
+
+
+def _reweighted(img: GrassmannElement, powers: list[LaurentPoly],
+                shift: int) -> GrassmannElement:
+    """``img`` with its theta^I coefficient multiplied by
+    ``powers[|I| - shift]`` (unchanged at weight zero)."""
+    return GrassmannElement(img.vars, img.odd_rank, {
+        I: c if len(I) == shift else c * powers[len(I) - shift]
+        for I, c in img.terms.items()}, trusted=True)
 
 
 def scale_class(oc: ObstructionClass, factor: Coef) -> ObstructionClass:

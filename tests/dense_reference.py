@@ -5,8 +5,9 @@ Cech kernel and its frame-map cochains, a lift through each filtration
 piece solved on the whole sheaf for ``secondary.refined_splitting_data``,
 term-by-term substitution for ``spaces.MonomialMap``, element-level
 Grassmann products, powers and substitution for the raw kernel of
-``grassmann``, and an expression parser that builds one Grassmann element
-per atom for ``parsing``.
+``grassmann``, an expression parser that builds one Grassmann element per
+atom for ``parsing``, and the conjugation by inverted scaling witnesses for
+``obstruction.scaling_action``.
 
 Matrices are lists of lists of ``Fraction``.  Pivots are the first nonzero
 entry scanning columns left to right, taken from the topmost remaining row.
@@ -553,6 +554,17 @@ def substitute(element, even_images, odd_images, vars, odd_rank):
                 term = grassmann_mul(term, grassmann_power(even_images[v], e))
             total = total + grassmann_mul(term, odd)
     return total
+
+
+# ---------------------------------------------------------- scaling action
+
+
+def scaling_action(g, factor):
+    """``obstruction.scaling_action`` as the general conjugation: every
+    transition t_ab becomes w_b o t_ab o w_a^(-1) for the chartwise scaling
+    witnesses w, each inverted by ``gluing.invert_transition``."""
+    from supercech.obstruction import scaling_witnesses
+    return g.conjugate(scaling_witnesses(g, factor))
 
 
 # ------------------------------------------------------------ expressions

@@ -106,6 +106,17 @@ def test_scale_emits_scaled_data(tmp_path, capsys):
     assert "-4*x^-1" in out2
 
 
+def test_scale_verifies_its_input(capsys):
+    bad = str(corpus_path("corrupt_sign.model"))
+    code, out, err = run_cli(capsys, "scale", "--input", bad, "--lambda", "2")
+    assert (code, out) == (1, "")
+    assert run_cli(capsys, "rothstein", "--input", bad) == (1, "", err)
+    assert err.startswith("check failed: inverse check failed on ('U0', 'U1')")
+    # a zero factor is an input error before the data is checked
+    code, _, err = run_cli(capsys, "scale", "--input", bad, "--lambda", "0")
+    assert code == 2 and "scaling factor must be nonzero" in err
+
+
 def test_glue_p1(capsys):
     code, out, _ = run_cli(capsys, "glue-p1", "--input",
                            str(corpus_path("nonsplit_p1.model")))

@@ -2,8 +2,9 @@
 recorded output, and every demo prints the recorded text.
 
 `golden_corpus.json` holds, for each (model, command) pair run with
-``--format structured``, the exit code and the sha256 of stdout and stderr,
-and for each ``demos/*.py`` script the sha256 of its stdout.  This guards the
+``--format structured``, the exit code and the sha256 of stdout and stderr;
+a command may carry arguments, split at spaces.  It holds as well, for each
+``demos/*.py`` script, the sha256 of its stdout.  This guards the
 byte-identity of structured output and exit codes on the corpus, and of the
 demo printouts (demo 02 prints a transition matrix).  Re-record the corpus
 entries (only when an output change is intended; the demo entries are kept) with
@@ -27,7 +28,8 @@ from supercech.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_corpus.json")
 COMMANDS = ("verify", "splitting-type", "obstruction", "attempt-split",
-            "rothstein", "glue-p1", "secondary", "a1-check", "report-all")
+            "rothstein", "glue-p1", "secondary", "a1-check", "report-all",
+            "scale --lambda=-3/2")
 DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 MODELS = sorted(p.name for p in resources.files("supercech.corpus").iterdir()
                 if p.name.endswith(".model"))
@@ -37,7 +39,7 @@ def run(model: str, command: str) -> dict:
     path = str(resources.files("supercech.corpus") / model)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([command, "--input", path, "--format", "structured"])
+        code = main(command.split() + ["--input", path, "--format", "structured"])
     return {"exit": code,
             "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
             "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest()}

@@ -1,21 +1,29 @@
 import random
 from fractions import Fraction as Q
+from functools import cache
+from importlib import resources
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import supercech
+import dense_reference
 from supercech.cech import CechCochain, cohomology_class, is_cocycle
 from supercech.errors import CocycleError, LevelError, SupercechError
-from supercech.family import rothstein_family
-from supercech.gluing import INFINITY, SuperTransition, identity_transition
+from supercech.family import extend_with_base, rothstein_family
+from supercech.gluing import INFINITY, SuperGluingData, SuperTransition, identity_transition
+from supercech.laurent import LaurentPoly
+from supercech.modelfile import parse_model_text
 from supercech.obstruction import (ObstructionClass, attempt_split,
                                    characteristic_factorization, deviation_cochain,
                                    deviation_hom_spec, obstruction_cocycle,
                                    scale_class, scaling_action,
                                    splitting_type_differential)
 from supercech.parsing import parse_element
+from supercech.spaces import Chart, Cover
 
-from conftest import load_model, random_grassmann
+from conftest import load_model, perfbench_models, random_grassmann
 from dense_reference import constant_value, evaluate
 
 
@@ -248,3 +256,83 @@ def test_fiber_class_matches_scaled_class(two_parameter_family):
         fiber_class = d(point)
         expected = cf.omega.representative.scale(s_val)
         assert fiber_class.cls.representative == expected
+
+
+# ------------------------------------------------ scaling by re-weighting
+
+@cache
+def _scaling_models():
+    """Corpus gluing data and small gauged models, each with a base
+    coordinate ``t`` appended, so that every drawn factor is invariant."""
+    out = {}
+    for p in sorted(resources.files("supercech.corpus").iterdir()):
+        if p.name.endswith(".model"):
+            out[p.name] = load_model(p.name).gluing
+    models = perfbench_models()
+    rng = random.Random(3)
+    for q in (2, 3, 4):
+        for planted in (False, True):
+            out[f"gauged-q{q}-{planted}"] = parse_model_text(
+                models.gauged_model(supercech, rng, q, planted)).gluing
+    return {name: extend_with_base(g, ("t",)) for name, g in out.items()}
+
+
+nonzero_rationals = st.builds(Q, st.sampled_from([n for n in range(-9, 10) if n]),
+                              st.integers(1, 9))
+scaling_factors = st.one_of(
+    nonzero_rationals,
+    st.just("t"),
+    st.builds(lambda c, e: LaurentPoly.monomial(("t",), c, (e,)),
+              nonzero_rationals, st.integers(-3, 3)))
+
+
+@settings(max_examples=80)
+@given(st.sampled_from(sorted(_scaling_models())), scaling_factors)
+def test_scaling_action_equals_the_conjugation(name, factor):
+    g = _scaling_models()[name]
+    assert scaling_action(g, factor) == dense_reference.scaling_action(g, factor)
+
+
+def test_scaling_action_neither_conjugates_nor_inverts(monkeypatch, nonsplit_p1):
+    from supercech import gluing
+
+    def refuse(*args):
+        raise AssertionError("called")
+
+    expected = dense_reference.scaling_action(nonsplit_p1, Q(-3, 2))
+    monkeypatch.setattr(gluing.SuperGluingData, "conjugate", refuse)
+    monkeypatch.setattr(gluing, "invert_transition", refuse)
+    assert scaling_action(nonsplit_p1, Q(-3, 2)) == expected
+
+
+def _affine_line_rescaled():
+    """Two charts with the same coordinate x, glued by x -> 2x: every
+    transition moves x."""
+    u0, u1 = Chart("U0", ("x",), (), 1), Chart("U1", ("x",), (), 1)
+    cover = Cover([u0, u1], [("U0", "U1"), ("U1", "U0")])
+    t01 = SuperTransition(u0, u1, {"x": P(u0, "2*x")}, {1: P(u0, "theta_1")})
+    t10 = SuperTransition(u1, u0, {"x": P(u1, "1/2*x")}, {1: P(u1, "theta_1")})
+    return SuperGluingData(cover, {("U0", "U1"): t01, ("U1", "U0"): t10})
+
+
+def test_scaling_action_refuses_a_factor_that_is_not_invariant(nonsplit_p1):
+    g = extend_with_base(nonsplit_p1, ("t",))
+    x = LaurentPoly.var(g.cover.chart("U0").vars, "x")
+    t = LaurentPoly.var(g.cover.chart("U0").vars, "t")
+    # a fiber coordinate of one chart is not a coordinate of the other
+    for factor in ("x", x, x * t):
+        with pytest.raises(ValueError, match="not a coordinate of chart U1"):
+            scaling_action(g, factor)
+    with pytest.raises(ValueError, match="is not a monomial"):
+        scaling_action(g, t + LaurentPoly.const(t.vars, 1))
+    for zero in (0, Q(0), LaurentPoly.zero(t.vars)):
+        with pytest.raises(ValueError, match="scaling factor must be nonzero"):
+            scaling_action(g, zero)
+    # x is on both charts here, but the gluing moves it; the conjugation by
+    # the x-scaling witnesses then sends theta_1 to theta_1 / 2, where a
+    # re-weighting would leave the degree-one term alone
+    moved = _affine_line_rescaled()
+    with pytest.raises(ValueError, match=r"transition \(U0, U1\) moves x"):
+        scaling_action(moved, "x")
+    assert dense_reference.scaling_action(moved, "x").transitions[("U0", "U1")].odd_maps[1] \
+        == P(moved.cover.chart("U0"), "1/2*theta_1")
