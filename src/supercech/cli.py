@@ -65,13 +65,22 @@ def _fmt_cochain(c) -> str:
     return "; ".join(parts) if parts else "0"
 
 
+def _rational(flag: str, text: str) -> Fraction:
+    """The value of a rational flag; a malformed value or a zero denominator
+    is an input error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{flag} expects a rational, got {text!r}") from None
+
+
 def _parse_point(text: str) -> dict[str, Fraction]:
     point = {}
     for item in text.split(","):
         name, _, value = item.partition("=")
         if not value:
             raise ParseError(f"--at expects name=rational, got {item!r}")
-        point[name.strip()] = Fraction(value.strip())
+        point[name.strip()] = _rational("--at", value.strip())
     return point
 
 
@@ -153,7 +162,7 @@ def _dispatch(args, doc, rep: Reporter) -> int:
             failures = [str(f) for f in r.failures]
             declared = doc.gluing.declared_splitting_type
             if r.ok and declared is not None:
-                actual = doc.gluing.splitting_type(verify=False)
+                actual = doc.gluing.deviation_degree()
                 if actual != declared:
                     shown = "infinity" if actual == INFINITY else actual
                     failures.append(f"declared splitting_type {declared}, "
@@ -223,13 +232,11 @@ def _dispatch(args, doc, rep: Reporter) -> int:
         g = _require_gluing(doc)
         if args.lam is None:
             raise ParseError("scale needs --lambda")
-        lam = Fraction(args.lam)
+        lam = _rational("--lambda", args.lam)
         if lam == 0:
             # a bad flag is an input error before the data is checked
             raise ValueError("scaling factor must be nonzero")
-        report = g.verify_cocycle()
-        if not report.ok:
-            raise CocycleError(str(report.failures[0]))
+        g.require_valid()
         scaled = scaling_action(g, lam)
         print(write_gluing(scaled), end="")
         return EXIT_PASS

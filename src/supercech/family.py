@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CocycleError, SupercechError
+from .errors import SupercechError
 from .gluing import INFINITY, SuperGluingData, SuperTransition
 from .grassmann import GrassmannElement
 from .laurent import Coef, LaurentPoly, div
@@ -52,16 +52,10 @@ def _extend(g: GrassmannElement, chart: Chart) -> GrassmannElement:
                             {i: c.with_context(chart.vars) for i, c in g.terms.items()})
 
 
-def _require_cocycle(g: SuperGluingData, prefix: str = "") -> None:
-    report = g.verify_cocycle()
-    if not report.ok:
-        raise CocycleError(prefix + str(report.failures[0]))
-
-
 def split_family(split_model: SuperGluingData, base_vars: tuple[str, ...]) -> FamilySpec:
     """Constant family with the given (split) fiber model."""
     fam = extend_with_base(split_model, base_vars)
-    _require_cocycle(fam)
+    fam.require_valid()
     return FamilySpec(fam, tuple(base_vars))
 
 
@@ -75,17 +69,17 @@ def rothstein_family(g: SuperGluingData, base_var: str = "t") -> FamilySpec:
     (j even) resp. t^(j-1) (j odd).  For split input the result is the
     constant family.
     """
-    _require_cocycle(g)
+    g.require_valid()
     return _scaling_family(g, base_var)
 
 
 def _scaling_family(g: SuperGluingData, base_var: str) -> FamilySpec:
     """:func:`rothstein_family` of gluing data already verified."""
     extended = extend_with_base(g, (base_var,))
-    if g.splitting_type(verify=False) == INFINITY:
+    if g.deviation_degree() == INFINITY:
         return FamilySpec(extended, (base_var,))
     fam = scaling_action(extended, base_var)
-    _require_cocycle(fam, "scaling produced invalid data: ")
+    fam.require_valid()
     return FamilySpec(fam, (base_var,))
 
 
@@ -170,7 +164,7 @@ def glue_over_p1(g: SuperGluingData, base_vars: tuple[str, str] = ("t", "s"),
                  witness_exponent: int = -2) -> GluedFamily:
     """One-parameter scaling families of ``g`` over the two standard charts,
     glued over t' = 1/t with the (t^-2)-scaling witness."""
-    _require_cocycle(g)
+    g.require_valid()
     low = _scaling_family(g, base_vars[0])
     high = _scaling_family(g, base_vars[1])
     return GluedFamily(low, high, tuple(base_vars), witness_exponent)

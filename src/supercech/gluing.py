@@ -268,7 +268,12 @@ class VerificationReport:
 
 class SuperGluingData:
     """A cover, one transition per declared ordered overlap, and (optionally)
-    shared base coordinates making the data a family over those coordinates."""
+    shared base coordinates making the data a family over those coordinates.
+
+    The data are not changed after they are built, so each object checks and
+    reduces itself once: :meth:`verify_cocycle` builds its report on the
+    first call and keeps it in ``_report``, and :meth:`reduce` keeps the
+    reduced space and odd-bundle spec in ``_reduced``."""
 
     def __init__(self, cover: Cover, transitions: dict[tuple[str, str], SuperTransition],
                  base_vars: tuple[str, ...] = (), declared_splitting_type: int | None = None):
@@ -276,6 +281,8 @@ class SuperGluingData:
         self.transitions = dict(transitions)
         self.base_vars = tuple(base_vars)
         self.declared_splitting_type = declared_splitting_type
+        self._report: VerificationReport | None = None
+        self._reduced: tuple[ReducedSpace, SheafSpec] | None = None
         for key in cover.overlaps:
             if key not in self.transitions:
                 raise ValueError(f"missing transition for overlap {key}")
@@ -301,6 +308,18 @@ class SuperGluingData:
     # ---------------------------------------------------------- verification
 
     def verify_cocycle(self) -> VerificationReport:
+        """The exact inverse, triple and family checks, run on the first call."""
+        if self._report is None:
+            self._report = self._build_report()
+        return self._report
+
+    def require_valid(self) -> None:
+        """Raise :class:`CocycleError` with the first failed check, if any."""
+        report = self.verify_cocycle()
+        if not report.ok:
+            raise CocycleError(str(report.failures[0]))
+
+    def _build_report(self) -> VerificationReport:
         failures: list[CheckFailure] = []
         checks = 0
         for (a, b) in self.cover.canonical_overlaps():
@@ -334,29 +353,31 @@ class SuperGluingData:
 
     # ------------------------------------------------------------ operations
 
-    def splitting_type(self, verify: bool = True) -> float:
-        """Deviation degree of the presentation: smallest j >= 2 at which some
-        transition departs from split normal form; infinity if none does."""
-        if verify:
-            report = self.verify_cocycle()
-            if not report.ok:
-                raise CocycleError(str(report.failures[0]))
+    def deviation_degree(self) -> float:
+        """Smallest odd degree (>= 2) at which some transition departs from
+        split normal form, or infinity if none does; nothing is checked."""
         return min((t.deviation_degree() for t in self.transitions.values()),
                    default=INFINITY)
 
-    def reduce(self, verify: bool = True) -> tuple[ReducedSpace, SheafSpec]:
+    def splitting_type(self) -> float:
+        """:meth:`deviation_degree` of the verified presentation; raises
+        :class:`CocycleError` on invalid data."""
+        self.require_valid()
+        return self.deviation_degree()
+
+    def reduce(self) -> tuple[ReducedSpace, SheafSpec]:
         """Reduced space (degree-zero coordinate maps) plus the odd-bundle
-        sheaf spec whose matrices are the degree-one coefficient matrices."""
-        if verify:
-            report = self.verify_cocycle()
-            if not report.ok:
-                raise CocycleError(str(report.failures[0]))
-        maps = {key: t.reduced_map() for key, t in self.transitions.items()}
-        space = ReducedSpace(self.cover, maps)
-        matrices = {key: columns_of(t.odd_matrix()) for key, t in self.transitions.items()}
-        q = next(iter(self.cover.charts.values())).odd_rank
-        spec = SheafSpec(space, q, matrices)
-        return space, spec
+        sheaf spec whose matrices are the degree-one coefficient matrices.
+
+        Only this degree <= 1 part is checked, by the two constructors; call
+        :meth:`require_valid` for the full cocycle conditions."""
+        if self._reduced is None:
+            maps = {key: t.reduced_map() for key, t in self.transitions.items()}
+            space = ReducedSpace(self.cover, maps)
+            matrices = {key: columns_of(t.odd_matrix()) for key, t in self.transitions.items()}
+            q = next(iter(self.cover.charts.values())).odd_rank
+            self._reduced = space, SheafSpec(space, q, matrices)
+        return self._reduced
 
     def restrict_fiber(self, point: dict[str, Coef]) -> "SuperGluingData":
         """Evaluate the base coordinates at a rational point; the result is

@@ -22,8 +22,8 @@ Grammar (line oriented; ``#`` starts a comment; indentation is free)::
     gtmodel NAME
       fiber_sheaf SHEAFNAME
       base_rank N
-      theta A B               # N rows of fiber-rank comma-separated entries
-        <entry>, ...
+      theta A B               # at least one; N rows of fiber-rank
+        <entry>, ...          # comma-separated entries
 
 A file holds at most one gluing-data block (charts/overlaps/transitions) and
 any number of named sheaves and gt models.  Each chart, overlap, triple,
@@ -316,7 +316,7 @@ def parse_model_text(text: str) -> ModelDocument:
 
     space = None
     if sheaves_raw or gt_raw:
-        space = _reduced_space_for_sheaves(doc, charts, overlaps, triples)
+        space = _reduced_space_for_sheaves(doc)
     for name, d in sheaves_raw.items():
         rank = d["rank"]
         if rank is None:
@@ -333,6 +333,9 @@ def parse_model_text(text: str) -> ModelDocument:
     for name, d in gt_raw.items():
         if d["fiber_sheaf"] is None or d["base_rank"] is None:
             raise ParseError(f"gtmodel {name!r} needs fiber_sheaf and base_rank", d["line"], 1)
+        if not d["theta"]:
+            # the theta rows are what bound base_rank
+            raise ParseError(f"gtmodel {name!r} needs a theta block", d["line"], 1)
         fiber_name, line_no = d["fiber_sheaf"]
         if fiber_name not in doc.sheaves:
             raise ParseError(f"unknown fiber_sheaf {fiber_name!r}", line_no, 1)
@@ -375,14 +378,12 @@ def _located(lineno: int):
         raise ParseError(str(exc), lineno, 1) from None
 
 
-def _reduced_space_for_sheaves(doc, charts, overlaps, triples) -> ReducedSpace:
-    # sheaf matrices live on the reduced space of the file's gluing data; a
-    # purely even block (odd 0, even transitions only) serves when the file
-    # describes sheaves rather than a supermanifold
+def _reduced_space_for_sheaves(doc) -> ReducedSpace:
+    """The reduced space of the file's verified gluing data."""
     if doc.gluing is None:
         raise ParseError("sheaf/gtmodel sections need gluing data for the coordinate maps")
-    space, _ = doc.gluing.reduce()
-    return space
+    doc.gluing.require_valid()
+    return doc.gluing.reduce()[0]
 
 
 def parse_model_file(path) -> ModelDocument:

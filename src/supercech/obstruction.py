@@ -41,16 +41,17 @@ def cotangent_spec(space) -> SheafSpec:
     return sheaf_dual(tangent_spec(space))
 
 
-def deviation_hom_spec(g: SuperGluingData, level: int,
-                       reduced=None) -> SheafSpec:
+def deviation_hom_spec(g: SuperGluingData, level: int) -> SheafSpec:
     """Sheaf housing normalized level-j deviation cochains."""
-    space, odd_spec = reduced if reduced is not None else g.reduce(verify=False)
-    return sheaf_hom(*_deviation_specs(level, space, odd_spec))
+    return sheaf_hom(*_deviation_specs(g, level))
 
 
-def _deviation_specs(level: int, space, odd_spec) -> tuple[SheafSpec, SheafSpec]:
+def _deviation_specs(g: SuperGluingData, level: int) -> tuple[SheafSpec, SheafSpec]:
     """Source and target of the level-j deviation hom sheaf; the target's
     matrices are what the deviation blocks are normalized by."""
+    if level < 2:
+        raise ValueError(f"obstruction levels start at 2, got {level}")
+    space, odd_spec = g.reduce()
     source = sheaf_exterior_power(odd_spec, level)
     return source, tangent_spec(space) if level % 2 == 0 else odd_spec
 
@@ -90,23 +91,21 @@ def _deviation_blocks(t: SuperTransition, level: int):
     return out
 
 
-def obstruction_cocycle(g: SuperGluingData, level: int, reduced=None,
+def obstruction_cocycle(g: SuperGluingData, level: int,
                         window: int | None = None) -> ObstructionClass:
     """Extract the level-j deviation cocycle; requires no deviation below j."""
-    dev = g.splitting_type(verify=False)
+    dev = g.deviation_degree()
     if dev < level:
         raise LevelError(f"deviation already present at level {dev} < {level}")
-    reduced = reduced if reduced is not None else g.reduce(verify=False)
-    cochain = deviation_cochain(g, level, reduced)
+    cochain = deviation_cochain(g, level)
     cls = cohomology_class(cochain, window=window)
     return ObstructionClass(level, cochain, cls, "even" if level % 2 == 0 else "odd")
 
 
-def deviation_cochain(g: SuperGluingData, level: int, reduced=None) -> CechCochain:
+def deviation_cochain(g: SuperGluingData, level: int) -> CechCochain:
     """Normalized level-j deviation data as a hom-sheaf 1-cochain (raw, not
     reduced to a canonical representative)."""
-    space, odd_spec = reduced if reduced is not None else g.reduce(verify=False)
-    source, target = _deviation_specs(level, space, odd_spec)
+    source, target = _deviation_specs(g, level)
     hom = sheaf_hom(source, target)
     sections = {}
     for (a, b) in g.cover.canonical_overlaps():
@@ -149,21 +148,18 @@ def attempt_split(g: SuperGluingData, window: int | None = None) -> SplitReport:
     correction) which pushes the deviation to level j + 1.  Stops with the
     first non-removable class, which is then certified nontrivial.
     """
-    report = g.verify_cocycle()
-    if not report.ok:
-        raise CocycleError(str(report.failures[0]))
+    g.require_valid()
     q = next(iter(g.cover.charts.values())).odd_rank
     current = g
     total: dict[str, SuperTransition] = {
         name: identity_transition(g.cover.chart(name)) for name in g.cover.order}
     for level in range(2, q + 1):
-        dev = current.splitting_type(verify=False)
+        dev = current.deviation_degree()
         if dev == INFINITY:
             break
         if dev > level:
             continue
-        reduced = current.reduce(verify=False)
-        cochain = deviation_cochain(current, level, reduced)
+        cochain = deviation_cochain(current, level)
         if cochain.is_zero():
             continue
         witness = solve_coboundary(cochain, window=window)
@@ -176,9 +172,9 @@ def attempt_split(g: SuperGluingData, window: int | None = None) -> SplitReport:
         current = current.conjugate(corrections)
         total = {name: compose_transitions(total[name], corrections[name])
                  for name in g.cover.order}
-        if current.splitting_type(verify=False) <= level:
+        if current.deviation_degree() <= level:
             raise SupercechError("correction did not clear the level")
-    if current.splitting_type(verify=False) != INFINITY:
+    if current.deviation_degree() != INFINITY:
         raise SupercechError("levels exhausted but deviation remains")
     return SplitReport(True, total, current)
 
@@ -354,17 +350,17 @@ class CharacteristicFactorization:
     violation: str | None = None
 
 
-def _fiber_space_of_family(g: SuperGluingData):
-    """Structural fiber space of a product-type family: the reduced space
-    and odd bundle of the fiber over 1, which requires reduced data
-    independent of the base coordinates."""
+def _fiber_of_family(g: SuperGluingData) -> SuperGluingData:
+    """Structural fiber of a product-type family: the fiber over 1.  Its
+    reduced space and odd bundle serve every fiber, which requires reduced
+    data independent of the base coordinates."""
     for t in g.transitions.values():
         for v, img in t.reduced_map().items():
             if v not in g.base_vars and _depends_on_base(img, g.base_vars):
                 raise SupercechError("reduced data depends on the base; not product-type")
         if any(_depends_on_base(e, g.base_vars) for row in t.odd_matrix() for e in row):
             raise SupercechError("odd bundle depends on the base; not product-type")
-    return g.restrict_fiber({v: 1 for v in g.base_vars}).reduce(verify=False)
+    return g.restrict_fiber({v: 1 for v in g.base_vars})
 
 
 def _depends_on_base(poly: LaurentPoly, base_vars: tuple[str, ...]) -> bool:
@@ -386,13 +382,13 @@ def characteristic_factorization(g: SuperGluingData,
                                            None, INFINITY)
     level = int(level)
     fam_cochain = deviation_cochain(g, level)
-    fiber_space, fiber_odd = _fiber_space_of_family(g)
-    fiber_hom = deviation_hom_spec(g, level, (fiber_space, fiber_odd))
+    fiber = _fiber_of_family(g)
+    fiber_hom = deviation_hom_spec(fiber, level)
 
     # per-base-monomial fiber cochains
     by_monomial: dict[tuple[int, ...], dict[tuple, list[LaurentPoly]]] = {}
     for key, frames in fam_cochain.sections.items():
-        lead_fiber_vars = fiber_space.cover.chart(key[0]).vars
+        lead_fiber_vars = fiber.chart(key[0]).vars
         for frame, poly in frames.items():
             for m, coeffpoly in poly.split_by(g.base_vars).items():
                 data = by_monomial.setdefault(m, {})

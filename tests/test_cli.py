@@ -11,11 +11,16 @@ from importlib import resources
 import pytest
 
 from supercech.cli import main
+from supercech.errors import CocycleError
 from supercech.gluing import SuperGluingData, SuperTransition, identity_transition
 from supercech.modelfile import parse_model_text, write_gluing
 from supercech.parsing import parse_element
 
 from conftest import corpus_path
+
+
+CORPUS = sorted(p.name for p in resources.files("supercech.corpus").iterdir()
+                if p.name.endswith(".model"))
 
 
 def run_cli(capsys, *args):
@@ -115,6 +120,56 @@ def test_scale_verifies_its_input(capsys):
     # a zero factor is an input error before the data is checked
     code, _, err = run_cli(capsys, "scale", "--input", bad, "--lambda", "0")
     assert code == 2 and "scaling factor must be nonzero" in err
+
+
+@pytest.mark.parametrize("model,flags", [
+    ("nonsplit_p1", ("scale", "--lambda=1/0")),
+    ("two_parameter_family", ("splitting-type", "--at", "t1=1/0,t2=1")),
+])
+def test_zero_denominator_in_a_flag_is_input_error(capsys, model, flags):
+    code, out, err = run_cli(capsys, flags[0], "--input", str(corpus_path(f"{model}.model")),
+                             *flags[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "1/0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("level", ["-1", "0", "1"])
+def test_obstruction_level_below_two_is_input_error(capsys, level):
+    code, out, err = run_cli(capsys, "obstruction", "--input",
+                             str(corpus_path("nonsplit_p1.model")), "--level", level)
+    assert (code, out) == (2, "")
+    assert err == f"input error: obstruction levels start at 2, got {level}\n"
+
+
+def test_require_valid_raises_what_the_cli_prints(capsys):
+    bad = parse_model_text(corpus_path("corrupt_sign.model").read_text()).gluing
+    with pytest.raises(CocycleError) as failed:
+        bad.require_valid()
+    assert str(failed.value).startswith("inverse check failed on ('U0', 'U1')")
+    code, _, err = run_cli(capsys, "splitting-type", "--input",
+                           str(corpus_path("corrupt_sign.model")))
+    assert code == 1 and err == f"check failed: {failed.value}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("verify",), ("splitting-type",), ("obstruction",), ("attempt-split",), ("rothstein",),
+    ("scale", "--lambda=-3/2"), ("glue-p1",), ("report-all",)])
+def test_no_gluing_data_is_verified_twice(monkeypatch, capsys, command):
+    # every object keeps its report, so each check runs once per object
+    calls = []
+    build = SuperGluingData._build_report
+
+    def counted(self):
+        calls.append(self)   # keeps the object alive, so ids stay distinct
+        return build(self)
+
+    monkeypatch.setattr(SuperGluingData, "_build_report", counted)
+    for model in CORPUS:
+        calls.clear()
+        code, _, _ = run_cli(capsys, command[0], "--input", str(corpus_path(model)),
+                             *command[1:])
+        assert code in (0, 1)
+        assert calls and len({id(g) for g in calls}) == len(calls), model
 
 
 def test_glue_p1(capsys):
@@ -344,6 +399,7 @@ def test_valid_model_for_malformed_variants(tmp_path, capsys):
     (16, "    (1+x+x^50)^100"),
     (11, "  y = " + "7" * 5000 + "/x"),
     (11, "  theta_" + "1" * 5000 + " = 0"),
+    (20, "gtmodel M\n  fiber_sheaf TX\n  base_rank 3000000\n  # no theta block\n  #"),
 ])
 def test_malformed_model_is_input_error_with_location(tmp_path, capsys, lineno, text):
     path = tmp_path / "bad.model"
@@ -510,8 +566,7 @@ def test_single_line_mutations_of_the_corpus_end_in_an_exit_code(tmp_path):
     # error names its line
     path = tmp_path / "mutant.model"
     codes = Counter()
-    for model in sorted(p.name for p in resources.files("supercech.corpus").iterdir()
-                        if p.name.endswith(".model")):
+    for model in CORPUS:
         lines = corpus_path(model).read_text().splitlines()
         for i, line in enumerate(lines):
             if not line.strip() or line.lstrip().startswith("#"):

@@ -8,10 +8,11 @@ from supercech.errors import CocycleError
 from supercech.gluing import (INFINITY, SuperGluingData, SuperTransition,
                               compose_transitions, identity_transition,
                               invert_transition, restrict_odd)
+from supercech.modelfile import parse_model_text
 from supercech.parsing import parse_element
 from supercech.spaces import Chart, Cover
 
-from conftest import load_model
+from conftest import corpus_path, load_model
 from dense_reference import evaluate, matrices
 
 
@@ -98,6 +99,25 @@ def test_reduce_reads_off_data(split_p1, nonsplit_p1):
     space2, spec2 = nonsplit_p1.reduce()
     assert spec2.matrices == spec.matrices
     assert space2.coordinate_maps == space.coordinate_maps
+
+
+def test_report_and_reduction_are_built_once():
+    g = load_model("nonsplit_p1.model").gluing
+    assert g.verify_cocycle() is g.verify_cocycle()
+    space, spec = g.reduce()
+    again = g.reduce()
+    assert again[0] is space and again[1] is spec
+    # the reduction checks the degree <= 1 part only: a doubled deviation
+    # term breaks the inverse condition and leaves the reduction alone
+    text = corpus_path("nonsplit_p1.model").read_text().replace(
+        "x = 1/y + y^-3*theta_1*theta_2", "x = 1/y + 2*y^-3*theta_1*theta_2")
+    bad = parse_model_text(text).gluing
+    assert bad.reduce()[1].matrices == spec.matrices
+    assert bad.deviation_degree() == 2
+    with pytest.raises(CocycleError, match=r"inverse check failed on \('U0', 'U1'\)"):
+        bad.require_valid()
+    with pytest.raises(CocycleError, match="are not inverse"):
+        load_model("corrupt_sign.model").gluing.reduce()
 
 
 def test_restrict_fiber_of_two_parameter_family(two_parameter_family):

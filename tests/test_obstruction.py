@@ -51,6 +51,14 @@ def test_level_error_below_deviation(nonsplit_p1):
         obstruction_cocycle(nonsplit_p1, 3)
 
 
+@pytest.mark.parametrize("level", [-1, 0, 1])
+def test_obstruction_levels_start_at_two(nonsplit_p1, level):
+    message = f"obstruction levels start at 2, got {level}"
+    for extract in (obstruction_cocycle, deviation_cochain, deviation_hom_spec):
+        with pytest.raises(ValueError, match=message):
+            extract(nonsplit_p1, level)
+
+
 def test_odd_level_extraction(nonsplit_p1_level3):
     oc = obstruction_cocycle(nonsplit_p1_level3, 3)
     assert oc.parity == "odd"
@@ -120,7 +128,7 @@ def test_attempt_split_inverts_random_conjugations(split_p1, seed):
     assert conj.verify_cocycle().ok
     result = attempt_split(conj)
     assert result.split
-    assert result.split_data.splitting_type(verify=False) == INFINITY
+    assert result.split_data.deviation_degree() == INFINITY
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -166,7 +174,7 @@ def evaluated_differential(d, point):
     rows (zero by the family structure) dropped at even levels."""
     level = int(d.level)
     fiber = d.family.restrict_fiber(point)
-    hom = deviation_hom_spec(fiber, level, fiber.reduce(verify=False))
+    hom = deviation_hom_spec(fiber, level)
     q = next(iter(fiber.cover.charts.values())).odd_rank
     n_idx = len(list(combinations(range(q), level)))
     sections = {}
