@@ -10,16 +10,16 @@ import importlib.resources as resources
 from supercech.cech import CechCochain, cohomology_basis, is_coboundary
 from supercech.laurent import LaurentPoly
 from supercech.modelfile import parse_model_file
-from supercech.sheaf import SheafSpec, columns_of
+from supercech.sheaf import columns_of, sheaf_spec
 
 corpus = resources.files("supercech.corpus")
 space, _ = parse_model_file(corpus / "split_p1.model").gluing.reduce()
 
 
 def line_bundle(n):
-    return SheafSpec(space, 1, {
+    return sheaf_spec(space, 1, {
         ("U0", "U1"): columns_of([[LaurentPoly.monomial(("x",), 1, (-n,))]]),
-        ("U1", "U0"): columns_of([[LaurentPoly.monomial(("y",), 1, (-n,))]])})
+        ("U1", "U0"): columns_of([[LaurentPoly.monomial(("y",), 1, (-n,))]])}, check=True)
 
 
 print("degree   dim H0   dim H1")

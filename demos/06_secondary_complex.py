@@ -34,7 +34,7 @@ print("cross-validated against the connecting image of the identity:",
 
 print()
 print("== the filtration on exterior powers ==")
-filt = filtration(m.total_odd, 3)
+filt = filtration(m.total_odd, m.base_spec, m.fiber_spec, 3)
 filt.verify()
 print("piece ranks:", {k: len(v) for k, v in filt.pieces.items()})
 print("graded ranks:", {k: len(v) for k, v in filt.graded.items()})

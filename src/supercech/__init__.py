@@ -13,7 +13,8 @@ from .spaces import Chart, Cover, ReducedSpace
 from .gluing import (INFINITY, SuperGluingData, SuperTransition,
                      compose_transitions, identity_transition, invert_transition)
 from .sheaf import (FilteredSheaf, SheafSpec, filtration, sheaf_dual,
-                    sheaf_exterior_power, sheaf_hom, sheaf_tensor, trivial_spec)
+                    sheaf_exterior_power, sheaf_hom, sheaf_spec, sheaf_tensor,
+                    trivial_spec)
 from .cech import (CechCochain, CohomologyClass, ShortExactSequence, cech_delta,
                    cohomology_basis, cohomology_class, connecting_map,
                    cup_product, extension_sheaf, is_coboundary, is_cocycle,

@@ -32,7 +32,7 @@ from .errors import CocycleError, WindowError
 from .laurent import Coef, LaurentPoly, add_into, collect
 from . import linalg
 from .sheaf import (SheafSpec, diagonal_block, frame_map, frames_leak, mat_mul,
-                    sheaf_hom, sheaf_tensor)
+                    sheaf_hom, sheaf_spec, sheaf_tensor)
 
 WINDOW_CAP = 60
 # Largest delta0 system, in unknowns (charts x rank x window box), built for
@@ -652,7 +652,7 @@ def connecting_map(ses: ShortExactSequence, c: CechCochain) -> CechCochain:
 
 def extension_sheaf(sub: SheafSpec, quot: SheafSpec, cocycle: CechCochain) -> SheafSpec:
     """Extension spec with block matrices [[M_sub, M_sub.X],[0, M_quot]] for
-    a 1-cocycle X valued in hom(quot, sub); records the sub/quot split."""
+    a 1-cocycle X valued in hom(quot, sub)."""
     hom = sheaf_hom(quot, sub)
     if cocycle.degree != 1 or cocycle.sheaf.rank != hom.rank:
         raise CocycleError("extension cocycle must be a degree-1 hom(quot, sub) cochain")
@@ -671,6 +671,6 @@ def extension_sheaf(sub: SheafSpec, quot: SheafSpec, cocycle: CechCochain) -> Sh
         mats[(a, b)] = ms + tuple(top + tuple((s + i, e) for i, e in col)
                                   for top, col in zip(mat_mul(ms, X), quot.matrices[(a, b)]))
     try:
-        return SheafSpec(space, sub.rank + quot.rank, mats, extension=(sub, quot))
+        return sheaf_spec(space, sub.rank + quot.rank, mats, check=True)
     except CocycleError as exc:
         raise CocycleError(f"invalid extension data: {exc}") from exc

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import CocycleError, ParseError, SupercechError, WindowError
 from .gluing import INFINITY
 from .modelfile import parse_model_file, write_gluing
+from .parsing import MAX_EXPONENT
 from .obstruction import (attempt_split, characteristic_factorization,
                           obstruction_cocycle, scaling_action)
 from .family import glue_over_p1, read_glued_family, rothstein_family, write_glued_family
@@ -66,8 +67,12 @@ def _fmt_cochain(c) -> str:
 
 
 def _rational(flag: str, text: str) -> Fraction:
-    """The value of a rational flag; a malformed value or a zero denominator
-    is an input error."""
+    """The value of a rational flag; a malformed value, a zero denominator or
+    a power of ten over ``MAX_EXPONENT`` is an input error."""
+    digits = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+    if digits.isdigit() and (len(digits) > len(str(MAX_EXPONENT))
+                             or int(digits) > MAX_EXPONENT):
+        raise ParseError(f"{flag} exponent exceeds the limit of {MAX_EXPONENT}, got {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -272,6 +277,9 @@ def _dispatch(args, doc, rep: Reporter) -> int:
         for name, m in doc.gt_models.items():
             bs = [args.level] if args.level is not None else \
                 list(range(0, m.base_rank))
+            if args.level is not None and not 0 <= args.level <= m.base_rank:
+                raise ParseError(f"--level {args.level} is out of range 0..{m.base_rank} "
+                                 f"for gtmodel {name}")
             for b in bs:
                 check_a1_window(m, b, 0, window)
             for b in bs:

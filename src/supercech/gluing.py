@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .errors import CocycleError, ContextError, SupercechError
 from .grassmann import GrassmannElement, Substitution, _product
 from .laurent import Coef, LaurentPoly, collect, div, mul_into
-from .sheaf import SheafSpec, columns_of
+from .sheaf import SheafSpec, columns_of, sheaf_spec
 from .spaces import Chart, Cover, MonomialMap, ReducedSpace
 
 INFINITY = float("inf")
@@ -376,7 +376,7 @@ class SuperGluingData:
             space = ReducedSpace(self.cover, maps)
             matrices = {key: columns_of(t.odd_matrix()) for key, t in self.transitions.items()}
             q = next(iter(self.cover.charts.values())).odd_rank
-            self._reduced = space, SheafSpec(space, q, matrices)
+            self._reduced = space, sheaf_spec(space, q, matrices, check=True)
         return self._reduced
 
     def restrict_fiber(self, point: dict[str, Coef]) -> "SuperGluingData":

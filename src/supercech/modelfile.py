@@ -41,7 +41,7 @@ from .errors import CocycleError, ParseError
 from .gluing import SuperGluingData, SuperTransition
 from .parsing import ExpressionParser
 from .secondary import GtModel, gt_model
-from .sheaf import SheafSpec, columns_of, rows_of
+from .sheaf import SheafSpec, columns_of, rows_of, sheaf_spec
 from .spaces import Chart, Cover, ReducedSpace
 
 FORMAT_VERSION = 1
@@ -329,7 +329,7 @@ def parse_model_text(text: str) -> ModelDocument:
                                  d["lines"][key], 1)
             mats[key] = columns_of(m)
         with _located(d["line"]):
-            doc.sheaves[name] = SheafSpec(space, rank, mats)
+            doc.sheaves[name] = sheaf_spec(space, rank, mats, check=True)
     for name, d in gt_raw.items():
         if d["fiber_sheaf"] is None or d["base_rank"] is None:
             raise ParseError(f"gtmodel {name!r} needs fiber_sheaf and base_rank", d["line"], 1)

@@ -22,7 +22,8 @@ from .gluing import (INFINITY, SuperGluingData, SuperTransition, compose_transit
                      identity_transition)
 from .grassmann import GrassmannElement
 from .laurent import Coef, LaurentPoly, div
-from .sheaf import SheafSpec, columns_of, mat_mul, sheaf_dual, sheaf_exterior_power, sheaf_hom
+from .sheaf import (SheafSpec, columns_of, derived_spec, mat_mul, sheaf_dual,
+                    sheaf_exterior_power, sheaf_hom, sheaf_spec)
 
 
 # ------------------------------------------------------------ basic specs
@@ -30,11 +31,9 @@ from .sheaf import SheafSpec, columns_of, mat_mul, sheaf_dual, sheaf_exterior_po
 
 def tangent_spec(space) -> SheafSpec:
     """Spec with the reduced Jacobian matrices (components of vector fields)."""
-    mats = {}
-    for (a, b) in space.cover.overlaps:
-        mats[(a, b)] = columns_of(space.jacobian(a, b))
-    rank = len(space.cover.chart(space.cover.order[0]).vars)
-    return SheafSpec(space, rank, mats, check=False)
+    return derived_spec(space, ("tangent",), lambda: sheaf_spec(
+        space, len(space.cover.chart(space.cover.order[0]).vars),
+        {key: columns_of(space.jacobian(*key)) for key in space.cover.overlaps}))
 
 
 def cotangent_spec(space) -> SheafSpec:

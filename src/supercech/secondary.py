@@ -40,7 +40,7 @@ class GtModel:
     base_spec: SheafSpec
     theta: CechCochain          # 1-cocycle valued in hom(fiber_spec, base_spec)
     total_odd: SheafSpec        # extension_sheaf(base_spec, fiber_spec, theta)
-    # the cotangent spec, filtrations and sequences, built on first use
+    # filtrations, sequences and pairing matrices, built on first use
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -106,7 +106,7 @@ def parity_spec(m: GtModel, level: int) -> SheafSpec:
     cotangent spec of the reduced space at even levels."""
     if level % 2 == 1:
         return m.total_odd
-    return _cached(m, "cotangent", lambda: cotangent_spec(m.space))
+    return cotangent_spec(m.space)
 
 
 def quotient_spec(m: GtModel, a: int, b: int) -> SheafSpec:
@@ -119,7 +119,8 @@ def hom_into_quotient(m: GtModel, a: int, b: int) -> SheafSpec:
 
 
 def filtration_of(m: GtModel, level: int):
-    return _cached(m, ("filtration", level), lambda: filtration(m.total_odd, level))
+    return _cached(m, ("filtration", level),
+                   lambda: filtration(m.total_odd, m.base_spec, m.fiber_spec, level))
 
 
 def _positions(frames: list[int], within: list[int]) -> list[int]:

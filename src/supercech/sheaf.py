@@ -25,6 +25,10 @@ Constructions (dual, tensor, hom, exterior power) produce the induced
 matrices; hom components are flattened row-major with the target index
 major, so ``hom(A, B)`` has the Kronecker product of ``M_B`` and the dual's
 ``M_A^-T`` as transition.
+
+A spec is its content: :func:`sheaf_spec` keeps one per rank and matrices
+in the space's table ``specs``, which also holds each construction's result
+under its name and operands, e.g. ``("hom", a, b)`` (:func:`derived_spec`).
 """
 
 from __future__ import annotations
@@ -115,17 +119,12 @@ class SheafSpec:
     """Rank + per-overlap transition matrices over a reduced space."""
 
     def __init__(self, space: ReducedSpace, rank: int,
-                 matrices: dict[tuple[str, str], Columns],
-                 check: bool = True, extension: tuple | None = None):
+                 matrices: dict[tuple[str, str], Columns], check: bool = True):
         self.space = space
         self.rank = int(rank)
         self.matrices = matrices
-        self.extension = extension  # (sub_spec, quot_spec) when built as an extension
+        self.checked = False  # _verify passed
         self.linearizations: dict = {}  # cech._delta0_linearization by window bound
-        # (operand, spec) of tensor, hom and exterior powers with this spec
-        # on the left, by (operation, id(operand)) or (operation, k)
-        self.derived: dict[tuple, tuple] = {}
-        self._dual: SheafSpec | None = None  # sheaf_dual, which every hom uses
         self._transported: dict[tuple, Columns] = {}  # _matrix_in
         self._max_pole_order: int | None = None
         cover = space.cover
@@ -148,6 +147,7 @@ class SheafSpec:
             via = mat_mul(self._matrix_in(a, (b, c)), self.matrices[(a, b)])
             if via != self.matrices[(a, c)]:
                 raise CocycleError(f"matrix cocycle fails on ({a},{b},{c})")
+        self.checked = True
 
     def _vars(self, chart: str) -> tuple[str, ...]:
         return self.space.cover.chart(chart).vars
@@ -222,41 +222,45 @@ class SheafSpec:
 # ------------------------------------------------------------ constructions
 
 
+def sheaf_spec(space: ReducedSpace, rank: int, matrices: dict[tuple[str, str], Columns],
+               check: bool = False) -> SheafSpec:
+    """The one spec on ``space`` with this rank and these matrices: the
+    table's when it holds them, else a new one put there.  ``check`` runs
+    the inverse and cocycle checks, once per spec."""
+    key = (rank, tuple(sorted(matrices.items())))
+    spec = space.specs.get(key)
+    if spec is None:
+        spec = space.specs[key] = SheafSpec(space, rank, matrices, check=check)
+    elif check and not spec.checked:
+        spec._verify()
+    return spec
+
+
+def derived_spec(space: ReducedSpace, key: tuple, build) -> SheafSpec:
+    """``build()`` once per construction ``key`` on ``space``; the table holds
+    the operand specs in ``key``, so their ids cannot pass to other objects."""
+    spec = space.specs.get(key)
+    if spec is None:
+        spec = space.specs[key] = build()
+    return spec
+
+
 def trivial_spec(space: ReducedSpace, rank: int = 1) -> SheafSpec:
     mats = {key: identity_matrix(rank, space.cover.chart(key[0]).vars)
             for key in space.cover.overlaps}
-    return SheafSpec(space, rank, mats, check=False)
-
-
-def _derived(owner: SheafSpec, key: tuple, operand, build) -> SheafSpec:
-    """``build()`` once per ``owner`` and ``key``.  The operand is kept beside
-    the result, so the id in ``key`` cannot pass to another object."""
-    hit = owner.derived.get(key)
-    if hit is None:
-        hit = owner.derived[key] = (operand, build())
-    return hit[1]
+    return sheaf_spec(space, rank, mats)
 
 
 def sheaf_dual(spec: SheafSpec) -> SheafSpec:
-    if spec._dual is None:
-        spec._dual = _dual(spec)
-    return spec._dual
-
-
-def _dual(spec: SheafSpec) -> SheafSpec:
-    mats = {(a, b): transpose(spec.inverse(a, b)) for (a, b) in spec.matrices}
-    return SheafSpec(spec.space, spec.rank, mats, check=False)
+    return derived_spec(spec.space, ("dual", spec), lambda: sheaf_spec(
+        spec.space, spec.rank, {key: transpose(spec.inverse(*key)) for key in spec.matrices}))
 
 
 def sheaf_tensor(a: SheafSpec, b: SheafSpec) -> SheafSpec:
     if not a.same_cover(b):
         raise CocycleError("tensor factors live on different covers")
-    return _derived(a, ("tensor", id(b)), b, lambda: _tensor(a, b))
-
-
-def _tensor(a: SheafSpec, b: SheafSpec) -> SheafSpec:
-    mats = {key: kron(a.matrices[key], b.matrices[key]) for key in a.matrices}
-    return SheafSpec(a.space, a.rank * b.rank, mats, check=False)
+    return derived_spec(a.space, ("tensor", a, b), lambda: sheaf_spec(
+        a.space, a.rank * b.rank, {key: kron(a.matrices[key], b.matrices[key]) for key in a.matrices}))
 
 
 def sheaf_hom(a: SheafSpec, b: SheafSpec) -> SheafSpec:
@@ -265,7 +269,7 @@ def sheaf_hom(a: SheafSpec, b: SheafSpec) -> SheafSpec:
     flattened row-major (b-index major)."""
     if not a.same_cover(b):
         raise CocycleError("hom factors live on different covers")
-    return _derived(a, ("hom", id(b)), b, lambda: _hom(a, b))
+    return derived_spec(a.space, ("hom", a, b), lambda: _hom(a, b))
 
 
 def _hom(a: SheafSpec, b: SheafSpec) -> SheafSpec:
@@ -274,14 +278,14 @@ def _hom(a: SheafSpec, b: SheafSpec) -> SheafSpec:
     else:
         dual = sheaf_dual(a)
         mats = {key: kron(b.matrices[key], dual.matrices[key]) for key in a.matrices}
-    return SheafSpec(a.space, a.rank * b.rank, mats, check=False)
+    return sheaf_spec(a.space, a.rank * b.rank, mats)
 
 
 def sheaf_exterior_power(spec: SheafSpec, k: int) -> SheafSpec:
     """k-th compound: basis of increasing multi-indices, entries k x k minors."""
     if k < 0:
         raise ValueError("negative exterior power")
-    return _derived(spec, ("wedge", k), None, lambda: _exterior_power(spec, k))
+    return derived_spec(spec.space, ("wedge", spec, k), lambda: _exterior_power(spec, k))
 
 
 def _exterior_power(spec: SheafSpec, k: int) -> SheafSpec:
@@ -294,7 +298,7 @@ def _exterior_power(spec: SheafSpec, k: int) -> SheafSpec:
     n = spec.rank
     if k > n:
         mats = {key: () for key in spec.matrices}
-        return SheafSpec(spec.space, 0, mats, check=False)
+        return sheaf_spec(spec.space, 0, mats)
     idxs = list(combinations(range(n), k))
     position = {_index_mask(I): p for p, I in enumerate(idxs)}
     mats = {}
@@ -313,7 +317,7 @@ def _exterior_power(spec: SheafSpec, k: int) -> SheafSpec:
             tuple(sorted((position[mask], LaurentPoly(vars, t, trusted=True))
                          for mask, t in wedge(J).items()))
             for J in idxs)
-    return SheafSpec(spec.space, len(idxs), mats, check=False)
+    return sheaf_spec(spec.space, len(idxs), mats)
 
 
 # -------------------------------------------------------------- filtrations
@@ -347,16 +351,12 @@ class FilteredSheaf:
             if leak is not None:
                 key, i, j = leak
                 raise CocycleError(f"filtration not respected on {key} at entry ({i},{j})")
-        sub, quot = self.sub, self.quot
         for k, sel in self.graded.items():
-            expect_sub = sheaf_exterior_power(sub, k)
-            expect_quot = sheaf_exterior_power(quot, self.degree - k)
-            expected = sheaf_tensor(expect_sub, expect_quot)
-            got = diagonal_block(amb, sel)
-            for key in amb.matrices:
-                if expected.matrices[key] != got.matrices[key]:
-                    raise CocycleError(
-                        f"quotient F_{k}/F_{k+1} differs from the product matrices on {key}")
+            # one spec per content, so equal matrices are the same spec
+            expected = sheaf_tensor(sheaf_exterior_power(self.sub, k),
+                                    sheaf_exterior_power(self.quot, self.degree - k))
+            if diagonal_block(amb, sel) is not expected:
+                raise CocycleError(f"quotient F_{k}/F_{k+1} differs from the product matrices")
 
 
 def frames_leak(spec: SheafSpec, frames: list[int]) -> tuple | None:
@@ -380,23 +380,19 @@ def diagonal_block(spec: SheafSpec, positions: list[int]) -> SheafSpec:
     """Spec of the frames at ``positions``: the diagonal blocks of the
     transition matrices (unchecked, so callers pick blocks that are)."""
     position = {f: i for i, f in enumerate(positions)}
-    return SheafSpec(
+    return sheaf_spec(
         spec.space, len(positions),
         {key: tuple(tuple(sorted((position[i], e) for i, e in m[j] if i in position))
                     for j in positions)
-         for key, m in spec.matrices.items()}, check=False)
+         for key, m in spec.matrices.items()})
 
 
-def filtration(ext: SheafSpec, degree: int) -> FilteredSheaf:
-    """Filtration of the degree-th exterior power of an extension spec by the
-    count of sub-factors; requires ``ext`` to record its sub/quot split."""
-    if ext.extension is None:
-        raise ValueError("spec has no recorded sub/quotient split")
-    sub, quot = ext.extension
-    s, q = sub.rank, quot.rank
+def filtration(ext: SheafSpec, sub: SheafSpec, quot: SheafSpec, degree: int) -> FilteredSheaf:
+    """Filtration of the degree-th exterior power of ``ext``, an extension of
+    ``quot`` by ``sub`` (its first frames), by the count of sub-factors."""
     amb = sheaf_exterior_power(ext, degree)
     idxs = list(combinations(range(ext.rank), degree))
-    counts = [sum(1 for i in I if i < s) for I in idxs]
+    counts = [sum(1 for i in I if i < sub.rank) for I in idxs]
     pieces: dict[int, list[int]] = {}
     graded: dict[int, list[int]] = {}
     for k in range(degree + 1):

@@ -189,7 +189,7 @@ def test_criterion_08_splitting_type_inequality(nonsplit_p1, nonsplit_p1_level3,
 def test_criterion_09_filtration(gt_model_doc, gtm_odd_base_doc):
     m = gt_model_doc.gt_models["M"]
     for j in range(1, m.total_odd.rank + 1):
-        filtration(m.total_odd, j).verify()
+        filtration(m.total_odd, m.base_spec, m.fiber_spec, j).verify()
     # also on the extension read off the odd-base gluing instance
     total = gtm_odd_base_doc.gluing
     space, odd_spec = total.reduce()

@@ -12,7 +12,7 @@ from supercech.errors import CocycleError
 from supercech import linalg
 from supercech.laurent import LaurentPoly
 from dense_reference import rank as qrank
-from supercech.sheaf import sheaf_hom, trivial_spec, sheaf_tensor
+from supercech.sheaf import sheaf_dual, sheaf_hom, trivial_spec, sheaf_tensor
 
 from conftest import line_bundle
 
@@ -188,24 +188,38 @@ def test_cohomology_dims_match_brute_force(p1_space, n):
     assert (h0, h1) == (bf_h0, bf_h1)
 
 
-@settings(max_examples=30)
-@given(st.lists(st.integers(-3, 3), min_size=2, max_size=3), st.data())
-def test_riemann_roch_on_upper_triangular_bundles(p1_space, degrees, data):
-    # h0 - h1 = deg + rank on P^1, for a bundle built as extensions of the
-    # line bundles O(n) one at a time (upper-triangular transitions) by
-    # random cocycles
-    vars = p1_space.cover.chart("U0").vars
+def upper_triangular_bundle(space, degrees, data):
+    """Extension of the line bundles O(n) of ``degrees``, one at a time
+    (upper-triangular transitions), by random cocycles."""
+    vars = space.cover.chart("U0").vars
     entries = st.dictionaries(st.tuples(st.integers(-3, 3)), st.integers(-2, 2), max_size=3)
-    bundle = line_bundle(p1_space, degrees[0])
+    bundle = line_bundle(space, degrees[0])
     for n in degrees[1:]:
-        quot = line_bundle(p1_space, n)
+        quot = line_bundle(space, n)
         hom = sheaf_hom(quot, bundle)
         theta = CechCochain(hom, 1, {("U0", "U1"): [LaurentPoly(vars, data.draw(entries))
                                                     for _ in range(hom.rank)]})
         bundle = extension_sheaf(bundle, quot, theta)
+    return bundle
+
+
+@settings(max_examples=30)
+@given(st.lists(st.integers(-3, 3), min_size=2, max_size=3), st.data())
+def test_riemann_roch_on_upper_triangular_bundles(p1_space, degrees, data):
+    # h0 - h1 = deg + rank on P^1
+    bundle = upper_triangular_bundle(p1_space, degrees, data)
     h0 = len(cohomology_basis(bundle, 0))
     h1 = len(cohomology_basis(bundle, 1))
     assert h0 - h1 == sum(degrees) + len(degrees)
+
+
+@settings(max_examples=30)
+@given(st.lists(st.integers(-3, 3), min_size=2, max_size=3), st.data())
+def test_serre_duality_on_upper_triangular_bundles(p1_space, degrees, data):
+    # h1(E) = h0(E^dual (x) K) on P^1, whose canonical bundle K is O(-2)
+    bundle = upper_triangular_bundle(p1_space, degrees, data)
+    twisted = sheaf_tensor(sheaf_dual(bundle), line_bundle(p1_space, -2))
+    assert len(cohomology_basis(bundle, 1)) == len(cohomology_basis(twisted, 0))
 
 
 def test_cohomology_basis_on_three_charts(split_three_charts):

@@ -133,6 +133,27 @@ def test_zero_denominator_in_a_flag_is_input_error(capsys, model, flags):
     assert err.startswith("input error:") and "1/0" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("model,flags", [
+    ("nonsplit_p1", ("scale", "--lambda=1e-99999999")),
+    ("two_parameter_family", ("splitting-type", "--at", "t1=1E+1_000,t2=1")),
+])
+def test_rational_flag_over_the_exponent_limit_is_input_error(capsys, model, flags):
+    # Fraction would expand the power of ten digit by digit
+    code, out, err = run_cli(capsys, flags[0], "--input", str(corpus_path(f"{model}.model")),
+                             *flags[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {flags[1][:4]}") and "limit of 100" in err
+
+
+@pytest.mark.parametrize("value,same", [("1e3", "1000"), ("-1.5", "-3/2"), ("3/4", "0.75"),
+                                        ("1e-100", "1E-0100")])
+def test_rational_flags_within_the_limit_are_read_exactly(capsys, value, same):
+    path = str(corpus_path("nonsplit_p1.model"))
+    got = run_cli(capsys, "scale", "--input", path, f"--lambda={value}")
+    assert got == run_cli(capsys, "scale", "--input", path, f"--lambda={same}")
+    assert got[0] == 0 and got[1]
+
+
 @pytest.mark.parametrize("level", ["-1", "0", "1"])
 def test_obstruction_level_below_two_is_input_error(capsys, level):
     code, out, err = run_cli(capsys, "obstruction", "--input",
@@ -198,6 +219,20 @@ def test_a1_check(capsys):
     code, out, _ = run_cli(capsys, "a1-check", "--input",
                            str(corpus_path("gt_model_p1.model")), "--level", "2")
     assert code == 0 and "b=2.ok: True" in out
+
+
+@pytest.mark.parametrize("level", ["-1", "4", "99"])
+def test_a1_check_level_outside_the_base_rank_is_input_error(capsys, level):
+    code, out, err = run_cli(capsys, "a1-check", "--input",
+                             str(corpus_path("gt_model_p1.model")), "--level", level)
+    assert (code, out) == (2, "")
+    assert err == f"input error: --level {level} is out of range 0..3 for gtmodel M\n"
+
+
+def test_a1_check_level_at_the_base_rank_is_decided(capsys):
+    code, out, _ = run_cli(capsys, "a1-check", "--input",
+                           str(corpus_path("gt_model_p1.model")), "--level", "3")
+    assert code == 0 and "M.b=3.dimension: 7" in out
 
 
 def test_a1_check_fails_with_the_wrong_pairing_sign(monkeypatch, capsys):

@@ -64,11 +64,11 @@ def test_model_class_of_coboundary_theta(gt_model_doc):
 
 def test_filtration_identities(M):
     for j in range(1, M.total_odd.rank + 1):
-        filtration(M.total_odd, j).verify()
+        filtration(M.total_odd, M.base_spec, M.fiber_spec, j).verify()
 
 
 def test_quotient_matches_kron(M):
-    filt = filtration(M.total_odd, 3)
+    filt = filtration(M.total_odd, M.base_spec, M.fiber_spec, 3)
     for b in range(0, 4):
         a = 3 - b
         if a > M.fiber_rank or b > M.base_rank:
@@ -155,7 +155,7 @@ def _top_piece_cocycle(M, level):
     from supercech.sheaf import sheaf_hom
     P = parity_spec(M, level)
     full = sheaf_hom(P, sheaf_exterior_power(M.total_odd, level))
-    filt = filtration(M.total_odd, level)
+    filt = filtration(M.total_odd, M.base_spec, M.fiber_spec, level)
     top = filt.pieces[level]
     assert len(top) == 1
     basis = cohomology_basis(sheaf_hom(P, diagonal_block(filt.ambient, top)), 1)
@@ -187,7 +187,7 @@ def test_refined_splitting_data_lifts_a_shifted_cocycle(M):
     w = CechCochain(full, 0, {("U0",): [LaurentPoly.monomial(("x",), i + 1, (i % 3,))
                                         for i in range(full.rank)]})
     shifted = c_top + cech_delta(w)
-    filt = filtration(M.total_odd, 3)
+    filt = filtration(M.total_odd, M.base_spec, M.fiber_spec, 3)
     rank_p = full.rank // filt.ambient.rank
     outside = [f for f in range(full.rank) if f // rank_p not in filt.pieces[3]]
     assert any(f in shifted.sections[("U0", "U1")] for f in outside)

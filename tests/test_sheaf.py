@@ -1,19 +1,24 @@
+import io
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Q
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from supercech.cech import (CechCochain, cech_delta, cohomology_basis, extension_sheaf,
                             is_coboundary)
+from supercech.cli import main
 from supercech.errors import CocycleError
 from supercech.gluing import invert_laurent_matrix
 from supercech.laurent import LaurentPoly
 from supercech.sheaf import (SheafSpec, columns_of, diagonal_block, filtration, kron,
                              rows_of, sheaf_dual, sheaf_exterior_power, sheaf_hom,
-                             sheaf_tensor, trivial_spec)
+                             sheaf_spec, sheaf_tensor, trivial_spec)
 
 import dense_reference as dense
-from conftest import line_bundle
+from conftest import corpus_path, line_bundle
 from dense_reference import hom_unflatten, identity_matrix, mat_mul, matrices
 
 
@@ -88,7 +93,7 @@ def test_extension_nontrivial_class(p1_space):
     vars0 = p1_space.cover.chart("U0").vars
     coc = CechCochain(hom, 1, {("U0", "U1"): [LaurentPoly.monomial(vars0, 1, (-1,))]})
     ext = extension_sheaf(sub, quot, coc)
-    assert ext.extension[0] is sub
+    assert diagonal_block(ext, [0]) is sub
     ok, rep = is_coboundary(coc)
     assert not ok
     assert str(rep.sections[("U0", "U1")][0]) == "x^-1"
@@ -202,9 +207,9 @@ def test_filtration_blocks_and_quotients(p1_space):
                                               LaurentPoly.zero(vars0)]})
     ext = extension_sheaf(sub, quot, coc)
     for j in range(1, ext.rank + 1):
-        filt = filtration(ext, j)
+        filt = filtration(ext, sub, quot, j)
         filt.verify()
-    filt = filtration(ext, 2)
+    filt = filtration(ext, sub, quot, 2)
     # top piece is the exterior square of the sub factor
     top = diagonal_block(filt.ambient, filt.pieces[2])
     assert top.rank == 1
@@ -212,17 +217,12 @@ def test_filtration_blocks_and_quotients(p1_space):
     assert top.matrices[("U0", "U1")] == expected.matrices[("U0", "U1")]
 
 
-def test_filtration_requires_extension_metadata(p1_space):
-    spec = line_bundle(p1_space, 2)
-    with pytest.raises(ValueError):
-        filtration(spec, 1)
-
-
 # ------------------------------------------------ memoised constructions
 
 
 def fresh(spec):
-    """A new spec with ``spec``'s data and no derived specs yet."""
+    """A spec outside the table with ``spec``'s data, so nothing is derived
+    from it yet."""
     return SheafSpec(spec.space, spec.rank, spec.matrices, check=False)
 
 
@@ -259,7 +259,7 @@ def test_unary_constructions_are_built_once(gt_model_doc, split_three_charts):
 
 
 def test_memo_keeps_each_operand_apart(p1_space):
-    # operands made and dropped one after another may reuse an id; the memo
+    # operands made and dropped one after another may reuse an id; the table
     # holds each one, so every result belongs to its own operand
     a = line_bundle(p1_space, 1)
     X = p1_space.cover.chart("U0").vars
@@ -268,7 +268,40 @@ def test_memo_keeps_each_operand_apart(p1_space):
             LaurentPoly.monomial(X, 1, (-1 - n,))
         assert entry(sheaf_hom(a, line_bundle(p1_space, n))) == \
             LaurentPoly.monomial(X, 1, (1 - n,))
-    assert len({id(operand) for operand, _ in a.derived.values()}) == 26
+    keys = [key for key in p1_space.specs if key[0] in ("tensor", "hom") and key[1] is a]
+    assert len({id(key[2]) for key in keys}) == 26
+
+
+def test_commands_build_one_spec_per_content_on_each_space(monkeypatch):
+    built = Counter()
+    init = SheafSpec.__init__
+
+    def counted(spec, space, rank, matrices, *args, **kwargs):
+        init(spec, space, rank, matrices, *args, **kwargs)
+        built[(space, rank, tuple(sorted(matrices.items())))] += 1
+
+    monkeypatch.setattr(SheafSpec, "__init__", counted)
+    models = sorted(p.name for p in resources.files("supercech.corpus").iterdir()
+                    if p.name.endswith(".model"))
+    for model in models:
+        for command in ("verify", "secondary", "a1-check", "obstruction", "report-all"):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                main([command, "--input", str(corpus_path(model))])
+    assert built and max(built.values()) == 1
+
+
+def test_checked_request_verifies_an_unchecked_spec(p1_space):
+    X, Y = (p1_space.cover.chart(c).vars for c in ("U0", "U1"))
+    # x^-1 and y^-2 are not inverse on the overlap
+    mats = {("U0", "U1"): columns_of([[LaurentPoly.monomial(X, 1, (-1,))]]),
+            ("U1", "U0"): columns_of([[LaurentPoly.monomial(Y, 1, (-2,))]])}
+    spec = sheaf_spec(p1_space, 1, mats)
+    assert sheaf_spec(p1_space, 1, dict(mats)) is spec and not spec.checked
+    with pytest.raises(CocycleError):
+        sheaf_spec(p1_space, 1, mats, check=True)
+    assert not spec.checked
+    good = sheaf_spec(p1_space, 1, line_bundle(p1_space, 3).matrices)
+    assert sheaf_spec(p1_space, 1, good.matrices, check=True) is good and good.checked
 
 
 def test_transported_matrices_are_cached(gt_model_doc, split_three_charts):
