@@ -4,7 +4,9 @@
 basis cochain of every graded space, the model class (representative and
 witness), and for every basis class with a >= 1 the cochain, canonical
 representative and witness of its differential and of its model-class
-image.  Each model's items are joined and hashed with sha256.  Re-record
+image.  One more entry pins the H^0 and H^1 basis cochains of line bundles
+on the three-chart cover, whose H^1 bases go through the cocycle relations
+on the triple.  Each entry's items are joined and hashed with sha256.  Re-record
 (only when a change of cochains is intended) with
 
     PYTHONPATH=src python tests/test_secondary_digest.py --record
@@ -16,24 +18,31 @@ import sys
 
 import pytest
 
+from supercech.cech import cohomology_basis
 from supercech.modelfile import parse_model_text
 from supercech.secondary import (model_class, model_class_map, secondary_differential,
                                  secondary_spaces)
+from supercech.sheaf import sheaf_dual, sheaf_exterior_power, sheaf_tensor
 
 from conftest import load_model, perfbench_models
+
+THREE_CHARTS = "split_p1_three_charts bases"
 
 RECORDED = {
     "gt_model_p1": "ea4afd106ceb075e1c3843493cb123255383076d405ad592419097eb92c85852",
     "gt(4, 4) seed 1": "0c35e4b8ef1605db208e2dc396e990220b05ef023b7c764e5e547556771f1821",
     "gt(4, 4) seed 7": "409a7d1fe406b2a1fb260806bb48c57778ebc2526a3044a8bfd329478b4aa4e8",
+    "gt(6, 6) seed 1": "840286467fbf2c0983efea3243106b680d162c8a6653716403fd03700ea94784",
+    THREE_CHARTS: "33ef919f605ce81b1cd28ad7d23c887c65f0143f1fcbe4bbeab21c00a97842d8",
 }
 
 
 def load(name: str):
     if name == "gt_model_p1":
         return load_model("gt_model_p1.model").gt_models["M"]
-    seed = int(name.rsplit(" ", 1)[1])
-    return parse_model_text(perfbench_models().gt_model(random.Random(seed), 4, 4)).gt_models["M"]
+    sizes, seed = name.split(" seed ")
+    d, r = map(int, sizes[len("gt("):-1].split(", "))
+    return parse_model_text(perfbench_models().gt_model(random.Random(int(seed)), d, r)).gt_models["M"]
 
 
 def _value(v) -> list[str]:
@@ -54,8 +63,24 @@ def items(m) -> list[str]:
     return out
 
 
+def three_chart_items() -> list[str]:
+    """Every H^0 and H^1 basis cochain of the odd spec of
+    ``split_p1_three_charts``, of its determinant, of that determinant's
+    dual and of dual (x) dual."""
+    _, odd = load_model("split_p1_three_charts.model").gluing.reduce()
+    det = sheaf_exterior_power(odd, 2)
+    dual = sheaf_dual(det)
+    out = []
+    for label, spec in (("odd", odd), ("det", det), ("dual", dual),
+                        ("dual (x) dual", sheaf_tensor(dual, dual))):
+        for p in (0, 1):
+            out += [f"{label} H^{p} #{i}\n{c}" for i, c in enumerate(cohomology_basis(spec, p))]
+    return out
+
+
 def digest(name: str) -> str:
-    return hashlib.sha256("\n\n".join(items(load(name))).encode()).hexdigest()
+    found = three_chart_items() if name == THREE_CHARTS else items(load(name))
+    return hashlib.sha256("\n\n".join(found).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED))
