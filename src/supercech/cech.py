@@ -17,10 +17,13 @@ pole order of the transition data, inside each chart's regularity cone
 (nonnegative exponents in that chart's own coordinates).  Monomial reduced
 coordinate changes move exponents affinely, so solutions outside the window
 are impossible by support bookkeeping and the linear solve is exact.
-:func:`cohomology_class` is the one decision: it reduces the cochain by the
-delta0 system of its sheaf and window, eliminated once per (sheaf, window),
-and returns a checked witness or the canonical residual;
-:func:`solve_coboundary` and :func:`is_coboundary` are views of it.
+:func:`delta0_window` derives or takes the window of every decision and
+refuses a system over the budget.  A delta0 system (:class:`_Delta0System`)
+is built and eliminated once per (sheaf, window) and kept in the space's
+table beside the specs.  :func:`cohomology_class` is the one decision: it
+reduces the cochain by that system and returns a checked witness or the
+canonical residual; :func:`solve_coboundary` and :func:`is_coboundary` are
+views of it.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from itertools import product as iproduct
 from .errors import CocycleError, WindowError
 from .laurent import Coef, LaurentPoly, add_into, collect
 from . import linalg
-from .sheaf import (SheafSpec, diagonal_block, frame_map, frames_leak, mat_mul,
-                    sheaf_hom, sheaf_spec, sheaf_tensor)
+from .sheaf import (SheafSpec, derived_spec, diagonal_block, frame_map, frames_leak,
+                    mat_mul, sheaf_hom, sheaf_spec, sheaf_tensor)
 
 WINDOW_CAP = 60
 # Largest delta0 system, in unknowns (charts x rank x window box), built for
@@ -260,70 +263,37 @@ def is_cocycle(c: CechCochain) -> bool:
 # ------------------------------------------------------------------ windows
 
 
-def auto_window(sheaf: SheafSpec, *cochains: CechCochain,
-                window: int | None = None) -> int:
-    if window is not None:
-        return window
-    bound = sheaf.max_pole_order() + 1
-    for c in cochains:
-        bound += c.max_exponent()
-    if bound > WINDOW_CAP:
-        raise WindowError(
-            f"derived window {bound} exceeds cap {WINDOW_CAP}; pass an explicit window")
-    return bound
-
-
-def _exp_tuples(nvars: int, lo: int, hi: int):
-    return iproduct(*[range(lo, hi + 1) for _ in range(nvars)])
-
-
-@dataclass
-class _Linearization:
-    """Images of delta applied to every windowed chart-regular 0-cochain
-    monomial, as sparse vectors over (overlap, frame, monomial) keys."""
-
-    unknowns: list[tuple]                              # ((chart,), frame, exps)
-    images: list[dict[tuple, Coef]]                    # per unknown
-    factor: tuple | None = field(default=None, repr=False, compare=False)  # _factor
-
-
-def _window_unknowns(sheaf: SheafSpec, bound: int) -> int:
-    """Unknowns of the delta0 system in window ``bound``: one per chart,
-    frame and exponent vector in the chart's window box."""
+def delta0_window(sheaf: SheafSpec, *cochains: CechCochain, window: int | None = None,
+                  degree: int | None = None) -> int:
+    """Window bound of the delta0 system behind a decision on ``sheaf``: the
+    class of ``cochains`` (``degree`` None) or the H^degree basis.  The
+    window is ``window``, or derived from the support of the sheaf and the
+    cochains and capped at WINDOW_CAP; H^1 witnesses may need exponents one
+    pole order beyond it.  A system of more than MAX_UNKNOWNS unknowns (one
+    per chart, frame and exponent vector in the chart's window box) raises
+    WindowError."""
+    bound = window
+    if bound is None:
+        bound = sheaf.max_pole_order() + 1 + sum(c.max_exponent() for c in cochains)
+        if bound > WINDOW_CAP:
+            raise WindowError(
+                f"derived window {bound} exceeds cap {WINDOW_CAP}; pass an explicit window")
+    if degree == 1:
+        bound += sheaf.max_pole_order() + 1
     cover = sheaf.space.cover
-    return sum(sheaf.rank * (bound + 1) ** len(cover.chart(name).vars)
-               for name in cover.order)
-
-
-def _check_budget(sheaf: SheafSpec, bound: int) -> None:
-    size = _window_unknowns(sheaf, bound)
+    size = sum(sheaf.rank * (bound + 1) ** len(cover.chart(name).vars) for name in cover.order)
     if size > MAX_UNKNOWNS:
         raise WindowError(
             f"exponent window 0..{bound} needs a delta0 system of {size} unknowns "
-            f"({len(sheaf.space.cover.order)} charts x rank {sheaf.rank} x window box), "
+            f"({len(cover.order)} charts x rank {sheaf.rank} x window box), "
             f"over the budget of {MAX_UNKNOWNS}; pass a smaller window")
+    return bound
 
 
-def _basis_bound(sheaf: SheafSpec, degree: int, bound: int) -> int:
-    """Window of the delta0 system behind an H^degree basis in window
-    ``bound``: H^1 witnesses may need exponents one pole-order beyond it."""
-    return bound if degree == 0 else bound + sheaf.max_pole_order() + 1
-
-
-def check_window(sheaf: SheafSpec, window: int | None, degree: int | None = None) -> None:
-    """Raise at once the WindowError over the system budget that deciding a
-    class on ``sheaf`` (``degree`` None) or its H^degree basis in the
-    explicit ``window`` would raise; derived windows are checked when the
-    system is built."""
-    if window is not None and sheaf.rank:
-        _check_budget(sheaf, window if degree is None else _basis_bound(sheaf, degree, window))
-
-
-def _delta0_linearization(sheaf: SheafSpec, bound: int) -> _Linearization:
-    cache = sheaf.linearizations
-    if bound in cache:
-        return cache[bound]
-    _check_budget(sheaf, bound)
+def _delta0_images(sheaf: SheafSpec, bound: int) -> tuple[list[tuple], list[dict[tuple, Coef]]]:
+    """The unknowns ``((chart,), frame, exps)``, one per windowed
+    chart-regular 0-cochain monomial, and the image of delta on each as a
+    sparse vector over ``(overlap, frame, exps)`` keys."""
     cover = sheaf.space.cover
     space = sheaf.space
     overlaps = cover.canonical_overlaps()
@@ -340,7 +310,7 @@ def _delta0_linearization(sheaf: SheafSpec, bound: int) -> _Linearization:
                      space.exponent_map(o[0], o[1], vars) if o[1] == chart else None)
                     for o in overlaps if chart in o]
         for frame in range(sheaf.rank):
-            for exps in _exp_tuples(len(vars), 0, bound):
+            for exps in iproduct(*[range(bound + 1)] * len(vars)):
                 contrib: dict[tuple, Coef] = {}
                 for o, leads, emap in touching:
                     if leads:
@@ -362,24 +332,13 @@ def _delta0_linearization(sheaf: SheafSpec, bound: int) -> _Linearization:
                                     contrib[key] = s
                 unknowns.append(((chart,), frame, exps))
                 images.append(contrib)
-    lin = _Linearization(unknowns, images)
-    cache[bound] = lin
-    return lin
+    return unknowns, images
 
 
-def _cochain_keys(c: CechCochain) -> dict[tuple, Coef]:
-    """The cochain as a sparse vector over (tuple, frame, exponents) keys."""
-    return {(key, frame, exps): coef for key, frames in c.sections.items()
-            for frame, poly in frames.items() for exps, coef in poly.terms.items()}
-
-
-def _keys_order(lin: _Linearization, cover, extra=()) -> list[tuple]:
-    """Keys of the delta images and of ``extra``, ordered by canonical
-    overlap, frame and exponents."""
-    keys = set(extra)
-    for img in lin.images:
-        keys.update(img)
-    overlap_pos = {tuple(o): i for i, o in enumerate(cover.canonical_overlaps())}
+def _in_key_order(cover, keys) -> list[tuple]:
+    """``(tuple, frame, exps)`` keys ordered by canonical overlap, frame and
+    exponents."""
+    overlap_pos = {o: i for i, o in enumerate(cover.canonical_overlaps())}
     return sorted(keys, key=lambda k: (overlap_pos[k[0]], k[1], k[2]))
 
 
@@ -389,27 +348,49 @@ def _sparse_rows(columns: dict[tuple, int], vectors) -> list[linalg.Row]:
     return [[(columns[k], v) for k, v in vec.items() if k in columns] for vec in vectors]
 
 
-def _factor(lin: _Linearization, cover):
-    """The delta images of ``lin`` eliminated once over their own keys and
-    kept on ``lin``: ``(keys, columns, reducer)``, the keys in key order and
-    ``columns`` their positions."""
-    if lin.factor is None:
-        keys = _keys_order(lin, cover)
-        columns = {k: i for i, k in enumerate(keys)}
-        lin.factor = (keys, columns, linalg.SpanReducer(_sparse_rows(columns, lin.images)))
-    return lin.factor
+class _Delta0System:
+    """The delta0 system of ``sheaf`` in window ``bound``, eliminated once:
+    its ``unknowns`` (see :func:`_delta0_images`), the ``keys`` of the
+    images in key order, numbered by ``columns``, and the images eliminated
+    over those columns in ``reducer``.  The images themselves are not
+    kept."""
+
+    def __init__(self, sheaf: SheafSpec, bound: int):
+        self.sheaf = sheaf
+        self.unknowns, images = _delta0_images(sheaf, bound)
+        self.keys = _in_key_order(sheaf.space.cover, set().union(*images))
+        self.columns = {k: i for i, k in enumerate(self.keys)}
+        self.reducer = linalg.SpanReducer(_sparse_rows(self.columns, images))
+
+    def reduce(self, vector: dict[tuple, Coef]) -> tuple[dict[tuple, Coef], dict[int, Coef]]:
+        """``SpanReducer.reduce`` of a sparse vector over keys, with the
+        residual over keys; entries on keys outside the system's stay in the
+        residual unchanged."""
+        columns, keys = self.columns, self.keys
+        residual, multiples = self.reducer.reduce(
+            {columns[k]: v for k, v in vector.items() if k in columns})
+        out = {keys[i]: v for i, v in residual.items()}
+        out.update((k, v) for k, v in vector.items() if k not in columns)
+        return out, multiples
+
+    def cochain(self, solution: dict[int, Coef]) -> CechCochain:
+        """The 0-cochain with coefficient ``solution[u]`` on unknown u."""
+        return _cochain_from_values(self.sheaf, 0, ((self.unknowns[u], v)
+                                                    for u, v in solution.items()))
 
 
-def _reduce(factor, vector: dict[tuple, Coef]):
-    """``SpanReducer.reduce`` of a sparse vector over keys by a factor, with
-    the residual over keys; entries on keys outside the factor's stay in the
-    residual unchanged."""
-    keys, columns, reducer = factor
-    residual, multiples = reducer.reduce(
-        {columns[k]: v for k, v in vector.items() if k in columns})
-    out = {keys[i]: v for i, v in residual.items()}
-    out.update((k, v) for k, v in vector.items() if k not in columns)
-    return out, multiples
+def _delta0_linearization(sheaf: SheafSpec, bound: int) -> _Delta0System:
+    """The delta0 system of ``sheaf`` in window ``bound``, built once in the
+    space's table; called once per decision, with a window that
+    :func:`delta0_window` passed."""
+    return derived_spec(sheaf.space, ("delta0", sheaf, bound),
+                        lambda: _Delta0System(sheaf, bound))
+
+
+def _cochain_keys(c: CechCochain) -> dict[tuple, Coef]:
+    """The cochain as a sparse vector over (tuple, frame, exponents) keys."""
+    return {(key, frame, exps): coef for key, frames in c.sections.items()
+            for frame, poly in frames.items() for exps, coef in poly.terms.items()}
 
 
 def _cochain_from_values(sheaf: SheafSpec, degree: int, values) -> CechCochain:
@@ -469,14 +450,12 @@ def cohomology_class(c: CechCochain, window: int | None = None) -> CohomologyCla
     sheaf = c.sheaf
     if sheaf.rank == 0 or c.is_zero():
         return CohomologyClass(sheaf, 1, CechCochain(sheaf, 1), True, CechCochain(sheaf, 0))
-    lin = _delta0_linearization(sheaf, auto_window(sheaf, c, window=window))
-    factor = _factor(lin, sheaf.space.cover)
-    residual, multiples = _reduce(factor, _cochain_keys(c))
+    system = _delta0_linearization(sheaf, delta0_window(sheaf, c, window=window))
+    residual, multiples = system.reduce(_cochain_keys(c))
     if residual:
         return CohomologyClass(sheaf, 1, _cochain_from_values(sheaf, 1, residual.items()),
                                False, None)
-    sol = factor[2].combination(multiples)
-    witness = _cochain_from_values(sheaf, 0, ((lin.unknowns[u], v) for u, v in sol.items()))
+    witness = system.cochain(system.reducer.combination(multiples))
     if cech_delta(witness).sections != c.sections:
         raise CocycleError("internal error: witness does not reproduce the cocycle")
     return CohomologyClass(sheaf, 1, CechCochain(sheaf, 1), True, witness)
@@ -501,17 +480,14 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
     representatives are canonical and deterministic."""
     if sheaf.rank == 0:
         return []
-    bound = auto_window(sheaf, window=window)
-    cover = sheaf.space.cover
-    if degree == 0:
-        lin = _delta0_linearization(sheaf, bound)
-        _, _, reducer = _factor(lin, cover)
-        return [_cochain_from_values(sheaf, 0, ((lin.unknowns[u], v) for u, v in k.items()))
-                for k in reducer.kernel()]
-    if degree != 1:
+    if degree not in (0, 1):
         raise ValueError("cohomology_basis supports degrees 0 and 1")
-    # built first, so that a window over budget fails before any work
-    lin = _delta0_linearization(sheaf, _basis_bound(sheaf, 1, bound))
+    bound = delta0_window(sheaf, window=window, degree=degree)
+    system = _delta0_linearization(sheaf, bound)
+    if degree == 0:
+        return [system.cochain(k) for k in system.reducer.kernel()]
+    bound -= sheaf.max_pole_order() + 1    # the candidates' window
+    cover = sheaf.space.cover
 
     # candidate monomials on canonical overlaps, within each overlap's
     # regularity cone (negative exponents only in inverted coordinates)
@@ -534,11 +510,10 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
     else:
         cocycles = [{cand: 1} for cand in candidates]
 
-    factor = _factor(lin, cover)
-    keys = _keys_order(lin, cover, candidates)
-    residuals = [_reduce(factor, cocycle)[0] for cocycle in cocycles]
+    residuals = [system.reduce(cocycle)[0] for cocycle in cocycles]
     if not residuals:
         return []
+    keys = _in_key_order(cover, set().union(*residuals))
     rows = _sparse_rows({k: i for i, k in enumerate(keys)}, residuals)
     return [_cochain_from_values(sheaf, 1, ((keys[i], v) for i, v in row.items()))
             for row in linalg.SpanReducer(rows).basis()]

@@ -372,12 +372,16 @@ class SuperGluingData:
         Only this degree <= 1 part is checked, by the two constructors; call
         :meth:`require_valid` for the full cocycle conditions."""
         if self._reduced is None:
-            maps = {key: t.reduced_map() for key, t in self.transitions.items()}
+            maps, matrices = self._degree_one_part()
             space = ReducedSpace(self.cover, maps)
-            matrices = {key: columns_of(t.odd_matrix()) for key, t in self.transitions.items()}
             q = next(iter(self.cover.charts.values())).odd_rank
             self._reduced = space, sheaf_spec(space, q, matrices, check=True)
         return self._reduced
+
+    def _degree_one_part(self) -> tuple[dict, dict]:
+        """The reduced coordinate maps and the odd-bundle matrices, by overlap."""
+        return ({key: t.reduced_map() for key, t in self.transitions.items()},
+                {key: columns_of(t.odd_matrix()) for key, t in self.transitions.items()})
 
     def restrict_fiber(self, point: dict[str, Coef]) -> "SuperGluingData":
         """Evaluate the base coordinates at a rational point; the result is
@@ -439,14 +443,21 @@ class SuperGluingData:
 
     def conjugate(self, witnesses: dict[str, SuperTransition]) -> "SuperGluingData":
         """Apply chartwise coordinate changes: each transition t_ab becomes
-        w_b o t_ab o w_a^(-1)."""
+        w_b o t_ab o w_a^(-1).  When this data is reduced and the conjugate's
+        reduced maps and odd-bundle matrices equal its own, the conjugate
+        shares the reduction, and with it the space's spec table."""
         inverses = {name: invert_transition(w) for name, w in witnesses.items()}
         transitions = {}
         for (a, b), t in self.transitions.items():
             step = compose_transitions(inverses[a], t)
             transitions[(a, b)] = compose_transitions(step, witnesses[b])
-        return SuperGluingData(self.cover, transitions, self.base_vars,
+        conj = SuperGluingData(self.cover, transitions, self.base_vars,
                                self.declared_splitting_type)
+        if self._reduced is not None:
+            space, odd = self._reduced
+            if conj._degree_one_part() == (space.coordinate_maps, odd.matrices):
+                conj._reduced = self._reduced
+        return conj
 
     def embedding_splitting_triple(self, point: dict[str, Coef]):
         """Splitting-type triple (j'', j_b, j') of the fiber-wise embedding at

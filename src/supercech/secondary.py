@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
 
-from .cech import (CechCochain, CohomologyClass, ShortExactSequence, auto_window, cech_delta,
-                   check_window, cohomology_basis, cohomology_class, connecting_map,
-                   cup_product, extension_sheaf, is_coboundary, is_cocycle,
+from .cech import (CechCochain, CohomologyClass, ShortExactSequence, cech_delta,
+                   cohomology_basis, cohomology_class, connecting_map, cup_product,
+                   delta0_window, extension_sheaf, is_coboundary, is_cocycle,
                    solve_coboundary)
 from .errors import CocycleError, SupercechError
 from .gluing import SuperGluingData, restrict_odd
@@ -167,7 +167,7 @@ def secondary_spaces(m: GtModel, window: int | None = None) -> list[SecondarySpa
     for a, b, p in keys:
         spec = hom_into_quotient(m, a, b)
         if spec.rank:
-            check_window(spec, auto_window(spec, window=window), p)
+            delta0_window(spec, window=window, degree=p)
     return [secondary_space(m, a, b, p, window=window) for a, b, p in keys]
 
 
@@ -320,8 +320,7 @@ def refined_splitting_data(m: GtModel, cochain: CechCochain,
         # window over that sheaf's budget
         if not is_cocycle(cochain):
             raise CocycleError("input is not a cocycle")
-        bound = auto_window(cochain.sheaf, cochain, window=window)
-        check_window(cochain.sheaf, bound)
+        bound = delta0_window(cochain.sheaf, cochain, window=window)
     for b in nonempty:
         inside = set(filt.pieces[b])
         outside = _hom_frames([i for i in range(filt.ambient.rank) if i not in inside], P.rank)
@@ -389,9 +388,9 @@ def check_a1_window(m: GtModel, b: int, p: int, window: int | None) -> None:
     decided in (whether or not the space turns out to have a basis)."""
     spec = hom_into_quotient(m, 1, b)
     if spec.rank:
-        check_window(spec, auto_window(spec, window=window), p)
+        delta0_window(spec, window=window, degree=p)
     if window is not None and p == 0:
-        check_window(hom_into_quotient(m, 0, b + 1), window)
+        delta0_window(hom_into_quotient(m, 0, b + 1), window=window)
 
 
 # --------------------------------------------------- compatibility relation

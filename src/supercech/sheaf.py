@@ -28,7 +28,8 @@ major, so ``hom(A, B)`` has the Kronecker product of ``M_B`` and the dual's
 
 A spec is its content: :func:`sheaf_spec` keeps one per rank and matrices
 in the space's table ``specs``, which also holds each construction's result
-under its name and operands, e.g. ``("hom", a, b)`` (:func:`derived_spec`).
+under its name and operands, e.g. ``("hom", a, b)``, and each eliminated
+delta0 system under ``("delta0", spec, bound)`` (:func:`derived_spec`).
 """
 
 from __future__ import annotations
@@ -124,7 +125,6 @@ class SheafSpec:
         self.rank = int(rank)
         self.matrices = matrices
         self.checked = False  # _verify passed
-        self.linearizations: dict = {}  # cech._delta0_linearization by window bound
         self._transported: dict[tuple, Columns] = {}  # _matrix_in
         self._max_pole_order: int | None = None
         cover = space.cover
@@ -236,9 +236,11 @@ def sheaf_spec(space: ReducedSpace, rank: int, matrices: dict[tuple[str, str], C
     return spec
 
 
-def derived_spec(space: ReducedSpace, key: tuple, build) -> SheafSpec:
-    """``build()`` once per construction ``key`` on ``space``; the table holds
-    the operand specs in ``key``, so their ids cannot pass to other objects."""
+def derived_spec(space: ReducedSpace, key: tuple, build):
+    """``build()`` once per construction ``key`` on ``space``: a spec, or a
+    delta0 system under ``("delta0", sheaf, bound)``
+    (:func:`~supercech.cech._delta0_linearization`).  The table holds the
+    operand specs in ``key``, so their ids cannot pass to other objects."""
     spec = space.specs.get(key)
     if spec is None:
         spec = space.specs[key] = build()

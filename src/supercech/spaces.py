@@ -144,8 +144,9 @@ class ReducedSpace:
         self.cover = cover
         self.coordinate_maps = coordinate_maps
         self._neg_cache: dict[tuple[str, str], frozenset[str]] = {}
-        # one SheafSpec per (rank, sorted matrix items), and each construction's
-        # spec by its name and operands (sheaf.sheaf_spec, sheaf.derived_spec)
+        # one SheafSpec per (rank, sorted matrix items), each construction's
+        # spec by its name and operands, and each delta0 system by
+        # ("delta0", spec, window bound) (sheaf.sheaf_spec, sheaf.derived_spec)
         self.specs: dict[tuple, object] = {}
         # MonomialMap by (a, b, source variables)
         self._exponent_maps: dict[tuple, MonomialMap] = {}

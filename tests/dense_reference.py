@@ -418,28 +418,30 @@ def refined_splitting_data(m, cochain, level, window=None):
     (checked there); the lift is ``cochain - delta(w)``.  Returns
     ``(refined_b, secondary class)``."""
     from supercech import linalg
-    from supercech.cech import (_cochain_from_values, _cochain_keys, _delta0_linearization,
-                                _keys_order, auto_window, cech_delta, cohomology_class)
+    from supercech.cech import (_cochain_from_values, _cochain_keys, _delta0_images,
+                                cech_delta, cohomology_class, delta0_window)
     from supercech.secondary import _hom_frames, filtration_of, hom_into_quotient, parity_spec
     P = parity_spec(m, level)
     filt = filtration_of(m, level)
     sheaf = cochain.sheaf
+    overlap_pos = {o: i for i, o in enumerate(sheaf.space.cover.canonical_overlaps())}
     for b in range(level, 0, -1):
         inside = set(filt.pieces[b])
         if not inside:
             continue
         outside = set(_hom_frames([i for i in range(filt.ambient.rank) if i not in inside],
                                   P.rank))
-        lin = _delta0_linearization(sheaf, auto_window(sheaf, cochain, window=window))
+        unknowns, images = _delta0_images(sheaf, delta0_window(sheaf, cochain, window=window))
         rhs = {k: v for k, v in _cochain_keys(cochain).items() if k[1] in outside}
-        keys = [k for k in _keys_order(lin, sheaf.space.cover, rhs) if k[1] in outside]
+        keys = sorted({k for img in images for k in img if k[1] in outside} | set(rhs),
+                      key=lambda k: (overlap_pos[k[0]], k[1], k[2]))
         columns = {k: i for i, k in enumerate(keys)}
         reducer = linalg.SpanReducer([[(columns[k], v) for k, v in img.items() if k in columns]
-                                      for img in lin.images])
+                                      for img in images])
         residual, multiples = reducer.reduce({columns[k]: v for k, v in rhs.items()})
         if residual:
             continue
-        w = _cochain_from_values(sheaf, 0, ((lin.unknowns[u], v)
+        w = _cochain_from_values(sheaf, 0, ((unknowns[u], v)
                                             for u, v in reducer.combination(multiples).items()))
         lifted = cochain - cech_delta(w)
         assert not any(f in outside for frames in lifted.sections.values() for f in frames)

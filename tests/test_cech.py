@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from supercech.cech import (CechCochain, ShortExactSequence, cech_delta,
                             cohomology_basis, cohomology_class, connecting_map,
-                            cup_product, extension_sheaf, is_coboundary,
-                            is_cocycle, solve_coboundary)
+                            cup_product, delta0_window, extension_sheaf,
+                            is_coboundary, is_cocycle, solve_coboundary)
 from supercech.errors import CocycleError
 from supercech import linalg
 from supercech.laurent import LaurentPoly
@@ -220,6 +220,37 @@ def test_serre_duality_on_upper_triangular_bundles(p1_space, degrees, data):
     bundle = upper_triangular_bundle(p1_space, degrees, data)
     twisted = sheaf_tensor(sheaf_dual(bundle), line_bundle(p1_space, -2))
     assert len(cohomology_basis(bundle, 1)) == len(cohomology_basis(twisted, 0))
+
+
+@settings(max_examples=40)
+@given(st.lists(st.integers(-3, -1), min_size=1, max_size=2),
+       st.lists(st.integers(1, 3), min_size=1, max_size=2), st.data())
+def test_connecting_map_has_the_rank_exactness_gives(p1_space, sub_degrees, quot_degrees,
+                                                     data):
+    # 0 -> A -> B -> C -> 0 gives 0 -> H0(A) -> H0(B) -> H0(C) -> H1(A), so
+    # the connecting map on H0(C) has rank h0(A) - h0(B) + h0(C); the
+    # images are decided in one window, where canonical representatives
+    # are linear in the cocycle
+    sub = upper_triangular_bundle(p1_space, sub_degrees, data)
+    quot = upper_triangular_bundle(p1_space, quot_degrees, data)
+    hom = sheaf_hom(quot, sub)
+    vars = p1_space.cover.chart("U0").vars
+    # H1 of hom(C, A) = O(n) lives on the exponents n + 1 .. -1
+    entries = st.dictionaries(st.tuples(st.integers(-5, 0)), st.integers(-2, 2),
+                              min_size=1, max_size=3)
+    theta = CechCochain(hom, 1, {("U0", "U1"): [LaurentPoly(vars, data.draw(entries))
+                                                for _ in range(hom.rank)]})
+    total = extension_sheaf(sub, quot, theta)
+    ses = ShortExactSequence(total, list(range(sub.rank)))
+    images = [connecting_map(ses, s) for s in cohomology_basis(quot, 0)]
+    window = max((delta0_window(sub, c) for c in images), default=None)
+    reps = [cohomology_class(c, window=window).representative for c in images]
+    keys = sorted({(k, f, e) for r in reps for k, frames in r.sections.items()
+                   for f, p in frames.items() for e in p.terms})
+    matrix = [[r.sections[k].get(f, LaurentPoly.zero(vars)).terms.get(e, Qz) for r in reps]
+              for k, f, e in keys]
+    h0 = [len(cohomology_basis(spec, 0)) for spec in (sub, total, quot)]
+    assert qrank(matrix) == h0[0] - h0[1] + h0[2]
 
 
 def test_cohomology_basis_on_three_charts(split_three_charts):

@@ -120,6 +120,37 @@ def test_report_and_reduction_are_built_once():
         load_model("corrupt_sign.model").gluing.reduce()
 
 
+def test_conjugate_shares_the_reduction_only_when_it_is_unchanged():
+    from supercech.obstruction import scaling_witnesses
+    g = load_model("nonsplit_p1.model").gluing
+    assert g.conjugate(scaling_witnesses(g, 2))._reduced is None    # g not reduced yet
+    reduced = g.reduce()
+    # theta -> theta/2 on every chart commutes with the odd matrices
+    scaled = scaling_witnesses(g, 2)
+    assert g.conjugate(scaled).reduce() is reduced
+    # on one chart only it multiplies them by 2 or 1/2
+    one = g.conjugate({"U0": scaled["U0"], "U1": identity_transition(g.chart("U1"))})
+    one.require_valid()
+    assert one.reduce() is not reduced
+    assert one.reduce()[0].coordinate_maps == reduced[0].coordinate_maps
+    assert one.reduce()[1].matrices != reduced[1].matrices
+
+
+def test_attempt_split_conjugates_share_the_reduction():
+    # every conjugate attempt_split makes keeps the reduced space and odd
+    # spec of its input, so their specs and delta0 systems share one table
+    from supercech.obstruction import attempt_split
+    g = load_model("split_p1.model").gluing
+    ch = g.chart("U0")
+    witness = SuperTransition(ch, ch, {"x": P(ch, "x + x^2*theta_1*theta_2")},
+                              {1: P(ch, "theta_1"), 2: P(ch, "theta_2")})
+    gauged = g.conjugate({"U0": witness, "U1": identity_transition(g.chart("U1"))})
+    assert gauged.deviation_degree() == 2
+    result = attempt_split(gauged)
+    assert result.split and result.split_data is not gauged
+    assert result.split_data.reduce() is gauged.reduce()
+
+
 def test_restrict_fiber_of_two_parameter_family(two_parameter_family):
     g = two_parameter_family
     fib = g.restrict_fiber({"t1": Q(1), "t2": Q(2)})
