@@ -1,7 +1,9 @@
 """Plain references for the optimised kernels: dense exact elimination for
 the sparse ``linalg``, dense matrix helpers for the sparse columns of
 ``sheaf``, dense sheaf maps and dense-list cochain operations for the sparse
-Cech kernel and its frame-map cochains, a lift through each filtration
+Cech kernel and its frame-map cochains, the delta0 system of a whole sheaf
+eliminated in one piece for the blockwise decisions of ``cech``, a lift
+through each filtration
 piece solved on the whole sheaf for ``secondary.refined_splitting_data``,
 term-by-term substitution for ``spaces.MonomialMap``, element-level
 Grassmann products, powers and substitution for the raw kernel of
@@ -299,6 +301,137 @@ def delta(cochain):
             for (a, b, c) in cover.canonical_triples()}
 
 
+# The delta0 system of the whole sheaf, built and eliminated in one piece:
+# the reference for the decisions of ``cech``, which split a sheaf into the
+# blocks of its transition matrices.
+
+
+def delta0_images(sheaf, bound):
+    """The unknowns ``((chart,), frame, exps)``, one per windowed
+    chart-regular 0-cochain monomial, and the image of delta on each as a
+    sparse vector over ``(overlap, frame, exps)`` keys."""
+    from itertools import product
+    cover = sheaf.space.cover
+    space = sheaf.space
+    overlaps = cover.canonical_overlaps()
+    columns = {(a, b): sheaf._matrix_in(a, (b, a)) for (a, b) in overlaps}
+    unknowns, images = [], []
+    for chart in cover.order:
+        vars = cover.chart(chart).vars
+        touching = [(o, o[0] == chart,
+                     space.exponent_map(o[0], o[1], vars) if o[1] == chart else None)
+                    for o in overlaps if chart in o]
+        for frame in range(sheaf.rank):
+            for exps in product(*[range(bound + 1)] * len(vars)):
+                contrib = {}
+                for o, leads, emap in touching:
+                    if leads:
+                        key = (o, frame, exps)
+                        contrib[key] = contrib.get(key, 0) - 1
+                    if emap is not None:
+                        mono, mcoef = emap.term(exps, 1)
+                        for r, e in columns[o][frame]:
+                            for eexps, ecoef in e.terms.items():
+                                key = (o, r, tuple(x + y for x, y in zip(eexps, mono)))
+                                contrib[key] = contrib.get(key, 0) + ecoef * mcoef
+                unknowns.append(((chart,), frame, exps))
+                images.append({k: v for k, v in contrib.items() if v != 0})
+    return unknowns, images
+
+
+def key_order(cover, keys):
+    """``(tuple, frame, exps)`` keys by canonical overlap, frame and
+    exponents."""
+    overlap_pos = {o: i for i, o in enumerate(cover.canonical_overlaps())}
+    return sorted(keys, key=lambda k: (overlap_pos[k[0]], k[1], k[2]))
+
+
+def _eliminate(keys, vectors):
+    from supercech import linalg
+    columns = {k: i for i, k in enumerate(keys)}
+    return columns, linalg.SpanReducer(
+        [[(columns[k], v) for k, v in vec.items() if k in columns] for vec in vectors])
+
+
+class Delta0System:
+    """The images of every unknown of ``sheaf`` in window ``bound``, over
+    all their keys in key order, eliminated by one ``linalg.SpanReducer``."""
+
+    def __init__(self, sheaf, bound):
+        self.sheaf = sheaf
+        self.unknowns, images = delta0_images(sheaf, bound)
+        self.keys = key_order(sheaf.space.cover, set().union(*images))
+        self.columns, self.reducer = _eliminate(self.keys, images)
+
+    def reduce(self, vector):
+        """``(residual over keys, multiples)``; entries on keys outside the
+        system stay in the residual."""
+        residual, multiples = self.reducer.reduce(
+            {self.columns[k]: v for k, v in vector.items() if k in self.columns})
+        out = {self.keys[i]: v for i, v in residual.items()}
+        out.update((k, v) for k, v in vector.items() if k not in self.columns)
+        return out, multiples
+
+    def cochain(self, solution):
+        from supercech.cech import _cochain_from_values
+        return _cochain_from_values(self.sheaf, 0, ((self.unknowns[u], v)
+                                                    for u, v in solution.items()))
+
+
+def cohomology_class(c, window=None):
+    """``(trivial, representative, witness)`` of a 1-cocycle ``c`` from the
+    whole sheaf's system, in the window ``cech.cohomology_class`` uses: the
+    residual of ``c`` as a cochain (zero when trivial) and the combination
+    of independent unknowns that reaches ``c`` (``None`` when not)."""
+    from supercech.cech import (CechCochain, _cochain_from_values, _cochain_keys,
+                                delta0_window)
+    sheaf = c.sheaf
+    if sheaf.rank == 0 or c.is_zero():
+        return True, CechCochain(sheaf, 1), CechCochain(sheaf, 0)
+    system = Delta0System(sheaf, delta0_window(sheaf, c, window=window))
+    residual, multiples = system.reduce(_cochain_keys(c))
+    if residual:
+        return False, _cochain_from_values(sheaf, 1, residual.items()), None
+    return True, CechCochain(sheaf, 1), system.cochain(system.reducer.combination(multiples))
+
+
+def cohomology_basis(sheaf, degree, window=None):
+    """``cech.cohomology_basis`` from the whole sheaf's system: the kernel
+    relations as 0-cochains in degree 0, and in degree 1 the reduced row
+    echelon form of the residuals of every candidate cocycle."""
+    from itertools import product
+    from supercech.cech import _cochain_from_values, _cochain_keys, cech_delta, delta0_window
+    if sheaf.rank == 0:
+        return []
+    bound = delta0_window(sheaf, window=window, degree=degree)
+    system = Delta0System(sheaf, bound)
+    if degree == 0:
+        return [system.cochain(k) for k in system.reducer.kernel()]
+    bound -= sheaf.max_pole_order() + 1
+    cover = sheaf.space.cover
+    candidates = []
+    for (a, b) in cover.canonical_overlaps():
+        negatives = sheaf.space.negative_vars(a, b)
+        ranges = [range(-bound if v in negatives else 0, bound + 1)
+                  for v in cover.chart(a).vars]
+        candidates += [((a, b), frame, exps) for frame in range(sheaf.rank)
+                       for exps in product(*ranges)]
+    if cover.canonical_triples():
+        images = [_cochain_keys(cech_delta(_cochain_from_values(sheaf, 1, [(cand, 1)])))
+                  for cand in candidates]
+        _, relations = _eliminate(sorted(set().union(*images)), images)
+        cocycles = [{candidates[u]: v for u, v in k.items()} for k in relations.kernel()]
+    else:
+        cocycles = [{cand: 1} for cand in candidates]
+    residuals = [system.reduce(cocycle)[0] for cocycle in cocycles]
+    if not residuals:
+        return []
+    keys = key_order(cover, set().union(*residuals))
+    _, reduced = _eliminate(keys, residuals)
+    return [_cochain_from_values(sheaf, 1, ((keys[i], v) for i, v in row.items()))
+            for row in reduced.basis()]
+
+
 def cup_product(u, v):
     """``cech.cup_product`` with every product of components formed."""
     B = v.sheaf
@@ -418,8 +551,8 @@ def refined_splitting_data(m, cochain, level, window=None):
     (checked there); the lift is ``cochain - delta(w)``.  Returns
     ``(refined_b, secondary class)``."""
     from supercech import linalg
-    from supercech.cech import (_cochain_from_values, _cochain_keys, _delta0_images,
-                                cech_delta, cohomology_class, delta0_window)
+    from supercech.cech import (_cochain_from_values, _cochain_keys, cech_delta,
+                                cohomology_class, delta0_window)
     from supercech.secondary import _hom_frames, filtration_of, hom_into_quotient, parity_spec
     P = parity_spec(m, level)
     filt = filtration_of(m, level)
@@ -431,7 +564,7 @@ def refined_splitting_data(m, cochain, level, window=None):
             continue
         outside = set(_hom_frames([i for i in range(filt.ambient.rank) if i not in inside],
                                   P.rank))
-        unknowns, images = _delta0_images(sheaf, delta0_window(sheaf, cochain, window=window))
+        unknowns, images = delta0_images(sheaf, delta0_window(sheaf, cochain, window=window))
         rhs = {k: v for k, v in _cochain_keys(cochain).items() if k[1] in outside}
         keys = sorted({k for img in images for k in img if k[1] in outside} | set(rhs),
                       key=lambda k: (overlap_pos[k[0]], k[1], k[2]))
