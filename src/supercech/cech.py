@@ -17,13 +17,18 @@ pole order of the transition data, inside each chart's regularity cone
 (nonnegative exponents in that chart's own coordinates).  Monomial reduced
 coordinate changes move exponents affinely, so solutions outside the window
 are impossible by support bookkeeping and the linear solve is exact.
-:func:`delta0_window` derives or takes the window of every decision and
-refuses a system over the budget.  A delta0 system (:class:`_Delta0System`)
-is built and eliminated once per (sheaf, window) and kept in the space's
-table beside the specs.  :func:`cohomology_class` is the one decision: it
-reduces the cochain by that system and returns a checked witness or the
-canonical residual; :func:`solve_coboundary` and :func:`is_coboundary` are
-views of it.
+:func:`delta0_window` derives or takes the window of every decision from
+the whole sheaf and refuses a system over the budget.  Transition matrices
+never mix the frames of different blocks (:meth:`SheafSpec.blocks`), so the
+delta0 system of a sheaf is the direct sum of those of its diagonal blocks:
+a delta0 system (:class:`_Delta0System`) is built and eliminated once per
+(block, window) and kept in the space's table beside the specs, and equal
+blocks share it.  :func:`cohomology_class` is the one decision: it reduces
+each block's part of the cochain by that block's system and returns a
+checked witness or the canonical residual; :func:`solve_coboundary` and
+:func:`is_coboundary` are views of it.  A block's rows touch only its own
+columns, and its frames keep their order, so every result equals the one
+the whole sheaf's system gives.
 """
 
 from __future__ import annotations
@@ -379,12 +384,48 @@ class _Delta0System:
                                                     for u, v in solution.items()))
 
 
-def _delta0_linearization(sheaf: SheafSpec, bound: int) -> _Delta0System:
-    """The delta0 system of ``sheaf`` in window ``bound``, built once in the
-    space's table; called once per decision, with a window that
-    :func:`delta0_window` passed."""
-    return derived_spec(sheaf.space, ("delta0", sheaf, bound),
-                        lambda: _Delta0System(sheaf, bound))
+Blocks = list[tuple[tuple[int, ...], _Delta0System]]
+
+
+def _delta0_linearization(sheaf: SheafSpec, bound: int) -> Blocks:
+    """The delta0 system of ``sheaf`` in window ``bound``, block by block:
+    a ``(frames, system)`` pair per block of :meth:`SheafSpec.blocks`, where
+    ``system`` belongs to the interned diagonal block on ``frames`` and is
+    kept in the space's table under ``("delta0", block, bound)``, so equal
+    blocks share one, also across specs.  Called once per decision, with a
+    window that :func:`delta0_window` passed."""
+    space = sheaf.space
+
+    def system(block):
+        return derived_spec(space, ("delta0", block, bound), lambda: _Delta0System(block, bound))
+
+    return derived_spec(space, ("delta0 blocks", sheaf, bound), lambda: [
+        (frames, system(diagonal_block(sheaf, frames))) for frames in sheaf.blocks()])
+
+
+def _block_parts(sheaf: SheafSpec, c: "CechCochain") -> dict[int, dict[tuple, Coef]]:
+    """The cochain as sparse vectors over (tuple, frame, exponents) keys,
+    one per block it meets (by index in :meth:`SheafSpec.blocks`), with each
+    frame numbered within its block."""
+    where = derived_spec(sheaf.space, ("block frames", sheaf), lambda: {
+        f: (i, local) for i, frames in enumerate(sheaf.blocks())
+        for local, f in enumerate(frames)})
+    parts: dict[int, dict[tuple, Coef]] = {}
+    for key, frames in c.sections.items():
+        for f, poly in frames.items():
+            i, local = where[f]
+            part = parts.get(i)
+            if part is None:
+                part = parts[i] = {}
+            for exps, coef in poly.terms.items():
+                part[(key, local, exps)] = coef
+    return parts
+
+
+def _relabel(frames: tuple[int, ...], items):
+    """``(key, frame, exps)`` keys of a block, frames numbered within it, as
+    keys of the whole sheaf whose frames ``frames`` the block holds."""
+    return (((key, frames[f], exps), v) for (key, f, exps), v in items)
 
 
 def _cochain_keys(c: CechCochain) -> dict[tuple, Coef]:
@@ -450,12 +491,19 @@ def cohomology_class(c: CechCochain, window: int | None = None) -> CohomologyCla
     sheaf = c.sheaf
     if sheaf.rank == 0 or c.is_zero():
         return CohomologyClass(sheaf, 1, CechCochain(sheaf, 1), True, CechCochain(sheaf, 0))
-    system = _delta0_linearization(sheaf, delta0_window(sheaf, c, window=window))
-    residual, multiples = system.reduce(_cochain_keys(c))
+    blocks = _delta0_linearization(sheaf, delta0_window(sheaf, c, window=window))
+    # rows of one block never touch another block's columns, so each part
+    # reduces in its own block's system exactly as in the whole one
+    reduced = [(frames, system, *system.reduce(part))
+               for i, part in _block_parts(sheaf, c).items()
+               for frames, system in (blocks[i],)]
+    residual = [item for frames, _, r, _ in reduced for item in _relabel(frames, r.items())]
     if residual:
-        return CohomologyClass(sheaf, 1, _cochain_from_values(sheaf, 1, residual.items()),
-                               False, None)
-    witness = system.cochain(system.reducer.combination(multiples))
+        return CohomologyClass(sheaf, 1, _cochain_from_values(sheaf, 1, residual), False, None)
+    witness = _cochain_from_values(sheaf, 0, (
+        item for frames, system, _, multiples in reduced
+        for item in _relabel(frames, ((system.unknowns[u], v) for u, v in
+                                      system.reducer.combination(multiples).items()))))
     if cech_delta(witness).sections != c.sections:
         raise CocycleError("internal error: witness does not reproduce the cocycle")
     return CohomologyClass(sheaf, 1, CechCochain(sheaf, 1), True, witness)
@@ -477,18 +525,53 @@ def is_coboundary(c: CechCochain, window: int | None = None):
 
 def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -> list[CechCochain]:
     """Exact basis of H^degree within the (auto-derived) window;
-    representatives are canonical and deterministic."""
+    representatives are canonical and deterministic.  The basis of each
+    distinct block is computed once and moved onto the frames of each copy;
+    the union is put in the order the whole sheaf's system gives: H^0
+    relations by their dependent unknown, H^1 reduced rows by their pivot
+    key."""
     if sheaf.rank == 0:
         return []
     if degree not in (0, 1):
         raise ValueError("cohomology_basis supports degrees 0 and 1")
     bound = delta0_window(sheaf, window=window, degree=degree)
-    system = _delta0_linearization(sheaf, bound)
-    if degree == 0:
-        return [system.cochain(k) for k in system.reducer.kernel()]
-    bound -= sheaf.max_pole_order() + 1    # the candidates' window
+    blocks = _delta0_linearization(sheaf, bound)
     cover = sheaf.space.cover
+    if degree == 0:
+        position = {(name,): i for i, name in enumerate(cover.order)}
+        local_basis = _h0_basis
+    else:
+        position = {o: i for i, o in enumerate(cover.canonical_overlaps())}
+        candidates_bound = bound - sheaf.max_pole_order() - 1
 
+        def local_basis(system):
+            return _h1_basis(system, candidates_bound)
+    found: list[tuple[tuple, CechCochain]] = []
+    done: dict[_Delta0System, list[tuple[tuple, CechCochain]]] = {}
+    for frames, system in blocks:
+        local = done.get(system)
+        if local is None:
+            local = done[system] = local_basis(system)
+        found += [((position[key], frames[f], exps), c.extend(frames, sheaf))
+                  for (key, f, exps), c in local]
+    found.sort(key=lambda item: item[0])
+    return [c for _, c in found]
+
+
+def _h0_basis(system: _Delta0System) -> list[tuple[tuple, CechCochain]]:
+    """The kernel relations of a block's system as 0-cochains, each with
+    its dependent unknown."""
+    reducer = system.reducer
+    return [(system.unknowns[i], system.cochain(k))
+            for (i, _), k in zip(reducer.dependent, reducer.kernel())]
+
+
+def _h1_basis(system: _Delta0System, bound: int) -> list[tuple[tuple, CechCochain]]:
+    """The H^1 basis of a block, from its candidate cocycles in window
+    ``bound``: the reduced row echelon form of their residuals, each row with
+    its pivot key."""
+    sheaf = system.sheaf
+    cover = sheaf.space.cover
     # candidate monomials on canonical overlaps, within each overlap's
     # regularity cone (negative exponents only in inverted coordinates)
     candidates: list[tuple] = []
@@ -515,7 +598,7 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
         return []
     keys = _in_key_order(cover, set().union(*residuals))
     rows = _sparse_rows({k: i for i, k in enumerate(keys)}, residuals)
-    return [_cochain_from_values(sheaf, 1, ((keys[i], v) for i, v in row.items()))
+    return [(keys[min(row)], _cochain_from_values(sheaf, 1, ((keys[i], v) for i, v in row.items())))
             for row in linalg.SpanReducer(rows).basis()]
 
 

@@ -29,11 +29,15 @@ major, so ``hom(A, B)`` has the Kronecker product of ``M_B`` and the dual's
 A spec is its content: :func:`sheaf_spec` keeps one per rank and matrices
 in the space's table ``specs``, which also holds each construction's result
 under its name and operands, e.g. ``("hom", a, b)``, and each eliminated
-delta0 system under ``("delta0", spec, bound)`` (:func:`derived_spec`).
+delta0 system of a block under ``("delta0", block, bound)``
+(:func:`derived_spec`).  A spec's blocks (:meth:`SheafSpec.blocks`) are the
+frame sets its transition matrices never mix; equal blocks, within one spec
+or across specs, are one interned :func:`diagonal_block`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -127,6 +131,7 @@ class SheafSpec:
         self.checked = False  # _verify passed
         self._transported: dict[tuple, Columns] = {}  # _matrix_in
         self._max_pole_order: int | None = None
+        self._blocks: tuple[tuple[int, ...], ...] | None = None
         cover = space.cover
         for key in cover.overlaps:
             if key not in matrices:
@@ -213,6 +218,34 @@ class SheafSpec:
             self._max_pole_order = worst
         return self._max_pole_order
 
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The frames split into the blocks of the transition matrices: the
+        connected components of the graph on frames in which every nonzero
+        entry (i, j) of a matrix joins i and j.  Every matrix is block
+        diagonal in this partition, so the delta0 system of the sheaf is the
+        direct sum of those of its diagonal blocks.  Frames increase within
+        a block, and blocks are ordered by their first frame.  Computed
+        once."""
+        if self._blocks is None:
+            root = list(range(self.rank))    # the least frame of each component
+
+            def find(f):
+                while root[f] != f:
+                    root[f] = f = root[root[f]]
+                return f
+
+            for m in self.matrices.values():
+                for j, col in enumerate(m):
+                    for i, _ in col:
+                        a, b = find(i), find(j)
+                        if a != b:
+                            root[max(a, b)] = min(a, b)
+            groups: dict[int, list[int]] = {}
+            for f in range(self.rank):
+                groups.setdefault(find(f), []).append(f)
+            self._blocks = tuple(map(tuple, groups.values()))
+        return self._blocks
+
     def same_cover(self, other: "SheafSpec") -> bool:
         return self.space is other.space or (
             self.space.cover.order == other.space.cover.order
@@ -238,7 +271,7 @@ def sheaf_spec(space: ReducedSpace, rank: int, matrices: dict[tuple[str, str], C
 
 def derived_spec(space: ReducedSpace, key: tuple, build):
     """``build()`` once per construction ``key`` on ``space``: a spec, or a
-    delta0 system under ``("delta0", sheaf, bound)``
+    delta0 system under ``("delta0", block, bound)``
     (:func:`~supercech.cech._delta0_linearization`).  The table holds the
     operand specs in ``key``, so their ids cannot pass to other objects."""
     spec = space.specs.get(key)
@@ -378,9 +411,12 @@ def frames_leak(spec: SheafSpec, frames: list[int]) -> tuple | None:
     return None
 
 
-def diagonal_block(spec: SheafSpec, positions: list[int]) -> SheafSpec:
+def diagonal_block(spec: SheafSpec, positions: Sequence[int]) -> SheafSpec:
     """Spec of the frames at ``positions``: the diagonal blocks of the
-    transition matrices (unchecked, so callers pick blocks that are)."""
+    transition matrices (unchecked, so callers pick blocks that are).  Every
+    frame in increasing order is ``spec`` itself."""
+    if len(positions) == spec.rank and all(f == i for i, f in enumerate(positions)):
+        return spec
     position = {f: i for i, f in enumerate(positions)}
     return sheaf_spec(
         spec.space, len(positions),

@@ -14,10 +14,10 @@ import pytest
 
 import dense_reference as ref
 from supercech.cech import (CechCochain, cech_delta, cohomology_basis, cohomology_class,
-                            extension_sheaf)
+                            delta0_window, extension_sheaf)
 from supercech.laurent import LaurentPoly
 from supercech.modelfile import parse_model_text
-from supercech.secondary import secondary_spaces
+from supercech.secondary import secondary_space, secondary_spaces
 from supercech.sheaf import (diagonal_block, sheaf_dual, sheaf_exterior_power, sheaf_hom,
                              sheaf_spec, sheaf_tensor)
 
@@ -102,12 +102,16 @@ def direct_sum(*specs):
     return sheaf_spec(space, sum(s.rank for s in specs), mats, check=True)
 
 
-def interleaved(space, middle: int):
-    """An extension of O(1) by O(-3) on frames 0 and 2, and O(middle) on
-    frame 1 between them."""
-    sub, quot = line(space, -3), line(space, 1)
-    x = cohomology_basis(sheaf_hom(quot, sub), 1)[0]
-    ext = extension_sheaf(sub, quot, x)
+def interleaved(space, sub: int, quot: int, middle: int):
+    """An extension of O(quot) by O(sub) on frames 0 and 2, and O(middle)
+    on frame 1 between them.  The extension cocycle is the first H^1 basis
+    cochain of hom(O(quot), O(sub)), or a nonzero coboundary when there is
+    none, so frames 0 and 2 are one block."""
+    s, q = line(space, sub), line(space, quot)
+    hom = sheaf_hom(q, s)
+    x = (cohomology_basis(hom, 1) or [cech_delta(CechCochain(hom, 0, {
+        ("U0",): [LaurentPoly.const(space.cover.chart("U0").vars, 1)]}))])[0]
+    ext = extension_sheaf(s, q, x)
     return diagonal_block(direct_sum(ext, line(space, middle)), [0, 2, 1])
 
 
@@ -124,6 +128,47 @@ def test_direct_sums_of_line_bundles_decide_as_the_whole_system(cover, degrees):
 
 
 @pytest.mark.parametrize("cover", ["two charts", "three charts"])
-@pytest.mark.parametrize("middle", [1, -3])
-def test_interleaved_blocks_decide_as_the_whole_system(cover, middle):
-    assert_same_decisions(interleaved(_space(cover), middle))
+@pytest.mark.parametrize("degrees", [(-3, 1, 1), (-3, 1, -3), (1, -3, 1), (1, -3, -3)])
+def test_interleaved_blocks_decide_as_the_whole_system(cover, degrees):
+    """The block on frames 0 and 2 comes first in block order, but its H^0
+    relations or H^1 pivots on frame 2 come after those of frame 1."""
+    assert_same_decisions(interleaved(_space(cover), *degrees))
+
+
+# ------------------------------------------------------------------ sharing
+
+
+def test_blocks_are_the_components_of_the_transition_patterns():
+    space = _space("two charts")
+    one = line(space, 1)
+    spec = direct_sum(one, line(space, -3), one)
+    assert spec.blocks() == ((0,), (1,), (2,))
+    assert interleaved(space, -3, 1, 1).blocks() == ((0, 2), (1,))
+    assert one.blocks() == ((0,),)
+    # the frames of one block, in order, are the spec itself
+    assert diagonal_block(spec, [0, 1, 2]) is spec
+    assert diagonal_block(spec, [2]) is one
+
+
+def test_equal_blocks_share_one_system():
+    space = _space("two charts")
+    one, three = line(space, 1), line(space, -3)
+    spec = direct_sum(one, three, one)
+    cohomology_basis(spec, 0)
+    bound = delta0_window(spec, degree=0)
+    assert [key for key in space.specs if key[0] == "delta0"] == [
+        ("delta0", one, bound), ("delta0", three, bound)]
+
+
+def test_the_1_b_spaces_of_gt_4_4_hold_one_system_per_distinct_block():
+    m = parse_model_text(perfbench_models().gt_model(random.Random(1), 4, 4)).gt_models["M"]
+    copies, distinct = 0, set()
+    for b in range(m.base_rank + 1):
+        for p in (0, 1):
+            spec = secondary_space(m, 1, b, p).spec
+            bound = delta0_window(spec, degree=p)
+            copies += len(spec.blocks())
+            distinct |= {(diagonal_block(spec, frames), bound) for frames in spec.blocks()}
+    systems = [key[1:] for key in m.space.specs if key[0] == "delta0"]
+    assert set(systems) == distinct
+    assert (len(systems), copies) == (4, 32)
