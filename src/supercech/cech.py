@@ -34,6 +34,7 @@ the whole sheaf's system gives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product as iproduct
 
 from .errors import CocycleError, WindowError
@@ -384,10 +385,8 @@ class _Delta0System:
                                                     for u, v in solution.items()))
 
 
-Blocks = list[tuple[tuple[int, ...], _Delta0System]]
-
-
-def _delta0_linearization(sheaf: SheafSpec, bound: int) -> Blocks:
+def _delta0_linearization(sheaf: SheafSpec,
+                          bound: int) -> list[tuple[tuple[int, ...], _Delta0System]]:
     """The delta0 system of ``sheaf`` in window ``bound``, block by block:
     a ``(frames, system)`` pair per block of :meth:`SheafSpec.blocks`, where
     ``system`` belongs to the interned diagonal block on ``frames`` and is
@@ -494,9 +493,10 @@ def cohomology_class(c: CechCochain, window: int | None = None) -> CohomologyCla
     blocks = _delta0_linearization(sheaf, delta0_window(sheaf, c, window=window))
     # rows of one block never touch another block's columns, so each part
     # reduces in its own block's system exactly as in the whole one
-    reduced = [(frames, system, *system.reduce(part))
-               for i, part in _block_parts(sheaf, c).items()
-               for frames, system in (blocks[i],)]
+    reduced = []
+    for i, part in _block_parts(sheaf, c).items():
+        frames, system = blocks[i]
+        reduced.append((frames, system, *system.reduce(part)))
     residual = [item for frames, _, r, _ in reduced for item in _relabel(frames, r.items())]
     if residual:
         return CohomologyClass(sheaf, 1, _cochain_from_values(sheaf, 1, residual), False, None)
@@ -542,10 +542,7 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
         local_basis = _h0_basis
     else:
         position = {o: i for i, o in enumerate(cover.canonical_overlaps())}
-        candidates_bound = bound - sheaf.max_pole_order() - 1
-
-        def local_basis(system):
-            return _h1_basis(system, candidates_bound)
+        local_basis = partial(_h1_basis, bound=bound - sheaf.max_pole_order() - 1)
     found: list[tuple[tuple, CechCochain]] = []
     done: dict[_Delta0System, list[tuple[tuple, CechCochain]]] = {}
     for frames, system in blocks:
@@ -598,7 +595,8 @@ def _h1_basis(system: _Delta0System, bound: int) -> list[tuple[tuple, CechCochai
         return []
     keys = _in_key_order(cover, set().union(*residuals))
     rows = _sparse_rows({k: i for i, k in enumerate(keys)}, residuals)
-    return [(keys[min(row)], _cochain_from_values(sheaf, 1, ((keys[i], v) for i, v in row.items())))
+    return [(keys[min(row)],
+             _cochain_from_values(sheaf, 1, ((keys[i], v) for i, v in row.items())))
             for row in linalg.SpanReducer(rows).basis()]
 
 
