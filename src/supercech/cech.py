@@ -482,7 +482,7 @@ def cohomology_class(c: CechCochain, window: int | None = None) -> CohomologyCla
     """The one coboundary decision for a 1-cocycle ``c``: trivial with a
     witness w, delta(w) = c, or the canonical representative, the residual
     of ``c`` after eliminating the image of delta in a fixed key order.  The
-    delta0 system is eliminated once per (sheaf, window)."""
+    delta0 system of each block is eliminated once per (block, window)."""
     if c.degree != 1:
         raise ValueError("class formation implemented for degree 1")
     if not is_cocycle(c):

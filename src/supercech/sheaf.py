@@ -270,9 +270,9 @@ def sheaf_spec(space: ReducedSpace, rank: int, matrices: dict[tuple[str, str], C
 
 
 def derived_spec(space: ReducedSpace, key: tuple, build):
-    """``build()`` once per construction ``key`` on ``space``: a spec, or a
-    delta0 system under ``("delta0", block, bound)``
-    (:func:`~supercech.cech._delta0_linearization`).  The table holds the
+    """``build()`` once per construction ``key`` on ``space``: a spec, a
+    delta0 system under ``("delta0", block, bound)``, or the blocks of a
+    sheaf's system (:func:`~supercech.cech._delta0_linearization`).  The table holds the
     operand specs in ``key``, so their ids cannot pass to other objects."""
     spec = space.specs.get(key)
     if spec is None:
