@@ -402,7 +402,7 @@ def _delta0_linearization(sheaf: SheafSpec,
         (frames, system(diagonal_block(sheaf, frames))) for frames in sheaf.blocks()])
 
 
-def _block_parts(sheaf: SheafSpec, c: "CechCochain") -> dict[int, dict[tuple, Coef]]:
+def _block_parts(sheaf: SheafSpec, c: CechCochain) -> dict[int, dict[tuple, Coef]]:
     """The cochain as sparse vectors over (tuple, frame, exponents) keys,
     one per block it meets (by index in :meth:`SheafSpec.blocks`), with each
     frame numbered within its block."""
