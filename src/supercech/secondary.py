@@ -7,10 +7,18 @@ cocycle theta valued in hom(fiber, base).  The exterior powers of the
 extension bundle carry the filtration by base-factor count, held as frame
 lists of the exterior power (:class:`~supercech.sheaf.FilteredSheaf`); the
 graded spaces, the connecting differentials between them, and the
-cup-with-theta construction are all computed exactly.  Each question is
-decided once: the model class by one class decision, its cross-check as an
-identity of cochains, and a refined lift by one coboundary solve per
-filtration piece.
+cup-with-theta construction are all computed exactly.  The differential
+out of gr_b is the connecting map of the two-step quotient
+gr_{b+1} -> F_b/F_{b+2} -> gr_b under hom(P, .), so its image is valued in
+the graded space itself.  Each question is decided once: the model class by
+one class decision, its cross-check as an identity of cochains, and a
+refined lift by one coboundary solve per filtration piece.
+
+A model keeps no cache: the space's table (:func:`~supercech.sheaf.derived_spec`)
+holds each filtration under ``("filtration", ext, sub, quot, level)``, each
+two-step sequence under ``("two-step sequence", total_odd, base_spec,
+fiber_spec, level, b)`` and each theta pairing under ``("theta pairing",
+base_rank, fiber_rank, a, b, rank_p, sign)``.
 """
 
 from __future__ import annotations
@@ -28,8 +36,8 @@ from .gluing import SuperGluingData, restrict_odd
 from .grassmann import GrassmannElement, _index_mask, _koszul_sign
 from .laurent import Coef, LaurentPoly, div
 from .obstruction import cotangent_spec, deviation_cochain
-from .sheaf import (SheafSpec, diagonal_block, filtration, sheaf_exterior_power,
-                    sheaf_hom, sheaf_tensor, trivial_spec)
+from .sheaf import (SheafSpec, derived_spec, diagonal_block, filtration,
+                    sheaf_exterior_power, sheaf_hom, sheaf_tensor, trivial_spec)
 from .spaces import ReducedSpace
 
 
@@ -40,8 +48,6 @@ class GtModel:
     base_spec: SheafSpec
     theta: CechCochain          # 1-cocycle valued in hom(fiber_spec, base_spec)
     total_odd: SheafSpec        # extension_sheaf(base_spec, fiber_spec, theta)
-    # filtrations, sequences and pairing matrices, built on first use
-    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def base_rank(self) -> int:
@@ -95,12 +101,6 @@ def _identity_section(hom_ff: SheafSpec, q: int) -> CechCochain:
         for name in cover.order}, trusted=True)
 
 
-def _cached(m: GtModel, key, builder):
-    if key not in m._cache:
-        m._cache[key] = builder()
-    return m._cache[key]
-
-
 def parity_spec(m: GtModel, level: int) -> SheafSpec:
     """Source of the hom sheaves: the extension bundle at odd levels, the
     cotangent spec of the reduced space at even levels."""
@@ -119,14 +119,7 @@ def hom_into_quotient(m: GtModel, a: int, b: int) -> SheafSpec:
 
 
 def filtration_of(m: GtModel, level: int):
-    return _cached(m, ("filtration", level),
-                   lambda: filtration(m.total_odd, m.base_spec, m.fiber_spec, level))
-
-
-def _positions(frames: list[int], within: list[int]) -> list[int]:
-    """The position in ``within`` of each of ``frames``."""
-    position = {f: i for i, f in enumerate(within)}
-    return [position[f] for f in frames]
+    return filtration(m.total_odd, m.base_spec, m.fiber_spec, level)
 
 
 def _hom_frames(frames: list[int], rank_p: int) -> list[int]:
@@ -176,7 +169,6 @@ class SecondaryValue:
     """Image cochain of a differential/model-class map, with decidability."""
 
     cochain: CechCochain
-    degree: int
     decided: bool                 # False: zero by absence of higher cochains
     cls: CohomologyClass | None   # canonical class when degree <= 1
 
@@ -189,20 +181,22 @@ class SecondaryValue:
 def _finalize(c: CechCochain, window=None) -> SecondaryValue:
     if c.degree <= 1:
         cls = cohomology_class(c, window=window) if c.degree == 1 else None
-        return SecondaryValue(c, c.degree, True, cls)
+        return SecondaryValue(c, True, cls)
     decided = not c.sheaf.space.cover.canonical_triples()
-    return SecondaryValue(c, c.degree, decided or c.is_zero(), None)
+    return SecondaryValue(c, decided or c.is_zero(), None)
 
 
 def secondary_differential(m: GtModel, a: int, b: int, p: int,
                            nu: CechCochain, window: int | None = None) -> SecondaryValue:
-    """Connecting map of hom(P, F_{b+1}) -> hom(P, F_b) -> hom(P, F_b/F_{b+1})
-    followed by the projection onto the (a-1, b+1) graded piece."""
+    """Connecting map of hom(P, gr_{b+1}) -> hom(P, F_b/F_{b+2}) ->
+    hom(P, gr_b), valued in the (a-1, b+1) graded space."""
     return _finalize(_differential_image(m, a, b, p, nu), window)
 
 
 def _differential_image(m: GtModel, a: int, b: int, p: int, nu: CechCochain) -> CechCochain:
-    """The cochain :func:`secondary_differential` decides."""
+    """The cochain :func:`secondary_differential` decides.  By naturality
+    of the connecting map it is also the graded part of the connecting image
+    in hom(P, F_{b+1}) -> hom(P, F_b) -> hom(P, gr_b)."""
     level = a + b
     P = parity_spec(m, level)
     out_quot = quotient_spec(m, a - 1, b + 1) if a >= 1 else None
@@ -210,25 +204,31 @@ def _differential_image(m: GtModel, a: int, b: int, p: int, nu: CechCochain) -> 
         spec = hom_into_quotient(m, a - 1, b + 1) if out_quot is not None else \
             sheaf_hom(P, sheaf_exterior_power(m.fiber_spec, m.fiber_rank + 1))
         return CechCochain(spec, p + 1)
-    filt = filtration_of(m, level)
-
-    def build_ses():
-        # F_{b+1} inside F_b, expanded through hom(P, .) (target index major),
-        # and the frames of F_{b+1} -> F_{b+1}/F_{b+2} among those of F_{b+1}
-        piece = diagonal_block(filt.ambient, filt.pieces[b])
-        inner = _positions(filt.pieces[b + 1], filt.pieces[b])
-        graded = _positions(filt.graded[b + 1], filt.pieces[b + 1])
-        return (ShortExactSequence(sheaf_hom(P, piece), _hom_frames(inner, P.rank)),
-                _hom_frames(graded, P.rank))
-
-    ses, graded = _cached(m, ("ses", level, b), build_ses)
     if nu.degree != p:
         raise ValueError(f"nu has degree {nu.degree}, not {p}")
-    # the same frame maps, valued in the quotient of the sequence (which
-    # connecting_map checks against nu's sheaf)
-    nu_q = CechCochain(ses.quot, p, nu.sections, trusted=True)
-    conn = connecting_map(ses, nu_q)
-    return conn.restrict(graded, hom_into_quotient(m, a - 1, b + 1))
+    return connecting_map(_two_step_sequence(m, level, b), nu)
+
+
+def _two_step_sequence(m: GtModel, level: int, b: int) -> ShortExactSequence:
+    """hom(P, gr_{b+1}) -> hom(P, F_b/F_{b+2}) -> hom(P, gr_b) at ``level``,
+    with F_b/F_{b+2} the diagonal block of the exterior power on the frames
+    of gr_b and gr_{b+1}, expanded through hom(P, .) (target index major).
+    Its sub and quotient are the interned hom_into_quotient specs, since each
+    graded block is the product of exterior powers
+    (:meth:`~supercech.sheaf.FilteredSheaf.verify`).  Built once per model
+    specs, level and b, in the space's table."""
+    P = parity_spec(m, level)
+
+    def build():
+        filt = filtration_of(m, level)
+        frames = sorted(filt.graded[b] + filt.graded[b + 1])
+        inner = set(filt.graded[b + 1])
+        return ShortExactSequence(
+            sheaf_hom(P, diagonal_block(filt.ambient, frames)),
+            _hom_frames([i for i, f in enumerate(frames) if f in inner], P.rank))
+
+    return derived_spec(m.space, ("two-step sequence", m.total_odd, m.base_spec,
+                                  m.fiber_spec, level, b), build)
 
 
 # -------------------------------------------------------- model class map
@@ -298,8 +298,9 @@ def _model_class_image(m: GtModel, a: int, b: int, p: int, nu: CechCochain) -> C
     out_spec = hom_into_quotient(m, a - 1, b + 1)
     if out_quot.rank == 0 or P.rank == 0:
         return CechCochain(out_spec, p + 1)
-    TM = _cached(m, ("theta pairing", a, b, P.rank),
-                 lambda: _theta_pairing_matrix(m, a, b, P.rank, MODEL_CLASS_MAP_SIGN))
+    sign = MODEL_CLASS_MAP_SIGN
+    TM = derived_spec(m.space, ("theta pairing", m.base_rank, m.fiber_rank, a, b, P.rank, sign),
+                      lambda: _theta_pairing_matrix(m, a, b, P.rank, sign))
     return cup_product(m.theta, nu).map(TM, out_spec)
 
 
@@ -383,7 +384,7 @@ def verify_a1_containment(m: GtModel, b: int, p: int = 0,
         lhs = _finalize(left, window)
         right = _differential_image(m, 1, b, p, nu)
         rhs = lhs if left.sheaf is right.sheaf and left == right else _finalize(right, window)
-        if lhs.degree == 1:
+        if left.degree == 1:
             equal = lhs.cls.representative == rhs.cls.representative
             report.samples.append(ContainmentSample(
                 i, lhs.cls.trivial, rhs.cls.trivial, equal))

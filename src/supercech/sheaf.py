@@ -28,11 +28,13 @@ major, so ``hom(A, B)`` has the Kronecker product of ``M_B`` and the dual's
 
 A spec is its content: :func:`sheaf_spec` keeps one per rank and matrices
 in the space's table ``specs``, which also holds each construction's result
-under its name and operands, e.g. ``("hom", a, b)``, and each eliminated
-delta0 system of a block under ``("delta0", block, bound)``
-(:func:`derived_spec`).  A spec's blocks (:meth:`SheafSpec.blocks`) are the
-frame sets its transition matrices never mix; equal blocks, within one spec
-or across specs, are one interned :func:`diagonal_block`.
+under its name and operands, e.g. ``("hom", a, b)``, each filtration under
+``("filtration", ext, sub, quot, degree)``, each eliminated delta0 system
+of a block under ``("delta0", block, bound)``, and the two-step sequences
+and theta pairings of :mod:`supercech.secondary` (:func:`derived_spec`).
+A spec's blocks (:meth:`SheafSpec.blocks`) are the frame sets its
+transition matrices never mix; equal blocks, within one spec or across
+specs, are one interned :func:`diagonal_block`.
 """
 
 from __future__ import annotations
@@ -271,9 +273,11 @@ def sheaf_spec(space: ReducedSpace, rank: int, matrices: dict[tuple[str, str], C
 
 def derived_spec(space: ReducedSpace, key: tuple, build):
     """``build()`` once per construction ``key`` on ``space``: a spec, a
-    delta0 system under ``("delta0", block, bound)``, or the blocks of a
-    sheaf's system (:func:`~supercech.cech._delta0_linearization`).  The table holds the
-    operand specs in ``key``, so their ids cannot pass to other objects."""
+    filtration, a delta0 system under ``("delta0", block, bound)``, the
+    blocks of a sheaf's system (:func:`~supercech.cech._delta0_linearization`),
+    or a secondary sequence or pairing.  Keys hold interned specs and
+    integers; the table holds the operand specs in ``key``, so their ids
+    cannot pass to other objects."""
     spec = space.specs.get(key)
     if spec is None:
         spec = space.specs[key] = build()
@@ -427,7 +431,13 @@ def diagonal_block(spec: SheafSpec, positions: Sequence[int]) -> SheafSpec:
 
 def filtration(ext: SheafSpec, sub: SheafSpec, quot: SheafSpec, degree: int) -> FilteredSheaf:
     """Filtration of the degree-th exterior power of ``ext``, an extension of
-    ``quot`` by ``sub`` (its first frames), by the count of sub-factors."""
+    ``quot`` by ``sub`` (its first frames), by the count of sub-factors;
+    built once per operands, in the space's table."""
+    return derived_spec(ext.space, ("filtration", ext, sub, quot, degree),
+                        lambda: _filtration(ext, sub, quot, degree))
+
+
+def _filtration(ext: SheafSpec, sub: SheafSpec, quot: SheafSpec, degree: int) -> FilteredSheaf:
     amb = sheaf_exterior_power(ext, degree)
     idxs = list(combinations(range(ext.rank), degree))
     counts = [sum(1 for i in I if i < sub.rank) for I in idxs]

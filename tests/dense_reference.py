@@ -3,8 +3,9 @@ the sparse ``linalg``, dense matrix helpers for the sparse columns of
 ``sheaf``, dense sheaf maps and dense-list cochain operations for the sparse
 Cech kernel and its frame-map cochains, the delta0 system of a whole sheaf
 eliminated in one piece for the blockwise decisions of ``cech``, a lift
-through each filtration
-piece solved on the whole sheaf for ``secondary.refined_splitting_data``,
+through each filtration piece solved on the whole sheaf for
+``secondary.refined_splitting_data``, the coboundary on the whole exterior
+power for the two-step connecting maps of ``secondary``,
 term-by-term substitution for ``spaces.MonomialMap``, element-level
 Grassmann products, powers and substitution for the raw kernel of
 ``grassmann``, an expression parser that builds one Grassmann element per
@@ -582,6 +583,30 @@ def refined_splitting_data(m, cochain, level, window=None):
                                  hom_into_quotient(m, level - b, b))
         return b, cohomology_class(graded, window=window)
     return None, None
+
+
+def secondary_differential(m, a, b, p, nu):
+    """The cochain of ``secondary.secondary_differential`` with a >= 1 from
+    the whole exterior power: nu extended by zero onto the gr_b frames of
+    hom(P, Λ^(a+b) of the extension bundle), its coboundary there, read off
+    on the gr_(b+1) frames.  The coboundary lies in F_(b+1), since nu is a
+    cocycle of gr_b and F_b is a subsheaf; its gr_(b+2) part is dropped.
+    Every step is dense, and no piece, quotient or sequence is built."""
+    from supercech.cech import CechCochain
+    from supercech.secondary import _hom_frames, filtration_of, hom_into_quotient, parity_spec
+    from supercech.sheaf import sheaf_hom
+    level = a + b
+    P = parity_spec(m, level)
+    filt = filtration_of(m, level)
+    whole = sheaf_hom(P, filt.ambient)
+    lifted = CechCochain(whole, p, extend(nu, _hom_frames(filt.graded[b], P.rank), whole.rank))
+    boundary = delta(lifted)
+    kept = set(_hom_frames(filt.pieces[b + 1], P.rank))
+    assert all(v[f].is_zero() for v in boundary.values() for f in range(whole.rank)
+               if f not in kept)
+    inside = _hom_frames(filt.graded[b + 1], P.rank)
+    return CechCochain(hom_into_quotient(m, a - 1, b + 1), p + 1,
+                       {k: [v[f] for f in inside] for k, v in boundary.items()})
 
 
 # ---------------------------------------------------------- Laurent layer

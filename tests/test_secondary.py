@@ -286,6 +286,24 @@ def test_secondary_dimensions_are_copies_of_one_hom(fiber_specs, seed, charts, b
         assert space.dimension == comb(base_rank, space.b) * h, (space.a, space.b, space.p)
 
 
+@settings(max_examples=12)
+@given(st.integers(0, 2 ** 32), st.sampled_from([2, 3]))
+def test_differential_is_the_coboundary_on_the_whole_exterior_power(fiber_specs, seed, charts):
+    # fibers of rank 1 and 2; with rank 2 the two-step quotient F_b/F_{b+2}
+    # is smaller than F_b when a = 2
+    from dense_reference import secondary_differential as dense_differential
+    from supercech.secondary import hom_into_quotient
+    rng = random.Random(seed)
+    m = _random_extension(rng, rng.choice(fiber_specs[charts]), rng.randint(1, 3))
+    for space in secondary_spaces(m):
+        if space.a == 0 or not space.basis:
+            continue
+        for nu in rng.sample(space.basis, min(2, space.dimension)):
+            got = secondary_differential(m, space.a, space.b, space.p, nu).cochain
+            assert got.sheaf is hom_into_quotient(m, space.a - 1, space.b + 1)
+            assert got == dense_differential(m, space.a, space.b, space.p, nu)
+
+
 @settings(max_examples=30)
 @given(st.integers(0, 2 ** 32))
 def test_refined_splitting_data_matches_the_quotient_decisions(M, fiber_specs, seed):
