@@ -605,32 +605,22 @@ def _h1_basis(system: _Delta0System, bound: int) -> list[tuple[tuple, CechCochai
 
 def cup_product(u: CechCochain, v: CechCochain) -> CechCochain:
     """(u cup v)_{i0..ip+q} = u_{i0..iq} (x) v_{iq..iq+p}, transported into
-    the leading chart; values in the tensor sheaf (left factor index major)."""
+    the leading chart; values in the tensor sheaf (left factor index major).
+    Both degrees are 0 or 1."""
     A, B = u.sheaf, v.sheaf
     if not A.same_cover(B):
         raise CocycleError("cup factors on different covers")
-    target = sheaf_tensor(A, B)
-    cover = A.space.cover
     qdeg, pdeg = u.degree, v.degree
+    if qdeg not in (0, 1) or pdeg not in (0, 1):
+        raise ValueError(f"cup product for degrees ({qdeg},{pdeg}) not supported")
     us, vs, n = u.sections, v.sections, B.rank
     out: dict[tuple, FrameMap] = {}
-    if (qdeg, pdeg) == (0, 0):
-        for name in cover.order:
-            out[(name,)] = _tensor_vec(us[(name,)], vs[(name,)], n)
-        return CechCochain(target, 0, out, trusted=True)
-    if (qdeg, pdeg) == (1, 0):
-        for (a, b) in cover.canonical_overlaps():
-            out[(a, b)] = _tensor_vec(us[(a, b)], B.transport(b, a, vs[(b,)]), n)
-        return CechCochain(target, 1, out, trusted=True)
-    if (qdeg, pdeg) == (0, 1):
-        for (a, b) in cover.canonical_overlaps():
-            out[(a, b)] = _tensor_vec(us[(a,)], vs[(a, b)], n)
-        return CechCochain(target, 1, out, trusted=True)
-    if (qdeg, pdeg) == (1, 1):
-        for (a, b, c) in cover.canonical_triples():
-            out[(a, b, c)] = _tensor_vec(us[(a, b)], B.transport(b, a, vs[(b, c)]), n)
-        return CechCochain(target, 2, out, trusted=True)
-    raise ValueError(f"cup product for degrees ({qdeg},{pdeg}) not supported")
+    for key in canonical_keys(A.space.cover, qdeg + pdeg):
+        right = vs[key[qdeg:]]
+        if qdeg == 1:
+            right = B.transport(key[1], key[0], right)
+        out[key] = _tensor_vec(us[key[:qdeg + 1]], right, n)
+    return CechCochain(sheaf_tensor(A, B), qdeg + pdeg, out, trusted=True)
 
 
 def _tensor_vec(u: FrameMap, v: FrameMap, rank_v: int) -> FrameMap:

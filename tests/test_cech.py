@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -300,6 +301,15 @@ def test_cup_leibniz_on_three_charts(split_three_charts):
         # degree-1 cup degree-0 ordering: (delta u) cup b has the transported
         # b; u cup (delta b) keeps u on the leading chart
         assert lhs == rhs
+
+
+def test_cup_of_a_degree_two_factor_is_refused(split_three_charts):
+    space, odd = split_three_charts.reduce()
+    u = random_cochain(random.Random(4), odd, 0)
+    w = cech_delta(random_cochain(random.Random(5), trivial_spec(space, 1), 1))
+    for left, right, degrees in ((u, w, "(0,2)"), (w, u, "(2,0)")):
+        with pytest.raises(ValueError, match=re.escape(f"degrees {degrees} not supported")):
+            cup_product(left, right)
 
 
 def test_cup_well_defined_on_classes(p1_space):
