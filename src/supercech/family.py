@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SupercechError
-from .gluing import INFINITY, SuperGluingData, SuperTransition
+from .gluing import INFINITY, SuperGluingData, SuperTransition, _first_discrepancy
 from .grassmann import GrassmannElement
 from .laurent import Coef, LaurentPoly, div
 from .obstruction import scaling_action, scaling_witnesses
@@ -145,18 +145,10 @@ class GluedFamily:
                      for ch in charts}
         high = self.piece_high.gluing.pull_back(charts, inverse_t, low.base_vars)
         for key, got in conj.transitions.items():
-            expected = high.transitions[key]
-            if got != expected:
-                for v in got.target.vars:
-                    if got.even_maps[v] != expected.even_maps[v]:
-                        return WitnessReport(
-                            False, f"overlap {key}: even map {v} differs by "
-                                   f"{got.even_maps[v] - expected.even_maps[v]}")
-                for b in range(1, got.target.odd_rank + 1):
-                    if got.odd_maps[b] != expected.odd_maps[b]:
-                        return WitnessReport(
-                            False, f"overlap {key}: odd map theta_{b} differs by "
-                                   f"{got.odd_maps[b] - expected.odd_maps[b]}")
+            found = _first_discrepancy(got, high.transitions[key])
+            if found is not None:
+                kind, name, diff = found
+                return WitnessReport(False, f"overlap {key}: {kind} map {name} differs by {diff}")
         return WitnessReport(True)
 
 

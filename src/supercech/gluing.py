@@ -327,12 +327,12 @@ class SuperGluingData:
             comp = compose_transitions(tab, tba)
             checks += 1
             if not comp.is_identity():
-                failures.append(CheckFailure("inverse", (a, b), _first_discrepancy(
+                failures.append(CheckFailure("inverse", (a, b), _discrepancy_detail(
                     comp, identity_transition(self.chart(a)))))
             comp = compose_transitions(tba, tab)
             checks += 1
             if not comp.is_identity():
-                failures.append(CheckFailure("inverse", (b, a), _first_discrepancy(
+                failures.append(CheckFailure("inverse", (b, a), _discrepancy_detail(
                     comp, identity_transition(self.chart(b)))))
         for (a, b, c) in self.cover.triples:
             via = compose_transitions(self.transitions[(a, b)], self.transitions[(b, c)])
@@ -340,7 +340,7 @@ class SuperGluingData:
             checks += 1
             if via != direct:
                 failures.append(CheckFailure("triple", (a, b, c),
-                                             _first_discrepancy(via, direct)))
+                                             _discrepancy_detail(via, direct)))
         if self.is_family:
             for (a, b), t in self.transitions.items():
                 for tv in self.base_vars:
@@ -500,13 +500,24 @@ class EmbeddingTriple:
     lemma_holds: bool
 
 
-def _first_discrepancy(got: SuperTransition, expected: SuperTransition) -> str:
+def _first_discrepancy(got: SuperTransition,
+                       expected: SuperTransition) -> tuple[str, str, GrassmannElement] | None:
+    """The first coordinate map in which ``got`` differs from ``expected``,
+    even maps first: ``(kind, name, got - expected)`` with ``kind`` "even"
+    or "odd" and ``name`` the coordinate (``theta_b`` for odd ones), or
+    ``None`` when every map agrees."""
     for v in expected.target.vars:
         if got.even_maps[v] != expected.even_maps[v]:
-            diff = got.even_maps[v] - expected.even_maps[v]
-            return f"{v}: discrepancy {diff}"
+            return "even", v, got.even_maps[v] - expected.even_maps[v]
     for b in range(1, expected.target.odd_rank + 1):
         if got.odd_maps[b] != expected.odd_maps[b]:
-            diff = got.odd_maps[b] - expected.odd_maps[b]
-            return f"theta_{b}: discrepancy {diff}"
-    return "no discrepancy (?)"
+            return "odd", f"theta_{b}", got.odd_maps[b] - expected.odd_maps[b]
+    return None
+
+
+def _discrepancy_detail(got: SuperTransition, expected: SuperTransition) -> str:
+    found = _first_discrepancy(got, expected)
+    if found is None:
+        return "no discrepancy (?)"
+    _, name, diff = found
+    return f"{name}: discrepancy {diff}"

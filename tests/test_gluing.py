@@ -76,6 +76,7 @@ def test_corrupted_sign_fails_with_witness():
     assert report.failures[0].kind == "inverse"
     assert report.failures[0].location == ("U0", "U1")
     assert "theta_1" in report.failures[0].detail
+    assert report.failures[0].detail == "theta_1: discrepancy (-2)*theta_1"
 
 
 def test_splitting_type(split_p1, nonsplit_p1, nonsplit_p1_level3):
