@@ -345,6 +345,8 @@ def _report_all(args, doc, rep: Reporter, window) -> int:
             rep.emit("attempt_split.split", result.split)
     for name, m in doc.gt_models.items():
         rep.emit(f"gtmodel.{name}.class_trivial", _checked_class(m).trivial)
+        if m.base_rank == 0:
+            continue    # no level for the A1 check, as in a1-check
         r = verify_a1_containment(m, m.base_rank - 1, 0, window=window)
         rep.emit(f"gtmodel.{name}.a1_ok", r.ok)
         if not r.ok:

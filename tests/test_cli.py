@@ -235,6 +235,25 @@ def test_a1_check_level_at_the_base_rank_is_decided(capsys):
     assert code == 0 and "M.b=3.dimension: 7" in out
 
 
+def test_report_all_on_base_rank_zero_has_no_a1_check(tmp_path, capsys):
+    # a1-check runs the levels 0..base_rank - 1, none here; report-all
+    # skips its one check the same way
+    path = tmp_path / "base_rank_zero.model"
+    path.write_text("\n".join([
+        "format 1", "chart U0", "  fiber x", "  odd 0", "chart U1", "  fiber y", "  odd 0",
+        "overlap U0 U1", "overlap U1 U0", "transition U0 U1", "  y = 1/x",
+        "transition U1 U0", "  x = 1/y", "sheaf TX", "  rank 1", "  matrix U0 U1", "    x^-4",
+        "  matrix U1 U0", "    y^-4", "gtmodel M", "  fiber_sheaf TX", "  base_rank 0",
+        "  theta U0 U1", ""]))
+    code, out, err = run_cli(capsys, "report-all", "--input", str(path),
+                             "--format", "structured")
+    assert (code, err) == (0, "")
+    assert "gtmodel.M.class_trivial=True" in out.splitlines()
+    assert "a1_ok" not in out
+    code, out, _ = run_cli(capsys, "a1-check", "--input", str(path))
+    assert (code, out.strip()) == (0, "")
+
+
 def test_a1_check_fails_with_the_wrong_pairing_sign(monkeypatch, capsys):
     # the opposite sign of the theta pairing breaks the containment on every
     # b with nonzero samples, so the check can fail
