@@ -502,10 +502,8 @@ class EmbeddingTriple:
 
 def _first_discrepancy(got: SuperTransition,
                        expected: SuperTransition) -> tuple[str, str, GrassmannElement] | None:
-    """The first coordinate map in which ``got`` differs from ``expected``,
-    even maps first: ``(kind, name, got - expected)`` with ``kind`` "even"
-    or "odd" and ``name`` the coordinate (``theta_b`` for odd ones), or
-    ``None`` when every map agrees."""
+    """``(kind, name, got - expected)`` of the first coordinate map that
+    differs, even ("even", v) before odd ("odd", theta_b), or ``None``."""
     for v in expected.target.vars:
         if got.even_maps[v] != expected.even_maps[v]:
             return "even", v, got.even_maps[v] - expected.even_maps[v]
@@ -517,7 +515,4 @@ def _first_discrepancy(got: SuperTransition,
 
 def _discrepancy_detail(got: SuperTransition, expected: SuperTransition) -> str:
     found = _first_discrepancy(got, expected)
-    if found is None:
-        return "no discrepancy (?)"
-    _, name, diff = found
-    return f"{name}: discrepancy {diff}"
+    return "no discrepancy (?)" if found is None else f"{found[1]}: discrepancy {found[2]}"

@@ -7,18 +7,13 @@ cocycle theta valued in hom(fiber, base).  The exterior powers of the
 extension bundle carry the filtration by base-factor count, held as frame
 lists of the exterior power (:class:`~supercech.sheaf.FilteredSheaf`); the
 graded spaces, the connecting differentials between them, and the
-cup-with-theta construction are all computed exactly.  The differential
-out of gr_b is the connecting map of the two-step quotient
-gr_{b+1} -> F_b/F_{b+2} -> gr_b under hom(P, .), so its image is valued in
-the graded space itself.  Each question is decided once: the model class by
-one class decision, its cross-check as an identity of cochains, and a
-refined lift by one coboundary solve per filtration piece.
-
-A model keeps no cache: the space's table (:func:`~supercech.sheaf.derived_spec`)
-holds each filtration under ``("filtration", ext, sub, quot, level)``, each
-two-step sequence under ``("two-step sequence", total_odd, base_spec,
-fiber_spec, level, b)`` and each theta pairing under ``("theta pairing",
-base_rank, fiber_rank, a, b, rank_p, sign)``.
+cup-with-theta construction are all computed exactly; the differential
+out of gr_b is the connecting map of gr_{b+1} -> F_b/F_{b+2} -> gr_b under
+hom(P, .).  Each question is decided once: the model class by one class
+decision, its cross-check as an identity of cochains, and a refined lift by
+one coboundary solve per filtration piece.  A model keeps no cache: the
+space's table (:func:`~supercech.sheaf.derived_spec`) holds its
+filtrations, two-step sequences and theta pairings.
 """
 
 from __future__ import annotations
@@ -211,12 +206,9 @@ def _differential_image(m: GtModel, a: int, b: int, p: int, nu: CechCochain) -> 
 
 def _two_step_sequence(m: GtModel, level: int, b: int) -> ShortExactSequence:
     """hom(P, gr_{b+1}) -> hom(P, F_b/F_{b+2}) -> hom(P, gr_b) at ``level``,
-    with F_b/F_{b+2} the diagonal block of the exterior power on the frames
-    of gr_b and gr_{b+1}, expanded through hom(P, .) (target index major).
-    Its sub and quotient are the interned hom_into_quotient specs, since each
-    graded block is the product of exterior powers
-    (:meth:`~supercech.sheaf.FilteredSheaf.verify`).  Built once per model
-    specs, level and b, in the space's table."""
+    F_b/F_{b+2} the diagonal block on the frames of gr_b and gr_{b+1}; sub
+    and quotient are interned hom_into_quotient specs, as each graded block
+    is a product of exterior powers (:meth:`~supercech.sheaf.FilteredSheaf.verify`)."""
     P = parity_spec(m, level)
 
     def build():

@@ -272,12 +272,10 @@ def sheaf_spec(space: ReducedSpace, rank: int, matrices: dict[tuple[str, str], C
 
 
 def derived_spec(space: ReducedSpace, key: tuple, build):
-    """``build()`` once per construction ``key`` on ``space``: a spec, a
-    filtration, a delta0 system under ``("delta0", block, bound)``, the
-    blocks of a sheaf's system (:func:`~supercech.cech._delta0_linearization`),
-    or a secondary sequence or pairing.  Keys hold interned specs and
-    integers; the table holds the operand specs in ``key``, so their ids
-    cannot pass to other objects."""
+    """``build()`` once per construction ``key`` (interned specs and
+    integers) on ``space``: a spec, a filtration, a delta0 system, the blocks
+    of a sheaf's system, or a secondary sequence or pairing.  The table holds
+    the operand specs in ``key``, so their ids cannot pass to other objects."""
     spec = space.specs.get(key)
     if spec is None:
         spec = space.specs[key] = build()
