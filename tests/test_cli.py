@@ -412,7 +412,9 @@ def test_valid_model_for_malformed_variants(tmp_path, capsys):
     assert code == 0 and "gtmodel.M.class_trivial: False" in out
 
 
-@pytest.mark.parametrize("lineno,text", [
+# (line, text) rows: VALID_MODEL with the lines from ``line`` on replaced by
+# ``text`` is malformed at that line
+MALFORMED_MODELS = [
     (1, "format x"),
     (2, "chart"),
     (4, "  odd q"),
@@ -454,7 +456,10 @@ def test_valid_model_for_malformed_variants(tmp_path, capsys):
     (11, "  y = " + "7" * 5000 + "/x"),
     (11, "  theta_" + "1" * 5000 + " = 0"),
     (20, "gtmodel M\n  fiber_sheaf TX\n  base_rank 3000000\n  # no theta block\n  #"),
-])
+]
+
+
+@pytest.mark.parametrize("lineno,text", MALFORMED_MODELS)
 def test_malformed_model_is_input_error_with_location(tmp_path, capsys, lineno, text):
     path = tmp_path / "bad.model"
     path.write_text(_with_line(lineno, text))
@@ -511,12 +516,16 @@ def test_base_atlas_coordinate_on_no_chart_of_a_family_is_input_error(tmp_path, 
     assert f"line {lineno}, column 1: base atlas coordinate 'q' is on no chart" in err
 
 
-@pytest.mark.parametrize("block,lineno", [
+# (block, line) rows: VALID_MODEL followed by ``block`` is malformed at that line
+MALFORMED_ATLASES = [
     ("baseatlas\n  base_vars t\n", 26),
     ("baseatlas\n  base_vars t s u\n", 26),
     ("baseatlas\n  witness_exponent -2\n", 25),
     ("baseatlas\n  base_vars t t\n", 26),
-])
+]
+
+
+@pytest.mark.parametrize("block,lineno", MALFORMED_ATLASES)
 def test_malformed_base_atlas_is_input_error_with_location(tmp_path, capsys, block, lineno):
     path = tmp_path / "bad.model"
     path.write_text(VALID_MODEL + block)
