@@ -59,7 +59,7 @@ for i, nu in enumerate(space.basis):
         print("  differential image:",
               dense(rhs.cls.representative))
         shown += 1
-rep = verify_a1_containment(m, 2, 0)
+rep = verify_a1_containment(m, 2)
 print("all", rep.dimension, "basis classes agree:", rep.ok)
 
 print()

@@ -180,7 +180,11 @@ class CechCochain:
         ``sheaf`` (of rank ``len(frames)``)."""
         if len(frames) != sheaf.rank:
             raise ValueError(f"{len(frames)} frames for a sheaf of rank {sheaf.rank}")
-        position = {f: i for i, f in enumerate(frames)}
+        return self._restricted({f: i for i, f in enumerate(frames)}, sheaf)
+
+    def _restricted(self, position: dict[int, int], sheaf: SheafSpec) -> "CechCochain":
+        """Component ``f`` as component ``position[f]``, for the frames
+        ``position`` maps, as a cochain valued in ``sheaf``."""
         return CechCochain(sheaf, self.degree, {
             k: {i: p for f, p in v.items() if (i := position.get(f)) is not None}
             for k, v in self.sections.items()}, trusted=True)
@@ -466,9 +470,6 @@ class CohomologyClass:
     trivial: bool
     witness: CechCochain | None = None
 
-    def is_zero(self) -> bool:
-        return self.trivial
-
     def scale(self, c) -> "CohomologyClass":
         return CohomologyClass(self.sheaf, self.degree, self.representative.scale(c),
                                self.trivial, self.witness.scale(c) if self.witness else None)
@@ -644,6 +645,7 @@ class ShortExactSequence:
     sub_frames: list[int]
     quot_frames: list[int] = field(init=False)
     sub: SheafSpec = field(init=False)
+    _sub_position: dict[int, int] = field(init=False, compare=False, repr=False)
     quot: SheafSpec = field(init=False)
     _verified: bool = field(default=False, init=False, compare=False, repr=False)
 
@@ -654,6 +656,9 @@ class ShortExactSequence:
         if len(chosen) != len(self.sub_frames) or any(not 0 <= f < n for f in chosen):
             raise ValueError(f"sub frames {self.sub_frames} are not distinct frames of rank {n}")
         self.quot_frames = [f for f in range(n) if f not in chosen]
+        # where each sub frame goes in the subsheaf, built once for every
+        # connecting map through this sequence
+        self._sub_position = {f: i for i, f in enumerate(self.sub_frames)}
         self.sub = diagonal_block(self.total, self.sub_frames)
         self.quot = diagonal_block(self.total, self.quot_frames)
 
@@ -684,7 +689,7 @@ def connecting_map(ses: ShortExactSequence, c: CechCochain) -> CechCochain:
     # exactly when c is a cocycle, that is when restricting the boundary to
     # the sub frames drops no nonzero component
     boundary = cech_delta(c.extend(ses.quot_frames, ses.total))
-    result = boundary.restrict(ses.sub_frames, ses.sub)
+    result = boundary._restricted(ses._sub_position, ses.sub)
     if any(len(v) != len(r) for v, r in zip(boundary.sections.values(),
                                             result.sections.values())):
         raise CocycleError("connecting map needs a cocycle")

@@ -165,7 +165,7 @@ def _dispatch(args, doc, rep: Reporter) -> int:
         if doc.gluing is not None:
             r = doc.gluing.verify_cocycle()
             failures = [str(f) for f in r.failures]
-            declared = doc.gluing.declared_splitting_type
+            declared = doc.declared_splitting_type
             if r.ok and declared is not None:
                 actual = doc.gluing.deviation_degree()
                 if actual != declared:
@@ -281,9 +281,9 @@ def _dispatch(args, doc, rep: Reporter) -> int:
                 raise ParseError(f"--level {args.level} is out of range 0..{m.base_rank} "
                                  f"for gtmodel {name}")
             for b in bs:
-                check_a1_window(m, b, 0, window)
+                check_a1_window(m, b, window=window)
             for b in bs:
-                r = verify_a1_containment(m, b, 0, window=window)
+                r = verify_a1_containment(m, b, window=window)
                 rep.emit(f"{name}.b={b}.dimension", r.dimension)
                 rep.emit(f"{name}.b={b}.ok", r.ok)
                 rep.emit(f"{name}.b={b}.nonzero_samples",
@@ -347,7 +347,7 @@ def _report_all(args, doc, rep: Reporter, window) -> int:
         rep.emit(f"gtmodel.{name}.class_trivial", _checked_class(m).trivial)
         if m.base_rank == 0:
             continue    # no level for the A1 check, as in a1-check
-        r = verify_a1_containment(m, m.base_rank - 1, 0, window=window)
+        r = verify_a1_containment(m, m.base_rank - 1, window=window)
         rep.emit(f"gtmodel.{name}.a1_ok", r.ok)
         if not r.ok:
             code = EXIT_FAIL

@@ -22,7 +22,12 @@ class FamilySpec:
     base_vars: tuple[str, ...]
 
     def fiber(self, point: dict[str, Coef]) -> SuperGluingData:
-        return self.gluing.restrict_fiber(point)
+        """The fiber over ``point``, which assigns exactly this family's base
+        coordinates; base coordinates of the gluing data that the family
+        does not name stay base coordinates of the fiber."""
+        if set(point) != set(self.base_vars):
+            raise ValueError(f"point must assign exactly the base coordinates {self.base_vars}")
+        return self.gluing.evaluate_base(point)
 
 
 def extend_with_base(g: SuperGluingData, base_vars: tuple[str, ...]) -> SuperGluingData:
@@ -43,8 +48,7 @@ def extend_with_base(g: SuperGluingData, base_vars: tuple[str, ...]) -> SuperGlu
             even[v] = GrassmannElement.even_var(src.vars, src.odd_rank, v)
         odd = {k: _extend(gr, src) for k, gr in t.odd_maps.items()}
         transitions[(a, b)] = SuperTransition(src, cover.chart(b), even, odd, check=False)
-    return SuperGluingData(cover, transitions, base_vars=tuple(g.base_vars) + tuple(base_vars),
-                           declared_splitting_type=g.declared_splitting_type)
+    return SuperGluingData(cover, transitions, base_vars=tuple(g.base_vars) + tuple(base_vars))
 
 
 def _extend(g: GrassmannElement, chart: Chart) -> GrassmannElement:

@@ -66,9 +66,6 @@ class SuperTransition:
 
     # ---------------------------------------------------------------- helpers
 
-    def images(self) -> tuple[dict[str, GrassmannElement], dict[int, GrassmannElement]]:
-        return self.even_maps, self.odd_maps
-
     def apply(self, element: GrassmannElement) -> GrassmannElement:
         """Pull an element in target-chart coordinates back to source-chart
         coordinates through this transition."""
@@ -276,11 +273,10 @@ class SuperGluingData:
     reduced space and odd-bundle spec in ``_reduced``."""
 
     def __init__(self, cover: Cover, transitions: dict[tuple[str, str], SuperTransition],
-                 base_vars: tuple[str, ...] = (), declared_splitting_type: int | None = None):
+                 base_vars: tuple[str, ...] = ()):
         self.cover = cover
         self.transitions = dict(transitions)
         self.base_vars = tuple(base_vars)
-        self.declared_splitting_type = declared_splitting_type
         self._report: VerificationReport | None = None
         self._reduced: tuple[ReducedSpace, SheafSpec] | None = None
         for key in cover.overlaps:
@@ -301,9 +297,6 @@ class SuperGluingData:
 
     def chart(self, name: str) -> Chart:
         return self.cover.chart(name)
-
-    def transition(self, a: str, b: str) -> SuperTransition:
-        return self.transitions[(a, b)]
 
     # ---------------------------------------------------------- verification
 
@@ -451,8 +444,7 @@ class SuperGluingData:
         for (a, b), t in self.transitions.items():
             step = compose_transitions(inverses[a], t)
             transitions[(a, b)] = compose_transitions(step, witnesses[b])
-        conj = SuperGluingData(self.cover, transitions, self.base_vars,
-                               self.declared_splitting_type)
+        conj = SuperGluingData(self.cover, transitions, self.base_vars)
         if self._reduced is not None:
             space, odd = self._reduced
             if conj._degree_one_part() == (space.coordinate_maps, odd.matrices):

@@ -1,6 +1,6 @@
 """Declarative text format for gluing data, sheaf specs and gt models.
 
-Grammar (line oriented; ``#`` starts a comment; indentation is free)::
+Grammar (line oriented; ``#`` starts a comment)::
 
     format 1
     chart NAME
@@ -24,6 +24,16 @@ Grammar (line oriented; ``#`` starts a comment; indentation is free)::
       base_rank N
       theta A B               # at least one; N rows of fiber-rank
         <entry>, ...          # comma-separated entries
+    baseatlas                 # glued-family metadata (written by glue-p1)
+      base_vars t s
+      witness_exponent E      # optional; -2 when absent
+
+A file is a list of blocks: an unindented directive and the indented lines
+under it (how deep they are indented is free).  An indented line belongs to
+the ``chart``, ``transition``, ``sheaf``, ``gtmodel`` or ``baseatlas`` line
+above it; under any other directive it is an error.  Layout errors are
+reported in file order, and a failed check of a block's data is reported at
+the line that opens it.
 
 A file holds at most one gluing-data block (charts/overlaps/transitions) and
 any number of named sheaves and gt models.  Each chart, overlap, triple,
@@ -57,10 +67,6 @@ class ModelDocument:
     base_atlas: dict | None = None   # glued-family metadata
 
 
-def _tokens(line: str) -> list[str]:
-    return line.split()
-
-
 def _args(toks: list[str], count: int, lineno: int) -> list[str]:
     """The ``count`` arguments following the keyword ``toks[0]``."""
     if len(toks) != count + 1:
@@ -88,9 +94,13 @@ def _count(toks: list[str], lineno: int, line: str) -> int:
     return value
 
 
-def _names(toks: list[str], lineno: int, line: str, taken=()) -> tuple[str, ...]:
-    """The arguments of the keyword ``toks[0]`` as coordinate names, each
-    named once and none of them in ``taken``."""
+def _names(toks: list[str], lineno: int, line: str, taken=(),
+           count: int | None = None) -> tuple[str, ...]:
+    """The arguments of the keyword ``toks[0]`` (``count`` of them, when
+    given) as coordinate names, each named once and none of them in
+    ``taken``."""
+    if count is not None:
+        _args(toks, count, lineno)
     seen = set(taken)
     for name in toks[1:]:
         if name in seen:
@@ -114,256 +124,229 @@ def _declare(declared: dict, key: tuple, lineno: int) -> None:
     declared[key] = lineno
 
 
-def parse_model_text(text: str) -> ModelDocument:
-    lines = text.splitlines()
-    charts: list[Chart] = []
-    chart_data: dict[str, dict] = {}
-    overlaps: list[tuple[str, str]] = []
-    triples: list[tuple[str, str, str]] = []
-    transitions_raw: dict[tuple[str, str], list[tuple[str, str, int]]] = {}
-    declared_at: dict[tuple[str, ...], int] = {}   # line of each block by kind and names
-    family_vars: tuple[str, ...] = ()
-    base_odd = 0
-    declared = None
-    atlas = None
-    atlas_line = None
-    atlas_vars_line = None
-    sheaves_raw: dict[str, dict] = {}
-    gt_raw: dict[str, dict] = {}
-
-    mode = None           # ("chart", name) | ("transition", a, b) | ("sheaf", name) | ...
-    current = None
-
-    def flush_chart(name):
-        d = chart_data[name]
-        charts.append(Chart(name, tuple(d.get("fiber", ())),
-                            tuple(d.get("base", ())), d.get("odd", 0)))
-
-    pending_chart = None
-    for lineno, raw in enumerate(lines, start=1):
+def _blocks(text: str):
+    """The blocks of ``text`` in file order: each unindented directive as
+    ``(line number, line, tokens)`` with the list of indented lines under it
+    in the same form.  Comments and blank lines are dropped; a block is
+    handed on when the next one starts."""
+    block = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        toks = _tokens(line)
-        head = toks[0]
-        indented = raw[0] in " \t"
-
-        if not indented:
-            if pending_chart is not None:
-                flush_chart(pending_chart)
-                pending_chart = None
-            mode = None
-            if head == "format":
-                if _int(toks, lineno, line) != FORMAT_VERSION:
-                    raise ParseError(f"unsupported format version {toks[1:]}", lineno, 1)
-            elif head == "chart":
-                name, = _args(toks, 1, lineno)
-                _declare(declared_at, ("chart", name), lineno)
-                chart_data[name] = {}
-                pending_chart = name
-                mode = ("chart", name)
-            elif head == "overlap":
-                overlaps.append(tuple(_args(toks, 2, lineno)))
-                _declare(declared_at, ("overlap", *overlaps[-1]), lineno)
-            elif head == "triple":
-                triples.append(tuple(_args(toks, 3, lineno)))
-                _declare(declared_at, ("triple", *triples[-1]), lineno)
-            elif head == "transition":
-                key = tuple(_args(toks, 2, lineno))
-                _declare(declared_at, ("transition", *key), lineno)
-                transitions_raw[key] = []
-                mode = ("transition", key)
-            elif head == "family":
-                family_vars = _names(toks, lineno, line)
-            elif head == "base_odd":
-                base_odd = _count(toks, lineno, line)
-            elif head == "splitting_type":
-                declared = _count(toks, lineno, line)
-            elif head == "sheaf":
-                name, = _args(toks, 1, lineno)
-                _declare(declared_at, ("sheaf", name), lineno)
-                sheaves_raw[name] = {"rank": None, "matrices": {}, "lines": {},
-                                     "line": lineno}
-                mode = ("sheaf", name)
-            elif head == "gtmodel":
-                name, = _args(toks, 1, lineno)
-                _declare(declared_at, ("gtmodel", name), lineno)
-                gt_raw[name] = {"fiber_sheaf": None, "base_rank": None, "theta": {},
-                                "lines": {}, "line": lineno}
-                mode = ("gtmodel", name)
-            elif head == "baseatlas":
-                atlas = {}
-                atlas_line = lineno
-                mode = ("baseatlas", atlas)
-            else:
-                raise ParseError(f"unknown directive {head!r}", lineno, 1)
-            continue
-
-        if mode is None:
+        entry = (lineno, line, line.split())
+        if raw[0] not in " \t":
+            if block is not None:
+                yield block
+            block = (entry, [])
+        elif block is None:
             raise ParseError("indented line outside any block", lineno, 1)
-        kind = mode[0]
-        if kind == "chart":
-            d = chart_data[mode[1]]
-            if head == "fiber":
-                d["fiber"] = _names(toks, lineno, line, d.get("base", ()))
-            elif head == "base":
-                d["base"] = _names(toks, lineno, line, d.get("fiber", ()))
-            elif head == "odd":
-                d["odd"] = _count(toks, lineno, line)
-            else:
-                raise ParseError(f"unknown chart field {head!r}", lineno, 1)
-        elif kind == "transition":
-            if "=" not in line:
-                raise ParseError("transition lines read <coord> = <expression>", lineno, 1)
-            lhs, rhs = line.split("=", 1)
-            transitions_raw[mode[1]].append((lhs.strip(), rhs.strip(), lineno))
-        elif kind == "sheaf":
-            d = sheaves_raw[mode[1]]
-            if head == "rank":
-                d["rank"] = _count(toks, lineno, line)
-            elif head == "matrix":
-                d["current"] = tuple(_args(toks, 2, lineno))
-                _declare(declared_at, ("matrix", *d["current"], "in sheaf", mode[1]), lineno)
-                d["matrices"][d["current"]] = []
-                d["lines"][d["current"]] = lineno
-            elif "current" not in d:
-                raise ParseError("matrix entries before any 'matrix A B' line", lineno, 1)
-            else:
-                d["matrices"][d["current"]].append((line.strip(), lineno))
-        elif kind == "gtmodel":
-            d = gt_raw[mode[1]]
-            if head == "fiber_sheaf":
-                d["fiber_sheaf"] = (_args(toks, 1, lineno)[0], lineno)
-            elif head == "base_rank":
-                d["base_rank"] = _count(toks, lineno, line)
-            elif head == "theta":
-                d["current"] = tuple(_args(toks, 2, lineno))
-                _declare(declared_at, ("theta", *d["current"], "in gtmodel", mode[1]), lineno)
-                d["theta"][d["current"]] = []
-                d["lines"][d["current"]] = lineno
-            elif "current" not in d:
-                raise ParseError("theta entries before any 'theta A B' line", lineno, 1)
-            else:
-                d["theta"][d["current"]].append((line.strip(), lineno))
-        elif kind == "baseatlas":
-            atlas = mode[1]
-            if head == "base_vars":
-                _args(toks, 2, lineno)
-                atlas["base_vars"] = _names(toks, lineno, line)
-                atlas_vars_line = lineno
-            elif head == "witness_exponent":
-                atlas["witness_exponent"] = _int(toks, lineno, line)
-            else:
-                raise ParseError(f"unknown base-atlas field {head!r}", lineno, 1)
-    if pending_chart is not None:
-        flush_chart(pending_chart)
-    if atlas is not None and "base_vars" not in atlas:
-        raise ParseError("baseatlas needs a 'base_vars' line", atlas_line, 1)
+        else:
+            block[1].append(entry)
+    if block is not None:
+        yield block
 
-    doc = ModelDocument(base_odd=base_odd, declared_splitting_type=declared,
-                        base_atlas=atlas)
+
+# the indented lines of each kind of block: readers of its fields, each
+# called with (tokens, line number, line text, fields so far), the keyword
+# that opens its row blocks, and the message for any other line
+_BODIES = {
+    "chart": ({"fiber": lambda t, n, s, f: _names(t, n, s, f.get("base", ())),
+               "base": lambda t, n, s, f: _names(t, n, s, f.get("fiber", ())),
+               "odd": lambda t, n, s, f: _count(t, n, s)},
+              None, "unknown chart field {!r}"),
+    "sheaf": ({"rank": lambda t, n, s, f: _count(t, n, s)},
+              "matrix", "matrix entries before any 'matrix A B' line"),
+    "gtmodel": ({"fiber_sheaf": lambda t, n, s, f: _args(t, 1, n)[0],
+                 "base_rank": lambda t, n, s, f: _count(t, n, s)},
+                "theta", "theta entries before any 'theta A B' line"),
+    "baseatlas": ({"base_vars": lambda t, n, s, f: _names(t, n, s, count=2),
+                   "witness_exponent": lambda t, n, s, f: _int(t, n, s)},
+                  None, "unknown base-atlas field {!r}"),
+}
+
+
+def _read_body(kind: str, name: str | None, body: list, declared_at: dict):
+    """The fields of a ``kind`` block, the line of each, and its row blocks
+    as ``{(A, B): (line, [(text, line), ...])}``."""
+    readers, keyword, other = _BODIES[kind]
+    fields, at, rows, current = {}, {}, {}, None
+    for lineno, line, toks in body:
+        head = toks[0]
+        if head in readers:
+            fields[head] = readers[head](toks, lineno, line, fields)
+            at[head] = lineno
+        elif head == keyword:
+            current = tuple(_args(toks, 2, lineno))
+            _declare(declared_at, (keyword, *current, f"in {kind}", name), lineno)
+            rows[current] = (lineno, [])
+        elif current is None:
+            raise ParseError(other.format(head), lineno, 1)
+        else:
+            rows[current][1].append((line.strip(), lineno))
+    return fields, at, rows
+
+
+def parse_model_text(text: str) -> ModelDocument:
+    """The document ``text`` describes, read block by block; malformed input
+    is a :class:`ParseError` that names its line."""
+    doc = ModelDocument()
+    overlaps: list[tuple[str, str]] = []
+    triples: list[tuple[str, str, str]] = []
+    transitions_raw: dict[tuple[str, str], tuple[int, list]] = {}   # (A, B) -> (line, body)
+    opened = {kind: {} for kind in _BODIES}   # kind -> name -> (line, fields, at, rows)
+    declared_at: dict[tuple[str, ...], int] = {}   # line of each block by kind and names
+    family_vars: tuple[str, ...] = ()
+
+    for (lineno, line, toks), body in _blocks(text):
+        head = toks[0]
+        if head == "transition":
+            key = tuple(_args(toks, 2, lineno))
+            _declare(declared_at, ("transition", *key), lineno)
+            for n, assignment, _ in body:
+                if "=" not in assignment:
+                    raise ParseError("transition lines read <coord> = <expression>", n, 1)
+            transitions_raw[key] = (lineno, body)
+            continue
+        if head in _BODIES:
+            name = None
+            if head != "baseatlas":
+                name, = _args(toks, 1, lineno)
+                _declare(declared_at, (head, name), lineno)
+            opened[head][name] = (lineno, *_read_body(head, name, body, declared_at))
+            continue
+        if head == "format":
+            if _int(toks, lineno, line) != FORMAT_VERSION:
+                raise ParseError(f"unsupported format version {toks[1:]}", lineno, 1)
+        elif head in ("overlap", "triple"):
+            names = tuple(_args(toks, 2 if head == "overlap" else 3, lineno))
+            _declare(declared_at, (head, *names), lineno)
+            (overlaps if head == "overlap" else triples).append(names)
+        elif head == "family":
+            family_vars = _names(toks, lineno, line)
+        elif head == "base_odd":
+            doc.base_odd = _count(toks, lineno, line)
+        elif head == "splitting_type":
+            doc.declared_splitting_type = _count(toks, lineno, line)
+        else:
+            raise ParseError(f"unknown directive {head!r}", lineno, 1)
+        if body:
+            raise ParseError("indented line outside any block", body[0][0], 1)
+
+    charts = [Chart(name, f.get("fiber", ()), f.get("base", ()), f.get("odd", 0))
+              for name, (_, f, _, _) in opened["chart"].items()]
     chart_map = {c.name: c for c in charts}
+    if opened["baseatlas"]:
+        atlas_line, doc.base_atlas, atlas_at, _ = opened["baseatlas"][None]
+        if "base_vars" not in doc.base_atlas:
+            raise ParseError("baseatlas needs a 'base_vars' line", atlas_line, 1)
 
     if transitions_raw:
         cover = Cover(charts, overlaps, triples)
-        transitions = {}
-        for (a, b), assignments in transitions_raw.items():
-            line_no = declared_at[("transition", a, b)]
-            src, tgt = _chart(chart_map, a, line_no), _chart(chart_map, b, line_no)
-            parser = ExpressionParser(src.vars, src.odd_rank)
-            even, odd = {}, {}
-            for lhs, rhs, lineno in assignments:
-                if lhs.startswith("theta_"):
-                    index = lhs[len("theta_"):]
-                    if index.isdecimal():
-                        # decided by its digit count first (as in the
-                        # expression parser), so no length reaches the
-                        # interpreter's conversion limit; 0 is out of range
-                        index = index.lstrip("0") or "0"
-                        coord = int(index) if len(index) <= len(str(tgt.odd_rank)) else 0
-                    else:
-                        try:
-                            coord = int(index)
-                        except ValueError:
-                            raise ParseError(f"expected an integer theta index, got {lhs!r}",
-                                             lineno, 1) from None
-                    if not 1 <= coord <= tgt.odd_rank:
-                        raise ParseError(f"{lhs} is not an odd coordinate of chart {b!r} "
-                                         f"(odd {tgt.odd_rank})", lineno, 1)
-                    images = odd
-                elif lhs in tgt.vars:
-                    coord, images = lhs, even
-                else:
-                    raise ParseError(f"{lhs!r} is not a coordinate of chart {b!r}", lineno, 1)
-                if coord in images:
-                    raise ParseError(f"{lhs} is assigned twice", lineno, 1)
-                images[coord] = parser.parse(rhs, line=lineno)
-            missing = [v for v in tgt.vars if v not in even] + \
-                [f"theta_{k}" for k in range(1, tgt.odd_rank + 1) if k not in odd]
-            if missing:
-                raise ParseError(f"transition {a} {b} has no image for {', '.join(missing)}",
-                                 line_no, 1)
-            transitions[(a, b)] = SuperTransition(src, tgt, even, odd)
-        doc.gluing = SuperGluingData(cover, transitions, family_vars, declared)
-        if atlas is not None and family_vars:
+        transitions = {key: _transition(chart_map, key, *block)
+                       for key, block in transitions_raw.items()}
+        doc.gluing = SuperGluingData(cover, transitions, family_vars)
+        if doc.base_atlas is not None and family_vars:
             # the stored piece is evaluated in the first atlas coordinate,
             # which a family must carry (data with no family coordinate is
             # constant in it)
-            first = atlas["base_vars"][0]
+            first = doc.base_atlas["base_vars"][0]
             if not any(first in c.vars for c in charts):
                 raise ParseError(f"base atlas coordinate {first!r} is on no chart",
-                                 atlas_vars_line, 1)
+                                 atlas_at["base_vars"], 1)
 
     space = None
-    if sheaves_raw or gt_raw:
+    if opened["sheaf"] or opened["gtmodel"]:
         space = _reduced_space_for_sheaves(doc)
-    for name, d in sheaves_raw.items():
-        rank = d["rank"]
+    for name, (line_no, fields, _, blocks) in opened["sheaf"].items():
+        rank = fields.get("rank")
         if rank is None:
-            raise ParseError(f"sheaf {name!r} declares no rank", d["line"], 1)
+            raise ParseError(f"sheaf {name!r} declares no rank", line_no, 1)
         mats = {}
-        for key, rows in d["matrices"].items():
-            m = _rows(chart_map, key, rows, d["lines"][key], rank, "matrix")
+        for key, block in blocks.items():
+            m = _rows(chart_map, "matrix", key, block, rank)
             if len(m) != rank:
-                raise ParseError(f"matrix {key} has {len(m)} rows, want {rank}",
-                                 d["lines"][key], 1)
+                raise ParseError(f"matrix {key} has {len(m)} rows, want {rank}", block[0], 1)
             mats[key] = columns_of(m)
-        with _located(d["line"]):
+        with _located(line_no):
             doc.sheaves[name] = sheaf_spec(space, rank, mats, check=True)
-    for name, d in gt_raw.items():
-        if d["fiber_sheaf"] is None or d["base_rank"] is None:
-            raise ParseError(f"gtmodel {name!r} needs fiber_sheaf and base_rank", d["line"], 1)
-        if not d["theta"]:
+    for name, (line_no, fields, at, blocks) in opened["gtmodel"].items():
+        if "fiber_sheaf" not in fields or "base_rank" not in fields:
+            raise ParseError(f"gtmodel {name!r} needs fiber_sheaf and base_rank", line_no, 1)
+        if not blocks:
             # the theta rows are what bound base_rank
-            raise ParseError(f"gtmodel {name!r} needs a theta block", d["line"], 1)
-        fiber_name, line_no = d["fiber_sheaf"]
-        if fiber_name not in doc.sheaves:
-            raise ParseError(f"unknown fiber_sheaf {fiber_name!r}", line_no, 1)
-        fiber = doc.sheaves[fiber_name]
-        n = d["base_rank"]
+            raise ParseError(f"gtmodel {name!r} needs a theta block", line_no, 1)
+        if fields["fiber_sheaf"] not in doc.sheaves:
+            raise ParseError(f"unknown fiber_sheaf {fields['fiber_sheaf']!r}",
+                             at["fiber_sheaf"], 1)
+        fiber = doc.sheaves[fields["fiber_sheaf"]]
+        n = fields["base_rank"]
         theta_sections = {}
-        for key, rows in d["theta"].items():
-            flat = [e for row in _rows(chart_map, key, rows, d["lines"][key], fiber.rank, "theta")
-                    for e in row]
+        for key, block in blocks.items():
+            flat = [e for row in _rows(chart_map, "theta", key, block, fiber.rank) for e in row]
             if len(flat) != n * fiber.rank:
-                raise ParseError(f"theta {key} must have {n} rows", d["lines"][key], 1)
+                raise ParseError(f"theta {key} must have {n} rows", block[0], 1)
             theta_sections[key] = flat
-        with _located(d["line"]):
+        with _located(line_no):
             doc.gt_models[name] = gt_model(space, fiber, n, theta_sections)
     return doc
 
 
-def _rows(chart_map: dict, key: tuple, rows: list, lineno: int, width: int,
-          block: str) -> list[list]:
-    """The ``(text, line)`` rows of a ``block`` (``matrix`` or ``theta``)
-    opened at ``lineno`` for overlap ``key``, each ``width`` comma-separated
-    expressions in the coordinates of the overlap's first chart."""
+def _transition(chart_map: dict, key: tuple, lineno: int, body: list):
+    """The transition ``key`` opened at ``lineno`` from the ``<coord> =
+    <expression>`` lines of its body, one for each coordinate of the target
+    chart."""
+    a, b = key
+    src, tgt = _chart(chart_map, a, lineno), _chart(chart_map, b, lineno)
+    parser = ExpressionParser(src.vars, src.odd_rank)
+    even, odd = {}, {}
+    for line, assignment, _ in body:
+        lhs, rhs = (side.strip() for side in assignment.split("=", 1))
+        if lhs.startswith("theta_"):
+            index = lhs[len("theta_"):]
+            if index.isdecimal():
+                # decided by its digit count first (as in the expression
+                # parser), so no length reaches the interpreter's
+                # conversion limit; 0 is out of range
+                index = index.lstrip("0") or "0"
+                coord = int(index) if len(index) <= len(str(tgt.odd_rank)) else 0
+            else:
+                try:
+                    coord = int(index)
+                except ValueError:
+                    raise ParseError(f"expected an integer theta index, got {lhs!r}",
+                                     line, 1) from None
+            if not 1 <= coord <= tgt.odd_rank:
+                raise ParseError(f"{lhs} is not an odd coordinate of chart {b!r} "
+                                 f"(odd {tgt.odd_rank})", line, 1)
+            images = odd
+        elif lhs in tgt.vars:
+            coord, images = lhs, even
+        else:
+            raise ParseError(f"{lhs!r} is not a coordinate of chart {b!r}", line, 1)
+        if coord in images:
+            raise ParseError(f"{lhs} is assigned twice", line, 1)
+        images[coord] = parser.parse(rhs, line=line)
+    missing = [v for v in tgt.vars if v not in even] + \
+        [f"theta_{k}" for k in range(1, tgt.odd_rank + 1) if k not in odd]
+    if missing:
+        raise ParseError(f"transition {a} {b} has no image for {', '.join(missing)}",
+                         lineno, 1)
+    return SuperTransition(src, tgt, even, odd)
+
+
+def _rows(chart_map: dict, keyword: str, key: tuple, block: tuple, width: int) -> list[list]:
+    """The rows of a ``keyword`` (``matrix`` or ``theta``) block for overlap
+    ``key``, given as ``(line, [(text, line), ...])``: each row ``width``
+    comma-separated expressions in the coordinates of the overlap's first
+    chart."""
+    lineno, rows = block
     parser = ExpressionParser(_chart(chart_map, key[0], lineno).vars, 0)
     out = []
     for text_row, row_line in rows:
         entries = [parser.parse_poly(e.strip(), row_line) for e in text_row.split(",")]
         if len(entries) != width:
-            raise ParseError(f"{block} row has {len(entries)} entries, want {width}",
+            raise ParseError(f"{keyword} row has {len(entries)} entries, want {width}",
                              row_line, 1)
         out.append(entries)
     return out

@@ -65,12 +65,6 @@ class ObstructionClass:
     cls: CohomologyClass            # canonical class decision
     parity: str                     # "even" | "odd"
 
-    def is_zero(self) -> bool:
-        return self.cls.trivial
-
-    def representative(self) -> CechCochain:
-        return self.cls.representative
-
 
 def _deviation_blocks(t: SuperTransition, level: int):
     """Sparse columns over the increasing multi-indices of weight ``level``;
@@ -288,7 +282,7 @@ def scaling_action(g: SuperGluingData, factor) -> SuperGluingData:
         even = {v: _reweighted(img, powers, 0) for v, img in t.even_maps.items()}
         odd = {k: _reweighted(img, powers, 1) for k, img in t.odd_maps.items()}
         transitions[(a, b)] = SuperTransition(src, t.target, even, odd, check=False)
-    return SuperGluingData(g.cover, transitions, g.base_vars, g.declared_splitting_type)
+    return SuperGluingData(g.cover, transitions, g.base_vars)
 
 
 def _reweighted(img: GrassmannElement, powers: list[LaurentPoly],

@@ -167,11 +167,6 @@ class SecondaryValue:
     decided: bool                 # False: zero by absence of higher cochains
     cls: CohomologyClass | None   # canonical class when degree <= 1
 
-    def is_zero(self) -> bool:
-        if self.cls is not None:
-            return self.cls.trivial
-        return self.cochain.is_zero()
-
 
 def _finalize(c: CechCochain, window=None) -> SecondaryValue:
     if c.degree <= 1:
@@ -349,9 +344,7 @@ class ContainmentSample:
 
 @dataclass
 class ContainmentReport:
-    a: int
     b: int
-    p: int
     dimension: int
     samples: list[ContainmentSample] = field(default_factory=list)
 
@@ -360,42 +353,38 @@ class ContainmentReport:
         return all(s.equal for s in self.samples)
 
 
-def verify_a1_containment(m: GtModel, b: int, p: int = 0,
+def verify_a1_containment(m: GtModel, b: int, *,
                           window: int | None = None) -> ContainmentReport:
-    """For every basis class nu of the (1, b) space in degree p: the
+    """For every basis class nu of the (1, b) space in degree 0: the
     cup-with-theta image equals the differential of nu, as canonical
-    representatives.  The identity pushed through contraction and
-    composition repackages a (1, b) class as itself, so nu goes to the
-    differential unchanged.  When the two images are equal cochains on the
-    same sheaf, one decision serves both sides."""
-    check_a1_window(m, b, p, window)
-    space = secondary_space(m, 1, b, p, window=window)
-    report = ContainmentReport(1, b, p, space.dimension)
+    representatives of degree-1 classes.  The identity pushed through
+    contraction and composition repackages a (1, b) class as itself, so nu
+    goes to the differential unchanged.  When the two images are equal
+    cochains on the same sheaf, one decision serves both sides."""
+    check_a1_window(m, b, window=window)
+    space = secondary_space(m, 1, b, 0, window=window)
+    report = ContainmentReport(b, space.dimension)
     for i, nu in enumerate(space.basis):
-        left = _model_class_image(m, 1, b, p, nu)
+        left = _model_class_image(m, 1, b, 0, nu)
         lhs = _finalize(left, window)
-        right = _differential_image(m, 1, b, p, nu)
+        right = _differential_image(m, 1, b, 0, nu)
         rhs = lhs if left.sheaf is right.sheaf and left == right else _finalize(right, window)
-        if left.degree == 1:
-            equal = lhs.cls.representative == rhs.cls.representative
-            report.samples.append(ContainmentSample(
-                i, lhs.cls.trivial, rhs.cls.trivial, equal))
-        else:
-            report.samples.append(ContainmentSample(
-                i, lhs.is_zero(), rhs.is_zero(), lhs.is_zero() == rhs.is_zero()))
+        report.samples.append(ContainmentSample(
+            i, lhs.cls.trivial, rhs.cls.trivial,
+            lhs.cls.representative == rhs.cls.representative))
     return report
 
 
-def check_a1_window(m: GtModel, b: int, p: int, window: int | None) -> None:
+def check_a1_window(m: GtModel, b: int, *, window: int | None) -> None:
     """Raise at once the WindowError over the system budget that
     :func:`verify_a1_containment` may meet: on the basis system of the
-    (1, b) space, in ``window`` or in its derived window, and, in degree 0
-    with an explicit ``window``, on the (0, b + 1) piece its samples are
-    decided in (whether or not the space turns out to have a basis)."""
+    (1, b) space, in ``window`` or in its derived window, and, with an
+    explicit ``window``, on the (0, b + 1) piece its samples are decided in
+    (whether or not the space turns out to have a basis)."""
     spec = hom_into_quotient(m, 1, b)
     if spec.rank:
-        delta0_window(spec, window=window, degree=p)
-    if window is not None and p == 0:
+        delta0_window(spec, window=window, degree=0)
+    if window is not None:
         delta0_window(hom_into_quotient(m, 0, b + 1), window=window)
 
 

@@ -225,7 +225,7 @@ def test_criterion_11_a1_pipeline(gt_model_doc):
     m = gt_model_doc.gt_models["M"]
     nonzero_total = 0
     for b in range(0, m.base_rank):
-        report = verify_a1_containment(m, b, 0)
+        report = verify_a1_containment(m, b)
         assert report.ok, (b, [s.index for s in report.samples if not s.equal])
         nonzero_total += sum(1 for s in report.samples if not s.lhs_trivial)
         for s in report.samples:

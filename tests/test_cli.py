@@ -101,6 +101,31 @@ def test_rothstein_round_trip(tmp_path, capsys):
     assert code == 0 and "splitting_type: 2" in out3
 
 
+@pytest.mark.parametrize("point,expected", [
+    ("t=2", ["level=2", "parity=even", "trivial=False"]),
+    ("t=0", ["splitting_type=infinity", "class=0"]),
+])
+def test_obstruction_at_a_fiber_of_the_rothstein_family(tmp_path, capsys, point, expected):
+    code, out, _ = run_cli(capsys, "rothstein", "--input", str(corpus_path("nonsplit_p1.model")))
+    assert code == 0
+    path = tmp_path / "family.model"
+    path.write_text(out)
+    code, out, _ = run_cli(capsys, "obstruction", "--input", str(path), "--at", point,
+                           "--format", "structured")
+    assert code == 0
+    assert set(expected) <= set(out.splitlines())
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("scale",), "scale needs --lambda"),
+    (("splitting-type", "--at", "t"), "--at expects name=rational, got 't'"),
+])
+def test_missing_or_malformed_flag_is_input_error(capsys, flags, message):
+    code, out, err = run_cli(capsys, *flags, "--input", str(corpus_path("nonsplit_p1.model")))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"
+
+
 def test_scale_emits_scaled_data(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "scale", "--input",
                            str(corpus_path("nonsplit_p1.model")), "--lambda", "2")
@@ -199,6 +224,20 @@ def test_glue_p1(capsys):
     assert code == 0 and "witness_ok: True" in out
 
 
+def test_glue_p1_with_another_witness_exponent_fails(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "glue-p1", "--input", str(corpus_path("nonsplit_p1.model")))
+    assert code == 0
+    text = out.split("\n", 3)[3]   # drop the three header lines
+    assert "  witness_exponent -2\n" in text
+    path = tmp_path / "glued.model"
+    path.write_text(text.replace("  witness_exponent -2\n", "  witness_exponent -1\n"))
+    code, out, _ = run_cli(capsys, "glue-p1", "--input", str(path), "--format", "structured")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:2] == ["witness_exponent=-1", "witness_ok=False"]
+    assert lines[2].startswith("discrepancy=overlap ('U0', 'U1'): ")
+
+
 @pytest.mark.parametrize("model,verifications", [("nonsplit_p1", 3), ("split_p1", 1)])
 def test_glue_p1_verifies_its_input_once(monkeypatch, capsys, model, verifications):
     # the input once, plus each of the two scaled families when it is not split
@@ -264,6 +303,15 @@ def test_a1_check_fails_with_the_wrong_pairing_sign(monkeypatch, capsys):
     assert code == 1
     lines = out.splitlines()
     assert "M.b=0.ok=False" in lines and "M.b=2.ok=False" in lines
+
+
+def test_report_all_fails_with_the_wrong_pairing_sign(monkeypatch, capsys):
+    from supercech import secondary
+    monkeypatch.setattr(secondary, "MODEL_CLASS_MAP_SIGN", 1)
+    code, out, _ = run_cli(capsys, "report-all", "--input",
+                           str(corpus_path("gt_model_p1.model")), "--format", "structured")
+    assert code == 1
+    assert "gtmodel.M.a1_ok=False" in out.splitlines()
 
 
 def _double_the_connecting_map(monkeypatch):

@@ -46,6 +46,20 @@ def test_rothstein_fiber_round_trip(nonsplit_p1):
         assert fam.fiber({"t": t}) == scaling_action(nonsplit_p1, t)
 
 
+def test_rothstein_family_of_a_family(two_parameter_family):
+    # the new family names only t; t1 and t2 stay base coordinates of a fiber
+    fam = rothstein_family(two_parameter_family)
+    assert fam.base_vars == ("t",)
+    assert fam.fiber({"t": Q(1)}) == two_parameter_family
+    fib0 = fam.fiber({"t": Q(0)})
+    assert fib0.splitting_type() == INFINITY
+    assert fib0.base_vars == ("t1", "t2")
+    with pytest.raises(ValueError, match="exactly the base coordinates"):
+        fam.fiber({"t": Q(1), "t1": Q(1)})
+    _, report = isotriviality_witness(fam, Q(1), Q(2))
+    assert report.ok, report.detail
+
+
 def test_scaling_witnesses_take_a_name_a_monomial_or_a_rational(nonsplit_p1):
     from supercech.laurent import LaurentPoly
     from supercech.obstruction import scaling_witnesses

@@ -27,7 +27,6 @@ def test_comments_and_blanks_ignored():
 def test_declared_splitting_type():
     doc = load_model("nonsplit_p1.model")
     assert doc.declared_splitting_type == 2
-    assert doc.gluing.declared_splitting_type == 2
 
 
 def test_parse_error_reports_line():

@@ -127,12 +127,12 @@ def test_differential_squared_zero(M):
 
 def test_a1_containment_all_b(M):
     for b in range(0, M.base_rank):
-        report = verify_a1_containment(M, b, 0)
+        report = verify_a1_containment(M, b)
         assert report.ok, (b, [s for s in report.samples if not s.equal])
 
 
 def test_a1_containment_has_nonzero_instances(M):
-    report = verify_a1_containment(M, 2, 0)
+    report = verify_a1_containment(M, 2)
     nonzero = [s for s in report.samples if not s.lhs_trivial]
     assert len(nonzero) >= 1
     for s in nonzero:
@@ -141,7 +141,7 @@ def test_a1_containment_has_nonzero_instances(M):
 
 def test_kernel_containment_when_cup_vanishes(M):
     # classes with zero cup image have zero differential image of the push
-    report = verify_a1_containment(M, 2, 0)
+    report = verify_a1_containment(M, 2)
     for s in report.samples:
         if s.lhs_trivial:
             assert s.rhs_trivial
