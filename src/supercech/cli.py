@@ -14,6 +14,7 @@ import argparse
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .errors import CocycleError, ParseError, SupercechError, WindowError
 from .gluing import INFINITY
@@ -97,7 +98,10 @@ def _window(args) -> int | None:
     return max(lo, hi)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and every call of :func:`main` reads it."""
     ap = argparse.ArgumentParser(prog="supercech",
                                  description="exact Cech checks for super gluing data")
     ap.add_argument("command", choices=COMMANDS)
