@@ -29,6 +29,20 @@ checked witness or the canonical residual; :func:`solve_coboundary` and
 :func:`is_coboundary` are views of it.  A block's rows touch only its own
 columns, and its frames keep their order, so every result equals the one
 the whole sheaf's system gives.
+
+A coordinate is *inert* for a block (:func:`_inert_positions`) when it sits
+at the same position in every chart, every coordinate map sends it to
+itself with coefficient 1, no other coordinate image uses it and no entry of
+the block's matrices does: the base coordinates of a product or Rothstein
+family.  Then delta0 keeps its exponent, and the system in window w is
+(w + 1)^inert copies of the *slice-0* system, the one whose unknowns have
+exponent 0 in every inert coordinate (flat base change for a trivial
+family).  A block's system is built on slice 0 only; a decision reduces
+each base-exponent slice of the cochain in it and moves the result back, and
+a basis is that of slice 0 moved to every slice in the window.  Rows of one
+slice touch only its columns, and each slice keeps the relative order of
+rows and keys, so this too gives the whole system's results.  A block with
+no inert coordinate has one slice.
 """
 
 from __future__ import annotations
@@ -44,10 +58,14 @@ from .sheaf import (SheafSpec, derived_spec, diagonal_block, frame_map, frames_l
                     mat_mul, sheaf_hom, sheaf_spec, sheaf_tensor)
 
 WINDOW_CAP = 60
-# Largest delta0 system, in unknowns (charts x rank x window box), built for
-# any window, derived or given; a larger one fails with WindowError.  The
-# largest system of the corpus and the benchmark has 3072 unknowns
-# (two_parameter_family, derived window 7); 50,000 unknowns take under 1 s.
+# Budget of a decision, in unknowns of the whole sheaf's delta0 system
+# (charts x rank x window box) for any window, derived or given; a larger
+# count fails with WindowError.  The count stays whole-sheaf although the
+# systems built are smaller: one per distinct block, on the slice-0 box of
+# its inert coordinates.  The largest count of the corpus and the benchmark
+# is 3072 unknowns (two_parameter_family, derived window 7), and no system
+# built for it has more than 16; 50,000 unknowns in one system take under
+# 1 s.
 MAX_UNKNOWNS = 50_000
 
 FrameMap = dict[int, LaurentPoly]
@@ -300,10 +318,35 @@ def delta0_window(sheaf: SheafSpec, *cochains: CechCochain, window: int | None =
     return bound
 
 
-def _delta0_images(sheaf: SheafSpec, bound: int) -> tuple[list[tuple], list[dict[tuple, Coef]]]:
+def _inert_positions(sheaf: SheafSpec) -> tuple[int, ...]:
+    """The positions of the coordinates that ``sheaf`` carries as inert
+    parameters: the same name at that position in every chart, sent to
+    itself with coefficient 1 by every coordinate map, used by no other
+    coordinate image and by no transition entry.  A family's base
+    coordinates are of this kind."""
+    space = sheaf.space
+    cover = space.cover
+    charts = [cover.chart(name).vars for name in cover.order]
+    out = []
+    for i, name in enumerate(charts[0]):
+        unit = tuple(int(j == i) for j in range(len(charts[0])))
+        if (all(len(vars) > i and vars[i] == name for vars in charts)
+                and all(img.terms == {unit: 1} if v == name else
+                        all(exps[i] == 0 for exps in img.terms)
+                        for cmap in space.coordinate_maps.values()
+                        for v, img in cmap.items())
+                and all(exps[i] == 0 for m in sheaf.matrices.values() for col in m
+                        for _, e in col for exps in e.terms)):
+            out.append(i)
+    return tuple(out)
+
+
+def _delta0_images(sheaf: SheafSpec, bound: int,
+                   inert: tuple[int, ...]) -> tuple[list[tuple], list[dict[tuple, Coef]]]:
     """The unknowns ``((chart,), frame, exps)``, one per windowed
-    chart-regular 0-cochain monomial, and the image of delta on each as a
-    sparse vector over ``(overlap, frame, exps)`` keys."""
+    chart-regular 0-cochain monomial with exponent 0 in the ``inert``
+    coordinates, and the image of delta on each as a sparse vector over
+    ``(overlap, frame, exps)`` keys."""
     cover = sheaf.space.cover
     space = sheaf.space
     overlaps = cover.canonical_overlaps()
@@ -319,8 +362,9 @@ def _delta0_images(sheaf: SheafSpec, bound: int) -> tuple[list[tuple], list[dict
         touching = [(o, o[0] == chart,
                      space.exponent_map(o[0], o[1], vars) if o[1] == chart else None)
                     for o in overlaps if chart in o]
+        box = [range(1) if i in inert else range(bound + 1) for i in range(len(vars))]
         for frame in range(sheaf.rank):
-            for exps in iproduct(*[range(bound + 1)] * len(vars)):
+            for exps in iproduct(*box):
                 contrib: dict[tuple, Coef] = {}
                 for o, leads, emap in touching:
                     if leads:
@@ -359,23 +403,63 @@ def _sparse_rows(columns: dict[tuple, int], vectors) -> list[linalg.Row]:
 
 
 class _Delta0System:
-    """The delta0 system of ``sheaf`` in window ``bound``, eliminated once:
-    its ``unknowns`` (see :func:`_delta0_images`), the ``keys`` of the
-    images in key order, numbered by ``columns``, and the images eliminated
-    over those columns in ``reducer``.  The images themselves are not
-    kept."""
+    """The delta0 system of ``sheaf`` in window ``bound`` on slice 0,
+    eliminated once.  Slice k holds the keys and unknowns whose exponents in
+    the ``inert`` coordinates (:func:`_inert_positions`) are k; the rows of
+    slice k touch only its columns, and the system of slice k is that of
+    slice 0 moved by k.  So only slice 0 is built: its ``unknowns`` (see
+    :func:`_delta0_images`), the ``keys`` of their images in key order,
+    numbered by ``columns``, and the images eliminated over those columns in
+    ``reducer``.  The images themselves are not kept."""
 
     def __init__(self, sheaf: SheafSpec, bound: int):
         self.sheaf = sheaf
-        self.unknowns, images = _delta0_images(sheaf, bound)
+        self.bound = bound
+        self.inert = _inert_positions(sheaf)
+        self.unknowns, images = _delta0_images(sheaf, bound, self.inert)
         self.keys = _in_key_order(sheaf.space.cover, set().union(*images))
         self.columns = {k: i for i, k in enumerate(self.keys)}
         self.reducer = linalg.SpanReducer(_sparse_rows(self.columns, images))
 
+    def slices(self, vector: dict[tuple, Coef]) -> dict[tuple, dict[tuple, Coef]]:
+        """A sparse vector over keys split by slice, each part moved to
+        slice 0, in the order the slices first appear."""
+        inert = self.inert
+        if not inert:
+            return {(): vector}
+        out: dict[tuple, dict[tuple, Coef]] = {}
+        zero = (0,) * len(inert)
+        for (key, f, exps), v in vector.items():
+            k = tuple(exps[i] for i in inert)
+            part = out.get(k)
+            if part is None:
+                part = out[k] = {}
+            part[(key, f, _moved_exps(inert, zero, exps))] = v
+        return out
+
+    def moved(self, k: tuple, items):
+        """``((key, frame, exps), value)`` items of slice 0 moved to slice
+        ``k``."""
+        if not any(k):
+            return items
+        inert = self.inert
+        return (((key, f, _moved_exps(inert, k, exps)), v) for (key, f, exps), v in items)
+
+    def moved_cochain(self, k: tuple, c: CechCochain) -> CechCochain:
+        """A cochain supported on slice 0 moved to slice ``k``."""
+        if not any(k):
+            return c
+        inert = self.inert
+        return c._like({key: {f: LaurentPoly(p.vars, {_moved_exps(inert, k, e): v
+                                                      for e, v in p.terms.items()},
+                                             trusted=True)
+                              for f, p in frames.items()}
+                        for key, frames in c.sections.items()})
+
     def reduce(self, vector: dict[tuple, Coef]) -> tuple[dict[tuple, Coef], dict[int, Coef]]:
-        """``SpanReducer.reduce`` of a sparse vector over keys, with the
-        residual over keys; entries on keys outside the system's stay in the
-        residual unchanged."""
+        """``SpanReducer.reduce`` of a sparse vector over keys of slice 0,
+        with the residual over keys; entries on keys outside the system's
+        stay in the residual unchanged."""
         columns, keys = self.columns, self.keys
         residual, multiples = self.reducer.reduce(
             {columns[k]: v for k, v in vector.items() if k in columns})
@@ -387,6 +471,14 @@ class _Delta0System:
         """The 0-cochain with coefficient ``solution[u]`` on unknown u."""
         return _cochain_from_values(self.sheaf, 0, ((self.unknowns[u], v)
                                                     for u, v in solution.items()))
+
+
+def _moved_exps(inert: tuple[int, ...], k: tuple, exps: tuple) -> tuple:
+    """``exps`` with those of the ``inert`` coordinates set to ``k``."""
+    out = list(exps)
+    for i, e in zip(inert, k):
+        out[i] = e
+    return tuple(out)
 
 
 def _delta0_linearization(sheaf: SheafSpec,
@@ -492,19 +584,27 @@ def cohomology_class(c: CechCochain, window: int | None = None) -> CohomologyCla
     if sheaf.rank == 0 or c.is_zero():
         return CohomologyClass(sheaf, 1, CechCochain(sheaf, 1), True, CechCochain(sheaf, 0))
     blocks = _delta0_linearization(sheaf, delta0_window(sheaf, c, window=window))
-    # rows of one block never touch another block's columns, so each part
-    # reduces in its own block's system exactly as in the whole one
+    # rows of one block never touch another block's columns, nor rows of one
+    # slice another slice's, so each slice of each part reduces in its
+    # block's system on slice 0 exactly as in the whole one; a slice outside
+    # the window has no unknowns and stays as it is
     reduced = []
     for i, part in _block_parts(sheaf, c).items():
         frames, system = blocks[i]
-        reduced.append((frames, system, *system.reduce(part)))
-    residual = [item for frames, _, r, _ in reduced for item in _relabel(frames, r.items())]
+        for k, piece in system.slices(part).items():
+            if all(0 <= e <= system.bound for e in k):
+                reduced.append((frames, system, k, *system.reduce(piece)))
+            else:
+                reduced.append((frames, system, k, piece, {}))
+    residual = [item for frames, system, k, r, _ in reduced
+                for item in _relabel(frames, system.moved(k, r.items()))]
     if residual:
         return CohomologyClass(sheaf, 1, _cochain_from_values(sheaf, 1, residual), False, None)
     witness = _cochain_from_values(sheaf, 0, (
-        item for frames, system, _, multiples in reduced
-        for item in _relabel(frames, ((system.unknowns[u], v) for u, v in
-                                      system.reducer.combination(multiples).items()))))
+        item for frames, system, k, _, multiples in reduced
+        for item in _relabel(frames, system.moved(k, (
+            (system.unknowns[u], v)
+            for u, v in system.reducer.combination(multiples).items())))))
     if cech_delta(witness).sections != c.sections:
         raise CocycleError("internal error: witness does not reproduce the cocycle")
     return CohomologyClass(sheaf, 1, CechCochain(sheaf, 1), True, witness)
@@ -540,18 +640,23 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
     cover = sheaf.space.cover
     if degree == 0:
         position = {(name,): i for i, name in enumerate(cover.order)}
+        top = bound
         local_basis = _h0_basis
     else:
         position = {o: i for i, o in enumerate(cover.canonical_overlaps())}
-        local_basis = partial(_h1_basis, bound=bound - sheaf.max_pole_order() - 1)
+        top = bound - sheaf.max_pole_order() - 1
+        local_basis = partial(_h1_basis, bound=top)
     found: list[tuple[tuple, CechCochain]] = []
     done: dict[_Delta0System, list[tuple[tuple, CechCochain]]] = {}
     for frames, system in blocks:
         local = done.get(system)
         if local is None:
             local = done[system] = local_basis(system)
-        found += [((position[key], frames[f], exps), c.extend(frames, sheaf))
-                  for (key, f, exps), c in local]
+        # the basis of slice k is that of slice 0 moved by k, for every k
+        # whose unknowns (H^0) or candidates (H^1) lie in the window
+        for k in iproduct(*[range(top + 1)] * len(system.inert)):
+            found += [((position[key], frames[f], exps), system.moved_cochain(k, c).extend(
+                frames, sheaf)) for (key, f, exps), c in system.moved(k, local)]
     found.sort(key=lambda item: item[0])
     return [c for _, c in found]
 
@@ -570,13 +675,16 @@ def _h1_basis(system: _Delta0System, bound: int) -> list[tuple[tuple, CechCochai
     its pivot key."""
     sheaf = system.sheaf
     cover = sheaf.space.cover
-    # candidate monomials on canonical overlaps, within each overlap's
-    # regularity cone (negative exponents only in inverted coordinates)
+    # candidate monomials of slice 0 on canonical overlaps, within each
+    # overlap's regularity cone (negative exponents only in inverted
+    # coordinates, never in inert ones)
     candidates: list[tuple] = []
     for (a, b) in cover.canonical_overlaps():
         vars = cover.chart(a).vars
         negatives = sheaf.space.negative_vars(a, b)
-        ranges = [range(-bound if v in negatives else 0, bound + 1) for v in vars]
+        ranges = [range(1) if i in system.inert else
+                  range(-bound if v in negatives else 0, bound + 1)
+                  for i, v in enumerate(vars)]
         for frame in range(sheaf.rank):
             for exps in iproduct(*ranges):
                 candidates.append(((a, b), frame, exps))

@@ -5,6 +5,8 @@ whole sheaf in one piece.  ``cech`` must reach the same class
 representatives and witnesses, H^0 kernel cochains and H^1 basis cochains,
 in the same order, on every corpus sheaf, on every secondary space of
 gt(6, 6) seed 1, and on direct sums whose summands interleave in key order.
+The systems of a family's blocks are built on one base-exponent slice;
+``tests/test_delta0_slices.py`` compares their decisions.
 """
 
 import random
@@ -13,10 +15,12 @@ from fractions import Fraction as Q
 import pytest
 
 import dense_reference as ref
-from supercech.cech import (CechCochain, cech_delta, cohomology_basis, cohomology_class,
-                            delta0_window, extension_sheaf)
+from supercech.cech import (CechCochain, _inert_positions, cech_delta, cohomology_basis,
+                            cohomology_class, delta0_window, extension_sheaf)
+from supercech.family import rothstein_family
 from supercech.laurent import LaurentPoly
 from supercech.modelfile import parse_model_text
+from supercech.obstruction import deviation_hom_spec
 from supercech.secondary import secondary_space, secondary_spaces
 from supercech.sheaf import (diagonal_block, sheaf_dual, sheaf_exterior_power, sheaf_hom,
                              sheaf_spec, sheaf_tensor)
@@ -172,3 +176,19 @@ def test_the_1_b_spaces_of_gt_4_4_hold_one_system_per_distinct_block():
     systems = [key[1:] for key in m.space.specs if key[0] == "delta0"]
     assert set(systems) == distinct
     assert (len(systems), copies) == (4, 32)
+
+
+def test_family_systems_are_built_on_slice_0():
+    """A family's base coordinates are inert, so the system of each block
+    holds the unknowns of exponent 0 in them only: 2 charts x (w + 1)
+    exponents of the fiber coordinate."""
+    two = load_model("two_parameter_family.model").gluing
+    nonsplit = load_model("nonsplit_p1.model").gluing
+    hom = deviation_hom_spec(two, 2)
+    assert _inert_positions(hom) == (1, 2)
+    assert _inert_positions(deviation_hom_spec(rothstein_family(nonsplit).gluing, 2)) == (1,)
+    assert _inert_positions(nonsplit.reduce()[1]) == ()
+    cohomology_basis(hom, 0)
+    bound = delta0_window(hom, degree=0)
+    systems = [system for key, system in hom.space.specs.items() if key[0] == "delta0"]
+    assert [(s.inert, len(s.unknowns)) for s in systems] == [((1, 2), 2 * (bound + 1))] * 2
