@@ -24,11 +24,13 @@ group enters the accumulator through the shared product kernel
 ``grassmann._product_into``.
 
 Input budgets keep the work of one expression bounded: an exponent may not
-exceed ``MAX_EXPONENT`` in absolute value, and no product or power may
-expand to more than ``MAX_TERMS`` terms (coefficient monomials summed over
-the odd multi-indices).  The term count is bounded from the operands before
-anything is multiplied, so an oversized expression fails at once with a
-located :class:`~supercech.errors.ParseError`.
+exceed ``MAX_EXPONENT`` in absolute value, no product or power may expand
+to more than ``MAX_TERMS`` terms (coefficient monomials summed over the odd
+multi-indices), and parentheses, exponent parentheses and unary minus signs
+may not nest more than ``MAX_DEPTH`` deep, which keeps the recursive descent
+far from the interpreter's recursion limit.  The term count is bounded from
+the operands before anything is multiplied, so an oversized expression
+fails at once with a located :class:`~supercech.errors.ParseError`.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ _THETA = re.compile(r"^theta_([0-9]+)$")
 
 MAX_EXPONENT = 100
 MAX_TERMS = 2000
+MAX_DEPTH = 100
 
 
 def _theta_index(digits: str, odd_rank: int, line, column) -> int:
@@ -66,6 +69,7 @@ class _Tokenizer:
     def __init__(self, text: str, line: int | None = None):
         self.line = line
         self.i = 0
+        self.depth = 0  # open parentheses and unary minus signs
         self.tokens: list[tuple[str | None, str | None, int]] = []
         for m in _TOKEN.finditer(text):
             kind = m.lastindex
@@ -80,6 +84,12 @@ class _Tokenizer:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def enter(self, col: int):
+        """Open one level of nesting at column ``col`` (0-based)."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nests more than {MAX_DEPTH} deep", self.line, col + 1)
 
     def expect_op(self, op: str):
         kind, val, col = self.next()
@@ -193,11 +203,15 @@ class ExpressionParser:
             except ValueError:  # longer than the interpreter converts
                 raise ParseError("integer literal is too long", tz.line, col + 1)
         elif kind == "op" and val == "-":
+            tz.enter(col)
             f = self._factor(tz)
+            tz.depth -= 1
             return (-f[0], f[1], f[2]) if type(f) is tuple else -f
         elif kind == "op" and val == "(":
+            tz.enter(col)
             value = self._expr(tz)
             tz.expect_op(")")
+            tz.depth -= 1
             if type(value) is not tuple:
                 value = self._element(value)
         else:
@@ -230,8 +244,10 @@ class ExpressionParser:
     def _exponent(self, tz) -> int:
         kind, val, col = tz.next()
         if kind == "op" and val == "(":
+            tz.enter(col)
             e = self._exponent(tz)
             tz.expect_op(")")
+            tz.depth -= 1
             return e
         sign = 1
         if kind == "op" and val == "-":

@@ -516,6 +516,18 @@ def test_malformed_model_is_input_error_with_location(tmp_path, capsys, lineno, 
     assert f"line {lineno}," in err
 
 
+def test_deeply_nested_expression_is_input_error_with_location(tmp_path, capsys):
+    # 330 parentheses used to end in RecursionError, a traceback with exit 1
+    lines = corpus_path("nonsplit_p1.model").read_text().split("\n")
+    assert lines[18] == "  y = 1/x + x^-3*theta_1*theta_2"
+    lines[18] = "  y = " + "(" * 330 + lines[18][6:] + ")" * 330
+    path = tmp_path / "deep.model"
+    path.write_text("\n".join(lines))
+    code, _, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 2
+    assert "line 19, column 101: expression nests more than 100 deep" in err
+
+
 def test_long_theta_index_on_the_left_is_not_an_odd_coordinate(tmp_path, capsys):
     # the index is decided by its digit count, not by int() (whose limit
     # is 4300 digits)

@@ -12,8 +12,8 @@ from supercech.grassmann import GrassmannElement
 from supercech import parsing
 from supercech.laurent import LaurentPoly
 from supercech.modelfile import parse_model_text
-from supercech.parsing import (MAX_EXPONENT, ExpressionParser, _power_bound, _product_bound,
-                               _size, parse_element, parse_poly)
+from supercech.parsing import (MAX_DEPTH, MAX_EXPONENT, ExpressionParser, _power_bound,
+                               _product_bound, _size, parse_element, parse_poly)
 
 from conftest import parse, perfbench_models, random_grassmann
 from dense_reference import ReferenceParser
@@ -75,6 +75,12 @@ def test_trailing_garbage():
     ("(1+x+x^50)^100", ("x",), 0, 11),
     ("(1+x)^60*(1+y)^60", ("x", "y"), 0, 9),
     ("x + theta_" + "1" * 5000, ("x",), 2, 5),
+    # nesting past MAX_DEPTH fails at the opening token one level deeper,
+    # not in the interpreter's recursion limit
+    ("-" * 993 + "x", ("x",), 0, MAX_DEPTH + 1),
+    ("x^" + "(" * 992 + "2" + ")" * 992, ("x",), 0, MAX_DEPTH + 3),
+    ("(" * 330 + "x" + ")" * 330, ("x",), 0, MAX_DEPTH + 1),
+    ("-(" * 60 + "x" + ")" * 60, ("x",), 0, MAX_DEPTH + 1),
 ])
 def test_input_budgets_fail_fast_with_location(text, vars, q, col):
     start = time.process_time()
@@ -88,6 +94,11 @@ def test_expressions_within_budget_parse():
     assert len(parse("(1+x)^100").terms[()].terms) == 101
     assert parse(f"x^-{MAX_EXPONENT}") == parse(f"1/x^{MAX_EXPONENT}")
     assert parse("(1+x)^100*theta_1*theta_1").is_zero()
+    # nesting MAX_DEPTH deep, and any number of levels one after another
+    assert parse("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH) == parse("x")
+    assert parse("-" * MAX_DEPTH + "x") == parse("x")
+    assert parse("x^" + "(" * MAX_DEPTH + "2" + ")" * MAX_DEPTH) == parse("x^2")
+    assert parse("+".join(["(" * 60 + "x" + ")" * 60] * 20)) == parse("20*x")
 
 
 def test_budget_bounds_are_upper_bounds(monkeypatch):
