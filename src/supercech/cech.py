@@ -329,14 +329,13 @@ def _inert_positions(sheaf: SheafSpec) -> tuple[int, ...]:
     charts = [cover.chart(name).vars for name in cover.order]
     out = []
     for i, name in enumerate(charts[0]):
+        if any(len(vars) <= i or vars[i] != name for vars in charts):
+            continue
         unit = tuple(int(j == i) for j in range(len(charts[0])))
-        if (all(len(vars) > i and vars[i] == name for vars in charts)
-                and all(img.terms == {unit: 1} if v == name else
-                        all(exps[i] == 0 for exps in img.terms)
-                        for cmap in space.coordinate_maps.values()
-                        for v, img in cmap.items())
-                and all(exps[i] == 0 for m in sheaf.matrices.values() for col in m
-                        for _, e in col for exps in e.terms)):
+        if (all(img.terms == {unit: 1} if v == name else all(e[i] == 0 for e in img.terms)
+                for cmap in space.coordinate_maps.values() for v, img in cmap.items())
+                and all(e[i] == 0 for m in sheaf.matrices.values() for col in m
+                        for _, p in col for e in p.terms)):
             out.append(i)
     return tuple(out)
 
