@@ -20,29 +20,29 @@ are impossible by support bookkeeping and the linear solve is exact.
 :func:`delta0_window` derives or takes the window of every decision from
 the whole sheaf and refuses a system over the budget.  Transition matrices
 never mix the frames of different blocks (:meth:`SheafSpec.blocks`), so the
-delta0 system of a sheaf is the direct sum of those of its diagonal blocks:
-a delta0 system (:class:`_Delta0System`) is built and eliminated once per
-(block, window) and kept in the space's table beside the specs, and equal
-blocks share it.  :func:`cohomology_class` is the one decision: it reduces
-each block's part of the cochain by that block's system and returns a
-checked witness or the canonical residual; :func:`solve_coboundary` and
-:func:`is_coboundary` are views of it.  A block's rows touch only its own
-columns, and its frames keep their order, so every result equals the one
-the whole sheaf's system gives.
+delta0 system of a sheaf is the direct sum of those of its diagonal blocks.
 
 A coordinate is *inert* for a block (:func:`_inert_positions`) when it sits
 at the same position in every chart, every coordinate map sends it to
 itself with coefficient 1, no other coordinate image uses it and no entry of
 the block's matrices does: the base coordinates of a product or Rothstein
-family.  Then delta0 keeps its exponent, and the system in window w is
-(w + 1)^inert copies of the *slice-0* system, the one whose unknowns have
+family.  Then delta0 keeps its exponent, and the block's system in window w
+is (w + 1)^inert copies of the *slice-0* system, the one whose unknowns have
 exponent 0 in every inert coordinate (flat base change for a trivial
-family).  A block's system is built on slice 0 only; a decision reduces
-each base-exponent slice of the cochain in it and moves the result back, and
-a basis is that of slice 0 moved to every slice in the window.  Rows of one
-slice touch only its columns, and each slice keeps the relative order of
-rows and keys, so this too gives the whole system's results.  A block with
-no inert coordinate has one slice.
+family).  So the whole system is a direct sum of *copies* (i, k): block i
+on inert slice k, each a copy of that block's slice-0 system.  A slice-0
+system (:class:`_Delta0System`) is built and eliminated once per (block,
+window) and kept in the space's table beside the specs, and equal blocks
+share it.  :func:`cohomology_class` is the one decision: it splits the
+cochain into its copies once (:func:`_copies`), reduces each in its system
+and places each result once on the block's frames and slice k, giving a
+checked witness or the canonical residual; a slice outside the window has
+no unknowns and stays in the residual.  :func:`solve_coboundary` and
+:func:`is_coboundary` are views of it.  A basis is that of each distinct
+system placed on every copy in the window.  Rows of one copy touch only its
+columns, and each copy keeps the relative order of rows and keys, so every
+result equals the one the whole sheaf's system gives.  A block with no inert
+coordinate has one slice, k = ().
 """
 
 from __future__ import annotations
@@ -420,41 +420,6 @@ class _Delta0System:
         self.columns = {k: i for i, k in enumerate(self.keys)}
         self.reducer = linalg.SpanReducer(_sparse_rows(self.columns, images))
 
-    def slices(self, vector: dict[tuple, Coef]) -> dict[tuple, dict[tuple, Coef]]:
-        """A sparse vector over keys split by slice, each part moved to
-        slice 0, in the order the slices first appear."""
-        inert = self.inert
-        if not inert:
-            return {(): vector}
-        out: dict[tuple, dict[tuple, Coef]] = {}
-        zero = (0,) * len(inert)
-        for (key, f, exps), v in vector.items():
-            k = tuple(exps[i] for i in inert)
-            part = out.get(k)
-            if part is None:
-                part = out[k] = {}
-            part[(key, f, _moved_exps(inert, zero, exps))] = v
-        return out
-
-    def moved(self, k: tuple, items):
-        """``((key, frame, exps), value)`` items of slice 0 moved to slice
-        ``k``."""
-        if not any(k):
-            return items
-        inert = self.inert
-        return (((key, f, _moved_exps(inert, k, exps)), v) for (key, f, exps), v in items)
-
-    def moved_cochain(self, k: tuple, c: CechCochain) -> CechCochain:
-        """A cochain supported on slice 0 moved to slice ``k``."""
-        if not any(k):
-            return c
-        inert = self.inert
-        return c._like({key: {f: LaurentPoly(p.vars, {_moved_exps(inert, k, e): v
-                                                      for e, v in p.terms.items()},
-                                             trusted=True)
-                              for f, p in frames.items()}
-                        for key, frames in c.sections.items()})
-
     def reduce(self, vector: dict[tuple, Coef]) -> tuple[dict[tuple, Coef], dict[int, Coef]]:
         """``SpanReducer.reduce`` of a sparse vector over keys of slice 0,
         with the residual over keys; entries on keys outside the system's
@@ -465,11 +430,6 @@ class _Delta0System:
         out = {keys[i]: v for i, v in residual.items()}
         out.update((k, v) for k, v in vector.items() if k not in columns)
         return out, multiples
-
-    def cochain(self, solution: dict[int, Coef]) -> CechCochain:
-        """The 0-cochain with coefficient ``solution[u]`` on unknown u."""
-        return _cochain_from_values(self.sheaf, 0, ((self.unknowns[u], v)
-                                                    for u, v in solution.items()))
 
 
 def _moved_exps(inert: tuple[int, ...], k: tuple, exps: tuple) -> tuple:
@@ -497,29 +457,50 @@ def _delta0_linearization(sheaf: SheafSpec,
         (frames, system(diagonal_block(sheaf, frames))) for frames in sheaf.blocks()])
 
 
-def _block_parts(sheaf: SheafSpec, c: CechCochain) -> dict[int, dict[tuple, Coef]]:
-    """The cochain as sparse vectors over (tuple, frame, exponents) keys,
-    one per block it meets (by index in :meth:`SheafSpec.blocks`), with each
-    frame numbered within its block."""
+def _copies(sheaf: SheafSpec, blocks, c: CechCochain) -> dict[tuple, dict[tuple, Coef]]:
+    """The cochain split into its copies: one sparse vector over (tuple,
+    frame, exponents) keys of slice 0 per copy (i, k) it meets, block i of
+    ``blocks`` (see :func:`_delta0_linearization`) on inert slice k, with
+    each frame numbered within its block."""
     where = derived_spec(sheaf.space, ("block frames", sheaf), lambda: {
         f: (i, local) for i, frames in enumerate(sheaf.blocks())
         for local, f in enumerate(frames)})
-    parts: dict[int, dict[tuple, Coef]] = {}
+    parts: dict[tuple, dict[tuple, Coef]] = {}
     for key, frames in c.sections.items():
         for f, poly in frames.items():
             i, local = where[f]
-            part = parts.get(i)
-            if part is None:
-                part = parts[i] = {}
+            inert = blocks[i][1].inert
+            zero = (0,) * len(inert)
             for exps, coef in poly.terms.items():
-                part[(key, local, exps)] = coef
+                k = tuple(exps[j] for j in inert)
+                part = parts.get((i, k))
+                if part is None:
+                    part = parts[(i, k)] = {}
+                part[(key, local, _moved_exps(inert, zero, exps) if inert else exps)] = coef
     return parts
 
 
-def _relabel(frames: tuple[int, ...], items):
-    """``(key, frame, exps)`` keys of a block, frames numbered within it, as
-    keys of the whole sheaf whose frames ``frames`` the block holds."""
-    return (((key, frames[f], exps), v) for (key, f, exps), v in items)
+def _placed(frames: tuple[int, ...], inert: tuple[int, ...], k: tuple, items):
+    """``((key, frame, exps), value)`` items of a block's slice 0, frames
+    numbered within it, as items of the whole sheaf on the block's
+    ``frames`` and slice ``k``."""
+    if not any(k):
+        return (((key, frames[f], exps), v) for (key, f, exps), v in items)
+    return (((key, frames[f], _moved_exps(inert, k, exps)), v) for (key, f, exps), v in items)
+
+
+def _placed_cochain(c: CechCochain, frames: tuple[int, ...], inert: tuple[int, ...],
+                    k: tuple, sheaf: SheafSpec) -> CechCochain:
+    """A cochain of a block's slice 0 as one valued in ``sheaf`` on the
+    block's ``frames`` and slice ``k``; on slice 0 it shares the block's
+    polynomials."""
+    if any(k):
+        c = c._like({key: {f: LaurentPoly(p.vars, {_moved_exps(inert, k, e): v
+                                                   for e, v in p.terms.items()},
+                                          trusted=True)
+                           for f, p in fm.items()}
+                     for key, fm in c.sections.items()})
+    return c.extend(frames, sheaf)
 
 
 def _cochain_keys(c: CechCochain) -> dict[tuple, Coef]:
@@ -574,7 +555,7 @@ def cohomology_class(c: CechCochain, window: int | None = None) -> CohomologyCla
     """The one coboundary decision for a 1-cocycle ``c``: trivial with a
     witness w, delta(w) = c, or the canonical representative, the residual
     of ``c`` after eliminating the image of delta in a fixed key order.  The
-    delta0 system of each block is eliminated once per (block, window)."""
+    slice-0 system of each block is eliminated once per (block, window)."""
     if c.degree != 1:
         raise ValueError("class formation implemented for degree 1")
     if not is_cocycle(c):
@@ -583,27 +564,25 @@ def cohomology_class(c: CechCochain, window: int | None = None) -> CohomologyCla
     if sheaf.rank == 0 or c.is_zero():
         return CohomologyClass(sheaf, 1, CechCochain(sheaf, 1), True, CechCochain(sheaf, 0))
     blocks = _delta0_linearization(sheaf, delta0_window(sheaf, c, window=window))
-    # rows of one block never touch another block's columns, nor rows of one
-    # slice another slice's, so each slice of each part reduces in its
-    # block's system on slice 0 exactly as in the whole one; a slice outside
-    # the window has no unknowns and stays as it is
+    # rows of one copy never touch another copy's columns, so each copy
+    # reduces in its block's slice-0 system exactly as in the whole one; a
+    # slice outside the window has no unknowns and stays as it is
     reduced = []
-    for i, part in _block_parts(sheaf, c).items():
+    for (i, k), part in _copies(sheaf, blocks, c).items():
         frames, system = blocks[i]
-        for k, piece in system.slices(part).items():
-            if all(0 <= e <= system.bound for e in k):
-                reduced.append((frames, system, k, *system.reduce(piece)))
-            else:
-                reduced.append((frames, system, k, piece, {}))
+        if all(0 <= e <= system.bound for e in k):
+            reduced.append((frames, system, k, *system.reduce(part)))
+        else:
+            reduced.append((frames, system, k, part, {}))
     residual = [item for frames, system, k, r, _ in reduced
-                for item in _relabel(frames, system.moved(k, r.items()))]
+                for item in _placed(frames, system.inert, k, r.items())]
     if residual:
         return CohomologyClass(sheaf, 1, _cochain_from_values(sheaf, 1, residual), False, None)
     witness = _cochain_from_values(sheaf, 0, (
         item for frames, system, k, _, multiples in reduced
-        for item in _relabel(frames, system.moved(k, (
+        for item in _placed(frames, system.inert, k, (
             (system.unknowns[u], v)
-            for u, v in system.reducer.combination(multiples).items())))))
+            for u, v in system.reducer.combination(multiples).items()))))
     if cech_delta(witness).sections != c.sections:
         raise CocycleError("internal error: witness does not reproduce the cocycle")
     return CohomologyClass(sheaf, 1, CechCochain(sheaf, 1), True, witness)
@@ -626,7 +605,7 @@ def is_coboundary(c: CechCochain, window: int | None = None):
 def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -> list[CechCochain]:
     """Exact basis of H^degree within the (auto-derived) window;
     representatives are canonical and deterministic.  The basis of each
-    distinct block is computed once and moved onto the frames of each copy;
+    distinct slice-0 system is computed once and placed on each copy;
     the union is put in the order the whole sheaf's system gives: H^0
     relations by their dependent unknown, H^1 reduced rows by their pivot
     key."""
@@ -651,11 +630,12 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
         local = done.get(system)
         if local is None:
             local = done[system] = local_basis(system)
-        # the basis of slice k is that of slice 0 moved by k, for every k
-        # whose unknowns (H^0) or candidates (H^1) lie in the window
-        for k in iproduct(*[range(top + 1)] * len(system.inert)):
-            found += [((position[key], frames[f], exps), system.moved_cochain(k, c).extend(
-                frames, sheaf)) for (key, f, exps), c in system.moved(k, local)]
+        # the basis of copy (frames, k) is that of slice 0 placed there, for
+        # every k whose unknowns (H^0) or candidates (H^1) lie in the window
+        inert = system.inert
+        for k in iproduct(*[range(top + 1)] * len(inert)):
+            found += [((position[key], f, exps), _placed_cochain(c, frames, inert, k, sheaf))
+                      for (key, f, exps), c in _placed(frames, inert, k, local)]
     found.sort(key=lambda item: item[0])
     return [c for _, c in found]
 
@@ -663,8 +643,9 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
 def _h0_basis(system: _Delta0System) -> list[tuple[tuple, CechCochain]]:
     """The kernel relations of a block's system as 0-cochains, each with
     its dependent unknown."""
-    reducer = system.reducer
-    return [(system.unknowns[i], system.cochain(k))
+    reducer, unknowns = system.reducer, system.unknowns
+    return [(unknowns[i], _cochain_from_values(system.sheaf, 0, ((unknowns[u], v)
+                                                               for u, v in k.items())))
             for (i, _), k in zip(reducer.dependent, reducer.kernel())]
 
 
