@@ -4,13 +4,16 @@ Commands operate on model files (see :mod:`supercech.modelfile`) and print
 either human-readable text or a line-oriented ``key=value`` structured format
 with all rationals written exactly as ``num/den``.
 
-Exit codes: 0 pass or informational, 1 a verification failed, 2 input error,
-3 a requested decision was undecidable with the given flags.
+Exit codes: 0 pass or informational, 1 a verification failed, 2 input or
+output error (a malformed input, or standard output that cannot be written:
+a full device or a closed pipe), 3 a requested decision was undecidable with
+the given flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from fractions import Fraction
@@ -40,6 +43,8 @@ class Reporter:
     def __init__(self, structured: bool):
         self.structured = structured
         self.lines: list[str] = []
+        # a written model file, printed verbatim before the lines
+        self.text = ""
 
     def emit(self, key: str, value):
         if isinstance(value, Fraction):
@@ -56,7 +61,11 @@ class Reporter:
             self.lines.append(text)
 
     def flush(self):
+        """Write everything to standard output and flush it, so that a write
+        error surfaces here."""
+        sys.stdout.write(self.text)
         print("\n".join(self.lines))
+        sys.stdout.flush()
 
 
 def _fmt_cochain(c) -> str:
@@ -138,8 +147,25 @@ def main(argv=None) -> int:
     except SupercechError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    rep.flush()
+    try:
+        rep.flush()
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            _silence_stdout()
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return code
+
+
+def _silence_stdout():
+    """Point the file descriptor of standard output at the null device, so
+    that the flush at exit cannot fail on the closed pipe again; standard
+    output without a descriptor (an in-memory stream) is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
 
 
 def _require_gluing(doc):
@@ -233,8 +259,7 @@ def _dispatch(args, doc, rep: Reporter) -> int:
 
     if cmd == "rothstein":
         g = _require_gluing(doc)
-        fam = rothstein_family(g, "t")
-        print(write_gluing(fam.gluing), end="")
+        rep.text = write_gluing(rothstein_family(g, "t").gluing)
         return EXIT_PASS
 
     if cmd == "scale":
@@ -246,8 +271,7 @@ def _dispatch(args, doc, rep: Reporter) -> int:
             # a bad flag is an input error before the data is checked
             raise ValueError("scaling factor must be nonzero")
         g.require_valid()
-        scaled = scaling_action(g, lam)
-        print(write_gluing(scaled), end="")
+        rep.text = write_gluing(scaling_action(g, lam))
         return EXIT_PASS
 
     if cmd == "glue-p1":

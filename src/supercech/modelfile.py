@@ -35,10 +35,12 @@ above it; under any other directive it is an error.  Layout errors are
 reported in file order, and a failed check of a block's data is reported at
 the line that opens it.
 
-A file holds at most one gluing-data block (charts/overlaps/transitions) and
-any number of named sheaves and gt models.  Each chart, overlap, triple,
-transition, sheaf and gt model, and each matrix or theta block inside one, is
-declared once; a repeat is an error at the repeated line.  Expressions
+A file holds at most one gluing-data block (charts/overlaps/transitions),
+any number of named sheaves and gt models, and at most one ``baseatlas``
+block, which takes no arguments.  Each chart, overlap, triple, transition,
+sheaf and gt model, each matrix or theta block inside one, and each field of
+a block (``fiber``, ``odd``, ``rank``, ``base_rank``, ``base_vars`` and so
+on) is declared once; a repeat is an error at the repeated line.  Expressions
 follow the grammar of :mod:`supercech.parsing`.
 """
 
@@ -174,6 +176,9 @@ def _read_body(kind: str, name: str | None, body: list, declared_at: dict):
     for lineno, line, toks in body:
         head = toks[0]
         if head in readers:
+            if head in at:
+                raise ParseError(f"duplicate field {head!r} (first on line {at[head]})",
+                                 lineno, 1)
             fields[head] = readers[head](toks, lineno, line, fields)
             at[head] = lineno
         elif head == keyword:
@@ -209,10 +214,9 @@ def parse_model_text(text: str) -> ModelDocument:
             transitions_raw[key] = (lineno, body)
             continue
         if head in _BODIES:
-            name = None
-            if head != "baseatlas":
-                name, = _args(toks, 1, lineno)
-                _declare(declared_at, (head, name), lineno)
+            names = _args(toks, 0 if head == "baseatlas" else 1, lineno)
+            _declare(declared_at, (head, *names), lineno)
+            name = names[0] if names else None
             opened[head][name] = (lineno, *_read_body(head, name, body, declared_at))
             continue
         if head == "format":

@@ -1,4 +1,5 @@
 import io
+import os
 import re
 import subprocess
 import sys
@@ -49,6 +50,59 @@ def test_unknown_command_rejected_before_reading():
 def test_missing_file_is_input_error(capsys):
     code = main(["verify", "--input", "/nonexistent/x.model"])
     assert code == 2
+    assert capsys.readouterr().err.startswith("input error: [Errno 2] No such file")
+
+
+def _run_to(stdout, command, model="nonsplit_p1.model", *flags):
+    """The exit code and standard error of the command line run in a child
+    process whose standard output is the file descriptor ``stdout``."""
+    proc = subprocess.run([sys.executable, "-m", "supercech.cli", command, "--input",
+                           str(corpus_path(model)), *flags],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+    return proc.returncode, proc.stderr
+
+
+WRITING_COMMANDS = [("verify",), ("rothstein",), ("scale", "--lambda=2"),
+                    ("glue-p1",), ("secondary", "--format", "structured")]
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS, ids=lambda c: c[0])
+def test_closed_pipe_on_stdout_is_an_output_error(command):
+    # the read end is closed before the child runs, so its first write
+    # fails; this used to end in a BrokenPipeError traceback with exit 1
+    model = "gt_model_p1.model" if command[0] == "secondary" else "nonsplit_p1.model"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, err = _run_to(write, command[0], model, *command[1:])
+    finally:
+        os.close(write)
+    assert (code, err) == (2, "output error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS, ids=lambda c: c[0])
+def test_full_device_on_stdout_is_an_output_error(command):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    model = "gt_model_p1.model" if command[0] == "secondary" else "nonsplit_p1.model"
+    with open("/dev/full", "w") as full:
+        code, err = _run_to(full, command[0], model, *command[1:])
+    assert (code, err) == (2, "output error: [Errno 28] No space left on device\n")
+
+
+class _BrokenStream(io.StringIO):
+    """An in-memory standard output whose writes fail as on a closed pipe."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_in_memory_stdout_is_an_output_error():
+    # a stream without a file descriptor has none to point at the null device
+    err = io.StringIO()
+    with redirect_stdout(_BrokenStream()), redirect_stderr(err):
+        code = main(["verify", "--input", str(corpus_path("split_p1.model"))])
+    assert (code, err.getvalue()) == (2, "output error: [Errno 32] Broken pipe\n")
 
 
 def test_splitting_type_and_fiber(capsys):
@@ -574,6 +628,42 @@ def test_base_atlas_coordinate_on_no_chart_of_a_family_is_input_error(tmp_path, 
     code, out, err = run_cli(capsys, "glue-p1", "--input", str(path))
     assert code == 2 and out == ""
     assert f"line {lineno}, column 1: base atlas coordinate 'q' is on no chart" in err
+
+
+@pytest.mark.parametrize("after,field", [
+    (3, "  fiber x"), (4, "  odd 5"), (4, "  odd 0"), (15, "  rank 1"),
+    (21, "  fiber_sheaf TX"), (22, "  base_rank 2"),
+])
+def test_repeated_field_is_input_error_at_the_repeat(tmp_path, capsys, after, field):
+    # a second field line in one block used to replace the first silently
+    lines = VALID_MODEL.splitlines()
+    lines.insert(after, field)
+    path = tmp_path / "bad.model"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    name = field.split()[0]
+    assert (code, out) == (2, "")
+    assert err == (f"input error: line {after + 1}, column 1: duplicate field {name!r} "
+                   f"(first on line {after})\n")
+
+
+@pytest.mark.parametrize("block,message", [
+    ("baseatlas\n  base_vars t s\n  base_vars t s\n",
+     "line 27, column 1: duplicate field 'base_vars' (first on line 26)"),
+    ("baseatlas\n  base_vars t s\n  witness_exponent -2\n  witness_exponent -2\n",
+     "line 28, column 1: duplicate field 'witness_exponent' (first on line 27)"),
+    ("baseatlas extra words\n  base_vars t s\n",
+     "line 25, column 1: 'baseatlas' takes 0 argument(s), got 2"),
+    ("baseatlas\n  base_vars t s\nbaseatlas\n  base_vars t s\n",
+     "line 27, column 1: duplicate baseatlas (first on line 25)"),
+])
+def test_base_atlas_is_declared_once_without_arguments(tmp_path, capsys, block, message):
+    # arguments after 'baseatlas' and a second block used to be accepted,
+    # and the last block won
+    path = tmp_path / "bad.model"
+    path.write_text(VALID_MODEL + block)
+    code, out, err = run_cli(capsys, "glue-p1", "--input", str(path))
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
 # (block, line) rows: VALID_MODEL followed by ``block`` is malformed at that line
