@@ -43,8 +43,6 @@ class Reporter:
     def __init__(self, structured: bool):
         self.structured = structured
         self.lines: list[str] = []
-        # a written model file, printed verbatim before the lines
-        self.text = ""
 
     def emit(self, key: str, value):
         if isinstance(value, Fraction):
@@ -63,7 +61,6 @@ class Reporter:
     def flush(self):
         """Write everything to standard output and flush it, so that a write
         error surfaces here."""
-        sys.stdout.write(self.text)
         print("\n".join(self.lines))
         sys.stdout.flush()
 
@@ -150,22 +147,25 @@ def main(argv=None) -> int:
     try:
         rep.flush()
     except OSError as exc:
-        if isinstance(exc, BrokenPipeError):
-            _silence_stdout()
+        _silence_stdout()
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return code
 
 
 def _silence_stdout():
-    """Point the file descriptor of standard output at the null device, so
-    that the flush at exit cannot fail on the closed pipe again; standard
-    output without a descriptor (an in-memory stream) is left alone."""
+    """Point the file descriptor of standard output at the null device for
+    the rest of the process, so that the flush at exit cannot fail again on
+    the bytes a failed write left buffered (a closed pipe or a full device);
+    standard output without a descriptor (an in-memory stream) is left
+    alone."""
     try:
         fd = sys.stdout.fileno()
     except (AttributeError, OSError):
         return
-    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _require_gluing(doc):
@@ -259,7 +259,7 @@ def _dispatch(args, doc, rep: Reporter) -> int:
 
     if cmd == "rothstein":
         g = _require_gluing(doc)
-        rep.text = write_gluing(rothstein_family(g, "t").gluing)
+        rep.lines.append(write_gluing(rothstein_family(g, "t").gluing))
         return EXIT_PASS
 
     if cmd == "scale":
@@ -271,7 +271,7 @@ def _dispatch(args, doc, rep: Reporter) -> int:
             # a bad flag is an input error before the data is checked
             raise ValueError("scaling factor must be nonzero")
         g.require_valid()
-        rep.text = write_gluing(scaling_action(g, lam))
+        rep.lines.append(write_gluing(scaling_action(g, lam)))
         return EXIT_PASS
 
     if cmd == "glue-p1":

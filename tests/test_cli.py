@@ -55,10 +55,14 @@ def test_missing_file_is_input_error(capsys):
 
 def _run_to(stdout, command, model="nonsplit_p1.model", *flags):
     """The exit code and standard error of the command line run in a child
-    process whose standard output is the file descriptor ``stdout``."""
+    process whose standard output is the file descriptor ``stdout``.  The
+    child's standard output is buffered, as by default: with
+    ``PYTHONUNBUFFERED`` set, no unwritten bytes would be left for the flush
+    at exit to fail on."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.run([sys.executable, "-m", "supercech.cli", command, "--input",
                            str(corpus_path(model)), *flags],
-                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
     return proc.returncode, proc.stderr
 
 
