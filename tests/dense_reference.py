@@ -1,6 +1,6 @@
 """Plain references for the optimised kernels: dense exact elimination for
 the sparse ``linalg``, dense matrix helpers for the sparse columns of
-``sheaf``, dense sheaf maps and dense-list cochain operations for the sparse
+``sheaf``, the odd matrices and Jacobians of the gluing data entry by entry, dense sheaf maps and dense-list cochain operations for the sparse
 Cech kernel and its frame-map cochains, the delta0 system of a whole sheaf
 eliminated in one piece for the blockwise decisions of ``cech``, a lift
 through each filtration piece solved on the whole sheaf for
@@ -207,6 +207,21 @@ def matrices(spec):
     from supercech.sheaf import rows_of
     return {key: rows_of(m, spec.space.cover.chart(key[0]).vars)
             for key, m in spec.matrices.items()}
+
+
+def odd_matrix(t):
+    """Degree-one odd matrix of a transition as dense rows: entry (b, a) is
+    the theta_a coefficient of the image of the target generator b."""
+    return [[t.odd_maps[b].coefficient((a,)) for a in range(1, t.source.odd_rank + 1)]
+            for b in range(1, t.target.odd_rank + 1)]
+
+
+def jacobian(space, a, b):
+    """d(b-coordinates)/d(a-coordinates) as dense rows, every entry derived,
+    in a-coordinates."""
+    cmap = space.coordinate_maps[(a, b)]
+    return [[cmap[u].derivative(v) for v in space.cover.chart(a).vars]
+            for u in space.cover.chart(b).vars]
 
 
 def diagonal_block(spec, positions):

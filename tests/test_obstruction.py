@@ -15,12 +15,13 @@ from supercech.family import extend_with_base, rothstein_family
 from supercech.gluing import INFINITY, SuperGluingData, SuperTransition, identity_transition
 from supercech.laurent import LaurentPoly
 from supercech.modelfile import parse_model_text
-from supercech.obstruction import (ObstructionClass, attempt_split,
+from supercech.obstruction import (ObstructionClass, _proportionality, attempt_split,
                                    characteristic_factorization, deviation_cochain,
                                    deviation_hom_spec, obstruction_cocycle,
                                    scale_class, scaling_action,
                                    splitting_type_differential)
 from supercech.parsing import parse_element
+from supercech.sheaf import trivial_spec
 from supercech.spaces import Chart, Cover
 
 from conftest import load_model, perfbench_models, random_grassmann
@@ -264,6 +265,29 @@ def test_fiber_class_matches_scaled_class(two_parameter_family):
         fiber_class = d(point)
         expected = cf.omega.representative.scale(s_val)
         assert fiber_class.cls.representative == expected
+
+
+def test_proportionality_reads_one_ratio_and_checks_every_term(p1_space):
+    spec = trivial_spec(p1_space, 2)
+    (key,) = p1_space.cover.canonical_overlaps()
+    vars = p1_space.cover.chart(key[0]).vars
+
+    def cochain(*frames):
+        """A 1-cochain whose frame i has the terms ``{exponent: coefficient}``
+        of ``frames[i]``."""
+        return CechCochain(spec, 1, {key: [LaurentPoly(vars, {(e,): c for e, c in f.items()})
+                                           for f in frames]})
+
+    base = cochain({-1: 1, -3: 2}, {-2: 3})
+    for lam in (Q(-2, 3), Q(5), Q(-1), Q(1, 7)):
+        assert _proportionality(base.scale(lam), base) == lam
+    assert _proportionality(cochain({}, {}), base) == 0
+    # a term outside the base's support
+    assert _proportionality(cochain({-1: 1, -3: 2, -4: 1}, {-2: 3}), base) is None
+    assert _proportionality(cochain({}, {-2: 3}), base) is None
+    # the first frame is twice the base's, the second is not
+    assert _proportionality(cochain({-1: 2, -3: 4}, {-2: 5}), base) is None
+    assert _proportionality(cochain({-1: 2, -3: 4}, {}), base) is None
 
 
 # ------------------------------------------------ scaling by re-weighting

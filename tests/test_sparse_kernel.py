@@ -20,12 +20,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as dense
+import supercech
 from conftest import corpus_path, load_model, perfbench_models
 from supercech.cech import CechCochain, cech_delta, cup_product
 from supercech.errors import CocycleError, SupercechError
 from supercech.gluing import invert_laurent_matrix
 from supercech.laurent import LaurentPoly, Q
 from supercech.modelfile import parse_model_text
+from supercech.obstruction import tangent_spec
 from supercech.secondary import _hom_frames, _theta_pairing_matrix, filtration_of
 from supercech.sheaf import (SheafSpec, columns_of, diagonal_block, frames_leak, rows_of,
                              sheaf_dual, sheaf_exterior_power, sheaf_hom, sheaf_tensor)
@@ -416,6 +418,34 @@ def test_dual_reads_the_partner_matrices():
             for (a, b), e in ((("U0", "U1"), 2), (("U1", "U0"), -1))}
     with pytest.raises(CocycleError, match=r"\(U0,U1\) and \(U1,U0\) are not inverse"):
         sheaf_dual(SheafSpec(space, 1, mats, check=False))
+
+
+def gluing_data():
+    """Every corpus gluing that reduces and gauged models of odd rank 4-6."""
+    out = []
+    for name in sorted(os.listdir(os.path.dirname(str(corpus_path("split_p1.model"))))):
+        if name.endswith(".model"):
+            out.append(load_model(name).gluing)
+    models, rng = perfbench_models(), random.Random(2)
+    for q in (4, 5, 6):
+        for planted in (False, True):
+            out.append(parse_model_text(models.gauged_model(supercech, rng, q, planted)).gluing)
+    return out
+
+
+def test_odd_bundle_and_tangent_matrices_equal_the_dense_references():
+    reduced = 0
+    for g in gluing_data():
+        try:
+            space, odd = g.reduce()
+        except SupercechError:
+            continue  # corrupt_sign is not a valid gluing
+        reduced += 1
+        tangent = tangent_spec(space)
+        for key, t in g.transitions.items():
+            assert odd.matrices[key] == columns_of(dense.odd_matrix(t))
+            assert tangent.matrices[key] == columns_of(dense.jacobian(space, *key))
+    assert reduced == 13
 
 
 # ------------------------------------------------------------ Laurent inverse
