@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CocycleError, ContextError, SupercechError
-from .grassmann import GrassmannElement, Substitution, _product
-from .laurent import Coef, LaurentPoly, collect, div, mul_into
-from .sheaf import SheafSpec, columns_of, sheaf_spec
+from .grassmann import GrassmannElement, Substitution
+from .laurent import Coef, LaurentPoly, div
+from .sheaf import Columns, SheafSpec, invert_laurent_matrix, sheaf_spec
 from .spaces import Chart, Cover, MonomialMap, ReducedSpace
 
 INFINITY = float("inf")
@@ -77,16 +77,15 @@ class SuperTransition:
     def reduced_map(self) -> dict[str, LaurentPoly]:
         return {v: g.body() for v, g in self.even_maps.items()}
 
-    def odd_matrix(self) -> list[list[LaurentPoly]]:
-        """Rows: target generators, columns: source generators; entry (b, a)
-        is the theta_a coefficient of the degree-one part of the image of the
-        target generator b."""
-        q_src = self.source.odd_rank
-        mat = []
+    def odd_matrix(self) -> Columns:
+        """Sparse columns, one per source generator; entry (b, a) is the
+        theta_a coefficient of the image of the target generator b."""
+        columns = [[] for _ in range(self.source.odd_rank)]
         for b in range(1, self.target.odd_rank + 1):
-            lin = self.odd_maps[b].component(1)
-            mat.append([lin.coefficient((a,)) for a in range(1, q_src + 1)])
-        return mat
+            for idx, e in self.odd_maps[b].terms.items():
+                if len(idx) == 1:
+                    columns[idx[0] - 1].append((b - 1, e))
+        return tuple(map(tuple, columns))
 
     def deviation_degree(self) -> float:
         """Smallest odd degree (>= 2) of any deviation from the split normal
@@ -170,17 +169,17 @@ def invert_transition(t: SuperTransition) -> SuperTransition:
         else:
             img = LaurentPoly.var(tv, u, -1).scale(c)
         even0[v] = GrassmannElement.from_poly(img, tq)
-    zeta = t.odd_matrix()
-    zeta_inv = invert_laurent_matrix(zeta)
+    zeta_inv = invert_laurent_matrix(t.odd_matrix(), src.vars)
     if zeta_inv is None:
         raise SupercechError("degree-one odd matrix is not invertible over Laurent polynomials")
-    # express the inverted matrix in target coordinates via the reduced inverse
+    # express the inverted matrix in target coordinates via the reduced inverse:
+    # entry (a, b) is the theta_b coefficient of the image of theta_a
     to_target = MonomialMap([even0[v].body() for v in src.vars], tv)
-    odd0: dict[int, GrassmannElement] = {}
-    for a in range(1, src.odd_rank + 1):
-        row = (to_target.apply(entry) for entry in zeta_inv[a - 1])
-        odd0[a] = GrassmannElement(tv, tq, {(b,): e for b, e in enumerate(row, 1) if e.terms},
-                                   trusted=True)
+    images: dict[int, dict] = {a: {} for a in range(1, src.odd_rank + 1)}
+    for b, col in enumerate(zeta_inv, 1):
+        for a, e in col:
+            images[a + 1][(b,)] = to_target.apply(e)
+    odd0 = {a: GrassmannElement(tv, tq, terms, trusted=True) for a, terms in images.items()}
 
     inverse = SuperTransition(tgt, src, even0, odd0, check=False)
     ident = identity_transition(src)
@@ -199,43 +198,6 @@ def invert_transition(t: SuperTransition) -> SuperTransition:
                    for a in range(1, src.odd_rank + 1)}
         inverse = SuperTransition(tgt, src, even_new, odd_new, check=False)
     raise SupercechError("inverse iteration did not terminate (data not invertible?)")
-
-
-def invert_laurent_matrix(matrix: list[list[LaurentPoly]]) -> list[list[LaurentPoly]] | None:
-    """Inverse of a square matrix of Laurent polynomials when the determinant
-    is an invertible monomial; ``None`` otherwise.
-
-    Column j is the degree-one raw form ``{1 << row: entry}`` of
-    :mod:`supercech.grassmann`.  The exterior product of all columns is the
-    determinant times the top mask; the product of every column but j,
-    joined from one prefix and one suffix product, has the minor that deletes
-    row i and column j as its coefficient at the top mask without bit i."""
-    n = len(matrix)
-    if n == 0:
-        return []
-    vars = matrix[0][0].vars
-    unit = {0: {(0,) * len(vars): 1}}
-    columns = [{1 << i: row[j].terms for i, row in enumerate(matrix) if row[j].terms}
-               for j in range(n)]
-    prefix = [unit]  # prefix[j]: the product of the columns before j
-    for col in columns:
-        prefix.append(_product(prefix[-1], col, n))
-    suffix = [unit] * (n + 1)  # suffix[j]: the product of the columns from j on
-    for j in range(n - 1, 0, -1):
-        suffix[j] = _product(columns[j], suffix[j + 1], n)
-    full = (1 << n) - 1
-    det = LaurentPoly(vars, prefix[n].get(full, {}), trusted=True)
-    if not det.is_monomial():
-        return None
-    det_inv = det.inverse().terms
-    out = [[None] * n for _ in range(n)]
-    for j in range(n):
-        minors = _product(prefix[j], suffix[j + 1], n)
-        for i in range(n):
-            acc: dict = {}
-            mul_into(acc, minors.get(full ^ (1 << i), {}), det_inv, -1 if (i + j) % 2 else 1)
-            out[j][i] = LaurentPoly(vars, collect(acc), trusted=True)
-    return out
 
 
 # --------------------------------------------------------------------- data
@@ -374,7 +336,7 @@ class SuperGluingData:
     def _degree_one_part(self) -> tuple[dict, dict]:
         """The reduced coordinate maps and the odd-bundle matrices, by overlap."""
         return ({key: t.reduced_map() for key, t in self.transitions.items()},
-                {key: columns_of(t.odd_matrix()) for key, t in self.transitions.items()})
+                {key: t.odd_matrix() for key, t in self.transitions.items()})
 
     def restrict_fiber(self, point: dict[str, Coef]) -> "SuperGluingData":
         """Evaluate the base coordinates at a rational point; the result is

@@ -22,8 +22,8 @@ from .gluing import (INFINITY, SuperGluingData, SuperTransition, compose_transit
                      identity_transition)
 from .grassmann import GrassmannElement
 from .laurent import Coef, LaurentPoly, div
-from .sheaf import (SheafSpec, columns_of, derived_spec, mat_mul, sheaf_dual,
-                    sheaf_exterior_power, sheaf_hom, sheaf_spec)
+from .sheaf import (SheafSpec, derived_spec, mat_mul, sheaf_dual, sheaf_exterior_power,
+                    sheaf_hom, sheaf_spec)
 
 
 # ------------------------------------------------------------ basic specs
@@ -33,7 +33,7 @@ def tangent_spec(space) -> SheafSpec:
     """Spec with the reduced Jacobian matrices (components of vector fields)."""
     return derived_spec(space, ("tangent",), lambda: sheaf_spec(
         space, len(space.cover.chart(space.cover.order[0]).vars),
-        {key: columns_of(space.jacobian(*key)) for key in space.cover.overlaps}))
+        {key: space.jacobian(*key) for key in space.cover.overlaps}))
 
 
 def cotangent_spec(space) -> SheafSpec:
@@ -183,20 +183,17 @@ def _witness_to_coordinate_change(g: SuperGluingData, witness: CechCochain,
         chart = g.cover.chart(name)
         vars = chart.vars
         frames = witness.sections[(name,)]
-        n_targets = len(vars) if level % 2 == 0 else chart.odd_rank
         ident = identity_transition(chart)
         even = dict(ident.even_maps)
         odd = dict(ident.odd_maps)
-        for t_index in range(n_targets):
-            correction = GrassmannElement.zero(vars, chart.odd_rank)
-            for k, I in enumerate(idxs):
-                coeff = frames.get(t_index * len(idxs) + k)
-                if coeff is None:
-                    continue
-                correction = correction + GrassmannElement(
-                    vars, chart.odd_rank, {I: coeff})
-            if correction.is_zero():
-                continue
+        # hom frame t_index * len(idxs) + k is the theta^idxs[k] coefficient
+        # of the correction to target coordinate t_index
+        terms: dict[int, dict] = {}
+        for f, coeff in sorted(frames.items()):
+            t_index, k = divmod(f, len(idxs))
+            terms.setdefault(t_index, {})[idxs[k]] = coeff
+        for t_index, by_index in terms.items():
+            correction = GrassmannElement(vars, chart.odd_rank, by_index, trusted=True)
             if level % 2 == 0:
                 v = vars[t_index]
                 even[v] = even[v] - correction
@@ -351,7 +348,7 @@ def _fiber_of_family(g: SuperGluingData) -> SuperGluingData:
         for v, img in t.reduced_map().items():
             if v not in g.base_vars and _depends_on_base(img, g.base_vars):
                 raise SupercechError("reduced data depends on the base; not product-type")
-        if any(_depends_on_base(e, g.base_vars) for row in t.odd_matrix() for e in row):
+        if any(_depends_on_base(e, g.base_vars) for col in t.odd_matrix() for _, e in col):
             raise SupercechError("odd bundle depends on the base; not product-type")
     return g.restrict_fiber({v: 1 for v in g.base_vars})
 
@@ -378,23 +375,21 @@ def characteristic_factorization(g: SuperGluingData,
     fiber = _fiber_of_family(g)
     fiber_hom = deviation_hom_spec(fiber, level)
 
-    # per-base-monomial fiber cochains
-    by_monomial: dict[tuple[int, ...], dict[tuple, list[LaurentPoly]]] = {}
+    # per-base-monomial fiber cochains: each family frame splits into one
+    # part per base monomial, so a part is the only one on its frame
+    by_monomial: dict[tuple[int, ...], dict[tuple, dict[int, LaurentPoly]]] = {}
     for key, frames in fam_cochain.sections.items():
         lead_fiber_vars = fiber.chart(key[0]).vars
-        for frame, poly in frames.items():
-            for m, coeffpoly in poly.split_by(g.base_vars).items():
-                data = by_monomial.setdefault(m, {})
-                if key not in data:
-                    data[key] = [LaurentPoly.zero(lead_fiber_vars)
-                                 for _ in range(fiber_hom.rank)]
-                data[key][frame] = data[key][frame] + coeffpoly.with_context(lead_fiber_vars)
+        for frame, poly in sorted(frames.items()):
+            for m, part in poly.split_by(g.base_vars).items():
+                sections = by_monomial.get(m)
+                if sections is None:
+                    sections = by_monomial[m] = {k: {} for k in fam_cochain.sections}
+                sections[key][frame] = part.with_context(lead_fiber_vars)
     monomials = sorted(by_monomial)
-    reps: dict[tuple[int, ...], CechCochain] = {}
-    for m in monomials:
-        c = CechCochain(fiber_hom, 1, by_monomial[m])
-        cls = cohomology_class(c, window=window)
-        reps[m] = cls.representative
+    reps = {m: cohomology_class(CechCochain(fiber_hom, 1, by_monomial[m], trusted=True),
+                                window=window).representative
+            for m in monomials}
 
     base_monomial = None
     for m in monomials:
@@ -421,23 +416,12 @@ def characteristic_factorization(g: SuperGluingData,
 
 
 def _proportionality(c: CechCochain, base: CechCochain) -> Coef | None:
-    """lambda with c = lambda * base, comparing canonical representatives."""
-    lam = None
-    for key, frames in base.sections.items():
-        other = c.sections[key]
-        for f in frames.keys() | other.keys():
-            p = frames[f].terms if f in frames else {}
-            q = other[f].terms if f in other else {}
-            for exps in p.keys() | q.keys():
-                pv = p.get(exps, 0)
-                qv = q.get(exps, 0)
-                if pv == 0:
-                    if qv != 0:
-                        return None
-                    continue
-                ratio = div(qv, pv)
-                if lam is None:
-                    lam = ratio
-                elif ratio != lam:
-                    return None
-    return 0 if lam is None else lam
+    """lambda with c = lambda * base for a nonzero ``base``, comparing
+    canonical representatives: the ratio at the first term of ``base``,
+    checked on every term by one comparison."""
+    key, frames = next((key, frames) for key, frames in base.sections.items() if frames)
+    f, p = next(iter(frames.items()))
+    exps, pv = next(iter(p.terms.items()))
+    q = c.sections[key].get(f)
+    lam = div(q.terms.get(exps, 0), pv) if q is not None else 0
+    return lam if base.scale(lam) == c else None

@@ -100,6 +100,42 @@ def mat_mul(a: Columns, b: Columns) -> Columns:
     return tuple(out)
 
 
+def invert_laurent_matrix(m: Columns, vars: tuple[str, ...]) -> Columns | None:
+    """Inverse of a square matrix over ``vars`` when its determinant is an
+    invertible monomial; ``None`` otherwise.
+
+    Column j is the degree-one raw form ``{1 << row: entry}`` of
+    :mod:`supercech.grassmann`.  The exterior product of all columns is the
+    determinant times the top mask; the product of every column but j,
+    joined from one prefix and one suffix product, has the minor that deletes
+    row i and column j as its coefficient at the top mask without bit i, and
+    that minor over the determinant, signed, is entry (j, i) of the inverse."""
+    n = len(m)
+    unit = {0: {(0,) * len(vars): 1}}
+    columns = [{1 << i: e.terms for i, e in col} for col in m]
+    prefix = [unit]  # prefix[j]: the product of the columns before j
+    for col in columns:
+        prefix.append(_product(prefix[-1], col, n))
+    suffix = [unit] * (n + 1)  # suffix[j]: the product of the columns from j on
+    for j in range(n - 1, 0, -1):
+        suffix[j] = _product(columns[j], suffix[j + 1], n)
+    full = (1 << n) - 1
+    det = prefix[n].get(full, {})
+    if len(det) != 1:
+        return None
+    det_inv = LaurentPoly(vars, det, trusted=True).inverse().terms
+    out = [[] for _ in range(n)]
+    for j in range(n):
+        minors = _product(prefix[j], suffix[j + 1], n)
+        for i in range(n):
+            minor = minors.get(full ^ (1 << i))
+            if minor:
+                acc: dict = {}
+                mul_into(acc, minor, det_inv, -1 if (i + j) % 2 else 1)
+                out[i].append((j, LaurentPoly(vars, collect(acc), trusted=True)))
+    return tuple(map(tuple, out))
+
+
 def transpose(m: Columns) -> Columns:
     out = [[] for _ in m]
     for j, col in enumerate(m):

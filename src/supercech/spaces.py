@@ -216,9 +216,14 @@ class ReducedSpace:
         using the (a, b) coordinate map."""
         return self.exponent_map(a, b, poly.vars).apply(poly)
 
-    def jacobian(self, a: str, b: str) -> list[list[LaurentPoly]]:
-        """Matrix d(b-coords)/d(a-coords), entries in a-coordinates; rows are
-        indexed by b-coordinates, columns by a-coordinates."""
-        ca, cb = self.cover.chart(a), self.cover.chart(b)
+    def jacobian(self, a: str, b: str) -> tuple:
+        """Matrix d(b-coords)/d(a-coords) as the sparse columns of
+        :mod:`supercech.sheaf`, entries in a-coordinates; rows are indexed by
+        b-coordinates, columns by a-coordinates.  Each image is a monomial,
+        so an entry is nonzero exactly when its exponent in the column's
+        coordinate is."""
         cmap = self.coordinate_maps[(a, b)]
-        return [[cmap[u].derivative(v) for v in ca.vars] for u in cb.vars]
+        images = [(i, cmap[u], next(iter(cmap[u].terms)))
+                  for i, u in enumerate(self.cover.chart(b).vars)]
+        return tuple(tuple((i, img.derivative(v)) for i, img, exps in images if exps[k])
+                     for k, v in enumerate(self.cover.chart(a).vars))

@@ -13,7 +13,7 @@ from supercech.modelfile import parse_model_file
 from supercech.parsing import parse_element
 from supercech.spaces import Chart, Cover, ReducedSpace
 from supercech.gluing import SuperGluingData, SuperTransition
-from supercech.sheaf import SheafSpec, columns_of
+from supercech.sheaf import SheafSpec, columns_of, invert_laurent_matrix, rows_of
 
 import importlib.resources as resources
 
@@ -96,6 +96,13 @@ def line_bundle(space, n: int) -> SheafSpec:
             (b, a): columns_of([[LaurentPoly.monomial(xb, 1, tuple(-n if v == xb[0] else 0
                                                                    for v in xb))]])}
     return SheafSpec(space, 1, mats)
+
+
+def invert_rows(rows):
+    """``sheaf.invert_laurent_matrix`` of a square matrix given and returned as dense rows."""
+    vars = rows[0][0].vars
+    inv = invert_laurent_matrix(columns_of(rows), vars)
+    return None if inv is None else rows_of(inv, vars)
 
 
 def random_grassmann(rng: random.Random, vars, odd_rank, max_terms=3,

@@ -11,14 +11,13 @@ from supercech.cech import (CechCochain, cech_delta, cohomology_basis, extension
                             is_coboundary)
 from supercech.cli import main
 from supercech.errors import CocycleError
-from supercech.gluing import invert_laurent_matrix
 from supercech.laurent import LaurentPoly
 from supercech.sheaf import (SheafSpec, columns_of, diagonal_block, filtration, kron,
                              rows_of, sheaf_dual, sheaf_exterior_power, sheaf_hom,
                              sheaf_spec, sheaf_tensor, trivial_spec)
 
 import dense_reference as dense
-from conftest import corpus_path, line_bundle
+from conftest import corpus_path, invert_rows, line_bundle
 from dense_reference import hom_unflatten, identity_matrix, mat_mul, matrices
 
 
@@ -132,7 +131,7 @@ def specs_gauge_equivalent(spec1, spec2, gauges):
     """Check spec2 = g_b . spec1 . g_a^{-1} on every overlap."""
     m1, m2 = matrices(spec1), matrices(spec2)
     for (a, b) in spec1.space.cover.overlaps:
-        ga_inv = invert_laurent_matrix(gauges[a])
+        ga_inv = invert_rows(gauges[a])
         gb = [[spec1.space.compose_into(a, b, e) for e in row] for row in gauges[b]]
         if mat_mul(gb, mat_mul(m1[(a, b)], ga_inv)) != m2[(a, b)]:
             return False

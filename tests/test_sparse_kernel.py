@@ -21,15 +21,15 @@ from hypothesis import given, settings, strategies as st
 
 import dense_reference as dense
 import supercech
-from conftest import corpus_path, load_model, perfbench_models
+from conftest import corpus_path, invert_rows, load_model, perfbench_models
 from supercech.cech import CechCochain, cech_delta, cup_product
 from supercech.errors import CocycleError, SupercechError
-from supercech.gluing import invert_laurent_matrix
 from supercech.laurent import LaurentPoly, Q
 from supercech.modelfile import parse_model_text
 from supercech.obstruction import tangent_spec
 from supercech.secondary import _hom_frames, _theta_pairing_matrix, filtration_of
-from supercech.sheaf import (SheafSpec, columns_of, diagonal_block, frames_leak, rows_of,
+from supercech.sheaf import (SheafSpec, columns_of, diagonal_block, frames_leak,
+                             invert_laurent_matrix, rows_of,
                              sheaf_dual, sheaf_exterior_power, sheaf_hom, sheaf_tensor)
 
 PROPERTY = settings(max_examples=15)
@@ -411,7 +411,7 @@ def test_dual_reads_the_partner_matrices():
     for spec in transport_specs():
         dual = sheaf_dual(spec)
         for key, m in dense.matrices(spec).items():
-            assert dense.matrices(dual)[key] == dense.mat_transpose(invert_laurent_matrix(m))
+            assert dense.matrices(dual)[key] == dense.mat_transpose(invert_rows(m))
     # an unchecked spec whose partner matrices are not inverse
     space = load_model("split_p1.model").gluing.reduce()[0]
     mats = {(a, b): columns_of([[LaurentPoly.monomial(space.cover.chart(a).vars, 1, (e,))]])
@@ -484,18 +484,24 @@ def unimodular_matrices(draw, n):
 @given(st.integers(1, 6).flatmap(lambda n: st.one_of(laurent_matrices(n),
                                                      unimodular_matrices(n))))
 def test_inverse_equals_the_cofactor_reference(matrix):
-    got = invert_laurent_matrix(matrix)
-    assert got == dense.invert_laurent_matrix(matrix)
-    if got is not None:
-        assert dense.mat_mul(matrix, got) == dense.identity_matrix(len(matrix), X)
+    got = invert_laurent_matrix(columns_of(matrix), X)
+    want = dense.invert_laurent_matrix(matrix)
+    if got is None:
+        assert want is None
+    else:
+        assert is_sparse_columns(got, len(matrix))
+        assert rows_of(got, X) == want
+        assert dense.mat_mul(matrix, want) == dense.identity_matrix(len(matrix), X)
 
 
 def test_inverse_of_a_singular_or_non_monomial_matrix_is_none():
     x = LaurentPoly.var(X, "x")
     one = LaurentPoly.const(X, 1)
-    assert invert_laurent_matrix([[x, x], [x, x]]) is None
-    assert invert_laurent_matrix([[x + one, one], [one, one]]) is not None   # det x
-    assert invert_laurent_matrix([[x + one, one], [one, x]]) is None         # det x^2 + x - 1
+    assert invert_rows([[x, x], [x, x]]) is None
+    assert invert_rows([[x + one, one], [one, one]]) is not None   # det x
+    assert invert_rows([[x + one, one], [one, x]]) is None         # det x^2 + x - 1
+    assert invert_laurent_matrix(((), ()), X) is None              # det 0
+    assert invert_laurent_matrix((), X) == ()
 
 
 def test_dense_eight_by_eight_inverse_is_fast():
@@ -507,6 +513,6 @@ def test_dense_eight_by_eight_inverse_is_fast():
     A = dense.mat_mul(upper, dense.mat_transpose(upper))
     assert all(not e.is_zero() for row in A for e in row)
     t0 = time.process_time()
-    inv = invert_laurent_matrix(A)
+    inv = invert_rows(A)
     assert time.process_time() - t0 < 1
     assert dense.mat_mul(A, inv) == dense.identity_matrix(n, X)
