@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 from .errors import CocycleError, ParseError
 from .gluing import SuperGluingData, SuperTransition
-from .parsing import ExpressionParser
+from .parsing import _THETA, ExpressionParser
 from .secondary import GtModel, gt_model
 from .sheaf import SheafSpec, columns_of, rows_of, sheaf_spec
 from .spaces import Chart, Cover, ReducedSpace
@@ -99,12 +99,15 @@ def _count(toks: list[str], lineno: int, line: str) -> int:
 def _names(toks: list[str], lineno: int, line: str, taken=(),
            count: int | None = None) -> tuple[str, ...]:
     """The arguments of the keyword ``toks[0]`` (``count`` of them, when
-    given) as coordinate names, each named once and none of them in
-    ``taken``."""
+    given) as coordinate names, each named once, none of them in ``taken``
+    and none named like an odd generator."""
     if count is not None:
         _args(toks, count, lineno)
     seen = set(taken)
     for name in toks[1:]:
+        if _THETA.match(name):
+            raise ParseError(f"coordinate name {name!r} is reserved for odd generators",
+                             lineno, line.rfind(name) + 1)
         if name in seen:
             raise ParseError(f"coordinate {name!r} is named twice", lineno,
                              line.rfind(name) + 1)
@@ -219,6 +222,8 @@ def parse_model_text(text: str) -> ModelDocument:
             name = names[0] if names else None
             opened[head][name] = (lineno, *_read_body(head, name, body, declared_at))
             continue
+        if head in ("format", "family", "base_odd", "splitting_type"):
+            _declare(declared_at, (head,), lineno)
         if head == "format":
             if _int(toks, lineno, line) != FORMAT_VERSION:
                 raise ParseError(f"unsupported format version {toks[1:]}", lineno, 1)
@@ -307,19 +312,14 @@ def _transition(chart_map: dict, key: tuple, lineno: int, body: list):
     for line, assignment, _ in body:
         lhs, rhs = (side.strip() for side in assignment.split("=", 1))
         if lhs.startswith("theta_"):
-            index = lhs[len("theta_"):]
-            if index.isdecimal():
-                # decided by its digit count first (as in the expression
-                # parser), so no length reaches the interpreter's
-                # conversion limit; 0 is out of range
-                index = index.lstrip("0") or "0"
-                coord = int(index) if len(index) <= len(str(tgt.odd_rank)) else 0
-            else:
-                try:
-                    coord = int(index)
-                except ValueError:
-                    raise ParseError(f"expected an integer theta index, got {lhs!r}",
-                                     line, 1) from None
+            theta = _THETA.match(lhs)
+            if theta is None:
+                raise ParseError(f"expected an integer theta index, got {lhs!r}", line, 1)
+            # decided by its digit count first (as in the expression parser),
+            # so no length reaches the interpreter's conversion limit; 0 is
+            # out of range
+            index = theta.group(1).lstrip("0") or "0"
+            coord = int(index) if len(index) <= len(str(tgt.odd_rank)) else 0
             if not 1 <= coord <= tgt.odd_rank:
                 raise ParseError(f"{lhs} is not an odd coordinate of chart {b!r} "
                                  f"(odd {tgt.odd_rank})", line, 1)

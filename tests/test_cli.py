@@ -596,6 +596,75 @@ def test_long_theta_index_on_the_left_is_not_an_odd_coordinate(tmp_path, capsys)
     assert "is not an odd coordinate of chart 'U1' (odd 0)" in err
 
 
+@pytest.mark.parametrize("lhs", ["theta_+1", "theta_ 1", "theta_-1", "theta_0_1",
+                                 "theta_\u0661", "theta_1x"])
+def test_theta_index_on_the_left_follows_the_expression_grammar(tmp_path, capsys, lhs):
+    # int() used to read a sign, spaces and '_', and isdecimal() non-ASCII
+    # digits, so these lines assigned theta_1
+    lines = corpus_path("nonsplit_p1.model").read_text().split("\n")
+    assert lines[19] == "  theta_1 = x^-2*theta_1"
+    lines[19] = f"  {lhs} = x^-2*theta_1"
+    path = tmp_path / "bad.model"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"input error: line 20, column 1: expected an integer theta index, got {lhs!r}\n"
+
+
+@pytest.mark.parametrize("block,message", [
+    ("format 1\n", "line 25, column 1: duplicate format (first on line 1)"),
+    ("base_odd 0\nbase_odd 0\n", "line 26, column 1: duplicate base_odd (first on line 25)"),
+    ("splitting_type 2\nsplitting_type 5\n",
+     "line 26, column 1: duplicate splitting_type (first on line 25)"),
+    ("family x\nfamily x\n", "line 26, column 1: duplicate family (first on line 25)"),
+])
+def test_top_level_directive_is_declared_once(tmp_path, capsys, block, message):
+    # a repeated directive used to replace the first one silently
+    path = tmp_path / "bad.model"
+    path.write_text(VALID_MODEL + block)
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+def test_repeated_splitting_type_of_a_corpus_model_is_input_error(tmp_path, capsys):
+    text = corpus_path("nonsplit_p1.model").read_text()
+    assert text.splitlines()[27] == "splitting_type 2"
+    path = tmp_path / "bad.model"
+    path.write_text(text + "splitting_type 3\nsplitting_type 2\n")
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "input error: line 29, column 1: duplicate splitting_type (first on line 28)\n"
+
+
+# (lines, text, line, column): ``text`` replaces line ``lines`` of VALID_MODEL
+# (None: is appended to it) and names the reserved coordinate last, at
+# ``line`` and ``column``
+RESERVED_NAMES = [
+    (3, "  fiber theta_1", 3, 9),
+    (3, "  fiber x\n  base t theta_12", 4, 10),
+    (None, "family theta_1", 25, 8),
+    (None, "baseatlas\n  base_vars t theta_1", 26, 15),
+]
+
+
+@pytest.mark.parametrize("replaced,text,lineno,column", RESERVED_NAMES)
+def test_coordinate_named_like_an_odd_generator_is_input_error(tmp_path, capsys, replaced,
+                                                               text, lineno, column):
+    # such a name used to be accepted and then read as the generator, which
+    # failed later as "theta_1 out of range 1..0"
+    lines = VALID_MODEL.splitlines()
+    if replaced is None:
+        lines.append(text)
+    else:
+        lines[replaced - 1] = text
+    path = tmp_path / "bad.model"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"input error: line {lineno}, column {column}: "
+                   f"coordinate name {text.split()[-1]!r} is reserved for odd generators\n")
+
+
 @pytest.mark.parametrize("text", ["", "format 1\nchart U0\n  fiber x\n  odd 0\n"])
 def test_verify_without_transitions_or_gtmodel_is_input_error(tmp_path, capsys, text):
     path = tmp_path / "empty.model"
