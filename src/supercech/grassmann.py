@@ -18,9 +18,10 @@ together when their masks meet, and the sign of ``theta_I theta_J`` is
 one output multi-index is summed in one exponent dict
 (:func:`~supercech.laurent.mul_into`), and no element or polynomial is built
 until :func:`_collect` converts the result.  Element products, the
-substitution memo, the expression parser, the exterior powers of sheaf specs
-and the Laurent matrix inverse all go through it: the latter two wedge
-matrix columns written as degree-one raw forms ``{1 << row: entry}``.
+substitution memo, the expression parser, and the exterior powers and the
+Laurent matrix inverse of :mod:`supercech.sheaf` all go through it: the
+latter two wedge sparse matrix columns written as degree-one raw forms
+``{1 << row: entry}``.
 
 Substitution of coordinate images is one ring homomorphism,
 :class:`Substitution`, which checks its images once per source context.  It

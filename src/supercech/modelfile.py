@@ -38,10 +38,13 @@ the line that opens it.
 A file holds at most one gluing-data block (charts/overlaps/transitions),
 any number of named sheaves and gt models, and at most one ``baseatlas``
 block, which takes no arguments.  Each chart, overlap, triple, transition,
-sheaf and gt model, each matrix or theta block inside one, and each field of
-a block (``fiber``, ``odd``, ``rank``, ``base_rank``, ``base_vars`` and so
-on) is declared once; a repeat is an error at the repeated line.  Expressions
-follow the grammar of :mod:`supercech.parsing`.
+sheaf and gt model, each matrix or theta block inside one, each of the
+directives ``format``, ``family``, ``base_odd`` and ``splitting_type``, and
+each field of a block (``fiber``, ``odd``, ``rank``, ``base_rank``,
+``base_vars`` and so on) is declared once; a repeat is an error at the
+repeated line.  Expressions follow the grammar of :mod:`supercech.parsing`,
+which reads ``theta_K`` (ASCII digits K) as an odd generator: the left side
+of a transition line has that form, and no coordinate may be so named.
 """
 
 from __future__ import annotations

@@ -10,11 +10,13 @@ section component vectors from the a-frame to the b-frame::
 Every matrix is kept as sparse columns: a tuple with one column per frame,
 column j the ``(row, entry)`` pairs of its nonzero entries, rows increasing.
 Every operation here visits nonzero entries only.  Dense rows appear only at
-the edges, through :func:`columns_of` and :func:`rows_of`: matrices read from
-model files or gluing data, and written model files.  An exterior power is
-built column by column as exterior products of columns in the one Grassmann
-kernel (:func:`~supercech.grassmann._product`), so its entries, the k x k
-minors, are never expanded one by one.
+the model-file edges, through :func:`columns_of` and :func:`rows_of`: sheaf
+blocks read in and written out.  Gluing data build their odd matrices and
+Jacobians as columns.  An exterior power is built column by column as
+exterior products of columns in the one Grassmann kernel
+(:func:`~supercech.grassmann._product`), so its entries, the k x k minors,
+are never expanded one by one; :func:`invert_laurent_matrix` inverts columns
+from prefix and suffix products in the same kernel.
 
 Convention for the two-chart projective-line covers used throughout tests
 and the golden corpus: the sheaf spec labeled ``O(n)`` has overlap matrix

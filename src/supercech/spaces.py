@@ -223,7 +223,7 @@ class ReducedSpace:
         so an entry is nonzero exactly when its exponent in the column's
         coordinate is."""
         cmap = self.coordinate_maps[(a, b)]
-        images = [(i, cmap[u], next(iter(cmap[u].terms)))
-                  for i, u in enumerate(self.cover.chart(b).vars)]
-        return tuple(tuple((i, img.derivative(v)) for i, img, exps in images if exps[k])
+        images = [cmap[u] for u in self.cover.chart(b).vars]
+        return tuple(tuple((i, img.derivative(v)) for i, img in enumerate(images)
+                           if next(iter(img.terms))[k])
                      for k, v in enumerate(self.cover.chart(a).vars))

@@ -1,7 +1,8 @@
 """Plain references for the optimised kernels: dense exact elimination for
 the sparse ``linalg``, dense matrix helpers for the sparse columns of
-``sheaf``, the odd matrices and Jacobians of the gluing data entry by entry, dense sheaf maps and dense-list cochain operations for the sparse
-Cech kernel and its frame-map cochains, the delta0 system of a whole sheaf
+``sheaf``, the odd matrices and Jacobians of gluing data entry by entry,
+dense sheaf maps and dense-list cochain operations for the sparse Cech
+kernel and its frame-map cochains, the delta0 system of a whole sheaf
 eliminated in one piece for the blockwise decisions of ``cech``, a lift
 through each filtration piece solved on the whole sheaf for
 ``secondary.refined_splitting_data``, the coboundary on the whole exterior

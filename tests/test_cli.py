@@ -626,19 +626,9 @@ def test_top_level_directive_is_declared_once(tmp_path, capsys, block, message):
     assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
-def test_repeated_splitting_type_of_a_corpus_model_is_input_error(tmp_path, capsys):
-    text = corpus_path("nonsplit_p1.model").read_text()
-    assert text.splitlines()[27] == "splitting_type 2"
-    path = tmp_path / "bad.model"
-    path.write_text(text + "splitting_type 3\nsplitting_type 2\n")
-    code, out, err = run_cli(capsys, "verify", "--input", str(path))
-    assert (code, out) == (2, "")
-    assert err == "input error: line 29, column 1: duplicate splitting_type (first on line 28)\n"
-
-
-# (lines, text, line, column): ``text`` replaces line ``lines`` of VALID_MODEL
-# (None: is appended to it) and names the reserved coordinate last, at
-# ``line`` and ``column``
+# (replaced, text, line, column): ``text`` replaces line ``replaced`` of
+# VALID_MODEL (None: is appended to it) and names the reserved coordinate
+# last, which the error locates at ``line`` and ``column``
 RESERVED_NAMES = [
     (3, "  fiber theta_1", 3, 9),
     (3, "  fiber x\n  base t theta_12", 4, 10),

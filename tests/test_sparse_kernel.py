@@ -29,8 +29,8 @@ from supercech.modelfile import parse_model_text
 from supercech.obstruction import tangent_spec
 from supercech.secondary import _hom_frames, _theta_pairing_matrix, filtration_of
 from supercech.sheaf import (SheafSpec, columns_of, diagonal_block, frames_leak,
-                             invert_laurent_matrix, rows_of,
-                             sheaf_dual, sheaf_exterior_power, sheaf_hom, sheaf_tensor)
+                             invert_laurent_matrix, rows_of, sheaf_dual,
+                             sheaf_exterior_power, sheaf_hom, sheaf_tensor)
 
 PROPERTY = settings(max_examples=15)
 
@@ -421,7 +421,7 @@ def test_dual_reads_the_partner_matrices():
 
 
 def gluing_data():
-    """Every corpus gluing that reduces and gauged models of odd rank 4-6."""
+    """Every corpus gluing and gauged models of odd rank 4-6."""
     out = []
     for name in sorted(os.listdir(os.path.dirname(str(corpus_path("split_p1.model"))))):
         if name.endswith(".model"):
