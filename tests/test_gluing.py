@@ -1,6 +1,7 @@
 import importlib.resources as resources
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,8 @@ from supercech.errors import CocycleError
 from supercech.gluing import (INFINITY, SuperGluingData, SuperTransition,
                               compose_transitions, identity_transition,
                               invert_transition, restrict_odd)
+from supercech.grassmann import GrassmannElement
+from supercech.laurent import LaurentPoly
 from supercech.modelfile import parse_model_text
 from supercech.parsing import parse_element
 from supercech.spaces import Chart, Cover
@@ -241,3 +244,53 @@ def test_q0_gluing_is_allowed(gt_model_doc):
     assert g.chart("U0").odd_rank == 0
     assert g.verify_cocycle().ok
     assert g.splitting_type() == INFINITY
+
+
+# Near-identity witnesses: the identity minus one homogeneous degree-j
+# correction N, on x for even j and on one generator for odd j.  Their
+# second-order terms have odd degree at least 2j - 1, so above the odd rank
+# the inverse is exactly the identity plus N.
+
+
+def _correction(chart, level, rng):
+    idxs = list(combinations(range(1, chart.odd_rank + 1), level))
+    terms = {idx: LaurentPoly.monomial(chart.vars, Q(rng.choice([-1, 1]) * rng.randint(1, 5),
+                                                     rng.randint(1, 3)),
+                                       tuple(rng.randint(-2, 2) for _ in chart.vars))
+             for idx in rng.sample(idxs, min(2, len(idxs)))}
+    return GrassmannElement(chart.vars, chart.odd_rank, terms)
+
+
+def _shifted(chart, corrections, sign):
+    """The identity of ``chart`` plus ``sign`` times each correction, keyed
+    by even coordinate name or generator index."""
+    ident = identity_transition(chart)
+    even = {v: g + corrections[v].scale(sign) if v in corrections else g
+            for v, g in ident.even_maps.items()}
+    odd = {b: g + corrections[b].scale(sign) if b in corrections else g
+           for b, g in ident.odd_maps.items()}
+    return SuperTransition(chart, chart, even, odd)
+
+
+@pytest.mark.parametrize("q,level", [(q, j) for q in range(3, 7) for j in range(2, q + 1)])
+def test_invert_near_identity_witness(q, level):
+    rng = random.Random(100 * q + level)
+    chart = Chart("U", ("x",), ("t",), q)
+    n = {"x" if level % 2 == 0 else rng.randint(1, q): _correction(chart, level, rng)}
+    w = _shifted(chart, n, -1)
+    inv = invert_transition(w)
+    assert compose_transitions(w, inv).is_identity()
+    assert compose_transitions(inv, w).is_identity()
+    if 2 * level - 1 > q:
+        assert inv == _shifted(chart, n, 1)
+
+
+@pytest.mark.parametrize("q,levels", [(5, (2, 3)), (6, (2, 5)), (6, (4, 3))])
+def test_invert_two_level_witness(q, levels):
+    rng = random.Random(q)
+    chart = Chart("U", ("x",), ("t",), q)
+    n = {"x" if j % 2 == 0 else 1: _correction(chart, j, rng) for j in levels}
+    w = _shifted(chart, n, -1)
+    inv = invert_transition(w)
+    assert compose_transitions(w, inv).is_identity()
+    assert compose_transitions(inv, w).is_identity()

@@ -124,6 +124,47 @@ def test_substitute_pole_and_unsupported():
                                   {1: parse("theta_1"), 2: parse("theta_2")}, X, 2))
 
 
+# A lone coordinate x, t or theta_a substitutes to its image; 2*x, x^-1 and
+# x*theta_1 are not lone coordinates and differ from every image.
+
+LONE_VARS, LONE_Q = ("x", "t"), 3
+NEAR_IDENTITY = ({"x": "x - 2*x^3*theta_1*theta_2", "t": "t"},
+                 {1: "theta_1", 2: "theta_2 + x*t^-1*theta_1*theta_2*theta_3", 3: "theta_3"})
+GENERAL = ({"x": "3*x^-1 + x*theta_2*theta_3", "t": "t - t^2*theta_1*theta_3"},
+           {1: "2*theta_2 + x*theta_1", 2: "-theta_1 + t*theta_3",
+            3: "x^-1*theta_3 + theta_1*theta_2*theta_3"})
+
+
+def _lone_images(images):
+    even = {v: parse(s, LONE_VARS, LONE_Q) for v, s in images[0].items()}
+    odd = {a: parse(s, LONE_VARS, LONE_Q) for a, s in images[1].items()}
+    return even, odd
+
+
+@pytest.mark.parametrize("images", [NEAR_IDENTITY, GENERAL], ids=["near-identity", "general"])
+@pytest.mark.parametrize("text", ["x", "t", "theta_1", "theta_2", "theta_3",
+                                  "2*x", "x^-1", "x*theta_1"])
+def test_lone_coordinate_substitutes_to_its_image(images, text):
+    even, odd = _lone_images(images)
+    element = parse(text, LONE_VARS, LONE_Q)
+    got = element.substitute(Substitution(even, odd, LONE_VARS, LONE_Q))
+    assert got == substitute(element, even, odd, LONE_VARS, LONE_Q)
+    lone = {**even, **{f"theta_{a}": g for a, g in odd.items()}}
+    if text in lone:
+        assert got == lone[text]
+    else:
+        assert got not in lone.values()
+
+
+def test_lone_coordinate_images_are_checked():
+    even, odd = _lone_images(NEAR_IDENTITY)
+    x, theta_1 = parse("x", LONE_VARS, LONE_Q), parse("theta_1", LONE_VARS, LONE_Q)
+    with pytest.raises(SubstitutionError, match="no image for even coordinate t"):
+        x.substitute(Substitution({"x": even["x"]}, odd, LONE_VARS, LONE_Q))
+    with pytest.raises(SubstitutionError, match="image of theta_2 is not odd"):
+        theta_1.substitute(Substitution(even, {**odd, 2: even["x"]}, LONE_VARS, LONE_Q))
+
+
 def test_negative_power_through_nilpotent():
     e = parse("x + theta_1*theta_2")
     inv = e.power(-1)
