@@ -144,7 +144,14 @@ def compose_transitions(s: SuperTransition, t: SuperTransition) -> SuperTransiti
 
 def invert_transition(t: SuperTransition) -> SuperTransition:
     """Exact inverse of an admissible transition, solved order by order in
-    odd degree.  Raises if the data is not invertible in the Laurent class."""
+    odd degree.  Raises if the data is not invertible in the Laurent class.
+
+    The degree <= 1 inverse comes from the reduced maps and the inverse of
+    the odd matrix.  When it is the identity, as for every near-identity
+    coordinate change, the matrix is not inverted and the first composite
+    "t then the inverse" is ``t`` itself.  Each step subtracts the nonzero
+    discrepancies of the composite, re-expressed in target coordinates; the
+    result must compose to the identity on both sides."""
     src, tgt = t.source, t.target
     # reduced inverse: each target coordinate body is c * v^(+-1) for a single
     # source coordinate v, and the pairing must be a bijection.
@@ -169,22 +176,31 @@ def invert_transition(t: SuperTransition) -> SuperTransition:
         else:
             img = LaurentPoly.var(tv, u, -1).scale(c)
         even0[v] = GrassmannElement.from_poly(img, tq)
-    zeta_inv = invert_laurent_matrix(t.odd_matrix(), src.vars)
-    if zeta_inv is None:
-        raise SupercechError("degree-one odd matrix is not invertible over Laurent polynomials")
-    # express the inverted matrix in target coordinates via the reduced inverse:
-    # entry (a, b) is the theta_b coefficient of the image of theta_a
-    to_target = MonomialMap([even0[v].body() for v in src.vars], tv)
-    images: dict[int, dict] = {a: {} for a in range(1, src.odd_rank + 1)}
-    for b, col in enumerate(zeta_inv, 1):
-        for a, e in col:
-            images[a + 1][(b,)] = to_target.apply(e)
-    odd0 = {a: GrassmannElement(tv, tq, terms, trusted=True) for a, terms in images.items()}
+    zeta = t.odd_matrix()
+    one = LaurentPoly.const(src.vars, 1)
+    near_identity = (tv == src.vars and tq == src.odd_rank
+                     and all(assign[u] == (u, 1, 1) for u in tv)
+                     and all(col == ((a, one),) for a, col in enumerate(zeta)))
+    if near_identity:
+        odd0 = {a: GrassmannElement.odd_gen(tv, tq, a) for a in range(1, src.odd_rank + 1)}
+    else:
+        zeta_inv = invert_laurent_matrix(zeta, src.vars)
+        if zeta_inv is None:
+            raise SupercechError(
+                "degree-one odd matrix is not invertible over Laurent polynomials")
+        # express the inverted matrix in target coordinates via the reduced
+        # inverse: entry (a, b) is the theta_b coefficient of the image of theta_a
+        to_target = MonomialMap([even0[v].body() for v in src.vars], tv)
+        images: dict[int, dict] = {a: {} for a in range(1, src.odd_rank + 1)}
+        for b, col in enumerate(zeta_inv, 1):
+            for a, e in col:
+                images[a + 1][(b,)] = to_target.apply(e)
+        odd0 = {a: GrassmannElement(tv, tq, terms, trusted=True) for a, terms in images.items()}
 
     inverse = SuperTransition(tgt, src, even0, odd0, check=False)
     ident = identity_transition(src)
-    for _ in range(src.odd_rank + 3):
-        comp = compose_transitions(t, inverse)
+    for step in range(src.odd_rank + 3):
+        comp = t if step == 0 and near_identity else compose_transitions(t, inverse)
         d_even = {v: comp.even_maps[v] - ident.even_maps[v] for v in src.vars}
         d_odd = {a: comp.odd_maps[a] - ident.odd_maps[a] for a in range(1, src.odd_rank + 1)}
         if all(g.is_zero() for g in d_even.values()) and all(g.is_zero() for g in d_odd.values()):
@@ -193,11 +209,16 @@ def invert_transition(t: SuperTransition) -> SuperTransition:
                 raise SupercechError("one-sided inverse only; data is inconsistent")
             return inverse
         # subtract the discrepancy, re-expressed in target coordinates
-        even_new = {v: inverse.even_maps[v] - inverse.apply(d_even[v]) for v in src.vars}
-        odd_new = {a: inverse.odd_maps[a] - inverse.apply(d_odd[a])
-                   for a in range(1, src.odd_rank + 1)}
+        even_new = {v: _corrected(inverse, inverse.even_maps[v], d) for v, d in d_even.items()}
+        odd_new = {a: _corrected(inverse, inverse.odd_maps[a], d) for a, d in d_odd.items()}
         inverse = SuperTransition(tgt, src, even_new, odd_new, check=False)
     raise SupercechError("inverse iteration did not terminate (data not invertible?)")
+
+
+def _corrected(inverse: SuperTransition, image: GrassmannElement,
+               discrepancy: GrassmannElement) -> GrassmannElement:
+    """``image`` minus ``discrepancy`` pulled back through ``inverse``."""
+    return image if discrepancy.is_zero() else image - inverse.apply(discrepancy)
 
 
 # --------------------------------------------------------------------- data

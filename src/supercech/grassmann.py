@@ -287,8 +287,18 @@ class GrassmannElement:
         its target.  Coefficients are expanded through nilpotent parts by
         the finite Taylor rule (see :meth:`power`).  The images stay in raw
         form (see :func:`_product_into`) until the one conversion at the
-        end."""
+        end.  A lone even coordinate or odd generator with coefficient 1 is
+        its image, which is returned as it is."""
         images.check(self.vars, self.odd_rank)
+        if len(self.terms) == 1:
+            (idx, coeff), = self.terms.items()
+            if len(coeff.terms) == 1:
+                (exps, c), = coeff.terms.items()
+                if c == 1:
+                    if not idx and sum(exps) == 1 and exps.count(0) == len(exps) - 1:
+                        return images.even_images[self.vars[exps.index(1)]]
+                    if len(idx) == 1 and not any(exps):
+                        return images.odd_images[idx[0]]
         q = images.odd_rank
         acc: dict[int, dict] = {}
         for idx, coeff in self.terms.items():

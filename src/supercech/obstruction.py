@@ -144,8 +144,7 @@ def attempt_split(g: SuperGluingData, window: int | None = None) -> SplitReport:
     g.require_valid()
     q = next(iter(g.cover.charts.values())).odd_rank
     current = g
-    total: dict[str, SuperTransition] = {
-        name: identity_transition(g.cover.chart(name)) for name in g.cover.order}
+    total: dict[str, SuperTransition] | None = None
     for level in range(2, q + 1):
         dev = current.deviation_degree()
         if dev == INFINITY:
@@ -163,12 +162,14 @@ def attempt_split(g: SuperGluingData, window: int | None = None) -> SplitReport:
                                                 "even" if level % 2 == 0 else "odd"))
         corrections = _witness_to_coordinate_change(current, witness, level)
         current = current.conjugate(corrections)
-        total = {name: compose_transitions(total[name], corrections[name])
-                 for name in g.cover.order}
+        total = corrections if total is None else {
+            name: compose_transitions(total[name], corrections[name]) for name in g.cover.order}
         if current.deviation_degree() <= level:
             raise SupercechError("correction did not clear the level")
     if current.deviation_degree() != INFINITY:
         raise SupercechError("levels exhausted but deviation remains")
+    if total is None:
+        total = {name: identity_transition(g.cover.chart(name)) for name in g.cover.order}
     return SplitReport(True, total, current)
 
 
