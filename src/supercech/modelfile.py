@@ -54,10 +54,10 @@ from dataclasses import dataclass, field
 
 from .errors import CocycleError, ParseError
 from .gluing import SuperGluingData, SuperTransition
-from .parsing import _THETA, ExpressionParser
+from .parsing import ExpressionParser
 from .secondary import GtModel, gt_model
 from .sheaf import SheafSpec, columns_of, rows_of, sheaf_spec
-from .spaces import Chart, Cover, ReducedSpace
+from .spaces import _THETA, Chart, Cover, ReducedSpace
 
 FORMAT_VERSION = 1
 

@@ -42,11 +42,11 @@ from operator import add
 from .errors import ParseError, SubstitutionError
 from .grassmann import GrassmannElement, _collect, _koszul_sign, _product_into, _raw
 from .laurent import LaurentPoly, div
+from .spaces import _THETA
 
 # the last group takes a character that starts no token (or trailing space)
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))|(.)", re.S)
 _KINDS = (None, "num", "name", "op")
-_THETA = re.compile(r"^theta_([0-9]+)$")
 
 MAX_EXPONENT = 100
 MAX_TERMS = 2000
@@ -107,10 +107,12 @@ class ExpressionParser:
         self.odd_rank = odd_rank
         n = len(self.vars)
         self._one = (1, (0,) * n, 0)
-        # atoms by name, theta_k added on first use; a coordinate named like
-        # an odd generator is read as that generator
+        for v in self.vars:
+            if _THETA.match(v):
+                raise ValueError(f"coordinate name {v!r} is reserved for odd generators")
+        # atoms by name, theta_k added on first use
         self._atoms = {v: (1, tuple(int(i == j) for j in range(n)), 0)
-                       for i, v in enumerate(self.vars) if not _THETA.match(v)}
+                       for i, v in enumerate(self.vars)}
 
     def parse(self, text: str, line: int | None = None) -> GrassmannElement:
         tz = _Tokenizer(text, line)

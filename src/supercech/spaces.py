@@ -12,10 +12,14 @@ product of powers of the image coefficients.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import CocycleError, ContextError
 from .laurent import Coef, LaurentPoly, collect, div
+
+# the name of an odd generator; no coordinate is named like one
+_THETA = re.compile(r"^theta_([0-9]+)$")
 
 
 @dataclass(frozen=True)
@@ -24,6 +28,11 @@ class Chart:
     fiber_vars: tuple[str, ...]
     base_vars: tuple[str, ...] = ()
     odd_rank: int = 0
+
+    def __post_init__(self):
+        for v in self.vars:
+            if _THETA.match(v):
+                raise ValueError(f"coordinate name {v!r} is reserved for odd generators")
 
     @property
     def vars(self) -> tuple[str, ...]:

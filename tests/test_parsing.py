@@ -62,6 +62,17 @@ def test_parse_poly_rejects_odd_parts():
         ExpressionParser(("x",), 2).parse_poly("x + theta_1")
 
 
+@pytest.mark.parametrize("vars", [("theta_1",), ("x", "theta_2"), ("theta_07",)])
+def test_coordinate_named_like_an_odd_generator_is_refused(vars):
+    name = next(v for v in vars if v.startswith("theta_"))
+    with pytest.raises(ValueError, match=f"coordinate name '{name}' is reserved for odd "
+                                         f"generators"):
+        ExpressionParser(vars, 1)
+    # a name that only starts like a generator is a coordinate
+    assert ExpressionParser(("theta_x",), 1).parse("theta_x") == \
+        GrassmannElement.even_var(("theta_x",), 1, "theta_x")
+
+
 def test_trailing_garbage():
     with pytest.raises(ParseError):
         parse("x + 1 )")

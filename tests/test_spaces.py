@@ -36,6 +36,15 @@ def spaces():
     return out + [("mixed", mixed_space())]
 
 
+@pytest.mark.parametrize("fiber,base", [(("theta_1",), ()), (("x",), ("theta_12",))])
+def test_chart_refuses_a_coordinate_named_like_an_odd_generator(fiber, base):
+    name = (fiber + base)[-1]
+    with pytest.raises(ValueError, match=f"coordinate name '{name}' is reserved for odd "
+                                         f"generators"):
+        Chart("U", fiber, base, 1)
+    assert Chart("U", ("theta",), ("thetas_1",), 1).vars == ("theta", "thetas_1")
+
+
 def random_poly(rng: random.Random, vars) -> LaurentPoly:
     terms = {}
     for _ in range(rng.randint(0, 6)):
