@@ -30,7 +30,10 @@ images, their products per exponent vector and the products of the odd
 images.  The Taylor series through a nilpotent part runs once per
 coordinate, for ``v^-1``; every other power is one product of the memoised
 power next to it and ``v^(+-1)``.  A substituted element is converted once,
-at the end.
+at the end.  A lone even coordinate or odd generator with coefficient 1
+needs neither: after the images are checked, its image is the result.
+Near-identity coordinate changes, such as the witnesses of a splitting
+attempt and their inverses, are mostly made of such maps.
 """
 
 from __future__ import annotations
@@ -295,7 +298,7 @@ class GrassmannElement:
             if len(coeff.terms) == 1:
                 (exps, c), = coeff.terms.items()
                 if c == 1:
-                    if not idx and sum(exps) == 1 and exps.count(0) == len(exps) - 1:
+                    if not idx and exps.count(0) == len(exps) - 1 and 1 in exps:
                         return images.even_images[self.vars[exps.index(1)]]
                     if len(idx) == 1 and not any(exps):
                         return images.odd_images[idx[0]]

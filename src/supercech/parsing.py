@@ -8,7 +8,9 @@ Accepted syntax::
     atom     :=  integer | name | theta_k | '(' expr ')'
     exponent :=  ['-'] integer | '(' ['-'] integer ')'
 
-Names are even coordinates; ``theta_k`` (k = 1..q) are the odd generators.
+Names are even coordinates; ``theta_k`` (k = 1..q) are the odd generators,
+and a parser over a coordinate named ``theta_<digits>`` is refused with a
+``ValueError``, as is a :class:`~supercech.spaces.Chart` with one.
 Rationals are written as divisions, e.g. ``1/2`` or ``x/3``.  A divisor (and
 the base of a negative exponent) must be invertible, i.e. have a single-term
 reduced part; this keeps every result a Laurent-polynomial-coefficient
@@ -42,7 +44,7 @@ from operator import add
 from .errors import ParseError, SubstitutionError
 from .grassmann import GrassmannElement, _collect, _koszul_sign, _product_into, _raw
 from .laurent import LaurentPoly, div
-from .spaces import _THETA
+from .spaces import _THETA, check_coordinate_names
 
 # the last group takes a character that starts no token (or trailing space)
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))|(.)", re.S)
@@ -107,9 +109,7 @@ class ExpressionParser:
         self.odd_rank = odd_rank
         n = len(self.vars)
         self._one = (1, (0,) * n, 0)
-        for v in self.vars:
-            if _THETA.match(v):
-                raise ValueError(f"coordinate name {v!r} is reserved for odd generators")
+        check_coordinate_names(self.vars)
         # atoms by name, theta_k added on first use
         self._atoms = {v: (1, tuple(int(i == j) for j in range(n)), 0)
                        for i, v in enumerate(self.vars)}

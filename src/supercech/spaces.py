@@ -22,6 +22,13 @@ from .laurent import Coef, LaurentPoly, collect, div
 _THETA = re.compile(r"^theta_([0-9]+)$")
 
 
+def check_coordinate_names(names) -> None:
+    """Raise ``ValueError`` for a coordinate named like an odd generator."""
+    for v in names:
+        if _THETA.match(v):
+            raise ValueError(f"coordinate name {v!r} is reserved for odd generators")
+
+
 @dataclass(frozen=True)
 class Chart:
     name: str
@@ -30,9 +37,7 @@ class Chart:
     odd_rank: int = 0
 
     def __post_init__(self):
-        for v in self.vars:
-            if _THETA.match(v):
-                raise ValueError(f"coordinate name {v!r} is reserved for odd generators")
+        check_coordinate_names(self.vars)
 
     @property
     def vars(self) -> tuple[str, ...]:
