@@ -200,7 +200,10 @@ def invert_transition(t: SuperTransition) -> SuperTransition:
     inverse = SuperTransition(tgt, src, even0, odd0, check=False)
     ident = identity_transition(src)
     for step in range(src.odd_rank + 3):
-        comp = t if step == 0 and near_identity else compose_transitions(t, inverse)
+        # while the inverse is the identity, t is the composite and each
+        # discrepancy is already in target coordinates
+        first = step == 0 and near_identity
+        comp = t if first else compose_transitions(t, inverse)
         d_even = {v: comp.even_maps[v] - ident.even_maps[v] for v in src.vars}
         d_odd = {a: comp.odd_maps[a] - ident.odd_maps[a] for a in range(1, src.odd_rank + 1)}
         if all(g.is_zero() for g in d_even.values()) and all(g.is_zero() for g in d_odd.values()):
@@ -209,16 +212,17 @@ def invert_transition(t: SuperTransition) -> SuperTransition:
                 raise SupercechError("one-sided inverse only; data is inconsistent")
             return inverse
         # subtract the discrepancy, re-expressed in target coordinates
-        even_new = {v: _corrected(inverse, inverse.even_maps[v], d) for v, d in d_even.items()}
-        odd_new = {a: _corrected(inverse, inverse.odd_maps[a], d) for a, d in d_odd.items()}
+        pull = (lambda g: g) if first else inverse.apply
+        even_new = {v: _corrected(inverse.even_maps[v], d, pull) for v, d in d_even.items()}
+        odd_new = {a: _corrected(inverse.odd_maps[a], d, pull) for a, d in d_odd.items()}
         inverse = SuperTransition(tgt, src, even_new, odd_new, check=False)
     raise SupercechError("inverse iteration did not terminate (data not invertible?)")
 
 
-def _corrected(inverse: SuperTransition, image: GrassmannElement,
-               discrepancy: GrassmannElement) -> GrassmannElement:
-    """``image`` minus ``discrepancy`` pulled back through ``inverse``."""
-    return image if discrepancy.is_zero() else image - inverse.apply(discrepancy)
+def _corrected(image: GrassmannElement, discrepancy: GrassmannElement,
+               pull) -> GrassmannElement:
+    """``image`` minus ``discrepancy`` re-expressed by ``pull``."""
+    return image if discrepancy.is_zero() else image - pull(discrepancy)
 
 
 # --------------------------------------------------------------------- data
