@@ -5,13 +5,15 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from supercech import cech
 from supercech.cech import (CechCochain, ShortExactSequence, _cochain_keys, cech_delta,
                             cohomology_basis, cohomology_class, connecting_map,
                             cup_product, delta0_window, extension_sheaf,
                             is_coboundary, is_cocycle, solve_coboundary)
-from supercech.errors import CocycleError
+from supercech.errors import CocycleError, WindowError
 from supercech import linalg
 from supercech.laurent import LaurentPoly
+from supercech.secondary import hom_into_quotient
 from dense_reference import rank as qrank
 from supercech.sheaf import sheaf_dual, sheaf_hom, trivial_spec, sheaf_tensor
 
@@ -51,6 +53,23 @@ def test_delta_of_partial_section(p1_space):
     c = CechCochain(o0, 0, {("U0",): [mono(p1_space, "U0", 1, 0)]})
     d = cech_delta(c)
     assert str(d.sections[("U0", "U1")][0]) == "-1"
+
+
+def test_degree_0_cochain_that_does_not_glue_is_not_a_cocycle(p1_space):
+    triv = trivial_spec(p1_space, 1)
+    c = CechCochain(triv, 0, {("U0",): [mono(p1_space, "U0", 1, 0)],
+                              ("U1",): [mono(p1_space, "U1", 2, 0)]})
+    assert not is_cocycle(c)
+    assert is_cocycle(c.scale(0))
+
+
+def test_arithmetic_refuses_cochains_of_different_sheaves(p1_space):
+    # O(1) and O(2) have equal rank and different transition matrices
+    one, two = (CechCochain(line_bundle(p1_space, n), 1,
+                            {("U0", "U1"): [mono(p1_space, "U0", 1, 0)]}) for n in (1, 2))
+    for combine in (one.__add__, one.__sub__):
+        with pytest.raises(CocycleError, match="^cochains valued in different sheaves$"):
+            combine(two)
 
 
 def test_delta_squared_zero_on_three_charts(split_three_charts):
@@ -263,6 +282,36 @@ def test_cohomology_basis_on_three_charts(split_three_charts):
     dual = sheaf_dual(det)               # degree -4
     assert len(cohomology_basis(dual, 0)) == 0
     assert len(cohomology_basis(dual, 1)) == 3
+
+
+# hom_into_quotient(M, 0, 1) of gt_model_p1 has rank 12 and derived window
+# 5, so its H^0 system has 2 charts x 12 frames x 6 exponents = 144 unknowns
+
+
+def test_a_system_at_the_budget_is_decided_and_one_over_is_refused(gt_model_doc, monkeypatch):
+    spec = hom_into_quotient(gt_model_doc.gt_models["M"], 0, 1)
+    monkeypatch.setattr(cech, "MAX_UNKNOWNS", 144)
+    basis = cohomology_basis(spec, 0)
+    monkeypatch.setattr(cech, "MAX_UNKNOWNS", 143)
+    with pytest.raises(WindowError) as err:
+        cohomology_basis(spec, 0)
+    assert str(err.value) == (
+        "exponent window 0..5 needs a delta0 system of 144 unknowns "
+        "(2 charts x rank 12 x window box), over the budget of 143; pass a smaller window")
+    monkeypatch.undo()
+    assert cohomology_basis(spec, 0) == basis
+
+
+def test_a_derived_window_at_the_cap_is_planned_and_one_over_is_refused(gt_model_doc,
+                                                                        monkeypatch):
+    spec = hom_into_quotient(gt_model_doc.gt_models["M"], 0, 1)
+    monkeypatch.setattr(cech, "WINDOW_CAP", 5)
+    basis = cohomology_basis(spec, 0)
+    monkeypatch.setattr(cech, "WINDOW_CAP", 4)
+    with pytest.raises(WindowError, match=r"^derived window 5 exceeds cap 4; "
+                                          r"pass an explicit window$"):
+        cohomology_basis(spec, 0)
+    assert cohomology_basis(spec, 0, window=5) == basis
 
 
 def test_cup_product_unit(p1_space):
