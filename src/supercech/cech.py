@@ -16,9 +16,9 @@ in a finite exponent window derived from the input's support plus the worst
 pole order of the transition data, inside each chart's regularity cone
 (nonnegative exponents in that chart's own coordinates).  Monomial reduced
 coordinate changes move exponents affinely, so solutions outside the window
-are impossible by support bookkeeping and the linear solve is exact.
-:func:`delta0_window` derives or takes the window of every decision from
-the whole sheaf and refuses a system over the budget.  Transition matrices
+are impossible by support bookkeeping and the linear solve is exact.  A
+:class:`DecisionPlan` fixes the windows of one decision, refuses a system
+over the budget and builds the systems.  Transition matrices
 never mix the frames of different blocks (:meth:`SheafSpec.blocks`), so the
 delta0 system of a sheaf is the direct sum of those of its diagonal blocks.
 
@@ -59,13 +59,12 @@ from .sheaf import (SheafSpec, derived_spec, diagonal_block, frame_map, frames_l
 
 WINDOW_CAP = 60
 # Budget of a decision, in unknowns of the whole sheaf's delta0 system
-# (charts x rank x window box) for any window, derived or given; a larger
-# count fails with WindowError.  The count stays whole-sheaf although the
-# systems built are smaller: one per distinct block, on the slice-0 box of
-# its inert coordinates.  The largest count of the corpus and the benchmark
-# is 3072 unknowns (two_parameter_family, derived window 7), and no system
-# built for it has more than 16; 50,000 unknowns in one system take under
-# 1 s.
+# (charts x rank x window box) in its plan's ``bound``; a larger count fails
+# with WindowError.  The count stays whole-sheaf although the systems built
+# are smaller: one per distinct block, on the slice-0 box of its inert
+# coordinates.  The largest count of the corpus and the benchmark is 3072
+# unknowns (two_parameter_family, derived window 7), and no system built for
+# it has more than 16; 50,000 unknowns in one system take under 1 s.
 MAX_UNKNOWNS = 50_000
 
 FrameMap = dict[int, LaurentPoly]
@@ -291,31 +290,38 @@ def is_cocycle(c: CechCochain) -> bool:
 # ------------------------------------------------------------------ windows
 
 
-def delta0_window(sheaf: SheafSpec, *cochains: CechCochain, window: int | None = None,
-                  degree: int | None = None) -> int:
-    """Window bound of the delta0 system behind a decision on ``sheaf``: the
-    class of ``cochains`` (``degree`` None) or the H^degree basis.  The
-    window is ``window``, or derived from the support of the sheaf and the
-    cochains and capped at WINDOW_CAP; H^1 witnesses may need exponents one
-    pole order beyond it.  A system of more than MAX_UNKNOWNS unknowns (one
-    per chart, frame and exponent vector in the chart's window box) raises
-    WindowError."""
-    bound = window
-    if bound is None:
-        bound = sheaf.max_pole_order() + 1 + sum(c.max_exponent() for c in cochains)
-        if bound > WINDOW_CAP:
+class DecisionPlan:
+    """The windows of one decision on ``sheaf``: the class of ``cochains``
+    (``degree`` None) or the H^degree basis.  ``top``, the window of the
+    answer (witness unknowns, H^0 relations, H^1 candidate cocycles), is
+    ``window`` or derived from the support of the sheaf and the cochains and
+    capped at WINDOW_CAP.  ``bound``, the window of the delta0 systems, is
+    ``top`` plus, for an H^1 basis, the margin of one pole order that its
+    witnesses may need.  A system of more than MAX_UNKNOWNS unknowns raises
+    WindowError, so a caller that must refuse early plans every decision
+    first."""
+
+    def __init__(self, sheaf: SheafSpec, *cochains: CechCochain, window: int | None = None,
+                 degree: int | None = None):
+        top = window
+        if top is None:
+            top = sheaf.max_pole_order() + 1 + sum(c.max_exponent() for c in cochains)
+            if top > WINDOW_CAP:
+                raise WindowError(
+                    f"derived window {top} exceeds cap {WINDOW_CAP}; pass an explicit window")
+        bound = top + sheaf.max_pole_order() + 1 if degree == 1 else top
+        cover = sheaf.space.cover
+        size = sum(sheaf.rank * (bound + 1) ** len(cover.chart(name).vars) for name in cover.order)
+        if size > MAX_UNKNOWNS:
             raise WindowError(
-                f"derived window {bound} exceeds cap {WINDOW_CAP}; pass an explicit window")
-    if degree == 1:
-        bound += sheaf.max_pole_order() + 1
-    cover = sheaf.space.cover
-    size = sum(sheaf.rank * (bound + 1) ** len(cover.chart(name).vars) for name in cover.order)
-    if size > MAX_UNKNOWNS:
-        raise WindowError(
-            f"exponent window 0..{bound} needs a delta0 system of {size} unknowns "
-            f"({len(cover.order)} charts x rank {sheaf.rank} x window box), "
-            f"over the budget of {MAX_UNKNOWNS}; pass a smaller window")
-    return bound
+                f"exponent window 0..{bound} needs a delta0 system of {size} unknowns "
+                f"({len(cover.order)} charts x rank {sheaf.rank} x window box), "
+                f"over the budget of {MAX_UNKNOWNS}; pass a smaller window")
+        self.sheaf, self.top, self.bound = sheaf, top, bound
+
+    def systems(self) -> list[tuple[tuple[int, ...], "_Delta0System"]]:
+        """The delta0 systems in window ``bound`` (:func:`_delta0_linearization`)."""
+        return _delta0_linearization(self.sheaf, self.bound)
 
 
 def _inert_positions(sheaf: SheafSpec) -> tuple[int, ...]:
@@ -364,25 +370,18 @@ def _delta0_images(sheaf: SheafSpec, bound: int,
         box = [range(1) if i in inert else range(bound + 1) for i in range(len(vars))]
         for frame in range(sheaf.rank):
             for exps in iproduct(*box):
+                # a key names its overlap, which this chart leads or trails,
+                # and terms within one overlap have distinct keys
                 contrib: dict[tuple, Coef] = {}
                 for o, leads, emap in touching:
                     if leads:
-                        key = (o, frame, exps)
-                        s = contrib.get(key)
-                        contrib[key] = -1 if s is None else s - 1
+                        contrib[(o, frame, exps)] = -1
                     if emap is not None:
                         mono, mcoef = emap.term(exps, 1)
                         for r, e in columns[o][frame]:
                             for eexps, ecoef in e.terms.items():
-                                key = (o, r, tuple(x + y for x, y in zip(eexps, mono)))
-                                if mcoef != 1:
-                                    ecoef = ecoef * mcoef
-                                s = contrib.get(key)
-                                s = ecoef if s is None else s + ecoef
-                                if s == 0:
-                                    contrib.pop(key, None)
-                                else:
-                                    contrib[key] = s
+                                contrib[(o, r, tuple(x + y for x, y in zip(eexps, mono)))] = \
+                                    ecoef if mcoef == 1 else ecoef * mcoef
                 unknowns.append(((chart,), frame, exps))
                 images.append(contrib)
     return unknowns, images
@@ -446,8 +445,8 @@ def _delta0_linearization(sheaf: SheafSpec,
     a ``(frames, system)`` pair per block of :meth:`SheafSpec.blocks`, where
     ``system`` belongs to the interned diagonal block on ``frames`` and is
     kept in the space's table under ``("delta0", block, bound)``, so equal
-    blocks share one, also across specs.  Called once per decision, with a
-    window that :func:`delta0_window` passed."""
+    blocks share one, also across specs.  Called once per decision, through
+    :meth:`DecisionPlan.systems`, with the plan's ``bound``."""
     space = sheaf.space
 
     def system(block):
@@ -563,7 +562,7 @@ def cohomology_class(c: CechCochain, window: int | None = None) -> CohomologyCla
     sheaf = c.sheaf
     if sheaf.rank == 0 or c.is_zero():
         return CohomologyClass(sheaf, 1, CechCochain(sheaf, 1), True, CechCochain(sheaf, 0))
-    blocks = _delta0_linearization(sheaf, delta0_window(sheaf, c, window=window))
+    blocks = DecisionPlan(sheaf, c, window=window).systems()
     # rows of one copy never touch another copy's columns, so each copy
     # reduces in its block's slice-0 system exactly as in the whole one; a
     # slice outside the window has no unknowns and stays as it is
@@ -613,17 +612,15 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
         return []
     if degree not in (0, 1):
         raise ValueError("cohomology_basis supports degrees 0 and 1")
-    bound = delta0_window(sheaf, window=window, degree=degree)
-    blocks = _delta0_linearization(sheaf, bound)
+    plan = DecisionPlan(sheaf, window=window, degree=degree)
+    blocks, top = plan.systems(), plan.top
     cover = sheaf.space.cover
     if degree == 0:
         position = {(name,): i for i, name in enumerate(cover.order)}
-        top = bound
         local_basis = _h0_basis
     else:
         position = {o: i for i, o in enumerate(cover.canonical_overlaps())}
-        top = bound - sheaf.max_pole_order() - 1
-        local_basis = partial(_h1_basis, bound=top)
+        local_basis = partial(_h1_basis, top=top)
     found: list[tuple[tuple, CechCochain]] = []
     done: dict[_Delta0System, list[tuple[tuple, CechCochain]]] = {}
     for frames, system in blocks:
@@ -649,9 +646,9 @@ def _h0_basis(system: _Delta0System) -> list[tuple[tuple, CechCochain]]:
             for (i, _), k in zip(reducer.dependent, reducer.kernel())]
 
 
-def _h1_basis(system: _Delta0System, bound: int) -> list[tuple[tuple, CechCochain]]:
+def _h1_basis(system: _Delta0System, top: int) -> list[tuple[tuple, CechCochain]]:
     """The H^1 basis of a block, from its candidate cocycles in window
-    ``bound``: the reduced row echelon form of their residuals, each row with
+    ``top``: the reduced row echelon form of their residuals, each row with
     its pivot key."""
     sheaf = system.sheaf
     cover = sheaf.space.cover
@@ -663,7 +660,7 @@ def _h1_basis(system: _Delta0System, bound: int) -> list[tuple[tuple, CechCochai
         vars = cover.chart(a).vars
         negatives = sheaf.space.negative_vars(a, b)
         ranges = [range(1) if i in system.inert else
-                  range(-bound if v in negatives else 0, bound + 1)
+                  range(-top if v in negatives else 0, top + 1)
                   for i, v in enumerate(vars)]
         for frame in range(sheaf.rank):
             for exps in iproduct(*ranges):

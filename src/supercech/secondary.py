@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
 
-from .cech import (CechCochain, CohomologyClass, ShortExactSequence, cech_delta,
-                   cohomology_basis, cohomology_class, connecting_map, cup_product,
-                   delta0_window, extension_sheaf, is_coboundary, is_cocycle,
-                   solve_coboundary)
+from .cech import (CechCochain, CohomologyClass, DecisionPlan, ShortExactSequence,
+                   cech_delta, cohomology_basis, cohomology_class, connecting_map,
+                   cup_product, extension_sheaf, is_coboundary, is_cocycle, solve_coboundary)
 from .errors import CocycleError, SupercechError
 from .gluing import SuperGluingData, restrict_odd
 from .grassmann import GrassmannElement, _index_mask, _koszul_sign
@@ -146,16 +145,16 @@ def secondary_space(m: GtModel, a: int, b: int, p: int,
 
 
 def secondary_spaces(m: GtModel, window: int | None = None) -> list[SecondarySpace]:
-    """Every graded space, by level, base-factor count and degree.  A
-    window over the system budget of any space, explicit or derived, fails
-    before the first is computed."""
+    """Every graded space, by level, base-factor count and degree.  Every
+    basis decision is planned first, so a window over the system budget of
+    any space, explicit or derived, fails before the first is computed."""
     keys = [(level - b, b, p) for level in range(1, m.total_odd.rank + 1)
             for b in range(level + 1) if level - b <= m.fiber_rank and b <= m.base_rank
             for p in (0, 1)]
     for a, b, p in keys:
         spec = hom_into_quotient(m, a, b)
         if spec.rank:
-            delta0_window(spec, window=window, degree=p)
+            DecisionPlan(spec, window=window, degree=p)
     return [secondary_space(m, a, b, p, window=window) for a, b, p in keys]
 
 
@@ -318,7 +317,7 @@ def refined_splitting_data(m: GtModel, cochain: CechCochain,
         # window over that sheaf's budget
         if not is_cocycle(cochain):
             raise CocycleError("input is not a cocycle")
-        bound = delta0_window(cochain.sheaf, cochain, window=window)
+        bound = DecisionPlan(cochain.sheaf, cochain, window=window).top
     for b in nonempty:
         inside = set(filt.pieces[b])
         outside = _hom_frames([i for i in range(filt.ambient.rank) if i not in inside], P.rank)
@@ -377,15 +376,15 @@ def verify_a1_containment(m: GtModel, b: int, *,
 
 def check_a1_window(m: GtModel, b: int, *, window: int | None) -> None:
     """Raise at once the WindowError over the system budget that
-    :func:`verify_a1_containment` may meet: on the basis system of the
-    (1, b) space, in ``window`` or in its derived window, and, with an
-    explicit ``window``, on the (0, b + 1) piece its samples are decided in
-    (whether or not the space turns out to have a basis)."""
+    :func:`verify_a1_containment` may meet, by planning first the basis of
+    the (1, b) space, in ``window`` or its derived window, and, with an
+    explicit ``window``, a class on the (0, b + 1) piece its samples are
+    decided in (whether or not the space turns out to have a basis)."""
     spec = hom_into_quotient(m, 1, b)
     if spec.rank:
-        delta0_window(spec, window=window, degree=0)
+        DecisionPlan(spec, window=window, degree=0)
     if window is not None:
-        delta0_window(hom_into_quotient(m, 0, b + 1), window=window)
+        DecisionPlan(hom_into_quotient(m, 0, b + 1), window=window)
 
 
 # --------------------------------------------------- compatibility relation

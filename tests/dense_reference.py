@@ -400,12 +400,12 @@ def cohomology_class(c, window=None):
     whole sheaf's system, in the window ``cech.cohomology_class`` uses: the
     residual of ``c`` as a cochain (zero when trivial) and the combination
     of independent unknowns that reaches ``c`` (``None`` when not)."""
-    from supercech.cech import (CechCochain, _cochain_from_values, _cochain_keys,
-                                delta0_window)
+    from supercech.cech import (CechCochain, DecisionPlan, _cochain_from_values,
+                                _cochain_keys)
     sheaf = c.sheaf
     if sheaf.rank == 0 or c.is_zero():
         return True, CechCochain(sheaf, 1), CechCochain(sheaf, 0)
-    system = Delta0System(sheaf, delta0_window(sheaf, c, window=window))
+    system = Delta0System(sheaf, DecisionPlan(sheaf, c, window=window).bound)
     residual, multiples = system.reduce(_cochain_keys(c))
     if residual:
         return False, _cochain_from_values(sheaf, 1, residual.items()), None
@@ -417,14 +417,14 @@ def cohomology_basis(sheaf, degree, window=None):
     relations as 0-cochains in degree 0, and in degree 1 the reduced row
     echelon form of the residuals of every candidate cocycle."""
     from itertools import product
-    from supercech.cech import _cochain_from_values, _cochain_keys, cech_delta, delta0_window
+    from supercech.cech import DecisionPlan, _cochain_from_values, _cochain_keys, cech_delta
     if sheaf.rank == 0:
         return []
-    bound = delta0_window(sheaf, window=window, degree=degree)
-    system = Delta0System(sheaf, bound)
+    plan = DecisionPlan(sheaf, window=window, degree=degree)
+    system = Delta0System(sheaf, plan.bound)
     if degree == 0:
         return [system.cochain(k) for k in system.reducer.kernel()]
-    bound -= sheaf.max_pole_order() + 1
+    bound = plan.top
     cover = sheaf.space.cover
     candidates = []
     for (a, b) in cover.canonical_overlaps():
@@ -568,8 +568,8 @@ def refined_splitting_data(m, cochain, level, window=None):
     (checked there); the lift is ``cochain - delta(w)``.  Returns
     ``(refined_b, secondary class)``."""
     from supercech import linalg
-    from supercech.cech import (_cochain_from_values, _cochain_keys, cech_delta,
-                                cohomology_class, delta0_window)
+    from supercech.cech import (DecisionPlan, _cochain_from_values, _cochain_keys,
+                                cech_delta, cohomology_class)
     from supercech.secondary import _hom_frames, filtration_of, hom_into_quotient, parity_spec
     P = parity_spec(m, level)
     filt = filtration_of(m, level)
@@ -581,7 +581,7 @@ def refined_splitting_data(m, cochain, level, window=None):
             continue
         outside = set(_hom_frames([i for i in range(filt.ambient.rank) if i not in inside],
                                   P.rank))
-        unknowns, images = delta0_images(sheaf, delta0_window(sheaf, cochain, window=window))
+        unknowns, images = delta0_images(sheaf, DecisionPlan(sheaf, cochain, window=window).bound)
         rhs = {k: v for k, v in _cochain_keys(cochain).items() if k[1] in outside}
         keys = sorted({k for img in images for k in img if k[1] in outside} | set(rhs),
                       key=lambda k: (overlap_pos[k[0]], k[1], k[2]))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supercech import cech
-from supercech.cech import (CechCochain, ShortExactSequence, _cochain_keys, cech_delta,
-                            cohomology_basis, cohomology_class, connecting_map,
-                            cup_product, delta0_window, extension_sheaf,
+from supercech.cech import (CechCochain, DecisionPlan, ShortExactSequence, _cochain_keys,
+                            cech_delta, cohomology_basis, cohomology_class, connecting_map,
+                            cup_product, extension_sheaf,
                             is_coboundary, is_cocycle, solve_coboundary)
 from supercech.errors import CocycleError, WindowError
 from supercech import linalg
@@ -263,7 +263,7 @@ def test_connecting_map_has_the_rank_exactness_gives(p1_space, sub_degrees, quot
     total = extension_sheaf(sub, quot, theta)
     ses = ShortExactSequence(total, list(range(sub.rank)))
     images = [connecting_map(ses, s) for s in cohomology_basis(quot, 0)]
-    window = max((delta0_window(sub, c) for c in images), default=None)
+    window = max((DecisionPlan(sub, c).top for c in images), default=None)
     reps = [_cochain_keys(cohomology_class(c, window=window).representative) for c in images]
     matrix = [[r.get(k, Qz) for r in reps] for k in sorted(set().union(*reps))]
     h0 = [len(cohomology_basis(spec, 0)) for spec in (sub, total, quot)]

@@ -15,8 +15,8 @@ from fractions import Fraction as Q
 import pytest
 
 import dense_reference as ref
-from supercech.cech import (CechCochain, _inert_positions, cech_delta, cohomology_basis,
-                            cohomology_class, delta0_window, extension_sheaf)
+from supercech.cech import (CechCochain, DecisionPlan, _inert_positions, cech_delta,
+                            cohomology_basis, cohomology_class, extension_sheaf)
 from supercech.family import rothstein_family
 from supercech.laurent import LaurentPoly
 from supercech.modelfile import parse_model_text
@@ -159,7 +159,7 @@ def test_equal_blocks_share_one_system():
     one, three = line(space, 1), line(space, -3)
     spec = direct_sum(one, three, one)
     cohomology_basis(spec, 0)
-    bound = delta0_window(spec, degree=0)
+    bound = DecisionPlan(spec, degree=0).bound
     assert [key for key in space.specs if key[0] == "delta0"] == [
         ("delta0", one, bound), ("delta0", three, bound)]
 
@@ -170,7 +170,7 @@ def test_the_1_b_spaces_of_gt_4_4_hold_one_system_per_distinct_block():
     for b in range(m.base_rank + 1):
         for p in (0, 1):
             spec = secondary_space(m, 1, b, p).spec
-            bound = delta0_window(spec, degree=p)
+            bound = DecisionPlan(spec, degree=p).bound
             copies += len(spec.blocks())
             distinct |= {(diagonal_block(spec, frames), bound) for frames in spec.blocks()}
     systems = [key[1:] for key in m.space.specs if key[0] == "delta0"]
@@ -189,6 +189,6 @@ def test_family_systems_are_built_on_slice_0():
     assert _inert_positions(deviation_hom_spec(rothstein_family(nonsplit).gluing, 2)) == (1,)
     assert _inert_positions(nonsplit.reduce()[1]) == ()
     cohomology_basis(hom, 0)
-    bound = delta0_window(hom, degree=0)
+    bound = DecisionPlan(hom, degree=0).bound
     systems = [system for key, system in hom.space.specs.items() if key[0] == "delta0"]
     assert [(s.inert, len(s.unknowns)) for s in systems] == [((1, 2), 2 * (bound + 1))] * 2

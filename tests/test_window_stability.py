@@ -7,7 +7,7 @@ representative and cohomology basis unchanged.
 
 import pytest
 
-from supercech.cech import cohomology_basis, cohomology_class, delta0_window
+from supercech.cech import DecisionPlan, cohomology_basis, cohomology_class
 from supercech.obstruction import deviation_cochain
 from supercech.sheaf import sheaf_exterior_power, sheaf_hom
 
@@ -28,7 +28,7 @@ def cocycles(nonsplit_p1, nonsplit_p1_level3, M):
                                   "gt_model_p1 theta"])
 def test_class_is_window_stable(cocycles, name):
     c = cocycles[name]
-    w = delta0_window(c.sheaf, c)
+    w = DecisionPlan(c.sheaf, c).top
     base = cohomology_class(c, window=w)
     assert not base.trivial
     for k in (1, 2):
@@ -43,7 +43,7 @@ def test_cohomology_basis_is_window_stable(M, name):
              "total_odd": M.total_odd,
              "wedge2_total_odd": sheaf_exterior_power(M.total_odd, 2),
              "hom_fiber_base": sheaf_hom(M.fiber_spec, M.base_spec)}[name]
-    w = delta0_window(sheaf)
+    w = DecisionPlan(sheaf).top
     assert len(cohomology_basis(sheaf, 0, window=w + 1)) == \
         len(cohomology_basis(sheaf, 0, window=w))
     h1 = cohomology_basis(sheaf, 1, window=w)
