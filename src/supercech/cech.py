@@ -319,7 +319,7 @@ class DecisionPlan:
                 f"over the budget of {MAX_UNKNOWNS}; pass a smaller window")
         self.sheaf, self.top, self.bound = sheaf, top, bound
 
-    def systems(self) -> list[tuple[tuple[int, ...], "_Delta0System"]]:
+    def systems(self) -> list[tuple[tuple[int, ...], _Delta0System]]:
         """The delta0 systems in window ``bound`` (:func:`_delta0_linearization`)."""
         return _delta0_linearization(self.sheaf, self.bound)
 

@@ -424,12 +424,12 @@ def cohomology_basis(sheaf, degree, window=None):
     system = Delta0System(sheaf, plan.bound)
     if degree == 0:
         return [system.cochain(k) for k in system.reducer.kernel()]
-    bound = plan.top
+    top = plan.top
     cover = sheaf.space.cover
     candidates = []
     for (a, b) in cover.canonical_overlaps():
         negatives = sheaf.space.negative_vars(a, b)
-        ranges = [range(-bound if v in negatives else 0, bound + 1)
+        ranges = [range(-top if v in negatives else 0, top + 1)
                   for v in cover.chart(a).vars]
         candidates += [((a, b), frame, exps) for frame in range(sheaf.rank)
                        for exps in product(*ranges)]

@@ -6,7 +6,8 @@ Each run of ``next_scale.json`` builds a model with a generator of
 budget these runs exit 3.  The structured stdout must keep its recorded
 sha256 and pass the oracle recorded beside it: a gauged model is split by
 construction, and the dimensions ``secondary`` prints for gt(10, 10)
-satisfy Riemann-Roch.  Re-record only when a change of output is intended.
+satisfy Riemann-Roch.  Edit a recorded digest only when a change of output
+is intended.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ from supercech.cli import main
 
 from conftest import perfbench_models
 
-RUNS = json.loads((Path(__file__).with_name("next_scale.json")).read_text())["runs"]
+RUNS = json.loads(Path(__file__).with_name("next_scale.json").read_text())["runs"]
 
 
 def perfbench_oracle():
