@@ -395,17 +395,27 @@ class Delta0System:
                                                     for u, v in solution.items()))
 
 
+def windows(sheaf, *cochains, window=None, degree=None):
+    """``(top, bound)`` of a decision on ``sheaf``, derived here rather than
+    read from ``cech.DecisionPlan``: ``top`` is ``window``, or one past the
+    sheaf's pole order plus the cochains' largest exponents; ``bound`` adds
+    one more pole order for an H^1 basis.  No cap or budget applies."""
+    top = window
+    if top is None:
+        top = sheaf.max_pole_order() + 1 + sum(c.max_exponent() for c in cochains)
+    return top, (top + sheaf.max_pole_order() + 1 if degree == 1 else top)
+
+
 def cohomology_class(c, window=None):
     """``(trivial, representative, witness)`` of a 1-cocycle ``c`` from the
     whole sheaf's system, in the window ``cech.cohomology_class`` uses: the
     residual of ``c`` as a cochain (zero when trivial) and the combination
     of independent unknowns that reaches ``c`` (``None`` when not)."""
-    from supercech.cech import (CechCochain, DecisionPlan, _cochain_from_values,
-                                _cochain_keys)
+    from supercech.cech import CechCochain, _cochain_from_values, _cochain_keys
     sheaf = c.sheaf
     if sheaf.rank == 0 or c.is_zero():
         return True, CechCochain(sheaf, 1), CechCochain(sheaf, 0)
-    system = Delta0System(sheaf, DecisionPlan(sheaf, c, window=window).bound)
+    system = Delta0System(sheaf, windows(sheaf, c, window=window)[1])
     residual, multiples = system.reduce(_cochain_keys(c))
     if residual:
         return False, _cochain_from_values(sheaf, 1, residual.items()), None
@@ -417,14 +427,13 @@ def cohomology_basis(sheaf, degree, window=None):
     relations as 0-cochains in degree 0, and in degree 1 the reduced row
     echelon form of the residuals of every candidate cocycle."""
     from itertools import product
-    from supercech.cech import DecisionPlan, _cochain_from_values, _cochain_keys, cech_delta
+    from supercech.cech import _cochain_from_values, _cochain_keys, cech_delta
     if sheaf.rank == 0:
         return []
-    plan = DecisionPlan(sheaf, window=window, degree=degree)
-    system = Delta0System(sheaf, plan.bound)
+    top, bound = windows(sheaf, window=window, degree=degree)
+    system = Delta0System(sheaf, bound)
     if degree == 0:
         return [system.cochain(k) for k in system.reducer.kernel()]
-    top = plan.top
     cover = sheaf.space.cover
     candidates = []
     for (a, b) in cover.canonical_overlaps():
@@ -568,8 +577,7 @@ def refined_splitting_data(m, cochain, level, window=None):
     (checked there); the lift is ``cochain - delta(w)``.  Returns
     ``(refined_b, secondary class)``."""
     from supercech import linalg
-    from supercech.cech import (DecisionPlan, _cochain_from_values, _cochain_keys,
-                                cech_delta, cohomology_class)
+    from supercech.cech import _cochain_from_values, _cochain_keys, cech_delta, cohomology_class
     from supercech.secondary import _hom_frames, filtration_of, hom_into_quotient, parity_spec
     P = parity_spec(m, level)
     filt = filtration_of(m, level)
@@ -581,7 +589,7 @@ def refined_splitting_data(m, cochain, level, window=None):
             continue
         outside = set(_hom_frames([i for i in range(filt.ambient.rank) if i not in inside],
                                   P.rank))
-        unknowns, images = delta0_images(sheaf, DecisionPlan(sheaf, cochain, window=window).bound)
+        unknowns, images = delta0_images(sheaf, windows(sheaf, cochain, window=window)[1])
         rhs = {k: v for k, v in _cochain_keys(cochain).items() if k[1] in outside}
         keys = sorted({k for img in images for k in img if k[1] in outside} | set(rhs),
                       key=lambda k: (overlap_pos[k[0]], k[1], k[2]))

@@ -16,6 +16,7 @@ from supercech.laurent import LaurentPoly
 from supercech.secondary import hom_into_quotient
 from dense_reference import rank as qrank
 from supercech.sheaf import sheaf_dual, sheaf_hom, trivial_spec, sheaf_tensor
+from supercech.spaces import ReducedSpace
 
 from conftest import line_bundle
 
@@ -144,9 +145,12 @@ def test_each_system_is_eliminated_once(p1_space, monkeypatch):
     fresh_cls, _, fresh_witness = decide(-2)  # a freshly built sheaf
     assert fresh_cls.representative == cls.representative and fresh_witness == witness
 
-    spec = sheaf_tensor(line_bundle(p1_space, -2), trivial_spec(p1_space, 2))
-    c = CechCochain(spec, 1, {("U0", "U1"): [mono(p1_space, "U0", 1, 0),
-                                              mono(p1_space, "U0", 1, -1)]})
+    # a space of its own: the rank-1 block x^2 is interned per space, and
+    # other tests decide it on the shared p1_space
+    space = ReducedSpace(p1_space.cover, p1_space.coordinate_maps)
+    spec = sheaf_tensor(line_bundle(space, -2), trivial_spec(space, 2))
+    c = CechCochain(spec, 1, {("U0", "U1"): [mono(space, "U0", 1, 0),
+                                              mono(space, "U0", 1, -1)]})
     eliminations.clear()
     assert solve_coboundary(c, window=4) is None
     assert len(eliminations) == 1
@@ -479,3 +483,16 @@ def test_non_cocycle_rejected(split_three_charts):
     assert not is_cocycle(bad)
     with pytest.raises(CocycleError):
         solve_coboundary(bad)
+
+
+@pytest.mark.parametrize("degree,key,chart,exps,message", [
+    (1, ("U0", "U1"), "U0", [0, 0], "section on ('U0', 'U1') has wrong rank"),
+    (1, ("U0", "U1"), "U1", [0], "section on ('U0', 'U1') not in U0-coordinates"),
+    (0, ("U0",), "U0", [-1], "degree-0 section on ('U0',) is not chart-regular"),
+    (1, ("U1", "U0"), "U1", [0], "('U1', 'U0') is not a canonical 1-tuple of this cover"),
+])
+def test_cochain_rejects_malformed_sections(p1_space, degree, key, chart, exps, message):
+    vec = [mono(p1_space, chart, 1, e) for e in exps]
+    with pytest.raises(ValueError) as info:
+        CechCochain(trivial_spec(p1_space, 1), degree, {key: vec})
+    assert str(info.value) == message

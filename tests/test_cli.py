@@ -300,13 +300,13 @@ def test_glue_p1_with_another_witness_exponent_fails(tmp_path, capsys):
 def test_glue_p1_verifies_its_input_once(monkeypatch, capsys, model, verifications):
     # the input once, plus each of the two scaled families when it is not split
     calls = []
-    verify = SuperGluingData.verify_cocycle
+    build = SuperGluingData._build_report
 
     def counted(self):
         calls.append(self)
-        return verify(self)
+        return build(self)
 
-    monkeypatch.setattr(SuperGluingData, "verify_cocycle", counted)
+    monkeypatch.setattr(SuperGluingData, "_build_report", counted)
     code, out, _ = run_cli(capsys, "glue-p1", "--input", str(corpus_path(f"{model}.model")))
     assert code == 0 and "witness_ok: True" in out
     assert len(calls) == verifications

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from supercech.errors import CocycleError
+from supercech.errors import CocycleError, ContextError
 from supercech.gluing import (INFINITY, SuperGluingData, SuperTransition,
                               compose_transitions, identity_transition,
                               invert_transition, restrict_odd)
@@ -294,3 +294,45 @@ def test_invert_two_level_witness(q, levels):
     inv = invert_transition(w)
     assert compose_transitions(w, inv).is_identity()
     assert compose_transitions(inv, w).is_identity()
+
+
+_U0, _U1 = Chart("U0", ("x",), (), 1), Chart("U1", ("y",), (), 1)
+
+
+@pytest.mark.parametrize("even,odd,error,message", [
+    ({}, None, ValueError, "missing image for even coordinate y"),
+    ({"y": P(_U1, "1/y")}, None, ContextError, "image of y not in source context"),
+    ({"y": P(_U0, "theta_1")}, None, ValueError, "image of even coordinate y is not even"),
+    ({"y": P(_U0, "x + 1")}, None, ValueError,
+     "reduced part of y-image is not an invertible monomial"),
+    ({"y": P(_U0, "x^2")}, None, ValueError,
+     "reduced part of y-image must be c*x^(+-1) in one coordinate"),
+    (None, {}, ValueError, "missing image for theta_1"),
+    (None, {1: P(_U1, "theta_1")}, ContextError, "image of theta_1 not in source context"),
+    (None, {1: P(_U0, "x")}, ValueError, "image of odd coordinate theta_1 is not odd"),
+])
+def test_transition_rejects_malformed_images(even, odd, error, message):
+    even = {"y": P(_U0, "1/x")} if even is None else even
+    odd = {1: P(_U0, "x^-2*theta_1")} if odd is None else odd
+    with pytest.raises(error) as info:
+        SuperTransition(_U0, _U1, even, odd)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("case,message", [
+    ("missing", "missing transition for overlap ('U1', 'U0')"),
+    ("misplaced", "transition stored at ('U0', 'U1') maps U1->U0"),
+    ("base", "base coordinate t not declared on chart U0"),
+])
+def test_gluing_rejects_inconsistent_transitions(nonsplit_p1, case, message):
+    transitions = dict(nonsplit_p1.transitions)
+    base_vars = ()
+    if case == "missing":
+        del transitions[("U1", "U0")]
+    elif case == "misplaced":
+        transitions[("U0", "U1")] = transitions[("U1", "U0")]
+    else:
+        base_vars = ("t",)
+    with pytest.raises(ValueError) as info:
+        SuperGluingData(nonsplit_p1.cover, transitions, base_vars)
+    assert str(info.value) == message

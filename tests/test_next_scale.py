@@ -6,8 +6,9 @@ Each run of ``next_scale.json`` builds a model with a generator of
 budget these runs exit 3.  The structured stdout must keep its recorded
 sha256 and pass the oracle recorded beside it: a gauged model is split by
 construction, and the dimensions ``secondary`` prints for gt(10, 10)
-satisfy Riemann-Roch.  Edit a recorded digest only when a change of output
-is intended.
+satisfy Riemann-Roch.  The ``basis`` entry records an H^1 basis of a
+family sheaf that the budget refuses, decided with the same lift.  Edit a
+recorded digest only when a change of output is intended.
 """
 
 import hashlib
@@ -22,11 +23,15 @@ import pytest
 
 import supercech as sc
 from supercech import cech
+from supercech.cech import DecisionPlan, cohomology_basis
 from supercech.cli import main
+from supercech.family import rothstein_family
+from supercech.sheaf import sheaf_dual, sheaf_exterior_power, sheaf_tensor
 
-from conftest import perfbench_models
+from conftest import load_model, perfbench_models
 
-RUNS = json.loads(Path(__file__).with_name("next_scale.json").read_text())["runs"]
+RECORD = json.loads(Path(__file__).with_name("next_scale.json").read_text())
+RUNS = RECORD["runs"]
 
 
 def perfbench_oracle():
@@ -63,3 +68,25 @@ def test_next_scale_output_is_the_recorded_one(monkeypatch, tmp_path, run):
         "expect": oracle.expect, "riemann_roch": oracle.riemann_roch})
     assert check(out) is None
     assert hashlib.sha256(out.encode()).hexdigest() == run["stdout_sha256"]
+
+
+def _dual_square_of_determinant(g):
+    _, odd = g.reduce()
+    dual = sheaf_dual(sheaf_exterior_power(odd, odd.rank))
+    return sheaf_tensor(dual, dual)
+
+
+def test_family_basis_over_the_budget_is_the_recorded_one(monkeypatch):
+    record = RECORD["basis"]
+    monkeypatch.setattr(cech, "MAX_UNKNOWNS", 10 ** 9)
+    family = rothstein_family(load_model(f"{record['model']}.model").gluing).gluing
+    sheaf = _dual_square_of_determinant(family)
+    basis = cohomology_basis(sheaf, 1)
+    # flat base change: each monomial of the inert base coordinates in the
+    # window carries a copy of the H^1 of the fiber over 1 in that window
+    top = DecisionPlan(sheaf, degree=1).top
+    fiber = family.evaluate_base({v: 1 for v in family.base_vars})
+    per_fiber = len(cohomology_basis(_dual_square_of_determinant(fiber), 1, window=top))
+    assert len(basis) == record["dimension"] == (top + 1) ** len(family.base_vars) * per_fiber
+    digest = hashlib.sha256("\n".join(map(str, basis)).encode()).hexdigest()
+    assert digest == record["basis_sha256"]

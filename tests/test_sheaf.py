@@ -338,3 +338,39 @@ def test_kron_zero_entries_match_the_naive_product():
     got = kron(columns_of(laurent), columns_of(laurent))
     assert got == columns_of(naive_kron(laurent, laurent))
     assert rows_of(got, X) == naive_kron(laurent, laurent)
+
+
+
+def _rank_one(space, entries):
+    """Rank-1 matrices from ``(a, b): (coefficient, exponent)``, each the
+    monomial in the first coordinate of chart a."""
+    return {(a, b): columns_of([[LaurentPoly.monomial(space.cover.chart(a).vars, c, (e,))]])
+            for (a, b), (c, e) in entries.items()}
+
+
+def _spec_cases(p1_space, three):
+    key = ("U0", "U1")
+    p1 = _rank_one(p1_space, {key: (1, 2), ("U1", "U0"): (1, 2)})
+    x2 = p1[key][0][0][1]
+    return {
+        "missing": (p1_space, {key: p1[key]}, ValueError,
+                    "missing matrix for overlap ('U1', 'U0')"),
+        "two columns": (p1_space, {**p1, key: p1[key] * 2}, ValueError,
+                        "matrix for ('U0', 'U1') is not 1x1"),
+        "row out of range": (p1_space, {**p1, key: (((1, x2),),)}, ValueError,
+                             "matrix for ('U0', 'U1') is not 1x1"),
+        # inverse on every overlap, but x^2 on (U0, U1) and 1 on (U1, U2)
+        # do not compose to the 2 on (U0, U2)
+        "cocycle": (three, _rank_one(three, {key: (1, 2), ("U1", "U0"): (1, 2),
+                                             ("U1", "U2"): (1, 0), ("U2", "U1"): (1, 0),
+                                             ("U0", "U2"): (2, 0), ("U2", "U0"): (Q(1, 2), 0)}),
+                    CocycleError, "matrix cocycle fails on (U0,U1,U2)"),
+    }
+
+
+@pytest.mark.parametrize("case", ["missing", "two columns", "row out of range", "cocycle"])
+def test_spec_rejects_inconsistent_matrices(p1_space, split_three_charts, case):
+    space, mats, error, message = _spec_cases(p1_space, split_three_charts.reduce()[0])[case]
+    with pytest.raises(error) as info:
+        SheafSpec(space, 1, mats)
+    assert str(info.value) == message

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from supercech.errors import CocycleError, ContextError
 from supercech.laurent import LaurentPoly
 from supercech.spaces import Chart, Cover, ReducedSpace
 
@@ -97,3 +98,64 @@ def test_exponent_map_is_cached_per_overlap_and_context():
     p = LaurentPoly.monomial(("y", "s"), Q(5), (-2, 3))
     exps, coef = emap.term((-2, 3), Q(5))
     assert LaurentPoly.monomial(("x", "t"), coef, exps) == old_compose_into(space, "U0", "U1", p)
+
+
+def _p1_cover():
+    return Cover([Chart("U0", ("x",)), Chart("U1", ("y",))], [("U0", "U1"), ("U1", "U0")])
+
+
+def _three_chart_cover():
+    charts = [Chart("U0", ("x",)), Chart("U1", ("y",)), Chart("U2", ("z",))]
+    pairs = [("U0", "U1"), ("U1", "U2"), ("U0", "U2")]
+    return Cover(charts, pairs + [(b, a) for a, b in pairs], [("U0", "U1", "U2")])
+
+
+def _maps(images):
+    """Coordinate maps from ``(a, b): (coefficient, exponent)`` for charts
+    of one coordinate each."""
+    cover = _three_chart_cover()
+    return {(a, b): {cover.chart(b).vars[0]: LaurentPoly.monomial(
+        cover.chart(a).vars, c, (e,))} for (a, b), (c, e) in images.items()}
+
+
+@pytest.mark.parametrize("charts,overlaps,triples,message", [
+    ([Chart("U", ("x",)), Chart("U", ("y",))], [], None, "duplicate chart U"),
+    ([Chart("U0", ("x",))], [("U0", "U9"), ("U9", "U0")], None,
+     "overlap (U0,U9) references unknown chart"),
+    ([Chart("U0", ("x",)), Chart("U1", ("y",))], [("U0", "U1")], None,
+     "overlap (U0,U1) lacks partner (U1,U0)"),
+    ([Chart("U0", ("x",)), Chart("U1", ("y",)), Chart("U2", ("z",))],
+     [("U0", "U1"), ("U1", "U0")], [("U0", "U1", "U2")],
+     "triple (U0,U1,U2) misses overlap ('U1', 'U2')"),
+])
+def test_cover_rejects_inconsistent_structure(charts, overlaps, triples, message):
+    with pytest.raises(ValueError) as info:
+        Cover(charts, overlaps, triples)
+    assert str(info.value) == message
+
+
+def _reduced_cases():
+    inverse = {("U0", "U1"): {"y": LaurentPoly.var(("x",), "x", -1)},
+               ("U1", "U0"): {"x": LaurentPoly.var(("y",), "y", -1)}}
+    yield _p1_cover(), {("U0", "U1"): inverse[("U0", "U1")]}, ValueError, \
+        "missing coordinate map for overlap (U1,U0)"
+    yield _p1_cover(), {**inverse, ("U0", "U1"): {}}, ValueError, \
+        "coordinate map (U0,U1) misses y"
+    yield _p1_cover(), {**inverse, ("U0", "U1"): {"y": LaurentPoly.var(("y",), "y", -1)}}, \
+        ContextError, "coordinate map (U0,U1):y not in U0-coordinates"
+    yield _p1_cover(), {**inverse, ("U0", "U1"): {"y": LaurentPoly(("x",), {(-1,): 1, (0,): 1})}}, \
+        ValueError, "coordinate map (U0,U1):y is not an invertible monomial"
+    yield _p1_cover(), {**inverse, ("U1", "U0"): {"x": LaurentPoly.monomial(("y",), 2, (-1,))}}, \
+        CocycleError, "reduced maps (U0,U1) and (U1,U0) are not inverse at x"
+    # y = 1/x and z = y, but z = 2/x on the third overlap
+    yield _three_chart_cover(), _maps({("U0", "U1"): (1, -1), ("U1", "U0"): (1, -1),
+                                       ("U1", "U2"): (1, 1), ("U2", "U1"): (1, 1),
+                                       ("U0", "U2"): (2, -1), ("U2", "U0"): (2, -1)}), \
+        CocycleError, "reduced cocycle fails on (U0,U1,U2) at z"
+
+
+@pytest.mark.parametrize("cover,maps,error,message", list(_reduced_cases()))
+def test_reduced_space_rejects_inconsistent_maps(cover, maps, error, message):
+    with pytest.raises(error) as info:
+        ReducedSpace(cover, maps)
+    assert str(info.value) == message
