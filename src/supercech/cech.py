@@ -272,19 +272,11 @@ def cech_delta(c: CechCochain) -> CechCochain:
             moved = sheaf.transport(b, a, sec[(b, cc)])
             out[(a, b, cc)] = _combine(_combine(moved, sec[(a, cc)], -1), sec[(a, b)])
         return CechCochain(sheaf, 2, out, trusted=True)
-    if c.degree == 2:
-        if not cover.canonical_triples():
-            raise ValueError("no degree-3 support on this cover")
-        raise ValueError("coboundary out of degree 2 is not supported")
-    raise ValueError(f"degree {c.degree} not supported")
+    raise ValueError(f"coboundary out of degree {c.degree} is not supported")
 
 
 def is_cocycle(c: CechCochain) -> bool:
-    if c.degree == 1 and c.sheaf.space.cover.canonical_triples():
-        return cech_delta(c).is_zero()
-    if c.degree == 0:
-        return cech_delta(c).is_zero()
-    return True
+    return c.degree > 1 or cech_delta(c).is_zero()
 
 
 # ------------------------------------------------------------------ windows
@@ -560,7 +552,7 @@ def cohomology_class(c: CechCochain, window: int | None = None) -> CohomologyCla
     if not is_cocycle(c):
         raise CocycleError("input is not a cocycle")
     sheaf = c.sheaf
-    if sheaf.rank == 0 or c.is_zero():
+    if c.is_zero():
         return CohomologyClass(sheaf, 1, CechCochain(sheaf, 1), True, CechCochain(sheaf, 0))
     blocks = DecisionPlan(sheaf, c, window=window).systems()
     # rows of one copy never touch another copy's columns, so each copy
@@ -614,13 +606,8 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
         raise ValueError("cohomology_basis supports degrees 0 and 1")
     plan = DecisionPlan(sheaf, window=window, degree=degree)
     blocks, top = plan.systems(), plan.top
-    cover = sheaf.space.cover
-    if degree == 0:
-        position = {(name,): i for i, name in enumerate(cover.order)}
-        local_basis = _h0_basis
-    else:
-        position = {o: i for i, o in enumerate(cover.canonical_overlaps())}
-        local_basis = partial(_h1_basis, top=top)
+    position = {key: i for i, key in enumerate(canonical_keys(sheaf.space.cover, degree))}
+    local_basis = _h0_basis if degree == 0 else partial(_h1_basis, top=top)
     found: list[tuple[tuple, CechCochain]] = []
     done: dict[_Delta0System, list[tuple[tuple, CechCochain]]] = {}
     for frames, system in blocks:
@@ -778,7 +765,7 @@ def connecting_map(ses: ShortExactSequence, c: CechCochain) -> CechCochain:
     if any(len(v) != len(r) for v, r in zip(boundary.sections.values(),
                                             result.sections.values())):
         raise CocycleError("connecting map needs a cocycle")
-    if result.degree == 1 and not is_cocycle(result):
+    if not is_cocycle(result):
         raise CocycleError("connecting image failed the cocycle check")
     return result
 

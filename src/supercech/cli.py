@@ -54,10 +54,6 @@ class Reporter:
         else:
             self.lines.append(f"{key}: {value}")
 
-    def raw(self, text: str):
-        if not self.structured:
-            self.lines.append(text)
-
     def flush(self):
         """Write everything to standard output and flush it, so that a write
         error surfaces here."""
@@ -284,9 +280,8 @@ def _dispatch(args, doc, rep: Reporter) -> int:
         rep.emit("witness_ok", r.ok)
         if not r.ok:
             rep.emit("discrepancy", r.detail)
-        else:
-            rep.raw("")
-            rep.raw(write_glued_family(glued))
+        elif not rep.structured:
+            rep.lines += ["", write_glued_family(glued)]
         return EXIT_PASS if r.ok else EXIT_FAIL
 
     if cmd == "secondary":
@@ -362,13 +357,11 @@ def _report_all(args, doc, rep: Reporter, window) -> int:
                          f"{triple.embedding},{triple.fiber},{triple.family}")
                 if not triple.lemma_holds:
                     code = EXIT_FAIL
-        elif j != INFINITY:
-            oc = obstruction_cocycle(g, int(j), window=window)
-            rep.emit("obstruction.trivial", oc.cls.trivial)
-            rep.emit("obstruction.canonical", _fmt_cochain(oc.cls.representative))
-            result = attempt_split(g, window=window)
-            rep.emit("attempt_split.split", result.split)
         else:
+            if j != INFINITY:
+                oc = obstruction_cocycle(g, int(j), window=window)
+                rep.emit("obstruction.trivial", oc.cls.trivial)
+                rep.emit("obstruction.canonical", _fmt_cochain(oc.cls.representative))
             result = attempt_split(g, window=window)
             rep.emit("attempt_split.split", result.split)
     for name, m in doc.gt_models.items():

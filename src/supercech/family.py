@@ -74,11 +74,6 @@ def rothstein_family(g: SuperGluingData, base_var: str = "t") -> FamilySpec:
     constant family.
     """
     g.require_valid()
-    return _scaling_family(g, base_var)
-
-
-def _scaling_family(g: SuperGluingData, base_var: str) -> FamilySpec:
-    """:func:`rothstein_family` of gluing data already verified."""
     extended = extend_with_base(g, (base_var,))
     if g.deviation_degree() == INFINITY:
         return FamilySpec(extended, (base_var,))
@@ -160,9 +155,8 @@ def glue_over_p1(g: SuperGluingData, base_vars: tuple[str, str] = ("t", "s"),
                  witness_exponent: int = -2) -> GluedFamily:
     """One-parameter scaling families of ``g`` over the two standard charts,
     glued over t' = 1/t with the (t^-2)-scaling witness."""
-    g.require_valid()
-    low = _scaling_family(g, base_vars[0])
-    high = _scaling_family(g, base_vars[1])
+    low = rothstein_family(g, base_vars[0])
+    high = rothstein_family(g, base_vars[1])
     return GluedFamily(low, high, tuple(base_vars), witness_exponent)
 
 

@@ -302,18 +302,13 @@ class SuperGluingData:
     def _build_report(self) -> VerificationReport:
         failures: list[CheckFailure] = []
         checks = 0
-        for (a, b) in self.cover.canonical_overlaps():
-            tab, tba = self.transitions[(a, b)], self.transitions[(b, a)]
-            comp = compose_transitions(tab, tba)
-            checks += 1
-            if not comp.is_identity():
-                failures.append(CheckFailure("inverse", (a, b), _discrepancy_detail(
-                    comp, identity_transition(self.chart(a)))))
-            comp = compose_transitions(tba, tab)
-            checks += 1
-            if not comp.is_identity():
-                failures.append(CheckFailure("inverse", (b, a), _discrepancy_detail(
-                    comp, identity_transition(self.chart(b)))))
+        for overlap in self.cover.canonical_overlaps():
+            for a, b in (overlap, overlap[::-1]):
+                comp = compose_transitions(self.transitions[(a, b)], self.transitions[(b, a)])
+                checks += 1
+                if not comp.is_identity():
+                    failures.append(CheckFailure("inverse", (a, b), _discrepancy_detail(
+                        comp, identity_transition(self.chart(a)))))
         for (a, b, c) in self.cover.triples:
             via = compose_transitions(self.transitions[(a, b)], self.transitions[(b, c)])
             direct = self.transitions[(a, c)]

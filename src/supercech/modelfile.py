@@ -18,7 +18,7 @@ Grammar (line oriented; ``#`` starts a comment)::
     sheaf NAME
       rank R
       matrix A B              # R rows of R comma-separated expressions
-        <entry>, <entry>, ...
+        <entry>, <entry>, ... # one block per declared overlap, no other
     gtmodel NAME
       fiber_sheaf SHEAFNAME
       base_rank N

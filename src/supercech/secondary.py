@@ -140,7 +140,7 @@ def secondary_space(m: GtModel, a: int, b: int, p: int,
     if p not in (0, 1):
         raise ValueError("degrees 0 and 1 are decided")
     spec = hom_into_quotient(m, a, b)
-    basis = cohomology_basis(spec, p, window=window) if spec.rank else []
+    basis = cohomology_basis(spec, p, window=window)
     return SecondarySpace(a, b, p, spec, basis)
 
 
@@ -152,9 +152,7 @@ def secondary_spaces(m: GtModel, window: int | None = None) -> list[SecondarySpa
             for b in range(level + 1) if level - b <= m.fiber_rank and b <= m.base_rank
             for p in (0, 1)]
     for a, b, p in keys:
-        spec = hom_into_quotient(m, a, b)
-        if spec.rank:
-            DecisionPlan(spec, window=window, degree=p)
+        DecisionPlan(hom_into_quotient(m, a, b), window=window, degree=p)
     return [secondary_space(m, a, b, p, window=window) for a, b, p in keys]
 
 
@@ -280,10 +278,7 @@ def _model_class_image(m: GtModel, a: int, b: int, p: int, nu: CechCochain) -> C
         raise ValueError("the map needs a >= 1")
     level = a + b
     P = parity_spec(m, level)
-    out_quot = quotient_spec(m, a - 1, b + 1)
     out_spec = hom_into_quotient(m, a - 1, b + 1)
-    if out_quot.rank == 0 or P.rank == 0:
-        return CechCochain(out_spec, p + 1)
     sign = MODEL_CLASS_MAP_SIGN
     TM = derived_spec(m.space, ("theta pairing", m.base_rank, m.fiber_rank, a, b, P.rank, sign),
                       lambda: _theta_pairing_matrix(m, a, b, P.rank, sign))
@@ -380,9 +375,7 @@ def check_a1_window(m: GtModel, b: int, *, window: int | None) -> None:
     the (1, b) space, in ``window`` or its derived window, and, with an
     explicit ``window``, a class on the (0, b + 1) piece its samples are
     decided in (whether or not the space turns out to have a basis)."""
-    spec = hom_into_quotient(m, 1, b)
-    if spec.rank:
-        DecisionPlan(spec, window=window, degree=0)
+    DecisionPlan(hom_into_quotient(m, 1, b), window=window, degree=0)
     if window is not None:
         DecisionPlan(hom_into_quotient(m, 0, b + 1), window=window)
 

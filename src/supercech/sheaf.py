@@ -173,6 +173,9 @@ class SheafSpec:
         self._max_pole_order: int | None = None
         self._blocks: tuple[tuple[int, ...], ...] | None = None
         cover = space.cover
+        for key in matrices:
+            if key not in cover.overlaps:
+                raise ValueError(f"matrix for {key}, which is not a declared overlap")
         for key in cover.overlaps:
             if key not in matrices:
                 raise ValueError(f"missing matrix for overlap {key}")
@@ -348,11 +351,8 @@ def sheaf_hom(a: SheafSpec, b: SheafSpec) -> SheafSpec:
 
 
 def _hom(a: SheafSpec, b: SheafSpec) -> SheafSpec:
-    if a.rank == 0 or b.rank == 0:
-        mats = {key: () for key in a.matrices}
-    else:
-        dual = sheaf_dual(a)
-        mats = {key: kron(b.matrices[key], dual.matrices[key]) for key in a.matrices}
+    dual = sheaf_dual(a)
+    mats = {key: kron(b.matrices[key], dual.matrices[key]) for key in a.matrices}
     return sheaf_spec(a.space, a.rank * b.rank, mats)
 
 
@@ -368,12 +368,7 @@ def _exterior_power(spec: SheafSpec, k: int) -> SheafSpec:
     of J in order, each column the degree-one raw form ``{1 << row: entry}``
     of :mod:`supercech.grassmann`; the product of J's tail is kept for every
     J that shares it."""
-    if k == 0:
-        return trivial_spec(spec.space, 1)
     n = spec.rank
-    if k > n:
-        mats = {key: () for key in spec.matrices}
-        return sheaf_spec(spec.space, 0, mats)
     idxs = list(combinations(range(n), k))
     position = {_index_mask(I): p for p, I in enumerate(idxs)}
     mats = {}

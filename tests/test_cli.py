@@ -574,6 +574,21 @@ def test_malformed_model_is_input_error_with_location(tmp_path, capsys, lineno, 
     assert f"line {lineno}," in err
 
 
+@pytest.mark.parametrize("rank", [1, 0])
+def test_matrix_on_an_undeclared_overlap_is_input_error(tmp_path, capsys, rank):
+    # a rank-1 fiber sheaf with such a block ended in a KeyError traceback
+    text = VALID_MODEL.replace("    y^-4\n", "    y^-4\n  matrix U0 U0\n    x\n")
+    if rank == 0:
+        text = text.replace("  rank 1", "  rank 0")
+        text = "".join(line for line in text.splitlines(True) if not line.startswith("    "))
+    path = tmp_path / "undeclared.model"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("input error: line 14, column 1: matrix for ('U0', 'U0'), "
+                   "which is not a declared overlap\n")
+
+
 def test_deeply_nested_expression_is_input_error_with_location(tmp_path, capsys):
     # 330 parentheses used to end in RecursionError, a traceback with exit 1
     lines = corpus_path("nonsplit_p1.model").read_text().split("\n")

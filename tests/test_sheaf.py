@@ -355,6 +355,8 @@ def _spec_cases(p1_space, three):
     return {
         "missing": (p1_space, {key: p1[key]}, ValueError,
                     "missing matrix for overlap ('U1', 'U0')"),
+        "undeclared": (p1_space, {**p1, ("U0", "U0"): p1[key]}, ValueError,
+                       "matrix for ('U0', 'U0'), which is not a declared overlap"),
         "two columns": (p1_space, {**p1, key: p1[key] * 2}, ValueError,
                         "matrix for ('U0', 'U1') is not 1x1"),
         "row out of range": (p1_space, {**p1, key: (((1, x2),),)}, ValueError,
@@ -368,7 +370,8 @@ def _spec_cases(p1_space, three):
     }
 
 
-@pytest.mark.parametrize("case", ["missing", "two columns", "row out of range", "cocycle"])
+@pytest.mark.parametrize("case", ["missing", "undeclared", "two columns", "row out of range",
+                                  "cocycle"])
 def test_spec_rejects_inconsistent_matrices(p1_space, split_three_charts, case):
     space, mats, error, message = _spec_cases(p1_space, split_three_charts.reduce()[0])[case]
     with pytest.raises(error) as info:
