@@ -291,14 +291,14 @@ class DecisionPlan:
     ``top`` plus, for an H^1 basis, the margin of one pole order that its
     witnesses may need.  A system of more than MAX_UNKNOWNS unknowns raises
     WindowError, so a caller that must refuse early plans every decision
-    first."""
+    first.  A rank-0 sheaf has no unknowns: its plan refuses no window."""
 
     def __init__(self, sheaf: SheafSpec, *cochains: CechCochain, window: int | None = None,
                  degree: int | None = None):
         top = window
         if top is None:
             top = sheaf.max_pole_order() + 1 + sum(c.max_exponent() for c in cochains)
-            if top > WINDOW_CAP:
+            if top > WINDOW_CAP and sheaf.rank:
                 raise WindowError(
                     f"derived window {top} exceeds cap {WINDOW_CAP}; pass an explicit window")
         bound = top + sheaf.max_pole_order() + 1 if degree == 1 else top

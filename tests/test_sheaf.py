@@ -340,7 +340,6 @@ def test_kron_zero_entries_match_the_naive_product():
     assert rows_of(got, X) == naive_kron(laurent, laurent)
 
 
-
 def _rank_one(space, entries):
     """Rank-1 matrices from ``(a, b): (coefficient, exponent)``, each the
     monomial in the first coordinate of chart a."""

@@ -110,12 +110,11 @@ def _three_chart_cover():
     return Cover(charts, pairs + [(b, a) for a, b in pairs], [("U0", "U1", "U2")])
 
 
-def _maps(images):
-    """Coordinate maps from ``(a, b): (coefficient, exponent)`` for charts
-    of one coordinate each."""
-    cover = _three_chart_cover()
-    return {(a, b): {cover.chart(b).vars[0]: LaurentPoly.monomial(
-        cover.chart(a).vars, c, (e,))} for (a, b), (c, e) in images.items()}
+def _monomial_maps(cover, images):
+    """Coordinate maps from ``(a, b): (coefficient, exponent)`` on charts of
+    one coordinate each."""
+    return {(a, b): {cover.chart(b).vars[0]: LaurentPoly.monomial(cover.chart(a).vars, c, (e,))}
+            for (a, b), (c, e) in images.items()}
 
 
 @pytest.mark.parametrize("charts,overlaps,triples,message", [
@@ -135,26 +134,27 @@ def test_cover_rejects_inconsistent_structure(charts, overlaps, triples, message
 
 
 def _reduced_cases():
-    inverse = {("U0", "U1"): {"y": LaurentPoly.var(("x",), "x", -1)},
-               ("U1", "U0"): {"x": LaurentPoly.var(("y",), "y", -1)}}
-    yield _p1_cover(), {("U0", "U1"): inverse[("U0", "U1")]}, ValueError, \
-        "missing coordinate map for overlap (U1,U0)"
-    yield _p1_cover(), {**inverse, ("U0", "U1"): {}}, ValueError, \
-        "coordinate map (U0,U1) misses y"
-    yield _p1_cover(), {**inverse, ("U0", "U1"): {"y": LaurentPoly.var(("y",), "y", -1)}}, \
-        ContextError, "coordinate map (U0,U1):y not in U0-coordinates"
-    yield _p1_cover(), {**inverse, ("U0", "U1"): {"y": LaurentPoly(("x",), {(-1,): 1, (0,): 1})}}, \
-        ValueError, "coordinate map (U0,U1):y is not an invertible monomial"
-    yield _p1_cover(), {**inverse, ("U1", "U0"): {"x": LaurentPoly.monomial(("y",), 2, (-1,))}}, \
-        CocycleError, "reduced maps (U0,U1) and (U1,U0) are not inverse at x"
-    # y = 1/x and z = y, but z = 2/x on the third overlap
-    yield _three_chart_cover(), _maps({("U0", "U1"): (1, -1), ("U1", "U0"): (1, -1),
+    p1, three = _p1_cover(), _three_chart_cover()
+    inverse = _monomial_maps(p1, {("U0", "U1"): (1, -1), ("U1", "U0"): (1, -1)})
+    return [
+        (p1, {("U0", "U1"): inverse[("U0", "U1")]}, ValueError,
+         "missing coordinate map for overlap (U1,U0)"),
+        (p1, {**inverse, ("U0", "U1"): {}}, ValueError, "coordinate map (U0,U1) misses y"),
+        (p1, {**inverse, ("U0", "U1"): {"y": LaurentPoly.var(("y",), "y", -1)}}, ContextError,
+         "coordinate map (U0,U1):y not in U0-coordinates"),
+        (p1, {**inverse, ("U0", "U1"): {"y": LaurentPoly(("x",), {(-1,): 1, (0,): 1})}},
+         ValueError, "coordinate map (U0,U1):y is not an invertible monomial"),
+        (p1, {**inverse, **_monomial_maps(p1, {("U1", "U0"): (2, -1)})}, CocycleError,
+         "reduced maps (U0,U1) and (U1,U0) are not inverse at x"),
+        # y = 1/x and z = y, but z = 2/x on the third overlap
+        (three, _monomial_maps(three, {("U0", "U1"): (1, -1), ("U1", "U0"): (1, -1),
                                        ("U1", "U2"): (1, 1), ("U2", "U1"): (1, 1),
-                                       ("U0", "U2"): (2, -1), ("U2", "U0"): (2, -1)}), \
-        CocycleError, "reduced cocycle fails on (U0,U1,U2) at z"
+                                       ("U0", "U2"): (2, -1), ("U2", "U0"): (2, -1)}),
+         CocycleError, "reduced cocycle fails on (U0,U1,U2) at z"),
+    ]
 
 
-@pytest.mark.parametrize("cover,maps,error,message", list(_reduced_cases()))
+@pytest.mark.parametrize("cover,maps,error,message", _reduced_cases())
 def test_reduced_space_rejects_inconsistent_maps(cover, maps, error, message):
     with pytest.raises(error) as info:
         ReducedSpace(cover, maps)
