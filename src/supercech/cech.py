@@ -600,10 +600,10 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
     the union is put in the order the whole sheaf's system gives: H^0
     relations by their dependent unknown, H^1 reduced rows by their pivot
     key."""
-    if sheaf.rank == 0:
-        return []
     if degree not in (0, 1):
         raise ValueError("cohomology_basis supports degrees 0 and 1")
+    if sheaf.rank == 0:
+        return []
     plan = DecisionPlan(sheaf, window=window, degree=degree)
     blocks, top = plan.systems(), plan.top
     position = {key: i for i, key in enumerate(canonical_keys(sheaf.space.cover, degree))}

@@ -329,6 +329,12 @@ def test_a_rank_0_plan_refuses_no_window(p1_space, monkeypatch):
         DecisionPlan(trivial_spec(p1_space, 1), degree=1)
 
 
+@pytest.mark.parametrize("rank", [0, 1])
+def test_cohomology_basis_refuses_other_degrees_at_any_rank(p1_space, rank):
+    with pytest.raises(ValueError, match=r"^cohomology_basis supports degrees 0 and 1$"):
+        cohomology_basis(trivial_spec(p1_space, rank), 2)
+
+
 def test_cup_product_unit(p1_space):
     om2 = line_bundle(p1_space, -2)
     triv = trivial_spec(p1_space, 1)
