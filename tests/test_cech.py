@@ -15,7 +15,7 @@ from supercech import linalg
 from supercech.laurent import LaurentPoly
 from supercech.secondary import hom_into_quotient
 from dense_reference import rank as qrank
-from supercech.sheaf import sheaf_dual, sheaf_hom, sheaf_spec, sheaf_tensor, trivial_spec
+from supercech.sheaf import sheaf_dual, sheaf_hom, trivial_spec, sheaf_tensor
 from supercech.spaces import ReducedSpace
 
 from conftest import line_bundle
@@ -322,8 +322,7 @@ def test_a_rank_0_plan_refuses_no_window(p1_space, monkeypatch):
     # secondary_spaces and check_a1_window plan rank-0 specs as well
     monkeypatch.setattr(cech, "WINDOW_CAP", 1)
     monkeypatch.setattr(cech, "MAX_UNKNOWNS", 0)
-    plan = DecisionPlan(sheaf_spec(p1_space, 0, {key: () for key in p1_space.cover.overlaps}),
-                        degree=1)
+    plan = DecisionPlan(trivial_spec(p1_space, 0), degree=1)
     assert (plan.top, plan.bound) == (2, 4)
     with pytest.raises(WindowError, match=r"^derived window 2 exceeds cap 1; "):
         DecisionPlan(trivial_spec(p1_space, 1), degree=1)

@@ -576,7 +576,6 @@ def test_malformed_model_is_input_error_with_location(tmp_path, capsys, lineno, 
 
 @pytest.mark.parametrize("rank", [1, 0])
 def test_matrix_on_an_undeclared_overlap_is_input_error(tmp_path, capsys, rank):
-    # a rank-1 fiber sheaf with such a block ended in a KeyError traceback
     text = VALID_MODEL.replace("    y^-4\n", "    y^-4\n  matrix U0 U0\n    x\n")
     if rank == 0:
         text = text.replace("  rank 1", "  rank 0")
