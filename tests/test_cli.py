@@ -574,6 +574,55 @@ def test_malformed_model_is_input_error_with_location(tmp_path, capsys, lineno, 
     assert f"line {lineno}," in err
 
 
+def _verify_text(tmp_path, capsys, text):
+    path = tmp_path / "model.model"
+    path.write_text(text)
+    return run_cli(capsys, "verify", "--input", str(path))
+
+
+def test_other_format_version_is_input_error(tmp_path, capsys):
+    code, out, err = _verify_text(tmp_path, capsys, _with_line(1, "format 2"))
+    assert (code, out) == (2, "")
+    assert err == "input error: line 1, column 1: unsupported format version ['2']\n"
+
+
+def test_sheaf_without_rank_is_input_error(tmp_path, capsys):
+    code, out, err = _verify_text(tmp_path, capsys, _with_line(15, "  # no rank"))
+    assert (code, out) == (2, "")
+    assert err == "input error: line 14, column 1: sheaf 'TX' declares no rank\n"
+
+
+@pytest.mark.parametrize("lineno", [21, 22], ids=["fiber_sheaf", "base_rank"])
+def test_gtmodel_without_fiber_sheaf_or_base_rank_is_input_error(tmp_path, capsys, lineno):
+    code, out, err = _verify_text(tmp_path, capsys, _with_line(lineno, "  # left out"))
+    assert (code, out) == (2, "")
+    assert err == ("input error: line 20, column 1: "
+                   "gtmodel 'M' needs fiber_sheaf and base_rank\n")
+
+
+@pytest.mark.parametrize("keyword,lineno,row", [("matrix", 17, "    x^-4, 1"),
+                                                ("theta", 24, "    x^-1, 0")])
+def test_row_of_the_wrong_width_is_input_error(tmp_path, capsys, keyword, lineno, row):
+    code, out, err = _verify_text(tmp_path, capsys, _with_line(lineno, row))
+    assert (code, out) == (2, "")
+    assert err == f"input error: line {lineno}, column 1: {keyword} row has 2 entries, want 1\n"
+
+
+def test_family_moving_its_base_coordinate_fails_verification(tmp_path, capsys):
+    # t2 -> -t2 keeps t1 + t2^2, so the inverse checks pass and only the
+    # family check fails, on both overlaps
+    text = corpus_path("two_parameter_family.model").read_text()
+    assert text.count("  t2 = t2\n") == 2
+    code, out, err = _verify_text(tmp_path, capsys, text.replace("  t2 = t2\n", "  t2 = -t2\n"))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == [
+        "gluing.ok: False",
+        "gluing.failure.0: family check failed on ('U0', 'U1'): "
+        "base coordinate map t2 is not the identity",
+        "gluing.failure.1: family check failed on ('U1', 'U0'): "
+        "base coordinate map t2 is not the identity"]
+
+
 @pytest.mark.parametrize("rank", [1, 0])
 def test_matrix_on_an_undeclared_overlap_is_input_error(tmp_path, capsys, rank):
     text = VALID_MODEL.replace("    y^-4\n", "    y^-4\n  matrix U0 U0\n    x\n")

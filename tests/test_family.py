@@ -1,15 +1,22 @@
+import importlib.resources as resources
+import random
 from fractions import Fraction as Q
+from functools import cache
 
 import pytest
+
+import supercech
 
 from supercech.family import (GluedFamily, extend_with_base, glue_over_p1,
                               isotriviality_witness, rothstein_family,
                               split_family)
 from supercech.gluing import INFINITY
+from supercech.modelfile import parse_model_text
 from supercech.obstruction import (attempt_split, characteristic_factorization,
-                                   obstruction_cocycle, scaling_action,
+                                   obstruction_cocycle, scaling_action, scaling_witnesses,
                                    splitting_type_differential)
 
+from conftest import load_model, perfbench_models
 from dense_reference import evaluate
 
 
@@ -149,6 +156,18 @@ def test_extend_with_base_rejects_clashes(split_p1):
         extend_with_base(split_p1, ("x",))
 
 
+@pytest.mark.parametrize("base_vars,clash", [(("t", "x"), "x"), (("x", "s"), "x"),
+                                             (("t", "t1"), "t1")])
+def test_glue_over_p1_rejects_a_base_coordinate_in_use(two_parameter_family, base_vars, clash):
+    with pytest.raises(ValueError, match=f"^coordinate {clash} already in use on U0$"):
+        glue_over_p1(two_parameter_family, base_vars)
+
+
+def test_glue_over_p1_with_one_base_coordinate_twice(nonsplit_p1):
+    glued = glue_over_p1(nonsplit_p1, ("t", "t"))
+    assert glued.piece_high == glued.piece_low
+
+
 def test_fiber_splitting_type_locally_constant(nonsplit_p1):
     fam = rothstein_family(nonsplit_p1)
     for t in (Q(1), Q(2), Q(-1), Q(5), Q(1, 3)):
@@ -174,3 +193,41 @@ def test_fiber_class_via_rational_scaling_root(nonsplit_p1):
         lam = t          # lambda^2 = s(t) = t^2
         fiber_oc = obstruction_cocycle(fam.fiber({"t": t}), 2)
         assert fiber_oc.cls.representative == scale_class(base, lam).cls.representative
+
+
+@cache
+def _family_models():
+    """Every corpus gluing model but corrupt_sign, which fails its own
+    check, and the benchmark's gauged models of odd rank 2..6, split and
+    planted, on seeds 1 and 7."""
+    out = {}
+    for p in sorted(resources.files("supercech.corpus").iterdir()):
+        if p.name.endswith(".model") and p.name != "corrupt_sign.model":
+            g = load_model(p.name).gluing
+            if g is not None:
+                out[p.name] = g
+    models = perfbench_models()
+    for seed in (1, 7):
+        for q in range(2, 7):
+            for planted in (False, True):
+                text = models.gauged_model(supercech, random.Random(seed), q, planted)
+                name = f"gauged-q{q}-{'planted' if planted else 'split'}-seed{seed}"
+                out[name] = parse_model_text(text).gluing
+    return out
+
+
+def test_family_models_cover_the_corpus():
+    assert sum(name.endswith(".model") for name in _family_models()) == 7
+
+
+@pytest.mark.parametrize("name", sorted(_family_models()))
+def test_rescaled_family_is_the_verified_conjugate(name):
+    # the rescale is conjugation by theta -> t*theta, so it keeps the
+    # inverse and triple identities of its verified input; the second piece
+    # over P^1 is the same family in the second base coordinate
+    g = _family_models()[name]
+    fam = rothstein_family(g, "t")
+    assert fam.gluing.verify_cocycle().ok
+    extended = extend_with_base(g, ("t",))
+    assert fam.gluing == extended.conjugate(scaling_witnesses(extended, "t"))
+    assert glue_over_p1(g).piece_high == rothstein_family(g, "s")

@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from supercech.errors import CocycleError, ContextError
+from supercech import gluing
+from supercech.errors import CocycleError, ContextError, SupercechError
 from supercech.gluing import (INFINITY, SuperGluingData, SuperTransition,
                               compose_transitions, identity_transition,
                               invert_transition, restrict_odd)
@@ -39,6 +40,33 @@ def test_compose_p1_flip_is_identity(split_p1):
 def test_invert_solves_correction_term(nonsplit_p1):
     t01 = nonsplit_p1.transitions[("U0", "U1")]
     assert invert_transition(t01) == nonsplit_p1.transitions[("U1", "U0")]
+
+
+def test_invert_refuses_a_one_sided_inverse(monkeypatch, nonsplit_p1):
+    # the last check composes "inverse then t"; force that composite off
+    # the identity while "t then inverse" still converges
+    t = nonsplit_p1.transitions[("U0", "U1")]
+    compose = gluing.compose_transitions
+
+    def skewed(s, u):
+        comp = compose(s, u)
+        if s is t:
+            return comp
+        odd = {**comp.odd_maps, 1: comp.odd_maps[1].scale(2)}
+        return SuperTransition(comp.source, comp.target, comp.even_maps, odd, check=False)
+
+    monkeypatch.setattr(gluing, "compose_transitions", skewed)
+    with pytest.raises(SupercechError, match="^one-sided inverse only; data is inconsistent$"):
+        invert_transition(t)
+
+
+def test_invert_refuses_an_iteration_that_does_not_settle(monkeypatch, nonsplit_p1):
+    # with every correction dropped, the degree-2 discrepancy of the first
+    # inverse never goes away
+    monkeypatch.setattr(gluing, "_corrected", lambda image, discrepancy, pull: image)
+    with pytest.raises(SupercechError,
+                       match=r"^inverse iteration did not terminate \(data not invertible\?\)$"):
+        invert_transition(nonsplit_p1.transitions[("U0", "U1")])
 
 
 def test_invert_level3(nonsplit_p1_level3):

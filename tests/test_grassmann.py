@@ -388,3 +388,96 @@ def test_memoised_powers_in_any_order(q, data):
         for e in sequence:
             got = _collect(vars, q, kernel.power("x", e))
             assert got == even["x"].power(e) == grassmann_power(even["x"], e)
+
+
+# Monomial substitutions: every image is zero or one term c * x^e * theta^J,
+# with J empty for an even image, from the source context (x, t) to the
+# target context (x, s).  The reference multiplies the images out as
+# elements, term by term; a term whose odd part maps to zero is skipped, and
+# any other meets every power of its even images, so a negative power of a
+# zero image raises.
+
+MONO_SOURCE, MONO_TARGET, MONO_Q = ("x", "t"), ("x", "s"), 3
+MONO_ODD = [i for k in (1, 3) for i in combinations(range(1, MONO_Q + 1), k)]
+
+
+def monomial_reference(element, even, odd):
+    total = GrassmannElement.zero(MONO_TARGET, MONO_Q)
+    for idx, coeff in element.terms.items():
+        image = GrassmannElement.const(MONO_TARGET, MONO_Q, 1)
+        for a in idx:
+            image = image * odd[a]
+        if image.is_zero():
+            continue
+        for exps, c in coeff.terms.items():
+            term = image.scale(c)
+            for v, e in zip(element.vars, exps):
+                term = even[v].power(e) * term
+            total = total + term
+    return total
+
+
+@st.composite
+def monomial_cases(draw):
+    coefs = st.sampled_from([1, -1, 2, -3, Q(1, 2), Q(-2, 3)])
+
+    def term(idx):
+        return GrassmannElement(MONO_TARGET, MONO_Q, {idx: LaurentPoly.monomial(
+            MONO_TARGET, draw(coefs), [draw(st.integers(-2, 2)) for _ in MONO_TARGET])})
+
+    zero = GrassmannElement.zero(MONO_TARGET, MONO_Q)
+    even = {}
+    for v in MONO_SOURCE:
+        kind = draw(st.sampled_from(["zero", "constant", "term"]))
+        even[v] = {"zero": zero, "term": term(())}.get(kind) or \
+            GrassmannElement.const(MONO_TARGET, MONO_Q, draw(coefs))
+    odd = {a: zero if draw(st.booleans()) and draw(st.booleans())
+           else term(draw(st.sampled_from(MONO_ODD))) for a in range(1, MONO_Q + 1)}
+    indices = [i for k in range(MONO_Q + 1) for i in combinations(range(1, MONO_Q + 1), k)]
+    targets = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            idx = draw(st.sampled_from(indices))
+            poly = LaurentPoly.monomial(MONO_SOURCE, draw(coefs),
+                                        [draw(st.integers(-3, 3)) for _ in MONO_SOURCE])
+            terms[idx] = terms[idx] + poly if idx in terms else poly
+        targets.append(GrassmannElement(MONO_SOURCE, MONO_Q, terms))
+    return even, odd, targets
+
+
+def _assert_monomial_substitution(even, odd, element):
+    kernel = Substitution(even, odd, MONO_TARGET, MONO_Q)
+    try:
+        expected = monomial_reference(element, even, odd)
+    except SubstitutionError as error:
+        with pytest.raises(SubstitutionError) as raised:
+            element.substitute(kernel)
+        assert str(raised.value) == str(error)
+    else:
+        assert element.substitute(kernel) == expected
+
+
+@settings(max_examples=150)
+@given(monomial_cases())
+def test_monomial_substitution_equals_the_element_arithmetic(case):
+    even, odd, targets = case
+    lone = [GrassmannElement.even_var(MONO_SOURCE, MONO_Q, "x"),
+            GrassmannElement.odd_gen(MONO_SOURCE, MONO_Q, 2)]
+    for element in targets + lone:
+        _assert_monomial_substitution(even, odd, element)
+
+
+def test_negative_power_of_a_zero_monomial_image():
+    zero = GrassmannElement.zero(MONO_TARGET, MONO_Q)
+    even = {"x": zero, "t": GrassmannElement.even_var(MONO_TARGET, MONO_Q, "s", -1)}
+    odd = {a: GrassmannElement.odd_gen(MONO_TARGET, MONO_Q, a) for a in range(1, MONO_Q + 1)}
+    pole = parse("t^2 + x^-1*t*theta_1", MONO_SOURCE, MONO_Q)
+    with pytest.raises(SubstitutionError,
+                       match="^negative power of an element with zero reduced part$"):
+        pole.substitute(Substitution(even, odd, MONO_TARGET, MONO_Q))
+    # a term whose odd part maps to zero is never expanded
+    got = pole.substitute(Substitution(even, {**odd, 1: zero}, MONO_TARGET, MONO_Q))
+    assert got == parse("s^-2", MONO_TARGET, MONO_Q)
+    for element in (pole, parse("x^2*theta_2*theta_3 - 3*t^-1", MONO_SOURCE, MONO_Q)):
+        _assert_monomial_substitution(even, odd, element)
