@@ -33,10 +33,7 @@ class FamilySpec:
 def extend_with_base(g: SuperGluingData, base_vars: tuple[str, ...]) -> SuperGluingData:
     """Append shared base coordinates to every chart; transitions keep their
     expressions and map the new coordinates identically."""
-    for v in base_vars:
-        for ch in g.cover.charts.values():
-            if v in ch.vars:
-                raise ValueError(f"coordinate {v} already in use on {ch.name}")
+    _require_unused(g, base_vars)
     charts = [Chart(ch.name, ch.fiber_vars, ch.base_vars + tuple(base_vars), ch.odd_rank)
               for ch in (g.cover.chart(n) for n in g.cover.order)]
     cover = Cover(charts, g.cover.overlaps, g.cover.triples)
@@ -49,6 +46,13 @@ def extend_with_base(g: SuperGluingData, base_vars: tuple[str, ...]) -> SuperGlu
         odd = {k: _extend(gr, src) for k, gr in t.odd_maps.items()}
         transitions[(a, b)] = SuperTransition(src, cover.chart(b), even, odd, check=False)
     return SuperGluingData(cover, transitions, base_vars=tuple(g.base_vars) + tuple(base_vars))
+
+
+def _require_unused(g: SuperGluingData, names: tuple[str, ...]) -> None:
+    for v in names:
+        for ch in g.cover.charts.values():
+            if v in ch.vars:
+                raise ValueError(f"coordinate {v} already in use on {ch.name}")
 
 
 def _extend(g: GrassmannElement, chart: Chart) -> GrassmannElement:
@@ -72,14 +76,17 @@ def rothstein_family(g: SuperGluingData, base_var: str = "t") -> FamilySpec:
     generated by the substitution itself.  A level-j deviation picks up t^j
     (j even) resp. t^(j-1) (j odd).  For split input the result is the
     constant family.
+
+    The input is verified, the output is not: a conjugation keeps every
+    inverse and triple identity of its input, and the new base coordinate
+    maps to itself.  The result's :meth:`~SuperGluingData.verify_cocycle`
+    still builds its report when a caller asks.
     """
     g.require_valid()
     extended = extend_with_base(g, (base_var,))
     if g.deviation_degree() == INFINITY:
         return FamilySpec(extended, (base_var,))
-    fam = scaling_action(extended, base_var)
-    fam.require_valid()
-    return FamilySpec(fam, (base_var,))
+    return FamilySpec(scaling_action(extended, base_var), (base_var,))
 
 
 # --------------------------------------------------------------- witnesses
@@ -154,10 +161,26 @@ class GluedFamily:
 def glue_over_p1(g: SuperGluingData, base_vars: tuple[str, str] = ("t", "s"),
                  witness_exponent: int = -2) -> GluedFamily:
     """One-parameter scaling families of ``g`` over the two standard charts,
-    glued over t' = 1/t with the (t^-2)-scaling witness."""
-    low = rothstein_family(g, base_vars[0])
-    high = rothstein_family(g, base_vars[1])
-    return GluedFamily(low, high, tuple(base_vars), witness_exponent)
+    glued over t' = 1/t with the (t^-2)-scaling witness.
+
+    The second piece is the first pulled back along the renaming of its
+    base coordinate t to t' (:meth:`~SuperGluingData.pull_back`), which is
+    the scaling family of ``g`` in t' built without a second rescale."""
+    t, tp = base_vars
+    low = rothstein_family(g, t)
+    _require_unused(g, (tp,))
+
+    def renamed(names):
+        return tuple(tp if v == t else v for v in names)
+
+    charts, images = [], {}
+    for name in low.gluing.cover.order:
+        ch = low.gluing.chart(name)
+        new = Chart(name, ch.fiber_vars, renamed(ch.base_vars), ch.odd_rank)
+        charts.append(new)
+        images[name] = {t: GrassmannElement.even_var(new.vars, new.odd_rank, tp)}
+    high = low.gluing.pull_back(charts, images, renamed(low.gluing.base_vars))
+    return GluedFamily(low, FamilySpec(high, (tp,)), tuple(base_vars), witness_exponent)
 
 
 def write_glued_family(glued: GluedFamily) -> str:

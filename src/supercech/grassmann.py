@@ -34,12 +34,22 @@ at the end.  A lone even coordinate or odd generator with coefficient 1
 needs neither: after the images are checked, its image is the result.
 Near-identity coordinate changes, such as the witnesses of a splitting
 attempt and their inverses, are mostly made of such maps.
+
+A monomial map sends every even coordinate and odd generator to zero or to
+one term ``c * x^e * theta_J``, with ``J`` empty for an even image: the
+scaling witnesses and their inverses, renamed or evaluated base
+coordinates, dropped odd generators, sign gauges and ``y = 1/x``.  Each
+:class:`Substitution` decides once, from its images, whether it is one.
+Such a map sends every term to at most one term, so it substitutes term
+by term: the coefficients multiply as powers, the exponent vectors add and
+the masks join with :func:`_koszul_sign`, with no power memo and no
+product kernel.
 """
 
 from __future__ import annotations
 
 from math import factorial
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Mapping
 
 from .errors import ContextError, SubstitutionError
@@ -291,7 +301,8 @@ class GrassmannElement:
         the finite Taylor rule (see :meth:`power`).  The images stay in raw
         form (see :func:`_product_into`) until the one conversion at the
         end.  A lone even coordinate or odd generator with coefficient 1 is
-        its image, which is returned as it is."""
+        its image, which is returned as it is.  A monomial map (see
+        :class:`Substitution`) substitutes term by term."""
         images.check(self.vars, self.odd_rank)
         if len(self.terms) == 1:
             (idx, coeff), = self.terms.items()
@@ -303,6 +314,8 @@ class GrassmannElement:
                     if len(idx) == 1 and not any(exps):
                         return images.odd_images[idx[0]]
         q = images.odd_rank
+        if images.monomials is not None:
+            return _collect(images.vars, q, _monomial_image(self, *images.monomials))
         acc: dict[int, dict] = {}
         for idx, coeff in self.terms.items():
             odd = images.odd_monomial(idx)
@@ -405,6 +418,64 @@ def _collect(vars: tuple[str, ...], odd_rank: int, acc: dict[int, dict]) -> Gras
                                              for m, t in _clean(acc).items()}, trusted=True)
 
 
+def _single_terms(images: Mapping, even: bool) -> dict | None:
+    """``{key: (mask, exps, coef)}`` of images that are each zero (``None``)
+    or one term, with mask 0 when ``even``; ``None`` if some image is not."""
+    out = {}
+    for key, g in images.items():
+        if not g.terms:
+            out[key] = None
+            continue
+        if len(g.terms) != 1:
+            return None
+        (idx, coeff), = g.terms.items()
+        if (even and idx) or len(coeff.terms) != 1:
+            return None
+        (exps, c), = coeff.terms.items()
+        out[key] = _index_mask(idx), exps, c
+    return out
+
+
+def _monomial_image(element: GrassmannElement, even: dict, odd: dict,
+                    origin: tuple[int, ...]) -> dict[int, dict]:
+    """Accumulator of the image of ``element`` under the single-term images
+    ``even`` and ``odd`` of :func:`_single_terms`, whose exponent vectors
+    have the length of ``origin``, the zero vector.  A term whose odd part
+    maps to zero is skipped; any other meets every power of its even images,
+    so a negative power of a zero image raises."""
+    acc: dict[int, dict] = {}
+    for idx, coeff in element.terms.items():
+        mask, base, scale = 0, origin, 1
+        for a in idx:
+            img = odd[a]
+            if img is None or mask & img[0]:
+                break
+            m, exps, c = img
+            scale *= c * _koszul_sign(mask, m)
+            mask |= m
+            base = tuple(map(add, base, exps))
+        else:
+            target = acc.setdefault(mask, {})
+            for exps, c in coeff.terms.items():
+                out, c, live = base, scale * c, True
+                for v, k in zip(element.vars, exps):
+                    if not k:
+                        continue
+                    img = even[v]
+                    if img is None:
+                        if k < 0:
+                            raise SubstitutionError(
+                                "negative power of an element with zero reduced part")
+                        live = False
+                    elif live:
+                        _, e, cv = img
+                        c *= cv ** k if k > 0 else div(1, cv ** -k)
+                        out = tuple(x + k * y for x, y in zip(out, e))
+                if live:
+                    target[out] = target.get(out, 0) + c
+    return acc
+
+
 class Substitution:
     """The ring homomorphism sending each even coordinate ``v`` to
     ``even_images[v]`` and each ``theta_a`` to ``odd_images[a]``, all in the
@@ -414,9 +485,16 @@ class Substitution:
     stay memoised for as long as the object lives: powers of even images per
     ``(v, e)``, their products per exponent vector, and products of odd
     images per multi-index.  Build one per image set and apply it to every
-    element that set acts on."""
+    element that set acts on.
 
-    __slots__ = ("even_images", "odd_images", "vars", "odd_rank",
+    A monomial map, whose images are each zero or one term (with no odd
+    part for an even image), needs no memo: ``monomials`` holds the single
+    terms of the even and odd images, ``None`` for a zero image, and the
+    zero exponent vector of the target, and :meth:`GrassmannElement.substitute`
+    maps each term to its one image term.  For any other map ``monomials``
+    is ``None``."""
+
+    __slots__ = ("even_images", "odd_images", "vars", "odd_rank", "monomials",
                  "_checked", "_powers", "_even", "_odd")
 
     def __init__(self, even_images: Mapping[str, GrassmannElement],
@@ -426,6 +504,9 @@ class Substitution:
         self.odd_images = odd_images
         self.vars = tuple(vars)
         self.odd_rank = int(odd_rank)
+        even = _single_terms(even_images, True)
+        odd = None if even is None else _single_terms(odd_images, False)
+        self.monomials = None if odd is None else (even, odd, (0,) * len(self.vars))
         self._checked: set[tuple[tuple[str, ...], int]] = set()
         self._powers: dict[tuple[str, int], dict[int, dict]] = {}
         self._even: dict[tuple[tuple[str, ...], tuple[int, ...]], dict[int, dict]] = {}
