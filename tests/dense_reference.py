@@ -6,11 +6,13 @@ kernel and its frame-map cochains, the delta0 system of a whole sheaf
 eliminated in one piece for the blockwise decisions of ``cech``, a lift
 through each filtration piece solved on the whole sheaf for
 ``secondary.refined_splitting_data``, the coboundary on the whole exterior
-power for the two-step connecting maps of ``secondary``,
-term-by-term substitution for ``spaces.MonomialMap``, element-level
-Grassmann products, powers and substitution for the raw kernel of
-``grassmann``, an expression parser that builds one Grassmann element per
-atom for ``parsing``, and the conjugation by inverted scaling witnesses for
+power for the two-step connecting maps of ``secondary``, the cup with
+theta through the tensor sheaf and each A1 sample decided in its own
+window for ``secondary.verify_a1_containment``, term-by-term
+substitution for ``spaces.MonomialMap``, element-level Grassmann
+products, powers and substitution for the raw kernel of ``grassmann``, an
+expression parser that builds one Grassmann element per atom for
+``parsing``, and the conjugation by inverted scaling witnesses for
 ``obstruction.scaling_action``.
 
 Matrices are lists of lists of ``Fraction``.  Pivots are the first nonzero
@@ -19,6 +21,7 @@ entry scanning columns left to right, taken from the topmost remaining row.
 
 import re
 from fractions import Fraction as Q
+from functools import cache
 
 from supercech.errors import ParseError, SubstitutionError
 from supercech.grassmann import GrassmannElement, binomial
@@ -631,6 +634,47 @@ def secondary_differential(m, a, b, p, nu):
     inside = _hom_frames(filt.graded[b + 1], P.rank)
     return CechCochain(hom_into_quotient(m, a - 1, b + 1), p + 1,
                        {k: [v[f] for f in inside] for k, v in boundary.items()})
+
+
+def model_class_image(m, a, b, p, nu):
+    """The cochain of ``secondary.model_class_map`` through the tensor
+    sheaf: theta cup nu valued in hom(fiber, base) (x) hom(P, quot^{a,b}),
+    then the theta pairing columns applied to every section."""
+    from supercech.cech import cup_product
+    from supercech.secondary import hom_into_quotient, parity_spec
+    columns = _pairing_columns(m.base_rank, m.fiber_rank, a, b, parity_spec(m, a + b).rank)
+    return cup_product(m.theta, nu).map(columns, hom_into_quotient(m, a - 1, b + 1))
+
+
+@cache
+def _pairing_columns(n, qx, a, b, rank_p):
+    """``secondary._theta_pairing_matrix`` with the model class map's sign,
+    for base rank n and fiber rank qx."""
+    from types import SimpleNamespace
+    from supercech.secondary import MODEL_CLASS_MAP_SIGN, _theta_pairing_matrix
+    return _theta_pairing_matrix(SimpleNamespace(base_rank=n, fiber_rank=qx), a, b, rank_p,
+                                 MODEL_CLASS_MAP_SIGN)
+
+
+def a1_containment(m, b, window=None):
+    """``secondary.verify_a1_containment`` sample by sample: the left image
+    through the tensor sheaf (:func:`model_class_image`), the differential
+    image, and each side decided in ``window`` or in the window derived
+    from its own image; a right image equal to the left shares its
+    decision."""
+    from supercech.cech import cohomology_class
+    from supercech.secondary import (ContainmentReport, ContainmentSample, _differential_image,
+                                     secondary_space)
+    space = secondary_space(m, 1, b, 0, window=window)
+    report = ContainmentReport(b, space.dimension)
+    for i, nu in enumerate(space.basis):
+        left = model_class_image(m, 1, b, 0, nu)
+        right = _differential_image(m, 1, b, 0, nu)
+        lhs = cohomology_class(left, window=window)
+        rhs = lhs if left == right else cohomology_class(right, window=window)
+        report.samples.append(ContainmentSample(i, lhs.trivial, rhs.trivial,
+                                                lhs.representative == rhs.representative))
+    return report
 
 
 # ---------------------------------------------------------- Laurent layer

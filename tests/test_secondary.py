@@ -402,3 +402,64 @@ def test_a1_check_refuses_a_derived_window_before_any_system(monkeypatch, capsys
     assert code == 3
     assert "exponent window 0..5 needs a delta0 system of 144 unknowns" in err
     assert built == []
+
+
+# ------------------------------ A1 samples against the per-sample reference
+
+
+def _assert_a1_as_reference(m):
+    """``verify_a1_containment`` and ``dense_reference.a1_containment`` give
+    the same dimension, samples and nonzero count at every b, and the
+    model-class map equals the tensor-sheaf path on every basis class of
+    the (1, b) spaces in degrees 0 and 1."""
+    from dense_reference import a1_containment, model_class_image
+    for b in range(m.base_rank):
+        got, want = verify_a1_containment(m, b), a1_containment(m, b)
+        assert (got.dimension, got.samples) == (want.dimension, want.samples), b
+        assert sum(not s.lhs_trivial for s in got.samples) == \
+            sum(not s.lhs_trivial for s in want.samples)
+        for p in (0, 1):
+            for nu in secondary_space(m, 1, b, p).basis:
+                assert model_class_map(m, 1, b, p, nu).cochain == model_class_image(m, 1, b, p, nu)
+
+
+def _perfbench_gt(d, r, seed):
+    from conftest import perfbench_models
+    from supercech.modelfile import parse_model_text
+    return parse_model_text(perfbench_models().gt_model(random.Random(seed), d, r)).gt_models["M"]
+
+
+@pytest.mark.parametrize("name", ["gt_model_p1", "gt(4, 4) seed 1", "gt(4, 4) seed 7",
+                                  "gt(6, 6) seed 1", "gt(6, 6) seed 7"])
+def test_a1_samples_match_the_per_sample_reference(name):
+    if name == "gt_model_p1":
+        m = load_model("gt_model_p1.model").gt_models["M"]
+    else:
+        sizes, seed = name[3:].split(") seed ")
+        d, r = map(int, sizes.split(", "))
+        m = _perfbench_gt(d, r, int(seed))
+    _assert_a1_as_reference(m)
+
+
+@settings(max_examples=12)
+@given(st.integers(0, 2 ** 32), st.sampled_from([2, 3]))
+def test_a1_samples_of_random_extensions_match_the_per_sample_reference(fiber_specs, seed,
+                                                                        charts):
+    rng = random.Random(seed)
+    _assert_a1_as_reference(_random_extension(rng, rng.choice(fiber_specs[charts]),
+                                              rng.randint(1, 2)))
+
+
+def test_a1_samples_of_a_monomial_sweep_match_the_per_sample_reference(p1_space):
+    # every gt model on the two-chart P^1 with fiber degree d in 0..4, base
+    # rank 1 or 2 and each theta row 0 or +-x^e, e in -d-1..0
+    from itertools import product
+    from conftest import line_bundle
+    for d in range(5):
+        fiber = line_bundle(p1_space, d)
+        rows = [LaurentPoly.zero(("x",))] + [LaurentPoly.monomial(("x",), s, (e,))
+                                            for e in range(-d - 1, 1) for s in (1, -1)]
+        for r in (1, 2):
+            for theta in product(rows, repeat=r):
+                _assert_a1_as_reference(gt_model(p1_space, fiber, r,
+                                                 {("U0", "U1"): list(theta)}))
