@@ -52,7 +52,7 @@ from functools import partial
 from itertools import product as iproduct
 
 from .errors import CocycleError, WindowError
-from .laurent import Coef, LaurentPoly, add_into, collect
+from .laurent import Coef, LaurentPoly, add_into, collect, mul_into
 from . import linalg
 from .sheaf import (SheafSpec, derived_spec, diagonal_block, frame_map, frames_leak,
                     mat_mul, sheaf_hom, sheaf_spec, sheaf_tensor)
@@ -680,27 +680,39 @@ def cup_product(u: CechCochain, v: CechCochain) -> CechCochain:
     """(u cup v)_{i0..ip+q} = u_{i0..iq} (x) v_{iq..iq+p}, transported into
     the leading chart; values in the tensor sheaf (left factor index major).
     Both degrees are 0 or 1."""
-    A, B = u.sheaf, v.sheaf
-    if not A.same_cover(B):
+    if not u.sheaf.same_cover(v.sheaf):
         raise CocycleError("cup factors on different covers")
+    tensor = sheaf_tensor(u.sheaf, v.sheaf)
+    return _cup_map(u, v, [((f, 1),) for f in range(tensor.rank)], tensor)
+
+
+def _cup_map(u: CechCochain, v: CechCochain, columns: list[list[tuple[int, Coef]]],
+             sheaf: SheafSpec) -> CechCochain:
+    """``cup_product(u, v).map(columns, sheaf)`` without the tensor sheaf:
+    column ``i * rank(v) + j`` takes the product of component i of u and
+    component j of v, and a product whose column is empty is not formed."""
     qdeg, pdeg = u.degree, v.degree
     if qdeg not in (0, 1) or pdeg not in (0, 1):
         raise ValueError(f"cup product for degrees ({qdeg},{pdeg}) not supported")
+    B = v.sheaf
+    cover = B.space.cover
     us, vs, n = u.sections, v.sections, B.rank
     out: dict[tuple, FrameMap] = {}
-    for key in canonical_keys(A.space.cover, qdeg + pdeg):
+    for key in canonical_keys(cover, qdeg + pdeg):
         right = vs[key[qdeg:]]
         if qdeg == 1:
             right = B.transport(key[1], key[0], right)
-        out[key] = _tensor_vec(us[key[:qdeg + 1]], right, n)
-    return CechCochain(sheaf_tensor(A, B), qdeg + pdeg, out, trusted=True)
-
-
-def _tensor_vec(u: FrameMap, v: FrameMap, rank_v: int) -> FrameMap:
-    """Frame map of the products ``a * b`` of the nonzero components, left
-    factor major over a right factor of rank ``rank_v``; Laurent
-    polynomials have no zero divisors, so every product is nonzero."""
-    return {i * rank_v + j: a * b for i, a in u.items() for j, b in v.items()}
+        accs: dict[int, dict] = {}
+        for i, a in us[key[:qdeg + 1]].items():
+            row = i * n
+            for j, b in right.items():
+                for r, c in columns[row + j]:
+                    acc = accs.get(r)
+                    if acc is None:
+                        acc = accs[r] = {}
+                    mul_into(acc, a.terms, b.terms, c)
+        out[key] = frame_map(cover.chart(key[0]).vars, accs)
+    return CechCochain(sheaf, qdeg + pdeg, out, trusted=True)
 
 
 # --------------------------------------------------- short exact sequences

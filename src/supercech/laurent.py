@@ -252,11 +252,11 @@ class LaurentPoly:
 
 
 def mul_into(acc: dict, p: Mapping[tuple[int, ...], Coef],
-             q: Mapping[tuple[int, ...], Coef], sign: int = 1) -> None:
-    """Add ``sign * p * q`` to the exponent dict ``acc``; ``p`` and ``q`` are
-    term maps of one context."""
+             q: Mapping[tuple[int, ...], Coef], scale: Coef = 1) -> None:
+    """Add ``scale * p * q`` to the exponent dict ``acc``; ``p`` and ``q``
+    are term maps of one context."""
     for e1, c1 in p.items():
-        c1 = sign * c1
+        c1 = scale * c1
         for e2, c2 in q.items():
             e = tuple(map(add, e1, e2))
             acc[e] = acc.get(e, 0) + c1 * c2

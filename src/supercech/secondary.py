@@ -23,8 +23,8 @@ from itertools import combinations
 from math import factorial
 
 from .cech import (CechCochain, CohomologyClass, DecisionPlan, ShortExactSequence,
-                   cech_delta, cohomology_basis, cohomology_class, connecting_map,
-                   cup_product, extension_sheaf, is_coboundary, is_cocycle, solve_coboundary)
+                   _cup_map, cech_delta, cohomology_basis, cohomology_class, connecting_map,
+                   extension_sheaf, is_coboundary, is_cocycle, solve_coboundary)
 from .errors import CocycleError, SupercechError
 from .gluing import SuperGluingData, restrict_odd
 from .grassmann import GrassmannElement, _index_mask, _koszul_sign
@@ -282,7 +282,7 @@ def _model_class_image(m: GtModel, a: int, b: int, p: int, nu: CechCochain) -> C
     sign = MODEL_CLASS_MAP_SIGN
     TM = derived_spec(m.space, ("theta pairing", m.base_rank, m.fiber_rank, a, b, P.rank, sign),
                       lambda: _theta_pairing_matrix(m, a, b, P.rank, sign))
-    return cup_product(m.theta, nu).map(TM, out_spec)
+    return _cup_map(m.theta, nu, TM, out_spec)
 
 
 # --------------------------------------------------- refined splitting type
@@ -353,19 +353,36 @@ def verify_a1_containment(m: GtModel, b: int, *,
     cup-with-theta image equals the differential of nu, as canonical
     representatives of degree-1 classes.  The identity pushed through
     contraction and composition repackages a (1, b) class as itself, so nu
-    goes to the differential unchanged.  When the two images are equal
-    cochains on the same sheaf, one decision serves both sides."""
+    goes to the differential unchanged.
+
+    Both images of every nu are formed first, the right one kept only where
+    it differs from the left; all are valued in the one interned
+    ``hom_into_quotient(m, 0, b + 1)``.  Then one window serves the level:
+    ``window``, or else the largest window derived from a nonzero image,
+    planned before any sample is decided, so an image over the cap or the
+    system budget refuses the level at once.  Every sample is decided in
+    that window, each block's delta0 system is built once for the level and
+    the two sides of a sample are compared in the same window; triviality
+    and equality of classes do not depend on the window once it is large
+    enough for each image."""
     check_a1_window(m, b, window=window)
     space = secondary_space(m, 1, b, 0, window=window)
-    report = ContainmentReport(b, space.dimension)
-    for i, nu in enumerate(space.basis):
+    images = []
+    for nu in space.basis:
         left = _model_class_image(m, 1, b, 0, nu)
-        lhs = _finalize(left, window)
         right = _differential_image(m, 1, b, 0, nu)
-        rhs = lhs if left.sheaf is right.sheaf and left == right else _finalize(right, window)
+        images.append((left, None if right == left else right))
+    if window is None:
+        nonzero = [c for pair in images for c in pair if c is not None and not c.is_zero()]
+        if nonzero:
+            widest = max(nonzero, key=CechCochain.max_exponent)
+            window = DecisionPlan(widest.sheaf, widest).top
+    report = ContainmentReport(b, space.dimension)
+    for i, (left, right) in enumerate(images):
+        lhs = cohomology_class(left, window=window)
+        rhs = lhs if right is None else cohomology_class(right, window=window)
         report.samples.append(ContainmentSample(
-            i, lhs.cls.trivial, rhs.cls.trivial,
-            lhs.cls.representative == rhs.cls.representative))
+            i, lhs.trivial, rhs.trivial, lhs.representative == rhs.representative))
     return report
 
 

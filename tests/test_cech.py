@@ -512,3 +512,17 @@ def test_cochain_rejects_malformed_sections(p1_space, degree, key, chart, exps, 
     with pytest.raises(ValueError) as info:
         CechCochain(trivial_spec(p1_space, 1), degree, {key: vec})
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda c, o1: c + CechCochain(c.sheaf, 0), CocycleError, "cochain degrees differ"),
+    (lambda c, o1: c.map([[(0, 1)]], o1), ValueError, "map has 1 columns, source rank is 2"),
+    (lambda c, o1: c.restrict([0, 1], o1), ValueError, "2 frames for a sheaf of rank 1"),
+    (lambda c, o1: c.extend([0], o1), ValueError, "1 frames for a cochain of rank 2"),
+], ids=["add", "map", "restrict", "extend"])
+def test_cochain_maps_check_their_arguments(p1_space, call, error, message):
+    c = CechCochain(trivial_spec(p1_space, 2), 1,
+                    {("U0", "U1"): [mono(p1_space, "U0", 1, -1), mono(p1_space, "U0", 2, 0)]})
+    with pytest.raises(error) as info:
+        call(c, line_bundle(p1_space, 1))
+    assert str(info.value) == message

@@ -463,3 +463,73 @@ def test_a1_samples_of_a_monomial_sweep_match_the_per_sample_reference(p1_space)
             for theta in product(rows, repeat=r):
                 _assert_a1_as_reference(gt_model(p1_space, fiber, r,
                                                  {("U0", "U1"): list(theta)}))
+
+
+def test_a1_check_decides_each_level_in_one_window(monkeypatch, capsys):
+    # each sheaf a1-check builds systems for sees one bound: the basis
+    # window of each (1, b) space, and the one window of the samples of its
+    # level; decided sample by sample, the rank-3 piece of b = 1 saw six
+    bounds = {}
+    linearize = cech._delta0_linearization
+
+    def counted(sheaf, bound):
+        bounds.setdefault(sheaf, set()).add(bound)
+        return linearize(sheaf, bound)
+
+    monkeypatch.setattr(cech, "_delta0_linearization", counted)
+    assert main(["a1-check", "--input", str(corpus_path("gt_model_p1.model"))]) == 0
+    assert len(bounds) == 6
+    assert all(len(seen) == 1 for seen in bounds.values())
+
+
+def test_a1_check_refuses_a_level_before_it_decides_a_sample(monkeypatch, capsys):
+    # at b = 1 of gt_model_p1 the basis window of the (1, 1) space needs 48
+    # unknowns and the samples' derived windows 3 to 8 need 24 to 54 on the
+    # rank-3 piece they are decided in; with a budget of 50 the level's one
+    # window, 8, is refused before any sample is decided
+    from supercech import secondary
+    decided = []
+    decide = secondary.cohomology_class
+    monkeypatch.setattr(secondary, "cohomology_class",
+                        lambda c, window=None: decided.append(c) or decide(c, window=window))
+    monkeypatch.setattr(cech, "MAX_UNKNOWNS", 50)
+    code = main(["a1-check", "--level", "1", "--input", str(corpus_path("gt_model_p1.model"))])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "undecidable with current flags: exponent window 0..8 needs a delta0 system of 54 "
+        "unknowns (2 charts x rank 3 x window box), over the budget of 50; "
+        "pass a smaller window\n")
+    assert decided == []
+
+
+def _odd_base_model(deviation: str):
+    """gtm_odd_base without its even deviation, with theta_1 on U0 U1 given
+    ``deviation`` as its last term ("" for none), and the inverse on U1 U0."""
+    from supercech.modelfile import parse_model_text
+    text = corpus_path("gtm_odd_base.model").read_text()
+    inverse = {"": "", "x^-3*theta_1*theta_2*theta_3": " - y^-3*theta_1*theta_2*theta_3"}
+    for old, new in (("y = 1/x + x^-3*theta_1*theta_2", "y = 1/x"),
+                     ("x = 1/y + y^-3*theta_1*theta_2 + y^-2*theta_2*theta_3", "x = 1/y"),
+                     ("theta_1 = x^-2*theta_1 + x^-1*theta_3",
+                      "theta_1 = x^-2*theta_1 + x^-1*theta_3" + (deviation and " + " + deviation)),
+                     (" + y^-3*theta_1*theta_2*theta_3", inverse[deviation])):
+        assert old in text
+        text = text.replace(old, new)
+    doc = parse_model_text(text)
+    assert doc.gluing.verify_cocycle().ok
+    return doc
+
+
+def test_compatibility_of_split_data_over_an_odd_base():
+    doc = _odd_base_model("")
+    cr = verify_obstruction_compatibility(doc.gluing, doc.base_odd)
+    assert (cr.ok, cr.level, cr.detail) == (True, float("inf"), "both sides split")
+    assert cr.total_class is None and cr.fiber_class is None
+
+
+def test_compatibility_refuses_an_odd_first_level():
+    doc = _odd_base_model("x^-3*theta_1*theta_2*theta_3")
+    assert doc.gluing.splitting_type() == 3
+    with pytest.raises(SupercechError) as info:
+        verify_obstruction_compatibility(doc.gluing, doc.base_odd)
+    assert str(info.value) == "comparison implemented for even levels"
