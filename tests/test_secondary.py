@@ -409,9 +409,10 @@ def test_a1_check_refuses_a_derived_window_before_any_system(monkeypatch, capsys
 
 def _assert_a1_as_reference(m):
     """``verify_a1_containment`` and ``dense_reference.a1_containment`` give
-    the same dimension, samples and nonzero count at every b, and the
-    model-class map equals the tensor-sheaf path on every basis class of
-    the (1, b) spaces in degrees 0 and 1."""
+    the same dimension, samples and nonzero count at every b a1-check
+    samples (0 to base rank - 1), and the model-class map equals the
+    tensor-sheaf path on every basis class of those (1, b) spaces in
+    degrees 0 and 1."""
     from dense_reference import a1_containment, model_class_image
     for b in range(m.base_rank):
         got, want = verify_a1_containment(m, b), a1_containment(m, b)
