@@ -6,7 +6,8 @@ kernel and its frame-map cochains, the delta0 system of a whole sheaf
 eliminated in one piece for the blockwise decisions of ``cech``, a lift
 through each filtration piece solved on the whole sheaf for
 ``secondary.refined_splitting_data``, the coboundary on the whole exterior
-power for the two-step connecting maps of ``secondary``, the cup with
+power for the two-step connecting maps of ``secondary``, each graded space
+decided on its whole sheaf for ``secondary.secondary_space``, the cup with
 theta through the tensor sheaf and each A1 sample decided in its own
 window for ``secondary.verify_a1_containment``, term-by-term
 substitution for ``spaces.MonomialMap``, element-level Grassmann
@@ -610,6 +611,17 @@ def refined_splitting_data(m, cochain, level, window=None):
                                  hom_into_quotient(m, level - b, b))
         return b, cohomology_class(graded, window=window)
     return None, None
+
+
+def secondary_space(m, a, b, p, window=None):
+    """``(spec, basis)`` of the (a, b, p) graded space decided on the whole
+    sheaf hom(P, Λ^b O^n ⊗ Λ^a F): ``cech.cohomology_basis`` of
+    ``secondary.hom_into_quotient(m, a, b)`` in ``window``, with no use of
+    its C(n, b) copies of one block."""
+    from supercech.cech import cohomology_basis
+    from supercech.secondary import hom_into_quotient
+    spec = hom_into_quotient(m, a, b)
+    return spec, cohomology_basis(spec, p, window=window)
 
 
 def secondary_differential(m, a, b, p, nu):

@@ -272,8 +272,10 @@ def test_connecting_image_of_identity_is_minus_theta(fiber_specs, seed, charts):
 @given(st.integers(0, 2 ** 32), st.sampled_from([2, 3]), st.integers(1, 3))
 def test_secondary_dimensions_are_copies_of_one_hom(fiber_specs, seed, charts, base_rank):
     # the base spec is trivial, so hom(P, Λ^b O^r ⊗ Λ^a F) is C(r, b)
-    # copies of hom(P, Λ^a F), and P depends only on the parity of a + b
+    # copies of hom(P, Λ^a F), and P depends only on the parity of a + b;
+    # checked on the whole sheaf's basis, which does not use the identity
     from math import comb
+    from dense_reference import secondary_space as reference_space
     from supercech.cech import cohomology_basis
     from supercech.secondary import parity_spec
     from supercech.sheaf import sheaf_hom
@@ -283,7 +285,50 @@ def test_secondary_dimensions_are_copies_of_one_hom(fiber_specs, seed, charts, b
         small = sheaf_hom(parity_spec(m, space.a + space.b),
                           sheaf_exterior_power(m.fiber_spec, space.a))
         h = len(cohomology_basis(small, space.p))
-        assert space.dimension == comb(base_rank, space.b) * h, (space.a, space.b, space.p)
+        _, whole = reference_space(m, space.a, space.b, space.p)
+        assert len(whole) == comb(base_rank, space.b) * h, (space.a, space.b, space.p)
+        assert space.dimension == len(whole), (space.a, space.b, space.p)
+
+
+def _assert_spaces_as_reference(m, window=None):
+    """Every space of ``secondary_spaces``, and ``secondary_space`` at the
+    same (a, b, p) and at a past the fiber rank or b past the base rank,
+    has the dimension, the basis cochains in order and the sheaf of
+    ``dense_reference.secondary_space``."""
+    from dense_reference import secondary_space as reference_space
+    spaces = secondary_spaces(m, window=window)
+    keys = [(s.a, s.b, s.p) for s in spaces]
+    assert keys == [(level - b, b, p) for level in range(1, m.total_odd.rank + 1)
+                    for b in range(level + 1)
+                    if level - b <= m.fiber_rank and b <= m.base_rank for p in (0, 1)]
+    outside = [(m.fiber_rank + 1, 0, 0), (1, m.base_rank + 1, 1)]
+    for (a, b, p), space in [*zip(keys, spaces), *((key, None) for key in outside)]:
+        spec, basis = reference_space(m, a, b, p, window=window)
+        for got in (space, secondary_space(m, a, b, p, window=window)):
+            if got is None:
+                continue
+            assert (got.a, got.b, got.p) == (a, b, p)
+            assert got.dimension == len(basis), (a, b, p)
+            assert got.spec is spec, (a, b, p)
+            assert got.basis == basis, (a, b, p)
+            assert all(c.sheaf is spec for c in got.basis), (a, b, p)
+
+
+@pytest.mark.parametrize("window", [None, 0, 3, 9])
+@pytest.mark.parametrize("name", ["gt_model_p1", "gt(4, 4) seed 1", "gt(4, 4) seed 7",
+                                  "gt(6, 6) seed 1", "gt(6, 6) seed 7"])
+def test_secondary_spaces_match_the_whole_sheaf_reference(name, window):
+    _assert_spaces_as_reference(_named_gt(name), window)
+
+
+@settings(max_examples=12)
+@given(st.integers(0, 2 ** 32), st.sampled_from([2, 3]), st.sampled_from([None, 0, 3, 9]))
+def test_secondary_spaces_of_random_extensions_match_the_whole_sheaf_reference(
+        fiber_specs, seed, charts, window):
+    # fibers of rank 1 and 2 on the two- and three-chart covers
+    rng = random.Random(seed)
+    _assert_spaces_as_reference(_random_extension(rng, rng.choice(fiber_specs[charts]),
+                                                  rng.randint(1, 3)), window)
 
 
 @settings(max_examples=12)
@@ -430,16 +475,20 @@ def _perfbench_gt(d, r, seed):
     return parse_model_text(perfbench_models().gt_model(random.Random(seed), d, r)).gt_models["M"]
 
 
+def _named_gt(name):
+    """The corpus model ``gt_model_p1``, or ``gt(d, r) seed s`` from the
+    benchmark's generator."""
+    if name == "gt_model_p1":
+        return load_model("gt_model_p1.model").gt_models["M"]
+    sizes, seed = name[3:].split(") seed ")
+    d, r = map(int, sizes.split(", "))
+    return _perfbench_gt(d, r, int(seed))
+
+
 @pytest.mark.parametrize("name", ["gt_model_p1", "gt(4, 4) seed 1", "gt(4, 4) seed 7",
                                   "gt(6, 6) seed 1", "gt(6, 6) seed 7"])
 def test_a1_samples_match_the_per_sample_reference(name):
-    if name == "gt_model_p1":
-        m = load_model("gt_model_p1.model").gt_models["M"]
-    else:
-        sizes, seed = name[3:].split(") seed ")
-        d, r = map(int, sizes.split(", "))
-        m = _perfbench_gt(d, r, int(seed))
-    _assert_a1_as_reference(m)
+    _assert_a1_as_reference(_named_gt(name))
 
 
 @settings(max_examples=12)
