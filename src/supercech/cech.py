@@ -62,7 +62,8 @@ WINDOW_CAP = 60
 # (charts x rank x window box) in its plan's ``bound``; a larger count fails
 # with WindowError.  The count stays whole-sheaf although the systems built
 # are smaller: one per distinct block, on the slice-0 box of its inert
-# coordinates.  The largest count of the corpus and the benchmark is 3072
+# coordinates.  A graded space of a gt model, decided on one block of it,
+# is counted with all its copies of that block.  The largest count of the corpus and the benchmark is 3072
 # unknowns (two_parameter_family, derived window 7), and no system built for
 # it has more than 16; 50,000 unknowns in one system take under 1 s.
 MAX_UNKNOWNS = 50_000
@@ -295,25 +296,35 @@ class DecisionPlan:
 
     def __init__(self, sheaf: SheafSpec, *cochains: CechCochain, window: int | None = None,
                  degree: int | None = None):
-        top = window
-        if top is None:
-            top = sheaf.max_pole_order() + 1 + sum(c.max_exponent() for c in cochains)
-            if top > WINDOW_CAP and sheaf.rank:
-                raise WindowError(
-                    f"derived window {top} exceeds cap {WINDOW_CAP}; pass an explicit window")
-        bound = top + sheaf.max_pole_order() + 1 if degree == 1 else top
-        cover = sheaf.space.cover
-        size = sum(sheaf.rank * (bound + 1) ** len(cover.chart(name).vars) for name in cover.order)
-        if size > MAX_UNKNOWNS:
-            raise WindowError(
-                f"exponent window 0..{bound} needs a delta0 system of {size} unknowns "
-                f"({len(cover.order)} charts x rank {sheaf.rank} x window box), "
-                f"over the budget of {MAX_UNKNOWNS}; pass a smaller window")
-        self.sheaf, self.top, self.bound = sheaf, top, bound
+        self.sheaf = sheaf
+        self.top, self.bound = _planned_windows(sheaf, sheaf.rank, cochains, window, degree)
 
     def systems(self) -> list[tuple[tuple[int, ...], _Delta0System]]:
         """The delta0 systems in window ``bound`` (:func:`_delta0_linearization`)."""
         return _delta0_linearization(self.sheaf, self.bound)
+
+
+def _planned_windows(sheaf: SheafSpec, rank: int, cochains, window: int | None,
+                     degree: int | None) -> tuple[int, int]:
+    """``(top, bound)`` of :class:`DecisionPlan`, with the cap and the
+    budget counted on ``rank`` frames: the sheaf's own, or those of a direct
+    sum of copies of it, whose transition entries and so windows are the
+    sheaf's."""
+    top = window
+    if top is None:
+        top = sheaf.max_pole_order() + 1 + sum(c.max_exponent() for c in cochains)
+        if top > WINDOW_CAP and rank:
+            raise WindowError(
+                f"derived window {top} exceeds cap {WINDOW_CAP}; pass an explicit window")
+    bound = top + sheaf.max_pole_order() + 1 if degree == 1 else top
+    cover = sheaf.space.cover
+    size = sum(rank * (bound + 1) ** len(cover.chart(name).vars) for name in cover.order)
+    if size > MAX_UNKNOWNS:
+        raise WindowError(
+            f"exponent window 0..{bound} needs a delta0 system of {size} unknowns "
+            f"({len(cover.order)} charts x rank {rank} x window box), "
+            f"over the budget of {MAX_UNKNOWNS}; pass a smaller window")
+    return top, bound
 
 
 def _inert_positions(sheaf: SheafSpec) -> tuple[int, ...]:
@@ -687,10 +698,13 @@ def cup_product(u: CechCochain, v: CechCochain) -> CechCochain:
 
 
 def _cup_map(u: CechCochain, v: CechCochain, columns: list[list[tuple[int, Coef]]],
-             sheaf: SheafSpec) -> CechCochain:
+             sheaf: SheafSpec, v_cocycle: bool = False) -> CechCochain:
     """``cup_product(u, v).map(columns, sheaf)`` without the tensor sheaf:
     column ``i * rank(v) + j`` takes the product of component i of u and
-    component j of v, and a product whose column is empty is not formed."""
+    component j of v, and a product whose column is empty is not formed.
+    ``v_cocycle`` says that v is a 0-cocycle, checked by the caller: its
+    section on an overlap's trailing chart, moved into the leading one, is
+    its section there, which is read instead."""
     qdeg, pdeg = u.degree, v.degree
     if qdeg not in (0, 1) or pdeg not in (0, 1):
         raise ValueError(f"cup product for degrees ({qdeg},{pdeg}) not supported")
@@ -701,7 +715,7 @@ def _cup_map(u: CechCochain, v: CechCochain, columns: list[list[tuple[int, Coef]
     for key in canonical_keys(cover, qdeg + pdeg):
         right = vs[key[qdeg:]]
         if qdeg == 1:
-            right = B.transport(key[1], key[0], right)
+            right = vs[key[:1]] if v_cocycle else B.transport(key[1], key[0], right)
         accs: dict[int, dict] = {}
         for i, a in us[key[:qdeg + 1]].items():
             row = i * n

@@ -9,22 +9,26 @@ lists of the exterior power (:class:`~supercech.sheaf.FilteredSheaf`); the
 graded spaces, the connecting differentials between them, and the
 cup-with-theta construction are all computed exactly; the differential
 out of gr_b is the connecting map of gr_{b+1} -> F_b/F_{b+2} -> gr_b under
-hom(P, .).  Each question is decided once: the model class by one class
-decision, its cross-check as an identity of cochains, and a refined lift by
-one coboundary solve per filtration piece.  A model keeps no cache: the
-space's table (:func:`~supercech.sheaf.derived_spec`) holds its
-filtrations, two-step sequences and theta pairings.
+hom(P, .).  The base factor is trivial, so a graded space is C(n, b)
+copies of one block hom(P, Λ^a F) and is decided on that block; its whole
+basis is placed on the copies when read.  Each question is decided once:
+the model class by one class decision, its cross-check as an identity of
+cochains, and a refined lift by one coboundary solve per filtration piece.
+A model keeps no cache: the space's table
+(:func:`~supercech.sheaf.derived_spec`) holds its filtrations, two-step
+sequences, theta pairings and block bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import factorial
+from functools import cached_property
+from itertools import combinations, groupby
+from math import comb, factorial
 
 from .cech import (CechCochain, CohomologyClass, DecisionPlan, ShortExactSequence,
-                   _cup_map, cech_delta, cohomology_basis, cohomology_class, connecting_map,
-                   extension_sheaf, is_coboundary, is_cocycle, solve_coboundary)
+                   _cup_map, _planned_windows, cech_delta, cohomology_basis, cohomology_class,
+                   connecting_map, extension_sheaf, is_coboundary, is_cocycle, solve_coboundary)
 from .errors import CocycleError, SupercechError
 from .gluing import SuperGluingData, restrict_odd
 from .grassmann import GrassmannElement, _index_mask, _koszul_sign
@@ -122,26 +126,90 @@ def _hom_frames(frames: list[int], rank_p: int) -> list[int]:
     return [f * rank_p + k for f in frames for k in range(rank_p)]
 
 
+def _block(m: GtModel, a: int, b: int) -> SheafSpec:
+    """hom(P, Λ^a F), P at the parity of a + b.  The base factor is
+    trivial, so the (a, b) space hom(P, Λ^b O^n ⊗ Λ^a F) is C(n, b) diagonal
+    copies of it, the copy of the k-th base multi-index on the k-th range of
+    contiguous frames, and every transition entry of that space is an entry
+    of the block."""
+    return sheaf_hom(parity_spec(m, a + b), sheaf_exterior_power(m.fiber_spec, a))
+
+
+def _plan_space(m: GtModel, a: int, b: int, degree: int | None, window: int | None) -> None:
+    """Raise the WindowError a :class:`~supercech.cech.DecisionPlan` on the
+    whole (a, b) space would: its windows are the block's, and the cap and
+    the budget count all C(n, b) copies."""
+    block = _block(m, a, b)
+    _planned_windows(block, comb(m.base_rank, b) * block.rank, (), window, degree)
+
+
+def _lead_tuple(c: CechCochain) -> int:
+    """Position of the canonical tuple of the key that
+    :func:`~supercech.cech.cohomology_basis` orders the basis cochain ``c``
+    by.  An H^0 relation's key is its dependent unknown, the last of its
+    unknowns, so it sits in the last chart ``c`` meets; an H^1 row's key is
+    its pivot, its first key, so it sits on the first overlap ``c`` meets."""
+    met = [i for i, frames in enumerate(c.sections.values()) if frames]
+    return met[-1] if c.degree == 0 else met[0]
+
+
 @dataclass
 class SecondarySpace:
+    """The (a, b, p) graded space, decided on its block (:func:`_block`):
+    ``dimension`` counts the block's H^p basis once per copy.  ``spec``, the
+    whole ``hom_into_quotient(m, a, b)``, and ``basis``, the block basis
+    placed on every copy, are built when read."""
+
     a: int
     b: int
     p: int
-    spec: SheafSpec
-    basis: list[CechCochain]
+    _model: GtModel = field(repr=False, compare=False)
+    _block_basis: list[CechCochain] = field(repr=False)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return comb(self._model.base_rank, self.b) * len(self._block_basis)
+
+    @property
+    def spec(self) -> SheafSpec:
+        return hom_into_quotient(self._model, self.a, self.b)
+
+    @cached_property
+    def basis(self) -> list[CechCochain]:
+        """The whole space's basis in the order the whole sheaf's decision
+        gives: by the key of each cochain, that is its tuple, then its frame
+        (the copy's first frame plus the block frame), then its exponents.
+        So each run of block cochains on one tuple is placed copy by copy."""
+        if not self._block_basis:
+            return []
+        spec = self.spec
+        rank = self._block_basis[0].sheaf.rank
+        out = []
+        for _, run in groupby(self._block_basis, key=_lead_tuple):
+            run = list(run)
+            for k in range(comb(self._model.base_rank, self.b)):
+                frames = range(k * rank, (k + 1) * rank)
+                out += [c.extend(frames, spec) for c in run]
+        return out
 
 
 def secondary_space(m: GtModel, a: int, b: int, p: int,
                     window: int | None = None) -> SecondarySpace:
     if p not in (0, 1):
         raise ValueError("degrees 0 and 1 are decided")
-    spec = hom_into_quotient(m, a, b)
-    basis = cohomology_basis(spec, p, window=window)
-    return SecondarySpace(a, b, p, spec, basis)
+    _plan_space(m, a, b, p, window)
+    return _decided_space(m, a, b, p, window)
+
+
+def _decided_space(m: GtModel, a: int, b: int, p: int, window: int | None) -> SecondarySpace:
+    """The (a, b, p) space with its block basis, decided once per (block,
+    degree, window) and kept in the space's table; planned by the caller."""
+    basis = []
+    if comb(m.base_rank, b):
+        block = _block(m, a, b)
+        basis = derived_spec(m.space, ("block basis", block, p, window),
+                             lambda: cohomology_basis(block, p, window=window))
+    return SecondarySpace(a, b, p, m, basis)
 
 
 def secondary_spaces(m: GtModel, window: int | None = None) -> list[SecondarySpace]:
@@ -152,8 +220,8 @@ def secondary_spaces(m: GtModel, window: int | None = None) -> list[SecondarySpa
             for b in range(level + 1) if level - b <= m.fiber_rank and b <= m.base_rank
             for p in (0, 1)]
     for a, b, p in keys:
-        DecisionPlan(hom_into_quotient(m, a, b), window=window, degree=p)
-    return [secondary_space(m, a, b, p, window=window) for a, b, p in keys]
+        _plan_space(m, a, b, p, window)
+    return [_decided_space(m, a, b, p, window) for a, b, p in keys]
 
 
 @dataclass
@@ -276,13 +344,15 @@ def _model_class_image(m: GtModel, a: int, b: int, p: int, nu: CechCochain) -> C
     """The cochain :func:`model_class_map` decides."""
     if a < 1:
         raise ValueError("the map needs a >= 1")
-    level = a + b
-    P = parity_spec(m, level)
-    out_spec = hom_into_quotient(m, a - 1, b + 1)
-    sign = MODEL_CLASS_MAP_SIGN
-    TM = derived_spec(m.space, ("theta pairing", m.base_rank, m.fiber_rank, a, b, P.rank, sign),
-                      lambda: _theta_pairing_matrix(m, a, b, P.rank, sign))
-    return _cup_map(m.theta, nu, TM, out_spec)
+    return _cup_map(m.theta, nu, _theta_pairing(m, a, b), hom_into_quotient(m, a - 1, b + 1))
+
+
+def _theta_pairing(m: GtModel, a: int, b: int) -> list[list[tuple[int, Coef]]]:
+    """The model class map's columns out of the (a, b) space, built once per
+    shape in the space's table."""
+    rank_p, sign = parity_spec(m, a + b).rank, MODEL_CLASS_MAP_SIGN
+    return derived_spec(m.space, ("theta pairing", m.base_rank, m.fiber_rank, a, b, rank_p, sign),
+                        lambda: _theta_pairing_matrix(m, a, b, rank_p, sign))
 
 
 # --------------------------------------------------- refined splitting type
@@ -357,7 +427,11 @@ def verify_a1_containment(m: GtModel, b: int, *,
 
     Both images of every nu are formed first, the right one kept only where
     it differs from the left; all are valued in the one interned
-    ``hom_into_quotient(m, 0, b + 1)``.  Then one window serves the level:
+    ``hom_into_quotient(m, 0, b + 1)``.  The level's two-step sequence and
+    theta pairing are fetched once, and the connecting map, taken first,
+    checks that nu is a 0-cocycle, so the cup reads nu on each overlap's
+    leading chart and nu is moved across an overlap once per sample, not
+    twice.  Then one window serves the level:
     ``window``, or else the largest window derived from a nonzero image,
     planned before any sample is decided, so an image over the cap or the
     system budget refuses the level at once.  Every sample is decided in
@@ -368,10 +442,16 @@ def verify_a1_containment(m: GtModel, b: int, *,
     check_a1_window(m, b, window=window)
     space = secondary_space(m, 1, b, 0, window=window)
     images = []
-    for nu in space.basis:
-        left = _model_class_image(m, 1, b, 0, nu)
-        right = _differential_image(m, 1, b, 0, nu)
-        images.append((left, None if right == left else right))
+    if space.dimension:
+        # the level's sequence, pairing and image sheaf, fetched once
+        ses = _two_step_sequence(m, b + 1, b)
+        pairing, out_spec = _theta_pairing(m, 1, b), hom_into_quotient(m, 0, b + 1)
+        for nu in space.basis:
+            # the connecting map refuses a nu that is not a 0-cocycle, so
+            # the cup reads nu's leading-chart sections instead of moving it
+            right = connecting_map(ses, nu)
+            left = _cup_map(m.theta, nu, pairing, out_spec, v_cocycle=True)
+            images.append((left, None if right == left else right))
     if window is None:
         nonzero = [c for pair in images for c in pair if c is not None and not c.is_zero()]
         if nonzero:
@@ -392,9 +472,9 @@ def check_a1_window(m: GtModel, b: int, *, window: int | None) -> None:
     the (1, b) space, in ``window`` or its derived window, and, with an
     explicit ``window``, a class on the (0, b + 1) piece its samples are
     decided in (whether or not the space turns out to have a basis)."""
-    DecisionPlan(hom_into_quotient(m, 1, b), window=window, degree=0)
+    _plan_space(m, 1, b, 0, window)
     if window is not None:
-        DecisionPlan(hom_into_quotient(m, 0, b + 1), window=window)
+        _plan_space(m, 0, b + 1, None, window)
 
 
 # --------------------------------------------------- compatibility relation

@@ -67,6 +67,74 @@ def test_filtration_identities(M):
         filtration(M.total_odd, M.base_spec, M.fiber_spec, j).verify()
 
 
+def test_filtration_check_refuses_a_piece_whose_frames_leak():
+    # at level 1 the piece F_1 is the base frames 0..2; theta moves the
+    # fiber frame 3 onto frame 0, so F_1 given as frame 3 is no subsheaf
+    from dataclasses import replace
+    m = load_model("gt_model_p1.model").gt_models["M"]
+    filt = filtration(m.total_odd, m.base_spec, m.fiber_spec, 1)
+    assert filt.pieces[1] == [0, 1, 2]
+    filt.verify()
+    with pytest.raises(CocycleError) as err:
+        replace(filt, pieces={**filt.pieces, 1: [3]}).verify()
+    assert str(err.value) == "filtration not respected on ('U0', 'U1') at entry (0,3)"
+
+
+def test_filtration_check_refuses_a_graded_block_off_the_product():
+    # doubling the fiber entry x^-4 of the level-1 ambient on U0 U1 keeps
+    # every piece a subsheaf, but F_0/F_1 is then not the fiber spec
+    from dataclasses import replace
+    from supercech.laurent import LaurentPoly as Poly
+    from supercech.sheaf import sheaf_spec
+    m = load_model("gt_model_p1.model").gt_models["M"]
+    filt = filtration(m.total_odd, m.base_spec, m.fiber_spec, 1)
+    amb = filt.ambient
+    key = ("U0", "U1")
+    column = amb.matrices[key][3]
+    assert column[-1] == (3, Poly.monomial(("x",), 1, (-4,)))
+    altered = {**amb.matrices,
+               key: amb.matrices[key][:3] + (column[:-1] + ((3, column[-1][1].scale(2)),),)}
+    wrong = replace(filt, ambient=sheaf_spec(amb.space, amb.rank, altered))
+    with pytest.raises(CocycleError) as err:
+        wrong.verify()
+    assert str(err.value) == "quotient F_0/F_1 differs from the product matrices"
+
+
+def _argument_cases():
+    """``(id, call, error type, message)`` for the library's argument
+    checks; each call takes the gt_model_p1 model and the fiber specs of
+    the two- and three-chart covers."""
+    from supercech.sheaf import columns_of, sheaf_hom
+    zero = LaurentPoly.zero(("x",))
+    return [
+        ("columns_of", lambda M, specs: columns_of([[zero, zero], [zero]]),
+         ValueError, "matrix with 2 rows is not square"),
+        ("sheaf_tensor", lambda M, specs: sheaf_tensor(specs[2][0], specs[3][0]),
+         CocycleError, "tensor factors live on different covers"),
+        ("sheaf_hom", lambda M, specs: sheaf_hom(specs[2][0], specs[3][0]),
+         CocycleError, "hom factors live on different covers"),
+        ("sheaf_exterior_power", lambda M, specs: sheaf_exterior_power(specs[2][0], -1),
+         ValueError, "negative exterior power"),
+        ("secondary_space", lambda M, specs: secondary_space(M, 1, 0, 2),
+         ValueError, "degrees 0 and 1 are decided"),
+        ("secondary_differential", lambda M, specs: secondary_differential(
+            M, 1, 0, 0, CechCochain(secondary_space(M, 1, 0, 0).spec, 1)),
+         ValueError, "nu has degree 1, not 0"),
+        ("model_class_map", lambda M, specs: model_class_map(
+            M, 0, 1, 0, secondary_space(M, 0, 1, 0).basis[0]),
+         ValueError, "the map needs a >= 1"),
+    ]
+
+
+@pytest.mark.parametrize("name, call, error, message", _argument_cases(),
+                         ids=[case[0] for case in _argument_cases()])
+def test_argument_checks_raise_their_errors(M, fiber_specs, name, call, error, message):
+    with pytest.raises(error) as err:
+        call(M, fiber_specs)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 def test_quotient_matches_kron(M):
     filt = filtration(M.total_odd, M.base_spec, M.fiber_spec, 3)
     for b in range(0, 4):
@@ -515,10 +583,65 @@ def test_a1_samples_of_a_monomial_sweep_match_the_per_sample_reference(p1_space)
                                                  {("U0", "U1"): list(theta)}))
 
 
+def test_secondary_dimensions_are_decided_on_one_block_each(monkeypatch):
+    # reading the dimensions builds no whole space of more than one copy and
+    # decides each block once per degree and window; reading a basis then
+    # builds its whole space
+    from math import comb
+    from supercech import secondary
+    from supercech.secondary import hom_into_quotient, parity_spec
+    from supercech.sheaf import sheaf_hom
+    m = load_model("gt_model_p1.model").gt_models["M"]
+    calls = []
+    basis = secondary.cohomology_basis
+    monkeypatch.setattr(secondary, "cohomology_basis", lambda sheaf, degree, window=None:
+                        calls.append((sheaf, degree, window)) or basis(sheaf, degree,
+                                                                       window=window))
+    spaces = secondary_spaces(m)
+    assert [s.dimension for s in spaces] == [16, 0, 3, 3, 21, 0, 9, 0, 48, 0, 1, 1, 7, 0]
+    monkeypatch.undo()
+
+    def whole_key(s):
+        return ("hom", parity_spec(m, s.a + s.b), quotient_spec(m, s.a, s.b))
+
+    several = [s for s in spaces if comb(m.base_rank, s.b) > 1]
+    assert len(several) == 8
+    assert not any(whole_key(s) in m.space.specs for s in several)
+    blocks = {(sheaf_hom(parity_spec(m, s.a + s.b), sheaf_exterior_power(m.fiber_spec, s.a)),
+               s.p, None) for s in spaces}
+    assert len(calls) == len(set(calls)) == len(blocks) == 8
+    assert set(calls) == blocks
+    space = next(s for s in several if s.dimension)
+    assert space.basis and whole_key(space) in m.space.specs
+    assert all(c.sheaf is hom_into_quotient(m, space.a, space.b) for c in space.basis)
+
+
+def test_a1_samples_do_not_move_nu(monkeypatch):
+    # the connecting map checks that nu is a 0-cocycle, and the cup then
+    # reads nu on the leading chart: nothing moves a section of the (1, b)
+    # space from one chart to the other
+    from supercech.secondary import hom_into_quotient
+    from supercech.sheaf import SheafSpec
+    m = load_model("gt_model_p1.model").gt_models["M"]
+    moved = []
+    transport = SheafSpec.transport
+    monkeypatch.setattr(SheafSpec, "transport",
+                        lambda self, frm, to, frames: moved.append(self) or
+                        transport(self, frm, to, frames))
+    for b in range(m.base_rank):
+        moved.clear()
+        report = verify_a1_containment(m, b)
+        assert report.samples and report.ok
+        assert moved
+        assert hom_into_quotient(m, 1, b) not in moved, b
+
+
 def test_a1_check_decides_each_level_in_one_window(monkeypatch, capsys):
     # each sheaf a1-check builds systems for sees one bound: the basis
-    # window of each (1, b) space, and the one window of the samples of its
-    # level; decided sample by sample, the rank-3 piece of b = 1 saw six
+    # window of the block of each (1, b) space, and the one window of the
+    # samples of its level; decided sample by sample, the rank-3 piece of
+    # b = 1 saw six.  The (1, 0) and (1, 2) spaces are copies of one block,
+    # hom(P, F) at odd levels, so five sheaves are linearized
     bounds = {}
     linearize = cech._delta0_linearization
 
@@ -528,7 +651,7 @@ def test_a1_check_decides_each_level_in_one_window(monkeypatch, capsys):
 
     monkeypatch.setattr(cech, "_delta0_linearization", counted)
     assert main(["a1-check", "--input", str(corpus_path("gt_model_p1.model"))]) == 0
-    assert len(bounds) == 6
+    assert len(bounds) == 5
     assert all(len(seen) == 1 for seen in bounds.values())
 
 
