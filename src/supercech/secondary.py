@@ -198,12 +198,7 @@ def secondary_space(m: GtModel, a: int, b: int, p: int,
     if p not in (0, 1):
         raise ValueError("degrees 0 and 1 are decided")
     _plan_space(m, a, b, p, window)
-    return _decided_space(m, a, b, p, window)
-
-
-def _decided_space(m: GtModel, a: int, b: int, p: int, window: int | None) -> SecondarySpace:
-    """The (a, b, p) space with its block basis, decided once per (block,
-    degree, window) and kept in the space's table; planned by the caller."""
+    # the block basis is decided once per (block, degree, window)
     basis = []
     if comb(m.base_rank, b):
         block = _block(m, a, b)
@@ -221,7 +216,7 @@ def secondary_spaces(m: GtModel, window: int | None = None) -> list[SecondarySpa
             for p in (0, 1)]
     for a, b, p in keys:
         _plan_space(m, a, b, p, window)
-    return [_decided_space(m, a, b, p, window) for a, b, p in keys]
+    return [secondary_space(m, a, b, p, window=window) for a, b, p in keys]
 
 
 @dataclass
