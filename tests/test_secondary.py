@@ -675,6 +675,50 @@ def test_a1_check_refuses_a_level_before_it_decides_a_sample(monkeypatch, capsys
     assert decided == []
 
 
+def _refusal(call):
+    """The message of the WindowError ``call()`` raises, or None."""
+    try:
+        call()
+    except WindowError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("limits", [{}, {"WINDOW_CAP": 4}, {"MAX_UNKNOWNS": 300}],
+                         ids=["real limits", "cap 4", "budget 300"])
+@pytest.mark.parametrize("name", ["gt_model_p1", "gt(4, 4) seed 1", "gt(10, 10) seed 1"])
+def test_graded_space_plans_refuse_as_the_whole_space_plan(name, limits, monkeypatch):
+    # secondary_space and check_a1_window plan on one block of each space;
+    # each must refuse exactly when, and with the message with which, a plan
+    # on the whole hom_into_quotient(m, a, b) does, for every a up to the
+    # fiber rank and b one past the base rank (no copies); gt(10, 10) meets
+    # the real budget in 30 of its 240 spaces
+    from supercech.cech import DecisionPlan
+    from supercech.secondary import check_a1_window, hom_into_quotient
+    m = _named_gt(name)
+    for attr, value in limits.items():
+        monkeypatch.setattr(cech, attr, value)
+
+    def whole(a, b, degree, window):
+        spec = hom_into_quotient(m, a, b)
+        return _refusal(lambda: DecisionPlan(spec, window=window, degree=degree))
+
+    refused = 0
+    for window in (None, 0, 3, 9, 30):
+        for b in range(m.base_rank + 2):
+            for a in range(m.fiber_rank + 1):
+                for p in (0, 1):
+                    want = whole(a, b, p, window)
+                    refused += want is not None
+                    assert _refusal(lambda: secondary_space(m, a, b, p, window)) == want, \
+                        (a, b, p, window)
+            want = whole(1, b, 0, window)
+            if want is None and window is not None:
+                want = whole(0, b + 1, None, window)
+            assert _refusal(lambda: check_a1_window(m, b, window=window)) == want, (b, window)
+    assert refused or not limits
+
+
 def _odd_base_model(deviation: str):
     """gtm_odd_base without its even deviation, with theta_1 on U0 U1 given
     ``deviation`` as its last term ("" for none), and the inverse on U1 U0."""
