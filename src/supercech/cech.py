@@ -17,8 +17,9 @@ pole order of the transition data, inside each chart's regularity cone
 (nonnegative exponents in that chart's own coordinates).  Monomial reduced
 coordinate changes move exponents affinely, so solutions outside the window
 are impossible by support bookkeeping and the linear solve is exact.  A
-:class:`DecisionPlan` fixes the windows of one decision, refuses a system
-over the budget and builds the systems.  Transition matrices
+:class:`DecisionPlan` fixes the windows of one decision on a sheaf, or on
+``copies`` diagonal copies of it, refuses a system over the budget counted
+on all the copies and builds the sheaf's systems.  Transition matrices
 never mix the frames of different blocks (:meth:`SheafSpec.blocks`), so the
 delta0 system of a sheaf is the direct sum of those of its diagonal blocks.
 
@@ -63,7 +64,7 @@ WINDOW_CAP = 60
 # with WindowError.  The count stays whole-sheaf although the systems built
 # are smaller: one per distinct block, on the slice-0 box of its inert
 # coordinates.  A graded space of a gt model, decided on one block of it,
-# is counted with all its copies of that block.  The largest count of the
+# is planned with ``copies``, so all its copies of that block are counted.  The largest count of the
 # corpus and the benchmark is 3072 unknowns (two_parameter_family, derived
 # window 7), and no system built for it has more than 16; 50,000 unknowns
 # in one system take under 1 s.
@@ -285,47 +286,42 @@ def is_cocycle(c: CechCochain) -> bool:
 
 
 class DecisionPlan:
-    """The windows of one decision on ``sheaf``: the class of ``cochains``
-    (``degree`` None) or the H^degree basis.  ``top``, the window of the
-    answer (witness unknowns, H^0 relations, H^1 candidate cocycles), is
-    ``window`` or derived from the support of the sheaf and the cochains and
-    capped at WINDOW_CAP.  ``bound``, the window of the delta0 systems, is
-    ``top`` plus, for an H^1 basis, the margin of one pole order that its
-    witnesses may need.  A system of more than MAX_UNKNOWNS unknowns raises
-    WindowError, so a caller that must refuse early plans every decision
-    first.  A rank-0 sheaf has no unknowns: its plan refuses no window."""
+    """The windows of one decision on ``sheaf``, or on ``copies`` diagonal
+    copies of it: the class of ``cochains`` (``degree`` None) or the
+    H^degree basis.  ``top``, the window of the answer (witness unknowns,
+    H^0 relations, H^1 candidate cocycles), is ``window`` or derived from
+    the support of the sheaf and the cochains and capped at WINDOW_CAP.
+    ``bound``, the window of the delta0 systems, is ``top`` plus, for an H^1
+    basis, the margin of one pole order that its witnesses may need.  The
+    copies share the sheaf's transition entries and so its windows, and the
+    cap and the budget count all ``copies`` x rank frames: a system of more
+    than MAX_UNKNOWNS unknowns raises WindowError, so a caller that must
+    refuse early plans every decision first.  A plan with no frames (rank 0
+    or no copies) refuses no window."""
 
     def __init__(self, sheaf: SheafSpec, *cochains: CechCochain, window: int | None = None,
-                 degree: int | None = None):
+                 degree: int | None = None, copies: int = 1):
         self.sheaf = sheaf
-        self.top, self.bound = _planned_windows(sheaf, sheaf.rank, cochains, window, degree)
+        rank = copies * sheaf.rank
+        top = window
+        if top is None:
+            top = sheaf.max_pole_order() + 1 + sum(c.max_exponent() for c in cochains)
+            if top > WINDOW_CAP and rank:
+                raise WindowError(
+                    f"derived window {top} exceeds cap {WINDOW_CAP}; pass an explicit window")
+        self.top = top
+        self.bound = bound = top + sheaf.max_pole_order() + 1 if degree == 1 else top
+        cover = sheaf.space.cover
+        size = sum(rank * (bound + 1) ** len(cover.chart(name).vars) for name in cover.order)
+        if size > MAX_UNKNOWNS:
+            raise WindowError(
+                f"exponent window 0..{bound} needs a delta0 system of {size} unknowns "
+                f"({len(cover.order)} charts x rank {rank} x window box), "
+                f"over the budget of {MAX_UNKNOWNS}; pass a smaller window")
 
     def systems(self) -> list[tuple[tuple[int, ...], _Delta0System]]:
-        """The delta0 systems in window ``bound`` (:func:`_delta0_linearization`)."""
+        """The delta0 systems of ``sheaf`` in window ``bound`` (:func:`_delta0_linearization`)."""
         return _delta0_linearization(self.sheaf, self.bound)
-
-
-def _planned_windows(sheaf: SheafSpec, rank: int, cochains, window: int | None,
-                     degree: int | None) -> tuple[int, int]:
-    """``(top, bound)`` of :class:`DecisionPlan`, with the cap and the
-    budget counted on ``rank`` frames: the sheaf's own, or those of a direct
-    sum of copies of it, whose transition entries and so windows are the
-    sheaf's."""
-    top = window
-    if top is None:
-        top = sheaf.max_pole_order() + 1 + sum(c.max_exponent() for c in cochains)
-        if top > WINDOW_CAP and rank:
-            raise WindowError(
-                f"derived window {top} exceeds cap {WINDOW_CAP}; pass an explicit window")
-    bound = top + sheaf.max_pole_order() + 1 if degree == 1 else top
-    cover = sheaf.space.cover
-    size = sum(rank * (bound + 1) ** len(cover.chart(name).vars) for name in cover.order)
-    if size > MAX_UNKNOWNS:
-        raise WindowError(
-            f"exponent window 0..{bound} needs a delta0 system of {size} unknowns "
-            f"({len(cover.order)} charts x rank {rank} x window box), "
-            f"over the budget of {MAX_UNKNOWNS}; pass a smaller window")
-    return top, bound
 
 
 def _inert_positions(sheaf: SheafSpec) -> tuple[int, ...]:
@@ -676,8 +672,6 @@ def _h1_basis(system: _Delta0System, top: int) -> list[tuple[tuple, CechCochain]
         cocycles = [{cand: 1} for cand in candidates]
 
     residuals = [system.reduce(cocycle)[0] for cocycle in cocycles]
-    if not residuals:
-        return []
     keys = _in_key_order(cover, set().union(*residuals))
     rows = _sparse_rows({k: i for i, k in enumerate(keys)}, residuals)
     return [(keys[min(row)],

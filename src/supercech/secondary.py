@@ -27,8 +27,8 @@ from itertools import combinations, groupby
 from math import comb, factorial
 
 from .cech import (CechCochain, CohomologyClass, DecisionPlan, ShortExactSequence,
-                   _cup_map, _planned_windows, cech_delta, cohomology_basis, cohomology_class,
-                   connecting_map, extension_sheaf, is_coboundary, is_cocycle, solve_coboundary)
+                   _cup_map, cech_delta, cohomology_basis, cohomology_class, connecting_map,
+                   extension_sheaf, is_coboundary, is_cocycle, solve_coboundary)
 from .errors import CocycleError, SupercechError
 from .gluing import SuperGluingData, restrict_odd
 from .grassmann import GrassmannElement, _index_mask, _koszul_sign
@@ -137,10 +137,8 @@ def _block(m: GtModel, a: int, b: int) -> SheafSpec:
 
 def _plan_space(m: GtModel, a: int, b: int, degree: int | None, window: int | None) -> None:
     """Raise the WindowError a :class:`~supercech.cech.DecisionPlan` on the
-    whole (a, b) space would: its windows are the block's, and the cap and
-    the budget count all C(n, b) copies."""
-    block = _block(m, a, b)
-    _planned_windows(block, comb(m.base_rank, b) * block.rank, (), window, degree)
+    whole (a, b) space would, by planning its C(n, b) copies of the block."""
+    DecisionPlan(_block(m, a, b), window=window, degree=degree, copies=comb(m.base_rank, b))
 
 
 def _lead_tuple(c: CechCochain) -> int:

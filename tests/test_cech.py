@@ -306,6 +306,22 @@ def test_a_system_at_the_budget_is_decided_and_one_over_is_refused(gt_model_doc,
     assert cohomology_basis(spec, 0) == basis
 
 
+def test_a_plan_of_copies_counts_the_frames_of_every_copy(gt_model_doc, monkeypatch):
+    # three diagonal copies of the rank-12 space keep its windows and need
+    # 3 x 144 = 432 unknowns
+    spec = hom_into_quotient(gt_model_doc.gt_models["M"], 0, 1)
+    one = DecisionPlan(spec, degree=0)
+    monkeypatch.setattr(cech, "MAX_UNKNOWNS", 432)
+    three = DecisionPlan(spec, degree=0, copies=3)
+    assert (three.top, three.bound) == (one.top, one.bound) == (5, 5)
+    monkeypatch.setattr(cech, "MAX_UNKNOWNS", 431)
+    with pytest.raises(WindowError) as err:
+        DecisionPlan(spec, degree=0, copies=3)
+    assert str(err.value) == (
+        "exponent window 0..5 needs a delta0 system of 432 unknowns "
+        "(2 charts x rank 36 x window box), over the budget of 431; pass a smaller window")
+
+
 def test_a_derived_window_at_the_cap_is_planned_and_one_over_is_refused(gt_model_doc,
                                                                         monkeypatch):
     spec = hom_into_quotient(gt_model_doc.gt_models["M"], 0, 1)
@@ -323,6 +339,9 @@ def test_a_rank_0_plan_refuses_no_window(p1_space, monkeypatch):
     monkeypatch.setattr(cech, "WINDOW_CAP", 1)
     monkeypatch.setattr(cech, "MAX_UNKNOWNS", 0)
     plan = DecisionPlan(trivial_spec(p1_space, 0), degree=1)
+    assert (plan.top, plan.bound) == (2, 4)
+    # no copies of a rank-1 sheaf have no unknowns either
+    plan = DecisionPlan(trivial_spec(p1_space, 1), degree=1, copies=0)
     assert (plan.top, plan.bound) == (2, 4)
     with pytest.raises(WindowError, match=r"^derived window 2 exceeds cap 1; "):
         DecisionPlan(trivial_spec(p1_space, 1), degree=1)
@@ -491,6 +510,41 @@ def test_connecting_map_rejects_a_non_cocycle(p1_space, split_three_charts):
         connecting_map(ses3, bad)
 
 
+def test_a_witness_that_does_not_reproduce_the_cocycle_is_refused(p1_space, monkeypatch):
+    # the decision checks delta(witness) = c; a placed witness that comes
+    # out doubled fails that check
+    c = cech_delta(CechCochain(trivial_spec(p1_space, 1), 0,
+                               {("U0",): [mono(p1_space, "U0", 1, 1)]}))
+    assert cohomology_class(c).trivial
+    placed = cech._cochain_from_values
+    monkeypatch.setattr(cech, "_cochain_from_values", lambda sheaf, degree, values: (
+        placed(sheaf, degree, values).scale(2) if degree == 0 else
+        placed(sheaf, degree, values)))
+    with pytest.raises(CocycleError) as err:
+        cohomology_class(c)
+    assert err.value.args == ("internal error: witness does not reproduce the cocycle",)
+
+
+def test_a_connecting_image_off_the_sub_sheaf_fails_the_cocycle_check(split_three_charts):
+    # O -> E -> O on three charts, E glued by the coboundary of y on U1; the
+    # connecting image of the constant section is a nonzero cocycle of the
+    # sub, but not of a sub of the same rank with other transitions, and a
+    # two-chart cover has no triples on which that could show
+    from supercech.sheaf import sheaf_exterior_power
+    space, odd = split_three_charts.reduce()
+    one = trivial_spec(space, 1)
+    theta = cech_delta(CechCochain(one, 0, {("U1",): [mono(space, "U1", 1, 1)]}))
+    ses = ShortExactSequence(extension_sheaf(one, one, theta), [0])
+    unit = CechCochain(ses.quot, 0, {(name,): [mono(space, name, 1, 0)]
+                                     for name in space.cover.order})
+    assert not connecting_map(ses, unit).is_zero()
+    ses.sub = sheaf_exterior_power(odd, 2)
+    assert ses.sub.rank == 1 and ses.sub.matrices != one.matrices
+    with pytest.raises(CocycleError) as err:
+        connecting_map(ses, unit)
+    assert err.value.args == ("connecting image failed the cocycle check",)
+
+
 def test_non_cocycle_rejected(split_three_charts):
     space, odd = split_three_charts.reduce()
     from supercech.sheaf import sheaf_exterior_power
@@ -526,3 +580,38 @@ def test_cochain_maps_check_their_arguments(p1_space, call, error, message):
     with pytest.raises(error) as info:
         call(c, line_bundle(p1_space, 1))
     assert str(info.value) == message
+
+
+def _cech_argument_cases():
+    """``(id, call, error type, message)`` for ``cech``'s argument checks;
+    each call takes the two- and the three-chart spaces."""
+    from supercech.cech import canonical_keys
+    return [
+        ("canonical_keys", lambda p1, p3: canonical_keys(p1.cover, 3),
+         ValueError, "degree 3 not supported"),
+        ("section", lambda p1, p3: CechCochain(trivial_spec(p1, 1), 1).section("U0"),
+         KeyError, "no section for ('U0',)"),
+        ("cech_delta", lambda p1, p3: cech_delta(CechCochain(trivial_spec(p3, 1), 2)),
+         ValueError, "coboundary out of degree 2 is not supported"),
+        ("cohomology_class", lambda p1, p3: cohomology_class(CechCochain(trivial_spec(p1, 1), 0)),
+         ValueError, "class formation implemented for degree 1"),
+        ("cup_product", lambda p1, p3: cup_product(CechCochain(trivial_spec(p1, 1), 0),
+                                                   CechCochain(trivial_spec(p3, 1), 0)),
+         CocycleError, "cup factors on different covers"),
+        ("connecting_map", lambda p1, p3: connecting_map(
+            ShortExactSequence(trivial_spec(p1, 2), [0]), CechCochain(line_bundle(p1, 1), 0)),
+         CocycleError, "cochain is not valued in the quotient"),
+        ("extension_sheaf", lambda p1, p3: extension_sheaf(
+            trivial_spec(p1, 1), trivial_spec(p1, 1), CechCochain(trivial_spec(p1, 1), 0)),
+         CocycleError, "extension cocycle must be a degree-1 hom(quot, sub) cochain"),
+    ]
+
+
+@pytest.mark.parametrize("name, call, error, message", _cech_argument_cases(),
+                         ids=[case[0] for case in _cech_argument_cases()])
+def test_cech_argument_checks_raise_their_errors(p1_space, split_three_charts, name, call,
+                                                 error, message):
+    with pytest.raises(error) as err:
+        call(p1_space, split_three_charts.reduce()[0])
+    assert type(err.value) is error
+    assert err.value.args == (message,)
