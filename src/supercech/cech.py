@@ -64,10 +64,10 @@ WINDOW_CAP = 60
 # with WindowError.  The count stays whole-sheaf although the systems built
 # are smaller: one per distinct block, on the slice-0 box of its inert
 # coordinates.  A graded space of a gt model, decided on one block of it,
-# is planned with ``copies``, so all its copies of that block are counted.  The largest count of the
-# corpus and the benchmark is 3072 unknowns (two_parameter_family, derived
-# window 7), and no system built for it has more than 16; 50,000 unknowns
-# in one system take under 1 s.
+# is planned with ``copies``, so all its copies of that block are counted.
+# The largest count of the corpus and the benchmark is 3072 unknowns
+# (two_parameter_family, derived window 7), and no system built for it has
+# more than 16; 50,000 unknowns in one system take under 1 s.
 MAX_UNKNOWNS = 50_000
 
 FrameMap = dict[int, LaurentPoly]

@@ -692,7 +692,7 @@ def test_graded_space_plans_refuse_as_the_whole_space_plan(name, limits, monkeyp
     # each must refuse exactly when, and with the message with which, a plan
     # on the whole hom_into_quotient(m, a, b) does, for every a up to the
     # fiber rank and b one past the base rank (no copies); gt(10, 10) meets
-    # the real budget in 30 of its 240 spaces
+    # the real budget in 30 of its 240 (a, b, p, window) plans
     from supercech.cech import DecisionPlan
     from supercech.secondary import check_a1_window, hom_into_quotient
     m = _named_gt(name)
