@@ -340,6 +340,9 @@ def test_a_rank_0_plan_refuses_no_window(p1_space, monkeypatch):
     monkeypatch.setattr(cech, "MAX_UNKNOWNS", 0)
     plan = DecisionPlan(trivial_spec(p1_space, 0), degree=1)
     assert (plan.top, plan.bound) == (2, 4)
+    # so a rank-0 basis is decided, and is empty, in both degrees
+    for degree in (0, 1):
+        assert cohomology_basis(trivial_spec(p1_space, 0), degree) == []
     # no copies of a rank-1 sheaf have no unknowns either
     plan = DecisionPlan(trivial_spec(p1_space, 1), degree=1, copies=0)
     assert (plan.top, plan.bound) == (2, 4)

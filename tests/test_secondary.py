@@ -616,6 +616,26 @@ def test_secondary_dimensions_are_decided_on_one_block_each(monkeypatch):
     assert all(c.sheaf is hom_into_quotient(m, space.a, space.b) for c in space.basis)
 
 
+@pytest.mark.parametrize("name, window", [("gt_model_p1", None), ("gt(4, 4) seed 1", None),
+                                          ("gt(4, 4) seed 1", 3)])
+def test_each_local_basis_is_decided_once(name, window, monkeypatch):
+    # reading every dimension, then every basis, decides the H^p basis of
+    # each delta0 system once: a whole space reads what its block decided
+    decided = []
+    for degree, attr in enumerate(("_h0_basis", "_h1_basis")):
+        monkeypatch.setattr(cech, attr, lambda system, local=getattr(cech, attr), degree=degree,
+                            **top: decided.append((system, degree)) or local(system, **top))
+    m = _named_gt(name)
+    spaces = secondary_spaces(m, window=window)
+    dimensions = [s.dimension for s in spaces]
+    first = list(decided)
+    assert len(first) == len(set(first))
+    if name == "gt_model_p1":
+        assert len(first) == 12
+    assert [len(s.basis) for s in spaces] == dimensions
+    assert decided == first
+
+
 def test_a1_samples_do_not_move_nu(monkeypatch):
     # the connecting map checks that nu is a 0-cocycle, and the cup then
     # reads nu on the leading chart: nothing moves a section of the (1, b)
