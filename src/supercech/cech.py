@@ -40,10 +40,11 @@ and places each result once on the block's frames and slice k, giving a
 checked witness or the canonical residual; a slice outside the window has
 no unknowns and stays in the residual.  :func:`solve_coboundary` and
 :func:`is_coboundary` are views of it.  A basis is that of each distinct
-system placed on every copy in the window.  Rows of one copy touch only its
-columns, and each copy keeps the relative order of rows and keys, so every
-result equals the one the whole sheaf's system gives.  A block with no inert
-coordinate has one slice, k = ().
+system, decided once per window and kept in the table beside it, placed on
+every copy in the window.  Rows of one copy touch only its columns, and each
+copy keeps the relative order of rows and keys, so every result equals the
+one the whole sheaf's system gives.  A block with no inert coordinate has
+one slice, k = ().
 """
 
 from __future__ import annotations
@@ -604,24 +605,22 @@ def is_coboundary(c: CechCochain, window: int | None = None):
 def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -> list[CechCochain]:
     """Exact basis of H^degree within the (auto-derived) window;
     representatives are canonical and deterministic.  The basis of each
-    distinct slice-0 system is computed once and placed on each copy;
-    the union is put in the order the whole sheaf's system gives: H^0
-    relations by their dependent unknown, H^1 reduced rows by their pivot
-    key."""
+    distinct slice-0 system is decided once per (degree, window) and kept in
+    the space's table under ``("basis", system, degree, top)``, so every
+    sheaf with a copy of that system reads it there; it is placed on each
+    copy, and the union is put in the order the whole sheaf's system gives:
+    H^0 relations by their dependent unknown, H^1 reduced rows by their
+    pivot key."""
     if degree not in (0, 1):
         raise ValueError("cohomology_basis supports degrees 0 and 1")
-    if sheaf.rank == 0:
-        return []
     plan = DecisionPlan(sheaf, window=window, degree=degree)
     blocks, top = plan.systems(), plan.top
     position = {key: i for i, key in enumerate(canonical_keys(sheaf.space.cover, degree))}
     local_basis = _h0_basis if degree == 0 else partial(_h1_basis, top=top)
     found: list[tuple[tuple, CechCochain]] = []
-    done: dict[_Delta0System, list[tuple[tuple, CechCochain]]] = {}
     for frames, system in blocks:
-        local = done.get(system)
-        if local is None:
-            local = done[system] = local_basis(system)
+        local = derived_spec(sheaf.space, ("basis", system, degree, top),
+                             partial(local_basis, system))
         # the basis of copy (frames, k) is that of slice 0 placed there, for
         # every k whose unknowns (H^0) or candidates (H^1) lie in the window
         inert = system.inert

@@ -10,20 +10,22 @@ graded spaces, the connecting differentials between them, and the
 cup-with-theta construction are all computed exactly; the differential
 out of gr_b is the connecting map of gr_{b+1} -> F_b/F_{b+2} -> gr_b under
 hom(P, .).  The base factor is trivial, so a graded space is C(n, b)
-copies of one block hom(P, Λ^a F) and is decided on that block; its whole
-basis is placed on the copies when read.  Each question is decided once:
-the model class by one class decision, its cross-check as an identity of
-cochains, and a refined lift by one coboundary solve per filtration piece.
-A model keeps no cache: the space's table
+copies of one block hom(P, Λ^a F): its dimension is decided on that block,
+and its whole basis, read on the whole space, is the block's placed on the
+copies by :func:`~supercech.cech.cohomology_basis`.  Each question is
+decided once: the model class by one class decision, its cross-check as an
+identity of cochains, and a refined lift by one coboundary solve per
+filtration piece.  A model keeps no cache: the space's table
 (:func:`~supercech.sheaf.derived_spec`) holds its filtrations, two-step
-sequences, theta pairings and block bases.
+sequences and theta pairings, and the local bases that
+:mod:`~supercech.cech` decides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import combinations
 from math import comb, factorial
 
 from .cech import (CechCochain, CohomologyClass, DecisionPlan, ShortExactSequence,
@@ -141,28 +143,19 @@ def _plan_space(m: GtModel, a: int, b: int, degree: int | None, window: int | No
     DecisionPlan(_block(m, a, b), window=window, degree=degree, copies=comb(m.base_rank, b))
 
 
-def _lead_tuple(c: CechCochain) -> int:
-    """Position of the canonical tuple of the key that
-    :func:`~supercech.cech.cohomology_basis` orders the basis cochain ``c``
-    by.  An H^0 relation's key is its dependent unknown, the last of its
-    unknowns, so it sits in the last chart ``c`` meets; an H^1 row's key is
-    its pivot, its first key, so it sits on the first overlap ``c`` meets."""
-    met = [i for i, frames in enumerate(c.sections.values()) if frames]
-    return met[-1] if c.degree == 0 else met[0]
-
-
 @dataclass
 class SecondarySpace:
     """The (a, b, p) graded space, decided on its block (:func:`_block`):
     ``dimension`` counts the block's H^p basis once per copy.  ``spec``, the
-    whole ``hom_into_quotient(m, a, b)``, and ``basis``, the block basis
-    placed on every copy, are built when read."""
+    whole ``hom_into_quotient(m, a, b)``, and ``basis``, its H^p basis in
+    the window the space was asked for, are built when read."""
 
     a: int
     b: int
     p: int
     _model: GtModel = field(repr=False, compare=False)
     _block_basis: list[CechCochain] = field(repr=False)
+    _window: int | None = field(repr=False)
 
     @property
     def dimension(self) -> int:
@@ -174,21 +167,12 @@ class SecondarySpace:
 
     @cached_property
     def basis(self) -> list[CechCochain]:
-        """The whole space's basis in the order the whole sheaf's decision
-        gives: by the key of each cochain, that is its tuple, then its frame
-        (the copy's first frame plus the block frame), then its exponents.
-        So each run of block cochains on one tuple is placed copy by copy."""
+        """The whole space's basis, in the order the whole sheaf's decision
+        gives; the block's local bases, decided for ``dimension``, are read
+        from the space's table."""
         if not self._block_basis:
             return []
-        spec = self.spec
-        rank = self._block_basis[0].sheaf.rank
-        out = []
-        for _, run in groupby(self._block_basis, key=_lead_tuple):
-            run = list(run)
-            for k in range(comb(self._model.base_rank, self.b)):
-                frames = range(k * rank, (k + 1) * rank)
-                out += [c.extend(frames, spec) for c in run]
-        return out
+        return cohomology_basis(self.spec, self.p, window=self._window)
 
 
 def secondary_space(m: GtModel, a: int, b: int, p: int,
@@ -196,13 +180,9 @@ def secondary_space(m: GtModel, a: int, b: int, p: int,
     if p not in (0, 1):
         raise ValueError("degrees 0 and 1 are decided")
     _plan_space(m, a, b, p, window)
-    # the block basis is decided once per (block, degree, window)
-    basis = []
-    if comb(m.base_rank, b):
-        block = _block(m, a, b)
-        basis = derived_spec(m.space, ("block basis", block, p, window),
-                             lambda: cohomology_basis(block, p, window=window))
-    return SecondarySpace(a, b, p, m, basis)
+    # a space with no copies decides no block
+    basis = cohomology_basis(_block(m, a, b), p, window=window) if comb(m.base_rank, b) else []
+    return SecondarySpace(a, b, p, m, basis, window)
 
 
 def secondary_spaces(m: GtModel, window: int | None = None) -> list[SecondarySpace]:

@@ -32,8 +32,9 @@ A spec is its content: :func:`sheaf_spec` keeps one per rank and matrices
 in the space's table ``specs``, which also holds each construction's result
 under its name and operands, e.g. ``("hom", a, b)``, each filtration under
 ``("filtration", ext, sub, quot, degree)``, each eliminated delta0 system
-of a block under ``("delta0", block, bound)``, and the two-step sequences
-and theta pairings of :mod:`supercech.secondary` (:func:`derived_spec`).
+of a block under ``("delta0", block, bound)``, that system's H^p basis under
+``("basis", system, degree, top)``, and the two-step sequences and theta
+pairings of :mod:`supercech.secondary` (:func:`derived_spec`).
 A spec's blocks (:meth:`SheafSpec.blocks`) are the frame sets its
 transition matrices never mix; equal blocks, within one spec or across
 specs, are one interned :func:`diagonal_block`.
@@ -313,10 +314,12 @@ def sheaf_spec(space: ReducedSpace, rank: int, matrices: dict[tuple[str, str], C
 
 
 def derived_spec(space: ReducedSpace, key: tuple, build):
-    """``build()`` once per construction ``key`` (interned specs and
-    integers) on ``space``: a spec, a filtration, a delta0 system, the blocks
-    of a sheaf's system, or a secondary sequence or pairing.  The table holds
-    the operand specs in ``key``, so their ids cannot pass to other objects."""
+    """``build()`` once per construction ``key`` (interned specs, delta0
+    systems the table keeps, and integers) on ``space``: a spec, a
+    filtration, a delta0 system, the blocks of a sheaf's system, a system's
+    H^p basis, or a secondary sequence or pairing.  The table holds the
+    operand specs and systems in ``key``, so their ids cannot pass to other
+    objects."""
     spec = space.specs.get(key)
     if spec is None:
         spec = space.specs[key] = build()

@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supercech.errors import SubstitutionError
+from supercech.errors import ContextError, SubstitutionError
 from supercech.gluing import SuperTransition
 from supercech.grassmann import GrassmannElement, Substitution, _collect, _koszul_sign
 from supercech.laurent import LaurentPoly
@@ -481,3 +481,36 @@ def test_negative_power_of_a_zero_monomial_image():
     assert got == parse("s^-2", MONO_TARGET, MONO_Q)
     for element in (pole, parse("x^2*theta_2*theta_3 - 3*t^-1", MONO_SOURCE, MONO_Q)):
         _assert_monomial_substitution(even, odd, element)
+
+
+def _grassmann_argument_cases():
+    """``(id, call, error type, message)`` for ``grassmann``'s argument
+    checks, each at odd rank 2 over the coordinate x."""
+    one = LaurentPoly.const(X, 1)
+    return [
+        ("generator out of range", lambda: GrassmannElement(X, 2, {(3,): one}),
+         ValueError, "odd generator out of range in (3,)"),
+        ("index not increasing", lambda: GrassmannElement(X, 2, {(2, 1): one}),
+         ValueError, "multi-index must be strictly increasing: (2, 1)"),
+        ("coefficient context",
+         lambda: GrassmannElement(X, 2, {(1,): LaurentPoly.const(("y",), 1)}),
+         ContextError, "coefficient context does not match element context"),
+        ("odd_gen", lambda: GrassmannElement.odd_gen(X, 2, 3),
+         ValueError, "odd generator theta_3 out of range 1..2"),
+        ("sum across contexts", lambda: GrassmannElement.const(X, 2, 1)
+         + GrassmannElement.const(X, 3, 1),
+         ContextError, "Grassmann contexts differ"),
+        ("power", lambda: parse("x + 1", X, 2).power(-1),
+         SubstitutionError, "negative power requires an invertible monomial reduced part"),
+        ("odd_derivative", lambda: GrassmannElement.odd_gen(X, 2, 1).odd_derivative(3),
+         ValueError, "odd generator theta_3 out of range 1..2"),
+    ]
+
+
+@pytest.mark.parametrize("name, call, error, message", _grassmann_argument_cases(),
+                         ids=[case[0] for case in _grassmann_argument_cases()])
+def test_grassmann_argument_checks_raise_their_errors(name, call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert err.value.args == (message,)

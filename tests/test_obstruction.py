@@ -153,6 +153,33 @@ def test_attempt_split_on_rank3_conjugates(nonsplit_p1_level3, seed):
     assert result.split
 
 
+def _gauged_q5():
+    """A gauged split model of odd rank 5, deviating at level 2."""
+    return parse_model_text(perfbench_models().gauged_model(
+        supercech, random.Random(1), 5, planted=False)).gluing
+
+
+def test_attempt_split_refuses_a_correction_that_clears_nothing(monkeypatch):
+    from supercech import obstruction
+    g = _gauged_q5()
+    assert g.deviation_degree() == 2 and attempt_split(g).split
+    monkeypatch.setattr(obstruction, "_witness_to_coordinate_change", lambda g, witness, level: {
+        name: identity_transition(g.cover.chart(name)) for name in g.cover.order})
+    with pytest.raises(SupercechError) as err:
+        attempt_split(g)
+    assert err.value.args == ("correction did not clear the level",)
+
+
+def test_attempt_split_refuses_a_deviation_left_after_the_last_level(monkeypatch):
+    from supercech import obstruction
+    deviation = obstruction.deviation_cochain
+    monkeypatch.setattr(obstruction, "deviation_cochain", lambda g, level: CechCochain(
+        deviation(g, level).sheaf, 1))
+    with pytest.raises(SupercechError) as err:
+        attempt_split(_gauged_q5())
+    assert err.value.args == ("levels exhausted but deviation remains",)
+
+
 def test_differential_and_factorization(two_parameter_family):
     g = two_parameter_family
     d = splitting_type_differential(g)

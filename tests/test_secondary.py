@@ -583,20 +583,25 @@ def test_a1_samples_of_a_monomial_sweep_match_the_per_sample_reference(p1_space)
                                                  {("U0", "U1"): list(theta)}))
 
 
+def _local_decisions(monkeypatch):
+    """The list that ``(system, degree)`` is appended to each time ``cech``
+    decides the H^0 or H^1 basis of a delta0 system."""
+    decided = []
+    for degree, attr in enumerate(("_h0_basis", "_h1_basis")):
+        monkeypatch.setattr(cech, attr, lambda system, local=getattr(cech, attr), degree=degree,
+                            **top: decided.append((system, degree)) or local(system, **top))
+    return decided
+
+
 def test_secondary_dimensions_are_decided_on_one_block_each(monkeypatch):
     # reading the dimensions builds no whole space of more than one copy and
-    # decides each block once per degree and window; reading a basis then
-    # builds its whole space
+    # decides the local basis of each system of each block once per degree;
+    # reading a basis then builds its whole space
     from math import comb
-    from supercech import secondary
     from supercech.secondary import hom_into_quotient, parity_spec
     from supercech.sheaf import sheaf_hom
     m = load_model("gt_model_p1.model").gt_models["M"]
-    calls = []
-    basis = secondary.cohomology_basis
-    monkeypatch.setattr(secondary, "cohomology_basis", lambda sheaf, degree, window=None:
-                        calls.append((sheaf, degree, window)) or basis(sheaf, degree,
-                                                                       window=window))
+    decided = _local_decisions(monkeypatch)
     spaces = secondary_spaces(m)
     assert [s.dimension for s in spaces] == [16, 0, 3, 3, 21, 0, 9, 0, 48, 0, 1, 1, 7, 0]
     monkeypatch.undo()
@@ -608,9 +613,11 @@ def test_secondary_dimensions_are_decided_on_one_block_each(monkeypatch):
     assert len(several) == 8
     assert not any(whole_key(s) in m.space.specs for s in several)
     blocks = {(sheaf_hom(parity_spec(m, s.a + s.b), sheaf_exterior_power(m.fiber_spec, s.a)),
-               s.p, None) for s in spaces}
-    assert len(calls) == len(set(calls)) == len(blocks) == 8
-    assert set(calls) == blocks
+               s.p) for s in spaces}
+    assert len(blocks) == 8
+    assert len(decided) == len(set(decided)) == 12
+    assert {(system.sheaf, degree) for system, degree in decided} == {
+        (diagonal_block(block, frames), p) for block, p in blocks for frames in block.blocks()}
     space = next(s for s in several if s.dimension)
     assert space.basis and whole_key(space) in m.space.specs
     assert all(c.sheaf is hom_into_quotient(m, space.a, space.b) for c in space.basis)
@@ -621,10 +628,7 @@ def test_secondary_dimensions_are_decided_on_one_block_each(monkeypatch):
 def test_each_local_basis_is_decided_once(name, window, monkeypatch):
     # reading every dimension, then every basis, decides the H^p basis of
     # each delta0 system once: a whole space reads what its block decided
-    decided = []
-    for degree, attr in enumerate(("_h0_basis", "_h1_basis")):
-        monkeypatch.setattr(cech, attr, lambda system, local=getattr(cech, attr), degree=degree,
-                            **top: decided.append((system, degree)) or local(system, **top))
+    decided = _local_decisions(monkeypatch)
     m = _named_gt(name)
     spaces = secondary_spaces(m, window=window)
     dimensions = [s.dimension for s in spaces]
@@ -658,10 +662,12 @@ def test_a1_samples_do_not_move_nu(monkeypatch):
 
 def test_a1_check_decides_each_level_in_one_window(monkeypatch, capsys):
     # each sheaf a1-check builds systems for sees one bound: the basis
-    # window of the block of each (1, b) space, and the one window of the
-    # samples of its level; decided sample by sample, the rank-3 piece of
-    # b = 1 saw six.  The (1, 0) and (1, 2) spaces are copies of one block,
-    # hom(P, F) at odd levels, so five sheaves are linearized
+    # window of the block of each (1, b) space and of that whole space, and
+    # the one window of the samples of its level; decided sample by sample,
+    # the rank-3 piece of b = 1 saw six.  The (1, 0) and (1, 2) spaces are
+    # copies of one block, hom(P, F) at odd levels, so five sheaves and the
+    # two whole spaces of more than one copy are linearized, and six delta0
+    # systems are built
     bounds = {}
     linearize = cech._delta0_linearization
 
@@ -671,8 +677,10 @@ def test_a1_check_decides_each_level_in_one_window(monkeypatch, capsys):
 
     monkeypatch.setattr(cech, "_delta0_linearization", counted)
     assert main(["a1-check", "--input", str(corpus_path("gt_model_p1.model"))]) == 0
-    assert len(bounds) == 5
+    assert len(bounds) == 7
     assert all(len(seen) == 1 for seen in bounds.values())
+    (space,) = {sheaf.space for sheaf in bounds}
+    assert sum(key[0] == "delta0" for key in space.specs) == 6
 
 
 def test_a1_check_refuses_a_level_before_it_decides_a_sample(monkeypatch, capsys):
