@@ -7,7 +7,7 @@ import pytest
 
 import supercech
 
-from supercech.family import (GluedFamily, extend_with_base, glue_over_p1,
+from supercech.family import (FamilySpec, GluedFamily, extend_with_base, glue_over_p1,
                               isotriviality_witness, rothstein_family,
                               split_family)
 from supercech.gluing import INFINITY
@@ -113,6 +113,15 @@ def test_isotriviality_witnesses(nonsplit_p1, pair):
     fam = rothstein_family(nonsplit_p1)
     witnesses, report = isotriviality_witness(fam, Q(pair[0]), Q(pair[1]))
     assert report.ok, report.detail
+
+
+def test_isotriviality_names_the_first_overlap_where_fibers_differ(nonsplit_p1):
+    # both fibers of the constant family are nonsplit_p1, but scaling by
+    # lambda = 2 multiplies its nonzero level-2 deviation by lambda^2 = 4
+    fam = FamilySpec(extend_with_base(nonsplit_p1, ("t",)), ("t",))
+    _, report = isotriviality_witness(fam, Q(1), Q(2))
+    assert not report.ok
+    assert report.detail == "fibers differ on overlap ('U0', 'U1')"
 
 
 def test_isotriviality_rejects_zero(nonsplit_p1):

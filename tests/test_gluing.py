@@ -110,6 +110,24 @@ def test_corrupted_sign_fails_with_witness():
     assert report.failures[0].detail == "theta_1: discrepancy (-2)*theta_1"
 
 
+def test_a_failed_triple_check_names_its_first_discrepancy():
+    # U0 -> U2 doubles theta_1 and U2 -> U0 halves it, so both are inverse
+    # to each other, but U0 -> U1 -> U2 no longer equals U0 -> U2
+    text = corpus_path("split_p1_three_charts.model").read_text()
+    for old, new in (("z = 2*x\n  theta_1 = theta_1", "z = 2*x\n  theta_1 = 2*theta_1"),
+                     ("x = z/2\n  theta_1 = theta_1", "x = z/2\n  theta_1 = 1/2*theta_1")):
+        assert old in text
+        text = text.replace(old, new)
+    report = parse_model_text(text).gluing.verify_cocycle()
+    assert report.checks == 7
+    assert [str(f) for f in report.failures] == [
+        "triple check failed on ('U0', 'U1', 'U2'): theta_1: discrepancy -theta_1"]
+
+
+def test_a_transition_between_two_charts_is_not_the_identity(nonsplit_p1):
+    assert not nonsplit_p1.transitions[("U0", "U1")].is_identity()
+
+
 def test_splitting_type(split_p1, nonsplit_p1, nonsplit_p1_level3):
     assert split_p1.splitting_type() == INFINITY
     assert nonsplit_p1.splitting_type() == 2
