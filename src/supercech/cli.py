@@ -45,8 +45,6 @@ class Reporter:
         self.lines: list[str] = []
 
     def emit(self, key: str, value):
-        if isinstance(value, Fraction):
-            value = f"{value.numerator}/{value.denominator}"
         if value == INFINITY:
             value = "infinity"
         if self.structured:

@@ -97,15 +97,7 @@ class SuperTransition:
         return min(degrees, default=INFINITY)
 
     def is_identity(self) -> bool:
-        if self.source.vars != self.target.vars or self.source.odd_rank != self.target.odd_rank:
-            return False
-        for v, g in self.even_maps.items():
-            if g != GrassmannElement.even_var(self.source.vars, self.source.odd_rank, v):
-                return False
-        for b, g in self.odd_maps.items():
-            if g != GrassmannElement.odd_gen(self.source.vars, self.source.odd_rank, b):
-                return False
-        return True
+        return self == identity_transition(self.source)
 
     def __eq__(self, other):
         return (isinstance(other, SuperTransition)
@@ -300,22 +292,28 @@ class SuperGluingData:
             raise CocycleError(str(report.failures[0]))
 
     def _build_report(self) -> VerificationReport:
+        """Every inverse check (both directions of each overlap), then every
+        triple check, then every family check, in that order.  One call of
+        :func:`_first_discrepancy` decides an inverse or triple check and
+        gives its detail: the first coordinate map that differs, and by
+        how much."""
         failures: list[CheckFailure] = []
         checks = 0
         for overlap in self.cover.canonical_overlaps():
             for a, b in (overlap, overlap[::-1]):
                 comp = compose_transitions(self.transitions[(a, b)], self.transitions[(b, a)])
                 checks += 1
-                if not comp.is_identity():
-                    failures.append(CheckFailure("inverse", (a, b), _discrepancy_detail(
-                        comp, identity_transition(self.chart(a)))))
+                found = _first_discrepancy(comp, identity_transition(self.chart(a)))
+                if found is not None:
+                    detail = f"{found[1]}: discrepancy {found[2]}"
+                    failures.append(CheckFailure("inverse", (a, b), detail))
         for (a, b, c) in self.cover.triples:
             via = compose_transitions(self.transitions[(a, b)], self.transitions[(b, c)])
-            direct = self.transitions[(a, c)]
             checks += 1
-            if via != direct:
-                failures.append(CheckFailure("triple", (a, b, c),
-                                             _discrepancy_detail(via, direct)))
+            found = _first_discrepancy(via, self.transitions[(a, c)])
+            if found is not None:
+                detail = f"{found[1]}: discrepancy {found[2]}"
+                failures.append(CheckFailure("triple", (a, b, c), detail))
         if self.is_family:
             for (a, b), t in self.transitions.items():
                 for tv in self.base_vars:
@@ -485,8 +483,3 @@ def _first_discrepancy(got: SuperTransition,
         if got.odd_maps[b] != expected.odd_maps[b]:
             return "odd", f"theta_{b}", got.odd_maps[b] - expected.odd_maps[b]
     return None
-
-
-def _discrepancy_detail(got: SuperTransition, expected: SuperTransition) -> str:
-    found = _first_discrepancy(got, expected)
-    return "no discrepancy (?)" if found is None else f"{found[1]}: discrepancy {found[2]}"

@@ -116,15 +116,7 @@ class GrassmannElement:
                     raise ValueError(f"multi-index must be strictly increasing: {idx}")
                 if coeff.vars != self.vars:
                     raise ContextError("coefficient context does not match element context")
-                if coeff.is_zero():
-                    continue
-                if idx in clean:
-                    s = clean[idx] + coeff
-                    if s.is_zero():
-                        del clean[idx]
-                    else:
-                        clean[idx] = s
-                else:
+                if not coeff.is_zero():
                     clean[idx] = coeff
         self.terms = clean
 

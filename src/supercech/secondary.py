@@ -398,7 +398,11 @@ def verify_a1_containment(m: GtModel, b: int, *,
     contraction and composition repackages a (1, b) class as itself, so nu
     goes to the differential unchanged.
 
-    Both images of every nu are formed first, the right one kept only where
+    The basis is read in one call, :func:`~supercech.cech.cohomology_basis`
+    of the whole ``hom_into_quotient(m, 1, b)`` in ``window``, after
+    :func:`check_a1_window` has planned the level; no block is decided
+    apart from the whole space, and the report's dimension is the length of
+    that basis.  Both images of every nu are formed first, the right one kept only where
     it differs from the left; all are valued in the one interned
     ``hom_into_quotient(m, 0, b + 1)``.  The level's two-step sequence and
     theta pairing are fetched once, and the connecting map, taken first,
@@ -413,13 +417,13 @@ def verify_a1_containment(m: GtModel, b: int, *,
     and equality of classes do not depend on the window once it is large
     enough for each image."""
     check_a1_window(m, b, window=window)
-    space = secondary_space(m, 1, b, 0, window=window)
+    basis = cohomology_basis(hom_into_quotient(m, 1, b), 0, window=window)
     images = []
-    if space.dimension:
+    if basis:
         # the level's sequence, pairing and image sheaf, fetched once
         ses = _two_step_sequence(m, b + 1, b)
         pairing, out_spec = _theta_pairing(m, 1, b), hom_into_quotient(m, 0, b + 1)
-        for nu in space.basis:
+        for nu in basis:
             # the connecting map refuses a nu that is not a 0-cocycle, so
             # the cup reads nu's leading-chart sections instead of moving it
             right = connecting_map(ses, nu)
@@ -430,7 +434,7 @@ def verify_a1_containment(m: GtModel, b: int, *,
         if nonzero:
             widest = max(nonzero, key=CechCochain.max_exponent)
             window = DecisionPlan(widest.sheaf, widest).top
-    report = ContainmentReport(b, space.dimension)
+    report = ContainmentReport(b, len(basis))
     for i, (left, right) in enumerate(images):
         lhs = cohomology_class(left, window=window)
         rhs = lhs if right is None else cohomology_class(right, window=window)

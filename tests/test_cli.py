@@ -184,6 +184,14 @@ def test_missing_or_malformed_flag_is_input_error(capsys, flags, message):
     assert err == f"input error: {message}\n"
 
 
+def test_a_gluing_command_on_a_file_without_gluing_is_input_error(tmp_path, capsys):
+    path = tmp_path / "empty.model"
+    path.write_text("format 1\n")
+    code, out, err = run_cli(capsys, "splitting-type", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "input error: this command needs gluing data in the input file\n"
+
+
 def test_scale_emits_scaled_data(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "scale", "--input",
                            str(corpus_path("nonsplit_p1.model")), "--lambda", "2")

@@ -6,11 +6,11 @@ from itertools import combinations
 import pytest
 
 from supercech import gluing
-from supercech.errors import CocycleError, ContextError, SupercechError
+from supercech.errors import CocycleError, ContextError, SubstitutionError, SupercechError
 from supercech.gluing import (INFINITY, SuperGluingData, SuperTransition,
                               compose_transitions, identity_transition,
                               invert_transition, restrict_odd)
-from supercech.grassmann import GrassmannElement
+from supercech.grassmann import GrassmannElement, Substitution
 from supercech.laurent import LaurentPoly
 from supercech.modelfile import parse_model_text
 from supercech.parsing import parse_element
@@ -381,4 +381,40 @@ def test_gluing_rejects_inconsistent_transitions(nonsplit_p1, case, message):
         base_vars = ("t",)
     with pytest.raises(ValueError) as info:
         SuperGluingData(nonsplit_p1.cover, transitions, base_vars)
+    assert str(info.value) == message
+
+
+_X2 = Chart("U0", ("x",), (), 2)
+
+
+def _substitute_x(even, odd):
+    """``x`` on ``_X2`` under the unchecked images ``even`` and ``odd``."""
+    return P(_X2, "x").substitute(Substitution(even, odd, _X2.vars, _X2.odd_rank))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda t01: compose_transitions(t01, t01), ContextError,
+     "cannot compose U0->U1 with U0->U1"),
+    (lambda _: invert_transition(SuperTransition(
+        _X2, _X2, {"x": P(_X2, "x^2")}, {1: P(_X2, "theta_1"), 2: P(_X2, "theta_2")},
+        check=False)),
+     SupercechError, "reduced part of x-image is not c*x^(+-1)"),
+    (lambda _: invert_transition(SuperTransition(
+        _X2, _X2, {"x": P(_X2, "x")}, {1: P(_X2, "theta_1"), 2: P(_X2, "theta_1")},
+        check=False)),
+     SupercechError, "degree-one odd matrix is not invertible over Laurent polynomials"),
+    (lambda _: _substitute_x({"x": P(_X2, "theta_1")},
+                             {1: P(_X2, "theta_1"), 2: P(_X2, "theta_2")}),
+     SubstitutionError, "image of even coordinate x is not even"),
+    (lambda _: _substitute_x({"x": P(_X2, "x")}, {2: P(_X2, "theta_2")}),
+     SubstitutionError, "no image for odd generator theta_1"),
+    (lambda _: _substitute_x({"x": P(_U1, "y")}, {1: P(_X2, "theta_1"), 2: P(_X2, "theta_2")}),
+     ContextError, "Grassmann contexts differ"),
+    (lambda _: LaurentPoly.const(("x",), 0.5), TypeError, "not an exact rational: 0.5"),
+], ids=["compose mismatch", "reduced not monomial", "odd matrix singular",
+        "odd image of x", "no theta_1 image", "foreign context", "float coefficient"])
+def test_unchecked_inputs_raise_their_errors(nonsplit_p1, call, error, message):
+    with pytest.raises(error) as info:
+        call(nonsplit_p1.transitions[("U0", "U1")])
+    assert type(info.value) is error
     assert str(info.value) == message

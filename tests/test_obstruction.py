@@ -180,6 +180,13 @@ def test_attempt_split_refuses_a_deviation_left_after_the_last_level(monkeypatch
     assert err.value.args == ("levels exhausted but deviation remains",)
 
 
+def test_differential_of_a_split_family_has_no_level_and_no_cochain():
+    split = load_model("split_p1.model").gluing
+    d = splitting_type_differential(rothstein_family(split).gluing)
+    assert (d.level, d.cochain) == (INFINITY, None)
+    assert d({"t": Q(3)}) is None
+
+
 def test_differential_and_factorization(two_parameter_family):
     g = two_parameter_family
     d = splitting_type_differential(g)

@@ -42,6 +42,10 @@ def test_theta_parsing():
         parse("theta_5")
 
 
+def test_a_power_of_an_odd_generator_is_zero():
+    assert parse_element("theta_1^2", ("x",), 2) == GrassmannElement.zero(("x",), 2)
+
+
 def test_unknown_name_reports_position():
     with pytest.raises(ParseError) as exc:
         parse_element("x + zz", ("x",), 2, line=7)

@@ -662,12 +662,11 @@ def test_a1_samples_do_not_move_nu(monkeypatch):
 
 def test_a1_check_decides_each_level_in_one_window(monkeypatch, capsys):
     # each sheaf a1-check builds systems for sees one bound: the basis
-    # window of the block of each (1, b) space and of that whole space, and
-    # the one window of the samples of its level; decided sample by sample,
-    # the rank-3 piece of b = 1 saw six.  The (1, 0) and (1, 2) spaces are
-    # copies of one block, hom(P, F) at odd levels, so five sheaves and the
-    # two whole spaces of more than one copy are linearized, and six delta0
-    # systems are built
+    # window of each whole (1, b) space, read in one call, and the one
+    # window of the samples of its level; decided sample by sample, the
+    # rank-3 piece of b = 1 saw six.  No block is decided apart from its
+    # whole space, so hom(P, F) of b = 1 is not linearized on its own: six
+    # sheaves are linearized, and six delta0 systems are built
     bounds = {}
     linearize = cech._delta0_linearization
 
@@ -677,7 +676,7 @@ def test_a1_check_decides_each_level_in_one_window(monkeypatch, capsys):
 
     monkeypatch.setattr(cech, "_delta0_linearization", counted)
     assert main(["a1-check", "--input", str(corpus_path("gt_model_p1.model"))]) == 0
-    assert len(bounds) == 7
+    assert len(bounds) == 6
     assert all(len(seen) == 1 for seen in bounds.values())
     (space,) = {sheaf.space for sheaf in bounds}
     assert sum(key[0] == "delta0" for key in space.specs) == 6
