@@ -400,22 +400,21 @@ def verify_a1_containment(m: GtModel, b: int, *,
 
     The basis is read in one call, :func:`~supercech.cech.cohomology_basis`
     of the whole ``hom_into_quotient(m, 1, b)`` in ``window``, after
-    :func:`check_a1_window` has planned the level; no block is decided
-    apart from the whole space, and the report's dimension is the length of
-    that basis.  Both images of every nu are formed first, the right one kept only where
-    it differs from the left; all are valued in the one interned
+    :func:`check_a1_window` has planned the level; no block is decided apart
+    from the whole space, and the report's dimension is the length of that
+    basis.  Both images of every nu are formed first, the right one kept
+    only where it differs from the left; all are valued in the one interned
     ``hom_into_quotient(m, 0, b + 1)``.  The level's two-step sequence and
     theta pairing are fetched once, and the connecting map, taken first,
     checks that nu is a 0-cocycle, so the cup reads nu on each overlap's
     leading chart and nu is moved across an overlap once per sample, not
-    twice.  Then one window serves the level:
-    ``window``, or else the largest window derived from a nonzero image,
-    planned before any sample is decided, so an image over the cap or the
-    system budget refuses the level at once.  Every sample is decided in
-    that window, each block's delta0 system is built once for the level and
-    the two sides of a sample are compared in the same window; triviality
-    and equality of classes do not depend on the window once it is large
-    enough for each image."""
+    twice.  Then one window serves the level: ``window``, or else the
+    largest window derived from a nonzero image, planned before any sample
+    is decided, so an image over the cap or the system budget refuses the
+    level at once.  Every sample is decided in that window, each block's
+    delta0 system is built once for the level and the two sides of a sample
+    are compared in the same window; triviality and equality of classes do
+    not depend on the window once it is large enough for each image."""
     check_a1_window(m, b, window=window)
     basis = cohomology_basis(hom_into_quotient(m, 1, b), 0, window=window)
     images = []
