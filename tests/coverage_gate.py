@@ -6,8 +6,9 @@ statement of a function body that never ran (docstrings excluded).  The
 list is compared with ``tests/unrun_statements.json``, whose entries are
 keyed by module, function and the statement's first line of text, not by
 line number, and give one reason each.  The gate fails on an unrun
-statement that is not listed, on a listed statement that now runs, on an
-entry without a reason, and when the tests fail.
+statement that is not listed, on a listed statement that now runs or that
+is no longer in the source (each named as such), on an entry without a
+reason, and when the tests fail.
 
     python tests/coverage_gate.py [pytest arguments]
 
@@ -106,22 +107,27 @@ def _functions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.body
 
 
-def unrun_statements(ran: dict[str, set[int]]) -> list[dict]:
-    """Every statement of a function body in ``PACKAGE`` with no line in
-    ``ran``, in file and line order."""
+def source_statements() -> list[tuple[dict, range]]:
+    """Every statement of a function body in ``PACKAGE``, in file and line
+    order, as an entry keyed like the list's with the lines it spans."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
-        hit = ran.get(str(path), set())
         for qualname, body in _functions(ast.parse(source)):
             for function, stmt in _statements(body, qualname):
                 first = min([stmt.lineno] + [d.lineno for d in
                                              getattr(stmt, "decorator_list", [])])
-                if hit.isdisjoint(range(first, stmt.end_lineno + 1)):
-                    text = ast.get_source_segment(source, stmt).splitlines()[0].strip()
-                    found.append({"module": path.stem, "function": function,
-                                  "statement": text, "line": stmt.lineno})
+                text = ast.get_source_segment(source, stmt).splitlines()[0].strip()
+                found.append(({"module": path.stem, "function": function,
+                               "statement": text, "line": stmt.lineno},
+                              range(first, stmt.end_lineno + 1)))
     return found
+
+
+def unrun_statements(ran: dict[str, set[int]], statements: list[tuple[dict, range]]) -> list[dict]:
+    """The entries of ``statements`` with no line in ``ran``."""
+    return [entry for entry, lines in statements
+            if ran.get(str(PACKAGE / f"{entry['module']}.py"), set()).isdisjoint(lines)]
 
 
 def _key(entry: dict) -> tuple[str, str, str]:
@@ -142,21 +148,25 @@ def main(argv: list[str]) -> int:
         status = pytest.main(args)
     finally:
         sys.settrace(None)
-    found = unrun_statements(tracer.ran())
+    statements = source_statements()
+    found = unrun_statements(tracer.ran(), statements)
     listed = json.loads(LISTED.read_text())
 
     unlisted = Counter(map(_key, found)) - Counter(map(_key, listed))
-    now_run = Counter(map(_key, listed)) - Counter(map(_key, found))
+    # a listed statement runs, or is no longer in the source at all
+    gone = Counter(map(_key, listed)) - Counter(_key(entry) for entry, _ in statements)
+    now_run = Counter(map(_key, listed)) - Counter(map(_key, found)) - gone
     no_reason = [e for e in listed if not e.get("reason", "").strip()]
-    failed = bool(unlisted or now_run or no_reason)
+    failed = bool(unlisted or now_run or gone or no_reason)
     for entry in found:
         if unlisted[_key(entry)]:
             unlisted[_key(entry)] -= 1
             print(f"not run and not listed: src/supercech/{entry['module']}.py:"
                   f"{entry['line']} in {entry['function']}: {entry['statement']}")
-    for (module, function, statement), count in sorted(now_run.items()):
-        print(f"listed but run: {module} {function}: {statement}"
-              + (f" (x{count})" if count > 1 else ""))
+    for label, keys in (("listed but run", now_run), ("listed but not in the source", gone)):
+        for (module, function, statement), count in sorted(keys.items()):
+            print(f"{label}: {module} {function}: {statement}"
+                  + (f" (x{count})" if count > 1 else ""))
     for entry in no_reason:
         print(f"listed without a reason: {entry['module']} {entry['function']}: "
               f"{entry['statement']}")
