@@ -146,20 +146,17 @@ def _plan_space(m: GtModel, a: int, b: int, degree: int | None, window: int | No
 @dataclass
 class SecondarySpace:
     """The (a, b, p) graded space, decided on its block (:func:`_block`):
-    ``dimension`` counts the block's H^p basis once per copy.  ``spec``, the
-    whole ``hom_into_quotient(m, a, b)``, and ``basis``, its H^p basis in
-    the window the space was asked for, are built when read."""
+    ``dimension``, set once by :func:`secondary_space`, is C(n, b) times
+    the length of the block's H^p basis.  ``spec``, the whole
+    ``hom_into_quotient(m, a, b)``, and ``basis``, its H^p basis in the
+    window the space was asked for, are built when read."""
 
     a: int
     b: int
     p: int
+    dimension: int
     _model: GtModel = field(repr=False, compare=False)
-    _block_basis: list[CechCochain] = field(repr=False)
     _window: int | None = field(repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return comb(self._model.base_rank, self.b) * len(self._block_basis)
 
     @property
     def spec(self) -> SheafSpec:
@@ -170,7 +167,7 @@ class SecondarySpace:
         """The whole space's basis, in the order the whole sheaf's decision
         gives; the block's local bases, decided for ``dimension``, are read
         from the space's table."""
-        if not self._block_basis:
+        if not self.dimension:
             return []
         return cohomology_basis(self.spec, self.p, window=self._window)
 
@@ -180,9 +177,10 @@ def secondary_space(m: GtModel, a: int, b: int, p: int,
     if p not in (0, 1):
         raise ValueError("degrees 0 and 1 are decided")
     _plan_space(m, a, b, p, window)
+    copies = comb(m.base_rank, b)
     # a space with no copies decides no block
-    basis = cohomology_basis(_block(m, a, b), p, window=window) if comb(m.base_rank, b) else []
-    return SecondarySpace(a, b, p, m, basis, window)
+    block_dimension = len(cohomology_basis(_block(m, a, b), p, window=window)) if copies else 0
+    return SecondarySpace(a, b, p, copies * block_dimension, m, window)
 
 
 def secondary_spaces(m: GtModel, window: int | None = None) -> list[SecondarySpace]:
@@ -308,16 +306,13 @@ MODEL_CLASS_MAP_SIGN = -1
 
 def model_class_map(m: GtModel, a: int, b: int, p: int, nu: CechCochain,
                     window: int | None = None) -> SecondaryValue:
-    """Cup the extension cocycle with nu, contract, compose, and wedge; the
-    image lives beside the corresponding differential."""
-    return _finalize(_model_class_image(m, a, b, p, nu), window)
-
-
-def _model_class_image(m: GtModel, a: int, b: int, p: int, nu: CechCochain) -> CechCochain:
-    """The cochain :func:`model_class_map` decides."""
+    """Cup the extension cocycle with nu through the theta pairing columns
+    (:func:`~supercech.cech._cup_map`), which contract, compose and wedge;
+    the image lives beside the corresponding differential."""
     if a < 1:
         raise ValueError("the map needs a >= 1")
-    return _cup_map(m.theta, nu, _theta_pairing(m, a, b), hom_into_quotient(m, a - 1, b + 1))
+    return _finalize(_cup_map(m.theta, nu, _theta_pairing(m, a, b),
+                              hom_into_quotient(m, a - 1, b + 1)), window)
 
 
 def _theta_pairing(m: GtModel, a: int, b: int) -> list[list[tuple[int, Coef]]]:

@@ -157,7 +157,6 @@ class ReducedSpace:
                  coordinate_maps: dict[tuple[str, str], dict[str, LaurentPoly]]):
         self.cover = cover
         self.coordinate_maps = coordinate_maps
-        self._neg_cache: dict[tuple[str, str], frozenset[str]] = {}
         # one SheafSpec per (rank, sorted matrix items), each construction's
         # spec by its name and operands, and each delta0 system by
         # ("delta0", spec, window bound) (sheaf.sheaf_spec, sheaf.derived_spec)
@@ -201,19 +200,19 @@ class ReducedSpace:
         A variable is inverted on the overlap exactly when some reduced
         coordinate image has a pole in it; overlaps whose coordinate change
         is pole-free (e.g. a rescaled copy of the same chart, or the base
-        directions of a family) carry polynomial sections only."""
-        key = (a, b)
-        if key not in self._neg_cache:
-            out = set()
-            cmap = self.coordinate_maps[(a, b)]
-            avars = self.cover.chart(a).vars
-            for img in cmap.values():
-                for exps in img.terms:
-                    for v, e in zip(avars, exps):
-                        if e < 0:
-                            out.add(v)
-            self._neg_cache[key] = frozenset(out)
-        return self._neg_cache[key]
+        directions of a family) carry polynomial sections only.  It is read
+        off the coordinate map on each call, which comes once per overlap
+        when a system's H^1 basis is first decided (the space's table keeps
+        that basis), so a memo would save nothing."""
+        out = set()
+        cmap = self.coordinate_maps[(a, b)]
+        avars = self.cover.chart(a).vars
+        for img in cmap.values():
+            for exps in img.terms:
+                for v, e in zip(avars, exps):
+                    if e < 0:
+                        out.add(v)
+        return frozenset(out)
 
     def exponent_map(self, a: str, b: str, vars: tuple[str, ...]) -> MonomialMap:
         """The (a, b) coordinate map on polynomials over ``vars`` (b-coordinates)."""
