@@ -660,6 +660,73 @@ def test_a1_samples_do_not_move_nu(monkeypatch):
         assert hom_into_quotient(m, 1, b) not in moved, b
 
 
+def _flip_pairing_sign(monkeypatch, b, kpos, bi, p_indices=None):
+    """Negate, in the theta pairing out of the (1, b) space, the entries of
+    the wedge e_K ^ e_bi (K the kpos-th b-subset of the base frames), on
+    every P index or only on ``p_indices``."""
+    from math import comb
+    from supercech import secondary
+    build = secondary._theta_pairing_matrix
+
+    def flipped(m, a, level_b, rank_p, sign_fix=1):
+        columns = build(m, a, level_b, rank_p, sign_fix)
+        if (a, level_b) == (1, b):
+            qx = m.fiber_rank
+            width = comb(m.base_rank, b) * qx * rank_p
+            for fi in range(qx):
+                for pi in range(rank_p) if p_indices is None else p_indices:
+                    j = (bi * qx + fi) * width + (kpos * qx + fi) * rank_p + pi
+                    columns[j] = [(r, -v) for r, v in columns[j]]
+        return columns
+
+    monkeypatch.setattr(secondary, "_theta_pairing_matrix", flipped)
+
+
+def _flip_coupling(monkeypatch, level, K, i, overlaps=None):
+    """Negate, in the level-th exterior power of the extension bundle that
+    the level's filtration holds, the coupling entry from e_K ^ f_0 to
+    e_K ^ e_i, on every overlap or only on ``overlaps``."""
+    import dataclasses
+    from itertools import combinations
+    from supercech import secondary
+    from supercech.sheaf import sheaf_spec
+    build = secondary.filtration_of
+
+    def flipped(m, at_level):
+        filt = build(m, at_level)
+        if at_level != level:
+            return filt
+        idxs = list(combinations(range(m.total_odd.rank), level))
+        row, col = idxs.index(tuple(sorted(K + (i,)))), idxs.index(K + (m.base_rank,))
+        amb = filt.ambient
+        mats = {key: tuple(tuple((r, -e if (r, j) == (row, col) else e) for r, e in column)
+                           if overlaps is None or key in overlaps else column
+                           for j, column in enumerate(mat))
+                for key, mat in amb.matrices.items()}
+        return dataclasses.replace(filt, ambient=sheaf_spec(amb.space, amb.rank, mats))
+
+    monkeypatch.setattr(secondary, "filtration_of", flipped)
+
+
+def test_a1_check_fails_on_a_flipped_pairing_sign(monkeypatch):
+    # a sign error in the wedge e_{1,2} ^ e_0 of the cup at b = 2 makes the
+    # one sample that meets it unequal
+    _flip_pairing_sign(monkeypatch, 2, 2, 0)
+    report = verify_a1_containment(load_model("gt_model_p1.model").gt_models["M"], 2)
+    assert not report.ok
+    assert sum(not s.equal for s in report.samples) == 1
+
+
+def test_a1_check_fails_on_a_flipped_exterior_power_coupling(monkeypatch):
+    # a sign error in the entry of wedge^3 of the extension bundle that
+    # couples e_1 ^ e_2 ^ f to e_0 ^ e_1 ^ e_2 makes the one sample that
+    # meets it unequal
+    _flip_coupling(monkeypatch, 3, (1, 2), 0)
+    report = verify_a1_containment(load_model("gt_model_p1.model").gt_models["M"], 2)
+    assert not report.ok
+    assert sum(not s.equal for s in report.samples) == 1
+
+
 def test_a1_check_decides_each_level_in_one_window(monkeypatch, capsys):
     # each sheaf a1-check builds systems for sees one bound: the basis
     # window of each whole (1, b) space, read in one call, and the one
