@@ -611,6 +611,12 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
     copy, and the union is put in the order the whole sheaf's system gives:
     H^0 relations by their dependent unknown, H^1 reduced rows by their
     pivot key."""
+    return [c for _, c in _keyed_basis(sheaf, degree, window)]
+
+
+def _keyed_basis(sheaf: SheafSpec, degree: int, window: int | None) -> list[tuple]:
+    """:func:`cohomology_basis` with each class's sort key: the tuple
+    position, frame and exponents of its dependent unknown or pivot key."""
     if degree not in (0, 1):
         raise ValueError("cohomology_basis supports degrees 0 and 1")
     plan = DecisionPlan(sheaf, window=window, degree=degree)
@@ -628,7 +634,7 @@ def cohomology_basis(sheaf: SheafSpec, degree: int, window: int | None = None) -
             found += [((position[key], f, exps), _placed_cochain(c, frames, inert, k, sheaf))
                       for (key, f, exps), c in _placed(frames, inert, k, local)]
     found.sort(key=lambda item: item[0])
-    return [c for _, c in found]
+    return found
 
 
 def _h0_basis(system: _Delta0System) -> list[tuple[tuple, CechCochain]]:

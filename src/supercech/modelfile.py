@@ -67,6 +67,7 @@ class ModelDocument:
     gluing: SuperGluingData | None = None
     sheaves: dict[str, SheafSpec] = field(default_factory=dict)
     gt_models: dict[str, GtModel] = field(default_factory=dict)
+    fiber_sheaf_names: dict[str, str] = field(default_factory=dict)   # gt model -> sheaf
     base_odd: int = 0
     declared_splitting_type: int | None = None
     base_atlas: dict | None = None   # glued-family metadata
@@ -301,6 +302,7 @@ def parse_model_text(text: str) -> ModelDocument:
             theta_sections[key] = flat
         with _located(line_no):
             doc.gt_models[name] = gt_model(space, fiber, n, theta_sections)
+        doc.fiber_sheaf_names[name] = fields["fiber_sheaf"]
     return doc
 
 
@@ -449,7 +451,7 @@ def write_document(doc: ModelDocument) -> str:
         parts.append(write_sheaf(name, spec))
     fiber_names = {id(spec): name for name, spec in doc.sheaves.items()}
     for name, m in doc.gt_models.items():
-        fname = fiber_names.get(id(m.fiber_spec), "fiber")
+        fname = doc.fiber_sheaf_names.get(name) or fiber_names.get(id(m.fiber_spec), "fiber")
         parts.append(write_gt_model(name, m, fname))
     if doc.base_atlas:
         block = ["baseatlas"]

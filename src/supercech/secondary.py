@@ -2,23 +2,22 @@
 their secondary obstruction complex, and the model-class map.
 
 A gt model over a point-reduced superspace base consists of a fiber odd
-bundle spec on the curve, a trivial rank-n base spec, and an extension
-cocycle theta valued in hom(fiber, base).  The exterior powers of the
-extension bundle carry the filtration by base-factor count, held as frame
-lists of the exterior power (:class:`~supercech.sheaf.FilteredSheaf`); the
-graded spaces, the connecting differentials between them, and the
-cup-with-theta construction are all computed exactly; the differential
-out of gr_b is the connecting map of gr_{b+1} -> F_b/F_{b+2} -> gr_b under
-hom(P, .).  The base factor is trivial, so a graded space is C(n, b)
-copies of one block hom(P, Λ^a F): its dimension is decided on that block,
-and its whole basis, read on the whole space, is the block's placed on the
-copies by :func:`~supercech.cech.cohomology_basis`.  Each question is
-decided once: the model class by one class decision, its cross-check as an
-identity of cochains, and a refined lift by one coboundary solve per
-filtration piece.  A model keeps no cache: the space's table
-(:func:`~supercech.sheaf.derived_spec`) holds its filtrations, two-step
-sequences and theta pairings, and the local bases that
-:mod:`~supercech.cech` decides.
+bundle spec F on the curve, a trivial rank-n base spec, and an extension
+cocycle theta valued in hom(F, base).  The exterior powers of the extension
+bundle E carry the filtration by base-factor count
+(:class:`~supercech.sheaf.FilteredSheaf`); the graded spaces, the
+differential out of gr_b (the connecting map of gr_{b+1} -> F_b/F_{b+2} ->
+gr_b under hom(P, .)) and the cup-with-theta map are computed exactly.  The
+base factor is trivial, so a graded space is C(n, b) copies of one block
+hom(P, Λ^a F), decided on that block.  So is the A1 check: a class of
+hom(P, F) on copy K of the (1, b) space has one image component on each
+copy K u {i} of the (0, b + 1) space, a sign times copy i of its image in
+hom(P, O^n), and those images are decided once per parity of b.  The model
+class is one class decision, cross-checked as an identity of cochains, and
+a refined lift one coboundary solve per filtration piece.  A model keeps no
+cache: the space's table (:func:`~supercech.sheaf.derived_spec`) holds its
+filtrations, two-step sequences, theta pairings and A1 images and
+decisions, and the local bases that :mod:`~supercech.cech` decides.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from itertools import combinations
 from math import comb, factorial
 
 from .cech import (CechCochain, CohomologyClass, DecisionPlan, ShortExactSequence,
-                   _cup_map, cech_delta, cohomology_basis, cohomology_class, connecting_map,
-                   extension_sheaf, is_coboundary, is_cocycle, solve_coboundary)
+                   _cup_map, _keyed_basis, cech_delta, cohomology_basis, cohomology_class,
+                   connecting_map, extension_sheaf, is_coboundary, is_cocycle, solve_coboundary)
 from .errors import CocycleError, SupercechError
 from .gluing import SuperGluingData, restrict_odd
 from .grassmann import GrassmannElement, _index_mask, _koszul_sign
@@ -315,10 +314,12 @@ def model_class_map(m: GtModel, a: int, b: int, p: int, nu: CechCochain,
                               hom_into_quotient(m, a - 1, b + 1)), window)
 
 
-def _theta_pairing(m: GtModel, a: int, b: int) -> list[list[tuple[int, Coef]]]:
-    """The model class map's columns out of the (a, b) space, built once per
-    shape in the space's table."""
-    rank_p, sign = parity_spec(m, a + b).rank, MODEL_CLASS_MAP_SIGN
+def _theta_pairing(m: GtModel, a: int, b: int,
+                   rank_p: int | None = None) -> list[list[tuple[int, Coef]]]:
+    """The model class map's columns out of the (a, b) space, P of rank
+    ``rank_p`` (by default P at the parity of a + b), built once per shape
+    in the space's table."""
+    sign, rank_p = MODEL_CLASS_MAP_SIGN, rank_p or parity_spec(m, a + b).rank
     return derived_spec(m.space, ("theta pairing", m.base_rank, m.fiber_rank, a, b, rank_p, sign),
                         lambda: _theta_pairing_matrix(m, a, b, rank_p, sign))
 
@@ -393,56 +394,125 @@ def verify_a1_containment(m: GtModel, b: int, *,
     contraction and composition repackages a (1, b) class as itself, so nu
     goes to the differential unchanged.
 
-    The basis is read in one call, :func:`~supercech.cech.cohomology_basis`
-    of the whole ``hom_into_quotient(m, 1, b)`` in ``window``, after
-    :func:`check_a1_window` has planned the level; no block is decided apart
-    from the whole space, and the report's dimension is the length of that
-    basis.  Both images of every nu are formed first, the right one kept
-    only where it differs from the left; all are valued in the one interned
-    ``hom_into_quotient(m, 0, b + 1)``.  The level's two-step sequence and
-    theta pairing are fetched once, and the connecting map, taken first,
-    checks that nu is a 0-cocycle, so the cup reads nu on each overlap's
-    leading chart and nu is moved across an overlap once per sample, not
-    twice.  Then one window serves the level: ``window``, or else the
-    largest window derived from a nonzero image, planned before any sample
-    is decided, so an image over the cap or the system budget refuses the
-    level at once.  Every sample is decided in that window, each block's
-    delta0 system is built once for the level and the two sides of a sample
-    are compared in the same window; triviality and equality of classes do
-    not depend on the window once it is large enough for each image."""
+    A sample, a class nu_j of the block hom(P, F) on copy K in the whole
+    basis's order, is read off nu_j's images (:func:`_a1_images`) and the
+    level's signs (:func:`_a1_signs`).  The images are decided in ``window``
+    or in the one derived from the widest image on the level's C(n, b + 1)
+    copies of hom(P, O), planned first, so an over-budget level refuses."""
     check_a1_window(m, b, window=window)
-    basis = cohomology_basis(hom_into_quotient(m, 1, b), 0, window=window)
-    images = []
-    if basis:
-        # the level's sequence, pairing and image sheaf, fetched once
-        ses = _two_step_sequence(m, b + 1, b)
-        pairing, out_spec = _theta_pairing(m, 1, b), hom_into_quotient(m, 0, b + 1)
-        for nu in basis:
-            # the connecting map refuses a nu that is not a 0-cocycle, so
-            # the cup reads nu's leading-chart sections instead of moving it
-            right = connecting_map(ses, nu)
-            left = _cup_map(m.theta, nu, pairing, out_spec, v_cocycle=True)
-            images.append((left, None if right == left else right))
-    if window is None:
-        nonzero = [c for pair in images for c in pair if c is not None and not c.is_zero()]
-        if nonzero:
-            widest = max(nonzero, key=CechCochain.max_exponent)
-            window = DecisionPlan(widest.sheaf, widest).top
-    report = ContainmentReport(b, len(basis))
-    for i, (left, right) in enumerate(images):
-        lhs = cohomology_class(left, window=window)
-        rhs = lhs if right is None else cohomology_class(right, window=window)
+    n, P, copies, block = m.base_rank, parity_spec(m, b + 1), comb(m.base_rank, b), _block(m, 1, b)
+    keyed = _keyed_basis(block, 0, window) if copies else []
+    report = ContainmentReport(b, copies * len(keyed))
+    order = sorted(((pos, k * block.rank + f, exps), j, k)
+                   for j, ((pos, f, exps), _) in enumerate(keyed) for k in range(copies))
+    if b == n or not keyed:    # with no (0, b + 1) copies every image is zero
+        report.samples = [ContainmentSample(i, True, True, True) for i in range(len(order))]
+        return report
+    images, widest = derived_spec(m.space, ("A1 images", m.total_odd, P, window),
+                                  lambda: _a1_images(m, P, [nu for _, nu in keyed]))
+    top = window if window is not None or widest is None else DecisionPlan(
+        sheaf_hom(P, trivial_spec(m.space)), widest, copies=comb(n, b + 1)).top
+    decided = derived_spec(m.space, ("A1 decisions", m.total_odd, P, window, top),
+                           lambda: _a1_decisions(images, P.rank, top))
+    signs, subsets = _a1_signs(m, b, P.rank), list(combinations(range(n), b))
+    for index, (_, j, k) in enumerate(order):
+        left_zero, right_zero, same, opposite = decided[j]
+        outside = [i for i in range(n) if i not in subsets[k]]
         report.samples.append(ContainmentSample(
-            i, lhs.trivial, rhs.trivial, lhs.representative == rhs.representative))
+            index, all(i in left_zero for i in outside), all(i in right_zero for i in outside),
+            all(i in (same if signs[(k, i)] == 1 else opposite) for i in outside)))
     return report
+
+
+def _a1_images(m: GtModel, P: SheafSpec, nus: list[CechCochain]):
+    """Each block class's cup image and, where it differs, its connecting
+    image in hom(P, O^n) -> hom(P, E) -> hom(P, F); the widest nonzero image,
+    or None.  The connecting map checks that nu is a 0-cocycle first."""
+    ses = ShortExactSequence(sheaf_hom(P, m.total_odd), list(range(m.base_rank * P.rank)))
+    pairing, images = _theta_pairing(m, 1, 0, P.rank), []
+    for nu in nus:
+        right = connecting_map(ses, nu)
+        left = _cup_map(m.theta, nu, pairing, ses.sub, v_cocycle=True)
+        images.append((left, None if right == left else right))
+    nonzero = [c for pair in images for c in pair if c is not None and not c.is_zero()]
+    return images, max(nonzero, key=CechCochain.max_exponent, default=None)
+
+
+def _a1_decisions(images, rank_p: int, window: int | None) -> list[tuple[set, ...]]:
+    """Per pair of images, the copies of hom(P, O) in hom(P, O^n) on which
+    the cup image, or the connecting image, reduces to zero, and those on
+    which the two reduce to equal, or to opposite, residuals.  The copies
+    that reduce to zero in a nontrivial image are decided together once
+    more, so each is backed by a checked witness."""
+    def residuals(image: CechCochain) -> list[dict]:
+        out = [{} for _ in range(image.sheaf.rank // rank_p)]
+        if image.is_zero():
+            return out
+        cls = cohomology_class(image, window=window)
+        for key, frames in cls.representative.sections.items():
+            for f, p in frames.items():
+                out[f // rank_p][(key, f)] = p
+        if not cls.trivial and not cohomology_class(image._restricted(
+                {f: f for f in range(image.sheaf.rank) if not out[f // rank_p]}, image.sheaf),
+                window=window).trivial:
+            raise CocycleError("internal error: copies that reduce to zero are not a coboundary")
+        return out
+
+    decided = []
+    for left, right in images:
+        lres = residuals(left)
+        pairs = list(enumerate(zip(lres, lres if right is None else residuals(right))))
+        decided.append(({i for i, (l, _) in pairs if not l}, {i for i, (_, r) in pairs if not r},
+                        {i for i, (l, r) in pairs if l == r},
+                        {i for i, (l, r) in pairs if l == {key: -p for key, p in r.items()}}))
+    return decided
+
+
+def _a1_signs(m: GtModel, b: int, rank_p: int) -> dict[tuple[int, int], int]:
+    """c_L(K, i) * c_R(K, i) by (k, i), K the k-th b-subset of the base
+    frames and i outside it.  The level's pairing out of copy K is c_L times
+    the (1, 0) pairing moved from copy i to copy K u {i}; its exterior power
+    of E couples e_K ^ f_j to e_K ^ e_i by c_R times E's entry from f_j to
+    e_i (c_R = c_L with no entry).  Each is one sign on every overlap, fiber
+    index and P index; hom(P, .) keeps c_R."""
+    n, qx, subsets = m.base_rank, m.fiber_rank, list(combinations(range(m.base_rank), b))
+    up = {L: p for p, L in enumerate(combinations(range(n), b + 1))}
+    level, first, width = _theta_pairing(m, 1, b), _theta_pairing(m, 1, 0, rank_p), qx * rank_p
+    cup, coupling = {}, {}
+    for h in range(n * qx):
+        i = h // qx
+        for k, K in enumerate(subsets):
+            L = up.get(tuple(sorted(K + (i,))))    # None when i is in K
+            moved = [[(L * rank_p + r % rank_p, v) for r, v in col] if L is not None else []
+                     for col in first[h * width:(h + 1) * width]]
+            got = level[(h * len(subsets) + k) * width:(h * len(subsets) + k + 1) * width]
+            s = 1 if got == moved else -1 if got == [[(r, -v) for r, v in col]
+                                                     for col in moved] else 0
+            if not s or L is not None and cup.setdefault((k, i), s) != s:
+                raise CocycleError(f"internal error: the (1, {b}) pairing is no signed (1, 0) one")
+    filt = filtration_of(m, b + 1)
+    idxs = list(combinations(range(m.total_odd.rank), b + 1))
+    sub, position = {idxs[p]: p for p in filt.graded[b + 1]}, {K: k for k, K in enumerate(subsets)}
+    for key, columns in filt.ambient.matrices.items():
+        E = m.total_odd.matrices[key]
+        for p in filt.graded[b]:
+            K, f = idxs[p][:-1], idxs[p][-1]    # e_K ^ f_j, f_j frame f of E
+            want = {sub[tuple(sorted(K + (i,)))]: (i, e) for i, e in E[f] if i < n and i not in K}
+            got = {r: e for r, e in columns[p] if idxs[r] in sub}
+            for r in got.keys() | want.keys():
+                i, e = want.get(r, (None, None))
+                s = 0 if e is None else {e: 1, -e: -1}.get(got.get(r), 0)
+                if not s or coupling.setdefault((position[K], i), s) != s:
+                    raise CocycleError(f"internal error: wedge^{b + 1} E couples unlike E")
+    return {ki: s * coupling.get(ki, s) for ki, s in cup.items()}
 
 
 def check_a1_window(m: GtModel, b: int, *, window: int | None) -> None:
     """Raise at once the WindowError over the system budget that
     :func:`verify_a1_containment` may meet, by planning first the basis of
     the (1, b) space, in ``window`` or its derived window, and, with an
-    explicit ``window``, a class on the (0, b + 1) piece its samples are
-    decided in (whether or not the space turns out to have a basis)."""
+    explicit ``window``, a class on the (0, b + 1) space its images lie in
+    (whether or not the (1, b) space turns out to have a basis)."""
     _plan_space(m, 1, b, 0, window)
     if window is not None:
         _plan_space(m, 0, b + 1, None, window)

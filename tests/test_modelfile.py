@@ -68,6 +68,21 @@ def test_document_writer_round_trip(gt_model_doc):
     assert doc.gt_models["M"].theta == gt_model_doc.gt_models["M"].theta
 
 
+def test_document_writer_keeps_the_fiber_sheaf_name_read():
+    # TY is a copy of TX, so both name one interned spec; the gt model was
+    # read with TX and is written with TX
+    from supercech.modelfile import write_document
+    from conftest import corpus_path
+    text = corpus_path("gt_model_p1.model").read_text()
+    copy = "sheaf TY\n  rank 1\n  matrix U0 U1\n    x^-4\n  matrix U1 U0\n    y^-4\n\n"
+    text = text.replace("gtmodel M", copy + "gtmodel M")
+    doc = parse_model_text(text)
+    assert doc.sheaves["TX"] is doc.sheaves["TY"]
+    written = write_document(doc)
+    assert "  fiber_sheaf TX\n" in written and "fiber_sheaf TY" not in written
+    assert write_document(parse_model_text(written)) == written
+
+
 def test_glued_family_round_trip(nonsplit_p1):
     from supercech.family import glue_over_p1, read_glued_family, write_glued_family
     glued = glue_over_p1(nonsplit_p1)

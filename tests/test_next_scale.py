@@ -5,8 +5,9 @@ Each run of ``next_scale.json`` builds a model with a generator of
 ``cech.MAX_UNKNOWNS`` lifted to 10^9 inside the test only: at the product's
 budget these runs exit 3.  The structured stdout must keep its recorded
 sha256 and pass the oracle recorded beside it: a gauged model is split by
-construction, and the dimensions ``secondary`` prints for gt(10, 10)
-satisfy Riemann-Roch.  The ``basis`` entry records an H^1 basis of a
+construction, the dimensions ``secondary`` prints for gt(10, 10) satisfy
+Riemann-Roch, and ``a1-check`` on it finds every level of the A1
+containment to hold.  The ``basis`` entry records an H^1 basis of a
 family sheaf that the budget refuses, decided with the same lift.  Edit a
 recorded digest only when a change of output is intended.
 """
@@ -65,7 +66,8 @@ def test_next_scale_output_is_the_recorded_one(monkeypatch, tmp_path, run):
     assert hashlib.sha256(model.encode()).hexdigest() == run["model_sha256"]
     out = run_lifted(monkeypatch, tmp_path, model, run["command"])
     check = eval(run["oracle"], {"__builtins__": {}}, {
-        "expect": oracle.expect, "riemann_roch": oracle.riemann_roch})
+        "expect": oracle.expect, "riemann_roch": oracle.riemann_roch,
+        "all_fields": oracle.all_fields})
     assert check(out) is None
     assert hashlib.sha256(out.encode()).hexdigest() == run["stdout_sha256"]
 

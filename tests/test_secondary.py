@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -643,16 +644,18 @@ def test_each_local_basis_is_decided_once(name, window, monkeypatch):
 def test_a1_samples_do_not_move_nu(monkeypatch):
     # the connecting map checks that nu is a 0-cocycle, and the cup then
     # reads nu on the leading chart: nothing moves a section of the (1, b)
-    # space from one chart to the other
+    # space from one chart to the other.  Each level runs on a fresh model:
+    # levels of one parity share their images in the space's table, so on
+    # one model the second odd level moves nothing at all
     from supercech.secondary import hom_into_quotient
     from supercech.sheaf import SheafSpec
-    m = load_model("gt_model_p1.model").gt_models["M"]
     moved = []
     transport = SheafSpec.transport
     monkeypatch.setattr(SheafSpec, "transport",
                         lambda self, frm, to, frames: moved.append(self) or
                         transport(self, frm, to, frames))
-    for b in range(m.base_rank):
+    for b in range(3):
+        m = load_model("gt_model_p1.model").gt_models["M"]
         moved.clear()
         report = verify_a1_containment(m, b)
         assert report.samples and report.ok
@@ -682,10 +685,10 @@ def _flip_pairing_sign(monkeypatch, b, kpos, bi, p_indices=None):
     monkeypatch.setattr(secondary, "_theta_pairing_matrix", flipped)
 
 
-def _flip_coupling(monkeypatch, level, K, i, overlaps=None):
-    """Negate, in the level-th exterior power of the extension bundle that
-    the level's filtration holds, the coupling entry from e_K ^ f_0 to
-    e_K ^ e_i, on every overlap or only on ``overlaps``."""
+def _flip_coupling(monkeypatch, level, K, i, overlaps=None, factor=-1):
+    """Multiply by ``factor``, in the level-th exterior power of the
+    extension bundle that the level's filtration holds, the coupling entry
+    from e_K ^ f_0 to e_K ^ e_i, on every overlap or only on ``overlaps``."""
     import dataclasses
     from itertools import combinations
     from supercech import secondary
@@ -699,7 +702,8 @@ def _flip_coupling(monkeypatch, level, K, i, overlaps=None):
         idxs = list(combinations(range(m.total_odd.rank), level))
         row, col = idxs.index(tuple(sorted(K + (i,)))), idxs.index(K + (m.base_rank,))
         amb = filt.ambient
-        mats = {key: tuple(tuple((r, -e if (r, j) == (row, col) else e) for r, e in column)
+        mats = {key: tuple(tuple((r, e.scale(factor) if (r, j) == (row, col) else e)
+                                 for r, e in column)
                            if overlaps is None or key in overlaps else column
                            for j, column in enumerate(mat))
                 for key, mat in amb.matrices.items()}
@@ -727,26 +731,69 @@ def test_a1_check_fails_on_a_flipped_exterior_power_coupling(monkeypatch):
     assert sum(not s.equal for s in report.samples) == 1
 
 
+@pytest.mark.parametrize("p_indices", [[0], [1, 2, 3]])
+def test_a1_check_refuses_a_pairing_sign_that_differs_by_p_index(monkeypatch, p_indices):
+    # the sign of a wedge in the cup is one sign on every P index; a pairing
+    # flipped on some P indices only is an internal error, not a sample
+    _flip_pairing_sign(monkeypatch, 2, 2, 0, p_indices)
+    with pytest.raises(CocycleError) as err:
+        verify_a1_containment(load_model("gt_model_p1.model").gt_models["M"], 2)
+    assert str(err.value) == "internal error: the (1, 2) pairing is no signed (1, 0) one"
+
+
+@pytest.mark.parametrize("overlaps, factor", [([("U1", "U0")], -1), ([("U0", "U1")], -1),
+                                              (None, 2)],
+                         ids=["one overlap", "the other overlap", "doubled"])
+def test_a1_check_refuses_a_coupling_that_is_no_signed_copy(monkeypatch, overlaps, factor):
+    # the exterior power couples e_K ^ f to e_K ^ e_i as the extension
+    # bundle couples f to e_i, up to one sign on every overlap
+    _flip_coupling(monkeypatch, 3, (1, 2), 0, overlaps, factor)
+    with pytest.raises(CocycleError) as err:
+        verify_a1_containment(load_model("gt_model_p1.model").gt_models["M"], 2)
+    assert str(err.value) == "internal error: wedge^3 E couples unlike E"
+
+
 def test_a1_check_decides_each_level_in_one_window(monkeypatch, capsys):
-    # each sheaf a1-check builds systems for sees one bound: the basis
-    # window of each whole (1, b) space, read in one call, and the one
-    # window of the samples of its level; decided sample by sample, the
-    # rank-3 piece of b = 1 saw six.  No block is decided apart from its
-    # whole space, so hom(P, F) of b = 1 is not linearized on its own: six
-    # sheaves are linearized, and six delta0 systems are built
-    bounds = {}
-    linearize = cech._delta0_linearization
+    # a1-check on gt_model_p1 linearizes four sheaves, each in one bound:
+    # the block hom(P, F) of each parity, for the basis, and hom(P, O^3) of
+    # each parity, for the images.  No whole (1, b) space of more than one
+    # copy is linearized, nor a whole (0, b + 1) space: at base rank 3 the
+    # (0, 1) and (0, 2) spaces are hom(P, O^3) themselves, and the (0, 3)
+    # space is not.  Each level decides in one window, and each image is
+    # decided once per (parity, window): b = 2 shares the odd parity's
+    # decisions with b = 0 and decides nothing
+    from supercech import cli, secondary
+    from supercech.secondary import _block, hom_into_quotient, parity_spec
+    from supercech.sheaf import sheaf_hom
+    bounds, levels = {}, []
+    linearize, decide, verify = (cech._delta0_linearization, secondary.cohomology_class,
+                                 cli.verify_a1_containment)
 
     def counted(sheaf, bound):
         bounds.setdefault(sheaf, set()).add(bound)
         return linearize(sheaf, bound)
 
+    def decided(c, window=None):
+        levels[-1][1].append((c, window))
+        return decide(c, window=window)
+
+    def level(m, b, **kw):
+        levels.append((m, []))
+        return verify(m, b, **kw)
+
     monkeypatch.setattr(cech, "_delta0_linearization", counted)
+    monkeypatch.setattr(secondary, "cohomology_class", decided)
+    monkeypatch.setattr(cli, "verify_a1_containment", level)
     assert main(["a1-check", "--input", str(corpus_path("gt_model_p1.model"))]) == 0
-    assert len(bounds) == 6
+    m = levels[0][0]
+    assert set(bounds) == {_block(m, 1, 0), _block(m, 1, 1), *(
+        sheaf_hom(parity_spec(m, level), m.base_spec) for level in (1, 2))}
+    assert not {hom_into_quotient(m, a, b) for a, b in ((1, 1), (1, 2), (0, 3))} & set(bounds)
     assert all(len(seen) == 1 for seen in bounds.values())
-    (space,) = {sheaf.space for sheaf in bounds}
-    assert sum(key[0] == "delta0" for key in space.specs) == 6
+    assert [len({w for _, w in calls}) for _, calls in levels] == [1, 1, 0]
+    calls = [call for _, level_calls in levels for call in level_calls]
+    assert all(c is not d or w != v for (c, w), (d, v) in combinations(calls, 2))
+    assert all(c != d for (c, _), (d, _) in combinations(calls, 2))
 
 
 def test_a1_check_refuses_a_level_before_it_decides_a_sample(monkeypatch, capsys):
