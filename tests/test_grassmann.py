@@ -80,6 +80,16 @@ def test_product_examples():
     assert (parse("x*theta_1") * parse("x^-1*theta_1")).is_zero()
 
 
+@pytest.mark.parametrize("zero", [
+    lambda e: e * LaurentPoly.zero(X), lambda e: e.scale(0), lambda e: e.scale(Q(0)),
+    lambda e: e * Q(0)])
+def test_a_zero_operand_gives_the_zero_element(zero):
+    e = parse("x + x^2*theta_1 - x^-1*theta_1*theta_2")
+    got = zero(e)
+    assert got == GrassmannElement.zero(X, 2)
+    assert got.terms == {} and got.is_zero() and str(got) == "0"
+
+
 def test_parity():
     assert parse("x + theta_1*theta_2").parity() == "even"
     assert parse("theta_1 + x*theta_2").parity() == "odd"
