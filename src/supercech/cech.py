@@ -18,8 +18,9 @@ pole order of the transition data, inside each chart's regularity cone
 coordinate changes move exponents affinely, so solutions outside the window
 are impossible by support bookkeeping and the linear solve is exact.  A
 :class:`DecisionPlan` fixes the windows of one decision on a sheaf, or on
-``copies`` diagonal copies of it, refuses a system over the budget counted
-on all the copies and builds the sheaf's systems.  Transition matrices
+``copies`` diagonal copies of it, and refuses a system over the budget
+counted on all the copies; the decision then builds the sheaf's systems in
+the plan's ``bound`` (:func:`_delta0_linearization`).  Transition matrices
 never mix the frames of different blocks (:meth:`SheafSpec.blocks`), so the
 delta0 system of a sheaf is the direct sum of those of its diagonal blocks.
 
@@ -298,11 +299,11 @@ class DecisionPlan:
     cap and the budget count all ``copies`` x rank frames: a system of more
     than MAX_UNKNOWNS unknowns raises WindowError, so a caller that must
     refuse early plans every decision first.  A plan with no frames (rank 0
-    or no copies) refuses no window."""
+    or no copies) refuses no window.  A plan builds nothing: the decision
+    reads its systems with ``_delta0_linearization(sheaf, plan.bound)``."""
 
     def __init__(self, sheaf: SheafSpec, *cochains: CechCochain, window: int | None = None,
                  degree: int | None = None, copies: int = 1):
-        self.sheaf = sheaf
         rank = copies * sheaf.rank
         top = window
         if top is None:
@@ -319,10 +320,6 @@ class DecisionPlan:
                 f"exponent window 0..{bound} needs a delta0 system of {size} unknowns "
                 f"({len(cover.order)} charts x rank {rank} x window box), "
                 f"over the budget of {MAX_UNKNOWNS}; pass a smaller window")
-
-    def systems(self) -> list[tuple[tuple[int, ...], _Delta0System]]:
-        """The delta0 systems of ``sheaf`` in window ``bound`` (:func:`_delta0_linearization`)."""
-        return _delta0_linearization(self.sheaf, self.bound)
 
 
 def _inert_positions(sheaf: SheafSpec) -> tuple[int, ...]:
@@ -446,8 +443,8 @@ def _delta0_linearization(sheaf: SheafSpec,
     a ``(frames, system)`` pair per block of :meth:`SheafSpec.blocks`, where
     ``system`` belongs to the interned diagonal block on ``frames`` and is
     kept in the space's table under ``("delta0", block, bound)``, so equal
-    blocks share one, also across specs.  Called once per decision, through
-    :meth:`DecisionPlan.systems`, with the plan's ``bound``."""
+    blocks share one, also across specs.  Called once per decision, with its
+    :class:`DecisionPlan`'s ``bound``."""
     space = sheaf.space
 
     def system(block):
@@ -457,14 +454,13 @@ def _delta0_linearization(sheaf: SheafSpec,
         (frames, system(diagonal_block(sheaf, frames))) for frames in sheaf.blocks()])
 
 
-def _copies(sheaf: SheafSpec, blocks, c: CechCochain) -> dict[tuple, dict[tuple, Coef]]:
+def _copies(blocks, c: CechCochain) -> dict[tuple, dict[tuple, Coef]]:
     """The cochain split into its copies: one sparse vector over (tuple,
     frame, exponents) keys of slice 0 per copy (i, k) it meets, block i of
     ``blocks`` (see :func:`_delta0_linearization`) on inert slice k, with
     each frame numbered within its block."""
-    where = derived_spec(sheaf.space, ("block frames", sheaf), lambda: {
-        f: (i, local) for i, frames in enumerate(sheaf.blocks())
-        for local, f in enumerate(frames)})
+    where = {f: (i, local) for i, (frames, _) in enumerate(blocks)
+             for local, f in enumerate(frames)}
     parts: dict[tuple, dict[tuple, Coef]] = {}
     for key, frames in c.sections.items():
         for f, poly in frames.items():
@@ -563,12 +559,12 @@ def cohomology_class(c: CechCochain, window: int | None = None) -> CohomologyCla
     sheaf = c.sheaf
     if c.is_zero():
         return CohomologyClass(sheaf, 1, CechCochain(sheaf, 1), True, CechCochain(sheaf, 0))
-    blocks = DecisionPlan(sheaf, c, window=window).systems()
+    blocks = _delta0_linearization(sheaf, DecisionPlan(sheaf, c, window=window).bound)
     # rows of one copy never touch another copy's columns, so each copy
     # reduces in its block's slice-0 system exactly as in the whole one; a
     # slice outside the window has no unknowns and stays as it is
     reduced = []
-    for (i, k), part in _copies(sheaf, blocks, c).items():
+    for (i, k), part in _copies(blocks, c).items():
         frames, system = blocks[i]
         if all(0 <= e <= system.bound for e in k):
             reduced.append((frames, system, k, *system.reduce(part)))
@@ -620,7 +616,7 @@ def _keyed_basis(sheaf: SheafSpec, degree: int, window: int | None) -> list[tupl
     if degree not in (0, 1):
         raise ValueError("cohomology_basis supports degrees 0 and 1")
     plan = DecisionPlan(sheaf, window=window, degree=degree)
-    blocks, top = plan.systems(), plan.top
+    blocks, top = _delta0_linearization(sheaf, plan.bound), plan.top
     position = {key: i for i, key in enumerate(canonical_keys(sheaf.space.cover, degree))}
     local_basis = _h0_basis if degree == 0 else partial(_h1_basis, top=top)
     found: list[tuple[tuple, CechCochain]] = []

@@ -210,24 +210,16 @@ class GrassmannElement:
         if isinstance(other, Coef):
             return self.scale(other)
         if isinstance(other, LaurentPoly):
-            if other.is_zero():
-                return GrassmannElement.zero(self.vars, self.odd_rank)
-            # Laurent polynomials have no zero divisors
-            return self._like({i: c * other for i, c in self.terms.items()})
+            # Laurent polynomials have no zero divisors, so only a zero
+            # factor leaves zero coefficients
+            return self._like({i: p for i, c in self.terms.items() if (p := c * other).terms})
         self._check(other)
         acc: dict[int, dict] = {}
         _product_into(acc, _raw(self), _raw(other), self.odd_rank)
         return _collect(self.vars, self.odd_rank, acc)
 
-    def __rmul__(self, other):
-        if isinstance(other, (Coef, LaurentPoly)):
-            return self.__mul__(other)
-        return NotImplemented
-
     def scale(self, c) -> "GrassmannElement":
-        if c == 0:
-            return GrassmannElement.zero(self.vars, self.odd_rank)
-        return self._like({i: co.scale(c) for i, co in self.terms.items()})
+        return self._like({i: p for i, co in self.terms.items() if (p := co.scale(c)).terms})
 
     def power(self, e: int) -> "GrassmannElement":
         """Integer power.  ``e >= 0`` squares and multiplies; negative
@@ -328,9 +320,6 @@ class GrassmannElement:
     def __eq__(self, other) -> bool:
         return (isinstance(other, GrassmannElement) and self.vars == other.vars
                 and self.odd_rank == other.odd_rank and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.vars, self.odd_rank, frozenset(self.terms.items())))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))

@@ -449,10 +449,8 @@ def write_document(doc: ModelDocument) -> str:
         parts.append(f"base_odd {doc.base_odd}\n")
     for name, spec in doc.sheaves.items():
         parts.append(write_sheaf(name, spec))
-    fiber_names = {id(spec): name for name, spec in doc.sheaves.items()}
     for name, m in doc.gt_models.items():
-        fname = doc.fiber_sheaf_names.get(name) or fiber_names.get(id(m.fiber_spec), "fiber")
-        parts.append(write_gt_model(name, m, fname))
+        parts.append(write_gt_model(name, m, doc.fiber_sheaf_names[name]))
     if doc.base_atlas:
         block = ["baseatlas"]
         if "base_vars" in doc.base_atlas:

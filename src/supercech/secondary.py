@@ -16,8 +16,9 @@ hom(P, O^n), and those images are decided once per parity of b.  The model
 class is one class decision, cross-checked as an identity of cochains, and
 a refined lift one coboundary solve per filtration piece.  A model keeps no
 cache: the space's table (:func:`~supercech.sheaf.derived_spec`) holds its
-filtrations, two-step sequences, theta pairings and A1 images and
-decisions, and the local bases that :mod:`~supercech.cech` decides.
+two-step sequences, theta pairings and A1 images and decisions, and the
+local bases that :mod:`~supercech.cech` decides; a filtration is frame
+lists over the interned exterior power, rebuilt when asked for.
 """
 
 from __future__ import annotations

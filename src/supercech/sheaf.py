@@ -30,11 +30,12 @@ major, so ``hom(A, B)`` has the Kronecker product of ``M_B`` and the dual's
 
 A spec is its content: :func:`sheaf_spec` keeps one per rank and matrices
 in the space's table ``specs``, which also holds each construction's result
-under its name and operands, e.g. ``("hom", a, b)``, each filtration under
-``("filtration", ext, sub, quot, degree)``, each eliminated delta0 system
-of a block under ``("delta0", block, bound)``, that system's H^p basis under
-``("basis", system, degree, top)``, and the two-step sequences and theta
-pairings of :mod:`supercech.secondary` (:func:`derived_spec`).
+under its name and operands, e.g. ``("hom", a, b)``, each eliminated delta0
+system of a block under ``("delta0", block, bound)``, that system's H^p
+basis under ``("basis", system, degree, top)``, and the two-step sequences,
+theta pairings and A1 images and decisions of :mod:`supercech.secondary`
+(:func:`derived_spec`).  A filtration (:func:`filtration`) is frame lists
+over an interned exterior power and is not kept.
 A spec's blocks (:meth:`SheafSpec.blocks`) are the frame sets its
 transition matrices never mix; equal blocks, within one spec or across
 specs, are one interned :func:`diagonal_block`.
@@ -315,9 +316,9 @@ def sheaf_spec(space: ReducedSpace, rank: int, matrices: dict[tuple[str, str], C
 
 def derived_spec(space: ReducedSpace, key: tuple, build):
     """``build()`` once per construction ``key`` (interned specs, delta0
-    systems the table keeps, and integers) on ``space``: a spec, a
-    filtration, a delta0 system, the blocks of a sheaf's system, a system's
-    H^p basis, or a secondary sequence or pairing.  The table holds the
+    systems the table keeps, and integers) on ``space``: a spec, a delta0
+    system, the blocks of a sheaf's system, a system's H^p basis, or a
+    secondary sequence, pairing, or A1 image or decision list.  The table holds the
     operand specs and systems in ``key``, so their ids cannot pass to other
     objects."""
     spec = space.specs.get(key)
@@ -465,13 +466,9 @@ def diagonal_block(spec: SheafSpec, positions: Sequence[int]) -> SheafSpec:
 
 def filtration(ext: SheafSpec, sub: SheafSpec, quot: SheafSpec, degree: int) -> FilteredSheaf:
     """Filtration of the degree-th exterior power of ``ext``, an extension of
-    ``quot`` by ``sub`` (its first frames), by the count of sub-factors;
-    built once per operands, in the space's table."""
-    return derived_spec(ext.space, ("filtration", ext, sub, quot, degree),
-                        lambda: _filtration(ext, sub, quot, degree))
-
-
-def _filtration(ext: SheafSpec, sub: SheafSpec, quot: SheafSpec, degree: int) -> FilteredSheaf:
+    ``quot`` by ``sub`` (its first frames), by the count of sub-factors.  It
+    is frame lists over the interned exterior power, so it is rebuilt on
+    each call and not kept."""
     amb = sheaf_exterior_power(ext, degree)
     idxs = list(combinations(range(ext.rank), degree))
     counts = [sum(1 for i in I if i < sub.rank) for I in idxs]

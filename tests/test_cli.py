@@ -381,6 +381,33 @@ def test_report_all_fails_with_the_wrong_pairing_sign(monkeypatch, capsys):
     assert "gtmodel.M.a1_ok=False" in out.splitlines()
 
 
+def test_report_all_fails_on_a_failed_compatibility(monkeypatch, capsys):
+    # the underlying data's deviation doubled (odd rank 2, the total data's
+    # is 3): its class is no longer the restriction of the total one
+    from supercech import secondary
+    deviation = secondary.deviation_cochain
+    monkeypatch.setattr(secondary, "deviation_cochain", lambda g, level: deviation(g, level).scale(
+        2 if g.cover.chart("U0").odd_rank == 2 else 1))
+    code, out, _ = run_cli(capsys, "report-all", "--input",
+                           str(corpus_path("gtm_odd_base.model")), "--format", "structured")
+    assert code == 1
+    assert out.splitlines() == ["verify.ok=True", "splitting_type=2", "compatibility.ok=False"]
+
+
+def test_report_all_fails_on_a_broken_embedding_lemma(monkeypatch, capsys):
+    import dataclasses
+    triple = SuperGluingData.embedding_splitting_triple
+    monkeypatch.setattr(SuperGluingData, "embedding_splitting_triple",
+                        lambda g, point: dataclasses.replace(triple(g, point), lemma_holds=False))
+    code, out, _ = run_cli(capsys, "report-all", "--input",
+                           str(corpus_path("two_parameter_family.model")), "--format", "structured")
+    assert code == 1
+    lines = out.splitlines()
+    assert "factorization.ok=True" in lines
+    assert [line for line in lines if line.startswith("embedding_triple.")] == [
+        f"embedding_triple.{i}=2,2,2" for i in range(3)]
+
+
 def _double_the_connecting_map(monkeypatch):
     from supercech import secondary
     connecting = secondary.connecting_map

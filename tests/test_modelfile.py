@@ -83,6 +83,24 @@ def test_document_writer_keeps_the_fiber_sheaf_name_read():
     assert write_document(parse_model_text(written)) == written
 
 
+def test_document_writer_round_trips_an_empty_document():
+    from supercech.modelfile import ModelDocument, write_document
+    text = write_document(ModelDocument())
+    assert text == "format 1\n"
+    assert parse_model_text(text) == ModelDocument()
+    assert write_document(parse_model_text(text)) == text
+
+
+def test_document_writer_round_trips_base_odd():
+    from supercech.modelfile import write_document
+    doc = load_model("gtm_odd_base.model")
+    text = write_document(doc)
+    assert "\nbase_odd 1\n" in text
+    back = parse_model_text(text)
+    assert back.base_odd == 1 and back.gluing == doc.gluing
+    assert write_document(back) == text
+
+
 def test_glued_family_round_trip(nonsplit_p1):
     from supercech.family import glue_over_p1, read_glued_family, write_glued_family
     glued = glue_over_p1(nonsplit_p1)

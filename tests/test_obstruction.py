@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import supercech
 import dense_reference
-from supercech.cech import CechCochain, cohomology_class, is_cocycle
+from supercech.cech import CechCochain, cohomology_basis, cohomology_class, is_cocycle
 from supercech.errors import CocycleError, LevelError, SupercechError
 from supercech.family import extend_with_base, rothstein_family
 from supercech.gluing import INFINITY, SuperGluingData, SuperTransition, identity_transition
@@ -265,6 +265,56 @@ def test_differential_equals_the_evaluated_family_cochain():
             assert got.cls.trivial == want.cls.trivial
             assert got.cls.representative.sections == want.cls.representative.sections
     assert pairs == 60
+
+
+# two_parameter_family with odd coordinates moved by x^-3 instead of x^-2,
+# so that the fiber's deviation space has three classes, and a deviation
+# t1*x^-5 + t2*x^-4 (its inverse transition carries t1*y^-3 + t2*y^-4)
+TWO_CLASS_FAMILY = """format 1
+chart U0
+  fiber x
+  base t1 t2
+  odd 2
+chart U1
+  fiber y
+  base t1 t2
+  odd 2
+overlap U0 U1
+overlap U1 U0
+transition U0 U1
+  y = 1/x + (t1*x^-5 + t2*x^-4)*theta_1*theta_2
+  t1 = t1
+  t2 = t2
+  theta_1 = x^-3*theta_1
+  theta_2 = x^-3*theta_2
+transition U1 U0
+  x = 1/y + (t1*y^-3 + t2*y^-4)*theta_1*theta_2
+  t1 = t1
+  t2 = t2
+  theta_1 = y^-3*theta_1
+  theta_2 = y^-3*theta_2
+family t1 t2
+"""
+
+
+def test_factorization_fails_on_two_independent_fiber_classes():
+    # the coefficients of t1 and t2 in the deviation are minus the first two
+    # classes of the fiber's H^1 basis, so no rational multiple of one is
+    # the other
+    g = parse_model_text(TWO_CLASS_FAMILY).gluing
+    assert g.verify_cocycle().ok and g.splitting_type() == 2
+    basis = cohomology_basis(deviation_hom_spec(g.restrict_fiber({"t1": 0, "t2": 0}), 2), 1)
+    assert len(basis) == 3
+    deviation = deviation_cochain(g, 2)
+    (key,) = deviation.sections
+    x_row = deviation.section(*key)[0].split_by(("t1", "t2"))
+    assert sorted(x_row) == [(0, 1), (1, 0)]
+    for monomial, cls in (((1, 0), basis[0]), ((0, 1), basis[1])):
+        assert [-x_row[monomial].with_context(("x",))] == cls.section(*key)
+    cf = characteristic_factorization(g)
+    assert (cf.ok, cf.section, cf.omega, cf.level) == (False, None, None, 2)
+    assert cf.violation == ("coefficient of base monomial (1, 0) is not a rational "
+                            "multiple of the one at (0, 1)")
 
 
 def test_factorization_of_split_family(split_p1):

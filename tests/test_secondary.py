@@ -752,6 +752,20 @@ def test_a1_check_refuses_a_coupling_that_is_no_signed_copy(monkeypatch, overlap
     assert str(err.value) == "internal error: wedge^3 E couples unlike E"
 
 
+def test_a1_check_refuses_zero_copies_that_are_no_coboundary(monkeypatch):
+    # a decision that calls every image nontrivial, while its residual on
+    # some copies is zero, contradicts the joint decision of those copies:
+    # an internal error, not a sample
+    import dataclasses
+    from supercech import secondary
+    decide = secondary.cohomology_class
+    monkeypatch.setattr(secondary, "cohomology_class", lambda c, window=None: dataclasses.replace(
+        decide(c, window=window), trivial=False, witness=None))
+    with pytest.raises(CocycleError) as err:
+        verify_a1_containment(load_model("gt_model_p1.model").gt_models["M"], 0)
+    assert str(err.value) == "internal error: copies that reduce to zero are not a coboundary"
+
+
 def test_a1_check_decides_each_level_in_one_window(monkeypatch, capsys):
     # a1-check on gt_model_p1 linearizes four sheaves, each in one bound:
     # the block hom(P, F) of each parity, for the basis, and hom(P, O^3) of
